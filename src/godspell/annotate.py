@@ -5,6 +5,8 @@ supernatural events; a passage is positive only when both stages say YES.
 Two follow-up prompts characterize each detected act (who is affected,
 and whether the act is loving or punishing). All responses are
 schema-constrained JSON, parsed strictly, and cached for resume.
+
+``run_pipeline`` is the one entry point into the cascade.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -122,6 +124,12 @@ def parse_response(raw: str, schema: OutputSchema) -> dict[str, str]:
         payload = json.loads(raw)
     except (json.JSONDecodeError, TypeError) as e:
         raise MalformedResponse(f"response is not valid JSON: {e}") from None
+    return _check_fields(payload, schema)
+
+
+def _check_fields(payload: object, schema: OutputSchema) -> dict[str, str]:
+    """Validate a decoded response (or a cache entry) against the schema and
+    return its schema fields, in schema order."""
     if not isinstance(payload, dict):
         raise MalformedResponse("response JSON is not an object")
     parsed = {}
@@ -370,17 +378,16 @@ def call_model(
     prompt: str,
     schema: OutputSchema,
     transport: Transport | None = None,
-) -> str:
-    """Issue one schema-constrained completion, retrying transport failures
-    and malformed bodies with exponential backoff (base 1s, factor 2)."""
+) -> dict[str, str]:
+    """Issue one schema-constrained completion and return its parsed fields,
+    retrying transport failures and malformed bodies with exponential
+    backoff (base 1s, factor 2)."""
     transport = transport or http_transport
     delay = config.backoff_base
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         try:
-            raw = transport(config, prompt, schema)
-            parse_response(raw, schema)
-            return raw
+            return parse_response(transport(config, prompt, schema), schema)
         except (TransportError, MalformedResponse) as e:
             last_error = e
             if attempt < config.max_retries:
@@ -425,38 +432,6 @@ class ActAnnotation:
         if (self.impact is not None) != (self.final_label == "YES"):
             raise AssertionError(f"{self.ref}: impact present iff final YES")
 
-    def to_dict(self) -> dict:
-        return {
-            "passage": self.ref,
-            "novel_id": self.novel_id,
-            "index": self.index,
-            "status": self.status,
-            "stage1": self.stage1,
-            "stage2": self.stage2,
-            "final_label": self.final_label,
-            "affect": self.affect,
-            "impact": self.impact,
-            "cache_key": self.cache_key,
-            "failed_stage": self.failed_stage,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActAnnotation":
-        return cls(
-            novel_id=d["novel_id"],
-            index=d["index"],
-            status=d["status"],
-            stage1=d.get("stage1"),
-            stage2=d.get("stage2"),
-            final_label=d.get("final_label"),
-            affect=d.get("affect"),
-            impact=d.get("impact"),
-            cache_key=d.get("cache_key"),
-            failed_stage=d.get("failed_stage"),
-            error=d.get("error"),
-        )
-
 
 def cache_key(model_name: str, template: PromptTemplate, text: str, stage: str) -> str:
     payload = json.dumps(
@@ -480,7 +455,11 @@ class AnnotationCache:
         path = self._path(stage, key)
         if not path.is_file():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:
+            log.warning("unreadable cache entry %s (%s); treating it as a miss", path, e)
+            return None
 
     def put(self, stage: str, key: str, fields: dict) -> None:
         path = self._path(stage, key)
@@ -500,84 +479,27 @@ def _run_stage(
     transport: Transport | None,
     passage_ref: str,
 ) -> tuple[dict[str, str], str]:
-    """Execute (or look up) one stage; returns parsed fields and cache key."""
+    """Execute (or look up) one stage; returns parsed fields and cache key.
+
+    A cache entry that does not match the stage's schema counts as a miss."""
     template = registry.get(STAGE_TEMPLATES[stage], versions.get(stage, "v1"))
     key = cache_key(config.model, template, text, stage)
-    if cache is not None:
-        cached = cache.get(stage, key)
-        if cached is not None:
-            return cached, key
+    cached = cache.get(stage, key) if cache is not None else None
+    if cached is not None:
+        try:
+            return _check_fields(cached, template.schema), key
+        except MalformedResponse as e:
+            log.warning("cache entry %s/%s is malformed (%s); treating it as a miss",
+                        stage, key, e)
     try:
-        raw = call_model(config, render_prompt(template, text), template.schema, transport)
+        fields = call_model(config, render_prompt(template, text), template.schema, transport)
     except PipelineError as e:
         e.stage = stage
         e.passage_ref = passage_ref
         raise
-    fields = parse_response(raw, template.schema)
     if cache is not None:
         cache.put(stage, key, fields)
     return fields, key
-
-
-def classify_act(
-    passage: Passage,
-    config: ModelConfig,
-    registry: PromptRegistry | None = None,
-    cache: AnnotationCache | None = None,
-    transport: Transport | None = None,
-    versions: dict[str, str] | None = None,
-) -> dict[str, str]:
-    """Stage-1 detection for one passage."""
-    if not passage.text.strip():
-        raise ValueError(f"passage {passage.ref} has empty text")
-    registry = registry or default_registry()
-    fields, _ = _run_stage(
-        STAGE1, passage.text, config, registry, versions or {}, cache, transport, passage.ref
-    )
-    return fields
-
-
-def disambiguate_supernatural(
-    passage: Passage,
-    stage1: dict[str, str],
-    config: ModelConfig,
-    registry: PromptRegistry | None = None,
-    cache: AnnotationCache | None = None,
-    transport: Transport | None = None,
-    versions: dict[str, str] | None = None,
-) -> dict[str, str] | None:
-    """Stage-2 supernatural check; skipped entirely when stage 1 said NO."""
-    if stage1["label"] != "YES":
-        return None
-    registry = registry or default_registry()
-    fields, _ = _run_stage(
-        STAGE2, passage.text, config, registry, versions or {}, cache, transport, passage.ref
-    )
-    return fields
-
-
-def characterize(
-    act_description: str,
-    config: ModelConfig,
-    registry: PromptRegistry | None = None,
-    cache: AnnotationCache | None = None,
-    transport: Transport | None = None,
-    versions: dict[str, str] | None = None,
-    passage_ref: str = "",
-) -> tuple[str, str]:
-    """Affect and impact labels for a confirmed act, prompted with the
-    stage-1 act description rather than the raw passage."""
-    if not act_description.strip():
-        raise PipelineError("malformed", "empty act description", AFFECT, passage_ref)
-    registry = registry or default_registry()
-    versions = versions or {}
-    affect_fields, _ = _run_stage(
-        AFFECT, act_description, config, registry, versions, cache, transport, passage_ref
-    )
-    impact_fields, _ = _run_stage(
-        IMPACT, act_description, config, registry, versions, cache, transport, passage_ref
-    )
-    return affect_fields["god_affect"], impact_fields["god_impact"]
 
 
 def _annotate_one(
@@ -588,24 +510,29 @@ def _annotate_one(
     transport: Transport | None,
     versions: dict[str, str],
 ) -> ActAnnotation:
+    """The cascade for one passage: stage 1, stage 2 when stage 1 says YES,
+    then affect and impact (prompted with the stage-1 act description, not
+    the passage) when both say YES."""
     ref = passage.ref
-    stage1 = stage2 = None
+
+    def run(stage: str, text: str) -> tuple[dict[str, str], str]:
+        return _run_stage(stage, text, config, registry, versions, cache, transport, ref)
+
+    stage1 = stage2 = affect = impact = None
     try:
-        stage1, key = _run_stage(
-            STAGE1, passage.text, config, registry, versions, cache, transport, ref
-        )
+        if not passage.text.strip():
+            raise PipelineError("malformed", "empty passage text", STAGE1, ref)
+        stage1, key = run(STAGE1, passage.text)
+        final = "NO"
         if stage1["label"] == "YES":
-            stage2, _ = _run_stage(
-                STAGE2, passage.text, config, registry, versions, cache, transport, ref
-            )
+            stage2, _ = run(STAGE2, passage.text)
             final = "YES" if stage2["label"] == "YES" else "NO"
-        else:
-            final = "NO"
-        affect = impact = None
         if final == "YES":
-            affect, impact = characterize(
-                stage1["act_description"], config, registry, cache, transport, versions, ref
-            )
+            act = stage1["act_description"]
+            if not act.strip():
+                raise PipelineError("malformed", "empty act description", AFFECT, ref)
+            affect = run(AFFECT, act)[0]["god_affect"]
+            impact = run(IMPACT, act)[0]["god_impact"]
         return ActAnnotation(
             novel_id=passage.novel_id,
             index=passage.index,
@@ -661,7 +588,7 @@ def write_annotations(annotations: Sequence[ActAnnotation], path: Path | str) ->
     """One JSON line per annotation, in input order."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for ann in annotations:
-            fh.write(json.dumps(ann.to_dict(), ensure_ascii=False) + "\n")
+            fh.write(json.dumps({"passage": ann.ref, **asdict(ann)}, ensure_ascii=False) + "\n")
 
 
 def read_annotations(path: Path | str) -> list[ActAnnotation]:
@@ -669,7 +596,9 @@ def read_annotations(path: Path | str) -> list[ActAnnotation]:
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                annotations.append(ActAnnotation.from_dict(json.loads(line)))
+                d = json.loads(line)
+                d.pop("passage", None)
+                annotations.append(ActAnnotation(**d))
     return annotations
 
 
@@ -706,11 +635,6 @@ class MockModel:
         self.overrides = overrides or {}
         self.calls: dict[str, int] = {STAGE1: 0, STAGE2: 0, AFFECT: 0, IMPACT: 0}
         self._lock = threading.Lock()
-
-    def reset_calls(self) -> None:
-        with self._lock:
-            for stage in self.calls:
-                self.calls[stage] = 0
 
     @staticmethod
     def _stage_for(schema: OutputSchema) -> str:

@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import annotate, corpus, evaluation, topics
@@ -120,17 +121,20 @@ def cmd_topics_train(config: RunConfig) -> None:
 def cmd_topics_inspect(config: RunConfig) -> None:
     state_path = _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     model = topics.load_state(state_path)
-    rows = []
-    for k in range(model.k):
-        for rank, word in enumerate(model.top_words(k, n=10), start=1):
-            rows.append([k, rank, word, int(model.n_kw[k][model.vocabulary.index(word)])])
+    words = model.vocabulary
+    top = [topics.top_words(model.n_kw, words, k) for k in range(model.k)]
+    rows = [
+        [k, rank, words[w], int(model.n_kw[k, w])]
+        for k, ids in enumerate(top)
+        for rank, w in enumerate(ids, start=1)
+    ]
     write_csv(
         config.output_dir / "topics" / "top_words.csv",
         ["topic", "rank", "word", "count"],
         rows,
     )
-    for k in range(model.k):
-        print(f"topic {k}: " + " ".join(model.top_words(k, n=10)))
+    for k, ids in enumerate(top):
+        print(f"topic {k}: " + " ".join(words[w] for w in ids))
 
 
 def cmd_annotate(config: RunConfig) -> None:
@@ -204,8 +208,8 @@ def cmd_eval(config: RunConfig) -> None:
         "gold_yes": sum(1 for v in gold.labels.values() if v == "YES"),
         "gold_no": sum(1 for v in gold.labels.values() if v == "NO"),
         "resolved_by_discussion": len(gold.resolved_by_discussion),
-        "confusion": matrix.to_dict(),
-        "metrics": report.to_dict(),
+        "confusion": asdict(matrix),
+        "metrics": asdict(report),
         "unresolved_scored_as_no": unresolved,
     }
     if config.spotcheck_path is not None:
@@ -347,13 +351,13 @@ def cmd_stats(config: RunConfig) -> None:
                 spec["grouping"],
                 series_tag=series_tag if spec["grouping"] == "series" else None,
             )
-            entry.update(result.to_dict())
+            entry.update(asdict(result))
         except (KeyError, ValueError) as e:
             entry["error"] = str(e)
         comparisons.append(entry)
 
     payload = {
-        "passages": corpus.passage_statistics(passages).to_dict(),
+        "passages": asdict(corpus.passage_statistics(passages)),
         "novels": {
             n.id: {
                 "title": n.title,
@@ -363,7 +367,7 @@ def cmd_stats(config: RunConfig) -> None:
             for n in loaded.novels
         },
         "act_proportions": act_payload,
-        "position_density": density.to_dict(),
+        "position_density": asdict(density),
         "topic_prominence": {
             "per_novel": prominence_per_novel,
             "mean": mean_prominence,
@@ -459,12 +463,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
+    error_path = config.output_dir / "error.json"
+    error_path.unlink(missing_ok=True)
     try:
         COMMANDS[command](config)
         return 0
     except Exception as e:  # noqa: BLE001 - boundary: report and set exit code
         log.error("%s failed: %s", command, e)
-        _dump_json(config.output_dir / "error.json", {
+        _dump_json(error_path, {
             "subcommand": command,
             "error_kind": type(e).__name__,
             "message": str(e),

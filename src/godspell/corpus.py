@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 GENDERS = ("female", "male", "unknown")
@@ -82,29 +82,6 @@ class Passage:
     def ref(self) -> str:
         return f"{self.novel_id}:{self.index}"
 
-    def to_dict(self) -> dict:
-        return {
-            "novel_id": self.novel_id,
-            "index": self.index,
-            "text": self.text,
-            "word_count": self.word_count,
-            "word_start": self.word_start,
-            "word_end": self.word_end,
-            "normalized_position": self.normalized_position,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Passage":
-        return cls(
-            novel_id=d["novel_id"],
-            index=d["index"],
-            text=d["text"],
-            word_count=d["word_count"],
-            word_start=d["word_start"],
-            word_end=d["word_end"],
-            normalized_position=d["normalized_position"],
-        )
-
 
 @dataclass
 class Segment:
@@ -121,12 +98,6 @@ class Segment:
 class Corpus:
     novels: list[Novel]
     texts: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._by_id = {n.id: n for n in self.novels}
-
-    def novel(self, novel_id: str) -> Novel:
-        return self._by_id[novel_id]
 
     def text(self, novel_id: str) -> str:
         return self.texts[novel_id]
@@ -359,16 +330,6 @@ class PassageStatistics:
     max_per_novel: int
     mean_word_length: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passage_count": self.passage_count,
-            "novel_count": self.novel_count,
-            "mean_per_novel": self.mean_per_novel,
-            "min_per_novel": self.min_per_novel,
-            "max_per_novel": self.max_per_novel,
-            "mean_word_length": self.mean_word_length,
-        }
-
 
 def passage_statistics(passages: list[Passage]) -> PassageStatistics:
     """Per-corpus passage summary; means rounded to 2 decimals."""
@@ -394,7 +355,7 @@ def write_passages(passages: list[Passage], path: Path | str) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for p in passages:
-            fh.write(json.dumps(p.to_dict(), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(asdict(p), ensure_ascii=False) + "\n")
 
 
 def read_passages(path: Path | str) -> list[Passage]:
@@ -402,5 +363,5 @@ def read_passages(path: Path | str) -> list[Passage]:
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                passages.append(Passage.from_dict(json.loads(line)))
+                passages.append(Passage(**json.loads(line)))
     return passages

@@ -40,6 +40,19 @@ class ReliabilityData:
         return [v for v in self.labels[i] if v != MISSING]
 
 
+def _matrix(rows: list[tuple[str, str, str]]) -> ReliabilityData:
+    """Label matrix from (item, annotator, label) triples; items and
+    annotators in sorted order."""
+    items = sorted({r[0] for r in rows})
+    annotators = sorted({r[1] for r in rows})
+    index = {it: i for i, it in enumerate(items)}
+    col = {a: j for j, a in enumerate(annotators)}
+    matrix = [[MISSING] * len(annotators) for _ in items]
+    for item, annotator, label in rows:
+        matrix[index[item]][col[annotator]] = label
+    return ReliabilityData(items=items, annotators=annotators, labels=matrix)
+
+
 def read_annotation_csv(path: Path | str) -> ReliabilityData:
     """Load a `passage_id,annotator_id,label` CSV into a label matrix."""
     rows = []
@@ -50,14 +63,7 @@ def read_annotation_csv(path: Path | str) -> ReliabilityData:
             if label not in RELIABILITY_LABELS:
                 raise ValueError(f"unrecognized label {row['label']!r} in {path}")
             rows.append((row["passage_id"].strip(), row["annotator_id"].strip(), label))
-    items = sorted({r[0] for r in rows})
-    annotators = sorted({r[1] for r in rows})
-    index = {it: i for i, it in enumerate(items)}
-    col = {a: j for j, a in enumerate(annotators)}
-    matrix = [[MISSING] * len(annotators) for _ in items]
-    for item, annotator, label in rows:
-        matrix[index[item]][col[annotator]] = label
-    return ReliabilityData(items=items, annotators=annotators, labels=matrix)
+    return _matrix(rows)
 
 
 def merge_reliability(rounds: dict[str, ReliabilityData]) -> ReliabilityData:
@@ -72,14 +78,7 @@ def merge_reliability(rounds: dict[str, ReliabilityData]) -> ReliabilityData:
                     rows.append((item, f"{name}:{annotator}", label))
     if not rows:
         raise ValueError("no labels in any round")
-    items = sorted({r[0] for r in rows})
-    annotators = sorted({r[1] for r in rows})
-    index = {it: i for i, it in enumerate(items)}
-    col = {a: j for j, a in enumerate(annotators)}
-    matrix = [[MISSING] * len(annotators) for _ in items]
-    for item, annotator, label in rows:
-        matrix[index[item]][col[annotator]] = label
-    return ReliabilityData(items=items, annotators=annotators, labels=matrix)
+    return _matrix(rows)
 
 
 def krippendorff_alpha(data: ReliabilityData) -> float:
@@ -191,9 +190,6 @@ class Confusion:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
 
 def confusion(gold: GoldSet, predicted: dict[str, str]) -> Confusion:
     """2x2 counts with YES as the positive class; ref sets must match."""
@@ -223,15 +219,6 @@ class MetricReport:
     micro_f1: float
     accuracy: float
     zero_division: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "yes": self.yes,
-            "no": self.no,
-            "micro_f1": self.micro_f1,
-            "accuracy": self.accuracy,
-            "zero_division": self.zero_division,
-        }
 
 
 def _prf_row(tp: int, fp: int, fn: int, flags: list[str], label: str) -> dict[str, float]:

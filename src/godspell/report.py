@@ -80,6 +80,10 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
     base = config_path.parent
     overrides = overrides or {}
 
+    def override(name: str, default):
+        value = overrides.get(name)
+        return default if value is None else value
+
     if "manifest" not in payload:
         raise ConfigError("config must name a manifest")
     manifest = _require_file(_resolve(base, payload["manifest"]), "manifest")
@@ -115,7 +119,7 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         _require_file(_resolve(base, analysis), "analysis config") if analysis else None
     )
 
-    output_dir = _resolve(base, overrides.get("output_dir") or payload.get("output_dir", "out"))
+    output_dir = _resolve(base, override("output_dir", payload.get("output_dir", "out")))
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         probe = output_dir / ".write-probe"
@@ -124,47 +128,38 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
     except OSError as e:
         raise ConfigError(f"output directory not writable: {output_dir} ({e})") from None
 
-    endpoint = (
-        overrides.get("endpoint")
-        or os.environ.get(ENDPOINT_ENV_VAR)
-        or model.get("endpoint", "http://localhost:11434")
+    endpoint = override(
+        "endpoint",
+        os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", "http://localhost:11434"),
     )
-    backend = overrides.get("backend") or model.get("backend", "http")
+    backend = override("backend", model.get("backend", "http"))
     if backend not in ("http", "mock"):
         raise ConfigError(f"unknown model backend {backend!r}")
 
-    cache_dir = payload.get("cache_dir")
-    if overrides.get("cache_dir"):
-        cache_dir = overrides["cache_dir"]
+    cache_dir = override("cache_dir", payload.get("cache_dir"))
 
     config = RunConfig(
         manifest=manifest,
         output_dir=output_dir,
         segment_size=int(seg.get("segment_size", 300)),
         passage_cap=int(seg.get("passage_cap", 500)),
-        topics_k=int(overrides.get("k") or topics.get("k", 65)),
-        topics_sweeps=int(overrides.get("sweeps") or topics.get("sweeps", 1000)),
+        topics_k=int(override("k", topics.get("k", 65))),
+        topics_sweeps=int(override("sweeps", topics.get("sweeps", 1000))),
         topics_burn_in=int(topics.get("burn_in", 50)),
         topics_optimize_interval=int(topics.get("optimize_interval", 10)),
-        topics_seed=int(
-            overrides["seed"] if overrides.get("seed") is not None else topics.get("seed", 0)
-        ),
+        topics_seed=int(override("seed", topics.get("seed", 0))),
         topics_min_count=int(topics.get("min_count", 5)),
         topics_downsample=bool(topics.get("downsample", True)),
         topics_downsample_seed=int(topics.get("downsample_seed", 0)),
         stopwords_path=stopwords_path,
         topic_labels_path=labels_path,
         model_backend=backend,
-        model_name=overrides.get("model") or model.get("name", "gemma3n:e4b"),
+        model_name=override("model", model.get("name", "gemma3n:e4b")),
         model_endpoint=endpoint,
-        model_temperature=float(
-            overrides["temperature"]
-            if overrides.get("temperature") is not None
-            else model.get("temperature", 0.0)
-        ),
+        model_temperature=float(override("temperature", model.get("temperature", 0.0))),
         model_max_retries=int(model.get("max_retries", 3)),
         model_timeout=float(model.get("timeout", 120.0)),
-        workers=int(overrides.get("workers") or model.get("workers", 4)),
+        workers=int(override("workers", model.get("workers", 4))),
         cache_dir=_resolve(base, cache_dir) if cache_dir else None,
         prompt_registry_path=registry_path,
         prompt_versions=dict(prompts.get("versions", {})),
@@ -177,6 +172,10 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         raise ConfigError("segment_size and passage_cap must be >= 1")
     if config.topics_k < 1:
         raise ConfigError("topics.k must be >= 1")
+    if config.topics_sweeps < 1:
+        raise ConfigError("topics.sweeps must be >= 1")
+    if config.workers < 1:
+        raise ConfigError("workers must be >= 1")
     return config
 
 

@@ -136,20 +136,6 @@ class TestResult:
     group_b: str = "b"
     flag: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_two_sided": self.p_two_sided,
-            "group_a": self.group_a,
-            "group_b": self.group_b,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "flag": self.flag,
-        }
-
 
 def ttest_ind(
     a: Sequence[float],
@@ -203,9 +189,6 @@ class NovelSeries:
 
     def ids(self) -> list[str]:
         return list(self.values)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "values": dict(self.values)}
 
 
 def make_series(name: str, values: dict[str, float], novels: Sequence["Novel"]) -> NovelSeries:
@@ -325,15 +308,6 @@ class PositionDensity:
     mean_position: float | None
     n_acts: int
 
-    def to_dict(self) -> dict:
-        return {
-            "bin_edges": self.bin_edges,
-            "counts": self.counts,
-            "density": self.density,
-            "mean_position": self.mean_position,
-            "n_acts": self.n_acts,
-        }
-
 
 def position_density(
     annotations: Sequence["ActAnnotation"],
@@ -345,11 +319,11 @@ def position_density(
     if bins < 1:
         raise ValueError("bins must be >= 1")
     position = {p.ref: p.normalized_position for p in passages}
-    acts = [
-        position[ann.ref]
-        for ann in annotations
-        if ann.status == "ok" and ann.final_label == "YES" and ann.ref in position
-    ]
+    act_refs = [ann.ref for ann in annotations if ann.status == "ok" and ann.final_label == "YES"]
+    acts = [position[ref] for ref in act_refs if ref in position]
+    if len(acts) < len(act_refs):
+        log.warning("%d acts have no passage in the passage list; left out of the position density",
+                    len(act_refs) - len(acts))
     counts = [0] * bins
     for pos in acts:
         counts[min(int(pos * bins), bins - 1)] += 1

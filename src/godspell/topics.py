@@ -203,25 +203,6 @@ def init_state(
     )
 
 
-def topic_conditional(
-    n_dk_row: list[int],
-    n_kw_col: list[int],
-    n_k: list[int],
-    alpha: list[float],
-    beta: float,
-    vocabulary_size: int,
-) -> list[float]:
-    """Collapsed conditional p(z = k) for one token, given counts with the
-    token's own assignment already decremented."""
-    vbeta = vocabulary_size * beta
-    weights = [
-        (n_dk_row[k] + alpha[k]) * (n_kw_col[k] + beta) / (n_k[k] + vbeta)
-        for k in range(len(n_k))
-    ]
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
 def gibbs_sweep(state: TopicState, docs: list[list[int]]) -> TopicState:
     """One full collapsed-Gibbs pass over every token, in document order."""
     state.validate(docs)
@@ -380,33 +361,32 @@ def train(
     optimize_interval: int = 10,
     rng_seed: int = 0,
     beta_init: float = DEFAULT_BETA,
-    check_counts: bool = False,
 ) -> tuple[TopicState, TopicSummary]:
     """Run collapsed Gibbs sampling with periodic hyperparameter updates.
 
     Hyperparameters are re-estimated every optimize_interval sweeps once
-    past burn_in. Deterministic given rng_seed.
+    past burn_in. Deterministic given rng_seed. The count identities are
+    checked before every sweep and once more on the final state.
     """
     state = init_state(docs, k, vocabulary_size, rng_seed=rng_seed, beta_init=beta_init)
     lls = []
     for sweep in range(1, sweeps + 1):
         gibbs_sweep(state, docs)
-        if check_counts:
-            state.validate(docs)
         lls.append(log_likelihood(state))
         if optimize_interval and sweep > burn_in and sweep % optimize_interval == 0:
             optimize_alpha(state)
             optimize_beta(state)
+    state.validate(docs)
     return state, TopicSummary(log_likelihoods=lls, doc_topic=doc_topic_proportions(state))
 
 
-def top_words(state: TopicState, vocabulary: Vocabulary, k: int, n: int = 10) -> list[str]:
-    """Top-n words of topic k by count, ties broken lexicographically."""
-    if not 0 <= k < state.k:
-        raise ValueError(f"topic index {k} out of range for K={state.k}")
-    counts = state.n_kw[k]
-    order = sorted(range(vocabulary.size), key=lambda w: (-counts[w], vocabulary.words[w]))
-    return [vocabulary.words[w] for w in order[:n]]
+def top_words(n_kw: np.ndarray, words: list[str], k: int, n: int = 10) -> list[int]:
+    """Ids of the top-n words of topic k by count, ties broken
+    lexicographically by word."""
+    if not 0 <= k < len(n_kw):
+        raise ValueError(f"topic index {k} out of range for K={len(n_kw)}")
+    counts = n_kw[k].tolist()
+    return sorted(range(len(words)), key=lambda w: (-counts[w], words[w]))[:n]
 
 
 @dataclass
@@ -439,14 +419,6 @@ def prominence_from_doc_topic(
         )
         for novel_id in order
     ]
-
-
-def novel_prominence(
-    state: TopicState,
-    doc_novels: list[str],
-    all_novel_ids: list[str] | None = None,
-) -> list[NovelTopicProminence]:
-    return prominence_from_doc_topic(doc_topic_proportions(state), doc_novels, all_novel_ids)
 
 
 def topic_correlation(
@@ -497,13 +469,6 @@ class LoadedTopicModel:
     doc_topic: np.ndarray
     doc_novels: list[str]
     log_likelihood: list[float]
-
-    def top_words(self, k: int, n: int = 10) -> list[str]:
-        if not 0 <= k < self.k:
-            raise ValueError(f"topic index {k} out of range for K={self.k}")
-        counts = self.n_kw[k]
-        order = sorted(range(len(self.vocabulary)), key=lambda w: (-counts[w], self.vocabulary[w]))
-        return [self.vocabulary[w] for w in order[:n]]
 
 
 def load_state(path: Path | str) -> LoadedTopicModel:

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: the t-distribution
 CDF comes from high-precision numerical integration (mpmath), agreement
 from a literal coincidence-matrix enumeration, the Dirichlet fixed points
-from a generic numerical maximizer, and passage packing from a separate
-reference packer written directly against the packing rule.
+from a generic numerical maximizer, passage packing from a separate
+reference packer written directly against the packing rule, and the
+collapsed Gibbs conditional straight from its formula.
 """
 
 from __future__ import annotations
@@ -134,3 +135,22 @@ def maximize_symmetric_beta(n_kw: np.ndarray, lo: float = 1e-4, hi: float = 50.0
         if b - a < 1e-12:
             break
     return math.exp((a + b) / 2)
+
+
+def topic_conditional(
+    n_dk_row: list[int],
+    n_kw_col: list[int],
+    n_k: list[int],
+    alpha: list[float],
+    beta: float,
+    vocabulary_size: int,
+) -> list[float]:
+    """Collapsed conditional p(z = k) for one token, given counts with the
+    token's own assignment already decremented."""
+    vbeta = vocabulary_size * beta
+    weights = [
+        (n_dk_row[k] + alpha[k]) * (n_kw_col[k] + beta) / (n_k[k] + vbeta)
+        for k in range(len(n_k))
+    ]
+    total = sum(weights)
+    return [w / total for w in weights]

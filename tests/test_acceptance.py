@@ -121,7 +121,7 @@ def test_criterion_4_lda_separation():
         docs, v = two_vocab_corpus(rng)
 
         state, _ = train(docs, v, k=2, sweeps=200, burn_in=50, optimize_interval=10,
-                         rng_seed=7, check_counts=True)
+                         rng_seed=7)
         half = v // 2
         for lo, hi in ((0, half), (half, v)):
             counts = [0, 0]

@@ -18,10 +18,7 @@ from godspell.annotate import (
     PromptTemplate,
     cache_key,
     call_model,
-    characterize,
-    classify_act,
     default_registry,
-    disambiguate_supernatural,
     load_registry,
     parse_response,
     read_annotations,
@@ -204,15 +201,15 @@ def server_config(server, retries=3):
 class TestCallModel:
     def test_valid_body_passes_through(self, scripted_server):
         scripted_server.script = [("ok", {"explanation": "fine", "label": "NO"})]
-        raw = call_model(server_config(scripted_server), "prompt", LABEL_SCHEMA)
-        assert json.loads(raw) == {"explanation": "fine", "label": "NO"}
+        fields = call_model(server_config(scripted_server), "prompt", LABEL_SCHEMA)
+        assert fields == {"explanation": "fine", "label": "NO"}
 
     def test_retry_after_truncated_bodies(self, scripted_server):
         scripted_server.script = [
             ("truncated",), ("truncated",), ("ok", {"explanation": "e", "label": "YES"}),
         ]
-        raw = call_model(server_config(scripted_server), "prompt", LABEL_SCHEMA)
-        assert json.loads(raw)["label"] == "YES"
+        fields = call_model(server_config(scripted_server), "prompt", LABEL_SCHEMA)
+        assert fields["label"] == "YES"
         assert scripted_server.requests == 3
 
     def test_http_error_is_transport(self, scripted_server):
@@ -298,16 +295,21 @@ class TestMockModel:
         assert raw["label"] == "NO"
 
 
+def annotate_one(passage, mock, retries=0):
+    return run_pipeline([passage], mock_config(retries), transport=mock.transport,
+                        workers=1)[0]
+
+
 class TestStageOperations:
     def test_classify_act_yes(self):
         passage = cascade_passages()[0]
-        fields = classify_act(passage, mock_config(), transport=MockModel().transport)
-        assert fields["label"] == "YES"
+        assert annotate_one(passage, MockModel()).stage1["label"] == "YES"
 
     def test_empty_passage_precondition(self):
-        passage = make_passage(0, "   ")
-        with pytest.raises(ValueError, match="empty"):
-            classify_act(passage, mock_config(), transport=MockModel().transport)
+        mock = MockModel()
+        ann = annotate_one(make_passage(0, "   "), mock)
+        assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "stage1", "malformed")
+        assert sum(mock.calls.values()) == 0
 
     def test_batch_order_preserved(self):
         passages = cascade_passages()
@@ -317,12 +319,9 @@ class TestStageOperations:
         assert len(annotations) == 30
 
     def test_stage2_skipped_on_no(self):
-        passage = cascade_passages()[1]
         mock = MockModel()
-        stage1 = classify_act(passage, mock_config(), transport=mock.transport)
-        result = disambiguate_supernatural(passage, stage1, mock_config(),
-                                           transport=mock.transport)
-        assert result is None
+        ann = annotate_one(cascade_passages()[1], mock)
+        assert ann.stage2 is None
         assert mock.calls["stage2"] == 0
 
     def test_conjunction(self):
@@ -342,30 +341,31 @@ class TestStageOperations:
             return {"god_affect_explanation": "spy", "god_affect": "INDIVIDUAL"}
 
         mock = MockModel(overrides={"affect": spy_affect})
-        affect, impact = characterize("God blessed the town.", mock_config(),
-                                      transport=mock.transport)
+        ann = annotate_one(make_passage(0, "Rain fell. God blessed the town."), mock)
         assert received == ["God blessed the town."]
-        assert affect == "INDIVIDUAL"
+        assert ann.affect == "INDIVIDUAL"
 
     def test_characterize_enum_labels(self):
-        mock = MockModel()
-        affect, impact = characterize(
-            "God healed one traveler with mercy.", mock_config(), transport=mock.transport
-        )
-        assert affect == "INDIVIDUAL"
-        assert impact == "LOVING"
+        ann = annotate_one(make_passage(0, "It was late. God healed one traveler with mercy."),
+                           MockModel())
+        assert ann.affect == "INDIVIDUAL"
+        assert ann.impact == "LOVING"
 
     def test_unrecognized_enum_becomes_unresolved(self):
         bad = {"god_affect_explanation": "e", "god_affect": "COMMUNITY"}
         mock = MockModel(overrides={"affect": lambda text: bad})
-        with pytest.raises(PipelineError) as err:
-            characterize("God acted.", mock_config(retries=1), transport=mock.transport)
-        assert err.value.kind == "malformed"
+        ann = annotate_one(cascade_passages()[0], mock, retries=1)
+        assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "affect", "malformed")
         assert mock.calls["affect"] == 2  # retried once
 
     def test_empty_description_precondition(self):
-        with pytest.raises(PipelineError):
-            characterize("  ", mock_config(), transport=MockModel().transport)
+        base = MockModel()
+        mock = MockModel(overrides={
+            "stage1": lambda text: {**base._stage1(text), "act_description": "  "},
+        })
+        ann = annotate_one(cascade_passages()[0], mock)
+        assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "affect", "malformed")
+        assert mock.calls["affect"] == 0
 
 
 class TestPipelineCacheAndResume:
@@ -378,7 +378,24 @@ class TestPipelineCacheAndResume:
         second = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
                               transport=mock2.transport, workers=4)
         assert sum(mock2.calls.values()) == 0
-        assert [a.to_dict() for a in first] == [a.to_dict() for a in second]
+        assert first == second
+
+    @pytest.mark.parametrize("entry", ['{"explanation": "trunca', '{"explanation": "x"}',
+                                       '["YES"]'])
+    def test_bad_cache_entry_is_a_miss(self, tmp_path, caplog, entry):
+        passages = cascade_passages()
+        clean = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
+                             transport=MockModel().transport, workers=1)
+        template = default_registry().get("act_of_god", "v1")
+        key = cache_key("mock-model", template, passages[0].text, "stage1")
+        (tmp_path / "cache" / "stage1" / f"{key}.json").write_text(entry, encoding="utf-8")
+        mock = MockModel()
+        with caplog.at_level("WARNING"):
+            rerun = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
+                                 transport=mock.transport, workers=2)
+        assert mock.calls == {"stage1": 1, "stage2": 0, "affect": 0, "impact": 0}
+        assert rerun == clean
+        assert key in caplog.text
 
     def test_stage2_calls_equal_stage1_yes(self, tmp_path):
         passages = cascade_passages()
@@ -464,7 +481,7 @@ class TestPipelineCacheAndResume:
                               workers=1)
         threaded = run_pipeline(passages, mock_config(), transport=MockModel().transport,
                                 workers=4)
-        assert [a.to_dict() for a in serial] == [a.to_dict() for a in threaded]
+        assert serial == threaded
 
     def test_schema_totality_under_fuzzed_mock(self):
         passages = cascade_passages()
@@ -523,4 +540,4 @@ class TestAnnotationIO:
         path = tmp_path / "annotations.jsonl"
         write_annotations(annotations, path)
         loaded = read_annotations(path)
-        assert [a.to_dict() for a in loaded] == [a.to_dict() for a in annotations]
+        assert loaded == annotations

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from godspell.cli import main
 from godspell.corpus import read_passages
 
@@ -103,3 +105,27 @@ class TestSubcommands:
                    "--mock") == 0
         annotations = (out / "annotations.jsonl").read_text().splitlines()
         assert len(annotations) == 22
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("flag", ["--k", "--sweeps", "--workers"])
+    def test_zero_override_rejected(self, tmp_path, capsys, flag):
+        assert run("topics-train", "--config", CONFIG, "--output", str(tmp_path),
+                   flag, "0") == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "topics" / "state.json").exists()
+
+    def test_zero_sweeps_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"),
+                                    "topics": {"sweeps": 0}}), encoding="utf-8")
+        assert run("topics-train", "--config", str(path), "--output", str(tmp_path)) == 1
+        assert "topics.sweeps" in capsys.readouterr().err
+
+
+class TestErrorFile:
+    def test_error_file_removed_by_next_success(self, tmp_path, capsys):
+        assert run("topics-inspect", "--config", CONFIG, "--output", str(tmp_path)) == 2
+        assert (tmp_path / "error.json").is_file()
+        assert run("segment", "--config", CONFIG, "--output", str(tmp_path)) == 0
+        assert not (tmp_path / "error.json").exists()

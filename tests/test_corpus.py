@@ -264,7 +264,7 @@ class TestSegmentationInvariants:
         novel = make_novel("n1")
         first = segment_capped(novel, text, cap=200)
         second = segment_capped(novel, text, cap=200)
-        assert [p.to_dict() for p in first] == [p.to_dict() for p in second]
+        assert first == second
 
 
 class TestPassageStatistics:
@@ -310,4 +310,4 @@ class TestPassageIO:
         path = tmp_path / "passages.jsonl"
         write_passages(passages, path)
         loaded = read_passages(path)
-        assert [p.to_dict() for p in loaded] == [p.to_dict() for p in passages]
+        assert loaded == passages

@@ -236,6 +236,15 @@ class TestPositionDensity:
         assert result.n_acts == 0
         assert result.mean_position is None
 
+    def test_unmatched_acts_dropped_with_warning(self, caplog):
+        passages = [make_passage("nov-a", 0, 0.5)]
+        annotations = [make_annotation("nov-a", i, final="YES") for i in range(3)]
+        with caplog.at_level("WARNING"):
+            result = position_density(annotations, passages, bins=20)
+        assert result.n_acts == 1
+        assert len(caplog.records) == 1
+        assert "2 acts" in caplog.text
+
 
 class TestGroupCompare:
     def _series(self, values):

@@ -11,22 +11,21 @@ from godspell.topics import (
     VocabularyError,
     authorless_downsample,
     build_vocabulary,
+    doc_topic_proportions,
     gibbs_sweep,
     init_state,
     load_state,
     log_likelihood,
-    novel_prominence,
     optimize_alpha,
     optimize_beta,
     prominence_from_doc_topic,
     save_state,
     top_words,
-    topic_conditional,
     topic_correlation,
     train,
 )
 
-from oracles import maximize_dirichlet_alpha, maximize_symmetric_beta
+from oracles import maximize_dirichlet_alpha, maximize_symmetric_beta, topic_conditional
 
 
 def seg(words, novel_id="n1", index=0):
@@ -267,8 +266,7 @@ class TestTrain:
 
     def test_check_counts_path(self):
         docs = [[0, 1], [1, 0], [0, 0]]
-        state, _ = train(docs, 2, k=2, sweeps=5, burn_in=2, optimize_interval=2,
-                         rng_seed=0, check_counts=True)
+        state, _ = train(docs, 2, k=2, sweeps=5, burn_in=2, optimize_interval=2, rng_seed=0)
         state.validate(docs)
 
     def test_log_likelihood_finite(self):
@@ -280,43 +278,27 @@ class TestTrain:
 
 
 class TestTopWords:
-    def _vocab(self, words):
-        from godspell.topics import Vocabulary
-        return Vocabulary(
-            words=list(words),
-            ids={w: i for i, w in enumerate(words)},
-            frequencies=[1] * len(words),
-            stopwords=frozenset(),
-        )
+    def _top(self, words, counts, n=10, k=0):
+        ids = top_words(np.array(counts, dtype=np.int64), list(words), k, n=n)
+        return [words[w] for w in ids]
 
     def test_tie_break_lexicographic(self):
-        vocab = self._vocab(["amen", "church", "god"])
-        docs = [[0]]
-        state = init_state(docs, k=1, vocabulary_size=3, rng_seed=0)
-        state.n_kw = np.array([[3, 3, 5]], dtype=np.int64)
-        assert top_words(state, vocab, 0, n=3) == ["god", "amen", "church"]
+        assert self._top(["amen", "church", "god"], [[3, 3, 5]], n=3) == ["god", "amen", "church"]
 
     def test_n_larger_than_vocabulary(self):
-        vocab = self._vocab(["a", "b"])
-        state = init_state([[0]], k=1, vocabulary_size=2, rng_seed=0)
-        assert len(top_words(state, vocab, 0, n=10)) == 2
+        assert len(self._top(["a", "b"], [[1, 0]])) == 2
 
     def test_out_of_range_topic(self):
-        vocab = self._vocab(["a"])
-        state = init_state([[0]], k=1, vocabulary_size=1, rng_seed=0)
         with pytest.raises(ValueError):
-            top_words(state, vocab, 1)
+            self._top(["a"], [[1]], k=1)
 
     def test_matches_full_sort_oracle(self):
         rng = random.Random(19)
         words = [f"w{i:02d}" for i in range(30)]
         rng.shuffle(words)
-        vocab = self._vocab(words)
-        state = init_state([[0]], k=1, vocabulary_size=30, rng_seed=0)
         counts = [rng.randint(0, 9) for _ in range(30)]
-        state.n_kw = np.array([counts], dtype=np.int64)
-        oracle = [w for _, w in sorted(((-counts[vocab.ids[w]], w) for w in words))]
-        assert top_words(state, vocab, 0, n=30) == oracle
+        oracle = [w for _, w in sorted(((-counts[i], w) for i, w in enumerate(words)))]
+        assert self._top(words, [counts], n=30) == oracle
 
 
 class TestNovelProminence:
@@ -325,7 +307,7 @@ class TestNovelProminence:
         state = init_state(docs, k=2, vocabulary_size=2, rng_seed=0)
         state.alpha = np.array([1e-12, 1e-12])
         state.n_dk = np.array([[0, 4]] * 3, dtype=np.int64)
-        result = novel_prominence(state, ["n1", "n1", "n1"])
+        result = prominence_from_doc_topic(doc_topic_proportions(state), ["n1", "n1", "n1"])
         assert result[0].prominence[1] == pytest.approx(100.0, abs=1e-6)
 
     def test_hand_average(self):
@@ -339,7 +321,7 @@ class TestNovelProminence:
         state = init_state(docs, k=4, vocabulary_size=10, rng_seed=3)
         gibbs_sweep(state, docs)
         novels = [f"n{i % 3}" for i in range(12)]
-        for row in novel_prominence(state, novels):
+        for row in prominence_from_doc_topic(doc_topic_proportions(state), novels):
             assert sum(row.prominence) == pytest.approx(100.0, abs=1e-6)
 
     def test_zero_segment_novel_warned(self, caplog):
@@ -397,7 +379,9 @@ class TestStateIO:
         assert np.array_equal(loaded.n_kw, state.n_kw)
         assert loaded.doc_novels == novels
         assert isinstance(loaded, LoadedTopicModel)
-        assert loaded.top_words(0, n=3) == top_words(state, vocab, 0, n=3)
+        assert loaded.vocabulary == vocab.words
+        assert top_words(loaded.n_kw, loaded.vocabulary, 0, n=3) == top_words(
+            state.n_kw, vocab.words, 0, n=3)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "state.json"
