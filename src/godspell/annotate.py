@@ -12,19 +12,20 @@ schema-constrained JSON, parsed strictly, and cached for resume.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
 
 from .corpus import Passage
 
@@ -345,6 +346,8 @@ class ModelConfig:
             raise ValueError("temperature must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
 
 
 Transport = Callable[[ModelConfig, str, OutputSchema], str]
@@ -361,15 +364,21 @@ def http_transport(config: ModelConfig, prompt: str, schema: OutputSchema) -> st
         "options": {"temperature": config.temperature},
         "format": schema.to_json_schema(),
     }
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
     try:
-        response = requests.post(url, json=payload, timeout=config.timeout)
-    except requests.RequestException as e:
+        with urllib.request.urlopen(request, timeout=config.timeout) as response:
+            body = response.read()
+    except urllib.error.HTTPError as e:
+        e.close()
+        raise TransportError(f"endpoint returned HTTP {e.code}") from None
+    except (OSError, http.client.HTTPException) as e:
         raise TransportError(f"request to {url} failed: {e}") from None
-    if response.status_code != 200:
-        raise TransportError(f"endpoint returned HTTP {response.status_code}")
     try:
-        return response.json()["response"]
-    except (ValueError, KeyError):
+        return json.loads(body)["response"]
+    except (ValueError, KeyError, TypeError):
         raise MalformedResponse("endpoint body lacked a response field") from None
 
 

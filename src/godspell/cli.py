@@ -60,20 +60,9 @@ def cmd_ingest(config: RunConfig) -> None:
     for novel in loaded.novels:
         words = len(corpus.word_tokenize(loaded.text(novel.id)))
         total += words
-        novels.append({
-            "id": novel.id,
-            "title": novel.title,
-            "authors": [{"name": a.name, "gender": a.gender} for a in novel.authors],
-            "publisher": novel.publisher,
-            "year": novel.year,
-            "series_tag": novel.series_tag,
-            "awards": [
-                {"category": a.category, "status": a.status, "award_year": a.award_year}
-                for a in novel.awards
-            ],
-            "gender_group": novel.gender_group(),
-            "word_count": words,
-        })
+        entry = asdict(novel)
+        del entry["source_path"]
+        novels.append({**entry, "gender_group": novel.gender_group(), "word_count": words})
     _dump_json(config.output_dir / "corpus.json", {"novels": novels, "total_words": total})
     print(f"ingested {len(novels)} novels ({total} words)")
 
@@ -145,17 +134,10 @@ def cmd_annotate(config: RunConfig) -> None:
         registry = annotate.load_registry(config.prompt_registry_path)
     else:
         registry = annotate.default_registry()
-    model_config = annotate.ModelConfig(
-        model=config.model_name,
-        endpoint=config.model_endpoint,
-        temperature=config.model_temperature,
-        max_retries=config.model_max_retries,
-        timeout=config.model_timeout,
-    )
     transport = annotate.MockModel().transport if config.model_backend == "mock" else None
     annotations = annotate.run_pipeline(
         passages,
-        model_config,
+        config.model,
         registry=registry,
         cache_dir=config.resolved_cache_dir(),
         transport=transport,
@@ -256,23 +238,19 @@ def _resolve_comparison_series(
     act: statsmod.ActProportions,
     characterization: statsmod.CharacterizationShares,
     prominence_per_novel: dict[str, list[float]],
-    novels,
-) -> statsmod.NovelSeries:
+) -> dict[str, float]:
     kind = spec.get("kind")
     if kind == "act_share":
-        return act.series
+        return act.per_novel
     if kind == "topic_prominence":
         topic = int(spec["topic"])
-        values = {nid: prom[topic] for nid, prom in prominence_per_novel.items()}
-        return statsmod.make_series(f"topic_{topic}_prominence", values, novels)
+        return {nid: prom[topic] for nid, prom in prominence_per_novel.items()}
     if kind == "characterization":
-        facet = spec["facet"]
-        label = spec["label"].upper()
         table = (
-            characterization.affect_series if facet == "affect"
-            else characterization.impact_series
+            characterization.per_novel_affect if spec["facet"] == "affect"
+            else characterization.per_novel_impact
         )
-        return table[label]
+        return table[spec["label"].upper()]
     raise ValueError(f"unknown comparison kind {kind!r}")
 
 
@@ -284,15 +262,18 @@ def cmd_stats(config: RunConfig) -> None:
     annotations = annotate.read_annotations(
         _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
     )
+    unknown = sorted({a.novel_id for a in annotations} - {n.id for n in loaded.novels})
+    if unknown:
+        raise ValueError(f"annotations name novels missing from the manifest: {unknown}")
     model = topics.load_state(
         _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     )
     analysis = _load_json(config.analysis_path) if config.analysis_path else {}
 
-    act = statsmod.act_proportions(annotations, loaded.novels)
-    act_payload = act.to_dict()
-    if act.series.values:
-        shares = list(act.series.values.values())
+    act = statsmod.act_proportions(annotations)
+    act_payload = asdict(act)
+    if act.per_novel:
+        shares = list(act.per_novel.values())
         act_payload["per_novel_mean"] = sum(shares) / len(shares)
         act_payload["per_novel_min"] = min(shares)
         act_payload["per_novel_max"] = max(shares)
@@ -323,11 +304,11 @@ def cmd_stats(config: RunConfig) -> None:
     act_topic = []
     for topic in analysis.get("act_share_topic_correlations", []):
         topic = int(topic)
-        shared = sorted(set(act.series.values) & set(prominence_per_novel))
+        shared = sorted(set(act.per_novel) & set(prominence_per_novel))
         entry = {"topic": topic}
         try:
             r, p = statsmod.pearson(
-                [act.series.values[n] for n in shared],
+                [act.per_novel[n] for n in shared],
                 [prominence_per_novel[n][topic] for n in shared],
             )
             entry.update(r=r, p=p)
@@ -335,7 +316,7 @@ def cmd_stats(config: RunConfig) -> None:
             entry["error"] = str(e)
         act_topic.append(entry)
 
-    characterization = statsmod.characterization_shares(annotations, loaded.novels)
+    characterization = statsmod.characterization_shares(annotations)
 
     comparisons = []
     series_tag = analysis.get("series_tag")
@@ -343,11 +324,12 @@ def cmd_stats(config: RunConfig) -> None:
         name = spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"
         entry = {"name": name}
         try:
-            series = _resolve_comparison_series(
-                spec, act, characterization, prominence_per_novel, loaded.novels
+            values = _resolve_comparison_series(
+                spec, act, characterization, prominence_per_novel
             )
             result = statsmod.group_compare(
-                series,
+                values,
+                loaded.novels,
                 spec["grouping"],
                 series_tag=series_tag if spec["grouping"] == "series" else None,
             )
@@ -375,7 +357,7 @@ def cmd_stats(config: RunConfig) -> None:
         "topic_correlations": correlations,
         "act_share_topic_correlations": act_topic,
         "comparisons": comparisons,
-        "characterization": characterization.to_dict(),
+        "characterization": asdict(characterization),
     }
     if config.topic_labels_path is not None:
         payload["topic_labels"] = _read_topic_labels(config.topic_labels_path)

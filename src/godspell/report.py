@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .annotate import ModelConfig
+
 ENDPOINT_ENV_VAR = "GODSPELL_ENDPOINT"
 
 
@@ -24,6 +26,7 @@ class ConfigError(ValueError):
 class RunConfig:
     manifest: Path
     output_dir: Path
+    model: ModelConfig
     segment_size: int = 300
     passage_cap: int = 500
     topics_k: int = 65
@@ -37,11 +40,6 @@ class RunConfig:
     stopwords_path: Path | None = None
     topic_labels_path: Path | None = None
     model_backend: str = "http"
-    model_name: str = "gemma3n:e4b"
-    model_endpoint: str = "http://localhost:11434"
-    model_temperature: float = 0.0
-    model_max_retries: int = 3
-    model_timeout: float = 120.0
     workers: int = 4
     cache_dir: Path | None = None
     prompt_registry_path: Path | None = None
@@ -137,10 +135,21 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         raise ConfigError(f"unknown model backend {backend!r}")
 
     cache_dir = override("cache_dir", payload.get("cache_dir"))
+    try:
+        model_config = ModelConfig(
+            model=override("model", model.get("name", "gemma3n:e4b")),
+            endpoint=endpoint,
+            temperature=float(override("temperature", model.get("temperature", 0.0))),
+            max_retries=int(model.get("max_retries", 3)),
+            timeout=float(model.get("timeout", 120.0)),
+        )
+    except ValueError as e:
+        raise ConfigError(f"model: {e}") from None
 
     config = RunConfig(
         manifest=manifest,
         output_dir=output_dir,
+        model=model_config,
         segment_size=int(seg.get("segment_size", 300)),
         passage_cap=int(seg.get("passage_cap", 500)),
         topics_k=int(override("k", topics.get("k", 65))),
@@ -154,11 +163,6 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         stopwords_path=stopwords_path,
         topic_labels_path=labels_path,
         model_backend=backend,
-        model_name=override("model", model.get("name", "gemma3n:e4b")),
-        model_endpoint=endpoint,
-        model_temperature=float(override("temperature", model.get("temperature", 0.0))),
-        model_max_retries=int(model.get("max_retries", 3)),
-        model_timeout=float(model.get("timeout", 120.0)),
         workers=int(override("workers", model.get("workers", 4))),
         cache_dir=_resolve(base, cache_dir) if cache_dir else None,
         prompt_registry_path=registry_path,

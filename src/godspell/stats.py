@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -178,50 +178,26 @@ def ttest_ind(
     return TestResult(t, df, _two_sided_p(t, df), ma, mb, na, nb)
 
 
-@dataclass
-class NovelSeries:
-    """A per-novel value series with the grouping tags needed for tests."""
-
-    name: str
-    values: dict[str, float]
-    gender_groups: dict[str, str] = field(default_factory=dict)
-    series_tags: dict[str, str | None] = field(default_factory=dict)
-
-    def ids(self) -> list[str]:
-        return list(self.values)
-
-
-def make_series(name: str, values: dict[str, float], novels: Sequence["Novel"]) -> NovelSeries:
-    by_id = {n.id: n for n in novels}
-    gender_groups = {}
-    series_tags = {}
-    for novel_id in values:
-        novel = by_id[novel_id]
-        gender_groups[novel_id] = novel.gender_group()
-        series_tags[novel_id] = novel.series_tag
-    return NovelSeries(name, values, gender_groups, series_tags)
-
-
 def group_compare(
-    series: NovelSeries,
+    values: dict[str, float],
+    novels: Sequence["Novel"],
     grouping: str,
     series_tag: str | None = None,
-    drop_tagged: bool = True,
-    equal_variance: bool = True,
 ) -> TestResult:
-    """Compare per-novel means between two groups.
+    """Compare per-novel means between two groups of the novels in values.
 
     grouping='series' contrasts novels carrying series_tag (any tag if not
     named) against the rest. grouping='gender' contrasts female- vs
-    male-authored novels after dropping tagged-series novels (drop_tagged)
-    and mixed/unknown-gender author teams.
+    male-authored novels after dropping tagged-series novels and
+    mixed/unknown-gender author teams.
     """
+    novel = {n.id: n for n in novels}
     if grouping == "series":
         if series_tag is None:
-            in_group = [i for i in series.ids() if series.series_tags.get(i)]
+            in_group = [i for i in values if novel[i].series_tag]
         else:
-            in_group = [i for i in series.ids() if series.series_tags.get(i) == series_tag]
-        out_group = [i for i in series.ids() if i not in set(in_group)]
+            in_group = [i for i in values if novel[i].series_tag == series_tag]
+        out_group = [i for i in values if i not in in_group]
         label_a = series_tag or "series"
         label_b = "rest"
         if not in_group:
@@ -229,11 +205,9 @@ def group_compare(
         if not out_group:
             raise ValueError("empty comparison group: every novel carries the series tag")
     elif grouping == "gender":
-        ids = series.ids()
-        if drop_tagged:
-            ids = [i for i in ids if not series.series_tags.get(i)]
-        in_group = [i for i in ids if series.gender_groups.get(i) == "female"]
-        out_group = [i for i in ids if series.gender_groups.get(i) == "male"]
+        untagged = [i for i in values if not novel[i].series_tag]
+        in_group = [i for i in untagged if novel[i].gender_group() == "female"]
+        out_group = [i for i in untagged if novel[i].gender_group() == "male"]
         label_a, label_b = "female", "male"
         if not in_group:
             raise ValueError("empty female group after gender filters")
@@ -242,11 +216,7 @@ def group_compare(
     else:
         raise ValueError(f"unknown grouping {grouping!r}")
 
-    result = ttest_ind(
-        [series.values[i] for i in in_group],
-        [series.values[i] for i in out_group],
-        equal_variance=equal_variance,
-    )
+    result = ttest_ind([values[i] for i in in_group], [values[i] for i in out_group])
     result.group_a = label_a
     result.group_b = label_b
     return result
@@ -254,26 +224,14 @@ def group_compare(
 
 @dataclass
 class ActProportions:
-    series: NovelSeries
+    per_novel: dict[str, float]
     corpus_share: float
     yes_count: int
     total: int
     unresolved_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "per_novel": dict(self.series.values),
-            "corpus_share": self.corpus_share,
-            "yes_count": self.yes_count,
-            "total": self.total,
-            "unresolved_count": self.unresolved_count,
-        }
 
-
-def act_proportions(
-    annotations: Sequence["ActAnnotation"],
-    novels: Sequence["Novel"],
-) -> ActProportions:
+def act_proportions(annotations: Sequence["ActAnnotation"]) -> ActProportions:
     """Per-novel share of passages whose final verdict is YES.
 
     Unresolved annotations count as NO and are tallied separately.
@@ -287,12 +245,10 @@ def act_proportions(
             unresolved += 1
         elif ann.final_label == "YES":
             yes[ann.novel_id] = yes.get(ann.novel_id, 0) + 1
-    values = {nid: yes.get(nid, 0) / count for nid, count in totals.items()}
     total = sum(totals.values())
     yes_total = sum(yes.values())
-    series = make_series("act_share", values, novels)
     return ActProportions(
-        series=series,
+        per_novel={nid: yes.get(nid, 0) / count for nid, count in totals.items()},
         corpus_share=(yes_total / total) if total else 0.0,
         yes_count=yes_total,
         total=total,
@@ -340,25 +296,16 @@ IMPACT_LABELS = ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")
 
 @dataclass
 class CharacterizationShares:
-    affect_series: dict[str, NovelSeries]
-    impact_series: dict[str, NovelSeries]
+    """Label -> novel id -> share of that novel's YES acts, and corpus-wide
+    shares per label."""
+
+    per_novel_affect: dict[str, dict[str, float]]
+    per_novel_impact: dict[str, dict[str, float]]
     corpus_affect: dict[str, float]
     corpus_impact: dict[str, float]
-    acts_per_novel: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "per_novel_affect": {k: dict(s.values) for k, s in self.affect_series.items()},
-            "per_novel_impact": {k: dict(s.values) for k, s in self.impact_series.items()},
-            "corpus_affect": self.corpus_affect,
-            "corpus_impact": self.corpus_impact,
-        }
 
 
-def characterization_shares(
-    annotations: Sequence["ActAnnotation"],
-    novels: Sequence["Novel"],
-) -> CharacterizationShares:
+def characterization_shares(annotations: Sequence["ActAnnotation"]) -> CharacterizationShares:
     """Per-novel shares of affect and impact labels among YES acts, plus
     corpus-level aggregates. Novels without YES acts are excluded."""
     acts: dict[str, list] = {}
@@ -370,37 +317,26 @@ def characterization_shares(
     for novel_id in sorted(all_ids - set(acts)):
         log.warning("novel %s has no YES acts; excluded from characterization shares", novel_id)
 
-    affect_values: dict[str, dict[str, float]] = {label: {} for label in AFFECT_LABELS}
-    impact_values: dict[str, dict[str, float]] = {label: {} for label in IMPACT_LABELS}
-    acts_per_novel = {}
+    affect: dict[str, dict[str, float]] = {label: {} for label in AFFECT_LABELS}
+    impact: dict[str, dict[str, float]] = {label: {} for label in IMPACT_LABELS}
     for novel_id, novel_acts in acts.items():
         n = len(novel_acts)
-        acts_per_novel[novel_id] = n
         for label in AFFECT_LABELS:
-            affect_values[label][novel_id] = sum(1 for a in novel_acts if a.affect == label) / n
+            affect[label][novel_id] = sum(1 for a in novel_acts if a.affect == label) / n
         for label in IMPACT_LABELS:
-            impact_values[label][novel_id] = sum(1 for a in novel_acts if a.impact == label) / n
+            impact[label][novel_id] = sum(1 for a in novel_acts if a.impact == label) / n
 
-    total = sum(acts_per_novel.values())
     flat = [a for group in acts.values() for a in group]
-    corpus_affect = {
-        label: (sum(1 for a in flat if a.affect == label) / total if total else 0.0)
-        for label in AFFECT_LABELS
-    }
-    corpus_impact = {
-        label: (sum(1 for a in flat if a.impact == label) / total if total else 0.0)
-        for label in IMPACT_LABELS
-    }
+    total = len(flat)
     return CharacterizationShares(
-        affect_series={
-            label: make_series(f"affect_{label.lower()}_share", values, novels)
-            for label, values in affect_values.items()
+        per_novel_affect=affect,
+        per_novel_impact=impact,
+        corpus_affect={
+            label: (sum(1 for a in flat if a.affect == label) / total if total else 0.0)
+            for label in AFFECT_LABELS
         },
-        impact_series={
-            label: make_series(f"impact_{label.lower()}_share", values, novels)
-            for label, values in impact_values.items()
+        corpus_impact={
+            label: (sum(1 for a in flat if a.impact == label) / total if total else 0.0)
+            for label in IMPACT_LABELS
         },
-        corpus_affect=corpus_affect,
-        corpus_impact=corpus_impact,
-        acts_per_novel=acts_per_novel,
     )

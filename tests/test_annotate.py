@@ -164,11 +164,17 @@ class ScriptedHandler(http.server.BaseHTTPRequestHandler):
         elif action[0] == "truncated":
             body = json.dumps({"response": '{"explanation": "tru'}).encode()
             self.send_response(200)
+        elif action[0] == "nonobject":
+            body = b"[]"
+            self.send_response(200)
+        elif action[0] == "short":  # Content-Length promises more than is sent
+            body = json.dumps({"response": "{}"}).encode()
+            self.send_response(200)
         else:  # http error
             body = b"{}"
             self.send_response(int(action[0]))
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(body) + (10 if action[0] == "short" else 0)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -186,6 +192,7 @@ def scripted_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def server_config(server, retries=3):
@@ -218,6 +225,19 @@ class TestCallModel:
             call_model(server_config(scripted_server, retries=1), "p", LABEL_SCHEMA)
         assert err.value.kind == "transport"
         assert scripted_server.requests == 2
+
+    def test_not_found_is_transport(self, scripted_server):
+        scripted_server.script = [("404",)]
+        with pytest.raises(PipelineError) as err:
+            call_model(server_config(scripted_server, retries=0), "p", LABEL_SCHEMA)
+        assert err.value.kind == "transport"
+        assert "HTTP 404" in str(err.value)
+
+    def test_body_shorter_than_content_length_is_transport(self, scripted_server):
+        scripted_server.script = [("short",)]
+        with pytest.raises(PipelineError) as err:
+            call_model(server_config(scripted_server, retries=0), "p", LABEL_SCHEMA)
+        assert err.value.kind == "transport"
 
     def test_endpoint_down_transport_error(self):
         with socket.socket() as probe:
@@ -369,6 +389,18 @@ class TestStageOperations:
 
 
 class TestPipelineCacheAndResume:
+    def test_non_object_body_fails_only_its_passage(self, scripted_server):
+        no = {"explanation": "e", "label": "NO", "act_description": "NONE",
+              "affected_description": "NONE"}
+        scripted_server.script = [("nonobject",), ("ok", no), ("ok", no)]
+        passages = [make_passage(i, f"Passage {i} has words.") for i in range(3)]
+        annotations = run_pipeline(passages, server_config(scripted_server, retries=0),
+                                   workers=2)
+        unresolved = [a for a in annotations if a.status != "ok"]
+        assert len(annotations) == 3
+        assert [(a.failed_stage, a.error) for a in unresolved] == [("stage1", "malformed")]
+        assert scripted_server.requests == 3
+
     def test_cached_rerun_makes_zero_calls(self, tmp_path):
         passages = cascade_passages()
         mock = MockModel()

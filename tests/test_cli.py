@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from godspell.cli import main
 from godspell.corpus import read_passages
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 CONFIG = str(FIXTURES / "runconfig.json")
 
 
@@ -53,6 +57,14 @@ class TestSubcommands:
         assert len(payload["novels"]) == 3
         assert payload["total_words"] > 0
         assert payload["novels"][1]["gender_group"] == "male"
+        assert payload["novels"][1]["authors"] == [
+            {"name": "Silas Mercer", "gender": "male"},
+            {"name": "Tobias Grey", "gender": "male"},
+        ]
+        assert payload["novels"][1]["awards"] == [
+            {"category": "Visionary", "status": "finalist", "award_year": 2004},
+        ]
+        assert "source_path" not in payload["novels"][1]
 
     def test_runtime_error_exit_2_with_error_file(self, tmp_path, capsys):
         # annotate before segment: missing passages.jsonl is a runtime error
@@ -81,6 +93,17 @@ class TestSubcommands:
         assert metrics["gold_size"] == 18
         assert set(metrics["alpha_per_round"]) == {"round1", "round2"}
         assert metrics["confusion"]["tp"] > 0
+
+    def test_stats_rejects_annotations_of_unknown_novels(self, tmp_path, capsys):
+        assert run("segment", "--config", CONFIG, "--output", str(tmp_path)) == 0
+        assert run("annotate", "--config", CONFIG, "--output", str(tmp_path)) == 0
+        path = tmp_path / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["novel_id"] = "ghost-z"
+        path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        assert run("stats", "--config", CONFIG, "--output", str(tmp_path)) == 2
+        assert "ghost-z" in json.loads((tmp_path / "error.json").read_text())["message"]
 
     def test_mock_flag_forces_backend(self, tmp_path, capsys):
         # same run via --mock on a config that says http
@@ -123,9 +146,34 @@ class TestOverrides:
         assert "topics.sweeps" in capsys.readouterr().err
 
 
+    def test_negative_temperature_rejected_by_every_command(self, tmp_path, capsys):
+        assert run("segment", "--config", CONFIG, "--output", str(tmp_path),
+                   "--temperature", "-1") == 1
+        assert "temperature" in capsys.readouterr().err
+        assert not (tmp_path / "passages.jsonl").exists()
+
+    @pytest.mark.parametrize("setting", [{"timeout": 0}, {"max_retries": -1}])
+    def test_bad_model_setting_in_config_rejected(self, tmp_path, capsys, setting):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"),
+                                    "model": setting}), encoding="utf-8")
+        assert run("segment", "--config", str(path), "--output", str(tmp_path)) == 1
+        assert next(iter(setting)) in capsys.readouterr().err
+        assert not (tmp_path / "passages.jsonl").exists()
+
+
 class TestErrorFile:
     def test_error_file_removed_by_next_success(self, tmp_path, capsys):
         assert run("topics-inspect", "--config", CONFIG, "--output", str(tmp_path)) == 2
         assert (tmp_path / "error.json").is_file()
         assert run("segment", "--config", CONFIG, "--output", str(tmp_path)) == 0
         assert not (tmp_path / "error.json").exists()
+
+
+def test_import_leaves_out_requests():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, godspell.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

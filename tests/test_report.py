@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -69,7 +70,7 @@ class TestRunConfig:
     def test_env_var_endpoint_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GODSPELL_ENDPOINT", "http://envhost:1111")
         config = load_run_config(FIXTURES / "runconfig.json", {"output_dir": str(tmp_path)})
-        assert config.model_endpoint == "http://envhost:1111"
+        assert config.model.endpoint == "http://envhost:1111"
 
     def test_flag_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GODSPELL_ENDPOINT", "http://envhost:1111")
@@ -77,7 +78,7 @@ class TestRunConfig:
             FIXTURES / "runconfig.json",
             {"output_dir": str(tmp_path), "endpoint": "http://flaghost:2222"},
         )
-        assert config.model_endpoint == "http://flaghost:2222"
+        assert config.model.endpoint == "http://flaghost:2222"
 
     def test_flag_overrides_topics(self, tmp_path):
         config = load_run_config(
@@ -120,14 +121,14 @@ def small_results():
         + [make_annotation("n2", i, final="YES") for i in range(3)]
         + [make_annotation("n3", i, final="NO") for i in range(2)]
     )
-    act = act_proportions(annotations, novels)
+    act = act_proportions(annotations)
     return annotations, novels, {
         "novels": {
             n.id: {"title": n.title, "series_tag": n.series_tag,
                    "gender_group": n.gender_group()}
             for n in novels
         },
-        "act_proportions": act.to_dict(),
+        "act_proportions": asdict(act),
         "position_density": {
             "bin_edges": [0.0, 0.5, 1.0], "counts": [3, 2],
             "density": [1.2, 0.8], "mean_position": 0.45, "n_acts": 5,

@@ -4,12 +4,10 @@ import random
 import pytest
 
 from godspell.stats import (
-    NovelSeries,
     act_proportions,
     betainc_reg,
     characterization_shares,
     group_compare,
-    make_series,
     pearson,
     position_density,
     t_cdf,
@@ -174,8 +172,8 @@ def _share_annotations(shares: dict[str, tuple[int, int]]):
 class TestActProportions:
     def test_simple_share(self):
         annotations = _share_annotations({"nov-a": (4, 8)})
-        result = act_proportions(annotations, NOVELS)
-        assert result.series.values["nov-a"] == 0.5
+        result = act_proportions(annotations)
+        assert result.per_novel["nov-a"] == 0.5
         assert result.corpus_share == 0.5
 
     def test_matches_brute_force_recount(self):
@@ -185,19 +183,19 @@ class TestActProportions:
             for i in range(rng.randint(5, 20)):
                 final = "YES" if rng.random() < 0.3 else "NO"
                 annotations.append(make_annotation(novel.id, i, final=final))
-        result = act_proportions(annotations, NOVELS)
+        result = act_proportions(annotations)
         for novel in NOVELS:
             mine = [a for a in annotations if a.novel_id == novel.id]
             expected = sum(1 for a in mine if a.final_label == "YES") / len(mine)
-            assert result.series.values[novel.id] == pytest.approx(expected)
+            assert result.per_novel[novel.id] == pytest.approx(expected)
 
     def test_unresolved_counts_as_no(self):
         annotations = [
             make_annotation("nov-a", 0, final="YES"),
             make_annotation("nov-a", 1, status="unresolved"),
         ]
-        result = act_proportions(annotations, NOVELS)
-        assert result.series.values["nov-a"] == 0.5
+        result = act_proportions(annotations)
+        assert result.per_novel["nov-a"] == 0.5
         assert result.unresolved_count == 1
 
 
@@ -247,49 +245,41 @@ class TestPositionDensity:
 
 
 class TestGroupCompare:
-    def _series(self, values):
-        return make_series("test", values, NOVELS)
-
     def test_series_grouping_sizes(self):
         values = {n.id: 0.1 for n in NOVELS}
         values["ser-1"] = 0.5
         values["ser-2"] = 0.6
-        series = self._series(values)
-        result = group_compare(series, "series", series_tag="end-times")
+        result = group_compare(values, NOVELS, "series", series_tag="end-times")
         assert result.n_a == 2
         assert result.n_b == 5
         assert result.mean_a > result.mean_b
 
     def test_gender_grouping_filters(self):
         values = {n.id: float(i) for i, n in enumerate(NOVELS)}
-        series = self._series(values)
-        result = group_compare(series, "gender")
+        result = group_compare(values, NOVELS, "gender")
         # series novels and the mixed-gender novel are dropped
         assert result.n_a == 2 and result.n_b == 2
         assert result.group_a == "female" and result.group_b == "male"
 
     def test_filter_counts_match_brute_force(self):
         values = {n.id: float(i) for i, n in enumerate(NOVELS)}
-        series = self._series(values)
-        result = group_compare(series, "gender")
+        result = group_compare(values, NOVELS, "gender")
         kept = [n for n in NOVELS if not n.series_tag and n.gender_group() in ("female", "male")]
         assert result.n_a + result.n_b == len(kept)
 
     def test_identical_groups_p_one(self):
         values = {"nov-a": 1.0, "nov-c": 2.0, "nov-b": 1.0, "nov-d": 2.0}
-        series = self._series(values)
-        result = group_compare(series, "gender")
+        result = group_compare(values, NOVELS, "gender")
         assert result.p_two_sided == 1.0
 
     def test_empty_group_raises(self):
         values = {"nov-a": 1.0, "nov-c": 2.0}
-        series = self._series(values)
         with pytest.raises(ValueError, match="male group"):
-            group_compare(series, "gender")
+            group_compare(values, NOVELS, "gender")
 
     def test_unknown_grouping(self):
         with pytest.raises(ValueError):
-            group_compare(self._series({"nov-a": 1.0}), "publisher")
+            group_compare({"nov-a": 1.0}, NOVELS, "publisher")
 
 
 class TestCharacterizationShares:
@@ -299,9 +289,9 @@ class TestCharacterizationShares:
             make_annotation("nov-a", 1, final="YES", affect="INDIVIDUAL"),
             make_annotation("nov-a", 2, final="YES", affect="GROUP"),
         ]
-        shares = characterization_shares(annotations, NOVELS)
-        assert shares.affect_series["INDIVIDUAL"].values["nov-a"] == pytest.approx(2 / 3)
-        assert shares.affect_series["GROUP"].values["nov-a"] == pytest.approx(1 / 3)
+        shares = characterization_shares(annotations)
+        assert shares.per_novel_affect["INDIVIDUAL"]["nov-a"] == pytest.approx(2 / 3)
+        assert shares.per_novel_affect["GROUP"]["nov-a"] == pytest.approx(1 / 3)
 
     def test_impact_shares_sum_to_one(self):
         rng = random.Random(9)
@@ -310,8 +300,8 @@ class TestCharacterizationShares:
             make_annotation("nov-a", i, final="YES", impact=rng.choice(impacts))
             for i in range(40)
         ]
-        shares = characterization_shares(annotations, NOVELS)
-        total = sum(shares.impact_series[label].values["nov-a"] for label in impacts)
+        shares = characterization_shares(annotations)
+        total = sum(shares.per_novel_impact[label]["nov-a"] for label in impacts)
         assert abs(total - 1.0) < 1e-9
 
     def test_zero_act_novel_excluded(self, caplog):
@@ -319,8 +309,8 @@ class TestCharacterizationShares:
             make_annotation("nov-a", 0, final="YES"),
             make_annotation("nov-b", 0, final="NO"),
         ]
-        shares = characterization_shares(annotations, NOVELS)
-        assert "nov-b" not in shares.affect_series["INDIVIDUAL"].values
+        shares = characterization_shares(annotations)
+        assert "nov-b" not in shares.per_novel_affect["INDIVIDUAL"]
 
     def test_scaling_leaves_pearson_unchanged(self):
         # prominence-style argmax/correlation stability under common scaling
@@ -331,13 +321,3 @@ class TestCharacterizationShares:
         r1, _ = pearson([7.3 * values_x[i] for i in ids], [values_y[i] for i in ids])
         assert abs(r0 - r1) < 1e-12
 
-
-class TestNovelSeries:
-    def test_make_series_tags(self):
-        series = make_series("s", {"ser-1": 1.0, "mix-1": 2.0}, NOVELS)
-        assert series.series_tags["ser-1"] == "end-times"
-        assert series.gender_groups["mix-1"] == "mixed"
-
-    def test_series_is_plain_mapping(self):
-        series = NovelSeries("s", {"a": 1.0})
-        assert series.ids() == ["a"]
