@@ -78,7 +78,10 @@ def cmd_segment(config: RunConfig) -> None:
     )
 
 
-def cmd_topics_train(config: RunConfig) -> None:
+def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[list[int]], list[str]]:
+    """The vocabulary, each fixed-size segment's word ids and its novel.
+    The corpus text and the segments' words are freed on return, before
+    training starts."""
     loaded = corpus.ingest(config.manifest)
     segments = corpus.segment_corpus_fixed(loaded, segment_size=config.segment_size)
     vocab, docs = topics.build_vocabulary(
@@ -89,6 +92,11 @@ def cmd_topics_train(config: RunConfig) -> None:
         docs = topics.authorless_downsample(
             docs, doc_novels, rng_seed=config.topics_downsample_seed
         )
+    return vocab, docs, doc_novels
+
+
+def cmd_topics_train(config: RunConfig) -> None:
+    vocab, docs, doc_novels = _topic_docs(config)
     state, summary = topics.train(
         docs,
         vocab.size,

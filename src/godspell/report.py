@@ -64,10 +64,30 @@ def _require_file(path: Path, what: str) -> Path:
     return path
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "a JSON object"}
+
+
+def _typed(key: str, value, kind: type):
+    """value, checked to be the JSON type kind stands for (an integer is a
+    number too; a boolean is neither); ConfigError naming key otherwise."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _optional_file(base: Path, key: str, value, what: str) -> Path | None:
+    if value is None or value == "":
+        return None
+    return _require_file(_resolve(base, _typed(key, value, str)), what)
+
+
 def load_run_config(config_path: Path | str, overrides: dict | None = None) -> RunConfig:
     """Load a run config JSON; relative paths resolve against the config
     file. Overrides (from CLI flags) take precedence; GODSPELL_ENDPOINT
-    beats the config file for the endpoint."""
+    beats the config file for the endpoint. A value of the wrong JSON type
+    is a ConfigError that names its key."""
     config_path = Path(config_path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
@@ -75,6 +95,7 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         payload = json.loads(config_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    payload = _typed("config", payload, dict)
     base = config_path.parent
     overrides = overrides or {}
 
@@ -84,40 +105,33 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
 
     if "manifest" not in payload:
         raise ConfigError("config must name a manifest")
-    manifest = _require_file(_resolve(base, payload["manifest"]), "manifest")
+    manifest = _require_file(_resolve(base, _typed("manifest", payload["manifest"], str)),
+                             "manifest")
 
-    seg = payload.get("segmentation", {})
-    topics = payload.get("topics", {})
-    model = payload.get("model", {})
-    prompts = payload.get("prompts", {})
-    evaluation = payload.get("evaluation", {})
+    seg, topics, model, prompts, evaluation = (
+        _typed(name, payload.get(name, {}), dict)
+        for name in ("segmentation", "topics", "model", "prompts", "evaluation")
+    )
 
-    stopwords = topics.get("stopwords")
-    stopwords_path = (
-        _require_file(_resolve(base, stopwords), "stopword file") if stopwords else None
-    )
-    labels = topics.get("labels")
-    labels_path = _require_file(_resolve(base, labels), "topic label file") if labels else None
-    registry = prompts.get("registry")
-    registry_path = (
-        _require_file(_resolve(base, registry), "prompt registry") if registry else None
-    )
+    stopwords_path = _optional_file(base, "topics.stopwords", topics.get("stopwords"),
+                                    "stopword file")
+    labels_path = _optional_file(base, "topics.labels", topics.get("labels"),
+                                 "topic label file")
+    registry_path = _optional_file(base, "prompts.registry", prompts.get("registry"),
+                                   "prompt registry")
     rounds = [
-        _require_file(_resolve(base, p), "annotation round file")
-        for p in evaluation.get("rounds", [])
+        _require_file(_resolve(base, _typed("evaluation.rounds", p, str)),
+                      "annotation round file")
+        for p in _typed("evaluation.rounds", evaluation.get("rounds", []), list)
     ]
-    gold = evaluation.get("gold_overrides")
-    gold_path = _require_file(_resolve(base, gold), "gold override file") if gold else None
-    spotcheck = evaluation.get("spotcheck")
-    spotcheck_path = (
-        _require_file(_resolve(base, spotcheck), "spot-check file") if spotcheck else None
-    )
-    analysis = payload.get("analysis")
-    analysis_path = (
-        _require_file(_resolve(base, analysis), "analysis config") if analysis else None
-    )
+    gold_path = _optional_file(base, "evaluation.gold_overrides",
+                               evaluation.get("gold_overrides"), "gold override file")
+    spotcheck_path = _optional_file(base, "evaluation.spotcheck", evaluation.get("spotcheck"),
+                                    "spot-check file")
+    analysis_path = _optional_file(base, "analysis", payload.get("analysis"), "analysis config")
 
-    output_dir = _resolve(base, override("output_dir", payload.get("output_dir", "out")))
+    output_dir = override("output_dir", payload.get("output_dir", "out"))
+    output_dir = _resolve(base, _typed("output_dir", output_dir, str))
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
         probe = output_dir / ".write-probe"
@@ -126,22 +140,26 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
     except OSError as e:
         raise ConfigError(f"output directory not writable: {output_dir} ({e})") from None
 
-    endpoint = override(
+    endpoint = _typed("model.endpoint", override(
         "endpoint",
         os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", "http://localhost:11434"),
-    )
+    ), str)
     backend = override("backend", model.get("backend", "http"))
     if backend not in ("http", "mock"):
         raise ConfigError(f"unknown model backend {backend!r}")
 
     cache_dir = override("cache_dir", payload.get("cache_dir"))
+    temperature = _typed("model.temperature",
+                         override("temperature", model.get("temperature", 0.0)), float)
+    max_retries = _typed("model.max_retries", model.get("max_retries", 3), int)
+    timeout = _typed("model.timeout", model.get("timeout", 120.0), float)
     try:
         model_config = ModelConfig(
-            model=override("model", model.get("name", "gemma3n:e4b")),
+            model=_typed("model.name", override("model", model.get("name", "gemma3n:e4b")), str),
             endpoint=endpoint,
-            temperature=float(override("temperature", model.get("temperature", 0.0))),
-            max_retries=int(model.get("max_retries", 3)),
-            timeout=float(model.get("timeout", 120.0)),
+            temperature=temperature,
+            max_retries=max_retries,
+            timeout=timeout,
         )
     except ValueError as e:
         raise ConfigError(f"model: {e}") from None
@@ -150,23 +168,25 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         manifest=manifest,
         output_dir=output_dir,
         model=model_config,
-        segment_size=int(seg.get("segment_size", 300)),
-        passage_cap=int(seg.get("passage_cap", 500)),
-        topics_k=int(override("k", topics.get("k", 65))),
-        topics_sweeps=int(override("sweeps", topics.get("sweeps", 1000))),
-        topics_burn_in=int(topics.get("burn_in", 50)),
-        topics_optimize_interval=int(topics.get("optimize_interval", 10)),
-        topics_seed=int(override("seed", topics.get("seed", 0))),
-        topics_min_count=int(topics.get("min_count", 5)),
-        topics_downsample=bool(topics.get("downsample", True)),
-        topics_downsample_seed=int(topics.get("downsample_seed", 0)),
+        segment_size=_typed("segmentation.segment_size", seg.get("segment_size", 300), int),
+        passage_cap=_typed("segmentation.passage_cap", seg.get("passage_cap", 500), int),
+        topics_k=_typed("topics.k", override("k", topics.get("k", 65)), int),
+        topics_sweeps=_typed("topics.sweeps", override("sweeps", topics.get("sweeps", 1000)), int),
+        topics_burn_in=_typed("topics.burn_in", topics.get("burn_in", 50), int),
+        topics_optimize_interval=_typed("topics.optimize_interval",
+                                        topics.get("optimize_interval", 10), int),
+        topics_seed=_typed("topics.seed", override("seed", topics.get("seed", 0)), int),
+        topics_min_count=_typed("topics.min_count", topics.get("min_count", 5), int),
+        topics_downsample=_typed("topics.downsample", topics.get("downsample", True), bool),
+        topics_downsample_seed=_typed("topics.downsample_seed",
+                                      topics.get("downsample_seed", 0), int),
         stopwords_path=stopwords_path,
         topic_labels_path=labels_path,
         model_backend=backend,
-        workers=int(override("workers", model.get("workers", 4))),
-        cache_dir=_resolve(base, cache_dir) if cache_dir else None,
+        workers=_typed("model.workers", override("workers", model.get("workers", 4)), int),
+        cache_dir=_resolve(base, _typed("cache_dir", cache_dir, str)) if cache_dir else None,
         prompt_registry_path=registry_path,
-        prompt_versions=dict(prompts.get("versions", {})),
+        prompt_versions=dict(_typed("prompts.versions", prompts.get("versions", {}), dict)),
         annotation_rounds=rounds,
         gold_overrides_path=gold_path,
         spotcheck_path=spotcheck_path,

@@ -1,10 +1,20 @@
 """Topic modeling: vocabulary building, authorless downsampling, and LDA
 trained by collapsed Gibbs sampling with Dirichlet hyperparameter
 optimization (asymmetric document-topic prior, symmetric topic-word prior).
+
+``gibbs_sweep`` runs a small C kernel (``_sweep``) when one can be built.
+It is bitwise-identical to the pure-Python reference ``_gibbs_sweep_python``:
+the same topics, counts, RNG stream and so the same log-likelihood floats,
+because it draws one ``rng.random()`` per token in token order and does the
+same float operations in the same order (built with ``-O2
+-ffp-contract=off``, never ``-ffast-math``). It is compiled on first use
+into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``); when no
+C compiler works, the reference runs instead, after one WARNING.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
@@ -134,12 +144,16 @@ def authorless_downsample(
 
 @dataclass
 class TopicState:
-    """Mutable collapsed-Gibbs sampler state."""
+    """Mutable collapsed-Gibbs sampler state. Tokens are flat, in document
+    order: document d's word ids and topic assignments are
+    ``words[offsets[d]:offsets[d + 1]]`` and ``z[offsets[d]:offsets[d + 1]]``."""
 
     k: int
     alpha: np.ndarray        # (K,) asymmetric document-topic prior
     beta: float              # symmetric topic-word prior
-    z: list[list[int]]       # per-token topic assignments
+    offsets: np.ndarray      # (D + 1,) int64 token offset of each document
+    words: np.ndarray        # (N,) int32 word ids
+    z: np.ndarray            # (N,) int32 topic assignments
     n_dk: np.ndarray         # (D, K) document-topic counts
     n_kw: np.ndarray         # (K, V) topic-word counts
     n_k: np.ndarray          # (K,) topic totals
@@ -148,13 +162,23 @@ class TopicState:
     rng: random.Random = field(repr=False, default_factory=random.Random)
 
     def validate(self, docs: list[list[int]]) -> None:
-        """Check the count identities against the assignments; fatal if
-        the state is corrupted."""
+        """Check the shapes, the id ranges and the count identities against
+        the documents and the assignments; fatal if the state is corrupted."""
+        k, v = self.k, self.vocabulary_size
+        doc_lens = np.array([len(d) for d in docs], dtype=np.int64)
+        if (self.n_dk.shape != (len(docs), k) or self.n_kw.shape != (k, v)
+                or self.n_k.shape != (k,) or self.alpha.shape != (k,)
+                or self.offsets.shape != (len(docs) + 1,) or self.offsets[0] != 0
+                or not np.array_equal(np.diff(self.offsets), doc_lens)
+                or self.words.shape != (self.offsets[-1],) or self.z.shape != self.words.shape):
+            raise RuntimeError("corrupted state: array shapes do not match the documents")
+        if len(self.z) and (self.z.min() < 0 or self.z.max() >= k
+                            or self.words.min() < 0 or self.words.max() >= v):
+            raise RuntimeError("corrupted state: topic or word id out of range")
         if (self.n_dk < 0).any() or (self.n_kw < 0).any() or (self.n_k < 0).any():
             raise RuntimeError("corrupted state: negative count")
         if (self.alpha <= 0).any() or self.beta <= 0:
             raise RuntimeError("corrupted state: non-positive prior")
-        doc_lens = np.array([len(d) for d in docs], dtype=np.int64)
         if not np.array_equal(self.n_dk.sum(axis=1), doc_lens):
             raise RuntimeError("corrupted state: document-topic counts != doc lengths")
         if not np.array_equal(self.n_kw.sum(axis=1), self.n_k):
@@ -171,32 +195,35 @@ def init_state(
     alpha_init: float | None = None,
     beta_init: float = DEFAULT_BETA,
 ) -> TopicState:
-    """Assign every token a uniform random topic and build the counts."""
+    """Assign every token a uniform random topic, drawn in token order,
+    and build the counts."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = random.Random(rng_seed)
     alpha_value = alpha_init if alpha_init is not None else DEFAULT_ALPHA_SUM / k
-    n_dk = np.zeros((len(docs), k), dtype=np.int64)
-    n_kw = np.zeros((k, vocabulary_size), dtype=np.int64)
-    n_k = np.zeros(k, dtype=np.int64)
-    z = []
-    for d, doc in enumerate(docs):
-        zd = []
-        for w in doc:
-            topic = rng.randrange(k)
-            zd.append(topic)
-            n_dk[d, topic] += 1
-            n_kw[topic, w] += 1
-            n_k[topic] += 1
-        z.append(zd)
+    n_docs = len(docs)
+    doc_lens = np.fromiter(map(len, docs), dtype=np.int64, count=n_docs)
+    offsets = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(doc_lens, out=offsets[1:])
+    n = int(offsets[-1])
+    words = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64, count=n)
+    if n and (words.min() < 0 or words.max() >= vocabulary_size):
+        raise ValueError(f"word ids must lie in [0, {vocabulary_size})")
+    z = np.fromiter(map(rng.randrange, itertools.repeat(k, n)), dtype=np.int32, count=n)
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), doc_lens)
+    n_dk = np.bincount(doc_of * k + z, minlength=n_docs * k).reshape(n_docs, k)
+    n_kw = np.bincount(z.astype(np.int64) * vocabulary_size + words,
+                       minlength=k * vocabulary_size).reshape(k, vocabulary_size)
     return TopicState(
         k=k,
         alpha=np.full(k, alpha_value, dtype=float),
         beta=float(beta_init),
+        offsets=offsets,
+        words=words.astype(np.int32),
         z=z,
         n_dk=n_dk,
         n_kw=n_kw,
-        n_k=n_k,
+        n_k=np.bincount(z, minlength=k),
         vocabulary_size=vocabulary_size,
         rng_seed=rng_seed,
         rng=rng,
@@ -204,8 +231,24 @@ def init_state(
 
 
 def gibbs_sweep(state: TopicState, docs: list[list[int]]) -> TopicState:
-    """One full collapsed-Gibbs pass over every token, in document order."""
+    """One full collapsed-Gibbs pass over every token, in document order.
+
+    docs must be the documents the state was initialised from; both
+    samplers read the state's flat copy of them. The state is validated
+    first, so a corrupted count never reaches the compiled kernel."""
+    from . import _sweep
+
     state.validate(docs)
+    kernel = _sweep.kernel()
+    if kernel is None:
+        _gibbs_sweep_python(state)
+    else:
+        _sweep.sweep(kernel, state)
+    return state
+
+
+def _gibbs_sweep_python(state: TopicState) -> None:
+    """The reference sweep; the compiled kernel matches it bit for bit."""
     k_topics = state.k
     vbeta = state.vocabulary_size * state.beta
     beta = state.beta
@@ -213,14 +256,16 @@ def gibbs_sweep(state: TopicState, docs: list[list[int]]) -> TopicState:
     n_dk = state.n_dk.tolist()
     n_kw = state.n_kw.tolist()
     n_k = state.n_k.tolist()
+    offsets = state.offsets.tolist()
+    words = state.words.tolist()
+    z = state.z.tolist()
     rand = state.rng.random
     cum = [0.0] * k_topics
 
-    for d, doc in enumerate(docs):
-        zd = state.z[d]
-        row = n_dk[d]
-        for i, w in enumerate(doc):
-            old = zd[i]
+    for d, row in enumerate(n_dk):
+        for i in range(offsets[d], offsets[d + 1]):
+            w = words[i]
+            old = z[i]
             row[old] -= 1
             n_kw[old][w] -= 1
             n_k[old] -= 1
@@ -232,15 +277,15 @@ def gibbs_sweep(state: TopicState, docs: list[list[int]]) -> TopicState:
             new = 0
             while cum[new] < u:
                 new += 1
-            zd[i] = new
+            z[i] = new
             row[new] += 1
             n_kw[new][w] += 1
             n_k[new] += 1
 
-    state.n_dk = np.array(n_dk, dtype=np.int64).reshape(len(docs), k_topics)
-    state.n_kw = np.array(n_kw, dtype=np.int64).reshape(k_topics, state.vocabulary_size)
-    state.n_k = np.array(n_k, dtype=np.int64)
-    return state
+    state.z[:] = z
+    state.n_dk[:] = n_dk
+    state.n_kw[:] = n_kw
+    state.n_k[:] = n_k
 
 
 def log_likelihood(state: TopicState) -> float:
@@ -255,10 +300,13 @@ def log_likelihood(state: TopicState) -> float:
         - d_count * gammaln(state.alpha).sum()
     )
     vbeta = state.vocabulary_size * state.beta
+    # In place: one (K, V) temporary, not two; the same values and sum.
+    word_terms = state.n_kw + state.beta
+    gammaln(word_terms, out=word_terms)
     ll += (
         state.k * gammaln(vbeta)
         - gammaln(state.n_k + vbeta).sum()
-        + gammaln(state.n_kw + state.beta).sum()
+        + word_terms.sum()
         - state.k * state.vocabulary_size * gammaln(state.beta)
     )
     return float(ll)

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per release criterion, with a printed
 pass/fail line each (run with `pytest tests/test_acceptance.py -v -s`)."""
 
+import itertools
 import json
 import random
 import shutil
@@ -125,10 +126,9 @@ def test_criterion_4_lda_separation():
         half = v // 2
         for lo, hi in ((0, half), (half, v)):
             counts = [0, 0]
-            for doc, zd in zip(docs, state.z):
-                for w, z in zip(doc, zd):
-                    if lo <= w < hi:
-                        counts[z] += 1
+            for w, z in zip(itertools.chain.from_iterable(docs), state.z.tolist()):
+                if lo <= w < hi:
+                    counts[z] += 1
             purity = max(counts) / sum(counts)
             assert purity >= 0.95, f"vocabulary purity {purity:.3f}"
 

@@ -146,6 +146,16 @@ class TestOverrides:
         assert "topics.sweeps" in capsys.readouterr().err
 
 
+    def test_wrong_type_in_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"),
+                                    "topics": {"k": "five"}}), encoding="utf-8")
+        assert run("segment", "--config", str(path), "--output", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "config error: topics.k must be an integer" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "passages.jsonl").exists()
+
     def test_negative_temperature_rejected_by_every_command(self, tmp_path, capsys):
         assert run("segment", "--config", CONFIG, "--output", str(tmp_path),
                    "--temperature", "-1") == 1
@@ -170,10 +180,18 @@ class TestErrorFile:
         assert not (tmp_path / "error.json").exists()
 
 
-def test_import_leaves_out_requests():
+def imported_with_cli(module):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, godspell.cli; print('requests' in sys.modules)"
+    code = f"import sys, godspell.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_leaves_out_the_compiled_sweep():
+    assert not imported_with_cli("godspell._sweep")
+
+
+def test_import_leaves_out_requests():
+    assert not imported_with_cli("requests")

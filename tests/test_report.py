@@ -97,6 +97,49 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="backend"):
             load_run_config(cfg)
 
+    def _config_with(self, tmp_path, section, body):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "manifest": str(FIXTURES / "manifest.csv"), section: body,
+            "output_dir": str(tmp_path / "out"),
+        }), encoding="utf-8")
+        return cfg
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_bool_key_takes_only_json_booleans(self, tmp_path, value):
+        cfg = self._config_with(tmp_path, "topics", {"downsample": value})
+        with pytest.raises(ConfigError, match="topics.downsample must be true or false"):
+            load_run_config(cfg)
+        cfg = self._config_with(tmp_path, "topics", {"downsample": False})
+        assert load_run_config(cfg).topics_downsample is False
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("topics", "k", "five"), ("topics", "k", 6.5), ("topics", "sweeps", True),
+        ("segmentation", "segment_size", "300"), ("model", "workers", None),
+        ("model", "temperature", "warm"), ("model", "timeout", None),
+        ("model", "name", 3), ("prompts", "versions", 5), ("evaluation", "rounds", "r1.csv"),
+        ("topics", "stopwords", ["stopwords.txt"]),
+    ])
+    def test_wrong_type_names_the_key(self, tmp_path, section, key, value):
+        cfg = self._config_with(tmp_path, section, {key: value})
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+            load_run_config(cfg)
+
+    def test_section_must_be_an_object(self, tmp_path):
+        cfg = self._config_with(tmp_path, "topics", [65])
+        with pytest.raises(ConfigError, match="topics must be a JSON object"):
+            load_run_config(cfg)
+
+    @pytest.mark.parametrize("payload, key", [
+        ([], "config"), ({"manifest": 5}, "manifest"),
+        ({"manifest": str(FIXTURES / "manifest.csv"), "output_dir": 3}, "output_dir"),
+    ])
+    def test_top_level_type_names_the_key(self, tmp_path, payload, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_run_config(cfg)
+
 
 class TestFmt:
     def test_int_passthrough(self):

@@ -107,6 +107,41 @@ class TestAuthorlessDownsample:
             authorless_downsample([[0]], ["a", "b"])
 
 
+class TestInitState:
+    def test_counts_match_token_loop(self):
+        rng = random.Random(3)
+        docs = [[rng.randrange(9) for _ in range(rng.randint(0, 20))] for _ in range(12)]
+        state = init_state(docs, k=4, vocabulary_size=11, rng_seed=8)
+        draws = random.Random(8)
+        n_dk = np.zeros((12, 4), dtype=np.int64)
+        n_kw = np.zeros((4, 11), dtype=np.int64)
+        z = []
+        for d, doc in enumerate(docs):
+            for w in doc:
+                topic = draws.randrange(4)
+                z.append(topic)
+                n_dk[d, topic] += 1
+                n_kw[topic, w] += 1
+        assert state.z.tolist() == z
+        assert np.array_equal(state.n_dk, n_dk)
+        assert np.array_equal(state.n_kw, n_kw)
+        assert np.array_equal(state.n_k, n_kw.sum(axis=1))
+        assert state.rng.getstate() == draws.getstate()
+        assert state.words.tolist() == [w for doc in docs for w in doc]
+        assert state.offsets.tolist() == np.cumsum([0] + [len(d) for d in docs]).tolist()
+
+    @pytest.mark.parametrize("bad", [-1, 3, 1000])
+    def test_word_id_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="word ids"):
+            init_state([[0, bad, 2]], k=2, vocabulary_size=3)
+
+    def test_no_documents(self):
+        state = init_state([], k=3, vocabulary_size=2)
+        assert state.n_dk.shape == (0, 3)
+        gibbs_sweep(state, [])
+        assert state.n_k.tolist() == [0, 0, 0]
+
+
 class TestGibbsSweep:
     def test_hand_evaluated_conditional(self):
         probs = topic_conditional(
@@ -134,9 +169,9 @@ class TestGibbsSweep:
     def test_single_topic_state_unchanged(self):
         docs = [[0, 1, 2], [2, 1]]
         state = init_state(docs, k=1, vocabulary_size=3, rng_seed=0)
-        before = [list(zd) for zd in state.z]
+        before = state.z.copy()
         gibbs_sweep(state, docs)
-        assert [list(zd) for zd in state.z] == before
+        assert np.array_equal(state.z, before)
         state.validate(docs)
 
     def test_counts_conserved_after_sweeps(self):
@@ -155,6 +190,24 @@ class TestGibbsSweep:
         state.n_k[0] += 1
         with pytest.raises(RuntimeError, match="corrupted"):
             gibbs_sweep(state, docs)
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("z", 0, 2), ("z", 1, -1), ("words", 2, 2), ("words", 0, -1),
+    ])
+    def test_id_out_of_range_detected(self, field, index, value):
+        docs = [[0, 1], [1, 1]]
+        state = init_state(docs, k=2, vocabulary_size=2, rng_seed=0)
+        getattr(state, field)[index] = value
+        with pytest.raises(RuntimeError, match="out of range"):
+            gibbs_sweep(state, docs)
+
+    def test_documents_of_another_shape_detected(self):
+        docs = [[0, 1], [1, 1]]
+        state = init_state(docs, k=2, vocabulary_size=2, rng_seed=0)
+        with pytest.raises(RuntimeError, match="shapes"):
+            gibbs_sweep(state, [[0], [1, 1, 0]])
+        with pytest.raises(RuntimeError, match="shapes"):
+            gibbs_sweep(state, docs + [[]])
 
 
 class TestOptimizeAlpha:
@@ -240,7 +293,7 @@ class TestTrain:
                                  optimize_interval=5, rng_seed=99)
         state2, summary2 = train(docs, v, k=2, sweeps=20, burn_in=5,
                                  optimize_interval=5, rng_seed=99)
-        assert state1.z == state2.z
+        assert np.array_equal(state1.z, state2.z)
         assert np.array_equal(state1.n_kw, state2.n_kw)
         assert summary1.log_likelihoods == summary2.log_likelihoods
 
@@ -250,9 +303,9 @@ class TestTrain:
         state, _ = train(docs, v, k=2, sweeps=100, burn_in=20,
                          optimize_interval=10, rng_seed=5)
         for theme in (0, 1):
+            token_labels = np.repeat(labels, [len(d) for d in docs]).tolist()
             assignments = [
-                z for doc_label, zd in zip(labels, state.z) if doc_label == theme
-                for z in zd
+                z for doc_label, z in zip(token_labels, state.z.tolist()) if doc_label == theme
             ]
             dominant = max(assignments.count(0), assignments.count(1))
             assert dominant / len(assignments) >= 0.9
