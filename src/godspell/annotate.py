@@ -57,12 +57,10 @@ class MalformedResponse(ValueError):
 class PipelineError(RuntimeError):
     """Retries exhausted for one passage; carries the failure kind."""
 
-    def __init__(self, kind: str, message: str, stage: str | None = None,
-                 passage_ref: str | None = None):
+    def __init__(self, kind: str, message: str, stage: str | None = None):
         super().__init__(message)
         self.kind = kind
         self.stage = stage
-        self.passage_ref = passage_ref
 
 
 @dataclass
@@ -426,6 +424,11 @@ class ActAnnotation:
     def ref(self) -> str:
         return f"{self.novel_id}:{self.index}"
 
+    @property
+    def is_act(self) -> bool:
+        """Resolved, and both stages said YES."""
+        return self.status == "ok" and self.final_label == "YES"
+
     def check_invariants(self) -> None:
         """The three structural rules for resolved annotations."""
         if self.status != "ok":
@@ -482,16 +485,13 @@ def _run_stage(
     stage: str,
     text: str,
     config: ModelConfig,
-    registry: PromptRegistry,
-    versions: dict[str, str],
+    template: PromptTemplate,
     cache: AnnotationCache | None,
     transport: Transport | None,
-    passage_ref: str,
 ) -> tuple[dict[str, str], str]:
     """Execute (or look up) one stage; returns parsed fields and cache key.
 
     A cache entry that does not match the stage's schema counts as a miss."""
-    template = registry.get(STAGE_TEMPLATES[stage], versions.get(stage, "v1"))
     key = cache_key(config.model, template, text, stage)
     cached = cache.get(stage, key) if cache is not None else None
     if cached is not None:
@@ -504,7 +504,6 @@ def _run_stage(
         fields = call_model(config, render_prompt(template, text), template.schema, transport)
     except PipelineError as e:
         e.stage = stage
-        e.passage_ref = passage_ref
         raise
     if cache is not None:
         cache.put(stage, key, fields)
@@ -514,10 +513,9 @@ def _run_stage(
 def _annotate_one(
     passage: Passage,
     config: ModelConfig,
-    registry: PromptRegistry,
+    templates: dict[str, PromptTemplate],
     cache: AnnotationCache | None,
     transport: Transport | None,
-    versions: dict[str, str],
 ) -> ActAnnotation:
     """The cascade for one passage: stage 1, stage 2 when stage 1 says YES,
     then affect and impact (prompted with the stage-1 act description, not
@@ -525,12 +523,12 @@ def _annotate_one(
     ref = passage.ref
 
     def run(stage: str, text: str) -> tuple[dict[str, str], str]:
-        return _run_stage(stage, text, config, registry, versions, cache, transport, ref)
+        return _run_stage(stage, text, config, templates[stage], cache, transport)
 
     stage1 = stage2 = affect = impact = None
     try:
         if not passage.text.strip():
-            raise PipelineError("malformed", "empty passage text", STAGE1, ref)
+            raise PipelineError("malformed", "empty passage text", STAGE1)
         stage1, key = run(STAGE1, passage.text)
         final = "NO"
         if stage1["label"] == "YES":
@@ -539,7 +537,7 @@ def _annotate_one(
         if final == "YES":
             act = stage1["act_description"]
             if not act.strip():
-                raise PipelineError("malformed", "empty act description", AFFECT, ref)
+                raise PipelineError("malformed", "empty act description", AFFECT)
             affect = run(AFFECT, act)[0]["god_affect"]
             impact = run(IMPACT, act)[0]["god_impact"]
         return ActAnnotation(
@@ -577,18 +575,23 @@ def run_pipeline(
 ) -> list[ActAnnotation]:
     """Annotate every passage, resuming from the cache.
 
-    Failed passages are recorded as unresolved without aborting the batch.
-    Output order follows input order regardless of worker completion order.
+    Every stage's template is looked up before the first model call, so a
+    version (or a stage) the registry lacks is a KeyError up front. Failed
+    passages are recorded as unresolved without aborting the batch. Output
+    order follows input order regardless of worker completion order.
     """
     registry = registry or default_registry()
-    cache = AnnotationCache(cache_dir) if cache_dir is not None else None
     versions = versions or {}
+    unknown = sorted(set(versions) - set(STAGE_TEMPLATES))
+    if unknown:
+        raise KeyError(f"prompt versions name unknown stages {unknown}")
+    templates = {stage: registry.get(name, versions.get(stage, "v1"))
+                 for stage, name in STAGE_TEMPLATES.items()}
+    cache = AnnotationCache(cache_dir) if cache_dir is not None else None
 
     def work(passage: Passage) -> ActAnnotation:
-        return _annotate_one(passage, config, registry, cache, transport, versions)
+        return _annotate_one(passage, config, templates, cache, transport)
 
-    if workers <= 1:
-        return [work(p) for p in passages]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, passages))
 

@@ -15,6 +15,7 @@ import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 from . import annotate, corpus, evaluation, topics
 from . import stats as statsmod
@@ -153,7 +154,7 @@ def cmd_annotate(config: RunConfig) -> None:
         versions=config.prompt_versions,
     )
     annotate.write_annotations(annotations, config.output_dir / "annotations.jsonl")
-    yes = sum(1 for a in annotations if a.status == "ok" and a.final_label == "YES")
+    yes = sum(1 for a in annotations if a.is_act)
     unresolved = sum(1 for a in annotations if a.status != "ok")
     print(f"annotated {len(annotations)} passages: {yes} YES, {unresolved} unresolved")
 
@@ -223,7 +224,7 @@ def _spotcheck(path: Path, by_ref: dict[str, annotate.ActAnnotation]) -> dict[st
     model_impact = {}
     for ref in human_affect:
         ann = by_ref.get(ref)
-        if ann is None or ann.status != "ok" or ann.final_label != "YES":
+        if ann is None or not ann.is_act:
             raise ValueError(f"spot-check passage {ref} is not a resolved YES annotation")
         model_affect[ref] = ann.affect
         model_impact[ref] = ann.impact
@@ -245,14 +246,13 @@ def _resolve_comparison_series(
     spec: dict,
     act: statsmod.ActProportions,
     characterization: statsmod.CharacterizationShares,
-    prominence_per_novel: dict[str, list[float]],
+    topic_values: Callable[[int], dict[str, float]],
 ) -> dict[str, float]:
     kind = spec.get("kind")
     if kind == "act_share":
         return act.per_novel
     if kind == "topic_prominence":
-        topic = int(spec["topic"])
-        return {nid: prom[topic] for nid, prom in prominence_per_novel.items()}
+        return topic_values(int(spec["topic"]))
     if kind == "characterization":
         table = (
             characterization.per_novel_affect if spec["facet"] == "affect"
@@ -262,7 +262,22 @@ def _resolve_comparison_series(
     raise ValueError(f"unknown comparison kind {kind!r}")
 
 
+def _analysis_entry(entry: dict, compute: Callable[..., dict], *args) -> dict:
+    """entry with the fields compute(*args) returns, or with the error it
+    raised: a bad analysis entry spoils only itself."""
+    try:
+        entry.update(compute(*args))
+    except (KeyError, ValueError) as e:
+        entry["error"] = str(e)
+    return entry
+
+
 def cmd_stats(config: RunConfig) -> None:
+    """Write stats.json: act shares, the act position density, per-novel
+    topic prominence and its mean, the correlations and group comparisons
+    that the analysis config asks for, and the characterization shares.
+    An analysis entry that cannot be computed (too few novels, an unknown
+    topic, an empty group) carries an error and leaves the others alone."""
     loaded = corpus.ingest(config.manifest)
     passages = corpus.read_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
@@ -289,82 +304,58 @@ def cmd_stats(config: RunConfig) -> None:
     density = statsmod.position_density(
         annotations, passages, bins=int(analysis.get("position_bins", 20))
     )
-    prominences = topics.prominence_from_doc_topic(
+    prominence = topics.prominence_from_doc_topic(
         model.doc_topic, model.doc_novels, [n.id for n in loaded.novels]
     )
-    prominence_per_novel = {p.novel_id: p.prominence for p in prominences}
     mean_prominence = [
-        sum(p.prominence[t] for p in prominences) / len(prominences)
-        for t in range(model.k)
-    ] if prominences else []
-
-    correlations = []
-    for pair in analysis.get("topic_correlations", []):
-        a, b = int(pair[0]), int(pair[1])
-        entry: dict = {"topics": [a, b]}
-        try:
-            r, p = topics.topic_correlation(prominences, a, b)
-            entry.update(r=r, p=p)
-        except ValueError as e:
-            entry["error"] = str(e)
-        correlations.append(entry)
-
-    act_topic = []
-    for topic in analysis.get("act_share_topic_correlations", []):
-        topic = int(topic)
-        shared = sorted(set(act.per_novel) & set(prominence_per_novel))
-        entry = {"topic": topic}
-        try:
-            r, p = statsmod.pearson(
-                [act.per_novel[n] for n in shared],
-                [prominence_per_novel[n][topic] for n in shared],
-            )
-            entry.update(r=r, p=p)
-        except ValueError as e:
-            entry["error"] = str(e)
-        act_topic.append(entry)
-
+        sum(p[t] for p in prominence.values()) / len(prominence) for t in range(model.k)
+    ] if prominence else []
     characterization = statsmod.characterization_shares(annotations)
 
-    comparisons = []
-    series_tag = analysis.get("series_tag")
-    for spec in analysis.get("comparisons", []):
-        name = spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"
-        entry = {"name": name}
-        try:
-            values = _resolve_comparison_series(
-                spec, act, characterization, prominence_per_novel
-            )
-            result = statsmod.group_compare(
-                values,
-                loaded.novels,
-                spec["grouping"],
-                series_tag=series_tag if spec["grouping"] == "series" else None,
-            )
-            entry.update(asdict(result))
-        except (KeyError, ValueError) as e:
-            entry["error"] = str(e)
-        comparisons.append(entry)
+    def topic_values(topic: int) -> dict[str, float]:
+        if not 0 <= topic < model.k:
+            raise ValueError(f"topic index {topic} out of range for K={model.k}")
+        return {novel_id: p[topic] for novel_id, p in prominence.items()}
 
+    def topic_pair(a: int, b: int) -> dict:
+        r, p = statsmod.pearson(list(topic_values(a).values()), list(topic_values(b).values()))
+        return {"r": r, "p": p}
+
+    def act_topic(topic: int) -> dict:
+        values = topic_values(topic)
+        shared = sorted(set(act.per_novel) & set(values))
+        r, p = statsmod.pearson([act.per_novel[n] for n in shared], [values[n] for n in shared])
+        return {"r": r, "p": p}
+
+    def comparison(spec: dict) -> dict:
+        values = _resolve_comparison_series(spec, act, characterization, topic_values)
+        return asdict(statsmod.group_compare(values, loaded.novels, spec["grouping"],
+                                             series_tag=analysis.get("series_tag")))
+
+    pairs = [(int(pair[0]), int(pair[1])) for pair in analysis.get("topic_correlations", [])]
     payload = {
         "passages": asdict(corpus.passage_statistics(passages)),
         "novels": {
-            n.id: {
-                "title": n.title,
-                "series_tag": n.series_tag,
-                "gender_group": n.gender_group(),
-            }
+            n.id: {"title": n.title, "series_tag": n.series_tag, "gender_group": n.gender_group()}
             for n in loaded.novels
         },
         "act_proportions": act_payload,
         "position_density": asdict(density),
-        "topic_prominence": {
-            "per_novel": prominence_per_novel,
-            "mean": mean_prominence,
-        },
-        "topic_correlations": correlations,
-        "act_share_topic_correlations": act_topic,
-        "comparisons": comparisons,
+        "topic_prominence": {"per_novel": prominence, "mean": mean_prominence},
+        "topic_correlations": [
+            _analysis_entry({"topics": [a, b]}, topic_pair, a, b) for a, b in pairs
+        ],
+        "act_share_topic_correlations": [
+            _analysis_entry({"topic": int(t)}, act_topic, int(t))
+            for t in analysis.get("act_share_topic_correlations", [])
+        ],
+        "comparisons": [
+            _analysis_entry(
+                {"name": spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"},
+                comparison, spec,
+            )
+            for spec in analysis.get("comparisons", [])
+        ],
         "characterization": asdict(characterization),
     }
     if config.topic_labels_path is not None:
@@ -407,16 +398,17 @@ USAGE = (
 def _build_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"godspell {command}")
     parser.add_argument("--config", required=True, help="run config JSON")
-    parser.add_argument("--output", help="output directory override")
+    parser.add_argument("--output", dest="output_dir", help="output directory override")
     parser.add_argument("--model", help="model name override")
     parser.add_argument("--endpoint", help="inference endpoint override")
-    parser.add_argument("--temperature", type=float, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--temperature", type=float)
+    parser.add_argument("--workers", type=int)
     parser.add_argument("--cache-dir", dest="cache_dir", help="annotation cache directory")
-    parser.add_argument("--mock", action="store_true", help="use the built-in mock model")
-    parser.add_argument("--seed", type=int, default=None, help="topic training seed")
-    parser.add_argument("--k", type=int, default=None, help="topic count")
-    parser.add_argument("--sweeps", type=int, default=None, help="Gibbs sweeps")
+    parser.add_argument("--mock", dest="backend", action="store_const", const="mock",
+                        help="use the built-in mock model")
+    parser.add_argument("--seed", type=int, help="topic training seed")
+    parser.add_argument("--k", type=int, help="topic count")
+    parser.add_argument("--sweeps", type=int, help="Gibbs sweeps")
     return parser
 
 
@@ -435,21 +427,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv[1:])
     except SystemExit as e:
         return 0 if e.code in (0, None) else 64
-
-    overrides = {
-        "output_dir": args.output,
-        "model": args.model,
-        "endpoint": args.endpoint,
-        "temperature": args.temperature,
-        "workers": args.workers,
-        "cache_dir": args.cache_dir,
-        "backend": "mock" if args.mock else None,
-        "seed": args.seed,
-        "k": args.k,
-        "sweeps": args.sweeps,
-    }
+    # every flag's dest is the override key load_run_config reads
+    overrides = vars(args)
     try:
-        config = load_run_config(args.config, overrides)
+        config = load_run_config(overrides.pop("config"), overrides)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -226,19 +226,6 @@ def figure_data(results: dict, figures_dir: Path | str) -> list[Path]:
     novels = results.get("novels", {})
     written = []
 
-    def novel_row(novel_id: str) -> tuple[str, str]:
-        meta = novels.get(novel_id, {})
-        return meta.get("title", ""), meta.get("series_tag") or ""
-
-    shares = results["act_proportions"]["per_novel"]
-    rows = []
-    for novel_id in sorted(shares, key=lambda n: (-shares[n], n)):
-        title, tag = novel_row(novel_id)
-        rows.append([novel_id, title, shares[novel_id], tag])
-    path = figures_dir / "act_share_by_novel.csv"
-    write_csv(path, ["novel_id", "title", "act_share", "series_tag"], rows)
-    written.append(path)
-
     density = results["position_density"]
     edges = density["bin_edges"]
     rows = [
@@ -250,18 +237,20 @@ def figure_data(results: dict, figures_dir: Path | str) -> list[Path]:
     written.append(path)
 
     characterization = results.get("characterization", {})
-    for filename, table in (
-        ("individual_share_by_novel.csv",
+    for filename, column, table in (
+        ("act_share_by_novel.csv", "act_share", results["act_proportions"]["per_novel"]),
+        ("individual_share_by_novel.csv", "share",
          characterization.get("per_novel_affect", {}).get("INDIVIDUAL", {})),
-        ("loving_share_by_novel.csv",
+        ("loving_share_by_novel.csv", "share",
          characterization.get("per_novel_impact", {}).get("LOVING", {})),
     ):
         rows = []
         for novel_id in sorted(table, key=lambda n: (-table[n], n)):
-            title, tag = novel_row(novel_id)
-            rows.append([novel_id, title, table[novel_id], tag])
+            meta = novels.get(novel_id, {})
+            rows.append([novel_id, meta.get("title", ""), table[novel_id],
+                         meta.get("series_tag") or ""])
         path = figures_dir / filename
-        write_csv(path, ["novel_id", "title", "share", "series_tag"], rows)
+        write_csv(path, ["novel_id", "title", column, "series_tag"], rows)
         written.append(path)
 
     prominence = results.get("topic_prominence", {})
@@ -361,30 +350,19 @@ def markdown_summary(results: dict, metrics: dict | None = None) -> str:
                 lines.append(f"- mean normalized act position: {fmt(density['mean_position'])}")
             lines.append("")
 
-    correlations = results.get("topic_correlations", [])
-    if correlations:
-        lines += ["## Topic correlations", "", "| topics | r | p (two-sided) |", "|---|---|---|"]
-        for row in correlations:
-            pair = f"{row['topics'][0]} vs {row['topics'][1]}"
+    for key, title, column in (
+        ("topic_correlations", "Topic correlations", "topics"),
+        ("act_share_topic_correlations", "Act share vs topic prominence", "topic"),
+    ):
+        if not results.get(key):
+            continue
+        lines += [f"## {title}", "", f"| {column} | r | p (two-sided) |", "|---|---|---|"]
+        for row in results[key]:
+            name = " vs ".join(map(str, row["topics"])) if "topics" in row else row["topic"]
             if "error" in row:
-                lines.append(f"| {pair} | - | {row['error']} |")
+                lines.append(f"| {name} | - | {row['error']} |")
             else:
-                lines.append(f"| {pair} | {fmt(row['r'])} | {fmt(row['p'])} |")
-        lines.append("")
-
-    act_topic = results.get("act_share_topic_correlations", [])
-    if act_topic:
-        lines += [
-            "## Act share vs topic prominence",
-            "",
-            "| topic | r | p (two-sided) |",
-            "|---|---|---|",
-        ]
-        for row in act_topic:
-            if "error" in row:
-                lines.append(f"| {row['topic']} | - | {row['error']} |")
-            else:
-                lines.append(f"| {row['topic']} | {fmt(row['r'])} | {fmt(row['p'])} |")
+                lines.append(f"| {name} | {fmt(row['r'])} | {fmt(row['p'])} |")
         lines.append("")
 
     if results.get("comparisons"):

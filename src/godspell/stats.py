@@ -243,7 +243,7 @@ def act_proportions(annotations: Sequence["ActAnnotation"]) -> ActProportions:
         totals[ann.novel_id] = totals.get(ann.novel_id, 0) + 1
         if ann.status != "ok":
             unresolved += 1
-        elif ann.final_label == "YES":
+        elif ann.is_act:
             yes[ann.novel_id] = yes.get(ann.novel_id, 0) + 1
     total = sum(totals.values())
     yes_total = sum(yes.values())
@@ -275,7 +275,7 @@ def position_density(
     if bins < 1:
         raise ValueError("bins must be >= 1")
     position = {p.ref: p.normalized_position for p in passages}
-    act_refs = [ann.ref for ann in annotations if ann.status == "ok" and ann.final_label == "YES"]
+    act_refs = [ann.ref for ann in annotations if ann.is_act]
     acts = [position[ref] for ref in act_refs if ref in position]
     if len(acts) < len(act_refs):
         log.warning("%d acts have no passage in the passage list; left out of the position density",
@@ -310,7 +310,7 @@ def characterization_shares(annotations: Sequence["ActAnnotation"]) -> Character
     corpus-level aggregates. Novels without YES acts are excluded."""
     acts: dict[str, list] = {}
     for ann in annotations:
-        if ann.status == "ok" and ann.final_label == "YES":
+        if ann.is_act:
             acts.setdefault(ann.novel_id, []).append(ann)
 
     all_ids = {ann.novel_id for ann in annotations}

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .corpus import Segment
-from .stats import pearson
 
 log = logging.getLogger(__name__)
 
@@ -437,49 +436,24 @@ def top_words(n_kw: np.ndarray, words: list[str], k: int, n: int = 10) -> list[i
     return sorted(range(len(words)), key=lambda w: (-counts[w], words[w]))[:n]
 
 
-@dataclass
-class NovelTopicProminence:
-    novel_id: str
-    prominence: list[float]   # per-topic mean percentage, sums to 100
-
-
 def prominence_from_doc_topic(
     doc_topic: np.ndarray,
     doc_novels: list[str],
     all_novel_ids: list[str] | None = None,
-) -> list[NovelTopicProminence]:
-    """Mean per-novel topic percentages from per-document proportions."""
-    order: list[str] = []
+) -> dict[str, list[float]]:
+    """Novel id -> mean per-topic percentage of its segments (sums to 100),
+    in order of first appearance in doc_novels. Novels of all_novel_ids
+    with no segment are left out, with a warning."""
     rows: dict[str, list[int]] = {}
     for i, novel_id in enumerate(doc_novels):
+        rows.setdefault(novel_id, []).append(i)
+    for novel_id in all_novel_ids or ():
         if novel_id not in rows:
-            rows[novel_id] = []
-            order.append(novel_id)
-        rows[novel_id].append(i)
-    if all_novel_ids:
-        for novel_id in all_novel_ids:
-            if novel_id not in rows:
-                log.warning("novel %s has no segments; excluded from prominence", novel_id)
-    return [
-        NovelTopicProminence(
-            novel_id=novel_id,
-            prominence=(100.0 * doc_topic[rows[novel_id]].mean(axis=0)).tolist(),
-        )
-        for novel_id in order
-    ]
-
-
-def topic_correlation(
-    prominences: list[NovelTopicProminence],
-    topic_a: int,
-    topic_b: int,
-) -> tuple[float, float]:
-    """Pearson correlation of two topics' prominence across novels."""
-    if len(prominences) < 3:
-        raise ValueError("topic correlation requires at least 3 novels")
-    x = [p.prominence[topic_a] for p in prominences]
-    y = [p.prominence[topic_b] for p in prominences]
-    return pearson(x, y)
+            log.warning("novel %s has no segments; excluded from prominence", novel_id)
+    return {
+        novel_id: (100.0 * doc_topic[ids].mean(axis=0)).tolist()
+        for novel_id, ids in rows.items()
+    }
 
 
 def save_state(
@@ -520,10 +494,13 @@ class LoadedTopicModel:
 
 
 def load_state(path: Path | str) -> LoadedTopicModel:
+    """Read a state file written by save_state; ValueError naming path if
+    it is not one, or if alpha, n_kw and doc_topic disagree with k, the
+    vocabulary and doc_novels."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != STATE_FORMAT or payload.get("version") != STATE_VERSION:
         raise ValueError(f"unrecognized topic state file: {path}")
-    return LoadedTopicModel(
+    model = LoadedTopicModel(
         k=payload["k"],
         alpha=payload["alpha"],
         beta=payload["beta"],
@@ -534,3 +511,12 @@ def load_state(path: Path | str) -> LoadedTopicModel:
         doc_novels=payload["doc_novels"],
         log_likelihood=payload["log_likelihood"],
     )
+    shapes = {
+        "alpha": ((len(model.alpha),), (model.k,)),
+        "n_kw": (model.n_kw.shape, (model.k, len(model.vocabulary))),
+        "doc_topic": (model.doc_topic.shape, (len(model.doc_novels), model.k)),
+    }
+    for name, (found, expected) in shapes.items():
+        if found != expected:
+            raise ValueError(f"topic state {path}: {name} has shape {found}, expected {expected}")
+    return model

@@ -491,6 +491,14 @@ class TestPipelineCacheAndResume:
         assert mock2.calls["affect"] == 0
         assert mock2.calls["impact"] == 0
 
+    @pytest.mark.parametrize("versions", [{"affect": "v9"}, {"stage_1": "v1"}])
+    def test_unknown_version_fails_before_any_call(self, tmp_path, versions):
+        mock = MockModel()
+        with pytest.raises(KeyError):
+            run_pipeline(cascade_passages(), mock_config(), cache_dir=tmp_path / "cache",
+                         transport=mock.transport, versions=versions)
+        assert sum(mock.calls.values()) == 0
+
     def test_unresolved_recorded_batch_completes(self, tmp_path):
         passages = cascade_passages()[:6]
 

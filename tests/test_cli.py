@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,51 @@ class TestSubcommands:
                    "--mock") == 0
         annotations = (out / "annotations.jsonl").read_text().splitlines()
         assert len(annotations) == 22
+
+
+@pytest.fixture(scope="module")
+def upstream(tmp_path_factory):
+    """segment, a short topics-train and annotate on the fixtures."""
+    out = tmp_path_factory.mktemp("upstream")
+    assert run("segment", "--config", CONFIG, "--output", str(out)) == 0
+    assert run("topics-train", "--config", CONFIG, "--output", str(out), "--sweeps", "3") == 0
+    assert run("annotate", "--config", CONFIG, "--output", str(out)) == 0
+    return out
+
+
+class TestStatsTopicIndices:
+    """A topic index outside [0, K) (K=5 here) makes only its own analysis
+    entry an error; it neither aborts stats nor reports another topic."""
+
+    def stats(self, tmp_path, upstream, analysis):
+        config = json.loads((FIXTURES / "runconfig.json").read_text())
+        config["manifest"] = str(FIXTURES / config["manifest"])
+        config["topics"] = {"k": 5}
+        config["evaluation"] = {}
+        config["analysis"] = str(tmp_path / "analysis.json")
+        (tmp_path / "analysis.json").write_text(json.dumps(analysis), encoding="utf-8")
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        shutil.copytree(upstream, out)
+        assert run("stats", "--config", str(tmp_path / "run.json"), "--output", str(out)) == 0
+        return json.loads((out / "stats.json").read_text())
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_topic_is_an_entry_error(self, tmp_path, upstream, capsys, bad):
+        stats = self.stats(tmp_path, upstream, {
+            "topic_correlations": [[0, bad], [0, 1]],
+            "act_share_topic_correlations": [bad, 1],
+            "comparisons": [{"name": "bad", "kind": "topic_prominence", "topic": bad,
+                             "grouping": "gender"}],
+        })
+        message = f"topic index {bad} out of range for K=5"
+        bad_pair, good_pair = stats["topic_correlations"]
+        assert bad_pair == {"topics": [0, bad], "error": message}
+        assert "r" in good_pair and "error" not in good_pair
+        bad_topic, good_topic = stats["act_share_topic_correlations"]
+        assert bad_topic == {"topic": bad, "error": message}
+        assert "r" in good_topic and "error" not in good_topic
+        assert stats["comparisons"] == [{"name": "bad", "error": message}]
 
 
 class TestOverrides:

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from godspell.topics import (
     prominence_from_doc_topic,
     save_state,
     top_words,
-    topic_correlation,
     train,
 )
 
@@ -361,12 +362,12 @@ class TestNovelProminence:
         state.alpha = np.array([1e-12, 1e-12])
         state.n_dk = np.array([[0, 4]] * 3, dtype=np.int64)
         result = prominence_from_doc_topic(doc_topic_proportions(state), ["n1", "n1", "n1"])
-        assert result[0].prominence[1] == pytest.approx(100.0, abs=1e-6)
+        assert result["n1"][1] == pytest.approx(100.0, abs=1e-6)
 
     def test_hand_average(self):
         doc_topic = np.array([[0.2, 0.8], [0.4, 0.6]])
         result = prominence_from_doc_topic(doc_topic, ["n1", "n1"])
-        assert result[0].prominence == pytest.approx([30.0, 70.0])
+        assert result["n1"] == pytest.approx([30.0, 70.0])
 
     def test_rows_sum_to_100(self):
         rng = random.Random(44)
@@ -374,44 +375,15 @@ class TestNovelProminence:
         state = init_state(docs, k=4, vocabulary_size=10, rng_seed=3)
         gibbs_sweep(state, docs)
         novels = [f"n{i % 3}" for i in range(12)]
-        for row in prominence_from_doc_topic(doc_topic_proportions(state), novels):
-            assert sum(row.prominence) == pytest.approx(100.0, abs=1e-6)
+        for row in prominence_from_doc_topic(doc_topic_proportions(state), novels).values():
+            assert sum(row) == pytest.approx(100.0, abs=1e-6)
 
     def test_zero_segment_novel_warned(self, caplog):
         doc_topic = np.array([[1.0]])
         with caplog.at_level("WARNING"):
             result = prominence_from_doc_topic(doc_topic, ["n1"], all_novel_ids=["n1", "n2"])
-        assert [p.novel_id for p in result] == ["n1"]
+        assert list(result) == ["n1"]
         assert "n2" in caplog.text
-
-
-class TestTopicCorrelation:
-    def _prominences(self, rows):
-        return [
-            prominence_from_doc_topic(np.array([row]), [f"n{i}"])[0]
-            for i, row in enumerate(rows)
-        ]
-
-    def test_identity(self):
-        prominences = self._prominences([[0.1, 0.1, 0.8], [0.2, 0.2, 0.6], [0.3, 0.3, 0.4]])
-        r, p = topic_correlation(prominences, 0, 1)
-        assert r == 1.0 and p == 0.0
-
-    def test_needs_three_novels(self):
-        prominences = self._prominences([[0.5, 0.5], [0.2, 0.8]])
-        with pytest.raises(ValueError):
-            topic_correlation(prominences, 0, 1)
-
-    def test_zero_variance_is_undefined(self):
-        prominences = self._prominences([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="undefined correlation"):
-            topic_correlation(prominences, 0, 1)
-
-    def test_four_point_case(self):
-        rows = [[0.1, 0.1], [0.2, 0.3], [0.3, 0.2], [0.4, 0.4]]
-        prominences = self._prominences(rows)
-        r, _ = topic_correlation(prominences, 0, 1)
-        assert abs(r - 0.8) < 1e-9
 
 
 class TestStateIO:
@@ -435,6 +407,27 @@ class TestStateIO:
         assert loaded.vocabulary == vocab.words
         assert top_words(loaded.n_kw, loaded.vocabulary, 0, n=3) == top_words(
             state.n_kw, vocab.words, 0, n=3)
+
+    DAMAGE = {
+        "alpha": lambda p: p["alpha"].append(0.1),
+        "n_kw": lambda p: p["n_kw"].pop(),
+        "doc_topic": lambda p: p["doc_topic"].append(p["doc_topic"][0]),
+    }
+
+    @pytest.mark.parametrize("field", DAMAGE)
+    def test_shape_mismatch_rejected(self, tmp_path, field):
+        docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
+        vocab, _ = build_vocabulary([seg(["w0", "w1", "w2"])], set(), min_count=1)
+        state, summary = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
+                               rng_seed=0)
+        path = tmp_path / "state.json"
+        save_state(path, state, summary, vocab, ["a", "a", "b"])
+        assert load_state(path).k == 2
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        self.DAMAGE[field](payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {field} has shape")):
+            load_state(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "state.json"
