@@ -174,11 +174,13 @@ def kernel():
 
 def sweep(fn, state) -> None:
     """One sweep of ``state`` through the compiled fn, counts updated in
-    place. Draws one uniform per token, in token order, from state.rng."""
+    place. Draws one rng.random() per token, in token order, from state.rng."""
+    from .topics import _uniforms
+
     for name, dtype in (("offsets", np.int64), ("words", np.int32), ("z", np.int32),
                         ("n_dk", np.int64), ("n_kw", np.int64), ("n_k", np.int64)):
         setattr(state, name, np.ascontiguousarray(getattr(state, name), dtype=dtype))
-    u = np.fromiter(iter(state.rng.random, None), dtype=np.float64, count=len(state.z))
+    u = _uniforms(state.rng, len(state.z))
     alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)
     cum = np.empty(state.k, dtype=np.float64)
     fn(len(state.offsets) - 1, state.offsets.ctypes.data, state.words.ctypes.data,

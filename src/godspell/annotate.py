@@ -564,6 +564,17 @@ def _annotate_one(
         )
 
 
+def resolve_templates(registry: PromptRegistry,
+                      versions: dict[str, str]) -> dict[str, PromptTemplate]:
+    """Each stage's template at its version in versions (v1 when absent);
+    KeyError when versions names a stage or a version the registry lacks."""
+    unknown = sorted(set(versions) - set(STAGE_TEMPLATES))
+    if unknown:
+        raise KeyError(f"prompt versions name unknown stages {unknown}")
+    return {stage: registry.get(name, versions.get(stage, "v1"))
+            for stage, name in STAGE_TEMPLATES.items()}
+
+
 def run_pipeline(
     passages: Sequence[Passage],
     config: ModelConfig,
@@ -580,13 +591,7 @@ def run_pipeline(
     passages are recorded as unresolved without aborting the batch. Output
     order follows input order regardless of worker completion order.
     """
-    registry = registry or default_registry()
-    versions = versions or {}
-    unknown = sorted(set(versions) - set(STAGE_TEMPLATES))
-    if unknown:
-        raise KeyError(f"prompt versions name unknown stages {unknown}")
-    templates = {stage: registry.get(name, versions.get(stage, "v1"))
-                 for stage, name in STAGE_TEMPLATES.items()}
+    templates = resolve_templates(registry or default_registry(), versions or {})
     cache = AnnotationCache(cache_dir) if cache_dir is not None else None
 
     def work(passage: Passage) -> ActAnnotation:

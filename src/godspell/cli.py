@@ -81,14 +81,14 @@ def cmd_segment(config: RunConfig) -> None:
 
 def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[list[int]], list[str]]:
     """The vocabulary, each fixed-size segment's word ids and its novel.
-    The corpus text and the segments' words are freed on return, before
-    training starts."""
+    The corpus text and the segments' words are freed before downsampling."""
     loaded = corpus.ingest(config.manifest)
     segments = corpus.segment_corpus_fixed(loaded, segment_size=config.segment_size)
     vocab, docs = topics.build_vocabulary(
         segments, _load_stopwords(config), min_count=config.topics_min_count
     )
     doc_novels = [seg.novel_id for seg in segments]
+    del loaded, segments
     if config.topics_downsample:
         docs = topics.authorless_downsample(
             docs, doc_novels, rng_seed=config.topics_downsample_seed
@@ -143,6 +143,10 @@ def cmd_annotate(config: RunConfig) -> None:
         registry = annotate.load_registry(config.prompt_registry_path)
     else:
         registry = annotate.default_registry()
+    try:
+        annotate.resolve_templates(registry, config.prompt_versions)
+    except KeyError as e:
+        raise ConfigError(e.args[0]) from None
     transport = annotate.MockModel().transport if config.model_backend == "mock" else None
     annotations = annotate.run_pipeline(
         passages,
@@ -242,6 +246,14 @@ def _read_topic_labels(path: Path) -> dict[str, str]:
     return labels
 
 
+def _topic_index(value) -> int:
+    """An analysis.json topic index: an integer, or a string of one."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"topic index {value!r} is not an integer") from None
+
+
 def _resolve_comparison_series(
     spec: dict,
     act: statsmod.ActProportions,
@@ -252,7 +264,7 @@ def _resolve_comparison_series(
     if kind == "act_share":
         return act.per_novel
     if kind == "topic_prominence":
-        return topic_values(int(spec["topic"]))
+        return topic_values(_topic_index(spec["topic"]))
     if kind == "characterization":
         table = (
             characterization.per_novel_affect if spec["facet"] == "affect"
@@ -260,6 +272,12 @@ def _resolve_comparison_series(
         )
         return table[spec["label"].upper()]
     raise ValueError(f"unknown comparison kind {kind!r}")
+
+
+def _comparison_name(spec) -> str:
+    if not isinstance(spec, dict):
+        return json.dumps(spec)
+    return spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"
 
 
 def _analysis_entry(entry: dict, compute: Callable[..., dict], *args) -> dict:
@@ -317,22 +335,27 @@ def cmd_stats(config: RunConfig) -> None:
             raise ValueError(f"topic index {topic} out of range for K={model.k}")
         return {novel_id: p[topic] for novel_id, p in prominence.items()}
 
-    def topic_pair(a: int, b: int) -> dict:
+    def topic_pair(pair) -> dict:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"a topic pair is a list [a, b], not {pair!r}")
+        a, b = _topic_index(pair[0]), _topic_index(pair[1])
         r, p = statsmod.pearson(list(topic_values(a).values()), list(topic_values(b).values()))
-        return {"r": r, "p": p}
+        return {"topics": [a, b], "r": r, "p": p}
 
-    def act_topic(topic: int) -> dict:
+    def act_topic(entry) -> dict:
+        topic = _topic_index(entry)
         values = topic_values(topic)
         shared = sorted(set(act.per_novel) & set(values))
         r, p = statsmod.pearson([act.per_novel[n] for n in shared], [values[n] for n in shared])
-        return {"r": r, "p": p}
+        return {"topic": topic, "r": r, "p": p}
 
-    def comparison(spec: dict) -> dict:
+    def comparison(spec) -> dict:
+        if not isinstance(spec, dict):
+            raise ValueError(f"a comparison is an object, not {spec!r}")
         values = _resolve_comparison_series(spec, act, characterization, topic_values)
         return asdict(statsmod.group_compare(values, loaded.novels, spec["grouping"],
                                              series_tag=analysis.get("series_tag")))
 
-    pairs = [(int(pair[0]), int(pair[1])) for pair in analysis.get("topic_correlations", [])]
     payload = {
         "passages": asdict(corpus.passage_statistics(passages)),
         "novels": {
@@ -343,17 +366,15 @@ def cmd_stats(config: RunConfig) -> None:
         "position_density": asdict(density),
         "topic_prominence": {"per_novel": prominence, "mean": mean_prominence},
         "topic_correlations": [
-            _analysis_entry({"topics": [a, b]}, topic_pair, a, b) for a, b in pairs
+            _analysis_entry({"topics": pair}, topic_pair, pair)
+            for pair in analysis.get("topic_correlations", [])
         ],
         "act_share_topic_correlations": [
-            _analysis_entry({"topic": int(t)}, act_topic, int(t))
+            _analysis_entry({"topic": t}, act_topic, t)
             for t in analysis.get("act_share_topic_correlations", [])
         ],
         "comparisons": [
-            _analysis_entry(
-                {"name": spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"},
-                comparison, spec,
-            )
+            _analysis_entry({"name": _comparison_name(spec)}, comparison, spec)
             for spec in analysis.get("comparisons", [])
         ],
         "characterization": asdict(characterization),
@@ -439,6 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         COMMANDS[command](config)
         return 0
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 1
     except Exception as e:  # noqa: BLE001 - boundary: report and set exit code
         log.error("%s failed: %s", command, e)
         _dump_json(error_path, {

@@ -2,10 +2,25 @@
 trained by collapsed Gibbs sampling with Dirichlet hyperparameter
 optimization (asymmetric document-topic prior, symmetric topic-word prior).
 
+Every layer works on flat numpy arrays and is bitwise-identical to a
+per-token pure-Python reference (``_gibbs_sweep_python`` for the sweep, the
+loops in ``tests/oracles.py`` for the rest): the same vocabulary and ids,
+the same kept tokens, topics and counts, the same RNG stream and so the same
+log-likelihood floats and ``state.json``.
+
+Random draws go through one bridge, ``_mt19937``: it loads a
+``random.Random``'s Mersenne Twister state into ``np.random.MT19937``, which
+draws raw 32-bit words in bulk, and writes the advanced state back. From those
+words ``_uniforms`` rebuilds ``rng.random()`` (``(a * 2**26 + b) / 2**53``
+with ``a = w1 >> 5``, ``b = w2 >> 6``) and ``_randbelow`` rebuilds
+``rng.randrange(k)`` (``w >> (32 - k.bit_length())``, rejected while
+``>= k``), so the values and ``rng.getstate()`` afterwards are those of the
+per-draw calls. A bound of more than 32 bits, for which ``randrange`` takes
+several words per try, raises ValueError instead.
+
 ``gibbs_sweep`` runs a small C kernel (``_sweep``) when one can be built.
-It is bitwise-identical to the pure-Python reference ``_gibbs_sweep_python``:
-the same topics, counts, RNG stream and so the same log-likelihood floats,
-because it draws one ``rng.random()`` per token in token order and does the
+It is bitwise-identical to the pure-Python reference ``_gibbs_sweep_python``,
+because it takes one ``rng.random()`` per token in token order and does the
 same float operations in the same order (built with ``-O2
 -ffp-contract=off``, never ``-ffast-math``). It is compiled on first use
 into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``); when no
@@ -19,6 +34,8 @@ import json
 import logging
 import random
 import string
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +78,62 @@ def normalize_token(word: str) -> str:
     return word.lower().strip(_EDGE_CHARS)
 
 
+@contextmanager
+def _mt19937(rng: random.Random) -> Iterator[np.random.MT19937]:
+    """numpy's MT19937 at rng's place in its stream; on leaving the block,
+    rng is set to where the bit generator stopped, gauss_next kept."""
+    version, internal, gauss_next = rng.getstate()
+    bitgen = np.random.MT19937()
+    bitgen.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                              "pos": internal[-1]}}
+    yield bitgen
+    state = bitgen.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of rng.random(), as float64: two 32-bit words each."""
+    with _mt19937(rng) as bitgen:
+        words = bitgen.random_raw(2 * n)
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _randbelow(rng: random.Random, k: int, n: int) -> np.ndarray:
+    """The next n values of rng.randrange(k), as int64. Each try takes one
+    32-bit word, so drawing only as many words as values are still missing
+    never takes a word the calls would not have taken."""
+    bits = k.bit_length()
+    if not 1 <= bits <= 32:
+        raise ValueError(f"randrange bound {k} is not in [1, 2**32)")
+    parts = [np.empty(0, dtype=np.uint64)]
+    with _mt19937(rng) as bitgen:
+        while n:
+            tries = bitgen.random_raw(n) >> (32 - bits)
+            parts.append(tries[tries < k])
+            n -= len(parts[-1])
+    return np.concatenate(parts).astype(np.int64)
+
+
+def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[list[int]]:
+    """The kept tokens of each document, as lists; document d is
+    flat[offsets[d]:offsets[d + 1]]. Equal ids share one int object, as
+    they do in lists built from a dict of ids: one object per token would
+    cost about 28 bytes each."""
+    kept_at = np.flatnonzero(keep)
+    kept = flat[kept_at]
+    values = np.arange(kept.max(initial=-1) + 1).astype(object)[kept]
+    return [part.tolist() for part in np.split(values, np.searchsorted(kept_at, offsets[1:-1]))]
+
+
+def _offsets(lengths) -> np.ndarray:
+    """(D + 1,) int64 token offsets of documents of the given lengths."""
+    lengths = np.fromiter(lengths, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
 def build_vocabulary(
     segments: list[Segment],
     stopwords: set[str],
@@ -70,18 +143,23 @@ def build_vocabulary(
 
     Tokens are lowercased and edge-stripped; stopwords and words rarer
     than min_count are removed. Document order follows segment order.
+    Each distinct raw form is normalised once.
     """
     stop = frozenset(w.lower() for w in stopwords)
-    normalized: list[list[str]] = []
+    offsets = _offsets(map(len, (seg.words for seg in segments)))
+    # dict.fromkeys keeps each distinct form once, in C
+    form_ids = dict.fromkeys(itertools.chain.from_iterable(seg.words for seg in segments))
+    for i, form in enumerate(form_ids):
+        form_ids[form] = i
+    form_of = np.fromiter(
+        map(form_ids.__getitem__, itertools.chain.from_iterable(seg.words for seg in segments)),
+        dtype=np.int32, count=int(offsets[-1]),
+    )
+    tokens = [normalize_token(form) for form in form_ids]
     counts: dict[str, int] = {}
-    for seg in segments:
-        tokens = []
-        for word in seg.words:
-            token = normalize_token(word)
-            if token and token not in stop:
-                tokens.append(token)
-                counts[token] = counts.get(token, 0) + 1
-        normalized.append(tokens)
+    for token, c in zip(tokens, np.bincount(form_of, minlength=len(tokens)).tolist()):
+        if token and token not in stop:
+            counts[token] = counts.get(token, 0) + c
 
     kept = sorted(w for w, c in counts.items() if c >= min_count)
     if not kept:
@@ -95,8 +173,10 @@ def build_vocabulary(
         frequencies=[counts[w] for w in kept],
         stopwords=stop,
     )
-    docs = [[ids[t] for t in tokens if t in ids] for tokens in normalized]
-    return vocab, docs
+    # stopwords and empty tokens never reach ids, so they map to -1 too
+    id_of_form = np.fromiter((ids.get(t, -1) for t in tokens), dtype=np.int32, count=len(tokens))
+    word_ids = id_of_form[form_of]
+    return vocab, _split(word_ids, offsets, word_ids >= 0)
 
 
 def authorless_downsample(
@@ -108,37 +188,29 @@ def authorless_downsample(
 
     A token of word w in novel b survives with probability
     min(1, P(w) / P(w|b)), comparing the corpus unigram rate against the
-    within-novel rate. Tokens are only removed, never added or reordered.
+    within-novel rate; one rng.random() is drawn per token, in token order.
+    Tokens are only removed, never added or reordered.
     """
     if len(docs) != len(doc_novels):
         raise ValueError("docs and doc_novels must align")
-    rng = random.Random(rng_seed)
-
-    corpus_counts: dict[int, int] = {}
-    novel_counts: dict[str, dict[int, int]] = {}
-    novel_totals: dict[str, int] = {}
-    for doc, novel_id in zip(docs, doc_novels):
-        per_novel = novel_counts.setdefault(novel_id, {})
-        for w in doc:
-            corpus_counts[w] = corpus_counts.get(w, 0) + 1
-            per_novel[w] = per_novel.get(w, 0) + 1
-        novel_totals[novel_id] = novel_totals.get(novel_id, 0) + len(doc)
-    corpus_total = sum(novel_totals.values())
+    offsets = _offsets(map(len, docs))
+    corpus_total = int(offsets[-1])
     if corpus_total == 0:
         return [list(doc) for doc in docs]
-
-    reduced = []
-    for doc, novel_id in zip(docs, doc_novels):
-        n_b = novel_totals[novel_id]
-        kept = []
-        for w in doc:
-            p_corpus = corpus_counts[w] / corpus_total
-            p_novel = novel_counts[novel_id][w] / n_b
-            retain = min(1.0, p_corpus / p_novel)
-            if rng.random() < retain:
-                kept.append(w)
-        reduced.append(kept)
-    return reduced
+    words = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64, count=corpus_total)
+    novel_index: dict[str, int] = {}
+    novel_of_doc = np.fromiter((novel_index.setdefault(b, len(novel_index)) for b in doc_novels),
+                               dtype=np.int64, count=len(doc_novels))
+    novel = np.repeat(novel_of_doc, np.diff(offsets))
+    _, pair, novel_counts = np.unique(novel * (int(words.max()) + 1) + words,
+                                      return_inverse=True, return_counts=True)
+    # int -> float64 is exact below 2**53, so each division rounds as
+    # Python's int / int does, and in the same order
+    p_corpus = np.bincount(words)[words] / corpus_total
+    p_novel = novel_counts[pair] / np.bincount(novel)[novel]
+    # random() < 1, so comparing with the ratio is comparing with min(1, ratio)
+    keep = _uniforms(random.Random(rng_seed), corpus_total) < p_corpus / p_novel
+    return _split(words, offsets, keep)
 
 
 @dataclass
@@ -201,14 +273,13 @@ def init_state(
     rng = random.Random(rng_seed)
     alpha_value = alpha_init if alpha_init is not None else DEFAULT_ALPHA_SUM / k
     n_docs = len(docs)
-    doc_lens = np.fromiter(map(len, docs), dtype=np.int64, count=n_docs)
-    offsets = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(doc_lens, out=offsets[1:])
+    offsets = _offsets(map(len, docs))
+    doc_lens = np.diff(offsets)
     n = int(offsets[-1])
     words = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64, count=n)
     if n and (words.min() < 0 or words.max() >= vocabulary_size):
         raise ValueError(f"word ids must lie in [0, {vocabulary_size})")
-    z = np.fromiter(map(rng.randrange, itertools.repeat(k, n)), dtype=np.int32, count=n)
+    z = _randbelow(rng, k, n).astype(np.int32)
     doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), doc_lens)
     n_dk = np.bincount(doc_of * k + z, minlength=n_docs * k).reshape(n_docs, k)
     n_kw = np.bincount(z.astype(np.int64) * vocabulary_size + words,
@@ -288,24 +359,28 @@ def _gibbs_sweep_python(state: TopicState) -> None:
 
 
 def log_likelihood(state: TopicState) -> float:
-    """Joint log p(words, assignments | alpha, beta) from the count matrices."""
+    """Joint log p(words, assignments | alpha, beta) from the count matrices.
+
+    gammaln is evaluated once per distinct count, in tables indexed by the
+    counts: the indexed arrays hold the same floats in the same shapes as
+    gammaln of the counts themselves, so their sums are the same."""
     d_count = state.n_dk.shape[0]
     sum_alpha = state.alpha.sum()
     doc_lens = state.n_dk.sum(axis=1)
+    len_terms = gammaln(np.arange(doc_lens.max(initial=0) + 1) + sum_alpha)
+    doc_terms = gammaln(np.arange(state.n_dk.max(initial=0) + 1)[:, None] + state.alpha)
     ll = (
         d_count * gammaln(sum_alpha)
-        - gammaln(doc_lens + sum_alpha).sum()
-        + gammaln(state.n_dk + state.alpha).sum()
+        - len_terms[doc_lens].sum()
+        + doc_terms[state.n_dk, np.arange(state.k)].sum()
         - d_count * gammaln(state.alpha).sum()
     )
     vbeta = state.vocabulary_size * state.beta
-    # In place: one (K, V) temporary, not two; the same values and sum.
-    word_terms = state.n_kw + state.beta
-    gammaln(word_terms, out=word_terms)
+    word_terms = gammaln(np.arange(state.n_kw.max(initial=0) + 1) + state.beta)
     ll += (
         state.k * gammaln(vbeta)
         - gammaln(state.n_k + vbeta).sum()
-        + word_terms.sum()
+        + word_terms[state.n_kw].sum()
         - state.k * state.vocabulary_size * gammaln(state.beta)
     )
     return float(ll)

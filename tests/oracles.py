@@ -4,13 +4,16 @@ These deliberately avoid the code paths they verify: the t-distribution
 CDF comes from high-precision numerical integration (mpmath), agreement
 from a literal coincidence-matrix enumeration, the Dirichlet fixed points
 from a generic numerical maximizer, passage packing from a separate
-reference packer written directly against the packing rule, and the
-collapsed Gibbs conditional straight from its formula.
+reference packer written directly against the packing rule, the
+collapsed Gibbs conditional straight from its formula, and the per-token
+loops that the vectorised vocabulary, downsampling and likelihood replace.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import string
 
 import mpmath
 import numpy as np
@@ -154,3 +157,83 @@ def topic_conditional(
     ]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+EDGE_CHARS = string.punctuation + "“”‘’—–…«»"
+
+
+def build_vocabulary_reference(
+    segment_words: list[list[str]], stopwords: set[str], min_count: int,
+) -> tuple[list[str], list[int], list[list[int]]]:
+    """(sorted vocabulary, its frequencies, id documents), one token at a
+    time: lowercase, strip edge punctuation, drop empty tokens, stopwords
+    and words rarer than min_count."""
+    stop = {w.lower() for w in stopwords}
+    normalized = []
+    counts: dict[str, int] = {}
+    for words in segment_words:
+        tokens = []
+        for word in words:
+            token = word.lower().strip(EDGE_CHARS)
+            if token and token not in stop:
+                tokens.append(token)
+                counts[token] = counts.get(token, 0) + 1
+        normalized.append(tokens)
+    kept = sorted(w for w, c in counts.items() if c >= min_count)
+    ids = {w: i for i, w in enumerate(kept)}
+    docs = [[ids[t] for t in tokens if t in ids] for tokens in normalized]
+    return kept, [counts[w] for w in kept], docs
+
+
+def authorless_downsample_reference(
+    docs: list[list[int]], doc_novels: list[str], rng: random.Random,
+) -> list[list[int]]:
+    """Keep a token of word w in novel b when rng.random() < min(1, P(w) /
+    P(w|b)), one draw per token in token order."""
+    corpus_counts: dict[int, int] = {}
+    novel_counts: dict[str, dict[int, int]] = {}
+    novel_totals: dict[str, int] = {}
+    for doc, novel_id in zip(docs, doc_novels):
+        per_novel = novel_counts.setdefault(novel_id, {})
+        for w in doc:
+            corpus_counts[w] = corpus_counts.get(w, 0) + 1
+            per_novel[w] = per_novel.get(w, 0) + 1
+        novel_totals[novel_id] = novel_totals.get(novel_id, 0) + len(doc)
+    corpus_total = sum(novel_totals.values())
+    if corpus_total == 0:
+        return [list(doc) for doc in docs]
+    reduced = []
+    for doc, novel_id in zip(docs, doc_novels):
+        n_b = novel_totals[novel_id]
+        kept = []
+        for w in doc:
+            p_corpus = corpus_counts[w] / corpus_total
+            p_novel = novel_counts[novel_id][w] / n_b
+            if rng.random() < min(1.0, p_corpus / p_novel):
+                kept.append(w)
+        reduced.append(kept)
+    return reduced
+
+
+def lda_log_likelihood_direct(
+    n_dk: np.ndarray, n_kw: np.ndarray, n_k: np.ndarray, alpha: np.ndarray, beta: float,
+) -> float:
+    """Joint log p(words, assignments | alpha, beta), gammaln applied to
+    every count."""
+    d_count = n_dk.shape[0]
+    k, v = n_kw.shape
+    sum_alpha = alpha.sum()
+    ll = (
+        d_count * gammaln(sum_alpha)
+        - gammaln(n_dk.sum(axis=1) + sum_alpha).sum()
+        + gammaln(n_dk + alpha).sum()
+        - d_count * gammaln(alpha).sum()
+    )
+    vbeta = v * beta
+    ll += (
+        k * gammaln(vbeta)
+        - gammaln(n_k + vbeta).sum()
+        + gammaln(n_kw + beta).sum()
+        - k * v * gammaln(beta)
+    )
+    return float(ll)

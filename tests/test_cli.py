@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from godspell import annotate
 from godspell.cli import main
 from godspell.corpus import read_passages
 
@@ -175,6 +176,26 @@ class TestStatsTopicIndices:
         assert "r" in good_topic and "error" not in good_topic
         assert stats["comparisons"] == [{"name": "bad", "error": message}]
 
+    def test_malformed_entry_is_an_entry_error(self, tmp_path, upstream, capsys):
+        stats = self.stats(tmp_path, upstream, {
+            "topic_correlations": [[0, "x"], [0], 3, [0, None], [0, 1]],
+            "act_share_topic_correlations": ["y", [1], float("inf"), 1],
+            "comparisons": [5, {"name": "ok", "kind": "act_share", "grouping": "gender"}],
+        })
+        *bad_pairs, good_pair = stats["topic_correlations"]
+        assert bad_pairs[0] == {"topics": [0, "x"],
+                                "error": "invalid literal for int() with base 10: 'x'"}
+        assert [p["topics"] for p in bad_pairs] == [[0, "x"], [0], 3, [0, None]]
+        assert all(set(p) == {"topics", "error"} for p in bad_pairs)
+        assert good_pair["topics"] == [0, 1] and "r" in good_pair and "error" not in good_pair
+        *bad_topics, good_topic = stats["act_share_topic_correlations"]
+        assert all(set(t) == {"topic", "error"} for t in bad_topics)
+        assert good_topic["topic"] == 1 and "r" in good_topic and "error" not in good_topic
+        bad_comparison, good_comparison = stats["comparisons"]
+        assert bad_comparison == {"name": "5", "error": "a comparison is an object, not 5"}
+        # computed: the fixture's three novels are too few for any comparison
+        assert good_comparison == {"name": "ok", "error": "empty male group after gender filters"}
+
 
 class TestOverrides:
     @pytest.mark.parametrize("flag", ["--k", "--sweeps", "--workers"])
@@ -216,6 +237,39 @@ class TestOverrides:
         assert run("segment", "--config", str(path), "--output", str(tmp_path)) == 1
         assert next(iter(setting)) in capsys.readouterr().err
         assert not (tmp_path / "passages.jsonl").exists()
+
+
+class TestPromptVersions:
+    @pytest.mark.parametrize("versions, message", [
+        ({"affect": "v9"}, "no template affect@v9 in registry"),
+        ({"stage_1": "v1"}, "prompt versions name unknown stages ['stage_1']"),
+    ])
+    def test_unknown_version_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                             versions, message):
+        config = json.loads((FIXTURES / "runconfig.json").read_text())
+        config["manifest"] = str(FIXTURES / config["manifest"])
+        config["topics"] = {}
+        config["evaluation"] = {}
+        del config["analysis"]
+        config["prompts"] = {"versions": versions}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("segment", "--config", str(path), "--output", str(out)) == 0
+        models = []
+
+        class CountedModel(annotate.MockModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        monkeypatch.setattr(annotate, "MockModel", CountedModel)
+        capsys.readouterr()
+        assert run("annotate", "--config", str(path), "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sum(sum(m.calls.values()) for m in models) == 0
+        assert not (out / "annotations.jsonl").exists()
+        assert not (out / "error.json").exists()
 
 
 class TestErrorFile:

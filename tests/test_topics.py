@@ -2,10 +2,13 @@ import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from godspell import topics
 from godspell.corpus import Segment
 from godspell.topics import (
     DEFAULT_BETA,
@@ -26,12 +29,66 @@ from godspell.topics import (
     train,
 )
 
-from oracles import maximize_dirichlet_alpha, maximize_symmetric_beta, topic_conditional
+from oracles import (
+    authorless_downsample_reference,
+    build_vocabulary_reference,
+    lda_log_likelihood_direct,
+    maximize_dirichlet_alpha,
+    maximize_symmetric_beta,
+    topic_conditional,
+)
 
 
 def seg(words, novel_id="n1", index=0):
     return Segment(novel_id=novel_id, index=index, words=list(words),
                    word_start=0, word_end=len(words))
+
+
+class TestRngBridge:
+    """The bulk draws against random.Random's own calls: the same values
+    and the same state afterwards."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    @pytest.mark.parametrize("k", [1, 2, 5, 64, 65, 2**16 + 1])
+    def test_randbelow_matches_randrange(self, k, n, seed):
+        ref, rng = random.Random(seed), random.Random(seed)
+        expected = [ref.randrange(k) for _ in range(n)]
+        assert topics._randbelow(rng, k, n).tolist() == expected
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    def test_uniforms_match_random(self, n, seed):
+        ref, rng = random.Random(seed), random.Random(seed)
+        expected = [ref.random() for _ in range(n)]
+        assert topics._uniforms(rng, n).tolist() == expected
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64), k=st.integers(1, 2**32 - 1), n=st.integers(0, 2000),
+           before=st.integers(0, 700), gauss=st.booleans())
+    def test_any_stream_position(self, seed, k, n, before, gauss):
+        ref = random.Random(seed)
+        for _ in range(before):
+            ref.random()
+        if gauss:
+            ref.gauss(0.0, 1.0)  # leaves a cached gauss_next in the state
+        rng = random.Random()
+        rng.setstate(ref.getstate())
+        expected_z = [ref.randrange(k) for _ in range(n)]
+        expected_u = [ref.random() for _ in range(n)]
+        assert topics._randbelow(rng, k, n).tolist() == expected_z
+        assert topics._uniforms(rng, n).tolist() == expected_u
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("k", [0, 2**32, 2**40])
+    def test_bound_outside_one_word_raises(self, k):
+        rng = random.Random(3)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="randrange bound"):
+            topics._randbelow(rng, k, 5)
+        assert rng.getstate() == before
 
 
 class TestBuildVocabulary:
@@ -77,6 +134,23 @@ class TestBuildVocabulary:
         with pytest.raises(VocabularyError):
             build_vocabulary([seg(["the", "the"])], {"the"}, min_count=1)
 
+    @pytest.mark.parametrize("min_count", [1, 3, 30])
+    def test_matches_per_token_reference(self, min_count):
+        rng = random.Random(21)
+        pool = ["God", "god,", "GOD", "—", "...", '"', "“”", "The", "the", "(amen)", "Amen.",
+                "grace", "Grace!", "dust", "hope—", "and", "And,", "x"]
+        pool += [f"w{i}" for i in range(40)]
+        segments = [seg([rng.choice(pool) for _ in range(rng.choice([0, 1, 7, 60]))], index=i)
+                    for i in range(80)]
+        stop = {"the", "AND"}
+        vocab, docs = build_vocabulary(segments, stop, min_count=min_count)
+        words, frequencies, expected = build_vocabulary_reference(
+            [s.words for s in segments], stop, min_count)
+        assert vocab.words == words
+        assert vocab.ids == {w: i for i, w in enumerate(words)}
+        assert vocab.frequencies == frequencies
+        assert docs == expected
+
 
 class TestAuthorlessDownsample:
     def test_overrepresented_word_thinned_to_quarter(self):
@@ -106,6 +180,25 @@ class TestAuthorlessDownsample:
     def test_alignment_checked(self):
         with pytest.raises(ValueError):
             authorless_downsample([[0]], ["a", "b"])
+
+    @pytest.mark.parametrize("seed", [0, 9, 77])
+    def test_matches_per_token_reference(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        docs = [[rng.randrange(30) for _ in range(rng.choice([0, 3, 50]))] for _ in range(60)]
+        docs.append([0] * 40 + [1] * 5)  # word 0 overrepresented in its novel
+        novels = [rng.choice("abcd") for _ in docs]  # interleaved, not contiguous
+        expected_rng = random.Random(seed)
+        expected = authorless_downsample_reference(docs, novels, expected_rng)
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, x):
+                super().__init__(x)
+                made.append(self)
+
+        monkeypatch.setattr(topics, "random", SimpleNamespace(Random=Recorded))
+        assert authorless_downsample(docs, novels, rng_seed=seed) == expected
+        assert [r.getstate() for r in made] == [expected_rng.getstate()]
 
 
 class TestInitState:
@@ -209,6 +302,27 @@ class TestGibbsSweep:
             gibbs_sweep(state, [[0], [1, 1, 0]])
         with pytest.raises(RuntimeError, match="shapes"):
             gibbs_sweep(state, docs + [[]])
+
+
+class TestLogLikelihood:
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_equals_direct_gammaln_form(self, k):
+        rng = random.Random(31)
+        docs = [[rng.randrange(40) for _ in range(rng.choice([0, 1, 30, 200]))]
+                for _ in range(50)]
+        state = init_state(docs, k=k, vocabulary_size=43, rng_seed=2)
+        for sweep in range(1, 9):
+            assert log_likelihood(state) == lda_log_likelihood_direct(
+                state.n_dk, state.n_kw, state.n_k, state.alpha, state.beta)
+            gibbs_sweep(state, docs)
+            if sweep % 2 == 0:
+                optimize_alpha(state)
+                optimize_beta(state)
+
+    def test_no_documents(self):
+        state = init_state([], k=3, vocabulary_size=2)
+        assert log_likelihood(state) == lda_log_likelihood_direct(
+            state.n_dk, state.n_kw, state.n_k, state.alpha, state.beta)
 
 
 class TestOptimizeAlpha:
