@@ -1,7 +1,9 @@
 """godspell: segmentation, authorless topic modeling, a two-stage
 divine-action annotation cascade, agreement metrics, and corpus statistics
-for collections of long-form fiction."""
+for collections of long-form fiction.
+
+Importing the package imports none of its modules, so a command loads only
+what it uses: numpy comes with ``topics`` (``topics-train``,
+``topics-inspect``, ``stats``), scipy only with ``topics-train``."""
 
 __version__ = "0.1.0"
-
-from . import annotate, corpus, evaluation, report, stats, topics  # noqa: F401

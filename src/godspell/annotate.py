@@ -47,7 +47,18 @@ STAGE_TEMPLATES = {
 
 
 class TransportError(RuntimeError):
-    """Endpoint unreachable, timed out, or returned a non-success status."""
+    """Endpoint unreachable, timed out, or returned a non-success status;
+    status is that HTTP status, None when no response came."""
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
+
+    @property
+    def retryable(self) -> bool:
+        """False for a client error (4xx) other than 408 Request Timeout and
+        429 Too Many Requests: the same request would fail the same way."""
+        return self.status is None or not 400 <= self.status < 500 or self.status in (408, 429)
 
 
 class MalformedResponse(ValueError):
@@ -371,7 +382,7 @@ def http_transport(config: ModelConfig, prompt: str, schema: OutputSchema) -> st
             body = response.read()
     except urllib.error.HTTPError as e:
         e.close()
-        raise TransportError(f"endpoint returned HTTP {e.code}") from None
+        raise TransportError(f"endpoint returned HTTP {e.code}", e.code) from None
     except (OSError, http.client.HTTPException) as e:
         raise TransportError(f"request to {url} failed: {e}") from None
     try:
@@ -388,7 +399,9 @@ def call_model(
 ) -> dict[str, str]:
     """Issue one schema-constrained completion and return its parsed fields,
     retrying transport failures and malformed bodies with exponential
-    backoff (base 1s, factor 2)."""
+    backoff (base 1s, factor 2). A client error that a retry cannot mend
+    (see TransportError.retryable), such as 404 for an unknown model, fails
+    at once."""
     transport = transport or http_transport
     delay = config.backoff_base
     last_error: Exception | None = None
@@ -397,6 +410,8 @@ def call_model(
             return parse_response(transport(config, prompt, schema), schema)
         except (TransportError, MalformedResponse) as e:
             last_error = e
+            if isinstance(e, TransportError) and not e.retryable:
+                raise PipelineError("transport", f"not retried: {e}") from e
             if attempt < config.max_retries:
                 time.sleep(delay)
                 delay *= 2
@@ -428,21 +443,6 @@ class ActAnnotation:
     def is_act(self) -> bool:
         """Resolved, and both stages said YES."""
         return self.status == "ok" and self.final_label == "YES"
-
-    def check_invariants(self) -> None:
-        """The three structural rules for resolved annotations."""
-        if self.status != "ok":
-            return
-        s1_yes = self.stage1 is not None and self.stage1["label"] == "YES"
-        s2_yes = self.stage2 is not None and self.stage2["label"] == "YES"
-        if (self.stage2 is not None) != s1_yes:
-            raise AssertionError(f"{self.ref}: stage2 presence must track stage1 YES")
-        if (self.final_label == "YES") != (s1_yes and s2_yes):
-            raise AssertionError(f"{self.ref}: final label must be the stage conjunction")
-        if (self.affect is not None) != (self.final_label == "YES"):
-            raise AssertionError(f"{self.ref}: affect present iff final YES")
-        if (self.impact is not None) != (self.final_label == "YES"):
-            raise AssertionError(f"{self.ref}: impact present iff final YES")
 
 
 def cache_key(model_name: str, template: PromptTemplate, text: str, stage: str) -> str:

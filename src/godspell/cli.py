@@ -15,13 +15,16 @@ import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import annotate, corpus, evaluation, topics
+from . import annotate, corpus, evaluation
 from . import stats as statsmod
 from .report import (
     ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, write_csv,
 )
+
+if TYPE_CHECKING:
+    from . import topics
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +85,8 @@ def cmd_segment(config: RunConfig) -> None:
 def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[list[int]], list[str]]:
     """The vocabulary, each fixed-size segment's word ids and its novel.
     The corpus text and the segments' words are freed before downsampling."""
+    from . import topics
+
     loaded = corpus.ingest(config.manifest)
     segments = corpus.segment_corpus_fixed(loaded, segment_size=config.segment_size)
     vocab, docs = topics.build_vocabulary(
@@ -97,6 +102,8 @@ def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[list[int]], 
 
 
 def cmd_topics_train(config: RunConfig) -> None:
+    from . import topics
+
     vocab, docs, doc_novels = _topic_docs(config)
     state, summary = topics.train(
         docs,
@@ -117,6 +124,8 @@ def cmd_topics_train(config: RunConfig) -> None:
 
 
 def cmd_topics_inspect(config: RunConfig) -> None:
+    from . import topics
+
     state_path = _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     model = topics.load_state(state_path)
     words = model.vocabulary
@@ -296,6 +305,8 @@ def cmd_stats(config: RunConfig) -> None:
     that the analysis config asks for, and the characterization shares.
     An analysis entry that cannot be computed (too few novels, an unknown
     topic, an empty group) carries an error and leaves the others alone."""
+    from . import topics
+
     loaded = corpus.ingest(config.manifest)
     passages = corpus.read_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")

@@ -25,10 +25,15 @@ same float operations in the same order (built with ``-O2
 -ffp-contract=off``, never ``-ffast-math``). It is compiled on first use
 into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``); when no
 C compiler works, the reference runs instead, after one WARNING.
+
+scipy loads only inside ``log_likelihood``, ``optimize_alpha`` and
+``optimize_beta``, so reading a saved state (``topics-inspect``, ``stats``)
+loads numpy but not scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -40,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .corpus import Segment
 
@@ -78,12 +82,21 @@ def normalize_token(word: str) -> str:
     return word.lower().strip(_EDGE_CHARS)
 
 
+@functools.cache
+def _bit_generator() -> np.random.MT19937:
+    """The process's one MT19937; every use loads its own state, and
+    building another would seed it from OS entropy for nothing."""
+    return np.random.MT19937()
+
+
 @contextmanager
 def _mt19937(rng: random.Random) -> Iterator[np.random.MT19937]:
     """numpy's MT19937 at rng's place in its stream; on leaving the block,
-    rng is set to where the bit generator stopped, gauss_next kept."""
+    rng is set to where the bit generator stopped, gauss_next kept. The
+    blocks are never nested or entered from two threads at once, so they
+    share one bit generator."""
     version, internal, gauss_next = rng.getstate()
-    bitgen = np.random.MT19937()
+    bitgen = _bit_generator()
     bitgen.state = {"bit_generator": "MT19937",
                     "state": {"key": np.array(internal[:-1], dtype=np.uint32),
                               "pos": internal[-1]}}
@@ -364,6 +377,8 @@ def log_likelihood(state: TopicState) -> float:
     gammaln is evaluated once per distinct count, in tables indexed by the
     counts: the indexed arrays hold the same floats in the same shapes as
     gammaln of the counts themselves, so their sums are the same."""
+    from scipy.special import gammaln
+
     d_count = state.n_dk.shape[0]
     sum_alpha = state.alpha.sum()
     doc_lens = state.n_dk.sum(axis=1)
@@ -398,6 +413,8 @@ def optimize_alpha(
 ) -> np.ndarray:
     """Maximum-likelihood fixed-point update of the asymmetric alpha prior
     using histograms of topic counts and document lengths."""
+    from scipy.special import digamma
+
     n_dk = state.n_dk
     d_count = n_dk.shape[0]
     doc_lens = n_dk.sum(axis=1)
@@ -438,6 +455,8 @@ def optimize_beta(
 ) -> float:
     """Maximum-likelihood fixed point for the symmetric beta prior over
     the topic-word counts."""
+    from scipy.special import digamma
+
     v = state.vocabulary_size
     k_topics = state.k
     word_hist = np.bincount(state.n_kw.ravel())

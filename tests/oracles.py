@@ -5,8 +5,9 @@ CDF comes from high-precision numerical integration (mpmath), agreement
 from a literal coincidence-matrix enumeration, the Dirichlet fixed points
 from a generic numerical maximizer, passage packing from a separate
 reference packer written directly against the packing rule, the
-collapsed Gibbs conditional straight from its formula, and the per-token
-loops that the vectorised vocabulary, downsampling and likelihood replace.
+collapsed Gibbs conditional straight from its formula, the per-token
+loops that the vectorised vocabulary, downsampling and likelihood replace,
+and the cascade's structural rules checked on a finished annotation.
 """
 
 from __future__ import annotations
@@ -237,3 +238,22 @@ def lda_log_likelihood_direct(
         - k * v * gammaln(beta)
     )
     return float(ll)
+
+
+def check_annotation_invariants(ann) -> None:
+    """The cascade's structural rules for a resolved annotation: stage 2
+    runs iff stage 1 said YES, the final label is the conjunction of the
+    stages, and affect and impact are present iff the final label is YES.
+    AssertionError naming the passage otherwise."""
+    if ann.status != "ok":
+        return
+    s1_yes = ann.stage1 is not None and ann.stage1["label"] == "YES"
+    s2_yes = ann.stage2 is not None and ann.stage2["label"] == "YES"
+    if (ann.stage2 is not None) != s1_yes:
+        raise AssertionError(f"{ann.ref}: stage2 presence must track stage1 YES")
+    if (ann.final_label == "YES") != (s1_yes and s2_yes):
+        raise AssertionError(f"{ann.ref}: final label must be the stage conjunction")
+    if (ann.affect is not None) != (ann.final_label == "YES"):
+        raise AssertionError(f"{ann.ref}: affect present iff final YES")
+    if (ann.impact is not None) != (ann.final_label == "YES"):
+        raise AssertionError(f"{ann.ref}: impact present iff final YES")

@@ -27,6 +27,7 @@ from godspell.annotate import (
     write_annotations,
 )
 from godspell.corpus import Passage
+from oracles import check_annotation_invariants
 
 
 def make_passage(i, text, novel_id="n1"):
@@ -232,6 +233,27 @@ class TestCallModel:
             call_model(server_config(scripted_server, retries=0), "p", LABEL_SCHEMA)
         assert err.value.kind == "transport"
         assert "HTTP 404" in str(err.value)
+
+    def test_client_error_is_not_retried(self, scripted_server):
+        scripted_server.script = [("404",)] * 4
+        with pytest.raises(PipelineError) as err:
+            call_model(server_config(scripted_server), "p", LABEL_SCHEMA)
+        assert err.value.kind == "transport"
+        assert scripted_server.requests == 1
+
+    def test_unknown_model_leaves_passage_unresolved_after_one_call(self, scripted_server):
+        scripted_server.script = [("404",)] * 4
+        [ann] = run_pipeline([make_passage(0, "God spoke.")], server_config(scripted_server),
+                             workers=1)
+        assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "stage1", "transport")
+        assert scripted_server.requests == 1
+
+    @pytest.mark.parametrize("status", ["408", "429", "500"])
+    def test_retryable_status_is_retried(self, scripted_server, status):
+        scripted_server.script = [(status,), ("ok", {"explanation": "e", "label": "NO"})]
+        fields = call_model(server_config(scripted_server), "p", LABEL_SCHEMA)
+        assert fields["label"] == "NO"
+        assert scripted_server.requests == 2
 
     def test_body_shorter_than_content_length_is_transport(self, scripted_server):
         scripted_server.script = [("short",)]
@@ -548,7 +570,7 @@ class TestPipelineCacheAndResume:
         assert len(annotations) == len(passages)
         for ann in annotations:
             if ann.status == "ok":
-                ann.check_invariants()
+                check_annotation_invariants(ann)
             else:
                 assert ann.failed_stage in ("stage1", "stage2", "affect", "impact")
                 assert ann.error in ("malformed", "transport")

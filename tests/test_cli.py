@@ -12,6 +12,7 @@ from godspell.cli import main
 from godspell.corpus import read_passages
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 CONFIG = str(FIXTURES / "runconfig.json")
 
@@ -280,13 +281,18 @@ class TestErrorFile:
         assert not (tmp_path / "error.json").exists()
 
 
-def imported_with_cli(module):
+def python(code):
+    """code run by a fresh interpreter that finds the package under src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    code = f"import sys, godspell.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    return out.strip() == "True"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+
+
+def imported_with_cli(module):
+    proc = python(f"import sys, godspell.cli; print({module!r} in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
 
 
 def test_import_leaves_out_the_compiled_sweep():
@@ -295,3 +301,50 @@ def test_import_leaves_out_the_compiled_sweep():
 
 def test_import_leaves_out_requests():
     assert not imported_with_cli("requests")
+
+
+def test_package_import_loads_no_submodule():
+    proc = python("import sys, godspell; "
+                  "print(sorted(m for m in sys.modules if m.startswith('godspell.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# What each command writes; the files that tests/golden holds must match it.
+WRITES = {
+    "ingest": ["corpus.json"],
+    "segment": ["passages.jsonl"],
+    "annotate": ["annotations.jsonl"],
+    "eval": ["metrics.json"],
+    "stats": ["stats.json"],
+    "report": ["report.md"] + sorted(
+        str(p.relative_to(GOLDEN)) for p in (GOLDEN / "figures").iterdir()),
+    "topics-inspect": ["topics/top_words.csv"],
+}
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("ingest", "numpy,scipy"),
+    ("segment", "numpy,scipy"),
+    ("annotate", "numpy,scipy"),
+    ("eval", "numpy,scipy"),
+    ("report", "numpy,scipy"),
+    ("stats", "scipy"),
+    ("topics-inspect", "scipy"),
+])
+def test_command_runs_without_libraries_it_does_not_use(tmp_path, command, blocked):
+    """The command in an interpreter where importing a blocked library
+    fails, over the golden tree as its inputs, writes its golden bytes."""
+    out = tmp_path / "out"
+    shutil.copytree(GOLDEN, out)
+    for rel in WRITES[command]:
+        (out / rel).unlink(missing_ok=True)
+    argv = [command, "--config", CONFIG, "--output", str(out)]
+    proc = python("import sys\n"
+                  + "".join(f"sys.modules[{m!r}] = None\n" for m in blocked.split(","))
+                  + f"from godspell.cli import main\nsys.exit(main({argv!r}))\n")
+    assert proc.returncode == 0, proc.stderr
+    for rel in WRITES[command]:
+        assert (out / rel).is_file(), f"{command} did not write {rel}"
+        if (GOLDEN / rel).is_file():
+            assert (out / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
