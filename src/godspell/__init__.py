@@ -4,6 +4,7 @@ for collections of long-form fiction.
 
 Importing the package imports none of its modules, so a command loads only
 what it uses: numpy comes with ``topics`` (``topics-train``,
-``topics-inspect``, ``stats``), scipy only with ``topics-train``."""
+``topics-inspect``, ``stats``), the compiled kernel of ``_sweep`` only with
+``topics-train``. numpy is the one runtime dependency."""
 
 __version__ = "0.1.0"

@@ -1,9 +1,17 @@
-"""The compiled inner loop of the collapsed Gibbs sweep.
+"""The compiled inner loops of ``topics``: the collapsed Gibbs sweep, and
+``gammaln`` and ``digamma`` for the log-likelihood and the fixed-point
+updates of the priors.
 
-``SOURCE`` is the pure-Python reference loop of ``topics`` written in C,
+``SOURCE`` holds the pure-Python reference sweep of ``topics`` written in C,
 with the same float operations in the same order: built without
 ``-ffast-math`` and with ``-ffp-contract=off`` (no fused multiply-add), it
-gives bit-for-bit the same assignments, counts and RNG stream.
+gives bit-for-bit the same assignments, counts and RNG stream. Beside it are
+Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code behind
+``scipy.special.gammaln`` and ``digamma``, with the same constants, the same
+operation order and libm ``log``; they give scipy's floats bit for bit, so
+scipy is not needed at run time. ``gammaln`` and ``digamma`` here take
+numpy arrays or scalars and reject an argument that is not finite and
+positive with ValueError.
 
 It is compiled with ``cc`` on first use into ``$XDG_CACHE_HOME/godspell``
 (default ``~/.cache/godspell``), under a file name keyed by the sha256 of
@@ -11,14 +19,17 @@ the source, the flags and the machine type, with the library's own sha256
 beside it, and loaded with ``ctypes``. A cached library whose bytes do not
 match that checksum is rebuilt, never loaded; a cache directory that
 cannot be written is replaced by a temporary one. When no library can be
-built, ``kernel`` returns None and ``topics.gibbs_sweep`` runs the
-reference.
+built, ``kernel`` returns None, after one WARNING, and the pure-Python
+references run instead: ``topics._gibbs_sweep_python`` for the sweep, and
+``_gammaln_python`` and ``_digamma_python`` here.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
+import math
 import os
 import platform
 import shutil
@@ -32,8 +43,10 @@ log = logging.getLogger(__name__)
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+LIBS = ("-lm",)
 
 SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
@@ -66,7 +79,214 @@ void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
         }
     }
 }
+
+/* Cephes lgam and psi (Moshier 1989) as scipy.special has them, for x > 0.
+   polevl is Horner's rule, highest degree first; Cephes' p1evl is polevl
+   with a leading 1.0, and LGAM_C has it. */
+
+static double polevl(double x, const double *coef, int n)
+{
+    double ans = coef[0];
+    for (int i = 1; i <= n; i++)
+        ans = ans * x + coef[i];
+    return ans;
+}
+
+static const double LGAM_A[] = {8.11614167470508450300E-4, -5.95061904284301438324E-4,
+                                7.93650340457716943945E-4, -2.77777777730099687205E-3,
+                                8.33333333333331927722E-2};
+static const double LGAM_B[] = {-1.37825152569120859100E3, -3.88016315134637840924E4,
+                                -3.31612992738871184744E5, -1.16237097492762307383E6,
+                                -1.72173700820839662146E6, -8.53555664245765465627E5};
+static const double LGAM_C[] = {1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
+                                -2.20528590553854454839E5, -1.13933444367982507207E6,
+                                -2.53252307177582951285E6, -2.01889141433532773231E6};
+
+static double lgam(double x)
+{
+    if (x < 13.0) {
+        double z = 1.0, p = 0.0, u = x;
+        while (u >= 3.0) {
+            p -= 1.0;
+            u = x + p;
+            z *= u;
+        }
+        while (u < 2.0) {
+            z /= u;
+            p += 1.0;
+            u = x + p;
+        }
+        if (u == 2.0)
+            return log(z);
+        x = x + (p - 2.0);
+        return log(z) + x * polevl(x, LGAM_B, 5) / polevl(x, LGAM_C, 6);
+    }
+    if (x > 2.556348e305)
+        return INFINITY;
+    double q = (x - 0.5) * log(x) - x + 0.91893853320467274178;  /* log(sqrt(2 pi)) */
+    if (x > 1.0e8)
+        return q;
+    double p = 1.0 / (x * x);
+    if (x >= 1000.0)
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x;
+    return q + polevl(p, LGAM_A, 4) / x;
+}
+
+static const double PSI_A[] = {8.33333333333333333333E-2, -2.10927960927960927961E-2,
+                               7.57575757575757575758E-3, -4.16666666666666666667E-3,
+                               3.96825396825396825397E-3, -8.33333333333333333333E-3,
+                               8.33333333333333333333E-2};
+/* rational approximation on [1, 2], from Boost */
+static const double PSI_P[] = {-0.0020713321167745952, -0.045251321448739056,
+                               -0.28919126444774784, -0.65031853770896507,
+                               -0.32555031186804491, 0.25479851061131551};
+static const double PSI_Q[] = {-0.55789841321675513e-6, 0.0021284987017821144,
+                               0.054151797245674225, 0.43593529692665969,
+                               1.4606242909763515, 2.0767117023730469, 1.0};
+
+static double psi(double x)
+{
+    double y = 0.0;
+    if (x <= 10.0 && x == floor(x)) {
+        for (int i = 1; i < (int)x; i++)
+            y += 1.0 / i;
+        return y - 0.577215664901532860606512090082402431;  /* Euler's constant */
+    }
+    if (x < 1.0) {
+        y -= 1.0 / x;
+        x += 1.0;
+    } else if (x < 10.0) {
+        while (x > 2.0) {
+            x -= 1.0;
+            y += 1.0 / x;
+        }
+    }
+    if (x <= 2.0) {
+        /* (x - root) * (Y + P(x - 1) / Q(x - 1)), the root subtracted in three parts */
+        double g = x - 1569415565.0 / 1073741824.0;
+        g -= (381566830.0 / 1073741824.0) / 1073741824.0;
+        g -= 0.9016312093258695918615325266959189453125e-19;
+        double r = polevl(x - 1.0, PSI_P, 5) / polevl(x - 1.0, PSI_Q, 6);
+        return y + (g * 0.99558162689208984 + g * r);
+    }
+    double z = 1.0 / (x * x), s = x < 1.0e17 ? z * polevl(z, PSI_A, 6) : 0.0;
+    return y + (log(x) - 0.5 / x - s);
+}
+
+static int finite_positive(int64_t n, const double *x)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (!(x[i] > 0.0 && x[i] < INFINITY))  /* nan fails too */
+            return 0;
+    return 1;
+}
+
+/* 0 after filling out (which may be x), or -1 before computing anything
+   when an argument is not finite and positive */
+int gammaln(int64_t n, const double *x, double *out)
+{
+    if (!finite_positive(n, x))
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        out[i] = lgam(x[i]);
+    return 0;
+}
+
+int digamma(int64_t n, const double *x, double *out)
+{
+    if (!finite_positive(n, x))
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        out[i] = psi(x[i]);
+    return 0;
+}
 """
+
+
+# The pure-Python references for SOURCE's lgam and psi, used when no library
+# builds: the same constants and float operations in the same order, and
+# math.log is libm's log, so their floats are the kernel's (and
+# scipy.special's), for finite x > 0.
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
+           -2.20528590553854454839E5, -1.13933444367982507207E6, -2.53252307177582951285E6,
+           -2.01889141433532773231E6)
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2, 7.57575757575757575758E-3,
+          -4.16666666666666666667E-3, 3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Cephes polevl: 0.0 * x + coef[0] is coef[0] for finite x."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def _gammaln_python(x: float) -> float:
+    """Cephes lgam for finite x > 0; ValueError for any other x."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("gammaln takes finite positive arguments only")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def _digamma_python(x: float) -> float:
+    """Cephes psi for finite x > 0; ValueError for any other x."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("digamma takes finite positive arguments only")
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - 0.577215664901532860606512090082402431
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if x <= 2.0:
+        g = x - 1569415565.0 / 1073741824.0
+        g -= (381566830.0 / 1073741824.0) / 1073741824.0
+        g -= 0.9016312093258695918615325266959189453125e-19
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * 0.99558162689208984 + g * r)
+    z = 1.0 / (x * x)
+    s = z * _polevl(z, _PSI_A) if x < 1.0e17 else 0.0
+    return y + (math.log(x) - 0.5 / x - s)
 
 
 class BuildError(RuntimeError):
@@ -79,7 +299,7 @@ def cache_dir() -> Path:
 
 
 def library_name() -> str:
-    key = "\0".join((SOURCE, *FLAGS, platform.machine()))
+    key = "\0".join((SOURCE, *FLAGS, *LIBS, platform.machine()))
     digest = hashlib.sha256(key.encode()).hexdigest()
     return f"gibbs-{digest[:16]}.so"
 
@@ -96,7 +316,7 @@ def build(path: Path) -> None:
     os.close(fd)
     try:
         try:
-            proc = subprocess.run([COMPILER, *FLAGS, "-x", "c", "-", "-o", tmp],
+            proc = subprocess.run([COMPILER, *FLAGS, "-x", "c", "-", "-o", tmp, *LIBS],
                                   input=SOURCE, capture_output=True, text=True, timeout=300)
         except (OSError, subprocess.TimeoutExpired) as e:
             raise BuildError(f"cannot run {COMPILER}: {e}") from None
@@ -121,17 +341,19 @@ def _intact(path: Path) -> bool:
 
 
 def _open(path: Path):
-    import ctypes
-
-    fn = ctypes.CDLL(str(path)).gibbs_sweep
+    lib = ctypes.CDLL(str(path))
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    fn.argtypes = [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, dbl, dbl, ptr, ptr, ptr, ptr]
-    fn.restype = None
-    return fn
+    lib.gibbs_sweep.argtypes = [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, dbl, dbl,
+                                ptr, ptr, ptr, ptr]
+    lib.gibbs_sweep.restype = None
+    for fn in (lib.gammaln, lib.digamma):
+        fn.argtypes = [i64, ptr, ptr]
+        fn.restype = ctypes.c_int
+    return lib
 
 
 def load(directory: Path):
-    """The compiled sweep from directory, built there first when it is
+    """The compiled library from directory, built there first when it is
     missing or damaged, or built in a temporary directory when directory
     cannot be written. Raises BuildError when the build fails."""
     path = directory / library_name()
@@ -159,22 +381,60 @@ _kernel = _UNSET
 
 
 def kernel():
-    """The compiled sweep, loaded once per process; None, after one
+    """The compiled library, loaded once per process; None, after one
     WARNING, when it cannot be built or loaded."""
     global _kernel
     if _kernel is _UNSET:
         try:
             _kernel = load(cache_dir())
-            log.info("Gibbs sweep: compiled kernel")
+            log.info("Gibbs sweep, gammaln and digamma: compiled kernel")
         except (BuildError, OSError) as e:
-            log.warning("compiled Gibbs sweep unavailable, using the pure-Python sweep: %s", e)
+            log.warning("compiled kernel unavailable, using the pure-Python Gibbs sweep and "
+                        "gammaln/digamma: %s", e)
             _kernel = None
     return _kernel
 
 
-def sweep(fn, state) -> None:
-    """One sweep of ``state`` through the compiled fn, counts updated in
-    place. Draws one rng.random() per token, in token order, from state.rng."""
+def _elementwise(name: str, reference, x):
+    """The library's function ``name`` applied to each element of x (an
+    array or a scalar), or the Python reference when there is no library:
+    a float64 array of x's shape, a numpy float for a scalar. ValueError
+    when an element is not finite and positive; the kernel checks them all
+    before it computes any.
+
+    The callers make many small calls per run, so the per-call cost
+    counts: each implementation checks its own arguments (two numpy
+    reductions here would cost more than the kernel call), and the values
+    are computed in place in a fresh copy of x, whose address
+    ``from_buffer`` gives at a third of the cost of ``.ctypes.data``."""
+    out = np.array(x, dtype=np.float64, order="C")
+    lib = kernel()
+    if lib is None:
+        flat = out.reshape(-1)
+        flat[:] = [reference(v) for v in flat.tolist()]
+    elif out.size:
+        address = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        if getattr(lib, name)(out.size, address, address):
+            raise ValueError(f"{name} takes finite positive arguments only")
+    return out[()]
+
+
+def gammaln(x):
+    """log|Gamma(x)| elementwise, bit for bit scipy.special.gammaln; every
+    argument must be finite and positive (ValueError otherwise)."""
+    return _elementwise("gammaln", _gammaln_python, x)
+
+
+def digamma(x):
+    """The digamma function elementwise, bit for bit scipy.special.digamma;
+    every argument must be finite and positive (ValueError otherwise)."""
+    return _elementwise("digamma", _digamma_python, x)
+
+
+def sweep(lib, state) -> None:
+    """One sweep of ``state`` through the compiled library, counts updated
+    in place. Draws one rng.random() per token, in token order, from
+    state.rng."""
     from .topics import _uniforms
 
     for name, dtype in (("offsets", np.int64), ("words", np.int32), ("z", np.int32),
@@ -183,7 +443,8 @@ def sweep(fn, state) -> None:
     u = _uniforms(state.rng, len(state.z))
     alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)
     cum = np.empty(state.k, dtype=np.float64)
-    fn(len(state.offsets) - 1, state.offsets.ctypes.data, state.words.ctypes.data,
-       state.z.ctypes.data, u.ctypes.data, int(state.k), int(state.vocabulary_size),
-       alpha.ctypes.data, float(state.beta), float(state.vocabulary_size * state.beta),
-       state.n_dk.ctypes.data, state.n_kw.ctypes.data, state.n_k.ctypes.data, cum.ctypes.data)
+    lib.gibbs_sweep(
+        len(state.offsets) - 1, state.offsets.ctypes.data, state.words.ctypes.data,
+        state.z.ctypes.data, u.ctypes.data, int(state.k), int(state.vocabulary_size),
+        alpha.ctypes.data, float(state.beta), float(state.vocabulary_size * state.beta),
+        state.n_dk.ctypes.data, state.n_kw.ctypes.data, state.n_k.ctypes.data, cum.ctypes.data)

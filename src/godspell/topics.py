@@ -22,13 +22,14 @@ several words per try, raises ValueError instead.
 It is bitwise-identical to the pure-Python reference ``_gibbs_sweep_python``,
 because it takes one ``rng.random()`` per token in token order and does the
 same float operations in the same order (built with ``-O2
--ffp-contract=off``, never ``-ffast-math``). It is compiled on first use
-into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``); when no
-C compiler works, the reference runs instead, after one WARNING.
-
-scipy loads only inside ``log_likelihood``, ``optimize_alpha`` and
-``optimize_beta``, so reading a saved state (``topics-inspect``, ``stats``)
-loads numpy but not scipy.
+-ffp-contract=off``, never ``-ffast-math``). The same kernel holds the
+``gammaln`` and ``digamma`` of ``log_likelihood``, ``optimize_alpha`` and
+``optimize_beta``: Cephes ``lgam`` and ``psi``, the code behind
+``scipy.special``, with scipy's floats bit for bit, so scipy is not a
+runtime dependency. It is compiled on first use into
+``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``); when no C
+compiler works, the pure-Python references run instead, after one WARNING:
+``_gibbs_sweep_python`` here, and ``_sweep``'s own for the two functions.
 """
 
 from __future__ import annotations
@@ -376,27 +377,39 @@ def log_likelihood(state: TopicState) -> float:
 
     gammaln is evaluated once per distinct count, in tables indexed by the
     counts: the indexed arrays hold the same floats in the same shapes as
-    gammaln of the counts themselves, so their sums are the same."""
-    from scipy.special import gammaln
+    gammaln of the counts themselves, so their sums are the same. All its
+    arguments go to gammaln in one call, and each term takes its slice."""
+    from ._sweep import gammaln
 
     d_count = state.n_dk.shape[0]
+    k, v = state.k, state.vocabulary_size
     sum_alpha = state.alpha.sum()
+    vbeta = v * state.beta
     doc_lens = state.n_dk.sum(axis=1)
-    len_terms = gammaln(np.arange(doc_lens.max(initial=0) + 1) + sum_alpha)
-    doc_terms = gammaln(np.arange(state.n_dk.max(initial=0) + 1)[:, None] + state.alpha)
-    ll = (
-        d_count * gammaln(sum_alpha)
-        - len_terms[doc_lens].sum()
-        + doc_terms[state.n_dk, np.arange(state.k)].sum()
-        - d_count * gammaln(state.alpha).sum()
+    parts = (
+        np.arange(doc_lens.max(initial=0) + 1) + sum_alpha,
+        (np.arange(state.n_dk.max(initial=0) + 1)[:, None] + state.alpha).reshape(-1),
+        np.arange(state.n_kw.max(initial=0) + 1) + state.beta,
+        state.n_k + vbeta,
+        state.alpha,
+        [sum_alpha, vbeta, state.beta],
     )
-    vbeta = state.vocabulary_size * state.beta
-    word_terms = gammaln(np.arange(state.n_kw.max(initial=0) + 1) + state.beta)
+    terms = gammaln(np.concatenate(parts))
+    bounds = itertools.accumulate(map(len, parts), initial=0)
+    len_terms, doc_terms, word_terms, total_terms, alpha_terms, (g_sum_alpha, g_vbeta, g_beta) = (
+        terms[a:b] for a, b in itertools.pairwise(bounds))
+    doc_terms = doc_terms.reshape(-1, k)
+    ll = (
+        d_count * g_sum_alpha
+        - len_terms[doc_lens].sum()
+        + doc_terms[state.n_dk, np.arange(k)].sum()
+        - d_count * alpha_terms.sum()
+    )
     ll += (
-        state.k * gammaln(vbeta)
-        - gammaln(state.n_k + vbeta).sum()
+        k * g_vbeta
+        - total_terms.sum()
         + word_terms[state.n_kw].sum()
-        - state.k * state.vocabulary_size * gammaln(state.beta)
+        - k * v * g_beta
     )
     return float(ll)
 
@@ -412,8 +425,13 @@ def optimize_alpha(
     max_iter: int = FIXED_POINT_MAX_ITER,
 ) -> np.ndarray:
     """Maximum-likelihood fixed-point update of the asymmetric alpha prior
-    using histograms of topic counts and document lengths."""
-    from scipy.special import digamma
+    using histograms of topic counts and document lengths.
+
+    Each iteration takes digamma in one call, over the document lengths
+    plus sum(alpha), sum(alpha), every topic's counts plus its alpha, and
+    alpha; each topic's weighted sum is then taken over its own slice, so
+    every sum adds the same floats as a per-topic call would."""
+    from ._sweep import digamma
 
     n_dk = state.n_dk
     d_count = n_dk.shape[0]
@@ -421,20 +439,28 @@ def optimize_alpha(
     len_hist = np.bincount(doc_lens)
     len_values = np.nonzero(len_hist)[0]
     len_weights = len_hist[len_values]
-    topic_hists = []
+    n_len = len(len_values)
+    topic_values, topic_weights = [], []
     for k in range(state.k):
         hist = np.bincount(n_dk[:, k])
         values = np.nonzero(hist)[0]
-        topic_hists.append((values, hist[values]))
+        topic_values.append(values)
+        topic_weights.append(hist[values])
+    topic_of = np.repeat(np.arange(state.k), [len(v) for v in topic_values])
+    counts = np.concatenate(topic_values)
+    bounds = (_offsets(map(len, topic_values)) + n_len + 1).tolist()
+    slices = [slice(a, b) for a, b in itertools.pairwise(bounds)]
 
     alpha = state.alpha.copy()
     for _ in range(max_iter):
         sum_alpha = alpha.sum()
-        denom = (len_weights * digamma(len_values + sum_alpha)).sum() - d_count * digamma(sum_alpha)
+        psi = digamma(np.concatenate((len_values + sum_alpha, [sum_alpha],
+                                      counts + alpha[topic_of], alpha)))
+        denom = (len_weights * psi[:n_len]).sum() - d_count * psi[n_len]
+        alpha_psi = psi[bounds[-1]:]
         new_alpha = np.empty_like(alpha)
-        for k in range(state.k):
-            values, weights = topic_hists[k]
-            numer = (weights * digamma(values + alpha[k])).sum() - d_count * digamma(alpha[k])
+        for k, (weights, part) in enumerate(zip(topic_weights, slices)):
+            numer = (weights * psi[part]).sum() - d_count * alpha_psi[k]
             new_alpha[k] = alpha[k] * numer / denom
         if not np.all(np.isfinite(new_alpha)):
             log.warning("alpha optimization produced non-finite values; reverting")
@@ -454,8 +480,9 @@ def optimize_beta(
     max_iter: int = FIXED_POINT_MAX_ITER,
 ) -> float:
     """Maximum-likelihood fixed point for the symmetric beta prior over
-    the topic-word counts."""
-    from scipy.special import digamma
+    the topic-word counts. Each iteration takes digamma in one call, over
+    the counts plus beta, the topic totals plus V * beta, beta and V * beta."""
+    from ._sweep import digamma
 
     v = state.vocabulary_size
     k_topics = state.k
@@ -463,11 +490,14 @@ def optimize_beta(
     word_values = np.nonzero(word_hist)[0]
     word_weights = word_hist[word_values]
     topic_totals = state.n_k
+    n_words = len(word_values)
 
     beta = state.beta
     for _ in range(max_iter):
-        numer = (word_weights * digamma(word_values + beta)).sum() - k_topics * v * digamma(beta)
-        denom = v * (digamma(topic_totals + v * beta).sum() - k_topics * digamma(v * beta))
+        psi = digamma(np.concatenate((word_values + beta, topic_totals + v * beta,
+                                      [beta, v * beta])))
+        numer = (word_weights * psi[:n_words]).sum() - k_topics * v * psi[-2]
+        denom = v * (psi[n_words:-2].sum() - k_topics * psi[-1])
         new_beta = beta * numer / denom
         if not np.isfinite(new_beta) or new_beta <= 0:
             log.warning("beta optimization produced non-finite value; reverting")

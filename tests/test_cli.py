@@ -314,6 +314,7 @@ def test_package_import_loads_no_submodule():
 WRITES = {
     "ingest": ["corpus.json"],
     "segment": ["passages.jsonl"],
+    "topics-train": ["topics/state.json"],
     "annotate": ["annotations.jsonl"],
     "eval": ["metrics.json"],
     "stats": ["stats.json"],
@@ -329,6 +330,7 @@ WRITES = {
     ("annotate", "numpy,scipy"),
     ("eval", "numpy,scipy"),
     ("report", "numpy,scipy"),
+    ("topics-train", "scipy"),
     ("stats", "scipy"),
     ("topics-inspect", "scipy"),
 ])

@@ -1,24 +1,32 @@
-"""The compiled Gibbs sweep against the pure-Python reference, its fallback,
-and its build cache."""
+"""The compiled Gibbs sweep against the pure-Python reference, the compiled
+gammaln and digamma against scipy.special and their references, the
+fallback, and the build cache."""
 
 import logging
+import math
 import random
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from godspell import _sweep, topics
+from godspell.cli import main
 from godspell.topics import gibbs_sweep, init_state, log_likelihood, optimize_alpha, optimize_beta
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
 def compiled():
     if shutil.which(_sweep.COMPILER) is None:
         pytest.skip(f"no C compiler ({_sweep.COMPILER})")
-    fn = _sweep.kernel()
-    assert fn is not None, "a compiler is present but the kernel did not build"
-    return fn
+    lib = _sweep.kernel()
+    assert lib is not None, "a compiler is present but the kernel did not build"
+    return lib
 
 
 def corpus(rng, n_docs, vocabulary_size):
@@ -82,10 +90,89 @@ def test_build_failure_falls_back_with_one_warning(monkeypatch, tmp_path, caplog
         for _ in range(3):
             gibbs_sweep(state, docs)
             topics._gibbs_sweep_python(ref)
+        log_likelihood(state)
+        optimize_alpha(state)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "godspell-no-such-compiler" in warnings[0].getMessage()
+    assert "gammaln/digamma" in warnings[0].getMessage()
+    topics.log_likelihood(ref)
+    topics.optimize_alpha(ref)
     assert_same(state, ref)
+
+
+def test_reference_topics_train_writes_the_golden_state(monkeypatch, tmp_path):
+    """With no kernel, the pure-Python sweep, gammaln and digamma train the
+    golden state.json byte for byte."""
+    monkeypatch.setattr(_sweep, "_kernel", None)
+    config = str(FIXTURES / "runconfig.json")
+    assert main(["topics-train", "--config", config, "--output", str(tmp_path)]) == 0
+    assert ((tmp_path / "topics" / "state.json").read_bytes()
+            == (GOLDEN / "topics" / "state.json").read_bytes())
+
+
+def domain_parts():
+    """The points on which gammaln and digamma must equal scipy's: n + c for
+    n < 200k and five offsets c, the integers 1 to 10**6, 2M log-uniform
+    points in [1e-5, 1e9], 2M uniform points in (0, 20), and the edges of
+    Cephes' branches, one part at a time."""
+    rng = np.random.default_rng(0)
+    n = np.arange(200_000, dtype=np.float64)
+    for c in (1e-5, 0.01, 5 / 65, 3.7, 200.0):
+        yield n + c
+    yield np.arange(1, 10**6 + 1, dtype=np.float64)
+    yield np.exp(rng.uniform(math.log(1e-5), math.log(1e9), 2_000_000))
+    yield rng.uniform(np.nextafter(0.0, 1.0), 20.0, 2_000_000)
+    edges = np.array([5e-324, 1e-300, 1e-17, 0.5, 1.0, 2.0, 2.5, 3.0, 10.0, 10.5, 13.0, 999.5,
+                      1000.0, 1e8, 1e8 + 1, 1e17, 1e18, 1e200, 2.556348e305, 3e305, 1.7e308])
+    yield np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, np.inf)])
+
+
+FUNCTIONS = [("gammaln", scipy.special.gammaln, _sweep._gammaln_python),
+             ("digamma", scipy.special.digamma, _sweep._digamma_python)]
+
+
+@pytest.mark.parametrize("name, oracle, _", FUNCTIONS)
+def test_kernel_functions_equal_scipy_bitwise(compiled, name, oracle, _):
+    for x in domain_parts():
+        got, want = getattr(_sweep, name)(x), oracle(x)
+        differ = got.view(np.int64) != want.view(np.int64)
+        assert not differ.any(), (name, x[differ][:5], got[differ][:5], want[differ][:5])
+
+
+@pytest.mark.parametrize("name, _, reference", FUNCTIONS)
+def test_references_equal_the_kernel(compiled, monkeypatch, name, _, reference):
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.choice(part, 2_000) for part in domain_parts()])
+    got = getattr(_sweep, name)(x)
+    assert np.array_equal(np.array([reference(v) for v in x.tolist()]).view(np.int64),
+                          got.view(np.int64))
+    monkeypatch.setattr(_sweep, "_kernel", None)
+    assert np.array_equal(getattr(_sweep, name)(x).view(np.int64), got.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["gammaln", "digamma"])
+def test_shapes_and_scalars(compiled, name):
+    fn = getattr(_sweep, name)
+    oracle = getattr(scipy.special, name)
+    x = np.arange(1.0, 13.0).reshape(3, 4)[:, ::2]
+    assert fn(x).shape == (3, 2)
+    assert np.array_equal(fn(x), oracle(x))
+    assert isinstance(fn(3.5), np.float64) and fn(3.5) == oracle(3.5)
+    assert fn(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "reference"])
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -2.5, math.nan, math.inf, -math.inf,
+                                 [1.0, 0.0], [[2.0], [math.nan]]])
+def test_non_finite_or_non_positive_argument_rejected(request, monkeypatch, kernel, bad):
+    if kernel == "compiled":
+        request.getfixturevalue("compiled")
+    else:
+        monkeypatch.setattr(_sweep, "_kernel", None)
+    for fn in (_sweep.gammaln, _sweep.digamma):
+        with pytest.raises(ValueError, match="finite positive"):
+            fn(bad)
 
 
 def small_state():
@@ -93,12 +180,16 @@ def small_state():
     return docs, init_state(docs, 3, 5, rng_seed=6)
 
 
-def assert_works(fn):
+def assert_works(lib):
     docs, state = small_state()
     _, ref = small_state()
-    _sweep.sweep(fn, state)
+    _sweep.sweep(lib, state)
     topics._gibbs_sweep_python(ref)
     assert_same(state, ref)
+    x = np.array([0.25, 3.7, 1e4])
+    out = np.empty_like(x)
+    lib.digamma(len(x), x.ctypes.data, out.ctypes.data)
+    assert np.array_equal(out, scipy.special.digamma(x))
 
 
 @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty", "no checksum"])
@@ -118,8 +209,8 @@ def test_damaged_cached_library_is_rebuilt(compiled, tmp_path, damage):
                             "truncated": built[: len(built) // 3],
                             "empty": b""}[damage])
         cached.with_name(cached.name + ".sha256").write_text(checksum)
-    fn = _sweep.load(cache)
-    assert_works(fn)
+    lib = _sweep.load(cache)
+    assert_works(lib)
     assert cached.read_bytes() == built
 
 
@@ -127,8 +218,8 @@ def test_unwritable_cache_still_compiles(compiled, tmp_path, caplog):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("", encoding="utf-8")
     with caplog.at_level(logging.INFO, logger="godspell._sweep"):
-        fn = _sweep.load(blocker / "godspell")
-    assert_works(fn)
+        lib = _sweep.load(blocker / "godspell")
+    assert_works(lib)
     assert "not writable" in caplog.text
     assert list(tmp_path.iterdir()) == [blocker]
 
