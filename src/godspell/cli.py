@@ -1,9 +1,11 @@
 """Command-line pipeline: godspell <subcommand> --config run.json [flags].
 
 Subcommands write their artifacts into the configured output directory and
-are idempotent given unchanged inputs. Exit codes: 0 success, 1 config
-error, 2 runtime error (with error.json in the output directory), 64
-unknown subcommand.
+are idempotent given unchanged inputs. A subcommand loads its inputs, calls
+the module that owns the work (`stats.analyze` for stats.json,
+`evaluation.evaluate` for metrics.json) and writes the result; no analysis
+or scoring happens here. Exit codes: 0 success, 1 config error, 2 runtime
+error (with error.json in the output directory), 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from . import annotate, corpus, evaluation
-from . import stats as statsmod
+from . import annotate, corpus, evaluation, stats
 from .report import (
     ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, write_csv,
 )
@@ -181,70 +182,18 @@ def cmd_eval(config: RunConfig) -> None:
     rounds = {
         path.stem: evaluation.read_annotation_csv(path) for path in config.annotation_rounds
     }
-    alpha_per_round = {name: evaluation.krippendorff_alpha(data) for name, data in rounds.items()}
-    merged = evaluation.merge_reliability(rounds)
     overrides = (
         evaluation.read_gold_overrides(config.gold_overrides_path)
         if config.gold_overrides_path is not None
         else {}
     )
-    gold = evaluation.build_gold(merged, overrides)
-
-    by_ref = {a.ref: a for a in annotations}
-    missing = sorted(set(gold.labels) - set(by_ref))
-    if missing:
-        raise ValueError(f"gold passages missing from annotations: {missing}")
-    predicted = {}
-    unresolved = 0
-    for ref in gold.labels:
-        ann = by_ref[ref]
-        if ann.status != "ok":
-            predicted[ref] = "NO"
-            unresolved += 1
-        else:
-            predicted[ref] = ann.final_label
-    matrix = evaluation.confusion(gold, predicted)
-    report = evaluation.prf(matrix)
-
-    payload = {
-        "alpha_per_round": alpha_per_round,
-        "gold_size": len(gold.labels),
-        "gold_yes": sum(1 for v in gold.labels.values() if v == "YES"),
-        "gold_no": sum(1 for v in gold.labels.values() if v == "NO"),
-        "resolved_by_discussion": len(gold.resolved_by_discussion),
-        "confusion": asdict(matrix),
-        "metrics": asdict(report),
-        "unresolved_scored_as_no": unresolved,
-    }
-    if config.spotcheck_path is not None:
-        payload["spotcheck"] = _spotcheck(config.spotcheck_path, by_ref)
+    payload = evaluation.evaluate(rounds, overrides, annotations, config.spotcheck_path)
     _dump_json(config.output_dir / "metrics.json", payload)
+    metrics = payload["metrics"]
     print(
-        f"scored {len(gold.labels)} gold passages: micro-F1 {report.micro_f1:.3f} "
-        f"(YES F1 {report.yes['f1']:.3f}, NO F1 {report.no['f1']:.3f})"
+        f"scored {payload['gold_size']} gold passages: micro-F1 {metrics['micro_f1']:.3f} "
+        f"(YES F1 {metrics['yes']['f1']:.3f}, NO F1 {metrics['no']['f1']:.3f})"
     )
-
-
-def _spotcheck(path: Path, by_ref: dict[str, annotate.ActAnnotation]) -> dict[str, float]:
-    human_affect: dict[str, str] = {}
-    human_impact: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            ref = row["passage_id"].strip()
-            human_affect[ref] = row["affect"].strip().upper()
-            human_impact[ref] = row["impact"].strip().upper()
-    model_affect = {}
-    model_impact = {}
-    for ref in human_affect:
-        ann = by_ref.get(ref)
-        if ann is None or not ann.is_act:
-            raise ValueError(f"spot-check passage {ref} is not a resolved YES annotation")
-        model_affect[ref] = ann.affect
-        model_impact[ref] = ann.impact
-    return {
-        "affect": evaluation.spotcheck_agreement(human_affect, model_affect),
-        "impact": evaluation.spotcheck_agreement(human_impact, model_impact),
-    }
 
 
 def _read_topic_labels(path: Path) -> dict[str, str]:
@@ -255,56 +204,9 @@ def _read_topic_labels(path: Path) -> dict[str, str]:
     return labels
 
 
-def _topic_index(value) -> int:
-    """An analysis.json topic index: an integer, or a string of one."""
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"topic index {value!r} is not an integer") from None
-
-
-def _resolve_comparison_series(
-    spec: dict,
-    act: statsmod.ActProportions,
-    characterization: statsmod.CharacterizationShares,
-    topic_values: Callable[[int], dict[str, float]],
-) -> dict[str, float]:
-    kind = spec.get("kind")
-    if kind == "act_share":
-        return act.per_novel
-    if kind == "topic_prominence":
-        return topic_values(_topic_index(spec["topic"]))
-    if kind == "characterization":
-        table = (
-            characterization.per_novel_affect if spec["facet"] == "affect"
-            else characterization.per_novel_impact
-        )
-        return table[spec["label"].upper()]
-    raise ValueError(f"unknown comparison kind {kind!r}")
-
-
-def _comparison_name(spec) -> str:
-    if not isinstance(spec, dict):
-        return json.dumps(spec)
-    return spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"
-
-
-def _analysis_entry(entry: dict, compute: Callable[..., dict], *args) -> dict:
-    """entry with the fields compute(*args) returns, or with the error it
-    raised: a bad analysis entry spoils only itself."""
-    try:
-        entry.update(compute(*args))
-    except (KeyError, ValueError) as e:
-        entry["error"] = str(e)
-    return entry
-
-
 def cmd_stats(config: RunConfig) -> None:
-    """Write stats.json: act shares, the act position density, per-novel
-    topic prominence and its mean, the correlations and group comparisons
-    that the analysis config asks for, and the characterization shares.
-    An analysis entry that cannot be computed (too few novels, an unknown
-    topic, an empty group) carries an error and leaves the others alone."""
+    """Write stats.json: stats.analyze over the run's artifacts and the
+    analysis config, plus the topic labels when configured."""
     from . import topics
 
     loaded = corpus.ingest(config.manifest)
@@ -321,79 +223,15 @@ def cmd_stats(config: RunConfig) -> None:
         _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     )
     analysis = _load_json(config.analysis_path) if config.analysis_path else {}
-
-    act = statsmod.act_proportions(annotations)
-    act_payload = asdict(act)
-    if act.per_novel:
-        shares = list(act.per_novel.values())
-        act_payload["per_novel_mean"] = sum(shares) / len(shares)
-        act_payload["per_novel_min"] = min(shares)
-        act_payload["per_novel_max"] = max(shares)
-
-    density = statsmod.position_density(
-        annotations, passages, bins=int(analysis.get("position_bins", 20))
-    )
     prominence = topics.prominence_from_doc_topic(
         model.doc_topic, model.doc_novels, [n.id for n in loaded.novels]
     )
-    mean_prominence = [
-        sum(p[t] for p in prominence.values()) / len(prominence) for t in range(model.k)
-    ] if prominence else []
-    characterization = statsmod.characterization_shares(annotations)
-
-    def topic_values(topic: int) -> dict[str, float]:
-        if not 0 <= topic < model.k:
-            raise ValueError(f"topic index {topic} out of range for K={model.k}")
-        return {novel_id: p[topic] for novel_id, p in prominence.items()}
-
-    def topic_pair(pair) -> dict:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"a topic pair is a list [a, b], not {pair!r}")
-        a, b = _topic_index(pair[0]), _topic_index(pair[1])
-        r, p = statsmod.pearson(list(topic_values(a).values()), list(topic_values(b).values()))
-        return {"topics": [a, b], "r": r, "p": p}
-
-    def act_topic(entry) -> dict:
-        topic = _topic_index(entry)
-        values = topic_values(topic)
-        shared = sorted(set(act.per_novel) & set(values))
-        r, p = statsmod.pearson([act.per_novel[n] for n in shared], [values[n] for n in shared])
-        return {"topic": topic, "r": r, "p": p}
-
-    def comparison(spec) -> dict:
-        if not isinstance(spec, dict):
-            raise ValueError(f"a comparison is an object, not {spec!r}")
-        values = _resolve_comparison_series(spec, act, characterization, topic_values)
-        return asdict(statsmod.group_compare(values, loaded.novels, spec["grouping"],
-                                             series_tag=analysis.get("series_tag")))
-
-    payload = {
-        "passages": asdict(corpus.passage_statistics(passages)),
-        "novels": {
-            n.id: {"title": n.title, "series_tag": n.series_tag, "gender_group": n.gender_group()}
-            for n in loaded.novels
-        },
-        "act_proportions": act_payload,
-        "position_density": asdict(density),
-        "topic_prominence": {"per_novel": prominence, "mean": mean_prominence},
-        "topic_correlations": [
-            _analysis_entry({"topics": pair}, topic_pair, pair)
-            for pair in analysis.get("topic_correlations", [])
-        ],
-        "act_share_topic_correlations": [
-            _analysis_entry({"topic": t}, act_topic, t)
-            for t in analysis.get("act_share_topic_correlations", [])
-        ],
-        "comparisons": [
-            _analysis_entry({"name": _comparison_name(spec)}, comparison, spec)
-            for spec in analysis.get("comparisons", [])
-        ],
-        "characterization": asdict(characterization),
-    }
+    payload = stats.analyze(analysis, loaded.novels, passages, annotations, prominence, model.k)
     if config.topic_labels_path is not None:
         payload["topic_labels"] = _read_topic_labels(config.topic_labels_path)
     _dump_json(config.output_dir / "stats.json", payload)
-    print(f"wrote stats for {len(loaded.novels)} novels ({act.yes_count} acts)")
+    acts = payload["act_proportions"]["yes_count"]
+    print(f"wrote stats for {len(loaded.novels)} novels ({acts} acts)")
 
 
 def cmd_report(config: RunConfig) -> None:

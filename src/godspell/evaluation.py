@@ -1,18 +1,21 @@
 """Inter-annotator agreement, gold-label resolution, and scoring.
 
 Krippendorff's alpha is computed from the coincidence matrix with the
-nominal difference function, tolerating missing labels.
+nominal difference function, tolerating missing labels. The three human
+inputs (annotation rounds, gold overrides, the spot-check) are read here,
+and `evaluate` scores the model's annotations against them into the
+metrics.json payload.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
-import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .annotate import ActAnnotation
 
 MISSING = "MISSING"
 RELIABILITY_LABELS = ("YES", "MAYBE", "NO")
@@ -263,39 +266,6 @@ def prf(matrix: Confusion) -> MetricReport:
     )
 
 
-def stratified_sample(
-    labels: dict[str, str],
-    per_class: int = 50,
-    rng_seed: int = 0,
-    strict: bool = False,
-) -> list[str]:
-    """Uniform without-replacement sample of per_class refs per label value.
-
-    Classes smaller than per_class contribute everything they have (with a
-    warning), or raise in strict mode.
-    """
-    rng = random.Random(rng_seed)
-    by_class: dict[str, list[str]] = {}
-    for ref in sorted(labels):
-        by_class.setdefault(labels[ref], []).append(ref)
-    sample: list[str] = []
-    for value in sorted(by_class):
-        refs = by_class[value]
-        if len(refs) < per_class:
-            if strict:
-                raise ValueError(
-                    f"class {value!r} has {len(refs)} items, fewer than {per_class}"
-                )
-            log.warning(
-                "class %s has only %d items (requested %d); taking all",
-                value, len(refs), per_class,
-            )
-            sample.extend(refs)
-        else:
-            sample.extend(rng.sample(refs, per_class))
-    return sample
-
-
 def spotcheck_agreement(human: dict[str, str], model: dict[str, str]) -> float:
     """Percent of exact label matches over a reviewed subset."""
     if set(human) != set(model):
@@ -305,3 +275,59 @@ def spotcheck_agreement(human: dict[str, str], model: dict[str, str]) -> float:
         raise ValueError("empty spot-check set")
     matches = sum(1 for ref in human if human[ref] == model[ref])
     return 100.0 * matches / len(human)
+
+
+def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
+    """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
+    id -> human label."""
+    human: dict[str, dict[str, str]] = {"affect": {}, "impact": {}}
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            ref = row["passage_id"].strip()
+            for facet, labels in human.items():
+                labels[ref] = row[facet].strip().upper()
+    return human
+
+
+def evaluate(
+    rounds: dict[str, ReliabilityData],
+    overrides: dict[str, tuple[str, str]],
+    annotations: Sequence["ActAnnotation"],
+    spotcheck_path: Path | None,
+) -> dict:
+    """The metrics.json payload: alpha per round, the gold set built from
+    the merged rounds and overrides, and the model scored against it. A
+    passage is predicted YES when its annotation is an act; an unresolved
+    one counts as NO and is tallied. With spotcheck_path, the percent
+    agreement on affect and impact over its passages, each of which must be
+    an act."""
+    alpha_per_round = {name: krippendorff_alpha(data) for name, data in rounds.items()}
+    gold = build_gold(merge_reliability(rounds), overrides)
+    by_ref = {a.ref: a for a in annotations}
+    missing = sorted(set(gold.labels) - set(by_ref))
+    if missing:
+        raise ValueError(f"gold passages missing from annotations: {missing}")
+    scored = [by_ref[ref] for ref in gold.labels]
+    matrix = confusion(gold, {a.ref: "YES" if a.is_act else "NO" for a in scored})
+    payload = {
+        "alpha_per_round": alpha_per_round,
+        "gold_size": len(gold.labels),
+        "gold_yes": sum(1 for v in gold.labels.values() if v == "YES"),
+        "gold_no": sum(1 for v in gold.labels.values() if v == "NO"),
+        "resolved_by_discussion": len(gold.resolved_by_discussion),
+        "confusion": asdict(matrix),
+        "metrics": asdict(prf(matrix)),
+        "unresolved_scored_as_no": sum(1 for a in scored if a.status != "ok"),
+    }
+    if spotcheck_path is not None:
+        human = read_spotcheck(spotcheck_path)
+        for ref in human["affect"]:
+            ann = by_ref.get(ref)
+            if ann is None or not ann.is_act:
+                raise ValueError(f"spot-check passage {ref} is not a resolved YES annotation")
+        payload["spotcheck"] = {
+            facet: spotcheck_agreement(
+                labels, {ref: getattr(by_ref[ref], facet) for ref in labels})
+            for facet, labels in human.items()
+        }
+    return payload

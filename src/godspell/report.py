@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .annotate import ModelConfig
@@ -27,27 +27,27 @@ class RunConfig:
     manifest: Path
     output_dir: Path
     model: ModelConfig
-    segment_size: int = 300
-    passage_cap: int = 500
-    topics_k: int = 65
-    topics_sweeps: int = 1000
-    topics_burn_in: int = 50
-    topics_optimize_interval: int = 10
-    topics_seed: int = 0
-    topics_min_count: int = 5
-    topics_downsample: bool = True
-    topics_downsample_seed: int = 0
-    stopwords_path: Path | None = None
-    topic_labels_path: Path | None = None
-    model_backend: str = "http"
-    workers: int = 4
-    cache_dir: Path | None = None
-    prompt_registry_path: Path | None = None
-    prompt_versions: dict = field(default_factory=dict)
-    annotation_rounds: list[Path] = field(default_factory=list)
-    gold_overrides_path: Path | None = None
-    spotcheck_path: Path | None = None
-    analysis_path: Path | None = None
+    segment_size: int
+    passage_cap: int
+    topics_k: int
+    topics_sweeps: int
+    topics_burn_in: int
+    topics_optimize_interval: int
+    topics_seed: int
+    topics_min_count: int
+    topics_downsample: bool
+    topics_downsample_seed: int
+    stopwords_path: Path | None
+    topic_labels_path: Path | None
+    model_backend: str
+    workers: int
+    cache_dir: Path | None
+    prompt_registry_path: Path | None
+    prompt_versions: dict
+    annotation_rounds: list[Path]
+    gold_overrides_path: Path | None
+    spotcheck_path: Path | None
+    analysis_path: Path | None
 
     def resolved_cache_dir(self) -> Path:
         return self.cache_dir if self.cache_dir is not None else self.output_dir / "cache"
@@ -142,17 +142,18 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
 
     endpoint = _typed("model.endpoint", override(
         "endpoint",
-        os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", "http://localhost:11434"),
+        os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", ModelConfig.endpoint),
     ), str)
     backend = override("backend", model.get("backend", "http"))
     if backend not in ("http", "mock"):
         raise ConfigError(f"unknown model backend {backend!r}")
 
     cache_dir = override("cache_dir", payload.get("cache_dir"))
-    temperature = _typed("model.temperature",
-                         override("temperature", model.get("temperature", 0.0)), float)
-    max_retries = _typed("model.max_retries", model.get("max_retries", 3), int)
-    timeout = _typed("model.timeout", model.get("timeout", 120.0), float)
+    temperature = _typed("model.temperature", override(
+        "temperature", model.get("temperature", ModelConfig.temperature)), float)
+    max_retries = _typed("model.max_retries",
+                         model.get("max_retries", ModelConfig.max_retries), int)
+    timeout = _typed("model.timeout", model.get("timeout", ModelConfig.timeout), float)
     try:
         model_config = ModelConfig(
             model=_typed("model.name", override("model", model.get("name", "gemma3n:e4b")), str),

@@ -1,20 +1,24 @@
-"""Statistical tests and descriptive analyses over annotations and topics.
+"""Statistical tests and descriptive analyses over annotations and topics,
+and `analyze`, which turns an analysis.json request into the stats.json
+payload.
 
 The t-distribution CDF is computed from scratch via the regularized
 incomplete beta function (continued fraction), so p-values do not depend
-on an external stats library.
+on an external stats library; the module imports the stdlib only.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
+
+from .corpus import Novel, Passage, passage_statistics
 
 if TYPE_CHECKING:
     from .annotate import ActAnnotation
-    from .corpus import Novel, Passage
 
 log = logging.getLogger(__name__)
 
@@ -137,16 +141,8 @@ class TestResult:
     flag: str | None = None
 
 
-def ttest_ind(
-    a: Sequence[float],
-    b: Sequence[float],
-    equal_variance: bool = True,
-) -> TestResult:
-    """Independent two-sample t-test, two-sided.
-
-    Pooled-variance Student t by default; Welch (with Welch-Satterthwaite
-    degrees of freedom) when equal_variance is False.
-    """
+def ttest_ind(a: Sequence[float], b: Sequence[float]) -> TestResult:
+    """Independent two-sample Student t-test with pooled variance, two-sided."""
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("each group needs at least 2 values")
@@ -154,19 +150,9 @@ def ttest_ind(
     mb = sum(b) / nb
     va = sum((v - ma) ** 2 for v in a) / (na - 1)
     vb = sum((v - mb) ** 2 for v in b) / (nb - 1)
-
-    if equal_variance:
-        df = float(na + nb - 2)
-        pooled = ((na - 1) * va + (nb - 1) * vb) / df
-        se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    else:
-        se = math.sqrt(va / na + vb / nb)
-        if se > 0:
-            df = (va / na + vb / nb) ** 2 / (
-                (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-            )
-        else:
-            df = float(na + nb - 2)
+    df = float(na + nb - 2)
+    pooled = ((na - 1) * va + (nb - 1) * vb) / df
+    se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
 
     if se == 0.0:
         if ma == mb:
@@ -340,3 +326,122 @@ def characterization_shares(annotations: Sequence["ActAnnotation"]) -> Character
             for label in IMPACT_LABELS
         },
     )
+
+
+def _topic_index(value) -> int:
+    """An analysis.json topic index: an integer, or a string of one."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"topic index {value!r} is not an integer") from None
+
+
+def _comparison_name(spec) -> str:
+    if not isinstance(spec, dict):
+        return json.dumps(spec)
+    return spec.get("name") or f"{spec.get('kind')}~{spec.get('grouping')}"
+
+
+def _analysis_entry(entry: dict, compute: Callable[..., dict], *args) -> dict:
+    """entry with the fields compute(*args) returns, or with the error it
+    raised: a bad analysis entry spoils only itself."""
+    try:
+        entry.update(compute(*args))
+    except (KeyError, ValueError) as e:
+        entry["error"] = str(e)
+    return entry
+
+
+def analyze(
+    analysis: dict,
+    novels: Sequence["Novel"],
+    passages: Sequence["Passage"],
+    annotations: Sequence["ActAnnotation"],
+    prominence: dict[str, list[float]],
+    k: int,
+) -> dict:
+    """The stats.json payload: act shares, the act position density,
+    per-novel topic prominence (novel id -> K percentages) and its mean, the
+    correlations and group comparisons that analysis (the parsed
+    analysis.json) asks for, and the characterization shares.
+
+    An analysis entry that cannot be computed (too few novels, an unknown
+    topic, an empty group, a malformed entry) carries an error and leaves
+    the others alone. Topic pairs correlate over the novels in prominence
+    order; act share against a topic over the sorted shared novel ids.
+    """
+    act = act_proportions(annotations)
+    act_payload = asdict(act)
+    if act.per_novel:
+        shares = list(act.per_novel.values())
+        act_payload["per_novel_mean"] = sum(shares) / len(shares)
+        act_payload["per_novel_min"] = min(shares)
+        act_payload["per_novel_max"] = max(shares)
+    bins = int(analysis.get("position_bins", 20))
+    density = position_density(annotations, passages, bins=bins)
+    mean_prominence = [
+        sum(p[t] for p in prominence.values()) / len(prominence) for t in range(k)
+    ] if prominence else []
+    characterization = characterization_shares(annotations)
+
+    def topic_values(topic: int) -> dict[str, float]:
+        if not 0 <= topic < k:
+            raise ValueError(f"topic index {topic} out of range for K={k}")
+        return {novel_id: p[topic] for novel_id, p in prominence.items()}
+
+    def topic_pair(pair) -> dict:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"a topic pair is a list [a, b], not {pair!r}")
+        a, b = _topic_index(pair[0]), _topic_index(pair[1])
+        r, p = pearson(list(topic_values(a).values()), list(topic_values(b).values()))
+        return {"topics": [a, b], "r": r, "p": p}
+
+    def act_topic(entry) -> dict:
+        topic = _topic_index(entry)
+        values = topic_values(topic)
+        shared = sorted(set(act.per_novel) & set(values))
+        r, p = pearson([act.per_novel[n] for n in shared], [values[n] for n in shared])
+        return {"topic": topic, "r": r, "p": p}
+
+    def comparison(spec) -> dict:
+        if not isinstance(spec, dict):
+            raise ValueError(f"a comparison is an object, not {spec!r}")
+        kind = spec.get("kind")
+        if kind == "act_share":
+            values = act.per_novel
+        elif kind == "topic_prominence":
+            values = topic_values(_topic_index(spec["topic"]))
+        elif kind == "characterization":
+            table = (
+                characterization.per_novel_affect if spec["facet"] == "affect"
+                else characterization.per_novel_impact
+            )
+            values = table[spec["label"].upper()]
+        else:
+            raise ValueError(f"unknown comparison kind {kind!r}")
+        return asdict(group_compare(values, novels, spec["grouping"],
+                                    series_tag=analysis.get("series_tag")))
+
+    return {
+        "passages": asdict(passage_statistics(passages)),
+        "novels": {
+            n.id: {"title": n.title, "series_tag": n.series_tag, "gender_group": n.gender_group()}
+            for n in novels
+        },
+        "act_proportions": act_payload,
+        "position_density": asdict(density),
+        "topic_prominence": {"per_novel": prominence, "mean": mean_prominence},
+        "topic_correlations": [
+            _analysis_entry({"topics": pair}, topic_pair, pair)
+            for pair in analysis.get("topic_correlations", [])
+        ],
+        "act_share_topic_correlations": [
+            _analysis_entry({"topic": t}, act_topic, t)
+            for t in analysis.get("act_share_topic_correlations", [])
+        ],
+        "comparisons": [
+            _analysis_entry({"name": _comparison_name(spec)}, comparison, spec)
+            for spec in analysis.get("comparisons", [])
+        ],
+        "characterization": asdict(characterization),
+    }

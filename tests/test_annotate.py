@@ -189,7 +189,9 @@ def scripted_server():
     server.script = []
     server.requests = 0
     server.lock = threading.Lock()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return at once, not after up to 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()

@@ -310,6 +310,12 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+def test_analysis_modules_import_without_numpy_and_scipy():
+    proc = python("import sys\nsys.modules['numpy'] = sys.modules['scipy'] = None\n"
+                  "import godspell.stats, godspell.evaluation\n")
+    assert proc.returncode == 0, proc.stderr
+
+
 # What each command writes; the files that tests/golden holds must match it.
 WRITES = {
     "ingest": ["corpus.json"],

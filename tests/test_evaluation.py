@@ -10,15 +10,16 @@ from godspell.evaluation import (
     build_gold,
     confusion,
     convert_maybe,
+    evaluate,
     krippendorff_alpha,
     merge_reliability,
     prf,
     read_annotation_csv,
     read_gold_overrides,
     spotcheck_agreement,
-    stratified_sample,
 )
 
+from helpers import make_annotation
 from oracles import krippendorff_brute
 
 
@@ -177,48 +178,6 @@ class TestPrf:
         assert report.yes["f1"] == report.no["f1"] == report.micro_f1 == 1.0
 
 
-class TestStratifiedSample:
-    def _labels(self, yes=60, maybe=55, no=70):
-        labels = {}
-        for i in range(yes):
-            labels[f"y{i}"] = "YES"
-        for i in range(maybe):
-            labels[f"m{i}"] = "MAYBE"
-        for i in range(no):
-            labels[f"n{i}"] = "NO"
-        return labels
-
-    def test_exact_class_size_takes_all(self):
-        labels = {f"y{i}": "YES" for i in range(50)}
-        sample = stratified_sample(labels, per_class=50, rng_seed=1)
-        assert sorted(sample) == sorted(labels)
-
-    def test_deterministic_under_seed(self):
-        labels = self._labels()
-        assert stratified_sample(labels, 50, rng_seed=9) == stratified_sample(
-            labels, 50, rng_seed=9
-        )
-
-    def test_class_counts_verified_by_recount(self):
-        labels = self._labels()
-        sample = stratified_sample(labels, 50, rng_seed=3)
-        counts = {}
-        for ref in sample:
-            counts[labels[ref]] = counts.get(labels[ref], 0) + 1
-        assert counts == {"YES": 50, "MAYBE": 50, "NO": 50}
-        assert len(set(sample)) == len(sample)
-
-    def test_short_class_warns_and_takes_all(self, caplog):
-        labels = self._labels(yes=10)
-        sample = stratified_sample(labels, 50, rng_seed=3)
-        assert sum(1 for r in sample if labels[r] == "YES") == 10
-
-    def test_strict_mode_raises(self):
-        labels = self._labels(yes=10)
-        with pytest.raises(ValueError, match="YES"):
-            stratified_sample(labels, 50, rng_seed=3, strict=True)
-
-
 class TestSpotcheck:
     def test_identical(self):
         human = {f"p{i}": "INDIVIDUAL" for i in range(10)}
@@ -281,3 +240,36 @@ class TestCsvInterfaces:
         assert set(merged.annotators) == {"r1:alice", "r1:bob", "r2:alice", "r2:cara"}
         assert merged.items == ["item0"]
         assert sorted(merged.item_labels(0)) == ["NO", "NO", "NO", "YES"]
+
+
+class TestEvaluate:
+    ROUNDS = {"r1": ReliabilityData(items=["n:0", "n:1", "n:2", "n:3"], annotators=["a", "b"],
+                                    labels=[["YES", "MAYBE"], ["YES", "YES"], ["NO", "NO"],
+                                            ["NO", MISSING]])}
+
+    def test_only_acts_are_predicted_yes(self):
+        resolved_without_label = make_annotation("n", 1)
+        resolved_without_label.final_label = None
+        annotations = [
+            make_annotation("n", 0, final="YES"),
+            resolved_without_label,
+            make_annotation("n", 2, status="unresolved"),
+            make_annotation("n", 3, final="NO"),
+        ]
+        payload = evaluate(self.ROUNDS, {}, annotations, None)
+        # the resolved passage with no label is a miss, not a true negative
+        assert payload["confusion"] == {"tp": 1, "fp": 0, "fn": 1, "tn": 2}
+        assert payload["unresolved_scored_as_no"] == 1
+        assert (payload["gold_size"], payload["gold_yes"], payload["gold_no"]) == (4, 2, 2)
+        assert "spotcheck" not in payload
+
+    def test_spotcheck_passage_must_be_an_act(self, tmp_path):
+        path = tmp_path / "spot.csv"
+        path.write_text("passage_id,affect,impact\n n:0 ,individual,Punishing\n",
+                        encoding="utf-8")
+        annotations = [make_annotation("n", i, final="YES" if i < 2 else "NO") for i in range(4)]
+        payload = evaluate(self.ROUNDS, {}, annotations, path)
+        assert payload["spotcheck"] == {"affect": 100.0, "impact": 0.0}
+        path.write_text("passage_id,affect,impact\nn:3,INDIVIDUAL,LOVING\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="n:3 is not a resolved YES"):
+            evaluate(self.ROUNDS, {}, annotations, path)
