@@ -12,15 +12,12 @@ schema-constrained JSON, parsed strictly, and cached for resume.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -365,6 +362,10 @@ Transport = Callable[[ModelConfig, str, OutputSchema], str]
 def http_transport(config: ModelConfig, prompt: str, schema: OutputSchema) -> str:
     """One completion request against an Ollama-compatible generate endpoint,
     with the output constrained to the schema."""
+    import http.client  # only the http backend pays for the HTTP stack
+    import urllib.error
+    import urllib.request
+
     url = config.endpoint.rstrip("/") + "/api/generate"
     payload = {
         "model": config.model,

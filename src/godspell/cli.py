@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import annotate, corpus, evaluation, stats
+from . import annotate, corpus
 from .report import (
     ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, write_csv,
 )
@@ -174,6 +174,8 @@ def cmd_annotate(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
+    from . import evaluation
+
     annotations = annotate.read_annotations(
         _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
     )
@@ -207,7 +209,7 @@ def _read_topic_labels(path: Path) -> dict[str, str]:
 def cmd_stats(config: RunConfig) -> None:
     """Write stats.json: stats.analyze over the run's artifacts and the
     analysis config, plus the topic labels when configured."""
-    from . import topics
+    from . import stats, topics
 
     loaded = corpus.ingest(config.manifest)
     passages = corpus.read_passages(
@@ -226,7 +228,11 @@ def cmd_stats(config: RunConfig) -> None:
     prominence = topics.prominence_from_doc_topic(
         model.doc_topic, model.doc_novels, [n.id for n in loaded.novels]
     )
-    payload = stats.analyze(analysis, loaded.novels, passages, annotations, prominence, model.k)
+    try:
+        payload = stats.analyze(analysis, loaded.novels, passages, annotations, prominence,
+                                model.k)
+    except stats.AnalysisError as e:
+        raise ConfigError(f"{config.analysis_path}: {e}") from None
     if config.topic_labels_path is not None:
         payload["topic_labels"] = _read_topic_labels(config.topic_labels_path)
     _dump_json(config.output_dir / "stats.json", payload)

@@ -328,6 +328,10 @@ def characterization_shares(annotations: Sequence["ActAnnotation"]) -> Character
     )
 
 
+class AnalysisError(ValueError):
+    """analysis.json as a whole is unusable, as opposed to one bad entry."""
+
+
 def _topic_index(value) -> int:
     """An analysis.json topic index: an integer, or a string of one."""
     try:
@@ -369,7 +373,17 @@ def analyze(
     topic, an empty group, a malformed entry) carries an error and leaves
     the others alone. Topic pairs correlate over the novels in prominence
     order; act share against a topic over the sorted shared novel ids.
+    AnalysisError naming the field when analysis is not an object, its
+    position_bins is not a positive integer, or an entry list is not a list.
     """
+    if not isinstance(analysis, dict):
+        raise AnalysisError(f"must hold a JSON object, got {type(analysis).__name__}")
+    bins = analysis.get("position_bins", 20)
+    if isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
+        raise AnalysisError(f"position_bins must be an integer >= 1, got {bins!r}")
+    for key in ("topic_correlations", "act_share_topic_correlations", "comparisons"):
+        if not isinstance(analysis.get(key, []), list):
+            raise AnalysisError(f"{key} must be a list, got {analysis[key]!r}")
     act = act_proportions(annotations)
     act_payload = asdict(act)
     if act.per_novel:
@@ -377,7 +391,6 @@ def analyze(
         act_payload["per_novel_mean"] = sum(shares) / len(shares)
         act_payload["per_novel_min"] = min(shares)
         act_payload["per_novel_max"] = max(shares)
-    bins = int(analysis.get("position_bins", 20))
     density = position_density(annotations, passages, bins=bins)
     mean_prominence = [
         sum(p[t] for p in prominence.values()) / len(prominence) for t in range(k)

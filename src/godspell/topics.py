@@ -587,8 +587,10 @@ def save_state(
     vocabulary: Vocabulary,
     doc_novels: list[str],
 ) -> None:
-    """Dump the trained model as versioned JSON."""
-    payload = {
+    """Dump the trained model as versioned JSON: the bytes of
+    ``json.dumps(payload, ensure_ascii=False)``, with the two matrices
+    spliced in from per-value tables (see _json_matrix)."""
+    head = json.dumps({
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
         "k": state.k,
@@ -596,12 +598,28 @@ def save_state(
         "beta": state.beta,
         "seed": state.rng_seed,
         "vocabulary": vocabulary.words,
-        "n_kw": state.n_kw.tolist(),
-        "doc_topic": summary.doc_topic.tolist(),
+    }, ensure_ascii=False)
+    tail = json.dumps({
         "doc_novels": doc_novels,
         "log_likelihood": summary.log_likelihoods,
-    }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    }, ensure_ascii=False)
+    lo, hi = int(state.n_kw.min(initial=0)), int(state.n_kw.max(initial=0))
+    doc_topic = np.ascontiguousarray(summary.doc_topic, dtype=np.float64)
+    bits, inverse = np.unique(doc_topic.view(np.int64), return_inverse=True)
+    n_kw_text = _json_matrix(list(range(lo, hi + 1)), state.n_kw - lo)
+    doc_topic_text = _json_matrix(bits.view(np.float64).tolist(),
+                                  inverse.reshape(doc_topic.shape))
+    Path(path).write_text(
+        f'{head[:-1]}, "n_kw": {n_kw_text}, "doc_topic": {doc_topic_text}, {tail[1:]}',
+        encoding="utf-8",
+    )
+
+
+def _json_matrix(values: list, index: np.ndarray) -> str:
+    """JSON text of the 2-D matrix ``values[index]``. json writes each
+    distinct value once; the rows are joined with json's separators."""
+    table = np.array(json.dumps(values)[1:-1].split(", "), dtype=object)
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in table[index].tolist()) + "]"
 
 
 @dataclass
@@ -619,10 +637,14 @@ class LoadedTopicModel:
 
 def load_state(path: Path | str) -> LoadedTopicModel:
     """Read a state file written by save_state; ValueError naming path if
-    it is not one, or if alpha, n_kw and doc_topic disagree with k, the
-    vocabulary and doc_novels."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != STATE_FORMAT or payload.get("version") != STATE_VERSION:
+    it is not JSON or not a state file, or if alpha, n_kw and doc_topic
+    disagree with k, the vocabulary and doc_novels."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"topic state {path} is not valid JSON: {e}") from None
+    if (not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT
+            or payload.get("version") != STATE_VERSION):
         raise ValueError(f"unrecognized topic state file: {path}")
     model = LoadedTopicModel(
         k=payload["k"],

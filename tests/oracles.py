@@ -7,19 +7,24 @@ from a generic numerical maximizer, passage packing from a separate
 reference packer written directly against the packing rule, the
 collapsed Gibbs conditional straight from its formula, the per-token
 loops that the vectorised vocabulary, downsampling and likelihood replace,
-and the cascade's structural rules checked on a finished annotation.
+the whole-payload ``json.dumps`` that the state writer's per-value tables
+replace, and the cascade's structural rules checked on a finished annotation.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import string
+from pathlib import Path
 
 import mpmath
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gammaln
+
+from godspell.topics import STATE_FORMAT, STATE_VERSION
 
 
 def t_cdf_quad(t: float, df: float, dps: int = 30) -> float:
@@ -238,6 +243,25 @@ def lda_log_likelihood_direct(
         - k * v * gammaln(beta)
     )
     return float(ll)
+
+
+def save_state_reference(path, state, summary, vocabulary, doc_novels) -> None:
+    """state.json as one json.dumps of the whole payload, every matrix cell
+    encoded on its own."""
+    payload = {
+        "format": STATE_FORMAT,
+        "version": STATE_VERSION,
+        "k": state.k,
+        "alpha": [float(a) for a in state.alpha],
+        "beta": state.beta,
+        "seed": state.rng_seed,
+        "vocabulary": vocabulary.words,
+        "n_kw": state.n_kw.tolist(),
+        "doc_topic": summary.doc_topic.tolist(),
+        "doc_novels": doc_novels,
+        "log_likelihood": summary.log_likelihoods,
+    }
+    Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
 def check_annotation_invariants(ann) -> None:

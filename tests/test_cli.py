@@ -143,21 +143,28 @@ def upstream(tmp_path_factory):
     return out
 
 
+def run_stats(tmp_path, upstream, analysis):
+    """stats over a copy of upstream with tmp_path/analysis.json holding
+    analysis; its exit code and output directory."""
+    config = json.loads((FIXTURES / "runconfig.json").read_text())
+    config["manifest"] = str(FIXTURES / config["manifest"])
+    config["topics"] = {"k": 5}
+    config["evaluation"] = {}
+    config["analysis"] = str(tmp_path / "analysis.json")
+    (tmp_path / "analysis.json").write_text(json.dumps(analysis), encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    return run("stats", "--config", str(tmp_path / "run.json"), "--output", str(out)), out
+
+
 class TestStatsTopicIndices:
     """A topic index outside [0, K) (K=5 here) makes only its own analysis
     entry an error; it neither aborts stats nor reports another topic."""
 
     def stats(self, tmp_path, upstream, analysis):
-        config = json.loads((FIXTURES / "runconfig.json").read_text())
-        config["manifest"] = str(FIXTURES / config["manifest"])
-        config["topics"] = {"k": 5}
-        config["evaluation"] = {}
-        config["analysis"] = str(tmp_path / "analysis.json")
-        (tmp_path / "analysis.json").write_text(json.dumps(analysis), encoding="utf-8")
-        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
-        out = tmp_path / "out"
-        shutil.copytree(upstream, out)
-        assert run("stats", "--config", str(tmp_path / "run.json"), "--output", str(out)) == 0
+        code, out = run_stats(tmp_path, upstream, analysis)
+        assert code == 0
         return json.loads((out / "stats.json").read_text())
 
     @pytest.mark.parametrize("bad", [-1, 5])
@@ -196,6 +203,22 @@ class TestStatsTopicIndices:
         assert bad_comparison == {"name": "5", "error": "a comparison is an object, not 5"}
         # computed: the fixture's three novels are too few for any comparison
         assert good_comparison == {"name": "ok", "error": "empty male group after gender filters"}
+
+
+@pytest.mark.parametrize("analysis, message", [
+    ([1, 2], "must hold a JSON object, got list"),
+    ({"position_bins": 0}, "position_bins must be an integer >= 1, got 0"),
+    ({"comparisons": 5}, "comparisons must be a list, got 5"),
+])
+def test_unusable_analysis_file_is_config_error(tmp_path, upstream, capsys, analysis, message):
+    """An analysis.json that stats cannot use as a whole ends it with a
+    config error naming the file and the field, and no stats.json."""
+    capsys.readouterr()
+    code, out = run_stats(tmp_path, upstream, analysis)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {tmp_path / 'analysis.json'}: {message}\n"
+    assert not (out / "stats.json").exists()
+    assert not (out / "error.json").exists()
 
 
 class TestOverrides:
@@ -339,6 +362,7 @@ WRITES = {
     ("topics-train", "scipy"),
     ("stats", "scipy"),
     ("topics-inspect", "scipy"),
+    *[(command, "http.client,urllib.request") for command in WRITES],
 ])
 def test_command_runs_without_libraries_it_does_not_use(tmp_path, command, blocked):
     """The command in an interpreter where importing a blocked library

@@ -35,6 +35,7 @@ from oracles import (
     lda_log_likelihood_direct,
     maximize_dirichlet_alpha,
     maximize_symmetric_beta,
+    save_state_reference,
     topic_conditional,
 )
 
@@ -543,8 +544,63 @@ class TestStateIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {field} has shape")):
             load_state(path)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:120], "topic state {} is not valid JSON"),
+        (lambda text: "[" + text + "]", "unrecognized topic state file: {}"),
+    ])
+    def test_unreadable_file_names_path(self, tmp_path, damage, message):
+        docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
+        vocab, _ = build_vocabulary([seg(["w0", "w1", "w2"])], set(), min_count=1)
+        state, summary = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
+                               rng_seed=0)
+        path = tmp_path / "state.json"
+        save_state(path, state, summary, vocab, ["a", "a", "b"])
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message.format(path))):
+            load_state(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('{"format": "other", "version": 9}', encoding="utf-8")
         with pytest.raises(ValueError, match="unrecognized"):
             load_state(path)
+
+
+class TestStateWriter:
+    """save_state against the whole-payload json.dumps in tests/oracles.py:
+    the same bytes."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, n_kw, doc_topic, words, novels, alpha=None):
+        k = n_kw.shape[0]
+        state = SimpleNamespace(k=k, alpha=np.full(k, 0.5) if alpha is None else alpha,
+                                beta=0.01, rng_seed=3, n_kw=n_kw)
+        summary = SimpleNamespace(log_likelihoods=[-12.5, -1e-05], doc_topic=doc_topic)
+        vocab = SimpleNamespace(words=words)
+        save_state(tmp_path / "fast.json", state, summary, vocab, novels)
+        save_state_reference(tmp_path / "ref.json", state, summary, vocab, novels)
+        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_awkward_values(self, tmp_path):
+        n_kw = np.array([[0, 257, 0, -2], [100_000, 0, 1, 256]], dtype=np.int64)
+        doc_topic = np.array([[0.25, 1e-05], [0.25, -0.0], [0.0, float("nan")],
+                              [1.0, 2.0], [1 / 3, 1e22]])
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["αβ", "naïve", "日本", "w"],
+                               ["ñ", "a", "a", "b", "b"], alpha=np.array([0.1, 1e-05]))
+
+    @pytest.mark.parametrize("k, v, d", [(1, 1, 0), (1, 1, 1), (3, 4, 5)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_json_dumps(self, tmp_path_factory, k, v, d, data):
+        counts = st.one_of(st.integers(0, 3), st.integers(-3, 1000))
+        n_kw = np.array(data.draw(st.lists(counts, min_size=k * v, max_size=k * v)),
+                        dtype=np.int64).reshape(k, v)
+        shares = st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-05, 1.0, 0.5, 1 / 3, float("nan"), 5e-324]),
+            st.floats(),
+        )
+        doc_topic = np.array(data.draw(st.lists(shares, min_size=d * k, max_size=d * k)),
+                             dtype=np.float64).reshape(d, k)
+        words = data.draw(st.lists(st.text(), min_size=v, max_size=v))
+        novels = data.draw(st.lists(st.text(max_size=3), min_size=d, max_size=d))
+        self.assert_same_bytes(tmp_path_factory.mktemp("state"), n_kw, doc_topic, words, novels)
