@@ -2,34 +2,35 @@
 ``gammaln`` and ``digamma`` for the log-likelihood and the fixed-point
 updates of the priors.
 
-``SOURCE`` holds the pure-Python reference sweep of ``topics`` written in C,
-with the same float operations in the same order: built without
-``-ffast-math`` and with ``-ffp-contract=off`` (no fused multiply-add), it
-gives bit-for-bit the same assignments, counts and RNG stream. Beside it are
-Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code behind
-``scipy.special.gammaln`` and ``digamma``, with the same constants, the same
-operation order and libm ``log``; they give scipy's floats bit for bit, so
-scipy is not needed at run time. ``gammaln`` and ``digamma`` here take
-numpy arrays or scalars and reject an argument that is not finite and
-positive with ValueError.
+``SOURCE`` holds the sweep in C, with the same float operations in the
+same order as the pure-Python ``gibbs_sweep_reference`` in
+``tests/oracles.py``: built without ``-ffast-math`` and with
+``-ffp-contract=off`` (no fused multiply-add), it gives bit-for-bit the
+same assignments, counts and RNG stream. Beside it are Cephes ``lgam`` and
+``psi`` (Moshier 1989) for x > 0, the code behind ``scipy.special.gammaln``
+and ``digamma``, with the same constants, the same operation order and libm
+``log``; they give scipy's floats bit for bit, so scipy is not needed at run
+time. Their pure-Python twins, ``gammaln_reference`` and
+``digamma_reference``, are in the oracles too. ``gammaln`` and ``digamma``
+here take numpy arrays or scalars and reject an argument that is not finite
+and positive with ValueError.
 
 It is compiled with ``cc`` on first use into ``$XDG_CACHE_HOME/godspell``
 (default ``~/.cache/godspell``), under a file name keyed by the sha256 of
 the source, the flags and the machine type, with the library's own sha256
 beside it, and loaded with ``ctypes``. A cached library whose bytes do not
 match that checksum is rebuilt, never loaded; a cache directory that
-cannot be written is replaced by a temporary one. When no library can be
-built, ``kernel`` returns None, after one WARNING, and the pure-Python
-references run instead: ``topics._gibbs_sweep_python`` for the sweep, and
-``_gammaln_python`` and ``_digamma_python`` here.
+cannot be written is replaced by a temporary one. There is no other
+sampler, so ``topics-train`` needs a C compiler: when none works,
+``kernel`` raises BuildError, which names the compiler and its message.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import logging
-import math
 import os
 import platform
 import shutil
@@ -204,91 +205,6 @@ int digamma(int64_t n, const double *x, double *out)
 """
 
 
-# The pure-Python references for SOURCE's lgam and psi, used when no library
-# builds: the same constants and float operations in the same order, and
-# math.log is libm's log, so their floats are the kernel's (and
-# scipy.special's), for finite x > 0.
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
-_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
-           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
-_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
-           -2.20528590553854454839E5, -1.13933444367982507207E6, -2.53252307177582951285E6,
-           -2.01889141433532773231E6)
-_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2, 7.57575757575757575758E-3,
-          -4.16666666666666666667E-3, 3.96825396825396825397E-3, -8.33333333333333333333E-3,
-          8.33333333333333333333E-2)
-_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
-          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
-_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
-          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
-
-
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
-    """Cephes polevl: 0.0 * x + coef[0] is coef[0] for finite x."""
-    ans = 0.0
-    for c in coef:
-        ans = ans * x + c
-    return ans
-
-
-def _gammaln_python(x: float) -> float:
-    """Cephes lgam for finite x > 0; ValueError for any other x."""
-    if not 0.0 < x < math.inf:
-        raise ValueError("gammaln takes finite positive arguments only")
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x = x + (p - 2.0)
-        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
-    if x > 2.556348e305:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
-
-
-def _digamma_python(x: float) -> float:
-    """Cephes psi for finite x > 0; ValueError for any other x."""
-    if not 0.0 < x < math.inf:
-        raise ValueError("digamma takes finite positive arguments only")
-    y = 0.0
-    if x <= 10.0 and x == math.floor(x):
-        for i in range(1, int(x)):
-            y += 1.0 / i
-        return y - 0.577215664901532860606512090082402431
-    if x < 1.0:
-        y -= 1.0 / x
-        x += 1.0
-    elif x < 10.0:
-        while x > 2.0:
-            x -= 1.0
-            y += 1.0 / x
-    if x <= 2.0:
-        g = x - 1569415565.0 / 1073741824.0
-        g -= (381566830.0 / 1073741824.0) / 1073741824.0
-        g -= 0.9016312093258695918615325266959189453125e-19
-        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
-        return y + (g * 0.99558162689208984 + g * r)
-    z = 1.0 / (x * x)
-    s = z * _polevl(z, _PSI_A) if x < 1.0e17 else 0.0
-    return y + (math.log(x) - 0.5 / x - s)
-
-
 class BuildError(RuntimeError):
     """Raised when the compiler cannot be run or rejects the source."""
 
@@ -376,45 +292,31 @@ def load(directory: Path):
     return _open(path)
 
 
-_UNSET = object()
-_kernel = _UNSET
-
-
+@functools.cache
 def kernel():
-    """The compiled library, loaded once per process; None, after one
-    WARNING, when it cannot be built or loaded."""
-    global _kernel
-    if _kernel is _UNSET:
-        try:
-            _kernel = load(cache_dir())
-            log.info("Gibbs sweep, gammaln and digamma: compiled kernel")
-        except (BuildError, OSError) as e:
-            log.warning("compiled kernel unavailable, using the pure-Python Gibbs sweep and "
-                        "gammaln/digamma: %s", e)
-            _kernel = None
-    return _kernel
+    """The compiled library, built and loaded once per process. Raises
+    BuildError when it cannot be built and OSError when it cannot be
+    loaded; a failure is not cached, so the next call tries again."""
+    lib = load(cache_dir())
+    log.info("Gibbs sweep, gammaln and digamma: compiled kernel")
+    return lib
 
 
-def _elementwise(name: str, reference, x):
+def _elementwise(name: str, x):
     """The library's function ``name`` applied to each element of x (an
-    array or a scalar), or the Python reference when there is no library:
-    a float64 array of x's shape, a numpy float for a scalar. ValueError
-    when an element is not finite and positive; the kernel checks them all
-    before it computes any.
+    array or a scalar): a float64 array of x's shape, a numpy float for a
+    scalar. ValueError when an element is not finite and positive; the
+    kernel checks them all before it computes any.
 
     The callers make many small calls per run, so the per-call cost
-    counts: each implementation checks its own arguments (two numpy
-    reductions here would cost more than the kernel call), and the values
-    are computed in place in a fresh copy of x, whose address
-    ``from_buffer`` gives at a third of the cost of ``.ctypes.data``."""
+    counts: the kernel checks the arguments (two numpy reductions here
+    would cost more than the kernel call), and the values are computed in
+    place in a fresh copy of x, whose address ``from_buffer`` gives at a
+    third of the cost of ``.ctypes.data``."""
     out = np.array(x, dtype=np.float64, order="C")
-    lib = kernel()
-    if lib is None:
-        flat = out.reshape(-1)
-        flat[:] = [reference(v) for v in flat.tolist()]
-    elif out.size:
+    if out.size:
         address = ctypes.addressof(ctypes.c_char.from_buffer(out))
-        if getattr(lib, name)(out.size, address, address):
+        if getattr(kernel(), name)(out.size, address, address):
             raise ValueError(f"{name} takes finite positive arguments only")
     return out[()]
 
@@ -422,13 +324,13 @@ def _elementwise(name: str, reference, x):
 def gammaln(x):
     """log|Gamma(x)| elementwise, bit for bit scipy.special.gammaln; every
     argument must be finite and positive (ValueError otherwise)."""
-    return _elementwise("gammaln", _gammaln_python, x)
+    return _elementwise("gammaln", x)
 
 
 def digamma(x):
     """The digamma function elementwise, bit for bit scipy.special.digamma;
     every argument must be finite and positive (ValueError otherwise)."""
-    return _elementwise("digamma", _digamma_python, x)
+    return _elementwise("digamma", x)
 
 
 def sweep(lib, state) -> None:

@@ -315,9 +315,6 @@ class PromptRegistry:
         except KeyError:
             raise KeyError(f"no template {name}@{version} in registry") from None
 
-    def __len__(self) -> int:
-        return len(self._templates)
-
 
 def load_registry(path: Path | str) -> PromptRegistry:
     """Read a JSON prompt registry file (same field layout as the built-in

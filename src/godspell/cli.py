@@ -11,7 +11,6 @@ error (with error.json in the output directory), 64 unknown subcommand.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -21,7 +20,8 @@ from typing import TYPE_CHECKING
 
 from . import annotate, corpus
 from .report import (
-    ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, write_csv,
+    ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, read_csv,
+    write_csv,
 )
 
 if TYPE_CHECKING:
@@ -149,10 +149,16 @@ def cmd_annotate(config: RunConfig) -> None:
     passages = corpus.read_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
     )
-    if config.prompt_registry_path is not None:
-        registry = annotate.load_registry(config.prompt_registry_path)
-    else:
+    path = config.prompt_registry_path
+    if path is None:
         registry = annotate.default_registry()
+    else:
+        try:
+            registry = annotate.load_registry(path)
+        except KeyError as e:
+            raise ConfigError(f"{path}: missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: {e}") from None
     try:
         annotate.resolve_templates(registry, config.prompt_versions)
     except KeyError as e:
@@ -199,11 +205,8 @@ def cmd_eval(config: RunConfig) -> None:
 
 
 def _read_topic_labels(path: Path) -> dict[str, str]:
-    labels = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            labels[row["topic_index"].strip()] = row["label"].strip()
-    return labels
+    return {row["topic_index"].strip(): row["label"].strip()
+            for row in read_csv(path, ("topic_index", "label"))}
 
 
 def cmd_stats(config: RunConfig) -> None:

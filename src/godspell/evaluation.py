@@ -9,10 +9,11 @@ metrics.json payload.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
+
+from .report import read_csv
 
 if TYPE_CHECKING:
     from .annotate import ActAnnotation
@@ -59,13 +60,11 @@ def _matrix(rows: list[tuple[str, str, str]]) -> ReliabilityData:
 def read_annotation_csv(path: Path | str) -> ReliabilityData:
     """Load a `passage_id,annotator_id,label` CSV into a label matrix."""
     rows = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            label = row["label"].strip().upper()
-            if label not in RELIABILITY_LABELS:
-                raise ValueError(f"unrecognized label {row['label']!r} in {path}")
-            rows.append((row["passage_id"].strip(), row["annotator_id"].strip(), label))
+    for row in read_csv(path, ("passage_id", "annotator_id", "label")):
+        label = row["label"].strip().upper()
+        if label not in RELIABILITY_LABELS:
+            raise ValueError(f"unrecognized label {row['label']!r} in {path}")
+        rows.append((row["passage_id"].strip(), row["annotator_id"].strip(), label))
     return _matrix(rows)
 
 
@@ -138,14 +137,13 @@ class GoldSet:
 
 def read_gold_overrides(path: Path | str) -> dict[str, tuple[str, str]]:
     """Load a `passage_id,label,resolution_note` override CSV."""
-    overrides = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            overrides[row["passage_id"].strip()] = (
-                row["label"].strip().upper(),
-                (row.get("resolution_note") or "").strip(),
-            )
-    return overrides
+    return {
+        row["passage_id"].strip(): (
+            row["label"].strip().upper(),
+            (row.get("resolution_note") or "").strip(),
+        )
+        for row in read_csv(path, ("passage_id", "label"))
+    }
 
 
 def build_gold(
@@ -281,11 +279,10 @@ def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
     id -> human label."""
     human: dict[str, dict[str, str]] = {"affect": {}, "impact": {}}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            ref = row["passage_id"].strip()
-            for facet, labels in human.items():
-                labels[ref] = row[facet].strip().upper()
+    for row in read_csv(path, ("passage_id", *human)):
+        ref = row["passage_id"].strip()
+        for facet, labels in human.items():
+            labels[ref] = row[facet].strip().upper()
     return human
 
 

@@ -213,6 +213,17 @@ def fmt(value) -> str:
     return str(value)
 
 
+def read_csv(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header line, as dicts; ConfigError
+    naming the file when the header lacks one of columns."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: missing column {', '.join(map(repr, missing))}")
+        return list(reader)
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

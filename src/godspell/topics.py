@@ -3,10 +3,9 @@ trained by collapsed Gibbs sampling with Dirichlet hyperparameter
 optimization (asymmetric document-topic prior, symmetric topic-word prior).
 
 Every layer works on flat numpy arrays and is bitwise-identical to a
-per-token pure-Python reference (``_gibbs_sweep_python`` for the sweep, the
-loops in ``tests/oracles.py`` for the rest): the same vocabulary and ids,
-the same kept tokens, topics and counts, the same RNG stream and so the same
-log-likelihood floats and ``state.json``.
+per-token pure-Python reference in ``tests/oracles.py``: the same
+vocabulary and ids, the same kept tokens, topics and counts, the same RNG
+stream and so the same log-likelihood floats and ``state.json``.
 
 Random draws go through one bridge, ``_mt19937``: it loads a
 ``random.Random``'s Mersenne Twister state into ``np.random.MT19937``, which
@@ -18,8 +17,8 @@ with ``a = w1 >> 5``, ``b = w2 >> 6``) and ``_randbelow`` rebuilds
 per-draw calls. A bound of more than 32 bits, for which ``randrange`` takes
 several words per try, raises ValueError instead.
 
-``gibbs_sweep`` runs a small C kernel (``_sweep``) when one can be built.
-It is bitwise-identical to the pure-Python reference ``_gibbs_sweep_python``,
+``gibbs_sweep`` runs a small C kernel (``_sweep``), the only sampler. It is
+bitwise-identical to the oracles' pure-Python ``gibbs_sweep_reference``,
 because it takes one ``rng.random()`` per token in token order and does the
 same float operations in the same order (built with ``-O2
 -ffp-contract=off``, never ``-ffast-math``). The same kernel holds the
@@ -27,9 +26,10 @@ same float operations in the same order (built with ``-O2
 ``optimize_beta``: Cephes ``lgam`` and ``psi``, the code behind
 ``scipy.special``, with scipy's floats bit for bit, so scipy is not a
 runtime dependency. It is compiled on first use into
-``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``); when no C
-compiler works, the pure-Python references run instead, after one WARNING:
-``_gibbs_sweep_python`` here, and ``_sweep``'s own for the two functions.
+``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``), so
+``topics-train`` needs a C compiler: without one, the first sweep raises
+``_sweep.BuildError``. Reading a saved state (``load_state``, and so
+``topics-inspect`` and ``stats``) needs no compiler.
 """
 
 from __future__ import annotations
@@ -317,59 +317,15 @@ def init_state(
 def gibbs_sweep(state: TopicState, docs: list[list[int]]) -> TopicState:
     """One full collapsed-Gibbs pass over every token, in document order.
 
-    docs must be the documents the state was initialised from; both
-    samplers read the state's flat copy of them. The state is validated
-    first, so a corrupted count never reaches the compiled kernel."""
+    docs must be the documents the state was initialised from; the
+    kernel reads the state's flat copy of them. The state is validated
+    first, so a corrupted count never reaches the compiled kernel. Raises
+    BuildError when the kernel cannot be built (no C compiler)."""
     from . import _sweep
 
     state.validate(docs)
-    kernel = _sweep.kernel()
-    if kernel is None:
-        _gibbs_sweep_python(state)
-    else:
-        _sweep.sweep(kernel, state)
+    _sweep.sweep(_sweep.kernel(), state)
     return state
-
-
-def _gibbs_sweep_python(state: TopicState) -> None:
-    """The reference sweep; the compiled kernel matches it bit for bit."""
-    k_topics = state.k
-    vbeta = state.vocabulary_size * state.beta
-    beta = state.beta
-    alpha = state.alpha.tolist()
-    n_dk = state.n_dk.tolist()
-    n_kw = state.n_kw.tolist()
-    n_k = state.n_k.tolist()
-    offsets = state.offsets.tolist()
-    words = state.words.tolist()
-    z = state.z.tolist()
-    rand = state.rng.random
-    cum = [0.0] * k_topics
-
-    for d, row in enumerate(n_dk):
-        for i in range(offsets[d], offsets[d + 1]):
-            w = words[i]
-            old = z[i]
-            row[old] -= 1
-            n_kw[old][w] -= 1
-            n_k[old] -= 1
-            total = 0.0
-            for k in range(k_topics):
-                total += (row[k] + alpha[k]) * (n_kw[k][w] + beta) / (n_k[k] + vbeta)
-                cum[k] = total
-            u = rand() * total
-            new = 0
-            while cum[new] < u:
-                new += 1
-            z[i] = new
-            row[new] += 1
-            n_kw[new][w] += 1
-            n_k[new] += 1
-
-    state.z[:] = z
-    state.n_dk[:] = n_dk
-    state.n_kw[:] = n_kw
-    state.n_k[:] = n_k
 
 
 def log_likelihood(state: TopicState) -> float:

@@ -6,6 +6,8 @@ from a literal coincidence-matrix enumeration, the Dirichlet fixed points
 from a generic numerical maximizer, passage packing from a separate
 reference packer written directly against the packing rule, the
 collapsed Gibbs conditional straight from its formula, the per-token
+collapsed-Gibbs sweep and the Cephes ``lgam``/``psi`` in pure Python that
+the compiled kernel (``godspell._sweep``) matches bit for bit, the per-token
 loops that the vectorised vocabulary, downsampling and likelihood replace,
 the whole-payload ``json.dumps`` that the state writer's per-value tables
 replace, and the cascade's structural rules checked on a finished annotation.
@@ -163,6 +165,145 @@ def topic_conditional(
     ]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def gibbs_sweep_reference(state) -> None:
+    """One collapsed-Gibbs sweep over a ``topics.TopicState`` one token at a
+    time, counts updated in place: the loop the compiled kernel matches bit
+    for bit, with one state.rng.random() per token in token order."""
+    k_topics = state.k
+    vbeta = state.vocabulary_size * state.beta
+    beta = state.beta
+    alpha = state.alpha.tolist()
+    n_dk = state.n_dk.tolist()
+    n_kw = state.n_kw.tolist()
+    n_k = state.n_k.tolist()
+    offsets = state.offsets.tolist()
+    words = state.words.tolist()
+    z = state.z.tolist()
+    rand = state.rng.random
+    cum = [0.0] * k_topics
+
+    for d, row in enumerate(n_dk):
+        for i in range(offsets[d], offsets[d + 1]):
+            w = words[i]
+            old = z[i]
+            row[old] -= 1
+            n_kw[old][w] -= 1
+            n_k[old] -= 1
+            total = 0.0
+            for k in range(k_topics):
+                total += (row[k] + alpha[k]) * (n_kw[k][w] + beta) / (n_k[k] + vbeta)
+                cum[k] = total
+            u = rand() * total
+            new = 0
+            while cum[new] < u:
+                new += 1
+            z[i] = new
+            row[new] += 1
+            n_kw[new][w] += 1
+            n_k[new] += 1
+
+    state.z[:] = z
+    state.n_dk[:] = n_dk
+    state.n_kw[:] = n_kw
+    state.n_k[:] = n_k
+
+
+# Cephes lgam and psi as ``_sweep.SOURCE`` has them: the same constants and
+# float operations in the same order, and math.log is libm's log, so their
+# floats are the kernel's (and scipy.special's) for finite x > 0.
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4,
+           -2.20528590553854454839E5, -1.13933444367982507207E6, -2.53252307177582951285E6,
+           -2.01889141433532773231E6)
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2, 7.57575757575757575758E-3,
+          -4.16666666666666666667E-3, 3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Cephes polevl: 0.0 * x + coef[0] is coef[0] for finite x."""
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def gammaln_reference(x: float) -> float:
+    """Cephes lgam for finite x > 0; ValueError for any other x."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("gammaln takes finite positive arguments only")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def digamma_reference(x: float) -> float:
+    """Cephes psi for finite x > 0; ValueError for any other x."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("digamma takes finite positive arguments only")
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - 0.577215664901532860606512090082402431
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if x <= 2.0:
+        g = x - 1569415565.0 / 1073741824.0
+        g -= (381566830.0 / 1073741824.0) / 1073741824.0
+        g -= 0.9016312093258695918615325266959189453125e-19
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * 0.99558162689208984 + g * r)
+    z = 1.0 / (x * x)
+    s = z * _polevl(z, _PSI_A) if x < 1.0e17 else 0.0
+    return y + (math.log(x) - 0.5 / x - s)
+
+
+def elementwise(reference):
+    """reference (one of the two above) over an array or a scalar the way
+    ``_sweep.gammaln``/``digamma`` take them: a float64 array of x's shape,
+    a numpy float for a scalar."""
+    def apply(x):
+        out = np.array(x, dtype=np.float64, order="C")
+        flat = out.reshape(-1)
+        flat[:] = [reference(v) for v in flat.tolist()]
+        return out[()]
+    return apply
 
 
 EDGE_CHARS = string.punctuation + "“”‘’—–…«»"

@@ -221,6 +221,45 @@ def test_unusable_analysis_file_is_config_error(tmp_path, upstream, capsys, anal
     assert not (out / "error.json").exists()
 
 
+def absolute_config():
+    """runconfig.json with every file it names given as an absolute path."""
+    config = json.loads((FIXTURES / "runconfig.json").read_text())
+    for section, key in ((config, "manifest"), (config, "analysis"),
+                         (config["topics"], "stopwords"), (config["topics"], "labels"),
+                         (config["evaluation"], "gold_overrides"),
+                         (config["evaluation"], "spotcheck")):
+        section[key] = str(FIXTURES / section[key])
+    config["evaluation"]["rounds"] = [str(FIXTURES / p) for p in config["evaluation"]["rounds"]]
+    return config
+
+
+@pytest.mark.parametrize("command, section, key, header, missing, written", [
+    ("stats", "topics", "labels", "idx,label", "topic_index", "stats.json"),
+    ("eval", "evaluation", "rounds", "passage_id,annotator_id,verdict", "label",
+     "metrics.json"),
+    ("eval", "evaluation", "gold_overrides", "passage_id,resolution_note", "label",
+     "metrics.json"),
+    ("eval", "evaluation", "spotcheck", "passage_id,affect", "impact", "metrics.json"),
+], ids=["topic labels", "round", "gold overrides", "spotcheck"])
+def test_csv_without_a_required_column_is_config_error(tmp_path, upstream, capsys, command,
+                                                       section, key, header, missing,
+                                                       written):
+    """A config-named CSV whose header lacks a column its reader needs ends
+    the command with a config error naming the file and the column."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header + "\nhearth-a:0,YES,NO\n", encoding="utf-8")
+    config = absolute_config()
+    config[section][key] = [str(bad)] if key == "rounds" else str(bad)
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    capsys.readouterr()
+    assert run(command, "--config", str(tmp_path / "run.json"), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"config error: {bad}: missing column {missing!r}\n"
+    assert not (out / written).exists()
+    assert not (out / "error.json").exists()
+
+
 class TestOverrides:
     @pytest.mark.parametrize("flag", ["--k", "--sweeps", "--workers"])
     def test_zero_override_rejected(self, tmp_path, capsys, flag):
@@ -264,18 +303,15 @@ class TestOverrides:
 
 
 class TestPromptVersions:
-    @pytest.mark.parametrize("versions, message", [
-        ({"affect": "v9"}, "no template affect@v9 in registry"),
-        ({"stage_1": "v1"}, "prompt versions name unknown stages ['stage_1']"),
-    ])
-    def test_unknown_version_is_config_error(self, tmp_path, capsys, monkeypatch,
-                                             versions, message):
+    def annotate(self, tmp_path, monkeypatch, capsys, prompts):
+        """segment, then annotate with the given prompts config; annotate's
+        exit code, its stderr, the model calls made and the output dir."""
         config = json.loads((FIXTURES / "runconfig.json").read_text())
         config["manifest"] = str(FIXTURES / config["manifest"])
         config["topics"] = {}
         config["evaluation"] = {}
         del config["analysis"]
-        config["prompts"] = {"versions": versions}
+        config["prompts"] = prompts
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         out = tmp_path / "out"
@@ -289,11 +325,39 @@ class TestPromptVersions:
 
         monkeypatch.setattr(annotate, "MockModel", CountedModel)
         capsys.readouterr()
-        assert run("annotate", "--config", str(path), "--output", str(out)) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert sum(sum(m.calls.values()) for m in models) == 0
+        code = run("annotate", "--config", str(path), "--output", str(out))
+        return code, capsys.readouterr().err, sum(sum(m.calls.values()) for m in models), out
+
+    def assert_config_error(self, result, message):
+        code, err, calls, out = result
+        assert code == 1
+        assert err == f"config error: {message}\n"
+        assert calls == 0
         assert not (out / "annotations.jsonl").exists()
         assert not (out / "error.json").exists()
+
+    @pytest.mark.parametrize("versions, message", [
+        ({"affect": "v9"}, "no template affect@v9 in registry"),
+        ({"stage_1": "v1"}, "prompt versions name unknown stages ['stage_1']"),
+    ])
+    def test_unknown_version_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                             versions, message):
+        result = self.annotate(tmp_path, monkeypatch, capsys, {"versions": versions})
+        self.assert_config_error(result, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"nottemplates": []}', "missing key 'templates'"),
+        ('{"templates": [{"name": "affect", "version": "v2", "body": "[INSERT TEXT HERE]"}]}',
+         "missing key 'fields'"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["no templates", "no fields", "not json"])
+    def test_malformed_registry_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                text, message):
+        """A prompt registry annotate cannot read ends it with a config error
+        naming the file and the key, before any model call."""
+        (tmp_path / "reg.json").write_text(text, encoding="utf-8")
+        result = self.annotate(tmp_path, monkeypatch, capsys, {"registry": "reg.json"})
+        self.assert_config_error(result, f"{tmp_path / 'reg.json'}: {message}")
 
 
 class TestErrorFile:

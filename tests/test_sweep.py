@@ -1,7 +1,8 @@
 """The compiled Gibbs sweep against the pure-Python reference, the compiled
-gammaln and digamma against scipy.special and their references, the
-fallback, and the build cache."""
+gammaln and digamma against scipy.special and their references, the error
+without a compiler, and the build cache."""
 
+import json
 import logging
 import math
 import random
@@ -15,6 +16,7 @@ import scipy.special
 from godspell import _sweep, topics
 from godspell.cli import main
 from godspell.topics import gibbs_sweep, init_state, log_likelihood, optimize_alpha, optimize_beta
+from oracles import digamma_reference, elementwise, gammaln_reference, gibbs_sweep_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -22,11 +24,27 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture(scope="module")
 def compiled():
-    if shutil.which(_sweep.COMPILER) is None:
-        pytest.skip(f"no C compiler ({_sweep.COMPILER})")
-    lib = _sweep.kernel()
-    assert lib is not None, "a compiler is present but the kernel did not build"
-    return lib
+    """The kernel topics-train runs; without a C compiler this is an error,
+    not a skip, as it is for topics-train."""
+    return _sweep.kernel()
+
+
+@pytest.fixture
+def fresh_kernel():
+    """kernel() with its per-process cache cleared before and after the
+    test, so neither a library loaded earlier nor one the test loads
+    leaks across tests."""
+    _sweep.kernel.cache_clear()
+    yield
+    _sweep.kernel.cache_clear()
+
+
+@pytest.fixture
+def oracle_sweep(monkeypatch):
+    """topics' sweep, gammaln and digamma routed to the pure-Python oracles."""
+    monkeypatch.setattr(_sweep, "sweep", lambda lib, state: gibbs_sweep_reference(state))
+    monkeypatch.setattr(_sweep, "gammaln", elementwise(gammaln_reference))
+    monkeypatch.setattr(_sweep, "digamma", elementwise(digamma_reference))
 
 
 def corpus(rng, n_docs, vocabulary_size):
@@ -55,7 +73,7 @@ def test_kernel_matches_reference(compiled, k):
     ref = init_state(docs, k, 50, rng_seed=k)
     for sweep in range(1, 7):
         gibbs_sweep(fast, docs)
-        topics._gibbs_sweep_python(ref)
+        gibbs_sweep_reference(ref)
         assert log_likelihood(fast) == log_likelihood(ref)
         if sweep % 2 == 0:
             optimize_alpha(fast)
@@ -66,45 +84,59 @@ def test_kernel_matches_reference(compiled, k):
     fast.validate(docs)
 
 
-def test_train_samples_with_the_kernel(compiled, monkeypatch):
+def test_train_samples_with_the_kernel(compiled, request):
     rng = random.Random(4)
     docs = corpus(rng, 40, 30)
     fast, fast_summary = topics.train(docs, 30, k=3, sweeps=12, burn_in=2,
                                       optimize_interval=3, rng_seed=1)
-    monkeypatch.setattr(_sweep, "_kernel", None)
+    request.getfixturevalue("oracle_sweep")
     ref, ref_summary = topics.train(docs, 30, k=3, sweeps=12, burn_in=2,
                                     optimize_interval=3, rng_seed=1)
     assert fast_summary.log_likelihoods == ref_summary.log_likelihoods
     assert_same(fast, ref)
 
 
-def test_build_failure_falls_back_with_one_warning(monkeypatch, tmp_path, caplog):
-    monkeypatch.setattr(_sweep, "_kernel", _sweep._UNSET)
-    monkeypatch.setattr(_sweep, "COMPILER", "godspell-no-such-compiler")
-    monkeypatch.setattr(_sweep, "cache_dir", lambda: tmp_path)
+NO_COMPILER = "godspell-no-such-compiler"
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path, fresh_kernel):
+    monkeypatch.setattr(_sweep, "COMPILER", NO_COMPILER)
+    monkeypatch.setattr(_sweep, "cache_dir", lambda: tmp_path / "cache")
+
+
+def test_build_failure_is_an_error(no_compiler, monkeypatch, tmp_path):
     rng = random.Random(9)
     docs = corpus(rng, 20, 12)
     state = init_state(docs, 4, 12, rng_seed=2)
-    ref = init_state(docs, 4, 12, rng_seed=2)
-    with caplog.at_level(logging.WARNING, logger="godspell._sweep"):
-        for _ in range(3):
+    for _ in range(2):  # a failure is not cached: each call tries to build
+        with pytest.raises(_sweep.BuildError, match=NO_COMPILER):
             gibbs_sweep(state, docs)
-            topics._gibbs_sweep_python(ref)
-        log_likelihood(state)
-        optimize_alpha(state)
-    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1
-    assert "godspell-no-such-compiler" in warnings[0].getMessage()
-    assert "gammaln/digamma" in warnings[0].getMessage()
-    topics.log_likelihood(ref)
-    topics.optimize_alpha(ref)
-    assert_same(state, ref)
+
+    config = str(FIXTURES / "runconfig.json")
+    out = tmp_path / "train"
+    assert main(["topics-train", "--config", config, "--output", str(out)]) == 2
+    error = json.loads((out / "error.json").read_text(encoding="utf-8"))
+    assert error["subcommand"] == "topics-train"
+    assert error["error_kind"] == "BuildError"
+    assert NO_COMPILER in error["message"]
+    assert not (out / "topics" / "state.json").exists()
+
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    for command in ("topics-inspect", "stats"):
+        assert main([command, "--config", config, "--output", str(golden)]) == 0
+        assert not (golden / "error.json").exists()
+    assert (golden / "topics" / "top_words.csv").is_file()
+    assert (golden / "stats.json").read_bytes() == (GOLDEN / "stats.json").read_bytes()
+
+    monkeypatch.undo()  # the compiler back: the next call loads the kernel
+    assert_works(_sweep.kernel())
 
 
-def test_reference_topics_train_writes_the_golden_state(monkeypatch, tmp_path):
-    """With no kernel, the pure-Python sweep, gammaln and digamma train the
-    golden state.json byte for byte."""
-    monkeypatch.setattr(_sweep, "_kernel", None)
+def test_reference_topics_train_writes_the_golden_state(oracle_sweep, tmp_path):
+    """The pure-Python sweep, gammaln and digamma train the golden
+    state.json byte for byte."""
     config = str(FIXTURES / "runconfig.json")
     assert main(["topics-train", "--config", config, "--output", str(tmp_path)]) == 0
     assert ((tmp_path / "topics" / "state.json").read_bytes()
@@ -128,8 +160,8 @@ def domain_parts():
     yield np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, np.inf)])
 
 
-FUNCTIONS = [("gammaln", scipy.special.gammaln, _sweep._gammaln_python),
-             ("digamma", scipy.special.digamma, _sweep._digamma_python)]
+FUNCTIONS = [("gammaln", scipy.special.gammaln, gammaln_reference),
+             ("digamma", scipy.special.digamma, digamma_reference)]
 
 
 @pytest.mark.parametrize("name, oracle, _", FUNCTIONS)
@@ -141,14 +173,12 @@ def test_kernel_functions_equal_scipy_bitwise(compiled, name, oracle, _):
 
 
 @pytest.mark.parametrize("name, _, reference", FUNCTIONS)
-def test_references_equal_the_kernel(compiled, monkeypatch, name, _, reference):
+def test_references_equal_the_kernel(compiled, name, _, reference):
     rng = np.random.default_rng(1)
     x = np.concatenate([rng.choice(part, 2_000) for part in domain_parts()])
     got = getattr(_sweep, name)(x)
     assert np.array_equal(np.array([reference(v) for v in x.tolist()]).view(np.int64),
                           got.view(np.int64))
-    monkeypatch.setattr(_sweep, "_kernel", None)
-    assert np.array_equal(getattr(_sweep, name)(x).view(np.int64), got.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["gammaln", "digamma"])
@@ -165,12 +195,13 @@ def test_shapes_and_scalars(compiled, name):
 @pytest.mark.parametrize("kernel", ["compiled", "reference"])
 @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -2.5, math.nan, math.inf, -math.inf,
                                  [1.0, 0.0], [[2.0], [math.nan]]])
-def test_non_finite_or_non_positive_argument_rejected(request, monkeypatch, kernel, bad):
+def test_non_finite_or_non_positive_argument_rejected(request, kernel, bad):
     if kernel == "compiled":
         request.getfixturevalue("compiled")
+        functions = (_sweep.gammaln, _sweep.digamma)
     else:
-        monkeypatch.setattr(_sweep, "_kernel", None)
-    for fn in (_sweep.gammaln, _sweep.digamma):
+        functions = (elementwise(gammaln_reference), elementwise(digamma_reference))
+    for fn in functions:
         with pytest.raises(ValueError, match="finite positive"):
             fn(bad)
 
@@ -184,7 +215,7 @@ def assert_works(lib):
     docs, state = small_state()
     _, ref = small_state()
     _sweep.sweep(lib, state)
-    topics._gibbs_sweep_python(ref)
+    gibbs_sweep_reference(ref)
     assert_same(state, ref)
     x = np.array([0.25, 3.7, 1e4])
     out = np.empty_like(x)
@@ -224,8 +255,7 @@ def test_unwritable_cache_still_compiles(compiled, tmp_path, caplog):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
-def test_kernel_is_cached_under_xdg_cache_home(compiled, monkeypatch, tmp_path):
-    monkeypatch.setattr(_sweep, "_kernel", _sweep._UNSET)
+def test_kernel_is_cached_under_xdg_cache_home(compiled, fresh_kernel, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert_works(_sweep.kernel())
     name = _sweep.library_name()
