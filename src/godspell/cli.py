@@ -195,7 +195,12 @@ def cmd_eval(config: RunConfig) -> None:
         if config.gold_overrides_path is not None
         else {}
     )
-    payload = evaluation.evaluate(rounds, overrides, annotations, config.spotcheck_path)
+    spotcheck = (
+        evaluation.read_spotcheck(config.spotcheck_path)
+        if config.spotcheck_path is not None
+        else None
+    )
+    payload = evaluation.evaluate(rounds, overrides, annotations, spotcheck)
     _dump_json(config.output_dir / "metrics.json", payload)
     metrics = payload["metrics"]
     print(

@@ -1,98 +1,70 @@
 """Inter-annotator agreement, gold-label resolution, and scoring.
 
+Human judgments have one shape, `Judgments`: passage id -> coder -> label.
+A coder who did not judge a passage is absent from its mapping.
 Krippendorff's alpha is computed from the coincidence matrix with the
-nominal difference function, tolerating missing labels. The three human
-inputs (annotation rounds, gold overrides, the spot-check) are read here,
-and `evaluate` scores the model's annotations against them into the
-metrics.json payload.
+nominal difference function, which needs only each passage's labels. The
+three human inputs (annotation rounds, gold overrides, the spot-check) are
+read here, and `evaluate` scores the model's annotations against them into
+the metrics.json payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .report import read_csv
 
 if TYPE_CHECKING:
     from .annotate import ActAnnotation
 
-MISSING = "MISSING"
 RELIABILITY_LABELS = ("YES", "MAYBE", "NO")
+Judgments = dict[str, dict[str, str]]
 
 
-@dataclass
-class ReliabilityData:
-    """Items x annotators label matrix; MISSING marks absent judgments."""
-
-    items: list[str]
-    annotators: list[str]
-    labels: list[list[str]]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.items):
-            raise ValueError("label matrix rows must match item count")
-        for row in self.labels:
-            if len(row) != len(self.annotators):
-                raise ValueError("label matrix columns must match annotator count")
-        for item, row in zip(self.items, self.labels):
-            if all(v == MISSING for v in row):
-                raise ValueError(f"item {item!r} has no labels")
-
-    def item_labels(self, i: int) -> list[str]:
-        return [v for v in self.labels[i] if v != MISSING]
-
-
-def _matrix(rows: list[tuple[str, str, str]]) -> ReliabilityData:
-    """Label matrix from (item, annotator, label) triples; items and
-    annotators in sorted order."""
-    items = sorted({r[0] for r in rows})
-    annotators = sorted({r[1] for r in rows})
-    index = {it: i for i, it in enumerate(items)}
-    col = {a: j for j, a in enumerate(annotators)}
-    matrix = [[MISSING] * len(annotators) for _ in items]
-    for item, annotator, label in rows:
-        matrix[index[item]][col[annotator]] = label
-    return ReliabilityData(items=items, annotators=annotators, labels=matrix)
-
-
-def read_annotation_csv(path: Path | str) -> ReliabilityData:
-    """Load a `passage_id,annotator_id,label` CSV into a label matrix."""
-    rows = []
+def read_annotation_csv(path: Path | str) -> Judgments:
+    """Load a `passage_id,annotator_id,label` CSV; a passage judged twice
+    by one annotator is an error."""
+    judgments: Judgments = {}
     for row in read_csv(path, ("passage_id", "annotator_id", "label")):
         label = row["label"].strip().upper()
         if label not in RELIABILITY_LABELS:
             raise ValueError(f"unrecognized label {row['label']!r} in {path}")
-        rows.append((row["passage_id"].strip(), row["annotator_id"].strip(), label))
-    return _matrix(rows)
+        ref, annotator = row["passage_id"].strip(), row["annotator_id"].strip()
+        coders = judgments.setdefault(ref, {})
+        if annotator in coders:
+            raise ValueError(f"passage {ref!r} judged twice by {annotator!r} in {path}")
+        coders[annotator] = label
+    return judgments
 
 
-def merge_reliability(rounds: dict[str, ReliabilityData]) -> ReliabilityData:
-    """Combine annotation rounds into one matrix; annotator columns are
-    namespaced by round so the same person in two rounds stays distinct."""
-    rows = []
-    for name, data in rounds.items():
-        for i, item in enumerate(data.items):
-            for j, annotator in enumerate(data.annotators):
-                label = data.labels[i][j]
-                if label != MISSING:
-                    rows.append((item, f"{name}:{annotator}", label))
-    if not rows:
+def merge_reliability(rounds: dict[str, Judgments]) -> Judgments:
+    """Combine annotation rounds into one mapping; coders are namespaced by
+    round (`round:annotator`) so the same person in two rounds stays
+    distinct."""
+    merged: Judgments = {}
+    for name, judgments in rounds.items():
+        for ref, coders in judgments.items():
+            merged.setdefault(ref, {}).update(
+                (f"{name}:{coder}", label) for coder, label in coders.items())
+    if not merged:
         raise ValueError("no labels in any round")
-    return _matrix(rows)
+    return merged
 
 
-def krippendorff_alpha(data: ReliabilityData) -> float:
+def krippendorff_alpha(judgments: Judgments) -> float:
     """Nominal-metric Krippendorff's alpha over the coincidence matrix.
 
-    Each item with m >= 2 labels contributes its ordered label pairs with
-    weight 1/(m-1); items with a single label are ignored.
+    Each passage with m >= 2 labels contributes its ordered label pairs
+    with weight 1/(m-1); passages with a single label are ignored. Passages
+    are visited in sorted order, which fixes the order of the float sums.
     """
-    values = sorted({v for row in data.labels for v in row if v != MISSING})
+    values = sorted({v for coders in judgments.values() for v in coders.values()})
     coincidence = {a: {b: 0.0 for b in values} for a in values}
-    for i in range(len(data.items)):
-        labels = data.item_labels(i)
+    for ref in sorted(judgments):
+        labels = list(judgments[ref].values())
         m = len(labels)
         if m < 2:
             continue
@@ -116,68 +88,47 @@ def krippendorff_alpha(data: ReliabilityData) -> float:
     return 1.0 - observed / expected
 
 
-def convert_maybe(labels: list[str]) -> list[str]:
+def convert_maybe(labels: Iterable[str]) -> list[str]:
     """Collapse the three-way scheme to binary: MAYBE becomes YES."""
     return ["YES" if v == "MAYBE" else v for v in labels]
 
 
-@dataclass
-class GoldSet:
-    """Resolved binary labels per passage, with resolution provenance."""
-
-    labels: dict[str, str]
-    resolved_by_discussion: set[str] = field(default_factory=set)
-    notes: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for ref, label in self.labels.items():
-            if label not in ("YES", "NO"):
-                raise ValueError(f"gold label for {ref!r} must be YES or NO, got {label!r}")
-
-
-def read_gold_overrides(path: Path | str) -> dict[str, tuple[str, str]]:
-    """Load a `passage_id,label,resolution_note` override CSV."""
-    return {
-        row["passage_id"].strip(): (
-            row["label"].strip().upper(),
-            (row.get("resolution_note") or "").strip(),
-        )
-        for row in read_csv(path, ("passage_id", "label"))
-    }
+def read_gold_overrides(path: Path | str) -> dict[str, str]:
+    """Load a `passage_id,label` override CSV (other columns, such as a
+    resolution note, are ignored): passage id -> YES or NO."""
+    overrides: dict[str, str] = {}
+    for row in read_csv(path, ("passage_id", "label")):
+        ref, label = row["passage_id"].strip(), row["label"].strip().upper()
+        if label not in ("YES", "NO"):
+            raise ValueError(
+                f"gold label for {ref!r} must be YES or NO, got {row['label']!r} in {path}")
+        if ref in overrides:
+            raise ValueError(f"passage {ref!r} overridden twice in {path}")
+        overrides[ref] = label
+    return overrides
 
 
-def build_gold(
-    data: ReliabilityData,
-    overrides: dict[str, tuple[str, str]] | None = None,
-) -> GoldSet:
-    """Resolve annotator labels to a binary gold set.
+def build_gold(judgments: Judgments, overrides: dict[str, str] | None = None) -> dict[str, str]:
+    """Resolve annotator labels to a binary gold set: passage id -> YES or NO.
 
-    Labels are binarized (MAYBE -> YES) first. Unanimous items resolve
-    directly; disagreements require an override row. Overrides always win.
+    Labels are binarized (MAYBE -> YES) first. Unanimous passages resolve
+    directly; disagreements require an override. Overrides always win.
     """
     overrides = overrides or {}
-    labels: dict[str, str] = {}
-    resolved = set()
-    notes = {}
+    gold: dict[str, str] = {}
     unresolved = []
-    for i, item in enumerate(data.items):
-        if item in overrides:
-            label, note = overrides[item]
-            labels[item] = label
-            resolved.add(item)
-            if note:
-                notes[item] = note
-            continue
-        binary = set(convert_maybe(data.item_labels(i)))
+    for ref in sorted(judgments):
+        labels = [overrides[ref]] if ref in overrides else judgments[ref].values()
+        binary = set(convert_maybe(labels))
         if len(binary) == 1:
-            labels[item] = binary.pop()
+            gold[ref] = binary.pop()
         else:
-            unresolved.append(item)
+            unresolved.append(ref)
     if unresolved:
         raise ValueError(
             "unresolved annotator disagreement (no override) for: " + ", ".join(unresolved)
         )
-    return GoldSet(labels=labels, resolved_by_discussion=resolved, notes=notes)
+    return gold
 
 
 @dataclass
@@ -192,15 +143,15 @@ class Confusion:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion(gold: GoldSet, predicted: dict[str, str]) -> Confusion:
+def confusion(gold: dict[str, str], predicted: dict[str, str]) -> Confusion:
     """2x2 counts with YES as the positive class; ref sets must match."""
-    gold_refs = set(gold.labels)
+    gold_refs = set(gold)
     pred_refs = set(predicted)
     if gold_refs != pred_refs:
         diff = sorted(gold_refs.symmetric_difference(pred_refs))
         raise ValueError(f"passage ref mismatch between gold and predictions: {diff}")
     tp = fp = fn = tn = 0
-    for ref, g in gold.labels.items():
+    for ref, g in gold.items():
         p = predicted[ref]
         if g == "YES" and p == "YES":
             tp += 1
@@ -265,66 +216,65 @@ def prf(matrix: Confusion) -> MetricReport:
 
 
 def spotcheck_agreement(human: dict[str, str], model: dict[str, str]) -> float:
-    """Percent of exact label matches over a reviewed subset."""
+    """Percent of exact label matches over a non-empty reviewed subset."""
     if set(human) != set(model):
         diff = sorted(set(human).symmetric_difference(model))
         raise ValueError(f"spot-check ref mismatch: {diff}")
-    if not human:
-        raise ValueError("empty spot-check set")
     matches = sum(1 for ref in human if human[ref] == model[ref])
     return 100.0 * matches / len(human)
 
 
 def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
-    id -> human label."""
+    id -> human label. A file with no rows is an error."""
     human: dict[str, dict[str, str]] = {"affect": {}, "impact": {}}
     for row in read_csv(path, ("passage_id", *human)):
         ref = row["passage_id"].strip()
         for facet, labels in human.items():
             labels[ref] = row[facet].strip().upper()
+    if not human["affect"]:
+        raise ValueError(f"empty spot-check set in {path}")
     return human
 
 
 def evaluate(
-    rounds: dict[str, ReliabilityData],
-    overrides: dict[str, tuple[str, str]],
+    rounds: dict[str, Judgments],
+    overrides: dict[str, str],
     annotations: Sequence["ActAnnotation"],
-    spotcheck_path: Path | None,
+    spotcheck: dict[str, dict[str, str]] | None,
 ) -> dict:
     """The metrics.json payload: alpha per round, the gold set built from
     the merged rounds and overrides, and the model scored against it. A
     passage is predicted YES when its annotation is an act; an unresolved
-    one counts as NO and is tallied. With spotcheck_path, the percent
-    agreement on affect and impact over its passages, each of which must be
-    an act."""
-    alpha_per_round = {name: krippendorff_alpha(data) for name, data in rounds.items()}
+    one counts as NO and is tallied. With spotcheck (from read_spotcheck),
+    the percent agreement on affect and impact over its passages, each of
+    which must be an act."""
+    alpha_per_round = {name: krippendorff_alpha(judgments) for name, judgments in rounds.items()}
     gold = build_gold(merge_reliability(rounds), overrides)
     by_ref = {a.ref: a for a in annotations}
-    missing = sorted(set(gold.labels) - set(by_ref))
+    missing = sorted(set(gold) - set(by_ref))
     if missing:
         raise ValueError(f"gold passages missing from annotations: {missing}")
-    scored = [by_ref[ref] for ref in gold.labels]
+    scored = [by_ref[ref] for ref in gold]
     matrix = confusion(gold, {a.ref: "YES" if a.is_act else "NO" for a in scored})
     payload = {
         "alpha_per_round": alpha_per_round,
-        "gold_size": len(gold.labels),
-        "gold_yes": sum(1 for v in gold.labels.values() if v == "YES"),
-        "gold_no": sum(1 for v in gold.labels.values() if v == "NO"),
-        "resolved_by_discussion": len(gold.resolved_by_discussion),
+        "gold_size": len(gold),
+        "gold_yes": sum(1 for v in gold.values() if v == "YES"),
+        "gold_no": sum(1 for v in gold.values() if v == "NO"),
+        "resolved_by_discussion": len(gold.keys() & overrides.keys()),
         "confusion": asdict(matrix),
         "metrics": asdict(prf(matrix)),
         "unresolved_scored_as_no": sum(1 for a in scored if a.status != "ok"),
     }
-    if spotcheck_path is not None:
-        human = read_spotcheck(spotcheck_path)
-        for ref in human["affect"]:
+    if spotcheck is not None:
+        for ref in spotcheck["affect"]:
             ann = by_ref.get(ref)
             if ann is None or not ann.is_act:
                 raise ValueError(f"spot-check passage {ref} is not a resolved YES annotation")
         payload["spotcheck"] = {
             facet: spotcheck_agreement(
                 labels, {ref: getattr(by_ref[ref], facet) for ref in labels})
-            for facet, labels in human.items()
+            for facet, labels in spotcheck.items()
         }
     return payload

@@ -215,13 +215,21 @@ def fmt(value) -> str:
 
 def read_csv(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
     """The rows of a CSV file with a header line, as dicts; ConfigError
-    naming the file when the header lacks one of columns."""
+    naming the file when the header lacks one of columns, and the file and
+    line when a row is too short to have a cell for one of them."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ConfigError(f"{path}: missing column {', '.join(map(repr, missing))}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            short = [c for c in columns if row[c] is None]
+            if short:
+                raise ConfigError(f"{path}: line {reader.line_num}: no cell for column "
+                                  f"{', '.join(map(repr, short))}")
+            rows.append(row)
+        return rows
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -15,7 +15,7 @@ import pytest
 
 from godspell.annotate import MockModel, ModelConfig, run_pipeline, write_annotations
 from godspell.corpus import segment_capped, word_tokenize
-from godspell.evaluation import Confusion, ReliabilityData, krippendorff_alpha, prf
+from godspell.evaluation import Confusion, krippendorff_alpha, prf
 from godspell.stats import pearson, t_cdf, ttest_ind
 from godspell.topics import authorless_downsample, train
 
@@ -40,18 +40,11 @@ def criterion(number: int, description: str):
 def test_criterion_1_metric_oracles():
     with criterion(1, "krippendorff alpha matches the coincidence-matrix oracle"):
         start = time.monotonic()
-        perfect = ReliabilityData(
-            items=[f"i{n}" for n in range(10)],
-            annotators=["a", "b"],
-            labels=[["YES", "YES"], ["NO", "NO"]] * 5,
-        )
+        perfect = {f"i{n}": {"a": label, "b": label} for n, label in enumerate(["YES", "NO"] * 5)}
         assert krippendorff_alpha(perfect) == 1.0
 
         rows = [["YES", "YES"], ["NO", "NO"], ["YES", "NO"], ["NO", "NO"]]
-        data = ReliabilityData(
-            items=["i0", "i1", "i2", "i3"], annotators=["a", "b"],
-            labels=[list(r) for r in rows],
-        )
+        data = {f"i{n}": {"a": a, "b": b} for n, (a, b) in enumerate(rows)}
         alpha = krippendorff_alpha(data)
         oracle = krippendorff_brute([list(r) for r in rows])
         assert abs(alpha - oracle) < 1e-12

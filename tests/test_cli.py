@@ -260,6 +260,34 @@ def test_csv_without_a_required_column_is_config_error(tmp_path, upstream, capsy
     assert not (out / "error.json").exists()
 
 
+@pytest.mark.parametrize("command, section, key, text, column", [
+    ("stats", "topics", "labels", "topic_index,label\n0,Hearth\n1\n", "label"),
+    ("eval", "evaluation", "rounds",
+     "passage_id,annotator_id,label\nhearth-a:0,ada,YES\nhearth-a:0,bea\n", "label"),
+    ("eval", "evaluation", "gold_overrides",
+     "passage_id,label,resolution_note\nashes-b:1,YES,\nhearth-a:5\n", "label"),
+    ("eval", "evaluation", "spotcheck",
+     "passage_id,affect,impact\nhearth-a:0,INDIVIDUAL,LOVING\nashes-b:2,GROUP\n", "impact"),
+], ids=["topic labels", "round", "gold overrides", "spotcheck"])
+def test_csv_with_a_short_row_is_config_error(tmp_path, upstream, capsys, command, section,
+                                             key, text, column):
+    """A row with no cell for a required column ends the command with a
+    config error naming the file and the line, and writes no result."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    config = absolute_config()
+    config[section][key] = [str(bad)] if key == "rounds" else str(bad)
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    capsys.readouterr()
+    assert run(command, "--config", str(tmp_path / "run.json"), "--output", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {bad}: line 3: no cell for column {column!r}\n")
+    for written in ("metrics.json", "stats.json", "error.json"):
+        assert not (out / written).exists()
+
+
 class TestOverrides:
     @pytest.mark.parametrize("flag", ["--k", "--sweeps", "--workers"])
     def test_zero_override_rejected(self, tmp_path, capsys, flag):

@@ -1,12 +1,11 @@
+import itertools
 import random
+import re
 
 import pytest
 
 from godspell.evaluation import (
-    MISSING,
     Confusion,
-    GoldSet,
-    ReliabilityData,
     build_gold,
     confusion,
     convert_maybe,
@@ -16,6 +15,7 @@ from godspell.evaluation import (
     prf,
     read_annotation_csv,
     read_gold_overrides,
+    read_spotcheck,
     spotcheck_agreement,
 )
 
@@ -24,9 +24,10 @@ from oracles import krippendorff_brute
 
 
 def matrix_data(rows, annotators=None):
-    items = [f"item{i}" for i in range(len(rows))]
+    """Judgments from an items x annotators grid; None marks no judgment."""
     annotators = annotators or [f"ann{j}" for j in range(len(rows[0]))]
-    return ReliabilityData(items=items, annotators=annotators, labels=[list(r) for r in rows])
+    return {f"item{i}": {a: v for a, v in zip(annotators, row) if v is not None}
+            for i, row in enumerate(rows)}
 
 
 class TestKrippendorffAlpha:
@@ -47,14 +48,14 @@ class TestKrippendorffAlpha:
             krippendorff_alpha(matrix_data(rows))
 
     def test_no_pairable_items(self):
-        rows = [["YES", MISSING], [MISSING, "NO"]]
+        rows = [["YES", None], [None, "NO"]]
         with pytest.raises(ValueError, match="pairable"):
             krippendorff_alpha(matrix_data(rows))
 
     def test_missing_labels_excluded_per_item(self):
         rows = [
-            ["YES", "YES", MISSING],
-            ["NO", MISSING, "NO"],
+            ["YES", "YES", None],
+            ["NO", None, "NO"],
             ["YES", "NO", "NO"],
         ]
         alpha = krippendorff_alpha(matrix_data(rows))
@@ -62,24 +63,38 @@ class TestKrippendorffAlpha:
         assert abs(alpha - expected) < 1e-12
 
     def test_bounded_and_permutation_invariant(self):
+        """Random grids, and each merged with a second random round, match
+        the brute oracle; alpha is bounded and ignores item and coder order."""
         rng = random.Random(77)
-        for _ in range(30):
+
+        def random_rows():
             rows = [
-                [rng.choice(["YES", "NO", "MAYBE", MISSING]) for _ in range(3)]
+                [rng.choice(["YES", "NO", "MAYBE", None]) for _ in range(3)]
                 for _ in range(12)
             ]
-            data_rows = [r for r in rows if sum(v != MISSING for v in r) >= 1]
+            return [r for r in rows if any(v is not None for v in r)]
+
+        for _ in range(30):
+            data_rows = random_rows()
             if not data_rows:
                 continue
+            data = matrix_data(data_rows)
             try:
-                alpha = krippendorff_alpha(matrix_data(data_rows))
+                alpha = krippendorff_alpha(data)
             except ValueError:
                 continue
+            oracle = krippendorff_brute([[v for v in r if v is not None] for r in data_rows])
+            assert abs(alpha - oracle) < 1e-12
             assert -1.0 <= alpha <= 1.0 + 1e-12
             shuffled = list(data_rows)
             rng.shuffle(shuffled)
             flipped = [list(reversed(r)) for r in shuffled]
             assert krippendorff_alpha(matrix_data(flipped)) == pytest.approx(alpha)
+            second = random_rows()
+            merged = merge_reliability({"r1": data, "r2": matrix_data(second)})
+            pooled = itertools.zip_longest(data_rows, second, fillvalue=[])
+            oracle = krippendorff_brute([[v for v in a + b if v is not None] for a, b in pooled])
+            assert abs(krippendorff_alpha(merged) - oracle) < 1e-12
 
 
 class TestConvertMaybe:
@@ -90,45 +105,39 @@ class TestConvertMaybe:
 class TestBuildGold:
     def test_unanimous_items_resolve(self):
         data = matrix_data([["YES", "MAYBE"], ["NO", "NO"]])
-        gold = build_gold(data)
-        assert gold.labels == {"item0": "YES", "item1": "NO"}
-        assert not gold.resolved_by_discussion
+        assert build_gold(data) == {"item0": "YES", "item1": "NO"}
 
     def test_disagreement_requires_override(self):
         data = matrix_data([["YES", "NO"]])
         with pytest.raises(ValueError, match="item0"):
             build_gold(data)
-        gold = build_gold(data, {"item0": ("NO", "narrative doubt")})
-        assert gold.labels["item0"] == "NO"
-        assert "item0" in gold.resolved_by_discussion
-        assert gold.notes["item0"] == "narrative doubt"
+        assert build_gold(data, {"item0": "NO"}) == {"item0": "NO"}
 
     def test_override_wins_over_unanimity(self):
         data = matrix_data([["NO", "NO"]])
-        gold = build_gold(data, {"item0": ("YES", "")})
-        assert gold.labels["item0"] == "YES"
+        assert build_gold(data, {"item0": "YES"}) == {"item0": "YES"}
 
-    def test_gold_labels_must_be_binary(self):
-        with pytest.raises(ValueError):
-            GoldSet(labels={"x": "MAYBE"})
+    def test_gold_labels_must_be_binary(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text("passage_id,label\nn1:0,maybe\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"'maybe' in {re.escape(str(path))}"):
+            read_gold_overrides(path)
 
 
 class TestConfusion:
     def test_identity(self):
-        gold = GoldSet(labels={"a": "YES", "b": "NO"})
-        matrix = confusion(gold, {"a": "YES", "b": "NO"})
+        matrix = confusion({"a": "YES", "b": "NO"}, {"a": "YES", "b": "NO"})
         assert (matrix.fp, matrix.fn) == (0, 0)
 
     def test_enumerated_case(self):
-        gold = GoldSet(labels={"a": "YES", "b": "NO", "c": "YES", "d": "NO"})
+        gold = {"a": "YES", "b": "NO", "c": "YES", "d": "NO"}
         predicted = {"a": "YES", "b": "YES", "c": "NO", "d": "NO"}
         matrix = confusion(gold, predicted)
         assert (matrix.tp, matrix.fp, matrix.fn, matrix.tn) == (1, 1, 1, 1)
 
     def test_ref_mismatch_lists_difference(self):
-        gold = GoldSet(labels={"a": "YES"})
         with pytest.raises(ValueError, match="b"):
-            confusion(gold, {"b": "NO"})
+            confusion({"a": "YES"}, {"b": "NO"})
 
 
 class TestPrf:
@@ -173,8 +182,8 @@ class TestPrf:
         assert "yes.precision" in report.zero_division
 
     def test_self_confusion_all_ones(self):
-        gold = GoldSet(labels={"a": "YES", "b": "NO", "c": "YES"})
-        report = prf(confusion(gold, dict(gold.labels)))
+        gold = {"a": "YES", "b": "NO", "c": "YES"}
+        report = prf(confusion(gold, dict(gold)))
         assert report.yes["f1"] == report.no["f1"] == report.micro_f1 == 1.0
 
 
@@ -212,11 +221,10 @@ class TestCsvInterfaces:
             "n1:1,alice,NO\n",
             encoding="utf-8",
         )
-        data = read_annotation_csv(path)
-        assert data.items == ["n1:0", "n1:1"]
-        assert data.annotators == ["alice", "bob"]
-        assert data.labels[0] == ["YES", "MAYBE"]
-        assert data.labels[1] == ["NO", MISSING]
+        assert read_annotation_csv(path) == {
+            "n1:0": {"alice": "YES", "bob": "MAYBE"},
+            "n1:1": {"alice": "NO"},
+        }
 
     def test_unrecognized_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -230,22 +238,38 @@ class TestCsvInterfaces:
             "passage_id,label,resolution_note\nn1:0,yes,lead author call\n",
             encoding="utf-8",
         )
-        overrides = read_gold_overrides(path)
-        assert overrides == {"n1:0": ("YES", "lead author call")}
+        assert read_gold_overrides(path) == {"n1:0": "YES"}
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_annotation_csv, "passage_id,annotator_id,label\nn1:0,alice,YES\n"
+                              "n1:0,bob,NO\nn1:0,alice,NO\n",
+         "passage 'n1:0' judged twice by 'alice'"),
+        (read_gold_overrides, "passage_id,label\nn1:0,YES\nn1:0,NO\n",
+         "passage 'n1:0' overridden twice"),
+    ], ids=["round", "gold overrides"])
+    def test_repeated_judgment_rejected(self, tmp_path, reader, text, message):
+        path = tmp_path / "human.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(message)} in {re.escape(str(path))}"):
+            reader(path)
+
+    def test_spotcheck_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "spot.csv"
+        path.write_text("passage_id,affect,impact\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"empty spot-check set in {re.escape(str(path))}"):
+            read_spotcheck(path)
 
     def test_merge_reliability_namespaces_annotators(self):
         round1 = matrix_data([["YES", "NO"]], annotators=["alice", "bob"])
         round2 = matrix_data([["NO", "NO"]], annotators=["alice", "cara"])
         merged = merge_reliability({"r1": round1, "r2": round2})
-        assert set(merged.annotators) == {"r1:alice", "r1:bob", "r2:alice", "r2:cara"}
-        assert merged.items == ["item0"]
-        assert sorted(merged.item_labels(0)) == ["NO", "NO", "NO", "YES"]
+        assert merged == {"item0": {"r1:alice": "YES", "r1:bob": "NO",
+                                    "r2:alice": "NO", "r2:cara": "NO"}}
 
 
 class TestEvaluate:
-    ROUNDS = {"r1": ReliabilityData(items=["n:0", "n:1", "n:2", "n:3"], annotators=["a", "b"],
-                                    labels=[["YES", "MAYBE"], ["YES", "YES"], ["NO", "NO"],
-                                            ["NO", MISSING]])}
+    ROUNDS = {"r1": {"n:0": {"a": "YES", "b": "MAYBE"}, "n:1": {"a": "YES", "b": "YES"},
+                     "n:2": {"a": "NO", "b": "NO"}, "n:3": {"a": "NO"}}}
 
     def test_only_acts_are_predicted_yes(self):
         resolved_without_label = make_annotation("n", 1)
@@ -261,15 +285,23 @@ class TestEvaluate:
         assert payload["confusion"] == {"tp": 1, "fp": 0, "fn": 1, "tn": 2}
         assert payload["unresolved_scored_as_no"] == 1
         assert (payload["gold_size"], payload["gold_yes"], payload["gold_no"]) == (4, 2, 2)
+        assert payload["resolved_by_discussion"] == 0
         assert "spotcheck" not in payload
+
+    def test_resolved_by_discussion_counts_overrides_in_gold(self):
+        annotations = [make_annotation("n", i, final="NO") for i in range(4)]
+        # n:9 has no round judgment, so its override resolves nothing
+        payload = evaluate(self.ROUNDS, {"n:0": "NO", "n:9": "YES"}, annotations, None)
+        assert payload["resolved_by_discussion"] == 1
+        assert (payload["gold_size"], payload["gold_yes"], payload["gold_no"]) == (4, 1, 3)
 
     def test_spotcheck_passage_must_be_an_act(self, tmp_path):
         path = tmp_path / "spot.csv"
         path.write_text("passage_id,affect,impact\n n:0 ,individual,Punishing\n",
                         encoding="utf-8")
         annotations = [make_annotation("n", i, final="YES" if i < 2 else "NO") for i in range(4)]
-        payload = evaluate(self.ROUNDS, {}, annotations, path)
+        payload = evaluate(self.ROUNDS, {}, annotations, read_spotcheck(path))
         assert payload["spotcheck"] == {"affect": 100.0, "impact": 0.0}
         path.write_text("passage_id,affect,impact\nn:3,INDIVIDUAL,LOVING\n", encoding="utf-8")
         with pytest.raises(ValueError, match="n:3 is not a resolved YES"):
-            evaluate(self.ROUNDS, {}, annotations, path)
+            evaluate(self.ROUNDS, {}, annotations, read_spotcheck(path))
