@@ -484,14 +484,14 @@ def _run_stage(
     text: str,
     config: ModelConfig,
     template: PromptTemplate,
-    cache: AnnotationCache | None,
+    cache: AnnotationCache,
     transport: Transport | None,
 ) -> tuple[dict[str, str], str]:
     """Execute (or look up) one stage; returns parsed fields and cache key.
 
     A cache entry that does not match the stage's schema counts as a miss."""
     key = cache_key(config.model, template, text, stage)
-    cached = cache.get(stage, key) if cache is not None else None
+    cached = cache.get(stage, key)
     if cached is not None:
         try:
             return _check_fields(cached, template.schema), key
@@ -503,8 +503,7 @@ def _run_stage(
     except PipelineError as e:
         e.stage = stage
         raise
-    if cache is not None:
-        cache.put(stage, key, fields)
+    cache.put(stage, key, fields)
     return fields, key
 
 
@@ -512,7 +511,7 @@ def _annotate_one(
     passage: Passage,
     config: ModelConfig,
     templates: dict[str, PromptTemplate],
-    cache: AnnotationCache | None,
+    cache: AnnotationCache,
     transport: Transport | None,
 ) -> ActAnnotation:
     """The cascade for one passage: stage 1, stage 2 when stage 1 says YES,
@@ -576,21 +575,22 @@ def resolve_templates(registry: PromptRegistry,
 def run_pipeline(
     passages: Sequence[Passage],
     config: ModelConfig,
-    registry: PromptRegistry | None = None,
-    cache_dir: Path | str | None = None,
+    *,
+    cache_dir: Path | str,
+    workers: int,
+    templates: dict[str, PromptTemplate] | None = None,
     transport: Transport | None = None,
-    workers: int = 4,
-    versions: dict[str, str] | None = None,
 ) -> list[ActAnnotation]:
-    """Annotate every passage, resuming from the cache.
+    """Annotate every passage, resuming from the cache in cache_dir.
 
-    Every stage's template is looked up before the first model call, so a
-    version (or a stage) the registry lacks is a KeyError up front. Failed
-    passages are recorded as unresolved without aborting the batch. Output
-    order follows input order regardless of worker completion order.
+    templates maps each stage to its template (from resolve_templates);
+    None means the built-in v1 templates. Failed passages are recorded as
+    unresolved without aborting the batch. Output order follows input
+    order regardless of worker completion order.
     """
-    templates = resolve_templates(registry or default_registry(), versions or {})
-    cache = AnnotationCache(cache_dir) if cache_dir is not None else None
+    if templates is None:
+        templates = resolve_templates(default_registry(), {})
+    cache = AnnotationCache(cache_dir)
 
     def work(passage: Passage) -> ActAnnotation:
         return _annotate_one(passage, config, templates, cache, transport)

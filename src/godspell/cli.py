@@ -1,5 +1,10 @@
 """Command-line pipeline: godspell <subcommand> --config run.json [flags].
 
+The run config says what a run computes. The four flags say only where
+things are: --config (the run config), --output (the output directory),
+--cache-dir (the annotation cache) and --endpoint (the inference endpoint,
+which the GODSPELL_ENDPOINT environment variable also sets).
+
 Subcommands write their artifacts into the configured output directory and
 are idempotent given unchanged inputs. A subcommand loads its inputs, calls
 the module that owns the work (`stats.analyze` for stats.json,
@@ -160,18 +165,17 @@ def cmd_annotate(config: RunConfig) -> None:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{path}: {e}") from None
     try:
-        annotate.resolve_templates(registry, config.prompt_versions)
+        templates = annotate.resolve_templates(registry, config.prompt_versions)
     except KeyError as e:
         raise ConfigError(e.args[0]) from None
     transport = annotate.MockModel().transport if config.model_backend == "mock" else None
     annotations = annotate.run_pipeline(
         passages,
         config.model,
-        registry=registry,
-        cache_dir=config.resolved_cache_dir(),
-        transport=transport,
+        cache_dir=config.cache_dir,
         workers=config.workers,
-        versions=config.prompt_versions,
+        templates=templates,
+        transport=transport,
     )
     annotate.write_annotations(annotations, config.output_dir / "annotations.jsonl")
     yes = sum(1 for a in annotations if a.is_act)
@@ -210,8 +214,14 @@ def cmd_eval(config: RunConfig) -> None:
 
 
 def _read_topic_labels(path: Path) -> dict[str, str]:
-    return {row["topic_index"].strip(): row["label"].strip()
-            for row in read_csv(path, ("topic_index", "label"))}
+    """topic index -> label; a topic labelled twice is an error."""
+    labels: dict[str, str] = {}
+    for row in read_csv(path, ("topic_index", "label")):
+        topic = row["topic_index"].strip()
+        if topic in labels:
+            raise ValueError(f"topic {topic!r} labelled twice in {path}")
+        labels[topic] = row["label"].strip()
+    return labels
 
 
 def cmd_stats(config: RunConfig) -> None:
@@ -273,26 +283,18 @@ COMMANDS = {
 USAGE = (
     "usage: godspell <subcommand> --config RUN.json [flags]\n"
     "subcommands: " + ", ".join(COMMANDS) + "\n"
-    "flags: --output DIR --model NAME --endpoint URL --temperature T\n"
-    "       --workers N --cache-dir DIR --mock --seed N --k N --sweeps N\n"
-    f"The GODSPELL_ENDPOINT environment variable overrides the configured endpoint."
+    "flags: --output DIR --cache-dir DIR --endpoint URL\n"
+    "Every other setting comes from the run config. The GODSPELL_ENDPOINT\n"
+    "environment variable overrides the configured endpoint."
 )
 
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"godspell {command}")
-    parser.add_argument("--config", required=True, help="run config JSON")
+    parser.add_argument("--config", dest="config_path", required=True, help="run config JSON")
     parser.add_argument("--output", dest="output_dir", help="output directory override")
-    parser.add_argument("--model", help="model name override")
-    parser.add_argument("--endpoint", help="inference endpoint override")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--cache-dir", dest="cache_dir", help="annotation cache directory")
-    parser.add_argument("--mock", dest="backend", action="store_const", const="mock",
-                        help="use the built-in mock model")
-    parser.add_argument("--seed", type=int, help="topic training seed")
-    parser.add_argument("--k", type=int, help="topic count")
-    parser.add_argument("--sweeps", type=int, help="Gibbs sweeps")
+    parser.add_argument("--endpoint", help="inference endpoint override")
     return parser
 
 
@@ -311,10 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv[1:])
     except SystemExit as e:
         return 0 if e.code in (0, None) else 64
-    # every flag's dest is the override key load_run_config reads
-    overrides = vars(args)
     try:
-        config = load_run_config(overrides.pop("config"), overrides)
+        # each flag's dest is a parameter of load_run_config
+        config = load_run_config(**vars(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

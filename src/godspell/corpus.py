@@ -88,10 +88,7 @@ class Segment:
     """A fixed-size topic-modeling unit (word list, order preserved)."""
 
     novel_id: str
-    index: int
     words: list[str]
-    word_start: int
-    word_end: int
 
 
 @dataclass
@@ -206,23 +203,14 @@ def ingest(manifest: Path | str) -> Corpus:
     return Corpus(novels=novels, texts=texts)
 
 
-def segment_fixed(novel: Novel, text: str, segment_size: int = 300) -> list[Segment]:
+def segment_fixed(novel: Novel, text: str, segment_size: int) -> list[Segment]:
     """Chop a novel into consecutive segments of exactly segment_size words;
     only the final segment may be shorter."""
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     words = word_tokenize(text)
-    segments = []
-    for index, start in enumerate(range(0, len(words), segment_size)):
-        chunk = words[start:start + segment_size]
-        segments.append(Segment(
-            novel_id=novel.id,
-            index=index,
-            words=chunk,
-            word_start=start,
-            word_end=start + len(chunk),
-        ))
-    return segments
+    return [Segment(novel_id=novel.id, words=words[start:start + segment_size])
+            for start in range(0, len(words), segment_size)]
 
 
 def _paragraph_units(paragraph: str, para_id: int, cap: int) -> list[tuple[int, str, int]]:
@@ -249,7 +237,7 @@ def _paragraph_units(paragraph: str, para_id: int, cap: int) -> list[tuple[int, 
     return units
 
 
-def segment_capped(novel: Novel, text: str, cap: int = 500) -> list[Passage]:
+def segment_capped(novel: Novel, text: str, cap: int) -> list[Passage]:
     """Greedy paragraph packing into passages of at most cap words.
 
     Paragraphs (blank-line delimited) accumulate into a passage while the
@@ -305,7 +293,7 @@ def segment_capped(novel: Novel, text: str, cap: int = 500) -> list[Passage]:
     return passages
 
 
-def segment_corpus(corpus: Corpus, cap: int = 500) -> list[Passage]:
+def segment_corpus(corpus: Corpus, cap: int) -> list[Passage]:
     """Annotation passages for every novel, in manifest order."""
     passages = []
     for novel in corpus.novels:
@@ -313,7 +301,7 @@ def segment_corpus(corpus: Corpus, cap: int = 500) -> list[Passage]:
     return passages
 
 
-def segment_corpus_fixed(corpus: Corpus, segment_size: int = 300) -> list[Segment]:
+def segment_corpus_fixed(corpus: Corpus, segment_size: int) -> list[Segment]:
     """Fixed topic-modeling segments for every novel, in manifest order."""
     segments = []
     for novel in corpus.novels:

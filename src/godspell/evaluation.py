@@ -112,9 +112,13 @@ def build_gold(judgments: Judgments, overrides: dict[str, str] | None = None) ->
     """Resolve annotator labels to a binary gold set: passage id -> YES or NO.
 
     Labels are binarized (MAYBE -> YES) first. Unanimous passages resolve
-    directly; disagreements require an override. Overrides always win.
+    directly; disagreements require an override. Overrides always win, and
+    an override for a passage no annotator judged is an error.
     """
     overrides = overrides or {}
+    unjudged = sorted(overrides.keys() - judgments.keys())
+    if unjudged:
+        raise ValueError("gold overrides for passages no round judged: " + ", ".join(unjudged))
     gold: dict[str, str] = {}
     unresolved = []
     for ref in sorted(judgments):
@@ -226,10 +230,13 @@ def spotcheck_agreement(human: dict[str, str], model: dict[str, str]) -> float:
 
 def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
-    id -> human label. A file with no rows is an error."""
+    id -> human label. A file with no rows, or a passage checked twice, is
+    an error."""
     human: dict[str, dict[str, str]] = {"affect": {}, "impact": {}}
     for row in read_csv(path, ("passage_id", *human)):
         ref = row["passage_id"].strip()
+        if ref in human["affect"]:
+            raise ValueError(f"passage {ref!r} spot-checked twice in {path}")
         for facet, labels in human.items():
             labels[ref] = row[facet].strip().upper()
     if not human["affect"]:
@@ -262,7 +269,7 @@ def evaluate(
         "gold_size": len(gold),
         "gold_yes": sum(1 for v in gold.values() if v == "YES"),
         "gold_no": sum(1 for v in gold.values() if v == "NO"),
-        "resolved_by_discussion": len(gold.keys() & overrides.keys()),
+        "resolved_by_discussion": len(overrides),
         "confusion": asdict(matrix),
         "metrics": asdict(prf(matrix)),
         "unresolved_scored_as_no": sum(1 for a in scored if a.status != "ok"),

@@ -41,16 +41,13 @@ class RunConfig:
     topic_labels_path: Path | None
     model_backend: str
     workers: int
-    cache_dir: Path | None
+    cache_dir: Path
     prompt_registry_path: Path | None
     prompt_versions: dict
     annotation_rounds: list[Path]
     gold_overrides_path: Path | None
     spotcheck_path: Path | None
     analysis_path: Path | None
-
-    def resolved_cache_dir(self) -> Path:
-        return self.cache_dir if self.cache_dir is not None else self.output_dir / "cache"
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -83,11 +80,14 @@ def _optional_file(base: Path, key: str, value, what: str) -> Path | None:
     return _require_file(_resolve(base, _typed(key, value, str)), what)
 
 
-def load_run_config(config_path: Path | str, overrides: dict | None = None) -> RunConfig:
+def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
+                    cache_dir: str | None = None, endpoint: str | None = None) -> RunConfig:
     """Load a run config JSON; relative paths resolve against the config
-    file. Overrides (from CLI flags) take precedence; GODSPELL_ENDPOINT
-    beats the config file for the endpoint. A value of the wrong JSON type
-    is a ConfigError that names its key."""
+    file. Each setting's default is written here and nowhere else. Only
+    where things are can be set from outside the file: output_dir,
+    cache_dir and endpoint (the CLI flags), when given, beat the config
+    file, and GODSPELL_ENDPOINT beats it for the endpoint. A value of the
+    wrong JSON type is a ConfigError that names its key."""
     config_path = Path(config_path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
@@ -97,11 +97,6 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         raise ConfigError(f"config is not valid JSON: {e}") from None
     payload = _typed("config", payload, dict)
     base = config_path.parent
-    overrides = overrides or {}
-
-    def override(name: str, default):
-        value = overrides.get(name)
-        return default if value is None else value
 
     if "manifest" not in payload:
         raise ConfigError("config must name a manifest")
@@ -130,7 +125,8 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
                                     "spot-check file")
     analysis_path = _optional_file(base, "analysis", payload.get("analysis"), "analysis config")
 
-    output_dir = override("output_dir", payload.get("output_dir", "out"))
+    if output_dir is None:
+        output_dir = payload.get("output_dir", "out")
     output_dir = _resolve(base, _typed("output_dir", output_dir, str))
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -140,23 +136,23 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
     except OSError as e:
         raise ConfigError(f"output directory not writable: {output_dir} ({e})") from None
 
-    endpoint = _typed("model.endpoint", override(
-        "endpoint",
-        os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", ModelConfig.endpoint),
-    ), str)
-    backend = override("backend", model.get("backend", "http"))
+    if endpoint is None:
+        endpoint = os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", ModelConfig.endpoint)
+    endpoint = _typed("model.endpoint", endpoint, str)
+    backend = model.get("backend", "http")
     if backend not in ("http", "mock"):
         raise ConfigError(f"unknown model backend {backend!r}")
 
-    cache_dir = override("cache_dir", payload.get("cache_dir"))
-    temperature = _typed("model.temperature", override(
-        "temperature", model.get("temperature", ModelConfig.temperature)), float)
+    if cache_dir is None:
+        cache_dir = payload.get("cache_dir")
+    temperature = _typed("model.temperature",
+                         model.get("temperature", ModelConfig.temperature), float)
     max_retries = _typed("model.max_retries",
                          model.get("max_retries", ModelConfig.max_retries), int)
     timeout = _typed("model.timeout", model.get("timeout", ModelConfig.timeout), float)
     try:
         model_config = ModelConfig(
-            model=_typed("model.name", override("model", model.get("name", "gemma3n:e4b")), str),
+            model=_typed("model.name", model.get("name", "gemma3n:e4b"), str),
             endpoint=endpoint,
             temperature=temperature,
             max_retries=max_retries,
@@ -171,12 +167,12 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         model=model_config,
         segment_size=_typed("segmentation.segment_size", seg.get("segment_size", 300), int),
         passage_cap=_typed("segmentation.passage_cap", seg.get("passage_cap", 500), int),
-        topics_k=_typed("topics.k", override("k", topics.get("k", 65)), int),
-        topics_sweeps=_typed("topics.sweeps", override("sweeps", topics.get("sweeps", 1000)), int),
+        topics_k=_typed("topics.k", topics.get("k", 65), int),
+        topics_sweeps=_typed("topics.sweeps", topics.get("sweeps", 1000), int),
         topics_burn_in=_typed("topics.burn_in", topics.get("burn_in", 50), int),
         topics_optimize_interval=_typed("topics.optimize_interval",
                                         topics.get("optimize_interval", 10), int),
-        topics_seed=_typed("topics.seed", override("seed", topics.get("seed", 0)), int),
+        topics_seed=_typed("topics.seed", topics.get("seed", 0), int),
         topics_min_count=_typed("topics.min_count", topics.get("min_count", 5), int),
         topics_downsample=_typed("topics.downsample", topics.get("downsample", True), bool),
         topics_downsample_seed=_typed("topics.downsample_seed",
@@ -184,8 +180,9 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
         stopwords_path=stopwords_path,
         topic_labels_path=labels_path,
         model_backend=backend,
-        workers=_typed("model.workers", override("workers", model.get("workers", 4)), int),
-        cache_dir=_resolve(base, _typed("cache_dir", cache_dir, str)) if cache_dir else None,
+        workers=_typed("model.workers", model.get("workers", 4), int),
+        cache_dir=(_resolve(base, _typed("cache_dir", cache_dir, str)) if cache_dir
+                   else output_dir / "cache"),
         prompt_registry_path=registry_path,
         prompt_versions=dict(_typed("prompts.versions", prompts.get("versions", {}), dict)),
         annotation_rounds=rounds,
@@ -200,7 +197,7 @@ def load_run_config(config_path: Path | str, overrides: dict | None = None) -> R
     if config.topics_sweeps < 1:
         raise ConfigError("topics.sweeps must be >= 1")
     if config.workers < 1:
-        raise ConfigError("workers must be >= 1")
+        raise ConfigError("model.workers must be >= 1")
     return config
 
 

@@ -254,7 +254,7 @@ class PositionDensity:
 def position_density(
     annotations: Sequence["ActAnnotation"],
     passages: Sequence["Passage"],
-    bins: int = 20,
+    bins: int,
 ) -> PositionDensity:
     """Histogram of YES passages over normalized narrative position [0, 1],
     normalized to unit area, with the mean position."""

@@ -54,8 +54,8 @@ log = logging.getLogger(__name__)
 STATE_FORMAT = "godspell-topic-state"
 STATE_VERSION = 1
 
-# Default priors follow common Gibbs-LDA toolkit conventions: alpha sums
-# to 5.0 across topics, beta starts at 0.01.
+# The initial priors follow common Gibbs-LDA toolkit conventions: alpha
+# sums to 5.0 across topics, beta starts at 0.01.
 DEFAULT_ALPHA_SUM = 5.0
 DEFAULT_BETA = 0.01
 
@@ -151,7 +151,7 @@ def _offsets(lengths) -> np.ndarray:
 def build_vocabulary(
     segments: list[Segment],
     stopwords: set[str],
-    min_count: int = 5,
+    min_count: int,
 ) -> tuple[Vocabulary, list[list[int]]]:
     """Tokenize segments into id sequences over a filtered vocabulary.
 
@@ -196,7 +196,7 @@ def build_vocabulary(
 def authorless_downsample(
     docs: list[list[int]],
     doc_novels: list[str],
-    rng_seed: int = 0,
+    rng_seed: int,
 ) -> list[list[int]]:
     """Stochastically drop tokens of words overrepresented within one novel.
 
@@ -276,16 +276,14 @@ def init_state(
     docs: list[list[int]],
     k: int,
     vocabulary_size: int,
-    rng_seed: int = 0,
-    alpha_init: float | None = None,
-    beta_init: float = DEFAULT_BETA,
+    rng_seed: int,
 ) -> TopicState:
     """Assign every token a uniform random topic, drawn in token order,
-    and build the counts."""
+    and build the counts; the priors start at DEFAULT_ALPHA_SUM / k and
+    DEFAULT_BETA."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = random.Random(rng_seed)
-    alpha_value = alpha_init if alpha_init is not None else DEFAULT_ALPHA_SUM / k
     n_docs = len(docs)
     offsets = _offsets(map(len, docs))
     doc_lens = np.diff(offsets)
@@ -300,8 +298,8 @@ def init_state(
                        minlength=k * vocabulary_size).reshape(k, vocabulary_size)
     return TopicState(
         k=k,
-        alpha=np.full(k, alpha_value, dtype=float),
-        beta=float(beta_init),
+        alpha=np.full(k, DEFAULT_ALPHA_SUM / k, dtype=float),
+        beta=DEFAULT_BETA,
         offsets=offsets,
         words=words.astype(np.int32),
         z=z,
@@ -482,12 +480,11 @@ def doc_topic_proportions(state: TopicState) -> np.ndarray:
 def train(
     docs: list[list[int]],
     vocabulary_size: int,
-    k: int = 65,
-    sweeps: int = 1000,
-    burn_in: int = 50,
-    optimize_interval: int = 10,
-    rng_seed: int = 0,
-    beta_init: float = DEFAULT_BETA,
+    k: int,
+    sweeps: int,
+    burn_in: int,
+    optimize_interval: int,
+    rng_seed: int,
 ) -> tuple[TopicState, TopicSummary]:
     """Run collapsed Gibbs sampling with periodic hyperparameter updates.
 
@@ -495,7 +492,7 @@ def train(
     past burn_in. Deterministic given rng_seed. The count identities are
     checked before every sweep and once more on the final state.
     """
-    state = init_state(docs, k, vocabulary_size, rng_seed=rng_seed, beta_init=beta_init)
+    state = init_state(docs, k, vocabulary_size, rng_seed=rng_seed)
     lls = []
     for sweep in range(1, sweeps + 1):
         gibbs_sweep(state, docs)

@@ -23,6 +23,7 @@ from godspell.annotate import (
     parse_response,
     read_annotations,
     render_prompt,
+    resolve_templates,
     run_pipeline,
     write_annotations,
 )
@@ -244,10 +245,11 @@ class TestCallModel:
         assert err.value.kind == "transport"
         assert scripted_server.requests == 1
 
-    def test_unknown_model_leaves_passage_unresolved_after_one_call(self, scripted_server):
+    def test_unknown_model_leaves_passage_unresolved_after_one_call(self, scripted_server,
+                                                                    tmp_path):
         scripted_server.script = [("404",)] * 4
         [ann] = run_pipeline([make_passage(0, "God spoke.")], server_config(scripted_server),
-                             workers=1)
+                             cache_dir=tmp_path, workers=1)
         assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "stage1", "transport")
         assert scripted_server.requests == 1
 
@@ -340,45 +342,45 @@ class TestMockModel:
         assert raw["label"] == "NO"
 
 
-def annotate_one(passage, mock, retries=0):
-    return run_pipeline([passage], mock_config(retries), transport=mock.transport,
-                        workers=1)[0]
+def annotate_one(passage, mock, cache_dir, retries=0):
+    return run_pipeline([passage], mock_config(retries), cache_dir=cache_dir,
+                        transport=mock.transport, workers=1)[0]
 
 
 class TestStageOperations:
-    def test_classify_act_yes(self):
+    def test_classify_act_yes(self, tmp_path):
         passage = cascade_passages()[0]
-        assert annotate_one(passage, MockModel()).stage1["label"] == "YES"
+        assert annotate_one(passage, MockModel(), tmp_path).stage1["label"] == "YES"
 
-    def test_empty_passage_precondition(self):
+    def test_empty_passage_precondition(self, tmp_path):
         mock = MockModel()
-        ann = annotate_one(make_passage(0, "   "), mock)
+        ann = annotate_one(make_passage(0, "   "), mock, tmp_path)
         assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "stage1", "malformed")
         assert sum(mock.calls.values()) == 0
 
-    def test_batch_order_preserved(self):
+    def test_batch_order_preserved(self, tmp_path):
         passages = cascade_passages()
-        annotations = run_pipeline(passages, mock_config(),
+        annotations = run_pipeline(passages, mock_config(), cache_dir=tmp_path,
                                    transport=MockModel().transport, workers=4)
         assert [a.index for a in annotations] == list(range(30))
         assert len(annotations) == 30
 
-    def test_stage2_skipped_on_no(self):
+    def test_stage2_skipped_on_no(self, tmp_path):
         mock = MockModel()
-        ann = annotate_one(cascade_passages()[1], mock)
+        ann = annotate_one(cascade_passages()[1], mock, tmp_path)
         assert ann.stage2 is None
         assert mock.calls["stage2"] == 0
 
-    def test_conjunction(self):
+    def test_conjunction(self, tmp_path):
         passages = cascade_passages()
-        annotations = run_pipeline(passages, mock_config(),
+        annotations = run_pipeline(passages, mock_config(), cache_dir=tmp_path,
                                    transport=MockModel().transport, workers=1)
         for ann in annotations:
             s1 = ann.stage1["label"] == "YES"
             s2 = ann.stage2 is not None and ann.stage2["label"] == "YES"
             assert (ann.final_label == "YES") == (s1 and s2)
 
-    def test_characterize_uses_description_not_passage(self):
+    def test_characterize_uses_description_not_passage(self, tmp_path):
         received = []
 
         def spy_affect(text):
@@ -386,41 +388,41 @@ class TestStageOperations:
             return {"god_affect_explanation": "spy", "god_affect": "INDIVIDUAL"}
 
         mock = MockModel(overrides={"affect": spy_affect})
-        ann = annotate_one(make_passage(0, "Rain fell. God blessed the town."), mock)
+        ann = annotate_one(make_passage(0, "Rain fell. God blessed the town."), mock, tmp_path)
         assert received == ["God blessed the town."]
         assert ann.affect == "INDIVIDUAL"
 
-    def test_characterize_enum_labels(self):
+    def test_characterize_enum_labels(self, tmp_path):
         ann = annotate_one(make_passage(0, "It was late. God healed one traveler with mercy."),
-                           MockModel())
+                           MockModel(), tmp_path)
         assert ann.affect == "INDIVIDUAL"
         assert ann.impact == "LOVING"
 
-    def test_unrecognized_enum_becomes_unresolved(self):
+    def test_unrecognized_enum_becomes_unresolved(self, tmp_path):
         bad = {"god_affect_explanation": "e", "god_affect": "COMMUNITY"}
         mock = MockModel(overrides={"affect": lambda text: bad})
-        ann = annotate_one(cascade_passages()[0], mock, retries=1)
+        ann = annotate_one(cascade_passages()[0], mock, tmp_path, retries=1)
         assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "affect", "malformed")
         assert mock.calls["affect"] == 2  # retried once
 
-    def test_empty_description_precondition(self):
+    def test_empty_description_precondition(self, tmp_path):
         base = MockModel()
         mock = MockModel(overrides={
             "stage1": lambda text: {**base._stage1(text), "act_description": "  "},
         })
-        ann = annotate_one(cascade_passages()[0], mock)
+        ann = annotate_one(cascade_passages()[0], mock, tmp_path)
         assert (ann.status, ann.failed_stage, ann.error) == ("unresolved", "affect", "malformed")
         assert mock.calls["affect"] == 0
 
 
 class TestPipelineCacheAndResume:
-    def test_non_object_body_fails_only_its_passage(self, scripted_server):
+    def test_non_object_body_fails_only_its_passage(self, scripted_server, tmp_path):
         no = {"explanation": "e", "label": "NO", "act_description": "NONE",
               "affected_description": "NONE"}
         scripted_server.script = [("nonobject",), ("ok", no), ("ok", no)]
         passages = [make_passage(i, f"Passage {i} has words.") for i in range(3)]
         annotations = run_pipeline(passages, server_config(scripted_server, retries=0),
-                                   workers=2)
+                                   cache_dir=tmp_path, workers=2)
         unresolved = [a for a in annotations if a.status != "ok"]
         assert len(annotations) == 3
         assert [(a.failed_stage, a.error) for a in unresolved] == [("stage1", "malformed")]
@@ -505,12 +507,12 @@ class TestPipelineCacheAndResume:
             registry.get("act_of_god", "v1").schema,
         ))
         mock = MockModel()
-        run_pipeline(passages, mock_config(), registry=registry,
+        run_pipeline(passages, mock_config(), templates=resolve_templates(registry, {}),
                      cache_dir=tmp_path / "cache", transport=mock.transport, workers=1)
         mock2 = MockModel()
-        run_pipeline(passages, mock_config(), registry=registry,
-                     cache_dir=tmp_path / "cache", transport=mock2.transport,
-                     workers=1, versions={"stage1": "v2"})
+        run_pipeline(passages, mock_config(),
+                     templates=resolve_templates(registry, {"stage1": "v2"}),
+                     cache_dir=tmp_path / "cache", transport=mock2.transport, workers=1)
         assert mock2.calls["stage1"] == len(passages)   # invalidated
         assert mock2.calls["stage2"] == 0               # still cached
         assert mock2.calls["affect"] == 0
@@ -521,7 +523,8 @@ class TestPipelineCacheAndResume:
         mock = MockModel()
         with pytest.raises(KeyError):
             run_pipeline(cascade_passages(), mock_config(), cache_dir=tmp_path / "cache",
-                         transport=mock.transport, versions=versions)
+                         templates=resolve_templates(default_registry(), versions),
+                         transport=mock.transport, workers=1)
         assert sum(mock.calls.values()) == 0
 
     def test_unresolved_recorded_batch_completes(self, tmp_path):
@@ -531,8 +534,8 @@ class TestPipelineCacheAndResume:
             return {"explanation": "e", "label": "PERHAPS"}
 
         mock = MockModel(overrides={"stage2": broken_stage2})
-        annotations = run_pipeline(passages, mock_config(), transport=mock.transport,
-                                   workers=2)
+        annotations = run_pipeline(passages, mock_config(), cache_dir=tmp_path,
+                                   transport=mock.transport, workers=2)
         assert len(annotations) == 6
         unresolved = [a for a in annotations if a.status == "unresolved"]
         assert unresolved and all(a.failed_stage == "stage2" for a in unresolved)
@@ -542,13 +545,13 @@ class TestPipelineCacheAndResume:
 
     def test_worker_counts_agree(self, tmp_path):
         passages = cascade_passages()
-        serial = run_pipeline(passages, mock_config(), transport=MockModel().transport,
-                              workers=1)
-        threaded = run_pipeline(passages, mock_config(), transport=MockModel().transport,
-                                workers=4)
+        serial = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "serial",
+                              transport=MockModel().transport, workers=1)
+        threaded = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "threaded",
+                                transport=MockModel().transport, workers=4)
         assert serial == threaded
 
-    def test_schema_totality_under_fuzzed_mock(self):
+    def test_schema_totality_under_fuzzed_mock(self, tmp_path):
         passages = cascade_passages()
 
         def flaky(stage_fields, good):
@@ -568,8 +571,8 @@ class TestPipelineCacheAndResume:
             "affect": flaky("god_affect", base._affect),
             "impact": flaky("god_impact", base._impact),
         })
-        annotations = run_pipeline(passages, mock_config(), transport=mock.transport,
-                                   workers=3)
+        annotations = run_pipeline(passages, mock_config(), cache_dir=tmp_path,
+                                   transport=mock.transport, workers=3)
         assert len(annotations) == len(passages)
         for ann in annotations:
             if ann.status == "ok":
@@ -600,7 +603,7 @@ class TestCacheKeys:
 class TestAnnotationIO:
     def test_round_trip(self, tmp_path):
         passages = cascade_passages()[:5]
-        annotations = run_pipeline(passages, mock_config(),
+        annotations = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
                                    transport=MockModel().transport, workers=1)
         path = tmp_path / "annotations.jsonl"
         write_annotations(annotations, path)

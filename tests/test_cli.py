@@ -21,6 +21,23 @@ def run(*args):
     return main(list(args))
 
 
+def config_with(directory, **sections):
+    """The fixture config with each named section updated from sections,
+    written to directory/run.json with absolute paths; that path."""
+    config = json.loads((FIXTURES / "runconfig.json").read_text())
+    for section, key in ((config, "manifest"), (config, "analysis"),
+                         (config["topics"], "stopwords"), (config["topics"], "labels"),
+                         (config["evaluation"], "gold_overrides"),
+                         (config["evaluation"], "spotcheck")):
+        section[key] = str(FIXTURES / section[key])
+    config["evaluation"]["rounds"] = [str(FIXTURES / p) for p in config["evaluation"]["rounds"]]
+    for name, values in sections.items():
+        config[name].update(values)
+    path = Path(directory) / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
 class TestDispatch:
     def test_unknown_subcommand_exit_64(self, capsys):
         assert run("frobnicate", "--config", CONFIG) == 64
@@ -31,10 +48,19 @@ class TestDispatch:
 
     def test_help_exit_0(self, capsys):
         assert run("--help") == 0
-        assert "subcommands:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "subcommands:" in out
+        flags = {word for word in out.split() if word.startswith("--")}
+        assert flags == {"--config", "--output", "--cache-dir", "--endpoint"}
 
-    def test_bad_flag_exit_64(self, capsys):
-        assert run("segment", "--config", CONFIG, "--no-such-flag") == 64
+    # what a run computes comes from the config alone: no flag sets it
+    @pytest.mark.parametrize("flag", [["--no-such-flag"], ["--k", "2"], ["--sweeps", "3"],
+                                      ["--seed", "3"], ["--model", "m"],
+                                      ["--temperature", "0.5"], ["--workers", "1"], ["--mock"]],
+                             ids=lambda flag: flag[0])
+    def test_bad_flag_exit_64(self, tmp_path, capsys, flag):
+        assert run("segment", "--config", CONFIG, "--output", str(tmp_path), *flag) == 64
+        assert not (tmp_path / "passages.jsonl").exists()
 
     def test_missing_config_exit_1(self, capsys):
         assert run("segment", "--config", "/nonexistent/run.json") == 1
@@ -77,12 +103,12 @@ class TestSubcommands:
         assert "passages.jsonl" in error["message"]
 
     def test_topics_train_and_inspect(self, tmp_path, capsys):
-        assert run("topics-train", "--config", CONFIG, "--output", str(tmp_path),
-                   "--k", "2", "--sweeps", "6") == 0
+        config = config_with(tmp_path, topics={"k": 2, "sweeps": 6})
+        assert run("topics-train", "--config", config, "--output", str(tmp_path)) == 0
         state = json.loads((tmp_path / "topics" / "state.json").read_text())
         assert state["k"] == 2
         assert len(state["log_likelihood"]) == 6
-        assert run("topics-inspect", "--config", CONFIG, "--output", str(tmp_path)) == 0
+        assert run("topics-inspect", "--config", config, "--output", str(tmp_path)) == 0
         top_words = (tmp_path / "topics" / "top_words.csv").read_text()
         assert top_words.startswith("topic,rank,word,count")
         out = capsys.readouterr().out
@@ -97,6 +123,14 @@ class TestSubcommands:
         assert set(metrics["alpha_per_round"]) == {"round1", "round2"}
         assert metrics["confusion"]["tp"] > 0
 
+    def test_cache_dir_flag_places_the_cache(self, tmp_path, capsys):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        assert run("segment", "--config", CONFIG, "--output", str(out)) == 0
+        assert run("annotate", "--config", CONFIG, "--output", str(out),
+                   "--cache-dir", str(cache)) == 0
+        assert list((cache / "stage1").glob("*.json"))
+        assert not (out / "cache").exists()
+
     def test_stats_rejects_annotations_of_unknown_novels(self, tmp_path, capsys):
         assert run("segment", "--config", CONFIG, "--output", str(tmp_path)) == 0
         assert run("annotate", "--config", CONFIG, "--output", str(tmp_path)) == 0
@@ -108,37 +142,14 @@ class TestSubcommands:
         assert run("stats", "--config", CONFIG, "--output", str(tmp_path)) == 2
         assert "ghost-z" in json.loads((tmp_path / "error.json").read_text())["message"]
 
-    def test_mock_flag_forces_backend(self, tmp_path, capsys):
-        # same run via --mock on a config that says http
-        http_config = json.loads((FIXTURES / "runconfig.json").read_text())
-        http_config["model"]["backend"] = "http"
-        cfg_path = tmp_path / "http.json"
-        # keep relative paths working: write config beside the fixtures
-        for key in ("manifest", "analysis"):
-            http_config[key] = str(FIXTURES / http_config[key])
-        http_config["topics"]["stopwords"] = str(FIXTURES / "stopwords.txt")
-        http_config["topics"]["labels"] = str(FIXTURES / "topic_labels.csv")
-        http_config["evaluation"] = {
-            "rounds": [str(FIXTURES / "rounds/round1.csv"),
-                       str(FIXTURES / "rounds/round2.csv")],
-            "gold_overrides": str(FIXTURES / "gold_overrides.csv"),
-            "spotcheck": str(FIXTURES / "spotcheck.csv"),
-        }
-        cfg_path.write_text(json.dumps(http_config), encoding="utf-8")
-        out = tmp_path / "out"
-        assert run("segment", "--config", str(cfg_path), "--output", str(out)) == 0
-        assert run("annotate", "--config", str(cfg_path), "--output", str(out),
-                   "--mock") == 0
-        annotations = (out / "annotations.jsonl").read_text().splitlines()
-        assert len(annotations) == 22
-
 
 @pytest.fixture(scope="module")
 def upstream(tmp_path_factory):
     """segment, a short topics-train and annotate on the fixtures."""
     out = tmp_path_factory.mktemp("upstream")
+    short = config_with(tmp_path_factory.mktemp("config"), topics={"sweeps": 3})
     assert run("segment", "--config", CONFIG, "--output", str(out)) == 0
-    assert run("topics-train", "--config", CONFIG, "--output", str(out), "--sweeps", "3") == 0
+    assert run("topics-train", "--config", short, "--output", str(out)) == 0
     assert run("annotate", "--config", CONFIG, "--output", str(out)) == 0
     return out
 
@@ -221,16 +232,16 @@ def test_unusable_analysis_file_is_config_error(tmp_path, upstream, capsys, anal
     assert not (out / "error.json").exists()
 
 
-def absolute_config():
-    """runconfig.json with every file it names given as an absolute path."""
-    config = json.loads((FIXTURES / "runconfig.json").read_text())
-    for section, key in ((config, "manifest"), (config, "analysis"),
-                         (config["topics"], "stopwords"), (config["topics"], "labels"),
-                         (config["evaluation"], "gold_overrides"),
-                         (config["evaluation"], "spotcheck")):
-        section[key] = str(FIXTURES / section[key])
-    config["evaluation"]["rounds"] = [str(FIXTURES / p) for p in config["evaluation"]["rounds"]]
-    return config
+def run_with_csv(tmp_path, upstream, command, section, key, text):
+    """command over a copy of upstream, with the fixture config's
+    section.key naming tmp_path/bad.csv, which holds text; the exit code,
+    the CSV's path and the output directory."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    config = config_with(tmp_path, **{section: {key: [str(bad)] if key == "rounds" else str(bad)}})
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    return run(command, "--config", config, "--output", str(out)), bad, out
 
 
 @pytest.mark.parametrize("command, section, key, header, missing, written", [
@@ -246,15 +257,10 @@ def test_csv_without_a_required_column_is_config_error(tmp_path, upstream, capsy
                                                        written):
     """A config-named CSV whose header lacks a column its reader needs ends
     the command with a config error naming the file and the column."""
-    bad = tmp_path / "bad.csv"
-    bad.write_text(header + "\nhearth-a:0,YES,NO\n", encoding="utf-8")
-    config = absolute_config()
-    config[section][key] = [str(bad)] if key == "rounds" else str(bad)
-    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out"
-    shutil.copytree(upstream, out)
     capsys.readouterr()
-    assert run(command, "--config", str(tmp_path / "run.json"), "--output", str(out)) == 1
+    code, bad, out = run_with_csv(tmp_path, upstream, command, section, key,
+                                  header + "\nhearth-a:0,YES,NO\n")
+    assert code == 1
     assert capsys.readouterr().err == f"config error: {bad}: missing column {missing!r}\n"
     assert not (out / written).exists()
     assert not (out / "error.json").exists()
@@ -273,27 +279,42 @@ def test_csv_with_a_short_row_is_config_error(tmp_path, upstream, capsys, comman
                                              key, text, column):
     """A row with no cell for a required column ends the command with a
     config error naming the file and the line, and writes no result."""
-    bad = tmp_path / "bad.csv"
-    bad.write_text(text, encoding="utf-8")
-    config = absolute_config()
-    config[section][key] = [str(bad)] if key == "rounds" else str(bad)
-    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out"
-    shutil.copytree(upstream, out)
     capsys.readouterr()
-    assert run(command, "--config", str(tmp_path / "run.json"), "--output", str(out)) == 1
+    code, bad, out = run_with_csv(tmp_path, upstream, command, section, key, text)
+    assert code == 1
     assert capsys.readouterr().err == (
         f"config error: {bad}: line 3: no cell for column {column!r}\n")
     for written in ("metrics.json", "stats.json", "error.json"):
         assert not (out / written).exists()
 
 
+@pytest.mark.parametrize("command, section, key, text, message, written", [
+    ("eval", "evaluation", "gold_overrides",
+     (FIXTURES / "gold_overrides.csv").read_text(encoding="utf-8") + "hearth-a:99,YES,typo\n",
+     "gold overrides for passages no round judged: hearth-a:99", "metrics.json"),
+    ("stats", "topics", "labels", "topic_index,label\n0,Hearth\n1,Road\n0,Ruin\n",
+     "topic '0' labelled twice in {bad}", "stats.json"),
+], ids=["override for an unjudged passage", "topic labelled twice"])
+def test_human_input_naming_no_or_two_items_is_an_error(tmp_path, upstream, command,
+                                                       section, key, text, message, written):
+    """An override that resolves no judged passage, or a topic labelled
+    twice, ends the command with exit 2 and error.json naming it."""
+    code, bad, out = run_with_csv(tmp_path, upstream, command, section, key, text)
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["message"] == message.format(bad=bad)
+    assert not (out / written).exists()
+
+
 class TestOverrides:
-    @pytest.mark.parametrize("flag", ["--k", "--sweeps", "--workers"])
-    def test_zero_override_rejected(self, tmp_path, capsys, flag):
-        assert run("topics-train", "--config", CONFIG, "--output", str(tmp_path),
-                   flag, "0") == 1
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("section, key", [("topics", "sweeps"), ("topics", "k"),
+                                              ("model", "workers")],
+                             ids=lambda value: value)
+    def test_zero_count_in_config_rejected(self, tmp_path, capsys, section, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"),
+                                    section: {key: 0}}), encoding="utf-8")
+        assert run("topics-train", "--config", str(path), "--output", str(tmp_path)) == 1
+        assert f"config error: {section}.{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "topics" / "state.json").exists()
 
     def test_zero_sweeps_in_config_rejected(self, tmp_path, capsys):
@@ -314,13 +335,8 @@ class TestOverrides:
         assert "Traceback" not in err
         assert not (tmp_path / "passages.jsonl").exists()
 
-    def test_negative_temperature_rejected_by_every_command(self, tmp_path, capsys):
-        assert run("segment", "--config", CONFIG, "--output", str(tmp_path),
-                   "--temperature", "-1") == 1
-        assert "temperature" in capsys.readouterr().err
-        assert not (tmp_path / "passages.jsonl").exists()
-
-    @pytest.mark.parametrize("setting", [{"timeout": 0}, {"max_retries": -1}])
+    @pytest.mark.parametrize("setting", [{"timeout": 0}, {"max_retries": -1},
+                                         {"temperature": -1}])
     def test_bad_model_setting_in_config_rejected(self, tmp_path, capsys, setting):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"),
@@ -363,6 +379,17 @@ class TestPromptVersions:
         assert calls == 0
         assert not (out / "annotations.jsonl").exists()
         assert not (out / "error.json").exists()
+
+    def test_templates_resolved_once(self, tmp_path, capsys, monkeypatch):
+        resolved = []
+        resolve = annotate.resolve_templates
+        monkeypatch.setattr(annotate, "resolve_templates",
+                            lambda *args: resolved.append(args) or resolve(*args))
+        code, _, calls, out = self.annotate(tmp_path, monkeypatch, capsys,
+                                            {"versions": {"affect": "v1"}})
+        assert code == 0 and calls > 0
+        assert len(resolved) == 1
+        assert (out / "annotations.jsonl").is_file()
 
     @pytest.mark.parametrize("versions, message", [
         ({"affect": "v9"}, "no template affect@v9 in registry"),

@@ -152,7 +152,7 @@ class TestSegmentFixed:
         assert len(segments) == 1
 
     def test_empty_novel(self):
-        assert segment_fixed(make_novel("n1"), "") == []
+        assert segment_fixed(make_novel("n1"), "", segment_size=300) == []
 
     def test_corpus_scale_document_count(self):
         # 88 synthetic novels of 30k words at size 300 -> 100 segments each

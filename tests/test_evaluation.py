@@ -117,6 +117,11 @@ class TestBuildGold:
         data = matrix_data([["NO", "NO"]])
         assert build_gold(data, {"item0": "YES"}) == {"item0": "YES"}
 
+    def test_override_of_an_unjudged_passage_rejected(self):
+        data = matrix_data([["NO", "NO"], ["YES", "NO"]])
+        with pytest.raises(ValueError, match="no round judged: item7, item9$"):
+            build_gold(data, {"item9": "YES", "item1": "NO", "item7": "NO"})
+
     def test_gold_labels_must_be_binary(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("passage_id,label\nn1:0,maybe\n", encoding="utf-8")
@@ -246,7 +251,10 @@ class TestCsvInterfaces:
          "passage 'n1:0' judged twice by 'alice'"),
         (read_gold_overrides, "passage_id,label\nn1:0,YES\nn1:0,NO\n",
          "passage 'n1:0' overridden twice"),
-    ], ids=["round", "gold overrides"])
+        (read_spotcheck, "passage_id,affect,impact\nn1:0,INDIVIDUAL,LOVING\n"
+                         "n1:1,GROUP,LOVING\nn1:0,GROUP,PUNISHING\n",
+         "passage 'n1:0' spot-checked twice"),
+    ], ids=["round", "gold overrides", "spotcheck"])
     def test_repeated_judgment_rejected(self, tmp_path, reader, text, message):
         path = tmp_path / "human.csv"
         path.write_text(text, encoding="utf-8")
@@ -290,8 +298,7 @@ class TestEvaluate:
 
     def test_resolved_by_discussion_counts_overrides_in_gold(self):
         annotations = [make_annotation("n", i, final="NO") for i in range(4)]
-        # n:9 has no round judgment, so its override resolves nothing
-        payload = evaluate(self.ROUNDS, {"n:0": "NO", "n:9": "YES"}, annotations, None)
+        payload = evaluate(self.ROUNDS, {"n:0": "NO"}, annotations, None)
         assert payload["resolved_by_discussion"] == 1
         assert (payload["gold_size"], payload["gold_yes"], payload["gold_no"]) == (4, 1, 3)
 

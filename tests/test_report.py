@@ -44,7 +44,7 @@ def json_numbers(payload):
 
 class TestRunConfig:
     def test_fixture_config_loads(self, tmp_path):
-        config = load_run_config(FIXTURES / "runconfig.json", {"output_dir": str(tmp_path)})
+        config = load_run_config(FIXTURES / "runconfig.json", output_dir=str(tmp_path))
         assert config.topics_k == 5
         assert config.model_backend == "mock"
         assert config.manifest.is_file()
@@ -69,23 +69,14 @@ class TestRunConfig:
 
     def test_env_var_endpoint_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GODSPELL_ENDPOINT", "http://envhost:1111")
-        config = load_run_config(FIXTURES / "runconfig.json", {"output_dir": str(tmp_path)})
+        config = load_run_config(FIXTURES / "runconfig.json", output_dir=str(tmp_path))
         assert config.model.endpoint == "http://envhost:1111"
 
     def test_flag_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GODSPELL_ENDPOINT", "http://envhost:1111")
-        config = load_run_config(
-            FIXTURES / "runconfig.json",
-            {"output_dir": str(tmp_path), "endpoint": "http://flaghost:2222"},
-        )
+        config = load_run_config(FIXTURES / "runconfig.json", output_dir=str(tmp_path),
+                                 endpoint="http://flaghost:2222")
         assert config.model.endpoint == "http://flaghost:2222"
-
-    def test_flag_overrides_topics(self, tmp_path):
-        config = load_run_config(
-            FIXTURES / "runconfig.json",
-            {"output_dir": str(tmp_path), "k": 2, "sweeps": 7, "seed": 5},
-        )
-        assert (config.topics_k, config.topics_sweeps, config.topics_seed) == (2, 7, 5)
 
     def test_unknown_backend(self, tmp_path):
         cfg = tmp_path / "run.json"

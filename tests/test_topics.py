@@ -40,9 +40,8 @@ from oracles import (
 )
 
 
-def seg(words, novel_id="n1", index=0):
-    return Segment(novel_id=novel_id, index=index, words=list(words),
-                   word_start=0, word_end=len(words))
+def seg(words, novel_id="n1"):
+    return Segment(novel_id=novel_id, words=list(words))
 
 
 class TestRngBridge:
@@ -116,10 +115,8 @@ class TestBuildVocabulary:
     def test_token_count_matches_brute_force(self):
         rng = random.Random(13)
         pool = ["god", "the", "word", "hope", "amen", "grace", "dust"]
-        segments = [
-            seg([rng.choice(pool) for _ in range(rng.randint(5, 40))], index=i)
-            for i in range(25)
-        ]
+        segments = [seg([rng.choice(pool) for _ in range(rng.randint(5, 40))])
+                    for _ in range(25)]
         stop = {"the"}
         vocab, docs = build_vocabulary(segments, stop, min_count=3)
         # independent filter pass
@@ -141,8 +138,8 @@ class TestBuildVocabulary:
         pool = ["God", "god,", "GOD", "—", "...", '"', "“”", "The", "the", "(amen)", "Amen.",
                 "grace", "Grace!", "dust", "hope—", "and", "And,", "x"]
         pool += [f"w{i}" for i in range(40)]
-        segments = [seg([rng.choice(pool) for _ in range(rng.choice([0, 1, 7, 60]))], index=i)
-                    for i in range(80)]
+        segments = [seg([rng.choice(pool) for _ in range(rng.choice([0, 1, 7, 60]))])
+                    for _ in range(80)]
         stop = {"the", "AND"}
         vocab, docs = build_vocabulary(segments, stop, min_count=min_count)
         words, frequencies, expected = build_vocabulary_reference(
@@ -180,7 +177,7 @@ class TestAuthorlessDownsample:
 
     def test_alignment_checked(self):
         with pytest.raises(ValueError):
-            authorless_downsample([[0]], ["a", "b"])
+            authorless_downsample([[0]], ["a", "b"], rng_seed=0)
 
     @pytest.mark.parametrize("seed", [0, 9, 77])
     def test_matches_per_token_reference(self, monkeypatch, seed):
@@ -228,10 +225,10 @@ class TestInitState:
     @pytest.mark.parametrize("bad", [-1, 3, 1000])
     def test_word_id_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="word ids"):
-            init_state([[0, bad, 2]], k=2, vocabulary_size=3)
+            init_state([[0, bad, 2]], k=2, vocabulary_size=3, rng_seed=0)
 
     def test_no_documents(self):
-        state = init_state([], k=3, vocabulary_size=2)
+        state = init_state([], k=3, vocabulary_size=2, rng_seed=0)
         assert state.n_dk.shape == (0, 3)
         gibbs_sweep(state, [])
         assert state.n_k.tolist() == [0, 0, 0]
@@ -321,7 +318,7 @@ class TestLogLikelihood:
                 optimize_beta(state)
 
     def test_no_documents(self):
-        state = init_state([], k=3, vocabulary_size=2)
+        state = init_state([], k=3, vocabulary_size=2, rng_seed=0)
         assert log_likelihood(state) == lda_log_likelihood_direct(
             state.n_dk, state.n_kw, state.n_k, state.alpha, state.beta)
 
