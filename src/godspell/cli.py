@@ -1,9 +1,13 @@
 """Command-line pipeline: godspell <subcommand> --config run.json [flags].
 
-The run config says what a run computes. The four flags say only where
-things are: --config (the run config), --output (the output directory),
---cache-dir (the annotation cache) and --endpoint (the inference endpoint,
-which the GODSPELL_ENDPOINT environment variable also sets).
+The run config says what a run computes. Each of its settings is declared
+once, as a field of `report.RunConfig` with its key, kind, default and
+bound, and a key that no field declares is a config error. The four flags
+say only where things are: --config (the run config), --output (the output
+directory), --cache-dir (the annotation cache) and --endpoint (the
+inference endpoint, which the GODSPELL_ENDPOINT environment variable also
+sets). A relative flag path is taken from the working directory, a
+relative path in the config from the config's directory.
 
 Subcommands write their artifacts into the configured output directory and
 are idempotent given unchanged inputs. A subcommand loads its inputs, calls
@@ -190,10 +194,15 @@ def cmd_eval(config: RunConfig) -> None:
         _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
     )
     if not config.annotation_rounds:
-        raise ValueError("config has no evaluation.rounds annotation files")
-    rounds = {
-        path.stem: evaluation.read_annotation_csv(path) for path in config.annotation_rounds
-    }
+        raise ConfigError("config names no evaluation.rounds")
+    # a round's coders are namespaced by its file name, which must be its own
+    paths: dict[str, Path] = {}
+    for path in config.annotation_rounds:
+        if path.stem in paths:
+            raise ConfigError(f"rounds {paths[path.stem]} and {path} share the name "
+                              f"{path.stem!r}")
+        paths[path.stem] = path
+    rounds = {name: evaluation.read_annotation_csv(path) for name, path in paths.items()}
     overrides = (
         evaluation.read_gold_overrides(config.gold_overrides_path)
         if config.gold_overrides_path is not None
@@ -284,8 +293,9 @@ USAGE = (
     "usage: godspell <subcommand> --config RUN.json [flags]\n"
     "subcommands: " + ", ".join(COMMANDS) + "\n"
     "flags: --output DIR --cache-dir DIR --endpoint URL\n"
-    "Every other setting comes from the run config. The GODSPELL_ENDPOINT\n"
-    "environment variable overrides the configured endpoint."
+    "Every other setting comes from the run config, whose keys are declared\n"
+    "in godspell.report.RunConfig; a key declared nowhere is a config error.\n"
+    "The GODSPELL_ENDPOINT environment variable overrides the configured endpoint."
 )
 
 

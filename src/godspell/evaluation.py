@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .report import read_csv
+from .stats import AFFECT_LABELS, IMPACT_LABELS
 
 if TYPE_CHECKING:
     from .annotate import ActAnnotation
@@ -230,15 +231,18 @@ def spotcheck_agreement(human: dict[str, str], model: dict[str, str]) -> float:
 
 def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
-    id -> human label. A file with no rows, or a passage checked twice, is
-    an error."""
-    human: dict[str, dict[str, str]] = {"affect": {}, "impact": {}}
+    id -> human label. A file with no rows, a passage checked twice, or a
+    label outside its facet's, is an error."""
+    allowed = {"affect": AFFECT_LABELS, "impact": IMPACT_LABELS}
+    human: dict[str, dict[str, str]] = {facet: {} for facet in allowed}
     for row in read_csv(path, ("passage_id", *human)):
         ref = row["passage_id"].strip()
         if ref in human["affect"]:
             raise ValueError(f"passage {ref!r} spot-checked twice in {path}")
         for facet, labels in human.items():
             labels[ref] = row[facet].strip().upper()
+            if labels[ref] not in allowed[facet]:
+                raise ValueError(f"unrecognized {facet} label {row[facet]!r} in {path}")
     if not human["affect"]:
         raise ValueError(f"empty spot-check set in {path}")
     return human

@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .annotate import ModelConfig
 
@@ -22,43 +23,79 @@ class ConfigError(ValueError):
     """Raised for unreadable, inconsistent, or incomplete run configs."""
 
 
+# the path kinds: an existing file, a list of them, a directory that is made
+# if missing and must be writable
+FILE, FILES, DIR = "file", "files", "dir"
+REQUIRED = object()
+
+
+class Setting(NamedTuple):
+    """One run setting: its config key (`section.name`, or a top-level
+    name); its kind, which is bool, int, float, str or dict (that JSON
+    type), a path kind, or a tuple of the strings allowed; its default,
+    where None leaves an optional path unset, as does a null or empty value
+    in the file; and the lower bound of a number."""
+
+    key: str
+    kind: object
+    default: object = None
+    minimum: int | None = None
+
+
+def _setting(*declaration):
+    return field(metadata={"setting": Setting(*declaration)})
+
+
 @dataclass
 class RunConfig:
-    manifest: Path
-    output_dir: Path
-    model: ModelConfig
-    segment_size: int
-    passage_cap: int
-    topics_k: int
-    topics_sweeps: int
-    topics_burn_in: int
-    topics_optimize_interval: int
-    topics_seed: int
-    topics_min_count: int
-    topics_downsample: bool
-    topics_downsample_seed: int
-    stopwords_path: Path | None
-    topic_labels_path: Path | None
-    model_backend: str
-    workers: int
-    cache_dir: Path
-    prompt_registry_path: Path | None
-    prompt_versions: dict
-    annotation_rounds: list[Path]
-    gold_overrides_path: Path | None
-    spotcheck_path: Path | None
-    analysis_path: Path | None
+    """What a run computes and where things are. Each field but model
+    declares one setting, with its config key, kind, default and bound, and
+    load_run_config reads the file through these declarations alone. model
+    is the ModelConfig built from the model.* settings, under its checks."""
+
+    manifest: Path = _setting("manifest", FILE, REQUIRED)
+    analysis_path: Path | None = _setting("analysis", FILE)
+    segment_size: int = _setting("segmentation.segment_size", int, 300, 1)
+    passage_cap: int = _setting("segmentation.passage_cap", int, 500, 1)
+    topics_k: int = _setting("topics.k", int, 65, 1)
+    topics_sweeps: int = _setting("topics.sweeps", int, 1000, 1)
+    topics_burn_in: int = _setting("topics.burn_in", int, 50, 0)
+    topics_optimize_interval: int = _setting("topics.optimize_interval", int, 10, 0)
+    topics_seed: int = _setting("topics.seed", int, 0, 0)
+    topics_min_count: int = _setting("topics.min_count", int, 5, 1)
+    topics_downsample: bool = _setting("topics.downsample", bool, True)
+    topics_downsample_seed: int = _setting("topics.downsample_seed", int, 0, 0)
+    stopwords_path: Path | None = _setting("topics.stopwords", FILE)
+    topic_labels_path: Path | None = _setting("topics.labels", FILE)
+    model_backend: str = _setting("model.backend", ("http", "mock"), "http")
+    model_name: str = _setting("model.name", str, "gemma3n:e4b")
+    endpoint: str = _setting("model.endpoint", str, ModelConfig.endpoint)
+    temperature: float = _setting("model.temperature", float, ModelConfig.temperature)
+    max_retries: int = _setting("model.max_retries", int, ModelConfig.max_retries)
+    timeout: float = _setting("model.timeout", float, ModelConfig.timeout)
+    workers: int = _setting("model.workers", int, 4, 1)
+    prompt_registry_path: Path | None = _setting("prompts.registry", FILE)
+    prompt_versions: dict = _setting("prompts.versions", dict, {})
+    annotation_rounds: list[Path] = _setting("evaluation.rounds", FILES, [])
+    gold_overrides_path: Path | None = _setting("evaluation.gold_overrides", FILE)
+    spotcheck_path: Path | None = _setting("evaluation.spotcheck", FILE)
+    # directories last, so that a value of the wrong kind above leaves none made
+    output_dir: Path = _setting("output_dir", DIR, "out")
+    cache_dir: Path = _setting("cache_dir", DIR)  # unset: output_dir / "cache"
+    model: ModelConfig = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.cache_dir is None:
+            self.cache_dir = self.output_dir / "cache"
+        try:
+            self.model = ModelConfig(self.model_name, self.endpoint, self.temperature,
+                                     self.max_retries, self.timeout)
+        except ValueError as e:
+            raise ConfigError(f"model: {e}") from None
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else base / path
-
-
-def _require_file(path: Path, what: str) -> Path:
-    if not path.is_file():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
+# RunConfig attribute -> its declaration
+SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig) if f.init}
 
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
@@ -74,20 +111,48 @@ def _typed(key: str, value, kind: type):
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _optional_file(base: Path, key: str, value, what: str) -> Path | None:
-    if value is None or value == "":
+def _value(setting: Setting, value, base: Path):
+    """value, checked against setting's kind and lower bound, with a
+    relative path taken from base; ConfigError naming the key otherwise."""
+    key, kind = setting.key, setting.kind
+    if value is REQUIRED:
+        raise ConfigError(f"config must name a {key}")
+    if setting.default is None and value in (None, ""):
         return None
-    return _require_file(_resolve(base, _typed(key, value, str)), what)
+    if kind == FILES:  # each listed file is required: a null or "" entry is an error
+        return [_value(Setting(key, FILE, REQUIRED), path, base)
+                for path in _typed(key, value, list)]
+    if kind in (FILE, DIR):
+        path = base / _typed(key, value, str)
+        if kind == FILE and not path.is_file():
+            raise ConfigError(f"{key} not found: {path}")
+        if kind == DIR:
+            try:
+                path.mkdir(parents=True, exist_ok=True)
+                (path / ".write-probe").write_text("", encoding="utf-8")
+                (path / ".write-probe").unlink()
+            except OSError as e:
+                raise ConfigError(f"{key} not writable: {path} ({e})") from None
+        return path
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    value = _typed(key, value, kind)
+    if setting.minimum is not None and value < setting.minimum:
+        raise ConfigError(f"{key} must be >= {setting.minimum}")
+    return value
 
 
 def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
                     cache_dir: str | None = None, endpoint: str | None = None) -> RunConfig:
-    """Load a run config JSON; relative paths resolve against the config
-    file. Each setting's default is written here and nowhere else. Only
-    where things are can be set from outside the file: output_dir,
-    cache_dir and endpoint (the CLI flags), when given, beat the config
-    file, and GODSPELL_ENDPOINT beats it for the endpoint. A value of the
-    wrong JSON type is a ConfigError that names its key."""
+    """Load a run config JSON through SETTINGS, the one declaration of each
+    setting. A key that no setting declares is a ConfigError, and so is a
+    value of the wrong kind or below its bound. Only where things are can
+    be set from outside the file: output_dir, cache_dir and endpoint (the
+    CLI flags), when given, beat the file, and GODSPELL_ENDPOINT beats it
+    for the endpoint. A relative path in the file resolves against the
+    file's directory, a relative flag path against the working directory."""
     config_path = Path(config_path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
@@ -95,110 +160,29 @@ def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
         payload = json.loads(config_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
-    payload = _typed("config", payload, dict)
-    base = config_path.parent
+    tables = {"": _typed("config", payload, dict)}
+    for setting in SETTINGS.values():
+        section = setting.key.rpartition(".")[0]
+        if section not in tables:
+            tables[section] = _typed(section, payload.get(section, {}), dict)
+    declared = {setting.key for setting in SETTINGS.values()} | set(tables)
+    keys = [f"{section}.{name}" if section else name
+            for section, table in tables.items() for name in table]
+    unknown = [key for key in keys if key not in declared]
+    if unknown:
+        raise ConfigError(f"unknown setting {', '.join(unknown)}")
 
-    if "manifest" not in payload:
-        raise ConfigError("config must name a manifest")
-    manifest = _require_file(_resolve(base, _typed("manifest", payload["manifest"], str)),
-                             "manifest")
-
-    seg, topics, model, prompts, evaluation = (
-        _typed(name, payload.get(name, {}), dict)
-        for name in ("segmentation", "topics", "model", "prompts", "evaluation")
-    )
-
-    stopwords_path = _optional_file(base, "topics.stopwords", topics.get("stopwords"),
-                                    "stopword file")
-    labels_path = _optional_file(base, "topics.labels", topics.get("labels"),
-                                 "topic label file")
-    registry_path = _optional_file(base, "prompts.registry", prompts.get("registry"),
-                                   "prompt registry")
-    rounds = [
-        _require_file(_resolve(base, _typed("evaluation.rounds", p, str)),
-                      "annotation round file")
-        for p in _typed("evaluation.rounds", evaluation.get("rounds", []), list)
-    ]
-    gold_path = _optional_file(base, "evaluation.gold_overrides",
-                               evaluation.get("gold_overrides"), "gold override file")
-    spotcheck_path = _optional_file(base, "evaluation.spotcheck", evaluation.get("spotcheck"),
-                                    "spot-check file")
-    analysis_path = _optional_file(base, "analysis", payload.get("analysis"), "analysis config")
-
-    if output_dir is None:
-        output_dir = payload.get("output_dir", "out")
-    output_dir = _resolve(base, _typed("output_dir", output_dir, str))
-    try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-        probe = output_dir / ".write-probe"
-        probe.write_text("", encoding="utf-8")
-        probe.unlink()
-    except OSError as e:
-        raise ConfigError(f"output directory not writable: {output_dir} ({e})") from None
-
-    if endpoint is None:
-        endpoint = os.environ.get(ENDPOINT_ENV_VAR) or model.get("endpoint", ModelConfig.endpoint)
-    endpoint = _typed("model.endpoint", endpoint, str)
-    backend = model.get("backend", "http")
-    if backend not in ("http", "mock"):
-        raise ConfigError(f"unknown model backend {backend!r}")
-
-    if cache_dir is None:
-        cache_dir = payload.get("cache_dir")
-    temperature = _typed("model.temperature",
-                         model.get("temperature", ModelConfig.temperature), float)
-    max_retries = _typed("model.max_retries",
-                         model.get("max_retries", ModelConfig.max_retries), int)
-    timeout = _typed("model.timeout", model.get("timeout", ModelConfig.timeout), float)
-    try:
-        model_config = ModelConfig(
-            model=_typed("model.name", model.get("name", "gemma3n:e4b"), str),
-            endpoint=endpoint,
-            temperature=temperature,
-            max_retries=max_retries,
-            timeout=timeout,
-        )
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from None
-
-    config = RunConfig(
-        manifest=manifest,
-        output_dir=output_dir,
-        model=model_config,
-        segment_size=_typed("segmentation.segment_size", seg.get("segment_size", 300), int),
-        passage_cap=_typed("segmentation.passage_cap", seg.get("passage_cap", 500), int),
-        topics_k=_typed("topics.k", topics.get("k", 65), int),
-        topics_sweeps=_typed("topics.sweeps", topics.get("sweeps", 1000), int),
-        topics_burn_in=_typed("topics.burn_in", topics.get("burn_in", 50), int),
-        topics_optimize_interval=_typed("topics.optimize_interval",
-                                        topics.get("optimize_interval", 10), int),
-        topics_seed=_typed("topics.seed", topics.get("seed", 0), int),
-        topics_min_count=_typed("topics.min_count", topics.get("min_count", 5), int),
-        topics_downsample=_typed("topics.downsample", topics.get("downsample", True), bool),
-        topics_downsample_seed=_typed("topics.downsample_seed",
-                                      topics.get("downsample_seed", 0), int),
-        stopwords_path=stopwords_path,
-        topic_labels_path=labels_path,
-        model_backend=backend,
-        workers=_typed("model.workers", model.get("workers", 4), int),
-        cache_dir=(_resolve(base, _typed("cache_dir", cache_dir, str)) if cache_dir
-                   else output_dir / "cache"),
-        prompt_registry_path=registry_path,
-        prompt_versions=dict(_typed("prompts.versions", prompts.get("versions", {}), dict)),
-        annotation_rounds=rounds,
-        gold_overrides_path=gold_path,
-        spotcheck_path=spotcheck_path,
-        analysis_path=analysis_path,
-    )
-    if config.segment_size < 1 or config.passage_cap < 1:
-        raise ConfigError("segment_size and passage_cap must be >= 1")
-    if config.topics_k < 1:
-        raise ConfigError("topics.k must be >= 1")
-    if config.topics_sweeps < 1:
-        raise ConfigError("topics.sweeps must be >= 1")
-    if config.workers < 1:
-        raise ConfigError("model.workers must be >= 1")
-    return config
+    flags = {"output_dir": output_dir, "cache_dir": cache_dir,
+             "model.endpoint": endpoint or os.environ.get(ENDPOINT_ENV_VAR)}
+    values = {}
+    for attr, setting in SETTINGS.items():
+        section, _, name = setting.key.rpartition(".")
+        if flags.get(setting.key):
+            values[attr] = _value(setting, flags[setting.key], Path())
+        else:
+            values[attr] = _value(setting, tables[section].get(name, setting.default),
+                                  config_path.parent)
+    return RunConfig(**values)
 
 
 def fmt(value) -> str:

@@ -305,7 +305,47 @@ def test_human_input_naming_no_or_two_items_is_an_error(tmp_path, upstream, comm
     assert not (out / written).exists()
 
 
+@pytest.mark.parametrize("rounds, message", [
+    ([], "config names no evaluation.rounds"),
+    (["rounds/round1.csv", "rounds/round2.csv", "b/round2.csv"],
+     "rounds {fixtures}/rounds/round2.csv and {tmp}/b/round2.csv share the name 'round2'"),
+], ids=["no rounds", "two rounds of one name"])
+def test_rounds_eval_cannot_tell_apart_are_config_error(tmp_path, upstream, capsys, rounds,
+                                                        message):
+    """eval scores each round under its file name, so it needs rounds, and
+    two round files of one name end it with a config error naming both."""
+    (tmp_path / "b").mkdir()
+    shutil.copy(FIXTURES / "rounds" / "round1.csv", tmp_path / "b" / "round2.csv")
+    paths = [str(tmp_path / p) if p.startswith("b/") else str(FIXTURES / p) for p in rounds]
+    config = config_with(tmp_path, evaluation={"rounds": paths})
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    capsys.readouterr()
+    assert run("eval", "--config", config, "--output", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {message.format(fixtures=FIXTURES, tmp=tmp_path)}\n")
+    assert not (out / "metrics.json").exists()
+    assert not (out / "error.json").exists()
+
+
 class TestOverrides:
+    @pytest.mark.parametrize("command, written", [("segment", "passages.jsonl"),
+                                                  ("topics-train", "topics/state.json")])
+    @pytest.mark.parametrize("setting, key", [({"topics": {"sweep": 5}}, "topics.sweep"),
+                                              ({"topicz": {"k": 5}}, "topicz")],
+                             ids=["in a section", "top level"])
+    def test_unknown_setting_in_config_rejected(self, tmp_path, capsys, command, written,
+                                                setting, key):
+        """A key no setting declares ends the command before any output."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"), **setting}),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(path), "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: unknown setting {key}\n"
+        assert not (out / written).exists()
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [("topics", "sweeps"), ("topics", "k"),
                                               ("model", "workers")],
                              ids=lambda value: value)

@@ -261,6 +261,16 @@ class TestCsvInterfaces:
         with pytest.raises(ValueError, match=f"{re.escape(message)} in {re.escape(str(path))}"):
             reader(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("n1:0,INDIVDUAL,LOVING", "unrecognized affect label 'INDIVDUAL'"),
+        ("n1:0,GROUP,LOVED", "unrecognized impact label 'LOVED'"),
+    ], ids=["affect", "impact"])
+    def test_spotcheck_label_outside_its_facet_rejected(self, tmp_path, row, message):
+        path = tmp_path / "spot.csv"
+        path.write_text(f"passage_id,affect,impact\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(message)} in {re.escape(str(path))}"):
+            read_spotcheck(path)
+
     def test_spotcheck_without_rows_rejected(self, tmp_path):
         path = tmp_path / "spot.csv"
         path.write_text("passage_id,affect,impact\n", encoding="utf-8")

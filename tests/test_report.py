@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from godspell.report import (
+    DIR,
+    FILE,
+    FILES,
+    SETTINGS,
     ConfigError,
     figure_data,
     fmt,
@@ -19,6 +23,10 @@ from helpers import make_annotation, make_novel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+
+# a value of another JSON kind than each kind of setting takes
+WRONG_KIND = {bool: "true", int: 1.5, float: "0.5", str: 3, dict: [], FILE: 5,
+              FILES: "round1.csv", DIR: 5}
 
 NUMBER_RE = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w.])")
 
@@ -89,11 +97,13 @@ class TestRunConfig:
             load_run_config(cfg)
 
     def _config_with(self, tmp_path, section, body):
+        """A config naming the fixture manifest, with body as its section
+        (section "": body's keys at the top level)."""
+        config = {"manifest": str(FIXTURES / "manifest.csv"),
+                  "output_dir": str(tmp_path / "out")}
+        config.update({section: body} if section else body)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "manifest": str(FIXTURES / "manifest.csv"), section: body,
-            "output_dir": str(tmp_path / "out"),
-        }), encoding="utf-8")
+        cfg.write_text(json.dumps(config), encoding="utf-8")
         return cfg
 
     @pytest.mark.parametrize("value", ["false", 0, None])
@@ -110,11 +120,47 @@ class TestRunConfig:
         ("model", "temperature", "warm"), ("model", "timeout", None),
         ("model", "name", 3), ("prompts", "versions", 5), ("evaluation", "rounds", "r1.csv"),
         ("topics", "stopwords", ["stopwords.txt"]),
+    ] + [
+        # and one value of a wrong kind for every declared setting
+        pytest.param(*setting.key.rpartition(".")[::2], WRONG_KIND.get(setting.kind, 3),
+                     id=setting.key)
+        for setting in SETTINGS.values()
     ])
     def test_wrong_type_names_the_key(self, tmp_path, section, key, value):
         cfg = self._config_with(tmp_path, section, {key: value})
-        with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be"):
             load_run_config(cfg)
+
+    @pytest.mark.parametrize("attr, setting", [
+        pytest.param(attr, setting, id=setting.key)
+        for attr, setting in SETTINGS.items() if setting.minimum is not None
+    ])
+    def test_bound_names_the_key(self, tmp_path, attr, setting):
+        """Every bounded setting is rejected below its bound and loads at it."""
+        section, _, key = setting.key.rpartition(".")
+        cfg = self._config_with(tmp_path, section, {key: setting.minimum - 1})
+        with pytest.raises(ConfigError, match=f"^{setting.key} must be >= {setting.minimum}$"):
+            load_run_config(cfg)
+        cfg = self._config_with(tmp_path, section, {key: setting.minimum})
+        assert getattr(load_run_config(cfg), attr) == setting.minimum
+
+    def test_relative_paths(self, tmp_path, monkeypatch):
+        """A relative flag path is taken from the working directory, a
+        relative path in the file from the file's directory."""
+        fixtures = sorted(FIXTURES.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        config = load_run_config(FIXTURES / "runconfig.json", output_dir="rel-out",
+                                 cache_dir="rel-cache")
+        assert config.output_dir.resolve() == tmp_path / "rel-out"
+        assert config.cache_dir.resolve() == tmp_path / "rel-cache"
+        assert (tmp_path / "rel-out").is_dir() and (tmp_path / "rel-cache").is_dir()
+        assert sorted(FIXTURES.rglob("*")) == fixtures
+        (tmp_path / "sub").mkdir()
+        config = load_run_config(
+            self._config_with(tmp_path / "sub", "", {"output_dir": "o", "cache_dir": "c"}))
+        assert config.output_dir == tmp_path / "sub" / "o"
+        assert config.cache_dir == tmp_path / "sub" / "c"
 
     def test_section_must_be_an_object(self, tmp_path):
         cfg = self._config_with(tmp_path, "topics", [65])
