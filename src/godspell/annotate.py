@@ -342,7 +342,6 @@ class ModelConfig:
     temperature: float = 0.0
     max_retries: int = 3
     timeout: float = 120.0
-    backoff_base: float = 1.0
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
@@ -389,6 +388,9 @@ def http_transport(config: ModelConfig, prompt: str, schema: OutputSchema) -> st
         raise MalformedResponse("endpoint body lacked a response field") from None
 
 
+BACKOFF_BASE = 1.0  # seconds before the first retry
+
+
 def call_model(
     config: ModelConfig,
     prompt: str,
@@ -401,7 +403,7 @@ def call_model(
     (see TransportError.retryable), such as 404 for an unknown model, fails
     at once."""
     transport = transport or http_transport
-    delay = config.backoff_base
+    delay = BACKOFF_BASE
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         try:

@@ -87,8 +87,8 @@ def cmd_segment(config: RunConfig) -> None:
     corpus.write_passages(passages, config.output_dir / "passages.jsonl")
     summary = corpus.passage_statistics(passages)
     print(
-        f"wrote {summary.passage_count} passages "
-        f"(mean {summary.mean_word_length} words) for {summary.novel_count} novels"
+        f"wrote {summary['passage_count']} passages "
+        f"(mean {summary['mean_word_length']} words) for {summary['novel_count']} novels"
     )
 
 

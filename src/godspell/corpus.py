@@ -309,33 +309,24 @@ def segment_corpus_fixed(corpus: Corpus, segment_size: int) -> list[Segment]:
     return segments
 
 
-@dataclass
-class PassageStatistics:
-    passage_count: int
-    novel_count: int
-    mean_per_novel: float
-    min_per_novel: int
-    max_per_novel: int
-    mean_word_length: float
-
-
-def passage_statistics(passages: list[Passage]) -> PassageStatistics:
+def passage_statistics(passages: list[Passage]) -> dict:
     """Per-corpus passage summary; means rounded to 2 decimals."""
     if not passages:
-        return PassageStatistics(0, 0, 0.0, 0, 0, 0.0)
+        return {"passage_count": 0, "novel_count": 0, "mean_per_novel": 0.0,
+                "min_per_novel": 0, "max_per_novel": 0, "mean_word_length": 0.0}
     per_novel: dict[str, int] = {}
     for p in passages:
         per_novel[p.novel_id] = per_novel.get(p.novel_id, 0) + 1
     counts = list(per_novel.values())
     mean_len = sum(p.word_count for p in passages) / len(passages)
-    return PassageStatistics(
-        passage_count=len(passages),
-        novel_count=len(per_novel),
-        mean_per_novel=round(len(passages) / len(per_novel), 2),
-        min_per_novel=min(counts),
-        max_per_novel=max(counts),
-        mean_word_length=round(mean_len, 2),
-    )
+    return {
+        "passage_count": len(passages),
+        "novel_count": len(per_novel),
+        "mean_per_novel": round(len(passages) / len(per_novel), 2),
+        "min_per_novel": min(counts),
+        "max_per_novel": max(counts),
+        "mean_word_length": round(mean_len, 2),
+    }
 
 
 def write_passages(passages: list[Passage], path: Path | str) -> None:

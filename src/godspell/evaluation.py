@@ -6,12 +6,12 @@ Krippendorff's alpha is computed from the coincidence matrix with the
 nominal difference function, which needs only each passage's labels. The
 three human inputs (annotation rounds, gold overrides, the spot-check) are
 read here, and `evaluate` scores the model's annotations against them into
-the metrics.json payload.
+the metrics.json payload. `confusion` and `prf` return the JSON objects
+that metrics.json holds under confusion and metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -136,20 +136,8 @@ def build_gold(judgments: Judgments, overrides: dict[str, str] | None = None) ->
     return gold
 
 
-@dataclass
-class Confusion:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-def confusion(gold: dict[str, str], predicted: dict[str, str]) -> Confusion:
-    """2x2 counts with YES as the positive class; ref sets must match."""
+def confusion(gold: dict[str, str], predicted: dict[str, str]) -> dict[str, int]:
+    """2x2 counts tp/fp/fn/tn with YES as the positive class; ref sets must match."""
     gold_refs = set(gold)
     pred_refs = set(predicted)
     if gold_refs != pred_refs:
@@ -166,16 +154,7 @@ def confusion(gold: dict[str, str], predicted: dict[str, str]) -> Confusion:
             fn += 1
         else:
             tn += 1
-    return Confusion(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-@dataclass
-class MetricReport:
-    yes: dict[str, float]
-    no: dict[str, float]
-    micro_f1: float
-    accuracy: float
-    zero_division: list[str]
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
 def _prf_row(tp: int, fp: int, fn: int, flags: list[str], label: str) -> dict[str, float]:
@@ -197,27 +176,24 @@ def _prf_row(tp: int, fp: int, fn: int, flags: list[str], label: str) -> dict[st
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def prf(matrix: Confusion) -> MetricReport:
+def prf(matrix: dict[str, int]) -> dict:
     """Per-label precision/recall/F1 plus micro-averaged F1.
 
     The NO row treats NO as positive. Micro-F1 equals accuracy for this
     single-label binary task. Zero denominators yield 0 and a flag.
     """
+    tp, fp, fn, tn = matrix["tp"], matrix["fp"], matrix["fn"], matrix["tn"]
     flags: list[str] = []
-    yes_row = _prf_row(matrix.tp, matrix.fp, matrix.fn, flags, "yes")
-    no_row = _prf_row(matrix.tn, matrix.fn, matrix.fp, flags, "no")
-    if matrix.total:
-        accuracy = (matrix.tp + matrix.tn) / matrix.total
+    yes_row = _prf_row(tp, fp, fn, flags, "yes")
+    no_row = _prf_row(tn, fn, fp, flags, "no")
+    total = tp + fp + fn + tn
+    if total:
+        accuracy = (tp + tn) / total
     else:
         accuracy = 0.0
         flags.append("accuracy")
-    return MetricReport(
-        yes=yes_row,
-        no=no_row,
-        micro_f1=accuracy,
-        accuracy=accuracy,
-        zero_division=flags,
-    )
+    return {"yes": yes_row, "no": no_row, "micro_f1": accuracy, "accuracy": accuracy,
+            "zero_division": flags}
 
 
 def spotcheck_agreement(human: dict[str, str], model: dict[str, str]) -> float:
@@ -274,8 +250,8 @@ def evaluate(
         "gold_yes": sum(1 for v in gold.values() if v == "YES"),
         "gold_no": sum(1 for v in gold.values() if v == "NO"),
         "resolved_by_discussion": len(overrides),
-        "confusion": asdict(matrix),
-        "metrics": asdict(prf(matrix)),
+        "confusion": matrix,
+        "metrics": prf(matrix),
         "unresolved_scored_as_no": sum(1 for a in scored if a.status != "ok"),
     }
     if spotcheck is not None:

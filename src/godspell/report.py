@@ -79,7 +79,6 @@ class RunConfig:
     annotation_rounds: list[Path] = _setting("evaluation.rounds", FILES, [])
     gold_overrides_path: Path | None = _setting("evaluation.gold_overrides", FILE)
     spotcheck_path: Path | None = _setting("evaluation.spotcheck", FILE)
-    # directories last, so that a value of the wrong kind above leaves none made
     output_dir: Path = _setting("output_dir", DIR, "out")
     cache_dir: Path = _setting("cache_dir", DIR)  # unset: output_dir / "cache"
     model: ModelConfig = field(init=False)
@@ -126,13 +125,6 @@ def _value(setting: Setting, value, base: Path):
         path = base / _typed(key, value, str)
         if kind == FILE and not path.is_file():
             raise ConfigError(f"{key} not found: {path}")
-        if kind == DIR:
-            try:
-                path.mkdir(parents=True, exist_ok=True)
-                (path / ".write-probe").write_text("", encoding="utf-8")
-                (path / ".write-probe").unlink()
-            except OSError as e:
-                raise ConfigError(f"{key} not writable: {path} ({e})") from None
         return path
     if isinstance(kind, tuple):
         if value not in kind:
@@ -182,7 +174,18 @@ def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
         else:
             values[attr] = _value(setting, tables[section].get(name, setting.default),
                                   config_path.parent)
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    # a directory is made only once every setting has passed its checks
+    for attr, setting in SETTINGS.items():
+        path = values[attr]
+        if setting.kind == DIR and path is not None:
+            try:
+                path.mkdir(parents=True, exist_ok=True)
+                (path / ".write-probe").write_text("", encoding="utf-8")
+                (path / ".write-probe").unlink()
+            except OSError as e:
+                raise ConfigError(f"{setting.key} not writable: {path} ({e})") from None
+    return config
 
 
 def fmt(value) -> str:

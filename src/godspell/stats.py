@@ -1,6 +1,7 @@
 """Statistical tests and descriptive analyses over annotations and topics,
 and `analyze`, which turns an analysis.json request into the stats.json
-payload.
+payload. Each analysis returns the JSON object it contributes to
+stats.json, so a value is defined once, as a key where it is computed.
 
 The t-distribution CDF is computed from scratch via the regularized
 incomplete beta function (continued fraction), so p-values do not depend
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import Novel, Passage, passage_statistics
@@ -127,22 +127,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return r, _two_sided_p(t, n - 2)
 
 
-@dataclass
-class TestResult:
-    statistic: float
-    df: float
-    p_two_sided: float
-    mean_a: float
-    mean_b: float
-    n_a: int
-    n_b: int
-    group_a: str = "a"
-    group_b: str = "b"
-    flag: str | None = None
-
-
-def ttest_ind(a: Sequence[float], b: Sequence[float]) -> TestResult:
-    """Independent two-sample Student t-test with pooled variance, two-sided."""
+def ttest_ind(a: Sequence[float], b: Sequence[float]) -> dict:
+    """Independent two-sample Student t-test with pooled variance, two-sided;
+    flag is "zero variance" when the pooled variance is 0."""
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("each group needs at least 2 values")
@@ -153,15 +140,16 @@ def ttest_ind(a: Sequence[float], b: Sequence[float]) -> TestResult:
     df = float(na + nb - 2)
     pooled = ((na - 1) * va + (nb - 1) * vb) / df
     se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    result = {"df": df, "mean_a": ma, "mean_b": mb, "n_a": na, "n_b": nb, "flag": None}
 
     if se == 0.0:
         if ma == mb:
-            return TestResult(0.0, df, 1.0, ma, mb, na, nb, flag="zero variance")
+            return {**result, "statistic": 0.0, "p_two_sided": 1.0, "flag": "zero variance"}
         t = math.inf if ma > mb else -math.inf
-        return TestResult(t, df, 0.0, ma, mb, na, nb, flag="zero variance")
+        return {**result, "statistic": t, "p_two_sided": 0.0, "flag": "zero variance"}
 
     t = (ma - mb) / se
-    return TestResult(t, df, _two_sided_p(t, df), ma, mb, na, nb)
+    return {**result, "statistic": t, "p_two_sided": _two_sided_p(t, df)}
 
 
 def group_compare(
@@ -169,8 +157,9 @@ def group_compare(
     novels: Sequence["Novel"],
     grouping: str,
     series_tag: str | None = None,
-) -> TestResult:
-    """Compare per-novel means between two groups of the novels in values.
+) -> dict:
+    """Compare per-novel means between two groups of the novels in values:
+    ttest_ind of the two groups, with their labels as group_a and group_b.
 
     grouping='series' contrasts novels carrying series_tag (any tag if not
     named) against the rest. grouping='gender' contrasts female- vs
@@ -203,22 +192,12 @@ def group_compare(
         raise ValueError(f"unknown grouping {grouping!r}")
 
     result = ttest_ind([values[i] for i in in_group], [values[i] for i in out_group])
-    result.group_a = label_a
-    result.group_b = label_b
-    return result
+    return {**result, "group_a": label_a, "group_b": label_b}
 
 
-@dataclass
-class ActProportions:
-    per_novel: dict[str, float]
-    corpus_share: float
-    yes_count: int
-    total: int
-    unresolved_count: int
-
-
-def act_proportions(annotations: Sequence["ActAnnotation"]) -> ActProportions:
-    """Per-novel share of passages whose final verdict is YES.
+def act_proportions(annotations: Sequence["ActAnnotation"]) -> dict:
+    """Per-novel share of passages whose final verdict is YES, and, when
+    there are any, the per-novel shares' mean, min and max.
 
     Unresolved annotations count as NO and are tallied separately.
     """
@@ -233,31 +212,28 @@ def act_proportions(annotations: Sequence["ActAnnotation"]) -> ActProportions:
             yes[ann.novel_id] = yes.get(ann.novel_id, 0) + 1
     total = sum(totals.values())
     yes_total = sum(yes.values())
-    return ActProportions(
-        per_novel={nid: yes.get(nid, 0) / count for nid, count in totals.items()},
-        corpus_share=(yes_total / total) if total else 0.0,
-        yes_count=yes_total,
-        total=total,
-        unresolved_count=unresolved,
-    )
-
-
-@dataclass
-class PositionDensity:
-    bin_edges: list[float]
-    counts: list[int]
-    density: list[float]
-    mean_position: float | None
-    n_acts: int
+    per_novel = {nid: yes.get(nid, 0) / count for nid, count in totals.items()}
+    result = {
+        "per_novel": per_novel,
+        "corpus_share": (yes_total / total) if total else 0.0,
+        "yes_count": yes_total,
+        "total": total,
+        "unresolved_count": unresolved,
+    }
+    if per_novel:
+        shares = list(per_novel.values())
+        result.update(per_novel_mean=sum(shares) / len(shares), per_novel_min=min(shares),
+                      per_novel_max=max(shares))
+    return result
 
 
 def position_density(
     annotations: Sequence["ActAnnotation"],
     passages: Sequence["Passage"],
     bins: int,
-) -> PositionDensity:
+) -> dict:
     """Histogram of YES passages over normalized narrative position [0, 1],
-    normalized to unit area, with the mean position."""
+    normalized to unit area, with the mean position (None without acts)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     position = {p.ref: p.normalized_position for p in passages}
@@ -270,30 +246,23 @@ def position_density(
     for pos in acts:
         counts[min(int(pos * bins), bins - 1)] += 1
     n = len(acts)
-    density = [c * bins / n if n else 0.0 for c in counts]
-    edges = [i / bins for i in range(bins + 1)]
-    mean_pos = sum(acts) / n if n else None
-    return PositionDensity(edges, counts, density, mean_pos, n)
+    return {
+        "bin_edges": [i / bins for i in range(bins + 1)],
+        "counts": counts,
+        "density": [c * bins / n if n else 0.0 for c in counts],
+        "mean_position": sum(acts) / n if n else None,
+        "n_acts": n,
+    }
 
 
 AFFECT_LABELS = ("INDIVIDUAL", "GROUP")
 IMPACT_LABELS = ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")
 
 
-@dataclass
-class CharacterizationShares:
-    """Label -> novel id -> share of that novel's YES acts, and corpus-wide
-    shares per label."""
-
-    per_novel_affect: dict[str, dict[str, float]]
-    per_novel_impact: dict[str, dict[str, float]]
-    corpus_affect: dict[str, float]
-    corpus_impact: dict[str, float]
-
-
-def characterization_shares(annotations: Sequence["ActAnnotation"]) -> CharacterizationShares:
-    """Per-novel shares of affect and impact labels among YES acts, plus
-    corpus-level aggregates. Novels without YES acts are excluded."""
+def characterization_shares(annotations: Sequence["ActAnnotation"]) -> dict:
+    """Per-novel shares of affect and impact labels among YES acts (label ->
+    novel id -> share), plus corpus-level aggregates (label -> share).
+    Novels without YES acts are excluded."""
     acts: dict[str, list] = {}
     for ann in annotations:
         if ann.is_act:
@@ -314,18 +283,18 @@ def characterization_shares(annotations: Sequence["ActAnnotation"]) -> Character
 
     flat = [a for group in acts.values() for a in group]
     total = len(flat)
-    return CharacterizationShares(
-        per_novel_affect=affect,
-        per_novel_impact=impact,
-        corpus_affect={
+    return {
+        "per_novel_affect": affect,
+        "per_novel_impact": impact,
+        "corpus_affect": {
             label: (sum(1 for a in flat if a.affect == label) / total if total else 0.0)
             for label in AFFECT_LABELS
         },
-        corpus_impact={
+        "corpus_impact": {
             label: (sum(1 for a in flat if a.impact == label) / total if total else 0.0)
             for label in IMPACT_LABELS
         },
-    )
+    }
 
 
 class AnalysisError(ValueError):
@@ -385,12 +354,7 @@ def analyze(
         if not isinstance(analysis.get(key, []), list):
             raise AnalysisError(f"{key} must be a list, got {analysis[key]!r}")
     act = act_proportions(annotations)
-    act_payload = asdict(act)
-    if act.per_novel:
-        shares = list(act.per_novel.values())
-        act_payload["per_novel_mean"] = sum(shares) / len(shares)
-        act_payload["per_novel_min"] = min(shares)
-        act_payload["per_novel_max"] = max(shares)
+    act_share = act["per_novel"]
     density = position_density(annotations, passages, bins=bins)
     mean_prominence = [
         sum(p[t] for p in prominence.values()) / len(prominence) for t in range(k)
@@ -412,8 +376,8 @@ def analyze(
     def act_topic(entry) -> dict:
         topic = _topic_index(entry)
         values = topic_values(topic)
-        shared = sorted(set(act.per_novel) & set(values))
-        r, p = pearson([act.per_novel[n] for n in shared], [values[n] for n in shared])
+        shared = sorted(set(act_share) & set(values))
+        r, p = pearson([act_share[n] for n in shared], [values[n] for n in shared])
         return {"topic": topic, "r": r, "p": p}
 
     def comparison(spec) -> dict:
@@ -421,28 +385,30 @@ def analyze(
             raise ValueError(f"a comparison is an object, not {spec!r}")
         kind = spec.get("kind")
         if kind == "act_share":
-            values = act.per_novel
+            values = act_share
         elif kind == "topic_prominence":
             values = topic_values(_topic_index(spec["topic"]))
         elif kind == "characterization":
-            table = (
-                characterization.per_novel_affect if spec["facet"] == "affect"
-                else characterization.per_novel_impact
-            )
-            values = table[spec["label"].upper()]
+            facet, label = spec["facet"], spec["label"]
+            if facet not in ("affect", "impact"):
+                raise ValueError(f"unknown characterization facet {facet!r}")
+            table = characterization[f"per_novel_{facet}"]
+            if not isinstance(label, str) or label.upper() not in table:
+                raise ValueError(f"unknown {facet} label {label!r}")
+            values = table[label.upper()]
         else:
             raise ValueError(f"unknown comparison kind {kind!r}")
-        return asdict(group_compare(values, novels, spec["grouping"],
-                                    series_tag=analysis.get("series_tag")))
+        return group_compare(values, novels, spec["grouping"],
+                             series_tag=analysis.get("series_tag"))
 
     return {
-        "passages": asdict(passage_statistics(passages)),
+        "passages": passage_statistics(passages),
         "novels": {
             n.id: {"title": n.title, "series_tag": n.series_tag, "gender_group": n.gender_group()}
             for n in novels
         },
-        "act_proportions": act_payload,
-        "position_density": asdict(density),
+        "act_proportions": act,
+        "position_density": density,
         "topic_prominence": {"per_novel": prominence, "mean": mean_prominence},
         "topic_correlations": [
             _analysis_entry({"topics": pair}, topic_pair, pair)
@@ -456,5 +422,5 @@ def analyze(
             _analysis_entry({"name": _comparison_name(spec)}, comparison, spec)
             for spec in analysis.get("comparisons", [])
         ],
-        "characterization": asdict(characterization),
+        "characterization": characterization,
     }

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from godspell import annotate
 from godspell.annotate import (
     AnnotationCache,
     MalformedResponse,
@@ -16,6 +17,7 @@ from godspell.annotate import (
     OutputSchema,
     PipelineError,
     PromptTemplate,
+    TransportError,
     cache_key,
     call_model,
     default_registry,
@@ -29,6 +31,14 @@ from godspell.annotate import (
 )
 from godspell.corpus import Passage
 from oracles import check_annotation_invariants
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """The retry backoff's sleeps, recorded in place of being slept."""
+    slept = []
+    monkeypatch.setattr(annotate.time, "sleep", slept.append)
+    return slept
 
 
 def make_passage(i, text, novel_id="n1"):
@@ -206,7 +216,6 @@ def server_config(server, retries=3):
         endpoint=f"http://127.0.0.1:{server.server_address[1]}",
         max_retries=retries,
         timeout=5.0,
-        backoff_base=0.01,
     )
 
 
@@ -271,12 +280,20 @@ class TestCallModel:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         config = ModelConfig(model="m", endpoint=f"http://127.0.0.1:{port}",
-                             max_retries=2, timeout=0.5, backoff_base=0.01)
+                             max_retries=2, timeout=0.5)
         start = time.monotonic()
         with pytest.raises(PipelineError) as err:
             call_model(config, "p", LABEL_SCHEMA)
         assert err.value.kind == "transport"
         assert time.monotonic() - start < 10
+
+    def test_backoff_doubles_from_one_second(self, sleeps):
+        def down(config, prompt, schema):
+            raise TransportError("connection refused")
+
+        with pytest.raises(PipelineError):
+            call_model(ModelConfig(model="m", max_retries=3), "p", LABEL_SCHEMA, transport=down)
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_malformed_exhaustion_kind(self, scripted_server):
         scripted_server.script = [("truncated",)] * 3
@@ -286,7 +303,7 @@ class TestCallModel:
 
 
 def mock_config(retries=0):
-    return ModelConfig(model="mock-model", max_retries=retries, backoff_base=0.001)
+    return ModelConfig(model="mock-model", max_retries=retries)
 
 
 GODLY = "P{i:02d} begins. {body}"

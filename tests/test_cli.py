@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -144,14 +146,45 @@ class TestSubcommands:
 
 
 @pytest.fixture(scope="module")
-def upstream(tmp_path_factory):
-    """segment, a short topics-train and annotate on the fixtures."""
+def upstream_run(tmp_path_factory):
+    """segment, a short topics-train and annotate on the fixtures: their
+    output directory and what each command printed."""
     out = tmp_path_factory.mktemp("upstream")
     short = config_with(tmp_path_factory.mktemp("config"), topics={"sweeps": 3})
-    assert run("segment", "--config", CONFIG, "--output", str(out)) == 0
-    assert run("topics-train", "--config", short, "--output", str(out)) == 0
-    assert run("annotate", "--config", CONFIG, "--output", str(out)) == 0
-    return out
+    printed = {}
+    for command, config in (("segment", CONFIG), ("topics-train", short),
+                            ("annotate", CONFIG)):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert run(command, "--config", config, "--output", str(out)) == 0
+        printed[command] = stdout.getvalue()
+    return out, printed
+
+
+@pytest.fixture(scope="module")
+def upstream(upstream_run):
+    return upstream_run[0]
+
+
+def test_stdout_summaries(tmp_path, upstream_run, capsys):
+    """The one-line summary each command prints on the fixtures."""
+    upstream, printed = upstream_run
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    printed = dict(printed)
+    for command in ("ingest", "eval", "stats", "report"):
+        assert run(command, "--config", CONFIG, "--output", str(out)) == 0
+        printed[command] = capsys.readouterr().out
+    assert {command: printed[command] for command in SUMMARIES} == SUMMARIES
+
+
+SUMMARIES = {
+    "ingest": "ingested 3 novels (10195 words)\n",
+    "segment": "wrote 22 passages (mean 463.41 words) for 3 novels\n",
+    "annotate": "annotated 22 passages: 16 YES, 0 unresolved\n",
+    "eval": "scored 18 gold passages: micro-F1 0.889 (YES F1 0.917, NO F1 0.833)\n",
+    "stats": "wrote stats for 3 novels (16 acts)\n",
+    "report": "wrote report.md and 5 figure tables\n",
+}
 
 
 def run_stats(tmp_path, upstream, analysis):
@@ -199,7 +232,16 @@ class TestStatsTopicIndices:
         stats = self.stats(tmp_path, upstream, {
             "topic_correlations": [[0, "x"], [0], 3, [0, None], [0, 1]],
             "act_share_topic_correlations": ["y", [1], float("inf"), 1],
-            "comparisons": [5, {"name": "ok", "kind": "act_share", "grouping": "gender"}],
+            "comparisons": [
+                5,
+                {"name": "facet", "kind": "characterization", "facet": "afect",
+                 "label": "loving", "grouping": "gender"},
+                {"name": "label type", "kind": "characterization", "facet": "affect",
+                 "label": 1, "grouping": "gender"},
+                {"name": "label", "kind": "characterization", "facet": "impact",
+                 "label": "group", "grouping": "gender"},
+                {"name": "ok", "kind": "act_share", "grouping": "gender"},
+            ],
         })
         *bad_pairs, good_pair = stats["topic_correlations"]
         assert bad_pairs[0] == {"topics": [0, "x"],
@@ -210,8 +252,13 @@ class TestStatsTopicIndices:
         *bad_topics, good_topic = stats["act_share_topic_correlations"]
         assert all(set(t) == {"topic", "error"} for t in bad_topics)
         assert good_topic["topic"] == 1 and "r" in good_topic and "error" not in good_topic
-        bad_comparison, good_comparison = stats["comparisons"]
-        assert bad_comparison == {"name": "5", "error": "a comparison is an object, not 5"}
+        *bad_comparisons, good_comparison = stats["comparisons"]
+        assert bad_comparisons == [
+            {"name": "5", "error": "a comparison is an object, not 5"},
+            {"name": "facet", "error": "unknown characterization facet 'afect'"},
+            {"name": "label type", "error": "unknown affect label 1"},
+            {"name": "label", "error": "unknown impact label 'group'"},
+        ]
         # computed: the fixture's three novels are too few for any comparison
         assert good_comparison == {"name": "ok", "error": "empty male group after gender filters"}
 
@@ -378,12 +425,13 @@ class TestOverrides:
     @pytest.mark.parametrize("setting", [{"timeout": 0}, {"max_retries": -1},
                                          {"temperature": -1}])
     def test_bad_model_setting_in_config_rejected(self, tmp_path, capsys, setting):
+        """It ends the command before the output directory is made."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"manifest": str(FIXTURES / "manifest.csv"),
-                                    "model": setting}), encoding="utf-8")
-        assert run("segment", "--config", str(path), "--output", str(tmp_path)) == 1
+                                    "model": setting, "output_dir": "made"}), encoding="utf-8")
+        assert run("segment", "--config", str(path)) == 1
         assert next(iter(setting)) in capsys.readouterr().err
-        assert not (tmp_path / "passages.jsonl").exists()
+        assert not (tmp_path / "made").exists()
 
 
 class TestPromptVersions:

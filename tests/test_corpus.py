@@ -275,9 +275,9 @@ class TestPassageStatistics:
             Passage("n1", 2, _words(200), 200, 800, 1000, 0.9),
         ]
         summary = passage_statistics(passages)
-        assert summary.mean_word_length == 333.33
-        assert summary.passage_count == 3
-        assert summary.min_per_novel == summary.max_per_novel == 3
+        assert summary["mean_word_length"] == 333.33
+        assert summary["passage_count"] == 3
+        assert summary["min_per_novel"] == summary["max_per_novel"] == 3
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(21)
@@ -290,16 +290,16 @@ class TestPassageStatistics:
         per_novel = {}
         for p in passages:
             per_novel.setdefault(p.novel_id, []).append(p)
-        assert summary.passage_count == len(passages)
-        assert summary.novel_count == len(per_novel)
-        assert summary.min_per_novel == min(len(v) for v in per_novel.values())
-        assert summary.max_per_novel == max(len(v) for v in per_novel.values())
-        assert summary.mean_word_length == round(
+        assert summary["passage_count"] == len(passages)
+        assert summary["novel_count"] == len(per_novel)
+        assert summary["min_per_novel"] == min(len(v) for v in per_novel.values())
+        assert summary["max_per_novel"] == max(len(v) for v in per_novel.values())
+        assert summary["mean_word_length"] == round(
             sum(p.word_count for p in passages) / len(passages), 2
         )
 
     def test_empty(self):
-        assert passage_statistics([]).passage_count == 0
+        assert passage_statistics([])["passage_count"] == 0
 
 
 class TestPassageIO:

@@ -1,7 +1,6 @@
 import csv
 import json
 import re
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -201,14 +200,13 @@ def small_results():
         + [make_annotation("n2", i, final="YES") for i in range(3)]
         + [make_annotation("n3", i, final="NO") for i in range(2)]
     )
-    act = act_proportions(annotations)
     return annotations, novels, {
         "novels": {
             n.id: {"title": n.title, "series_tag": n.series_tag,
                    "gender_group": n.gender_group()}
             for n in novels
         },
-        "act_proportions": asdict(act),
+        "act_proportions": act_proportions(annotations),
         "position_density": {
             "bin_edges": [0.0, 0.5, 1.0], "counts": [3, 2],
             "density": [1.2, 0.8], "mean_position": 0.45, "n_acts": 5,

@@ -97,37 +97,37 @@ class TestTCdf:
 class TestTTest:
     def test_identical_groups(self):
         result = ttest_ind([1, 2, 3], [1, 2, 3])
-        assert result.statistic == 0.0
-        assert result.p_two_sided == 1.0
+        assert result["statistic"] == 0.0
+        assert result["p_two_sided"] == 1.0
 
     def test_hand_derived_case(self):
         result = ttest_ind([1, 2, 3], [2, 3, 4])
-        assert abs(result.statistic - (-math.sqrt(1.5))) < 1e-12
-        assert result.df == 4
-        assert abs(result.p_two_sided - TTEST_EXAMPLE_P) < 1e-9
+        assert abs(result["statistic"] - (-math.sqrt(1.5))) < 1e-12
+        assert result["df"] == 4
+        assert abs(result["p_two_sided"] - TTEST_EXAMPLE_P) < 1e-9
 
     def test_translation_invariance(self):
         base = ttest_ind([1.0, 2.5, 3.0], [2.0, 4.0, 5.5])
         shifted = ttest_ind([101.0, 102.5, 103.0], [102.0, 104.0, 105.5])
-        assert abs(base.statistic - shifted.statistic) < 1e-9
-        assert abs(base.p_two_sided - shifted.p_two_sided) < 1e-9
+        assert abs(base["statistic"] - shifted["statistic"]) < 1e-9
+        assert abs(base["p_two_sided"] - shifted["p_two_sided"]) < 1e-9
 
     def test_antisymmetry(self):
         ab = ttest_ind([1, 2, 3], [2, 3, 4])
         ba = ttest_ind([2, 3, 4], [1, 2, 3])
-        assert abs(ab.statistic + ba.statistic) < 1e-12
-        assert abs(ab.p_two_sided - ba.p_two_sided) < 1e-12
+        assert abs(ab["statistic"] + ba["statistic"]) < 1e-12
+        assert abs(ab["p_two_sided"] - ba["p_two_sided"]) < 1e-12
 
     def test_zero_variance_equal_means(self):
         result = ttest_ind([2, 2], [2, 2])
-        assert result.statistic == 0.0
-        assert result.p_two_sided == 1.0
-        assert result.flag == "zero variance"
+        assert result["statistic"] == 0.0
+        assert result["p_two_sided"] == 1.0
+        assert result["flag"] == "zero variance"
 
     def test_zero_variance_different_means(self):
         result = ttest_ind([2, 2], [3, 3])
-        assert result.p_two_sided == 0.0
-        assert result.flag == "zero variance"
+        assert result["p_two_sided"] == 0.0
+        assert result["flag"] == "zero variance"
 
     def test_small_groups_rejected(self):
         with pytest.raises(ValueError):
@@ -159,8 +159,8 @@ class TestActProportions:
     def test_simple_share(self):
         annotations = _share_annotations({"nov-a": (4, 8)})
         result = act_proportions(annotations)
-        assert result.per_novel["nov-a"] == 0.5
-        assert result.corpus_share == 0.5
+        assert result["per_novel"]["nov-a"] == 0.5
+        assert result["corpus_share"] == 0.5
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(3)
@@ -173,7 +173,7 @@ class TestActProportions:
         for novel in NOVELS:
             mine = [a for a in annotations if a.novel_id == novel.id]
             expected = sum(1 for a in mine if a.final_label == "YES") / len(mine)
-            assert result.per_novel[novel.id] == pytest.approx(expected)
+            assert result["per_novel"][novel.id] == pytest.approx(expected)
 
     def test_unresolved_counts_as_no(self):
         annotations = [
@@ -181,8 +181,8 @@ class TestActProportions:
             make_annotation("nov-a", 1, status="unresolved"),
         ]
         result = act_proportions(annotations)
-        assert result.per_novel["nov-a"] == 0.5
-        assert result.unresolved_count == 1
+        assert result["per_novel"]["nov-a"] == 0.5
+        assert result["unresolved_count"] == 1
 
 
 class TestPositionDensity:
@@ -190,8 +190,8 @@ class TestPositionDensity:
         passages = [make_passage("nov-a", 0, 0.5)]
         annotations = [make_annotation("nov-a", 0, final="YES")]
         result = position_density(annotations, passages, bins=20)
-        assert sum(1 for c in result.counts if c) == 1
-        assert result.mean_position == 0.5
+        assert sum(1 for c in result["counts"] if c) == 1
+        assert result["mean_position"] == 0.5
 
     def test_density_integrates_to_one(self):
         rng = random.Random(5)
@@ -201,7 +201,7 @@ class TestPositionDensity:
             for i in range(200)
         ]
         result = position_density(annotations, passages, bins=20)
-        mass = sum(d * (1 / 20) for d in result.density)
+        mass = sum(d * (1 / 20) for d in result["density"])
         assert abs(mass - 1.0) < 1e-9
 
     def test_uniform_positions_pass_chi_square(self):
@@ -212,20 +212,20 @@ class TestPositionDensity:
         annotations = [make_annotation("nov-a", i, final="YES") for i in range(10_000)]
         result = position_density(annotations, passages, bins=20)
         expected = 10_000 / 20
-        chi2 = sum((c - expected) ** 2 / expected for c in result.counts)
+        chi2 = sum((c - expected) ** 2 / expected for c in result["counts"])
         assert chi2 < 36.1909
 
     def test_empty_annotations(self):
         result = position_density([], [], bins=20)
-        assert result.n_acts == 0
-        assert result.mean_position is None
+        assert result["n_acts"] == 0
+        assert result["mean_position"] is None
 
     def test_unmatched_acts_dropped_with_warning(self, caplog):
         passages = [make_passage("nov-a", 0, 0.5)]
         annotations = [make_annotation("nov-a", i, final="YES") for i in range(3)]
         with caplog.at_level("WARNING"):
             result = position_density(annotations, passages, bins=20)
-        assert result.n_acts == 1
+        assert result["n_acts"] == 1
         assert len(caplog.records) == 1
         assert "2 acts" in caplog.text
 
@@ -236,27 +236,27 @@ class TestGroupCompare:
         values["ser-1"] = 0.5
         values["ser-2"] = 0.6
         result = group_compare(values, NOVELS, "series", series_tag="end-times")
-        assert result.n_a == 2
-        assert result.n_b == 5
-        assert result.mean_a > result.mean_b
+        assert result["n_a"] == 2
+        assert result["n_b"] == 5
+        assert result["mean_a"] > result["mean_b"]
 
     def test_gender_grouping_filters(self):
         values = {n.id: float(i) for i, n in enumerate(NOVELS)}
         result = group_compare(values, NOVELS, "gender")
         # series novels and the mixed-gender novel are dropped
-        assert result.n_a == 2 and result.n_b == 2
-        assert result.group_a == "female" and result.group_b == "male"
+        assert result["n_a"] == 2 and result["n_b"] == 2
+        assert result["group_a"] == "female" and result["group_b"] == "male"
 
     def test_filter_counts_match_brute_force(self):
         values = {n.id: float(i) for i, n in enumerate(NOVELS)}
         result = group_compare(values, NOVELS, "gender")
         kept = [n for n in NOVELS if not n.series_tag and n.gender_group() in ("female", "male")]
-        assert result.n_a + result.n_b == len(kept)
+        assert result["n_a"] + result["n_b"] == len(kept)
 
     def test_identical_groups_p_one(self):
         values = {"nov-a": 1.0, "nov-c": 2.0, "nov-b": 1.0, "nov-d": 2.0}
         result = group_compare(values, NOVELS, "gender")
-        assert result.p_two_sided == 1.0
+        assert result["p_two_sided"] == 1.0
 
     def test_empty_group_raises(self):
         values = {"nov-a": 1.0, "nov-c": 2.0}
@@ -276,8 +276,8 @@ class TestCharacterizationShares:
             make_annotation("nov-a", 2, final="YES", affect="GROUP"),
         ]
         shares = characterization_shares(annotations)
-        assert shares.per_novel_affect["INDIVIDUAL"]["nov-a"] == pytest.approx(2 / 3)
-        assert shares.per_novel_affect["GROUP"]["nov-a"] == pytest.approx(1 / 3)
+        assert shares["per_novel_affect"]["INDIVIDUAL"]["nov-a"] == pytest.approx(2 / 3)
+        assert shares["per_novel_affect"]["GROUP"]["nov-a"] == pytest.approx(1 / 3)
 
     def test_impact_shares_sum_to_one(self):
         rng = random.Random(9)
@@ -287,7 +287,7 @@ class TestCharacterizationShares:
             for i in range(40)
         ]
         shares = characterization_shares(annotations)
-        total = sum(shares.per_novel_impact[label]["nov-a"] for label in impacts)
+        total = sum(shares["per_novel_impact"][label]["nov-a"] for label in impacts)
         assert abs(total - 1.0) < 1e-9
 
     def test_zero_act_novel_excluded(self, caplog):
@@ -296,7 +296,7 @@ class TestCharacterizationShares:
             make_annotation("nov-b", 0, final="NO"),
         ]
         shares = characterization_shares(annotations)
-        assert "nov-b" not in shares.per_novel_affect["INDIVIDUAL"]
+        assert "nov-b" not in shares["per_novel_affect"]["INDIVIDUAL"]
 
     def test_scaling_leaves_pearson_unchanged(self):
         # prominence-style argmax/correlation stability under common scaling
