@@ -53,7 +53,7 @@ SOURCE = r"""
 void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
                  int32_t *z, const double *u, int64_t k_topics, int64_t v,
                  const double *alpha, double beta, double vbeta,
-                 int64_t *n_dk, int64_t *n_kw, int64_t *n_k, double *cum)
+                 int64_t *n_dk, int32_t *n_kw, int64_t *n_k, double *cum)
 {
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *row = n_dk + d * k_topics;
@@ -340,7 +340,7 @@ def sweep(lib, state) -> None:
     from .topics import _uniforms
 
     for name, dtype in (("offsets", np.int64), ("words", np.int32), ("z", np.int32),
-                        ("n_dk", np.int64), ("n_kw", np.int64), ("n_k", np.int64)):
+                        ("n_dk", np.int64), ("n_kw", np.int32), ("n_k", np.int64)):
         setattr(state, name, np.ascontiguousarray(getattr(state, name), dtype=dtype))
     u = _uniforms(state.rng, len(state.z))
     alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)

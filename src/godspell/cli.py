@@ -34,6 +34,8 @@ from .report import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import topics
 
 log = logging.getLogger(__name__)
@@ -92,18 +94,23 @@ def cmd_segment(config: RunConfig) -> None:
     )
 
 
-def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[list[int]], list[str]]:
-    """The vocabulary, each fixed-size segment's word ids and its novel.
-    The corpus text and the segments' words are freed before downsampling."""
+def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[np.ndarray], list[str]]:
+    """The vocabulary, each fixed-size segment's word ids and its novel. Novels
+    are read and segmented one at a time, as the vocabulary pass asks for them."""
     from . import topics
 
     loaded = corpus.ingest(config.manifest)
-    segments = corpus.segment_corpus_fixed(loaded, segment_size=config.segment_size)
+    doc_novels: list[str] = []
+
+    def segments():
+        for novel in loaded.novels:
+            for segment in corpus.segment_fixed(novel, loaded.text(novel.id), config.segment_size):
+                doc_novels.append(novel.id)
+                yield segment
+
     vocab, docs = topics.build_vocabulary(
-        segments, _load_stopwords(config), min_count=config.topics_min_count
+        segments(), _load_stopwords(config), min_count=config.topics_min_count
     )
-    doc_novels = [seg.novel_id for seg in segments]
-    del loaded, segments
     if config.topics_downsample:
         docs = topics.authorless_downsample(
             docs, doc_novels, rng_seed=config.topics_downsample_seed

@@ -1,8 +1,9 @@
 """Corpus ingestion and segmentation.
 
-Reads a manifest of novels plus plain-text files, and splits each novel
-two ways: fixed word-count segments for topic modeling and word-capped
-passages (greedy paragraph packing) for annotation.
+Reads a manifest of novels: ``ingest`` checks that each text file exists but
+reads none, and ``Corpus.text`` reads one when asked, keeping nothing. Each
+novel splits two ways: fixed word-count segments for topic modeling and
+word-capped passages (greedy paragraph packing) for annotation.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 GENDERS = ("female", "male", "unknown")
@@ -94,10 +95,14 @@ class Segment:
 @dataclass
 class Corpus:
     novels: list[Novel]
-    texts: dict[str, str] = field(default_factory=dict)
 
     def text(self, novel_id: str) -> str:
-        return self.texts[novel_id]
+        """The novel's text, read on each call; ManifestError if it is not UTF-8."""
+        path = next(n.source_path for n in self.novels if n.id == novel_id)
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ManifestError(f"text file for novel {novel_id!r} is not UTF-8: {path}") from e
 
 
 def word_tokenize(text: str) -> list[str]:
@@ -173,7 +178,8 @@ def _parse_row(row: dict, row_number: int, base_dir: Path) -> Novel:
 
 
 def ingest(manifest: Path | str) -> Corpus:
-    """Load a manifest CSV and every novel text it references.
+    """Load a manifest CSV and check that every novel text it references
+    exists; no text is read.
 
     Fatal on duplicate ids, malformed rows, and missing text files.
     """
@@ -182,8 +188,7 @@ def ingest(manifest: Path | str) -> Corpus:
         raise ManifestError(f"manifest not found: {manifest}")
     base_dir = manifest.parent
 
-    novels: list[Novel] = []
-    texts: dict[str, str] = {}
+    novels: dict[str, Novel] = {}
     with manifest.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -192,15 +197,14 @@ def ingest(manifest: Path | str) -> Corpus:
             raise ManifestError(f"manifest header missing columns: {', '.join(missing)}")
         for row_number, row in enumerate(reader, start=2):
             novel = _parse_row(row, row_number, base_dir)
-            if novel.id in texts:
+            if novel.id in novels:
                 raise ManifestError(f"duplicate novel id {novel.id!r}")
             if not novel.source_path.is_file():
                 raise ManifestError(
                     f"text file for novel {novel.id!r} not found: {novel.source_path}"
                 )
-            texts[novel.id] = novel.source_path.read_text(encoding="utf-8")
-            novels.append(novel)
-    return Corpus(novels=novels, texts=texts)
+            novels[novel.id] = novel
+    return Corpus(novels=list(novels.values()))
 
 
 def segment_fixed(novel: Novel, text: str, segment_size: int) -> list[Segment]:

@@ -5,7 +5,9 @@ optimization (asymmetric document-topic prior, symmetric topic-word prior).
 Every layer works on flat numpy arrays and is bitwise-identical to a
 per-token pure-Python reference in ``tests/oracles.py``: the same
 vocabulary and ids, the same kept tokens, topics and counts, the same RNG
-stream and so the same log-likelihood floats and ``state.json``.
+stream and so the same log-likelihood floats and ``state.json``. Each holds
+little of the corpus at once: documents are int32 views of one flat array,
+``n_kw`` is int32, and the state writer streams.
 
 Random draws go through one bridge, ``_mt19937``: it loads a
 ``random.Random``'s Mersenne Twister state into ``np.random.MT19937``, which
@@ -34,13 +36,14 @@ runtime dependency. It is compiled on first use into
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import json
 import logging
 import random
 import string
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -129,15 +132,17 @@ def _randbelow(rng: random.Random, k: int, n: int) -> np.ndarray:
     return np.concatenate(parts).astype(np.int64)
 
 
-def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[list[int]]:
-    """The kept tokens of each document, as lists; document d is
-    flat[offsets[d]:offsets[d + 1]]. Equal ids share one int object, as
-    they do in lists built from a dict of ids: one object per token would
-    cost about 28 bytes each."""
+def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
+    """The kept tokens of each document, as views of one flat array; document
+    d is flat[offsets[d]:offsets[d + 1]]. The piece after the last end is empty."""
     kept_at = np.flatnonzero(keep)
-    kept = flat[kept_at]
-    values = np.arange(kept.max(initial=-1) + 1).astype(object)[kept]
-    return [part.tolist() for part in np.split(values, np.searchsorted(kept_at, offsets[1:-1]))]
+    return np.split(flat[kept_at], np.searchsorted(kept_at, offsets[1:]))[:-1]
+
+
+def _flat(docs: list[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """docs (lists or arrays of ids) as one int32 token array and its offsets."""
+    words = np.concatenate([np.empty(0, np.int32), *(np.asarray(d, np.int32) for d in docs)])
+    return words, _offsets(map(len, docs))
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -148,27 +153,37 @@ def _offsets(lengths) -> np.ndarray:
     return offsets
 
 
+def _docs_by_novel(doc_novels: list[str]) -> dict[str, list[int]]:
+    """Novel id -> the indices of its documents, novels in order of first appearance."""
+    rows: dict[str, list[int]] = {}
+    for i, novel_id in enumerate(doc_novels):
+        rows.setdefault(novel_id, []).append(i)
+    return rows
+
+
 def build_vocabulary(
-    segments: list[Segment],
+    segments: Iterable[Segment],
     stopwords: set[str],
     min_count: int,
-) -> tuple[Vocabulary, list[list[int]]]:
+) -> tuple[Vocabulary, list[np.ndarray]]:
     """Tokenize segments into id sequences over a filtered vocabulary.
 
     Tokens are lowercased and edge-stripped; stopwords and words rarer
     than min_count are removed. Document order follows segment order.
-    Each distinct raw form is normalised once.
+    segments is read once and no segment is kept, so it may be a
+    generator. Each distinct raw form is normalised once.
     """
     stop = frozenset(w.lower() for w in stopwords)
-    offsets = _offsets(map(len, (seg.words for seg in segments)))
-    # dict.fromkeys keeps each distinct form once, in C
-    form_ids = dict.fromkeys(itertools.chain.from_iterable(seg.words for seg in segments))
-    for i, form in enumerate(form_ids):
-        form_ids[form] = i
-    form_of = np.fromiter(
-        map(form_ids.__getitem__, itertools.chain.from_iterable(seg.words for seg in segments)),
-        dtype=np.int32, count=int(offsets[-1]),
-    )
+    form_ids: dict[str, int] = {}
+    form_of = array.array("i")
+    lengths = []
+    for seg in segments:
+        # dict.fromkeys keeps each of the segment's forms once, in C
+        for form in [f for f in dict.fromkeys(seg.words) if f not in form_ids]:
+            form_ids[form] = len(form_ids)
+        form_of.extend(map(form_ids.__getitem__, seg.words))
+        lengths.append(len(seg.words))
+    form_of = np.frombuffer(form_of, dtype=np.int32)
     tokens = [normalize_token(form) for form in form_ids]
     counts: dict[str, int] = {}
     for token, c in zip(tokens, np.bincount(form_of, minlength=len(tokens)).tolist()):
@@ -190,14 +205,14 @@ def build_vocabulary(
     # stopwords and empty tokens never reach ids, so they map to -1 too
     id_of_form = np.fromiter((ids.get(t, -1) for t in tokens), dtype=np.int32, count=len(tokens))
     word_ids = id_of_form[form_of]
-    return vocab, _split(word_ids, offsets, word_ids >= 0)
+    return vocab, _split(word_ids, _offsets(lengths), word_ids >= 0)
 
 
 def authorless_downsample(
-    docs: list[list[int]],
+    docs: list[Sequence[int]],
     doc_novels: list[str],
     rng_seed: int,
-) -> list[list[int]]:
+) -> list[np.ndarray]:
     """Stochastically drop tokens of words overrepresented within one novel.
 
     A token of word w in novel b survives with probability
@@ -207,23 +222,18 @@ def authorless_downsample(
     """
     if len(docs) != len(doc_novels):
         raise ValueError("docs and doc_novels must align")
-    offsets = _offsets(map(len, docs))
-    corpus_total = int(offsets[-1])
-    if corpus_total == 0:
-        return [list(doc) for doc in docs]
-    words = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64, count=corpus_total)
-    novel_index: dict[str, int] = {}
-    novel_of_doc = np.fromiter((novel_index.setdefault(b, len(novel_index)) for b in doc_novels),
-                               dtype=np.int64, count=len(doc_novels))
-    novel = np.repeat(novel_of_doc, np.diff(offsets))
-    _, pair, novel_counts = np.unique(novel * (int(words.max()) + 1) + words,
-                                      return_inverse=True, return_counts=True)
+    words, offsets = _flat(docs)
+    corpus_total = len(words)
     # int -> float64 is exact below 2**53, so each division rounds as
     # Python's int / int does, and in the same order
-    p_corpus = np.bincount(words)[words] / corpus_total
-    p_novel = novel_counts[pair] / np.bincount(novel)[novel]
+    p_corpus = np.bincount(words) / corpus_total
+    ratio = np.empty(corpus_total)
+    for ds in _docs_by_novel(doc_novels).values():
+        at = np.concatenate([np.arange(offsets[d], offsets[d + 1]) for d in ds])
+        novel_words = words[at]
+        ratio[at] = p_corpus[novel_words] / (np.bincount(novel_words) / len(at))[novel_words]
     # random() < 1, so comparing with the ratio is comparing with min(1, ratio)
-    keep = _uniforms(random.Random(rng_seed), corpus_total) < p_corpus / p_novel
+    keep = _uniforms(random.Random(rng_seed), corpus_total) < ratio
     return _split(words, offsets, keep)
 
 
@@ -240,13 +250,13 @@ class TopicState:
     words: np.ndarray        # (N,) int32 word ids
     z: np.ndarray            # (N,) int32 topic assignments
     n_dk: np.ndarray         # (D, K) document-topic counts
-    n_kw: np.ndarray         # (K, V) topic-word counts
+    n_kw: np.ndarray         # (K, V) int32 topic-word counts
     n_k: np.ndarray          # (K,) topic totals
     vocabulary_size: int
     rng_seed: int
     rng: random.Random = field(repr=False, default_factory=random.Random)
 
-    def validate(self, docs: list[list[int]]) -> None:
+    def validate(self, docs: list[Sequence[int]]) -> None:
         """Check the shapes, the id ranges and the count identities against
         the documents and the assignments; fatal if the state is corrupted."""
         k, v = self.k, self.vocabulary_size
@@ -273,7 +283,7 @@ class TopicState:
 
 
 def init_state(
-    docs: list[list[int]],
+    docs: list[Sequence[int]],
     k: int,
     vocabulary_size: int,
     rng_seed: int,
@@ -285,23 +295,22 @@ def init_state(
         raise ValueError("k must be >= 1")
     rng = random.Random(rng_seed)
     n_docs = len(docs)
-    offsets = _offsets(map(len, docs))
+    words, offsets = _flat(docs)
     doc_lens = np.diff(offsets)
-    n = int(offsets[-1])
-    words = np.fromiter(itertools.chain.from_iterable(docs), dtype=np.int64, count=n)
+    n = len(words)
     if n and (words.min() < 0 or words.max() >= vocabulary_size):
         raise ValueError(f"word ids must lie in [0, {vocabulary_size})")
     z = _randbelow(rng, k, n).astype(np.int32)
     doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), doc_lens)
     n_dk = np.bincount(doc_of * k + z, minlength=n_docs * k).reshape(n_docs, k)
     n_kw = np.bincount(z.astype(np.int64) * vocabulary_size + words,
-                       minlength=k * vocabulary_size).reshape(k, vocabulary_size)
+                       minlength=k * vocabulary_size).astype(np.int32).reshape(k, vocabulary_size)
     return TopicState(
         k=k,
         alpha=np.full(k, DEFAULT_ALPHA_SUM / k, dtype=float),
         beta=DEFAULT_BETA,
         offsets=offsets,
-        words=words.astype(np.int32),
+        words=words,
         z=z,
         n_dk=n_dk,
         n_kw=n_kw,
@@ -312,7 +321,7 @@ def init_state(
     )
 
 
-def gibbs_sweep(state: TopicState, docs: list[list[int]]) -> TopicState:
+def gibbs_sweep(state: TopicState, docs: list[Sequence[int]]) -> TopicState:
     """One full collapsed-Gibbs pass over every token, in document order.
 
     docs must be the documents the state was initialised from; the
@@ -478,7 +487,7 @@ def doc_topic_proportions(state: TopicState) -> np.ndarray:
 
 
 def train(
-    docs: list[list[int]],
+    docs: list[Sequence[int]],
     vocabulary_size: int,
     k: int,
     sweeps: int,
@@ -521,9 +530,7 @@ def prominence_from_doc_topic(
     """Novel id -> mean per-topic percentage of its segments (sums to 100),
     in order of first appearance in doc_novels. Novels of all_novel_ids
     with no segment are left out, with a warning."""
-    rows: dict[str, list[int]] = {}
-    for i, novel_id in enumerate(doc_novels):
-        rows.setdefault(novel_id, []).append(i)
+    rows = _docs_by_novel(doc_novels)
     for novel_id in all_novel_ids or ():
         if novel_id not in rows:
             log.warning("novel %s has no segments; excluded from prominence", novel_id)
@@ -541,8 +548,8 @@ def save_state(
     doc_novels: list[str],
 ) -> None:
     """Dump the trained model as versioned JSON: the bytes of
-    ``json.dumps(payload, ensure_ascii=False)``, with the two matrices
-    spliced in from per-value tables (see _json_matrix)."""
+    ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
+    two matrices row by row from per-value tables (see _write_matrix)."""
     head = json.dumps({
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
@@ -559,20 +566,22 @@ def save_state(
     lo, hi = int(state.n_kw.min(initial=0)), int(state.n_kw.max(initial=0))
     doc_topic = np.ascontiguousarray(summary.doc_topic, dtype=np.float64)
     bits, inverse = np.unique(doc_topic.view(np.int64), return_inverse=True)
-    n_kw_text = _json_matrix(list(range(lo, hi + 1)), state.n_kw - lo)
-    doc_topic_text = _json_matrix(bits.view(np.float64).tolist(),
-                                  inverse.reshape(doc_topic.shape))
-    Path(path).write_text(
-        f'{head[:-1]}, "n_kw": {n_kw_text}, "doc_topic": {doc_topic_text}, {tail[1:]}',
-        encoding="utf-8",
-    )
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f'{head[:-1]}, "n_kw": ')
+        _write_matrix(fh, list(range(lo, hi + 1)), state.n_kw, lo)
+        fh.write(', "doc_topic": ')
+        _write_matrix(fh, bits.view(np.float64).tolist(), inverse.reshape(doc_topic.shape), 0)
+        fh.write(f", {tail[1:]}")
 
 
-def _json_matrix(values: list, index: np.ndarray) -> str:
-    """JSON text of the 2-D matrix ``values[index]``. json writes each
-    distinct value once; the rows are joined with json's separators."""
+def _write_matrix(fh, values: list, index: np.ndarray, lo: int) -> None:
+    """Write the JSON text of the 2-D matrix ``values[index - lo]`` row by row: json
+    writes each distinct value once, and the rows are joined with json's separators."""
     table = np.array(json.dumps(values)[1:-1].split(", "), dtype=object)
-    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in table[index].tolist()) + "]"
+    fh.write("[")
+    for i, row in enumerate(index):
+        fh.write(("[" if i == 0 else ", [") + ", ".join(table[row - lo].tolist()) + "]")
+    fh.write("]")
 
 
 @dataclass

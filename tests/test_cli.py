@@ -177,6 +177,29 @@ def test_stdout_summaries(tmp_path, upstream_run, capsys):
     assert {command: printed[command] for command in SUMMARIES} == SUMMARIES
 
 
+def test_stats_reads_no_novel_text(tmp_path, upstream, monkeypatch, capsys):
+    """stats needs only the manifest's metadata, so it opens no novel file;
+    ingest, which counts words, opens each one once."""
+    novels = (FIXTURES / "novels").resolve()
+    opened = []
+    real_open = Path.open
+
+    # Path.read_text goes through Path.open on every supported Python
+    def recording_open(path, *args, **kwargs):
+        if path.resolve().parent == novels:
+            opened.append(path.name)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    assert run("ingest", "--config", CONFIG, "--output", str(out)) == 0
+    assert sorted(opened) == sorted(p.name for p in novels.iterdir())
+    opened.clear()
+    assert run("stats", "--config", CONFIG, "--output", str(out)) == 0
+    assert opened == []
+
+
 SUMMARIES = {
     "ingest": "ingested 3 novels (10195 words)\n",
     "segment": "wrote 22 passages (mean 463.41 words) for 3 novels\n",

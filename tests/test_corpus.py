@@ -103,6 +103,13 @@ class TestIngest:
         with pytest.raises(ManifestError, match="gone.txt"):
             ingest(manifest)
 
+    def test_text_not_utf8_names_novel_and_path(self, tmp_path):
+        manifest = write_corpus(tmp_path, ['a1,Title,Jane,female,P,2000,,,,,latin.txt'], {})
+        (tmp_path / "latin.txt").write_bytes("Café au lait".encode("latin-1"))
+        corpus = ingest(manifest)  # reads no text, so this is not an error yet
+        with pytest.raises(ManifestError, match=r"'a1'.*latin\.txt"):
+            corpus.text("a1")
+
     def test_malformed_row_reports_row_number(self, tmp_path):
         manifest = write_corpus(
             tmp_path,

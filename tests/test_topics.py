@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,7 +98,7 @@ class TestBuildVocabulary:
             [seg(["The", "God", "the", "god"])], {"the"}, min_count=1
         )
         assert vocab.words == ["god"]
-        assert docs == [[0, 0]]
+        assert [d.tolist() for d in docs] == [[0, 0]]
 
     def test_min_count_threshold(self):
         segments = [seg(["rare"] * 3 + ["common"] * 5)]
@@ -110,7 +111,7 @@ class TestBuildVocabulary:
             [seg(['"Amen,"', "amen.", "(amen)"])], set(), min_count=1
         )
         assert vocab.words == ["amen"]
-        assert docs == [[0, 0, 0]]
+        assert [d.tolist() for d in docs] == [[0, 0, 0]]
 
     def test_token_count_matches_brute_force(self):
         rng = random.Random(13)
@@ -141,13 +142,33 @@ class TestBuildVocabulary:
         segments = [seg([rng.choice(pool) for _ in range(rng.choice([0, 1, 7, 60]))])
                     for _ in range(80)]
         stop = {"the", "AND"}
-        vocab, docs = build_vocabulary(segments, stop, min_count=min_count)
         words, frequencies, expected = build_vocabulary_reference(
             [s.words for s in segments], stop, min_count)
-        assert vocab.words == words
-        assert vocab.ids == {w: i for i, w in enumerate(words)}
-        assert vocab.frequencies == frequencies
-        assert docs == expected
+        for given in (segments, (s for s in segments)):
+            vocab, docs = build_vocabulary(given, stop, min_count=min_count)
+            assert vocab.words == words
+            assert vocab.ids == {w: i for i, w in enumerate(words)}
+            assert vocab.frequencies == frequencies
+            assert [d.tolist() for d in docs] == expected
+            # int32 views of one flat array
+            assert {d.dtype for d in docs} == {np.dtype(np.int32)}
+            assert len({id(d.base) for d in docs}) == 1
+
+    def test_no_segment_is_kept(self):
+        """Each segment is freed once the pass has moved past it: when the
+        generator yields segment i + 2, segment i is gone."""
+        alive = []
+
+        def segments():
+            for i in range(6):
+                if i >= 2:
+                    assert alive[i - 2]() is None, f"segment {i - 2} still referenced"
+                made = seg(["grace", "dust", f"w{i}"])
+                alive.append(weakref.ref(made))
+                yield made
+
+        vocab, docs = build_vocabulary(segments(), set(), min_count=1)
+        assert len(docs) == 6 and vocab.frequencies[vocab.ids["grace"]] == 6
 
 
 class TestAuthorlessDownsample:
@@ -162,13 +183,14 @@ class TestAuthorlessDownsample:
     def test_uniform_word_always_kept(self):
         docs = [[0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]
         novels = ["a", "b", "c"]
-        assert authorless_downsample(docs, novels, rng_seed=1) == docs
+        reduced = authorless_downsample(docs, novels, rng_seed=1)
+        assert [d.tolist() for d in reduced] == docs
 
     def test_counts_never_increase_and_order_preserved(self):
         rng = random.Random(3)
         docs = [[rng.randrange(6) for _ in range(rng.randint(0, 50))] for _ in range(20)]
         novels = [f"n{i % 4}" for i in range(20)]
-        reduced = authorless_downsample(docs, novels, rng_seed=8)
+        reduced = [d.tolist() for d in authorless_downsample(docs, novels, rng_seed=8)]
         for before, after in zip(docs, reduced):
             it = iter(before)
             assert all(any(w == v for v in it) for w in after)  # subsequence
@@ -178,6 +200,11 @@ class TestAuthorlessDownsample:
     def test_alignment_checked(self):
         with pytest.raises(ValueError):
             authorless_downsample([[0]], ["a", "b"], rng_seed=0)
+
+    @pytest.mark.parametrize("docs", [[], [[]], [[], [], []]])
+    def test_no_tokens(self, docs):
+        reduced = authorless_downsample(docs, ["a"] * len(docs), rng_seed=0)
+        assert [d.tolist() for d in reduced] == docs
 
     @pytest.mark.parametrize("seed", [0, 9, 77])
     def test_matches_per_token_reference(self, monkeypatch, seed):
@@ -195,7 +222,8 @@ class TestAuthorlessDownsample:
                 made.append(self)
 
         monkeypatch.setattr(topics, "random", SimpleNamespace(Random=Recorded))
-        assert authorless_downsample(docs, novels, rng_seed=seed) == expected
+        reduced = authorless_downsample(docs, novels, rng_seed=seed)
+        assert [d.tolist() for d in reduced] == expected
         assert [r.getstate() for r in made] == [expected_rng.getstate()]
 
 
@@ -215,6 +243,7 @@ class TestInitState:
                 n_dk[d, topic] += 1
                 n_kw[topic, w] += 1
         assert state.z.tolist() == z
+        assert state.n_kw.dtype == np.int32
         assert np.array_equal(state.n_dk, n_dk)
         assert np.array_equal(state.n_kw, n_kw)
         assert np.array_equal(state.n_k, n_kw.sum(axis=1))
@@ -579,19 +608,21 @@ class TestStateWriter:
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_awkward_values(self, tmp_path):
-        n_kw = np.array([[0, 257, 0, -2], [100_000, 0, 1, 256]], dtype=np.int64)
         doc_topic = np.array([[0.25, 1e-05], [0.25, -0.0], [0.0, float("nan")],
                               [1.0, 2.0], [1 / 3, 1e22]])
-        self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["αβ", "naïve", "日本", "w"],
-                               ["ñ", "a", "a", "b", "b"], alpha=np.array([0.1, 1e-05]))
+        for dtype in (np.int64, np.int32):
+            n_kw = np.array([[0, 257, 0, -2], [100_000, 0, 1, 256]], dtype=dtype)
+            self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["αβ", "naïve", "日本", "w"],
+                                   ["ñ", "a", "a", "b", "b"], alpha=np.array([0.1, 1e-05]))
 
     @pytest.mark.parametrize("k, v, d", [(1, 1, 0), (1, 1, 1), (3, 4, 5)])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_json_dumps(self, tmp_path_factory, k, v, d, data):
         counts = st.one_of(st.integers(0, 3), st.integers(-3, 1000))
+        # init_state's counts are int32; load_state's are int64
         n_kw = np.array(data.draw(st.lists(counts, min_size=k * v, max_size=k * v)),
-                        dtype=np.int64).reshape(k, v)
+                        dtype=data.draw(st.sampled_from([np.int32, np.int64]))).reshape(k, v)
         shares = st.one_of(
             st.sampled_from([0.0, -0.0, 1e-05, 1.0, 0.5, 1 / 3, float("nan"), 5e-324]),
             st.floats(),
