@@ -1,19 +1,21 @@
-"""The compiled inner loops of ``topics``: the collapsed Gibbs sweep, and
-``gammaln`` and ``digamma`` for the log-likelihood and the fixed-point
-updates of the priors.
+"""The compiled inner loops of ``topics``: the random draws, the counts, the
+collapsed Gibbs sweep, a gathered sum, and ``gammaln`` and ``digamma``.
 
-``SOURCE`` holds the sweep in C, with the same float operations in the
-same order as the pure-Python ``gibbs_sweep_reference`` in
-``tests/oracles.py``: built without ``-ffast-math`` and with
-``-ffp-contract=off`` (no fused multiply-add), it gives bit-for-bit the
-same assignments, counts and RNG stream. Beside it are Cephes ``lgam`` and
-``psi`` (Moshier 1989) for x > 0, the code behind ``scipy.special.gammaln``
-and ``digamma``, with the same constants, the same operation order and libm
-``log``; they give scipy's floats bit for bit, so scipy is not needed at run
-time. Their pure-Python twins, ``gammaln_reference`` and
-``digamma_reference``, are in the oracles too. ``gammaln`` and ``digamma``
-here take numpy arrays or scalars and reject an argument that is not finite
-and positive with ValueError.
+``SOURCE`` holds CPython's Mersenne Twister, run on a copy of a
+``random.Random``'s state that ``_draw`` hands back, so every draw and
+``rng.getstate()`` afterwards are those of ``rng.randrange(k)`` and
+``rng.random()``. The sweep does the same float operations in the same
+order as the pure-Python ``gibbs_sweep_reference`` in ``tests/oracles.py``:
+built without ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
+multiply-add), it gives bit-for-bit the same assignments, counts and RNG
+stream. ``gathered_sum`` adds in numpy's pairwise order. Beside them are
+Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code behind
+``scipy.special.gammaln`` and ``digamma``, with the same constants, the
+same operation order and libm ``log``; they give scipy's floats bit for
+bit, so scipy is not needed at run time. Their pure-Python twins,
+``gammaln_reference`` and ``digamma_reference``, are in the oracles too.
+``gammaln`` and ``digamma`` here take numpy arrays or scalars and reject an
+argument that is not finite and positive with ValueError.
 
 It is compiled with ``cc`` on first use into ``$XDG_CACHE_HOME/godspell``
 (default ``~/.cache/godspell``), under a file name keyed by the sha256 of
@@ -22,7 +24,8 @@ beside it, and loaded with ``ctypes``. A cached library whose bytes do not
 match that checksum is rebuilt, never loaded; a cache directory that
 cannot be written is replaced by a temporary one. There is no other
 sampler, so ``topics-train`` needs a C compiler: when none works,
-``kernel`` raises BuildError, which names the compiler and its message.
+``kernel``, and so the first draw, raises BuildError, which names the
+compiler and its message.
 """
 
 from __future__ import annotations
@@ -50,10 +53,66 @@ SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
-void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
-                 int32_t *z, const double *u, int64_t k_topics, int64_t v,
-                 const double *alpha, double beta, double vbeta,
-                 int64_t *n_dk, int32_t *n_kw, int64_t *n_k, double *cum)
+/* CPython's Mersenne Twister (Matsumoto & Nishimura 1998) on the state
+   random.Random.getstate() holds: mt[0..623] and the position mt[624] */
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    if (mt[624] >= 624) {
+        for (int i = 0; i < 624; i++) {
+            uint32_t y = (mt[i] & 0x80000000U) | (mt[(i + 1) % 624] & 0x7fffffffU);
+            mt[i] = mt[(i + 397) % 624] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+        }
+        mt[624] = 0;
+    }
+    uint32_t y = mt[mt[624]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* rng.random(): 53 bits from two words, the first drawn first */
+static double random53(uint32_t *mt)
+{
+    double a = genrand_uint32(mt) >> 5;
+    return (a * 67108864.0 + (genrand_uint32(mt) >> 6)) * (1.0 / 9007199254740992.0);
+}
+
+/* n values of rng.randrange(k): the top bit_length(k) bits of a word, drawn
+   again while >= k; -1 before drawing when k is not in [1, 2**32) */
+int randrange(uint32_t *mt, int64_t k, int64_t n, uint32_t *out)
+{
+    if (k < 1 || k > 0xffffffffLL)
+        return -1;
+    int shift = __builtin_clzll((unsigned long long)k) - 32;
+    for (int64_t i = 0; i < n; i++)
+        do
+            out[i] = genrand_uint32(mt) >> shift;
+        while (out[i] >= k);
+    return 0;
+}
+
+/* keep[i] = rng.random() < ratio[i], one draw per token in token order */
+void keep(uint32_t *mt, int64_t n, const double *ratio, uint8_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = random53(mt) < ratio[i];
+}
+
+void count(int64_t n_docs, const int64_t *offsets, const int32_t *words, const int32_t *z,
+           int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw, int64_t *n_k)
+{
+    for (int64_t d = 0; d < n_docs; d++)
+        for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
+            n_dk[d * k_topics + z[i]]++;
+            n_kw[z[i] * v + words[i]]++;
+            n_k[z[i]]++;
+        }
+}
+
+void gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const int32_t *words,
+                 int32_t *z, int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw,
+                 int64_t *n_k, const double *alpha, double beta, double vbeta, double *cum)
 {
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *row = n_dk + d * k_topics;
@@ -69,7 +128,7 @@ void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
                          / ((double)n_k[k] + vbeta);
                 cum[k] = total;
             }
-            double x = u[i] * total;
+            double x = random53(mt) * total;
             t = 0;
             while (t < k_topics - 1 && cum[t] < x)
                 t++;
@@ -79,6 +138,36 @@ void gibbs_sweep(int64_t n_docs, const int64_t *offsets, const int32_t *words,
             n_k[t]++;
         }
     }
+}
+
+/* ndarray.sum() of table[index[i]] in numpy's pairwise order: above 128 terms, halves
+   split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop */
+static double pairwise(const double *table, const int32_t *index, int64_t n)
+{
+    if (n > 128) {
+        int64_t half = n / 2 - n / 2 % 8;
+        return pairwise(table, index, half) + pairwise(table, index + half, n - half);
+    }
+    double r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res = -0.0;
+    int64_t i = 0;
+    for (; i < n - n % 8; i++)
+        r[i % 8] += table[index[i]];
+    if (n >= 8)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += table[index[i]];
+    return res;
+}
+
+/* -1 before summing when an index is outside [0, size); numpy starts from 0.0 */
+int gathered_sum(const double *table, int64_t size, const int32_t *index, int64_t n,
+                 double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (index[i] < 0 || index[i] >= size)
+            return -1;
+    *out = 0.0 + pairwise(table, index, n);
+    return 0;
 }
 
 /* Cephes lgam and psi (Moshier 1989) as scipy.special has them, for x > 0.
@@ -258,13 +347,14 @@ def _intact(path: Path) -> bool:
 
 def _open(path: Path):
     lib = ctypes.CDLL(str(path))
-    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.gibbs_sweep.argtypes = [i64, ptr, ptr, ptr, ptr, i64, i64, ptr, dbl, dbl,
-                                ptr, ptr, ptr, ptr]
-    lib.gibbs_sweep.restype = None
-    for fn in (lib.gammaln, lib.digamma):
-        fn.argtypes = [i64, ptr, ptr]
-        fn.restype = ctypes.c_int
+    # argument types: i int64_t, p pointer, d double
+    types = {"i": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
+    for name, args in (("randrange", "piip"), ("keep", "pipp"), ("count", "ipppiippp"),
+                       ("gibbs_sweep", "pipppiippppddp"), ("gathered_sum", "pipip"),
+                       ("gammaln", "ipp"), ("digamma", "ipp")):
+        fn = getattr(lib, name)
+        fn.argtypes = [types[c] for c in args]
+        fn.restype = None if name in ("keep", "count", "gibbs_sweep") else ctypes.c_int
     return lib
 
 
@@ -298,7 +388,7 @@ def kernel():
     BuildError when it cannot be built and OSError when it cannot be
     loaded; a failure is not cached, so the next call tries again."""
     lib = load(cache_dir())
-    log.info("Gibbs sweep, gammaln and digamma: compiled kernel")
+    log.info("random draws, Gibbs sweep, gammaln and digamma: compiled kernel")
     return lib
 
 
@@ -333,20 +423,62 @@ def digamma(x):
     return _elementwise("digamma", x)
 
 
-def sweep(lib, state) -> None:
-    """One sweep of ``state`` through the compiled library, counts updated
-    in place. Draws one rng.random() per token, in token order, from
-    state.rng."""
-    from .topics import _uniforms
+def _draw(rng, fn, *args):
+    """fn(mt, *args) on rng's Mersenne Twister state mt, uint32[625] (624 words and the
+    position); rng is then set where fn left mt, gauss_next kept. Returns fn's result."""
+    version, internal, gauss_next = rng.getstate()
+    mt = np.array(internal, dtype=np.uint32)
+    result = fn(mt.ctypes.data, *args)
+    rng.setstate((version, tuple(mt.tolist()), gauss_next))
+    return result
 
+
+def randrange(rng, k: int, n: int) -> np.ndarray:
+    """The next n rng.randrange(k) as uint32; ValueError, nothing drawn, unless 1 <= k < 2**32."""
+    out = np.empty(n, dtype=np.uint32)
+    if _draw(rng, kernel().randrange, min(max(k, 0), 2**32), n, out.ctypes.data):
+        raise ValueError(f"randrange bound {k} is not in [1, 2**32)")
+    return out
+
+
+def keep(rng, ratio: np.ndarray) -> np.ndarray:
+    """rng.random() < ratio[i] for each i in order, one draw each, as bool."""
+    ratio = np.ascontiguousarray(ratio, dtype=np.float64)
+    out = np.empty(len(ratio), dtype=bool)  # one byte each, which the kernel sets to 0 or 1
+    _draw(rng, kernel().keep, len(ratio), ratio.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _arrays(state) -> tuple:
+    """count's arguments, which gibbs_sweep's repeat after mt, state's arrays made contiguous."""
     for name, dtype in (("offsets", np.int64), ("words", np.int32), ("z", np.int32),
                         ("n_dk", np.int64), ("n_kw", np.int32), ("n_k", np.int64)):
         setattr(state, name, np.ascontiguousarray(getattr(state, name), dtype=dtype))
-    u = _uniforms(state.rng, len(state.z))
+    return (len(state.offsets) - 1, state.offsets.ctypes.data, state.words.ctypes.data,
+            state.z.ctypes.data, int(state.k), int(state.vocabulary_size),
+            state.n_dk.ctypes.data, state.n_kw.ctypes.data, state.n_k.ctypes.data)
+
+
+def count(state) -> None:
+    """Add each token of state, its topic in state.z, to the counts in place."""
+    kernel().count(*_arrays(state))
+
+
+def gathered_sum(table: np.ndarray, index: np.ndarray) -> float:
+    """table[index].sum() bit for bit, without the gathered array; ValueError for a bad index."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    index = np.ascontiguousarray(np.asarray(index).astype(np.int32, casting="safe", copy=False))
+    out = ctypes.c_double()
+    if kernel().gathered_sum(table.ctypes.data, table.size, index.ctypes.data, index.size,
+                             ctypes.byref(out)):
+        raise ValueError(f"gathered_sum: an index is outside a table of {table.size}")
+    return out.value
+
+
+def sweep(lib, state) -> None:
+    """One sweep of ``state`` through the compiled library, counts updated in
+    place, with one state.rng.random() per token, in token order."""
     alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)
     cum = np.empty(state.k, dtype=np.float64)
-    lib.gibbs_sweep(
-        len(state.offsets) - 1, state.offsets.ctypes.data, state.words.ctypes.data,
-        state.z.ctypes.data, u.ctypes.data, int(state.k), int(state.vocabulary_size),
-        alpha.ctypes.data, float(state.beta), float(state.vocabulary_size * state.beta),
-        state.n_dk.ctypes.data, state.n_kw.ctypes.data, state.n_k.ctypes.data, cum.ctypes.data)
+    _draw(state.rng, lib.gibbs_sweep, *_arrays(state), alpha.ctypes.data, float(state.beta),
+          float(state.vocabulary_size * state.beta), cum.ctypes.data)

@@ -9,27 +9,18 @@ stream and so the same log-likelihood floats and ``state.json``. Each holds
 little of the corpus at once: documents are int32 views of one flat array,
 ``n_kw`` is int32, and the state writer streams.
 
-Random draws go through one bridge, ``_mt19937``: it loads a
-``random.Random``'s Mersenne Twister state into ``np.random.MT19937``, which
-draws raw 32-bit words in bulk, and writes the advanced state back. From those
-words ``_uniforms`` rebuilds ``rng.random()`` (``(a * 2**26 + b) / 2**53``
-with ``a = w1 >> 5``, ``b = w2 >> 6``) and ``_randbelow`` rebuilds
-``rng.randrange(k)`` (``w >> (32 - k.bit_length())``, rejected while
-``>= k``), so the values and ``rng.getstate()`` afterwards are those of the
-per-draw calls. A bound of more than 32 bits, for which ``randrange`` takes
-several words per try, raises ValueError instead.
-
 ``gibbs_sweep`` runs a small C kernel (``_sweep``), the only sampler. It is
 bitwise-identical to the oracles' pure-Python ``gibbs_sweep_reference``,
 because it takes one ``rng.random()`` per token in token order and does the
 same float operations in the same order (built with ``-O2
--ffp-contract=off``, never ``-ffast-math``). The same kernel holds the
-``gammaln`` and ``digamma`` of ``log_likelihood``, ``optimize_alpha`` and
-``optimize_beta``: Cephes ``lgam`` and ``psi``, the code behind
-``scipy.special``, with scipy's floats bit for bit, so scipy is not a
-runtime dependency. It is compiled on first use into
+-ffp-contract=off``, never ``-ffast-math``). The same kernel makes every
+random draw, with ``random.Random``'s own Mersenne Twister on its state,
+and holds the ``gammaln`` and ``digamma`` of ``log_likelihood``,
+``optimize_alpha`` and ``optimize_beta``: Cephes ``lgam`` and ``psi``, the
+code behind ``scipy.special``, with scipy's floats bit for bit, so scipy is
+not a runtime dependency. It is compiled on first use into
 ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``), so
-``topics-train`` needs a C compiler: without one, the first sweep raises
+``topics-train`` needs a C compiler: without one, the first draw raises
 ``_sweep.BuildError``. Reading a saved state (``load_state``, and so
 ``topics-inspect`` and ``stats``) needs no compiler.
 """
@@ -37,14 +28,12 @@ runtime dependency. It is compiled on first use into
 from __future__ import annotations
 
 import array
-import functools
 import itertools
 import json
 import logging
 import random
 import string
-from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,52 +73,6 @@ class Vocabulary:
 def normalize_token(word: str) -> str:
     """Lowercase and strip punctuation from word edges."""
     return word.lower().strip(_EDGE_CHARS)
-
-
-@functools.cache
-def _bit_generator() -> np.random.MT19937:
-    """The process's one MT19937; every use loads its own state, and
-    building another would seed it from OS entropy for nothing."""
-    return np.random.MT19937()
-
-
-@contextmanager
-def _mt19937(rng: random.Random) -> Iterator[np.random.MT19937]:
-    """numpy's MT19937 at rng's place in its stream; on leaving the block,
-    rng is set to where the bit generator stopped, gauss_next kept. The
-    blocks are never nested or entered from two threads at once, so they
-    share one bit generator."""
-    version, internal, gauss_next = rng.getstate()
-    bitgen = _bit_generator()
-    bitgen.state = {"bit_generator": "MT19937",
-                    "state": {"key": np.array(internal[:-1], dtype=np.uint32),
-                              "pos": internal[-1]}}
-    yield bitgen
-    state = bitgen.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
-
-
-def _uniforms(rng: random.Random, n: int) -> np.ndarray:
-    """The next n values of rng.random(), as float64: two 32-bit words each."""
-    with _mt19937(rng) as bitgen:
-        words = bitgen.random_raw(2 * n)
-    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-
-
-def _randbelow(rng: random.Random, k: int, n: int) -> np.ndarray:
-    """The next n values of rng.randrange(k), as int64. Each try takes one
-    32-bit word, so drawing only as many words as values are still missing
-    never takes a word the calls would not have taken."""
-    bits = k.bit_length()
-    if not 1 <= bits <= 32:
-        raise ValueError(f"randrange bound {k} is not in [1, 2**32)")
-    parts = [np.empty(0, dtype=np.uint64)]
-    with _mt19937(rng) as bitgen:
-        while n:
-            tries = bitgen.random_raw(n) >> (32 - bits)
-            parts.append(tries[tries < k])
-            n -= len(parts[-1])
-    return np.concatenate(parts).astype(np.int64)
 
 
 def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
@@ -220,6 +163,8 @@ def authorless_downsample(
     within-novel rate; one rng.random() is drawn per token, in token order.
     Tokens are only removed, never added or reordered.
     """
+    from . import _sweep
+
     if len(docs) != len(doc_novels):
         raise ValueError("docs and doc_novels must align")
     words, offsets = _flat(docs)
@@ -233,8 +178,7 @@ def authorless_downsample(
         novel_words = words[at]
         ratio[at] = p_corpus[novel_words] / (np.bincount(novel_words) / len(at))[novel_words]
     # random() < 1, so comparing with the ratio is comparing with min(1, ratio)
-    keep = _uniforms(random.Random(rng_seed), corpus_total) < ratio
-    return _split(words, offsets, keep)
+    return _split(words, offsets, _sweep.keep(random.Random(rng_seed), ratio))
 
 
 @dataclass
@@ -291,34 +235,31 @@ def init_state(
     """Assign every token a uniform random topic, drawn in token order,
     and build the counts; the priors start at DEFAULT_ALPHA_SUM / k and
     DEFAULT_BETA."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    from . import _sweep
+
+    if not 1 <= k < 2**31:
+        raise ValueError(f"k must be in [1, 2**31), not {k}")
     rng = random.Random(rng_seed)
-    n_docs = len(docs)
     words, offsets = _flat(docs)
-    doc_lens = np.diff(offsets)
-    n = len(words)
-    if n and (words.min() < 0 or words.max() >= vocabulary_size):
+    # the kernel's count indexes n_kw by these ids unchecked
+    if len(words) and (words.min() < 0 or words.max() >= vocabulary_size):
         raise ValueError(f"word ids must lie in [0, {vocabulary_size})")
-    z = _randbelow(rng, k, n).astype(np.int32)
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), doc_lens)
-    n_dk = np.bincount(doc_of * k + z, minlength=n_docs * k).reshape(n_docs, k)
-    n_kw = np.bincount(z.astype(np.int64) * vocabulary_size + words,
-                       minlength=k * vocabulary_size).astype(np.int32).reshape(k, vocabulary_size)
-    return TopicState(
+    state = TopicState(
         k=k,
         alpha=np.full(k, DEFAULT_ALPHA_SUM / k, dtype=float),
         beta=DEFAULT_BETA,
         offsets=offsets,
         words=words,
-        z=z,
-        n_dk=n_dk,
-        n_kw=n_kw,
-        n_k=np.bincount(z, minlength=k),
+        z=_sweep.randrange(rng, k, len(words)).view(np.int32),
+        n_dk=np.zeros((len(docs), k), dtype=np.int64),
+        n_kw=np.zeros((k, vocabulary_size), dtype=np.int32),
+        n_k=np.zeros(k, dtype=np.int64),
         vocabulary_size=vocabulary_size,
         rng_seed=rng_seed,
         rng=rng,
     )
+    _sweep.count(state)
+    return state
 
 
 def gibbs_sweep(state: TopicState, docs: list[Sequence[int]]) -> TopicState:
@@ -341,9 +282,14 @@ def log_likelihood(state: TopicState) -> float:
     gammaln is evaluated once per distinct count, in tables indexed by the
     counts: the indexed arrays hold the same floats in the same shapes as
     gammaln of the counts themselves, so their sums are the same. All its
-    arguments go to gammaln in one call, and each term takes its slice."""
-    from ._sweep import gammaln
+    arguments go to gammaln in one call, and each term takes its slice; the
+    (K, V) one is summed in C, without the gathered array. ValueError names
+    a negative count."""
+    from . import _sweep
 
+    for name in ("n_dk", "n_kw"):
+        if getattr(state, name).min(initial=0) < 0:
+            raise ValueError(f"log_likelihood: {name} holds a negative count")
     d_count = state.n_dk.shape[0]
     k, v = state.k, state.vocabulary_size
     sum_alpha = state.alpha.sum()
@@ -357,7 +303,7 @@ def log_likelihood(state: TopicState) -> float:
         state.alpha,
         [sum_alpha, vbeta, state.beta],
     )
-    terms = gammaln(np.concatenate(parts))
+    terms = _sweep.gammaln(np.concatenate(parts))
     bounds = itertools.accumulate(map(len, parts), initial=0)
     len_terms, doc_terms, word_terms, total_terms, alpha_terms, (g_sum_alpha, g_vbeta, g_beta) = (
         terms[a:b] for a, b in itertools.pairwise(bounds))
@@ -371,7 +317,7 @@ def log_likelihood(state: TopicState) -> float:
     ll += (
         k * g_vbeta
         - total_terms.sum()
-        + word_terms[state.n_kw].sum()
+        + _sweep.gathered_sum(word_terms, state.n_kw)
         - k * v * g_beta
     )
     return float(ll)
@@ -449,7 +395,9 @@ def optimize_beta(
 
     v = state.vocabulary_size
     k_topics = state.k
-    word_hist = np.bincount(state.n_kw.ravel())
+    # row by row, since np.bincount copies its input to int64
+    top = int(state.n_kw.max(initial=0))
+    word_hist = sum(np.bincount(row, minlength=top + 1) for row in state.n_kw)
     word_values = np.nonzero(word_hist)[0]
     word_weights = word_hist[word_values]
     topic_totals = state.n_k

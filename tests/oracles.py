@@ -7,7 +7,9 @@ from a generic numerical maximizer, passage packing from a separate
 reference packer written directly against the packing rule, the
 collapsed Gibbs conditional straight from its formula, the per-token
 collapsed-Gibbs sweep and the Cephes ``lgam``/``psi`` in pure Python that
-the compiled kernel (``godspell._sweep``) matches bit for bit, the per-token
+the compiled kernel (``godspell._sweep``) matches bit for bit, numpy's
+MT19937 loaded with a ``random.Random``'s state for the kernel's draws, the
+per-token counts and the gathered sum that it does in C, the per-token
 loops that the vectorised vocabulary, downsampling and likelihood replace,
 the whole-payload ``json.dumps`` that the state writer's per-value tables
 replace, and the cascade's structural rules checked on a finished annotation.
@@ -15,10 +17,13 @@ replace, and the cascade's structural rules checked on a finished annotation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import string
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import mpmath
@@ -208,6 +213,69 @@ def gibbs_sweep_reference(state) -> None:
     state.n_dk[:] = n_dk
     state.n_kw[:] = n_kw
     state.n_k[:] = n_k
+
+
+def count_reference(state) -> None:
+    """Add each token of a ``topics.TopicState``, with its topic in state.z,
+    to n_dk, n_kw and n_k in place, by unbuffered numpy indexing."""
+    doc_of = np.repeat(np.arange(len(state.offsets) - 1), np.diff(state.offsets))
+    np.add.at(state.n_dk, (doc_of, state.z), 1)
+    np.add.at(state.n_kw, (state.z, state.words), 1)
+    np.add.at(state.n_k, state.z, 1)
+
+
+def gathered_sum_reference(table: np.ndarray, index: np.ndarray) -> float:
+    """table[index].sum(), through the gathered array the kernel does without."""
+    return float(table[index].sum())
+
+
+@functools.cache
+def bit_generator() -> np.random.MT19937:
+    """The process's one MT19937; every use loads its own state, and
+    building another would seed it from OS entropy for nothing."""
+    return np.random.MT19937()
+
+
+@contextmanager
+def mt19937(rng: random.Random) -> Iterator[np.random.MT19937]:
+    """numpy's MT19937 at rng's place in its stream; on leaving the block,
+    rng is set to where the bit generator stopped, gauss_next kept. The
+    blocks are never nested or entered from two threads at once, so they
+    share one bit generator."""
+    version, internal, gauss_next = rng.getstate()
+    bitgen = bit_generator()
+    bitgen.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                              "pos": internal[-1]}}
+    yield bitgen
+    state = bitgen.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+
+
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of rng.random(), as float64: two 32-bit words each,
+    ``(a * 2**26 + b) / 2**53`` with ``a = w1 >> 5``, ``b = w2 >> 6``."""
+    with mt19937(rng) as bitgen:
+        words = bitgen.random_raw(2 * n)
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def randbelow(rng: random.Random, k: int, n: int) -> np.ndarray:
+    """The next n values of rng.randrange(k), as int64:
+    ``w >> (32 - k.bit_length())``, rejected while ``>= k``. Each try takes
+    one 32-bit word, so drawing only as many words as values are still
+    missing never takes a word the calls would not have taken. A bound of
+    more than 32 bits raises ValueError, with nothing drawn."""
+    bits = k.bit_length()
+    if not 1 <= bits <= 32:
+        raise ValueError(f"randrange bound {k} is not in [1, 2**32)")
+    parts = [np.empty(0, dtype=np.uint64)]
+    with mt19937(rng) as bitgen:
+        while n:
+            tries = bitgen.random_raw(n) >> (32 - bits)
+            parts.append(tries[tries < k])
+            n -= len(parts[-1])
+    return np.concatenate(parts).astype(np.int64)
 
 
 # Cephes lgam and psi as ``_sweep.SOURCE`` has them: the same constants and

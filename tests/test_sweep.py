@@ -1,6 +1,7 @@
-"""The compiled Gibbs sweep against the pure-Python reference, the compiled
-gammaln and digamma against scipy.special and their references, the error
-without a compiler, and the build cache."""
+"""The compiled Gibbs sweep against the pure-Python reference, the kernel's
+random draws against random.Random, its gathered sum against numpy's, the
+compiled gammaln and digamma against scipy.special and their references,
+the error without a compiler, and the build cache."""
 
 import json
 import logging
@@ -12,11 +13,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from godspell import _sweep, topics
 from godspell.cli import main
-from godspell.topics import gibbs_sweep, init_state, log_likelihood, optimize_alpha, optimize_beta
-from oracles import digamma_reference, elementwise, gammaln_reference, gibbs_sweep_reference
+from godspell.corpus import Segment
+from godspell.topics import (
+    authorless_downsample,
+    build_vocabulary,
+    gibbs_sweep,
+    init_state,
+    log_likelihood,
+    optimize_alpha,
+    optimize_beta,
+)
+from oracles import (
+    count_reference,
+    digamma_reference,
+    elementwise,
+    gammaln_reference,
+    gathered_sum_reference,
+    gibbs_sweep_reference,
+    randbelow,
+    uniforms,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,8 +61,15 @@ def fresh_kernel():
 
 @pytest.fixture
 def oracle_sweep(monkeypatch):
-    """topics' sweep, gammaln and digamma routed to the pure-Python oracles."""
+    """topics' draws, counts, sweep, gathered sum, gammaln and digamma routed
+    to the oracles; kernel() gives None, so any kernel call left would fail."""
+    monkeypatch.setattr(_sweep, "kernel", lambda: None)
+    monkeypatch.setattr(_sweep, "randrange",
+                        lambda rng, k, n: randbelow(rng, k, n).astype(np.uint32))
+    monkeypatch.setattr(_sweep, "keep", lambda rng, ratio: uniforms(rng, len(ratio)) < ratio)
+    monkeypatch.setattr(_sweep, "count", count_reference)
     monkeypatch.setattr(_sweep, "sweep", lambda lib, state: gibbs_sweep_reference(state))
+    monkeypatch.setattr(_sweep, "gathered_sum", gathered_sum_reference)
     monkeypatch.setattr(_sweep, "gammaln", elementwise(gammaln_reference))
     monkeypatch.setattr(_sweep, "digamma", elementwise(digamma_reference))
 
@@ -106,12 +133,14 @@ def no_compiler(monkeypatch, tmp_path, fresh_kernel):
 
 
 def test_build_failure_is_an_error(no_compiler, monkeypatch, tmp_path):
-    rng = random.Random(9)
-    docs = corpus(rng, 20, 12)
-    state = init_state(docs, 4, 12, rng_seed=2)
+    segments = [Segment("a", ["Grace", "and", "grace"]), Segment("b", ["grace", "fell"])]
+    vocab, docs = build_vocabulary(segments, set(), min_count=1)  # needs no compiler
+    assert vocab.words == ["and", "fell", "grace"]
     for _ in range(2):  # a failure is not cached: each call tries to build
         with pytest.raises(_sweep.BuildError, match=NO_COMPILER):
-            gibbs_sweep(state, docs)
+            init_state(docs, 4, vocab.size, rng_seed=2)
+    with pytest.raises(_sweep.BuildError, match=NO_COMPILER):
+        authorless_downsample(docs, ["a", "b"], rng_seed=0)
 
     config = str(FIXTURES / "runconfig.json")
     out = tmp_path / "train"
@@ -141,6 +170,123 @@ def test_reference_topics_train_writes_the_golden_state(oracle_sweep, tmp_path):
     assert main(["topics-train", "--config", config, "--output", str(tmp_path)]) == 0
     assert ((tmp_path / "topics" / "state.json").read_bytes()
             == (GOLDEN / "topics" / "state.json").read_bytes())
+
+
+def kernel_random_is(rng, expected) -> bool:
+    """Whether the kernel's next len(expected) rng.random() values are
+    expected, read through keep, the kernel call that returns what it drew
+    compared with a ratio: u < nextafter(e, 2) and not u < e hold together
+    only for u == e. rng ends where one call leaves it."""
+    e = np.array(expected, dtype=np.float64)
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    below = _sweep.keep(twin, e)
+    at_most = _sweep.keep(rng, np.nextafter(e, 2.0))
+    return twin.getstate() == rng.getstate() and not below.any() and bool(at_most.all())
+
+
+class TestKernelDraws:
+    """The kernel's Mersenne Twister against random.Random's own calls: the
+    same values and the same state afterwards, wherever in the stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    @pytest.mark.parametrize("k", [1, 2, 5, 64, 65, 2**16 + 1, 2**31 + 1, 2**32 - 1])
+    def test_randrange_matches(self, compiled, k, n, seed):
+        ref, rng = random.Random(seed), random.Random(seed)
+        expected = [ref.randrange(k) for _ in range(n)]
+        assert _sweep.randrange(rng, k, n).tolist() == expected
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    def test_random_matches(self, compiled, n, seed):
+        ref, rng = random.Random(seed), random.Random(seed)
+        assert kernel_random_is(rng, [ref.random() for _ in range(n)])
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64), k=st.integers(1, 2**32 - 1), n=st.integers(0, 2000),
+           before=st.integers(0, 700), gauss=st.booleans())
+    def test_any_stream_position(self, compiled, seed, k, n, before, gauss):
+        ref = random.Random(seed)
+        for _ in range(before):
+            ref.random()
+        if gauss:
+            ref.gauss(0.0, 1.0)  # leaves a cached gauss_next in the state
+        rng = random.Random()
+        rng.setstate(ref.getstate())
+        expected_z = [ref.randrange(k) for _ in range(n)]
+        expected_u = [ref.random() for _ in range(n)]
+        assert _sweep.randrange(rng, k, n).tolist() == expected_z
+        assert kernel_random_is(rng, expected_u)
+        assert rng.getstate() == ref.getstate()
+
+    # a fresh rng is at position 624, so its first word twists the state;
+    # each earlier word moves the twist one word later
+    @pytest.mark.parametrize("before", [0, 1, 2, 311, 312, 313, 622, 623, 624, 625, 700])
+    @pytest.mark.parametrize("n", [623, 624, 625, 1248, 1249])
+    def test_twist_boundaries(self, compiled, n, before):
+        start = random.Random(before)
+        for _ in range(before):
+            start.getrandbits(32)
+        ref, rng = random.Random(), random.Random()
+        for draw in ("randrange", "random"):
+            ref.setstate(start.getstate())
+            rng.setstate(start.getstate())
+            if draw == "randrange":  # one word a draw: 2**32 - 1 is the one value retried
+                expected = [ref.randrange(2**32 - 1) for _ in range(n)]
+                assert _sweep.randrange(rng, 2**32 - 1, n).tolist() == expected
+            else:
+                assert kernel_random_is(rng, [ref.random() for _ in range(n)])
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40, 2**70])
+    def test_bound_outside_one_word_raises(self, compiled, k):
+        rng = random.Random(3)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="randrange bound"):
+            _sweep.randrange(rng, k, 5)
+        assert rng.getstate() == before
+
+
+def float_bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def test_gathered_sum_is_ndarray_sum_bitwise(compiled):
+    """At every length through two levels of numpy's pairwise split; the
+    terms' magnitudes spread over twelve orders, so another order of
+    addition shows in the last bits."""
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal(997) * 10.0 ** rng.uniform(-6, 6, 997)
+    for n in [*range(301), 1000, 8191, 8192, 8193]:
+        index = rng.integers(0, len(table), n, dtype=np.int32)
+        assert float_bits(_sweep.gathered_sum(table, index)) == float_bits(table[index].sum()), n
+
+
+@pytest.mark.parametrize("shape", [(65, 19948), (65, 32348)])
+def test_gathered_sum_of_count_matrices(compiled, shape):
+    """log_likelihood's (K, V) term at the sizes of the benchmark and the
+    5M-word corpus: gammaln(c + beta) indexed by int32 counts."""
+    rng = np.random.default_rng(shape[1])
+    n_kw = rng.negative_binomial(0.05, 0.02, shape).astype(np.int32)
+    for beta in (0.01, 0.0731):
+        table = scipy.special.gammaln(np.arange(n_kw.max() + 1) + beta)
+        assert float_bits(_sweep.gathered_sum(table, n_kw)) == float_bits(table[n_kw].sum())
+        assert _sweep.gathered_sum(table, n_kw) == gathered_sum_reference(table, n_kw)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_gathered_sum_index_outside_table_rejected(compiled, bad):
+    table = np.arange(4.0)
+    with pytest.raises(ValueError, match="outside"):
+        _sweep.gathered_sum(table, np.array([0, 3, bad, 1], dtype=np.int32))
+
+
+def test_gathered_sum_takes_int32_indices_only(compiled):
+    with pytest.raises(TypeError):  # cast to int32, 2**32 + 1 would read entry 1
+        _sweep.gathered_sum(np.arange(4.0), np.array([2**32 + 1]))
 
 
 def domain_parts():

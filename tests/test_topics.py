@@ -36,8 +36,10 @@ from oracles import (
     lda_log_likelihood_direct,
     maximize_dirichlet_alpha,
     maximize_symmetric_beta,
+    randbelow,
     save_state_reference,
     topic_conditional,
+    uniforms,
 )
 
 
@@ -46,8 +48,8 @@ def seg(words, novel_id="n1"):
 
 
 class TestRngBridge:
-    """The bulk draws against random.Random's own calls: the same values
-    and the same state afterwards."""
+    """The oracles' numpy bridge against random.Random's own calls: the same
+    values and the same state afterwards."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     @pytest.mark.parametrize("n", [0, 1, 100_000])
@@ -55,7 +57,7 @@ class TestRngBridge:
     def test_randbelow_matches_randrange(self, k, n, seed):
         ref, rng = random.Random(seed), random.Random(seed)
         expected = [ref.randrange(k) for _ in range(n)]
-        assert topics._randbelow(rng, k, n).tolist() == expected
+        assert randbelow(rng, k, n).tolist() == expected
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
@@ -63,7 +65,7 @@ class TestRngBridge:
     def test_uniforms_match_random(self, n, seed):
         ref, rng = random.Random(seed), random.Random(seed)
         expected = [ref.random() for _ in range(n)]
-        assert topics._uniforms(rng, n).tolist() == expected
+        assert uniforms(rng, n).tolist() == expected
         assert rng.getstate() == ref.getstate()
 
     @settings(max_examples=60, deadline=None)
@@ -79,8 +81,8 @@ class TestRngBridge:
         rng.setstate(ref.getstate())
         expected_z = [ref.randrange(k) for _ in range(n)]
         expected_u = [ref.random() for _ in range(n)]
-        assert topics._randbelow(rng, k, n).tolist() == expected_z
-        assert topics._uniforms(rng, n).tolist() == expected_u
+        assert randbelow(rng, k, n).tolist() == expected_z
+        assert uniforms(rng, n).tolist() == expected_u
         assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("k", [0, 2**32, 2**40])
@@ -88,7 +90,7 @@ class TestRngBridge:
         rng = random.Random(3)
         before = rng.getstate()
         with pytest.raises(ValueError, match="randrange bound"):
-            topics._randbelow(rng, k, 5)
+            randbelow(rng, k, 5)
         assert rng.getstate() == before
 
 
@@ -251,6 +253,11 @@ class TestInitState:
         assert state.words.tolist() == [w for doc in docs for w in doc]
         assert state.offsets.tolist() == np.cumsum([0] + [len(d) for d in docs]).tolist()
 
+    @pytest.mark.parametrize("k", [0, 2**31])  # topics are int32
+    def test_k_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            init_state([[0, 1]], k=k, vocabulary_size=2, rng_seed=0)
+
     @pytest.mark.parametrize("bad", [-1, 3, 1000])
     def test_word_id_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="word ids"):
@@ -345,6 +352,15 @@ class TestLogLikelihood:
             if sweep % 2 == 0:
                 optimize_alpha(state)
                 optimize_beta(state)
+
+    @pytest.mark.parametrize("name", ["n_dk", "n_kw"])
+    def test_negative_count_rejected(self, name):
+        # a -1 would index the last entry of the table of its terms
+        docs = [[0, 1, 1], [1, 1]]
+        state = init_state(docs, k=2, vocabulary_size=3, rng_seed=0)
+        getattr(state, name)[1, 0] = -1
+        with pytest.raises(ValueError, match=f"{name} holds a negative count"):
+            log_likelihood(state)
 
     def test_no_documents(self):
         state = init_state([], k=3, vocabulary_size=2, rng_seed=0)
