@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import Passage
+from .report import ModelConfig
 
 log = logging.getLogger(__name__)
 
@@ -333,23 +334,6 @@ def load_registry(path: Path | str) -> PromptRegistry:
             schema=OutputSchema(fields),
         ))
     return registry
-
-
-@dataclass
-class ModelConfig:
-    model: str
-    endpoint: str = "http://localhost:11434"
-    temperature: float = 0.0
-    max_retries: int = 3
-    timeout: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
 
 
 Transport = Callable[[ModelConfig, str, OutputSchema], str]

@@ -15,6 +15,13 @@ the module that owns the work (`stats.analyze` for stats.json,
 `evaluation.evaluate` for metrics.json) and writes the result; no analysis
 or scoring happens here. Exit codes: 0 success, 1 config error, 2 runtime
 error (with error.json in the output directory), 64 unknown subcommand.
+
+Each command imports only the modules it runs, inside its own function:
+`topics-train` alone imports numpy (through `topics`' computing functions
+and the compiled `_sweep`); `topics-inspect` and `stats` read the saved
+topic state without it. Only `annotate`, `eval` and `stats` import the
+`annotate` module, with its hashing and thread pool, and `report` and
+`topics-inspect` import no `corpus`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import annotate, corpus
 from .report import (
     ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, read_csv,
     write_csv,
@@ -70,6 +76,8 @@ def _load_stopwords(config: RunConfig) -> set[str]:
 
 
 def cmd_ingest(config: RunConfig) -> None:
+    from . import corpus
+
     loaded = corpus.ingest(config.manifest)
     novels = []
     total = 0
@@ -84,6 +92,8 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_segment(config: RunConfig) -> None:
+    from . import corpus
+
     loaded = corpus.ingest(config.manifest)
     passages = corpus.segment_corpus(loaded, cap=config.passage_cap)
     corpus.write_passages(passages, config.output_dir / "passages.jsonl")
@@ -97,7 +107,7 @@ def cmd_segment(config: RunConfig) -> None:
 def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[np.ndarray], list[str]]:
     """The vocabulary, each fixed-size segment's word ids and its novel. Novels
     are read and segmented one at a time, as the vocabulary pass asks for them."""
-    from . import topics
+    from . import corpus, topics
 
     loaded = corpus.ingest(config.manifest)
     doc_novels: list[str] = []
@@ -148,7 +158,7 @@ def cmd_topics_inspect(config: RunConfig) -> None:
     words = model.vocabulary
     top = [topics.top_words(model.n_kw, words, k) for k in range(model.k)]
     rows = [
-        [k, rank, words[w], int(model.n_kw[k, w])]
+        [k, rank, words[w], model.n_kw[k][w]]
         for k, ids in enumerate(top)
         for rank, w in enumerate(ids, start=1)
     ]
@@ -162,6 +172,8 @@ def cmd_topics_inspect(config: RunConfig) -> None:
 
 
 def cmd_annotate(config: RunConfig) -> None:
+    from . import annotate, corpus
+
     passages = corpus.read_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
     )
@@ -195,7 +207,7 @@ def cmd_annotate(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
-    from . import evaluation
+    from . import annotate, evaluation
 
     annotations = annotate.read_annotations(
         _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
@@ -243,7 +255,7 @@ def _read_topic_labels(path: Path) -> dict[str, str]:
 def cmd_stats(config: RunConfig) -> None:
     """Write stats.json: stats.analyze over the run's artifacts and the
     analysis config, plus the topic labels when configured."""
-    from . import stats, topics
+    from . import annotate, corpus, stats, topics
 
     loaded = corpus.ingest(config.manifest)
     passages = corpus.read_passages(

@@ -1,4 +1,5 @@
-"""Run configuration and report emission.
+"""Run configuration (`RunConfig`, and the `ModelConfig` it builds for
+annotate) and report emission.
 
 Figure data ships as CSV (plot-toolkit agnostic) and the human-readable
 summary as markdown. Every number in the summary is formatted straight
@@ -13,8 +14,6 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
-
-from .annotate import ModelConfig
 
 ENDPOINT_ENV_VAR = "GODSPELL_ENDPOINT"
 
@@ -40,6 +39,25 @@ class Setting(NamedTuple):
     kind: object
     default: object = None
     minimum: int | None = None
+
+
+@dataclass
+class ModelConfig:
+    """The inference endpoint's settings, as annotate's transports take them."""
+
+    model: str
+    endpoint: str = "http://localhost:11434"
+    temperature: float = 0.0
+    max_retries: int = 3
+    timeout: float = 120.0
+
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
 
 
 def _setting(*declaration):

@@ -22,24 +22,31 @@ not a runtime dependency. It is compiled on first use into
 ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``), so
 ``topics-train`` needs a C compiler: without one, the first draw raises
 ``_sweep.BuildError``. Reading a saved state (``load_state``, and so
-``topics-inspect`` and ``stats``) needs no compiler.
+``topics-inspect`` and ``stats``) needs no compiler and no numpy: numpy is
+imported inside the functions that compute with it, ``load_state`` returns
+the matrices as the lists ``json.loads`` gives, and
+``prominence_from_doc_topic`` averages those rows in plain Python.
 """
 
 from __future__ import annotations
 
 import array
+import collections
 import itertools
 import json
 import logging
+import operator
 import random
 import string
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .corpus import Segment
+    from .corpus import Segment
 
 log = logging.getLogger(__name__)
 
@@ -78,18 +85,24 @@ def normalize_token(word: str) -> str:
 def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
     """The kept tokens of each document, as views of one flat array; document
     d is flat[offsets[d]:offsets[d + 1]]. The piece after the last end is empty."""
+    import numpy as np
+
     kept_at = np.flatnonzero(keep)
     return np.split(flat[kept_at], np.searchsorted(kept_at, offsets[1:]))[:-1]
 
 
 def _flat(docs: list[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """docs (lists or arrays of ids) as one int32 token array and its offsets."""
+    import numpy as np
+
     words = np.concatenate([np.empty(0, np.int32), *(np.asarray(d, np.int32) for d in docs)])
     return words, _offsets(map(len, docs))
 
 
 def _offsets(lengths) -> np.ndarray:
     """(D + 1,) int64 token offsets of documents of the given lengths."""
+    import numpy as np
+
     lengths = np.fromiter(lengths, dtype=np.int64)
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
@@ -116,14 +129,14 @@ def build_vocabulary(
     segments is read once and no segment is kept, so it may be a
     generator. Each distinct raw form is normalised once.
     """
+    import numpy as np
+
     stop = frozenset(w.lower() for w in stopwords)
-    form_ids: dict[str, int] = {}
+    # a form seen for the first time gets the next id, in order of appearance
+    form_ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
     form_of = array.array("i")
     lengths = []
     for seg in segments:
-        # dict.fromkeys keeps each of the segment's forms once, in C
-        for form in [f for f in dict.fromkeys(seg.words) if f not in form_ids]:
-            form_ids[form] = len(form_ids)
         form_of.extend(map(form_ids.__getitem__, seg.words))
         lengths.append(len(seg.words))
     form_of = np.frombuffer(form_of, dtype=np.int32)
@@ -163,6 +176,8 @@ def authorless_downsample(
     within-novel rate; one rng.random() is drawn per token, in token order.
     Tokens are only removed, never added or reordered.
     """
+    import numpy as np
+
     from . import _sweep
 
     if len(docs) != len(doc_novels):
@@ -203,6 +218,8 @@ class TopicState:
     def validate(self, docs: list[Sequence[int]]) -> None:
         """Check the shapes, the id ranges and the count identities against
         the documents and the assignments; fatal if the state is corrupted."""
+        import numpy as np
+
         k, v = self.k, self.vocabulary_size
         doc_lens = np.array([len(d) for d in docs], dtype=np.int64)
         if (self.n_dk.shape != (len(docs), k) or self.n_kw.shape != (k, v)
@@ -235,6 +252,8 @@ def init_state(
     """Assign every token a uniform random topic, drawn in token order,
     and build the counts; the priors start at DEFAULT_ALPHA_SUM / k and
     DEFAULT_BETA."""
+    import numpy as np
+
     from . import _sweep
 
     if not 1 <= k < 2**31:
@@ -285,6 +304,8 @@ def log_likelihood(state: TopicState) -> float:
     arguments go to gammaln in one call, and each term takes its slice; the
     (K, V) one is summed in C, without the gathered array. ValueError names
     a negative count."""
+    import numpy as np
+
     from . import _sweep
 
     for name in ("n_dk", "n_kw"):
@@ -340,6 +361,8 @@ def optimize_alpha(
     plus sum(alpha), sum(alpha), every topic's counts plus its alpha, and
     alpha; each topic's weighted sum is then taken over its own slice, so
     every sum adds the same floats as a per-topic call would."""
+    import numpy as np
+
     from ._sweep import digamma
 
     n_dk = state.n_dk
@@ -391,6 +414,8 @@ def optimize_beta(
     """Maximum-likelihood fixed point for the symmetric beta prior over
     the topic-word counts. Each iteration takes digamma in one call, over
     the counts plus beta, the topic totals plus V * beta, beta and V * beta."""
+    import numpy as np
+
     from ._sweep import digamma
 
     v = state.vocabulary_size
@@ -430,6 +455,8 @@ class TopicSummary:
 
 def doc_topic_proportions(state: TopicState) -> np.ndarray:
     """Smoothed (posterior-mean) per-document topic proportions."""
+    import numpy as np
+
     doc_lens = state.n_dk.sum(axis=1, keepdims=True)
     return (state.n_dk + state.alpha) / (doc_lens + state.alpha.sum())
 
@@ -461,31 +488,40 @@ def train(
     return state, TopicSummary(log_likelihoods=lls, doc_topic=doc_topic_proportions(state))
 
 
-def top_words(n_kw: np.ndarray, words: list[str], k: int, n: int = 10) -> list[int]:
+def top_words(n_kw: Sequence[Sequence[int]], words: list[str], k: int, n: int = 10) -> list[int]:
     """Ids of the top-n words of topic k by count, ties broken
     lexicographically by word."""
     if not 0 <= k < len(n_kw):
         raise ValueError(f"topic index {k} out of range for K={len(n_kw)}")
-    counts = n_kw[k].tolist()
+    counts = n_kw[k]
     return sorted(range(len(words)), key=lambda w: (-counts[w], words[w]))[:n]
 
 
 def prominence_from_doc_topic(
-    doc_topic: np.ndarray,
+    doc_topic: Sequence[Sequence[float]],
     doc_novels: list[str],
     all_novel_ids: list[str] | None = None,
 ) -> dict[str, list[float]]:
     """Novel id -> mean per-topic percentage of its segments (sums to 100),
     in order of first appearance in doc_novels. Novels of all_novel_ids
-    with no segment are left out, with a warning."""
+    with no segment are left out, with a warning.
+
+    Each novel's rows are added in document order, from its first row, and
+    each total is then divided by the row count: the floats of numpy's
+    ``100.0 * doc_topic[ids].mean(axis=0)`` for K >= 2 (a single column numpy
+    sums pairwise, but a trained K = 1 state's shares are all 1.0, whose sum
+    is exact in any order)."""
     rows = _docs_by_novel(doc_novels)
     for novel_id in all_novel_ids or ():
         if novel_id not in rows:
             log.warning("novel %s has no segments; excluded from prominence", novel_id)
-    return {
-        novel_id: (100.0 * doc_topic[ids].mean(axis=0)).tolist()
-        for novel_id, ids in rows.items()
-    }
+    prominence = {}
+    for novel_id, ids in rows.items():
+        totals = doc_topic[ids[0]]
+        for i in ids[1:]:
+            totals = list(map(operator.add, totals, doc_topic[i]))
+        prominence[novel_id] = [100.0 * (total / len(ids)) for total in totals]
+    return prominence
 
 
 def save_state(
@@ -498,6 +534,8 @@ def save_state(
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
     two matrices row by row from per-value tables (see _write_matrix)."""
+    import numpy as np
+
     head = json.dumps({
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
@@ -525,6 +563,8 @@ def save_state(
 def _write_matrix(fh, values: list, index: np.ndarray, lo: int) -> None:
     """Write the JSON text of the 2-D matrix ``values[index - lo]`` row by row: json
     writes each distinct value once, and the rows are joined with json's separators."""
+    import numpy as np
+
     table = np.array(json.dumps(values)[1:-1].split(", "), dtype=object)
     fh.write("[")
     for i, row in enumerate(index):
@@ -539,16 +579,36 @@ class LoadedTopicModel:
     beta: float
     seed: int
     vocabulary: list[str]
-    n_kw: np.ndarray
-    doc_topic: np.ndarray
+    n_kw: list[list[int]]
+    doc_topic: list[list[float]]
     doc_novels: list[str]
     log_likelihood: list[float]
 
 
+def _matrix_shape(path: Path | str, name: str, matrix, width: int, kinds: set[type]) -> tuple:
+    """(rows, columns) of a JSON matrix, a list of equally long lists of
+    numbers of the given types; an empty list has width columns. ValueError
+    naming path and name when the rows are not such lists or differ in length,
+    or a value is not of kinds (a bool is not an int)."""
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ValueError(f"topic state {path}: {name} is not a list of lists")
+    widths = sorted({len(row) for row in matrix})
+    if len(widths) > 1:
+        raise ValueError(f"topic state {path}: {name} has rows of {widths[0]} to {widths[-1]} "
+                         f"values")
+    if not set(map(type, itertools.chain.from_iterable(matrix))) <= kinds:
+        bad = next(x for x in itertools.chain.from_iterable(matrix) if type(x) not in kinds)
+        expected = " or ".join(sorted(kind.__name__ for kind in kinds))
+        raise ValueError(f"topic state {path}: {name} holds {bad!r}, not {expected}")
+    return (len(matrix), widths[0] if widths else width)
+
+
 def load_state(path: Path | str) -> LoadedTopicModel:
     """Read a state file written by save_state; ValueError naming path if
-    it is not JSON or not a state file, or if alpha, n_kw and doc_topic
-    disagree with k, the vocabulary and doc_novels."""
+    it is not JSON or not a state file, if n_kw is not a matrix of integer
+    counts or doc_topic one of numbers, or if alpha, n_kw and doc_topic
+    disagree with k, the vocabulary and doc_novels. The matrices are the
+    lists json.loads gives."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -562,15 +622,17 @@ def load_state(path: Path | str) -> LoadedTopicModel:
         beta=payload["beta"],
         seed=payload["seed"],
         vocabulary=payload["vocabulary"],
-        n_kw=np.array(payload["n_kw"], dtype=np.int64),
-        doc_topic=np.array(payload["doc_topic"], dtype=float),
+        n_kw=payload["n_kw"],
+        doc_topic=payload["doc_topic"],
         doc_novels=payload["doc_novels"],
         log_likelihood=payload["log_likelihood"],
     )
+    v, d = len(model.vocabulary), len(model.doc_novels)
     shapes = {
         "alpha": ((len(model.alpha),), (model.k,)),
-        "n_kw": (model.n_kw.shape, (model.k, len(model.vocabulary))),
-        "doc_topic": (model.doc_topic.shape, (len(model.doc_novels), model.k)),
+        "n_kw": (_matrix_shape(path, "n_kw", model.n_kw, v, {int}), (model.k, v)),
+        "doc_topic": (_matrix_shape(path, "doc_topic", model.doc_topic, model.k, {int, float}),
+                      (d, model.k)),
     }
     for name, (found, expected) in shapes.items():
         if found != expected:

@@ -12,7 +12,8 @@ MT19937 loaded with a ``random.Random``'s state for the kernel's draws, the
 per-token counts and the gathered sum that it does in C, the per-token
 loops that the vectorised vocabulary, downsampling and likelihood replace,
 the whole-payload ``json.dumps`` that the state writer's per-value tables
-replace, and the cascade's structural rules checked on a finished annotation.
+replace, numpy's per-novel mean that the plain-Python prominence replaces,
+and the cascade's structural rules checked on a finished annotation.
 """
 
 from __future__ import annotations
@@ -452,6 +453,18 @@ def lda_log_likelihood_direct(
         - k * v * gammaln(beta)
     )
     return float(ll)
+
+
+def prominence_reference(doc_topic, doc_novels: list[str]) -> dict[str, list[float]]:
+    """Novel id -> numpy's mean of its doc-topic rows, in percent, novels in
+    order of first appearance: the whole-array mean that the plain-Python
+    row sums of prominence_from_doc_topic replace."""
+    doc_topic = np.asarray(doc_topic, dtype=np.float64)
+    rows: dict[str, list[int]] = {}
+    for i, novel_id in enumerate(doc_novels):
+        rows.setdefault(novel_id, []).append(i)
+    return {novel_id: (100.0 * doc_topic[ids].mean(axis=0)).tolist()
+            for novel_id, ids in rows.items()}
 
 
 def save_state_reference(path, state, summary, vocabulary, doc_novels) -> None:

@@ -565,7 +565,7 @@ def test_package_import_loads_no_submodule():
 
 def test_analysis_modules_import_without_numpy_and_scipy():
     proc = python("import sys\nsys.modules['numpy'] = sys.modules['scipy'] = None\n"
-                  "import godspell.stats, godspell.evaluation\n")
+                  "import godspell.stats, godspell.evaluation, godspell.topics, godspell.report\n")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -592,7 +592,13 @@ WRITES = {
     ("topics-train", "scipy"),
     ("stats", "scipy"),
     ("topics-inspect", "scipy"),
+    ("stats", "numpy,scipy"),
+    ("topics-inspect", "numpy,scipy"),
     *[(command, "http.client,urllib.request") for command in WRITES],
+    *[(command, "godspell.annotate")
+      for command in ("ingest", "segment", "topics-train", "topics-inspect", "report")],
+    ("topics-inspect", "godspell.corpus"),
+    ("report", "godspell.corpus"),
 ])
 def test_command_runs_without_libraries_it_does_not_use(tmp_path, command, blocked):
     """The command in an interpreter where importing a blocked library

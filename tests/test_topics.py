@@ -2,7 +2,9 @@ import json
 import math
 import random
 import re
+import struct
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,7 @@ from oracles import (
     lda_log_likelihood_direct,
     maximize_dirichlet_alpha,
     maximize_symmetric_beta,
+    prominence_reference,
     randbelow,
     save_state_reference,
     topic_conditional,
@@ -490,7 +493,7 @@ class TestTrain:
 
 class TestTopWords:
     def _top(self, words, counts, n=10, k=0):
-        ids = top_words(np.array(counts, dtype=np.int64), list(words), k, n=n)
+        ids = top_words(counts, list(words), k, n=n)
         return [words[w] for w in ids]
 
     def test_tie_break_lexicographic(self):
@@ -518,11 +521,12 @@ class TestNovelProminence:
         state = init_state(docs, k=2, vocabulary_size=2, rng_seed=0)
         state.alpha = np.array([1e-12, 1e-12])
         state.n_dk = np.array([[0, 4]] * 3, dtype=np.int64)
-        result = prominence_from_doc_topic(doc_topic_proportions(state), ["n1", "n1", "n1"])
+        result = prominence_from_doc_topic(doc_topic_proportions(state).tolist(),
+                                           ["n1", "n1", "n1"])
         assert result["n1"][1] == pytest.approx(100.0, abs=1e-6)
 
     def test_hand_average(self):
-        doc_topic = np.array([[0.2, 0.8], [0.4, 0.6]])
+        doc_topic = [[0.2, 0.8], [0.4, 0.6]]
         result = prominence_from_doc_topic(doc_topic, ["n1", "n1"])
         assert result["n1"] == pytest.approx([30.0, 70.0])
 
@@ -532,15 +536,52 @@ class TestNovelProminence:
         state = init_state(docs, k=4, vocabulary_size=10, rng_seed=3)
         gibbs_sweep(state, docs)
         novels = [f"n{i % 3}" for i in range(12)]
-        for row in prominence_from_doc_topic(doc_topic_proportions(state), novels).values():
+        doc_topic = doc_topic_proportions(state).tolist()
+        for row in prominence_from_doc_topic(doc_topic, novels).values():
             assert sum(row) == pytest.approx(100.0, abs=1e-6)
 
     def test_zero_segment_novel_warned(self, caplog):
-        doc_topic = np.array([[1.0]])
         with caplog.at_level("WARNING"):
-            result = prominence_from_doc_topic(doc_topic, ["n1"], all_novel_ids=["n1", "n2"])
+            result = prominence_from_doc_topic([[1.0]], ["n1"], all_novel_ids=["n1", "n2"])
         assert list(result) == ["n1"]
         assert "n2" in caplog.text
+
+    @staticmethod
+    def assert_bitwise_reference(doc_topic, novels):
+        """prominence_from_doc_topic against numpy's mean in tests/oracles.py:
+        the same novels in the same order, with the same float bits."""
+        result = prominence_from_doc_topic(doc_topic, novels)
+        expected = prominence_reference(doc_topic, novels)
+        assert list(result) == list(expected)
+        for novel_id, row in result.items():
+            assert [type(x) for x in row] == [float] * len(row)
+            assert struct.pack(f"{len(row)}d", *row) == struct.pack(
+                f"{len(row)}d", *expected[novel_id]), novel_id
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_bitwise_numpy_mean(self, k):
+        """Novels of 1 to 5000 rows, interleaved, with values from 1e-6 to 1e6."""
+        rng = random.Random(k)
+        sizes = {"n1": 1, "n2": 2, "n17": 17, "n129": 129, "n1000": 1000, "n5000": 5000}
+        novels = [novel_id for novel_id, n in sizes.items() for _ in range(n)]
+        rng.shuffle(novels)
+        doc_topic = [[rng.random() * 10.0 ** rng.uniform(-6, 6) for _ in range(k)]
+                     for _ in novels]
+        self.assert_bitwise_reference(doc_topic, novels)
+
+    def test_bitwise_numpy_mean_single_topic(self):
+        """K = 1, where numpy sums the one column pairwise: a trained
+        state's shares are all 1.0, whose sum is exact in any order."""
+        rng = random.Random(5)
+        docs = [[rng.randrange(6) for _ in range(rng.randint(1, 9))] for _ in range(300)]
+        novels = [rng.choice(["a", "b", "c"]) for _ in docs]
+        _, summary = train(docs, 6, k=1, sweeps=2, burn_in=0, optimize_interval=1,
+                           rng_seed=1)
+        self.assert_bitwise_reference(summary.doc_topic.tolist(), novels)
+
+    def test_bitwise_numpy_mean_of_golden_state(self):
+        model = load_state(Path(__file__).parent / "golden" / "topics" / "state.json")
+        self.assert_bitwise_reference(model.doc_topic, model.doc_novels)
 
 
 class TestStateIO:
@@ -558,12 +599,28 @@ class TestStateIO:
         loaded = load_state(path)
         assert loaded.k == 2
         assert loaded.seed == 7
-        assert np.array_equal(loaded.n_kw, state.n_kw)
+        assert loaded.n_kw == state.n_kw.tolist()
+        assert loaded.doc_topic == summary.doc_topic.tolist()
         assert loaded.doc_novels == novels
         assert isinstance(loaded, LoadedTopicModel)
         assert loaded.vocabulary == vocab.words
         assert top_words(loaded.n_kw, loaded.vocabulary, 0, n=3) == top_words(
-            state.n_kw, vocab.words, 0, n=3)
+            state.n_kw.tolist(), vocab.words, 0, n=3)
+
+    @staticmethod
+    def damaged_state(tmp_path, damage) -> Path:
+        """A small trained state, loadable as saved, after damage(payload)."""
+        docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
+        vocab, _ = build_vocabulary([seg(["w0", "w1", "w2"])], set(), min_count=1)
+        state, summary = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
+                               rng_seed=0)
+        path = tmp_path / "state.json"
+        save_state(path, state, summary, vocab, ["a", "a", "b"])
+        assert load_state(path).k == 2
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        damage(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
 
     DAMAGE = {
         "alpha": lambda p: p["alpha"].append(0.1),
@@ -573,17 +630,27 @@ class TestStateIO:
 
     @pytest.mark.parametrize("field", DAMAGE)
     def test_shape_mismatch_rejected(self, tmp_path, field):
-        docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
-        vocab, _ = build_vocabulary([seg(["w0", "w1", "w2"])], set(), min_count=1)
-        state, summary = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
-                               rng_seed=0)
-        path = tmp_path / "state.json"
-        save_state(path, state, summary, vocab, ["a", "a", "b"])
-        assert load_state(path).k == 2
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        self.DAMAGE[field](payload)
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path = self.damaged_state(tmp_path, self.DAMAGE[field])
         with pytest.raises(ValueError, match=re.escape(f"{path}: {field} has shape")):
+            load_state(path)
+
+    # damage -> the message after the path; numpy cast these or failed
+    # without naming the file
+    MALFORMED = {
+        "ragged n_kw row": (lambda p: p["n_kw"][1].pop(), "n_kw has rows of 2 to 3 values"),
+        "n_kw row not a list": (lambda p: p["n_kw"].__setitem__(0, 5),
+                                "n_kw is not a list of lists"),
+        "float count": (lambda p: p["n_kw"][0].__setitem__(2, 1.5), "n_kw holds 1.5, not int"),
+        "bool count": (lambda p: p["n_kw"][1].__setitem__(0, True), "n_kw holds True, not int"),
+        "string share": (lambda p: p["doc_topic"][2].__setitem__(1, "0.5"),
+                         "doc_topic holds '0.5', not float or int"),
+    }
+
+    @pytest.mark.parametrize("damage", MALFORMED)
+    def test_malformed_matrix_rejected(self, tmp_path, damage):
+        change, message = self.MALFORMED[damage]
+        path = self.damaged_state(tmp_path, change)
+        with pytest.raises(ValueError, match=re.escape(f"topic state {path}: {message}")):
             load_state(path)
 
     @pytest.mark.parametrize("damage, message", [
