@@ -1,5 +1,6 @@
-"""The compiled inner loops of ``topics``: the random draws, the counts, the
-collapsed Gibbs sweep, a gathered sum, and ``gammaln`` and ``digamma``.
+"""The compiled inner loops of ``topics``: the random draws, the counts and
+their checks, the collapsed Gibbs sweep, histograms, pairwise float sums, and
+``gammaln`` and ``digamma``.
 
 ``SOURCE`` holds CPython's Mersenne Twister, run on a copy of a
 ``random.Random``'s state that ``_draw`` hands back, so every draw and
@@ -8,14 +9,21 @@ collapsed Gibbs sweep, a gathered sum, and ``gammaln`` and ``digamma``.
 order as the pure-Python ``gibbs_sweep_reference`` in ``tests/oracles.py``:
 built without ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
 multiply-add), it gives bit-for-bit the same assignments, counts and RNG
-stream. ``gathered_sum`` adds in numpy's pairwise order. Beside them are
+stream. ``pairwise_sums`` adds in numpy's pairwise order, so each sum is
+numpy's ``ndarray.sum()`` of the same terms bit for bit. Beside them are
 Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code behind
 ``scipy.special.gammaln`` and ``digamma``, with the same constants, the
 same operation order and libm ``log``; they give scipy's floats bit for
 bit, so scipy is not needed at run time. Their pure-Python twins,
 ``gammaln_reference`` and ``digamma_reference``, are in the oracles too.
-``gammaln`` and ``digamma`` here take numpy arrays or scalars and reject an
-argument that is not finite and positive with ValueError.
+
+The functions here take and return the standard library's ``array.array``
+and ``memoryview`` buffers, and numpy is never imported. A buffer handed to
+the kernel must hold its C type: ``items`` raises TypeError, naming the
+argument, for any other item format, and never casts (a cast would wrap or
+misread values). ``gammaln`` and ``digamma`` take a buffer of doubles or an
+iterable of numbers and reject an argument that is not finite and positive
+with ValueError.
 
 It is compiled with ``cc`` on first use into ``$XDG_CACHE_HOME/godspell``
 (default ``~/.cache/godspell``), under a file name keyed by the sha256 of
@@ -24,24 +32,26 @@ beside it, and loaded with ``ctypes``. A cached library whose bytes do not
 match that checksum is rebuilt, never loaded; a cache directory that
 cannot be written is replaced by a temporary one. There is no other
 sampler, so ``topics-train`` needs a C compiler: when none works,
-``kernel``, and so the first draw, raises BuildError, which names the
+``kernel``, and so the first kernel call, raises BuildError, which names the
 compiler and its message.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import hashlib
 import logging
+import operator
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
-
-import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +62,9 @@ LIBS = ("-lm",)
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+
+/* Every exported function returns int64_t: 0, a count, or -1 when it refuses its input. */
 
 /* CPython's Mersenne Twister (Matsumoto & Nishimura 1998) on the state
    random.Random.getstate() holds: mt[0..623] and the position mt[624] */
@@ -80,7 +93,7 @@ static double random53(uint32_t *mt)
 
 /* n values of rng.randrange(k): the top bit_length(k) bits of a word, drawn
    again while >= k; -1 before drawing when k is not in [1, 2**32) */
-int randrange(uint32_t *mt, int64_t k, int64_t n, uint32_t *out)
+int64_t randrange(uint32_t *mt, int64_t k, int64_t n, uint32_t *out)
 {
     if (k < 1 || k > 0xffffffffLL)
         return -1;
@@ -92,27 +105,140 @@ int randrange(uint32_t *mt, int64_t k, int64_t n, uint32_t *out)
     return 0;
 }
 
-/* keep[i] = rng.random() < ratio[i], one draw per token in token order */
-void keep(uint32_t *mt, int64_t n, const double *ratio, uint8_t *out)
+/* words[i] = ids[words[i]] for each token, the tokens whose id is -1 dropped, in place,
+   and offsets rewritten to the kept tokens. Returns the kept count, or -1 before changing
+   anything when a word is outside [0, n_ids). */
+int64_t relabel(int64_t n_docs, int64_t *offsets, int32_t *words, const int32_t *ids,
+                int64_t n_ids)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = random53(mt) < ratio[i];
+    for (int64_t i = 0; i < offsets[n_docs]; i++)
+        if (words[i] < 0 || words[i] >= n_ids)
+            return -1;
+    int64_t kept = 0, start = offsets[0];
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t end = offsets[d + 1];
+        offsets[d] = kept;
+        for (int64_t i = start; i < end; i++)
+            if (ids[words[i]] >= 0)
+                words[kept++] = ids[words[i]];
+        start = end;
+    }
+    offsets[n_docs] = kept;
+    return kept;
 }
 
-void count(int64_t n_docs, const int64_t *offsets, const int32_t *words, const int32_t *z,
-           int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw, int64_t *n_k)
+/* ratio[g * v + w] = P(w) / P(w | novel g) = ((double)c[w] / n) / ((double)c_g[w] / n_g),
+   numpy's divisions in numpy's order, for c[w] the count of word w among all n tokens and
+   c_g[w] among the n_g of novel g. ratio holds zeros on entry and is first the count table
+   (a double counts exactly below 2**53); counts is v + n_novels zeros of scratch. A word
+   missing from a novel gets inf or nan, which no token reads. The caller guarantees words
+   in [0, v) and novel_of in [0, n_novels). */
+int64_t novel_ratios(int64_t n_docs, const int64_t *offsets, const int32_t *words,
+                     const int32_t *novel_of, int64_t n_novels, int64_t v, int64_t *counts,
+                     double *ratio)
 {
+    int64_t *novel_len = counts + v;
+    for (int64_t d = 0; d < n_docs; d++) {
+        double *row = ratio + novel_of[d] * v;
+        novel_len[novel_of[d]] += offsets[d + 1] - offsets[d];
+        for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
+            counts[words[i]]++;
+            row[words[i]] += 1.0;
+        }
+    }
+    double n = (double)offsets[n_docs];
+    for (int64_t g = 0; g < n_novels; g++)
+        for (int64_t w = 0; w < v; w++)
+            ratio[g * v + w] = ((double)counts[w] / n)
+                               / (ratio[g * v + w] / (double)novel_len[g]);
+    return 0;
+}
+
+/* keep token i of document d when rng.random() < ratio[novel_of[d] * v + words[i]], one
+   draw per token in token order; the kept tokens move forward in words and offsets are
+   rewritten to them. Returns the kept count, or -1 before drawing when a token's entry is
+   outside the n_ratio entries of ratio. */
+int64_t keep(uint32_t *mt, int64_t n_docs, int64_t *offsets, int32_t *words,
+             const int32_t *novel_of, int64_t v, const double *ratio, int64_t n_ratio)
+{
+    for (int64_t d = 0; d < n_docs; d++)
+        for (int64_t i = offsets[d]; i < offsets[d + 1]; i++)
+            if (words[i] < 0 || words[i] >= v || novel_of[d] < 0
+                    || (novel_of[d] + 1) * v > n_ratio)
+                return -1;
+    int64_t kept = 0, start = offsets[0];
+    for (int64_t d = 0; d < n_docs; d++) {
+        const double *row = ratio + novel_of[d] * v;
+        int64_t end = offsets[d + 1];
+        offsets[d] = kept;
+        for (int64_t i = start; i < end; i++)
+            if (random53(mt) < row[words[i]])
+                words[kept++] = words[i];
+        start = end;
+    }
+    offsets[n_docs] = kept;
+    return kept;
+}
+
+/* Add each token, its topic in z, to the counts; -1 before counting when a word is
+   outside [0, v) or a topic outside [0, k_topics). */
+int64_t count(int64_t n_docs, const int64_t *offsets, const int32_t *words, const int32_t *z,
+              int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw, int64_t *n_k)
+{
+    for (int64_t i = 0; i < offsets[n_docs]; i++)
+        if (words[i] < 0 || words[i] >= v || z[i] < 0 || z[i] >= k_topics)
+            return -1;
     for (int64_t d = 0; d < n_docs; d++)
         for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
             n_dk[d * k_topics + z[i]]++;
             n_kw[z[i] * v + words[i]]++;
             n_k[z[i]]++;
         }
+    return 0;
 }
 
-void gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const int32_t *words,
-                 int32_t *z, int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw,
-                 int64_t *n_k, const double *alpha, double beta, double vbeta, double *cum)
+/* TopicState.validate's checks of counts whose lengths match the documents: 1 when a topic
+   or word id is out of range, 2 for a negative count, 3 when a row of n_dk does not sum to
+   its document's length, 4 when a row of n_kw does not sum to its topic's total, 5 when the
+   totals do not sum to the token count, in that order; 0 when all hold. */
+int64_t check(int64_t n_docs, const int64_t *offsets, const int32_t *words, const int32_t *z,
+              int64_t k_topics, int64_t v, const int64_t *n_dk, const int32_t *n_kw,
+              const int64_t *n_k)
+{
+    int64_t n = offsets[n_docs], total = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (z[i] < 0 || z[i] >= k_topics || words[i] < 0 || words[i] >= v)
+            return 1;
+    for (int64_t i = 0; i < n_docs * k_topics; i++)
+        if (n_dk[i] < 0)
+            return 2;
+    for (int64_t i = 0; i < k_topics * v; i++)
+        if (n_kw[i] < 0)
+            return 2;
+    for (int64_t t = 0; t < k_topics; t++)
+        if (n_k[t] < 0)
+            return 2;
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t sum = 0;
+        for (int64_t t = 0; t < k_topics; t++)
+            sum += n_dk[d * k_topics + t];
+        if (sum != offsets[d + 1] - offsets[d])
+            return 3;
+    }
+    for (int64_t t = 0; t < k_topics; t++) {
+        int64_t sum = 0;
+        for (int64_t w = 0; w < v; w++)
+            sum += n_kw[t * v + w];
+        if (sum != n_k[t])
+            return 4;
+        total += n_k[t];
+    }
+    return total == n ? 0 : 5;
+}
+
+int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const int32_t *words,
+                    int32_t *z, int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw,
+                    int64_t *n_k, const double *alpha, double beta, double vbeta, double *cum)
 {
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *row = n_dk + d * k_topics;
@@ -138,35 +264,190 @@ void gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const int
             n_k[t]++;
         }
     }
+    return 0;
 }
 
-/* ndarray.sum() of table[index[i]] in numpy's pairwise order: above 128 terms, halves
-   split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop */
-static double pairwise(const double *table, const int32_t *index, int64_t n)
+/* span_i, span_q: lo_hi = min(0, the least of x[0..n)), max(0, the greatest), as numpy's
+   min(initial=0) and max(initial=0). histogram_i, histogram_q: out[c * size + x]++ for
+   each x in column c of the (rows, cols) matrix x, or -1 before counting when an x is
+   outside [0, size). text_i, text_q: the decimal text of x[0..n) joined by ", ", as json
+   writes integers, into out, which has room for 24 bytes a value; returns its length. */
+#define INTEGER_FUNCTIONS(T, S)                                                         \
+    int64_t span_##S(const T *x, int64_t n, int64_t *lo_hi)                             \
+    {                                                                                   \
+        int64_t lo = 0, hi = 0;                                                         \
+        for (int64_t i = 0; i < n; i++) {                                               \
+            lo = x[i] < lo ? x[i] : lo;                                                 \
+            hi = x[i] > hi ? x[i] : hi;                                                 \
+        }                                                                               \
+        lo_hi[0] = lo;                                                                  \
+        lo_hi[1] = hi;                                                                  \
+        return 0;                                                                       \
+    }                                                                                   \
+    int64_t histogram_##S(const T *x, int64_t rows, int64_t cols, int64_t size,         \
+                          int64_t *out)                                                 \
+    {                                                                                   \
+        for (int64_t i = 0; i < rows * cols; i++)                                       \
+            if (x[i] < 0 || x[i] >= size)                                               \
+                return -1;                                                              \
+        for (int64_t r = 0; r < rows; r++)                                              \
+            for (int64_t c = 0; c < cols; c++)                                          \
+                out[c * size + x[r * cols + c]]++;                                      \
+        return 0;                                                                       \
+    }                                                                                   \
+    int64_t text_##S(const T *x, int64_t n, char *out)                                  \
+    {                                                                                   \
+        char *p = out;                                                                  \
+        for (int64_t i = 0; i < n; i++) {                                               \
+            char digits[20];                                                            \
+            int m = 0;                                                                  \
+            uint64_t u = x[i] < 0 ? -(uint64_t)x[i] : (uint64_t)x[i];                   \
+            if (i > 0) {                                                                \
+                *p++ = ',';                                                             \
+                *p++ = ' ';                                                             \
+            }                                                                           \
+            if (x[i] < 0)                                                               \
+                *p++ = '-';                                                             \
+            do                                                                          \
+                digits[m++] = (char)('0' + u % 10);                                     \
+            while (u /= 10);                                                            \
+            while (m > 0)                                                               \
+                *p++ = digits[--m];                                                     \
+        }                                                                               \
+        return p - out;                                                                 \
+    }
+INTEGER_FUNCTIONS(int32_t, i)
+INTEGER_FUNCTIONS(int64_t, q)
+
+static int compare(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* numpy's np.unique(x, return_inverse=True) of the n values x: keys (room for n) gets the
+   distinct values ascending, index[i] the position of x[i] among them (fewer than 2**31);
+   returns how many are distinct */
+int64_t distinct(const int64_t *x, int64_t n, int64_t *keys, int32_t *index)
+{
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++)
+        keys[i] = x[i];
+    qsort(keys, (size_t)n, sizeof *keys, compare);
+    for (int64_t i = 0; i < n; i++)
+        if (m == 0 || keys[i] != keys[m - 1])
+            keys[m++] = keys[i];
+    for (int64_t i = 0; i < n; i++) {
+        int64_t lo = 0, hi = m;  /* keys[lo] <= x[i] < keys[hi] */
+        while (hi - lo > 1) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (keys[mid] <= x[i])
+                lo = mid;
+            else
+                hi = mid;
+        }
+        index[i] = (int32_t)lo;
+    }
+    return m;
+}
+
+/* out[r] = the sum of row r of the (rows, cols) matrix m */
+int64_t row_sums(int64_t rows, int64_t cols, const int64_t *m, int64_t *out)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        out[r] = 0;
+        for (int64_t c = 0; c < cols; c++)
+            out[r] += m[r * cols + c];
+    }
+    return 0;
+}
+
+/* out = numpy's (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + sum_alpha) */
+int64_t proportions(int64_t rows, int64_t k, const int64_t *n_dk, const double *alpha,
+                    double sum_alpha, double *out)
+{
+    for (int64_t d = 0; d < rows; d++) {
+        int64_t n = 0;
+        for (int64_t t = 0; t < k; t++)
+            n += n_dk[d * k + t];
+        for (int64_t t = 0; t < k; t++)
+            out[d * k + t] = ((double)n_dk[d * k + t] + alpha[t]) / ((double)n + sum_alpha);
+    }
+    return 0;
+}
+
+/* The terms of a sum. Term i is weight[i] * table[at], the int64 weight cast to double
+   first (table[at] itself without weights); at is index[i] * width + i % width, row index[i]
+   and column i % width of the table as (size / width, width), for an int32 (index32) or
+   int64 (index64) index, and i itself without one. */
+struct terms {
+    const double *table;
+    const int32_t *index32;
+    const int64_t *index64;
+    int64_t width;
+    const int64_t *weight;
+};
+
+static double term(const struct terms *t, int64_t i)
+{
+    int64_t at = t->index32 ? t->index32[i] : t->index64 ? t->index64[i] : i;
+    double x = t->table[t->width > 1 ? at * t->width + i % t->width : at];
+    return t->weight ? (double)t->weight[i] * x : x;
+}
+
+/* ndarray.sum() of the terms lo..lo+n-1 in numpy's pairwise order: above 128 terms, halves
+   split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop. TERM(j)
+   is term j; the gather of log_likelihood's (K, V) term, the longest sum, has its own. */
+#define PAIRWISE_LEAF(TERM)                                                             \
+    do {                                                                                \
+        for (; i < n - n % 8; i++)                                                      \
+            r[i % 8] += TERM(lo + i);                                                   \
+        if (n >= 8)                                                                     \
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));    \
+        for (; i < n; i++)                                                              \
+            res += TERM(lo + i);                                                        \
+    } while (0)
+#define GATHERED(j) t->table[t->index32[j]]
+#define ANY_TERM(j) term(t, j)
+
+static double pairwise(const struct terms *t, int64_t lo, int64_t n)
 {
     if (n > 128) {
         int64_t half = n / 2 - n / 2 % 8;
-        return pairwise(table, index, half) + pairwise(table, index + half, n - half);
+        return pairwise(t, lo, half) + pairwise(t, lo + half, n - half);
     }
     double r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res = -0.0;
     int64_t i = 0;
-    for (; i < n - n % 8; i++)
-        r[i % 8] += table[index[i]];
-    if (n >= 8)
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (; i < n; i++)
-        res += table[index[i]];
+    if (t->index32 && t->width == 1 && !t->weight)
+        PAIRWISE_LEAF(GATHERED);
+    else
+        PAIRWISE_LEAF(ANY_TERM);
     return res;
 }
 
-/* -1 before summing when an index is outside [0, size); numpy starts from 0.0 */
-int gathered_sum(const double *table, int64_t size, const int32_t *index, int64_t n,
-                 double *out)
+/* out[p] = ndarray.sum() of terms bounds[p] <= i < bounds[p + 1] (numpy starts from 0.0)
+   for each of the parts, of n terms in all; -1 before summing when the bounds are not in
+   order within [0, n], or a term's entry is outside the size entries of the table (its
+   row outside the size / width rows with an index) */
+int64_t pairwise_sums(const double *table, int64_t size, const int32_t *index32,
+                      const int64_t *index64, int64_t width, const int64_t *weight, int64_t n,
+                      int64_t parts, const int64_t *bounds, double *out)
 {
-    for (int64_t i = 0; i < n; i++)
-        if (index[i] < 0 || index[i] >= size)
+    struct terms t = {table, index32, index64, width, weight};
+    int64_t rows = size / width;
+    for (int64_t p = 0; p < parts; p++) {
+        if (bounds[p] < 0 || bounds[p] > bounds[p + 1] || bounds[p + 1] > n)
             return -1;
-    *out = 0.0 + pairwise(table, index, n);
+        if (!index32 && !index64 && bounds[p + 1] > size)
+            return -1;
+        for (int64_t i = bounds[p]; i < bounds[p + 1] && (index32 || index64); i++) {
+            int64_t row = index32 ? index32[i] : index64[i];
+            if (row < 0 || row >= rows)
+                return -1;
+        }
+    }
+    for (int64_t p = 0; p < parts; p++)
+        out[p] = 0.0 + pairwise(&t, bounds[p], bounds[p + 1] - bounds[p]);
     return 0;
 }
 
@@ -274,7 +555,7 @@ static int finite_positive(int64_t n, const double *x)
 
 /* 0 after filling out (which may be x), or -1 before computing anything
    when an argument is not finite and positive */
-int gammaln(int64_t n, const double *x, double *out)
+int64_t gammaln(int64_t n, const double *x, double *out)
 {
     if (!finite_positive(n, x))
         return -1;
@@ -283,7 +564,7 @@ int gammaln(int64_t n, const double *x, double *out)
     return 0;
 }
 
-int digamma(int64_t n, const double *x, double *out)
+int64_t digamma(int64_t n, const double *x, double *out)
 {
     if (!finite_positive(n, x))
         return -1;
@@ -345,16 +626,24 @@ def _intact(path: Path) -> bool:
         return False
 
 
+# each exported function's argument types: i int64_t, p pointer, d double
+SIGNATURES = {
+    "randrange": "piip", "relabel": "ippip", "novel_ratios": "ipppiipp",
+    "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiippp",
+    "gibbs_sweep": "pipppiippppddp", "span_i": "pip", "span_q": "pip",
+    "histogram_i": "piiip", "histogram_q": "piiip", "text_i": "pip", "text_q": "pip",
+    "distinct": "pipp", "row_sums": "iipp",
+    "proportions": "iippdp", "pairwise_sums": "pippipiipp", "gammaln": "ipp", "digamma": "ipp",
+}
+
+
 def _open(path: Path):
     lib = ctypes.CDLL(str(path))
-    # argument types: i int64_t, p pointer, d double
     types = {"i": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
-    for name, args in (("randrange", "piip"), ("keep", "pipp"), ("count", "ipppiippp"),
-                       ("gibbs_sweep", "pipppiippppddp"), ("gathered_sum", "pipip"),
-                       ("gammaln", "ipp"), ("digamma", "ipp")):
+    for name, args in SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes = [types[c] for c in args]
-        fn.restype = None if name in ("keep", "count", "gibbs_sweep") else ctypes.c_int
+        fn.restype = ctypes.c_int64
     return lib
 
 
@@ -388,37 +677,60 @@ def kernel():
     BuildError when it cannot be built and OSError when it cannot be
     loaded; a failure is not cached, so the next call tries again."""
     lib = load(cache_dir())
-    log.info("random draws, Gibbs sweep, gammaln and digamma: compiled kernel")
+    log.info("random draws, counts, Gibbs sweep, sums, gammaln and digamma: compiled kernel")
     return lib
 
 
-def _elementwise(name: str, x):
-    """The library's function ``name`` applied to each element of x (an
-    array or a scalar): a float64 array of x's shape, a numpy float for a
-    scalar. ValueError when an element is not finite and positive; the
-    kernel checks them all before it computes any.
-
-    The callers make many small calls per run, so the per-call cost
-    counts: the kernel checks the arguments (two numpy reductions here
-    would cost more than the kernel call), and the values are computed in
-    place in a fresh copy of x, whose address ``from_buffer`` gives at a
-    third of the cost of ``.ctypes.data``."""
-    out = np.array(x, dtype=np.float64, order="C")
-    if out.size:
-        address = ctypes.addressof(ctypes.c_char.from_buffer(out))
-        if getattr(kernel(), name)(out.size, address, address):
-            raise ValueError(f"{name} takes finite positive arguments only")
-    return out[()]
+# the struct formats that hold each C type the kernel reads: on LP64 an int64 may be "l"
+_FORMATS = {"i": {"i"}, "q": {"q", "l"} if struct.calcsize("l") == 8 else {"q"}, "d": {"d"}}
 
 
-def gammaln(x):
-    """log|Gamma(x)| elementwise, bit for bit scipy.special.gammaln; every
-    argument must be finite and positive (ValueError otherwise)."""
+def items(name: str, buf, *codes: str) -> memoryview:
+    """buf's items as a flat memoryview of the first of codes (array
+    typecodes of the C types the kernel reads) that they hold. TypeError
+    naming name when buf is not a writable C-contiguous buffer of one of
+    them: never a cast, which would wrap or misread values."""
+    wanted = " or ".join(map(repr, codes))
+    try:
+        view = memoryview(buf)
+    except TypeError:
+        raise TypeError(f"{name} is not a buffer of {wanted} items") from None
+    code = next((c for c in codes if view.format in _FORMATS[c]), None)
+    if code is None or view.readonly or not view.c_contiguous:
+        raise TypeError(f"{name} must be a writable C-contiguous buffer of {wanted} items, "
+                        f"not of {view.format!r}")
+    # a memoryview with a zero in its shape cannot be cast
+    return view.cast("B").cast(code) if view.nbytes else memoryview(bytearray()).cast(code)
+
+
+def _address(buf) -> int | None:
+    """The address of buf's first byte, None (a NULL pointer) when it is empty.
+    ``from_buffer`` costs a third of what ``.ctypes.data`` does on numpy."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf)) if memoryview(buf).nbytes else None
+
+
+def _elementwise(name: str, x) -> array.array:
+    """The library's function ``name`` applied to each number of x (a
+    buffer of doubles, copied whole, or an iterable of numbers): an array
+    of doubles. ValueError when one is not finite and positive; the kernel
+    checks them all before it computes any, in place in the fresh copy."""
+    try:
+        out = array.array("d", items("x", x, "d").cast("B").tobytes())
+    except TypeError:
+        out = array.array("d", list(x))
+    if out and getattr(kernel(), name)(len(out), _address(out), _address(out)):
+        raise ValueError(f"{name} takes finite positive arguments only")
+    return out
+
+
+def gammaln(x) -> array.array:
+    """log|Gamma(x)| of each number, bit for bit scipy.special.gammaln;
+    every argument must be finite and positive (ValueError otherwise)."""
     return _elementwise("gammaln", x)
 
 
-def digamma(x):
-    """The digamma function elementwise, bit for bit scipy.special.digamma;
+def digamma(x) -> array.array:
+    """The digamma function of each number, bit for bit scipy.special.digamma;
     every argument must be finite and positive (ValueError otherwise)."""
     return _elementwise("digamma", x)
 
@@ -427,58 +739,215 @@ def _draw(rng, fn, *args):
     """fn(mt, *args) on rng's Mersenne Twister state mt, uint32[625] (624 words and the
     position); rng is then set where fn left mt, gauss_next kept. Returns fn's result."""
     version, internal, gauss_next = rng.getstate()
-    mt = np.array(internal, dtype=np.uint32)
-    result = fn(mt.ctypes.data, *args)
-    rng.setstate((version, tuple(mt.tolist()), gauss_next))
+    mt = array.array("I", internal)
+    result = fn(_address(mt), *args)
+    rng.setstate((version, tuple(mt), gauss_next))
     return result
 
 
-def randrange(rng, k: int, n: int) -> np.ndarray:
-    """The next n rng.randrange(k) as uint32; ValueError, nothing drawn, unless 1 <= k < 2**32."""
-    out = np.empty(n, dtype=np.uint32)
-    if _draw(rng, kernel().randrange, min(max(k, 0), 2**32), n, out.ctypes.data):
+def randrange(rng, k: int, n: int) -> array.array:
+    """The next n rng.randrange(k): an array of int32 (typecode "i", as
+    topics are), or of uint32 ("I") for a k above 2**31, whose values may
+    not fit. ValueError, nothing drawn, unless 1 <= k < 2**32."""
+    out = array.array("i" if k <= 2**31 else "I", [0]) * n
+    if _draw(rng, kernel().randrange, min(max(k, 0), 2**32), n, _address(out)):
         raise ValueError(f"randrange bound {k} is not in [1, 2**32)")
     return out
 
 
-def keep(rng, ratio: np.ndarray) -> np.ndarray:
-    """rng.random() < ratio[i] for each i in order, one draw each, as bool."""
-    ratio = np.ascontiguousarray(ratio, dtype=np.float64)
-    out = np.empty(len(ratio), dtype=bool)  # one byte each, which the kernel sets to 0 or 1
-    _draw(rng, kernel().keep, len(ratio), ratio.ctypes.data, out.ctypes.data)
+def span(values) -> tuple[int, int]:
+    """(min(0, the least), max(0, the greatest)) of an int32 or int64
+    buffer: numpy's min(initial=0) and max(initial=0)."""
+    values = items("values", values, "i", "q")
+    out = array.array("q", [0, 0])
+    getattr(kernel(), "span_" + values.format)(_address(values), len(values), _address(out))
+    return out[0], out[1]
+
+
+def histogram(values, size: int, cols: int = 1) -> array.array:
+    """How often each of 0..size-1 occurs in each column of an int32 or
+    int64 (rows, cols) matrix, given flat: column c's counts are
+    out[c * size:(c + 1) * size]. ValueError for a value outside [0, size)."""
+    values = items("values", values, "i", "q")
+    out = array.array("q", [0]) * (cols * size)
+    if getattr(kernel(), "histogram_" + values.format)(_address(values), len(values) // cols,
+                                                       cols, size, _address(out)):
+        raise ValueError(f"histogram: a value is outside [0, {size})")
     return out
 
 
+def row_texts(values, rows: int) -> Iterator[str]:
+    """The JSON text of each row of an int32 or int64 (rows, cols) matrix,
+    given flat, without its brackets: the integers joined by ", "."""
+    values = items("values", values, "i", "q")
+    cols = len(values) // rows
+    text = getattr(kernel(), "text_" + values.format)
+    out = bytearray(24 * cols)
+    for r in range(rows):
+        n = text(_address(values[r * cols:(r + 1) * cols]), cols, _address(out))
+        yield out[:n].decode("ascii")
+
+
+def distinct(values) -> tuple[array.array, array.array]:
+    """numpy's np.unique(values, return_inverse=True) of an int64 buffer of
+    fewer than 2**31 values: the distinct values, ascending, and the int32
+    position of each value among them."""
+    values = items("values", values, "q")
+    if len(values) >= 2**31:
+        raise ValueError(f"distinct: {len(values)} values are too many for an int32 index")
+    keys = array.array("q", [0]) * len(values)
+    index = array.array("i", [0]) * len(values)
+    del keys[kernel().distinct(_address(values), len(values), _address(keys),
+                               _address(index)):]
+    return keys, index
+
+
+def row_sums(matrix, cols: int) -> array.array:
+    """The sum of each row of an int64 (rows, cols) matrix, given flat."""
+    matrix = items("matrix", matrix, "q")
+    out = array.array("q", [0]) * (len(matrix) // cols)
+    kernel().row_sums(len(out), cols, _address(matrix), _address(out))
+    return out
+
+
+def proportions(n_dk, alpha, sum_alpha: float) -> array.array:
+    """numpy's (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + sum_alpha),
+    flat, for the int64 (D, K) counts n_dk given flat and K doubles alpha."""
+    n_dk, alpha = items("n_dk", n_dk, "q"), items("alpha", alpha, "d")
+    out = array.array("d", [0.0]) * len(n_dk)
+    kernel().proportions(len(n_dk) // len(alpha), len(alpha), _address(n_dk), _address(alpha),
+                         sum_alpha, _address(out))
+    return out
+
+
+def pairwise_sums(table, bounds=None, *, index=None, weights=None,
+                  width: int = 1) -> array.array:
+    """For each part p, numpy's ndarray.sum() of the terms i in
+    bounds[p] <= i < bounds[p + 1], bit for bit, without the array of terms:
+    term i is table[index[i] * width + i % width], row index[i] and column
+    i % width of the table taken as rows of width (table[i] without an
+    index), times float(weights[i]) with weights. bounds default to one
+    part of every term. table holds doubles, an index int32 or int64, the
+    weights int64 (TypeError otherwise); ValueError when the bounds run past
+    the terms or an index points outside the table's rows."""
+    table = items("table", table, "d")
+    n = len(table)
+    if index is not None:
+        index = items("index", index, "i", "q")
+        n = len(index)
+    if weights is not None:
+        weights = items("weights", weights, "q")
+        n = min(n, len(weights))
+    bounds = array.array("q", (0, n) if bounds is None else bounds)
+    out = array.array("d", [0.0]) * (len(bounds) - 1)
+    index32 = index64 = None
+    if index is not None and index.format == "i":
+        index32 = _address(index)
+    elif index is not None:
+        index64 = _address(index)
+    if kernel().pairwise_sums(_address(table), len(table), index32, index64, width,
+                              None if weights is None else _address(weights), n, len(out),
+                              _address(bounds), _address(out)):
+        raise ValueError(f"pairwise_sums: a bound or an index is outside the {n} terms or "
+                         f"the {len(table)} entries of the table")
+    return out
+
+
+def _documents(words, offsets, novel_of=None) -> tuple[memoryview, ...]:
+    """words (int32), the int64 offsets of the documents in them and, when
+    given, each document's int32 novel, checked before the kernel reads
+    them: ValueError unless the offsets rise from 0 to len(words) and there
+    is a novel for each document."""
+    views = [items("words", words, "i"), items("offsets", offsets, "q")]
+    words, offsets = views
+    if (not offsets or offsets[0] != 0 or offsets[-1] != len(words)
+            or any(map(operator.gt, offsets, offsets[1:]))):
+        raise ValueError("document offsets must rise from 0 to the number of words")
+    if novel_of is not None:
+        views.append(items("novel_of", novel_of, "i"))
+        if len(views[2]) != len(offsets) - 1:
+            raise ValueError("novel_of must give one novel for each document")
+    return tuple(views)
+
+
+def relabel(words, offsets, ids) -> int:
+    """Replace each of the int32 words by its int32 id, in place, dropping
+    the words whose id is -1, with the int64 document offsets rewritten to
+    the kept words. Returns how many are kept; ValueError, nothing changed,
+    for documents that do not fit the words or a word outside [0, len(ids))."""
+    words, offsets = _documents(words, offsets)
+    ids = items("ids", ids, "i")
+    kept = kernel().relabel(len(offsets) - 1, _address(offsets), _address(words),
+                            _address(ids), len(ids))
+    if kept < 0:
+        raise ValueError(f"relabel: a word is outside [0, {len(ids)})")
+    return kept
+
+
+def novel_ratios(words, offsets, novel_of) -> tuple[array.array, int]:
+    """(ratio, v): P(w) / P(w | novel g) at ratio[g * v + w] for the int32
+    words in documents at the int64 offsets, document d in novel novel_of[d]
+    (int32), and v the largest word + 1. ValueError for a negative word or
+    novel, or documents that do not fit the words."""
+    words, offsets, novel_of = _documents(words, offsets, novel_of)
+    (lo, top), (novel_lo, last_novel) = span(words), span(novel_of)
+    if lo < 0 or novel_lo < 0:
+        raise ValueError("novel_ratios: word and novel ids must be non-negative")
+    v, n_novels = top + 1, last_novel + 1
+    ratio = array.array("d", [0.0]) * (n_novels * v)
+    counts = array.array("q", [0]) * (v + n_novels)
+    kernel().novel_ratios(len(offsets) - 1, _address(offsets), _address(words),
+                          _address(novel_of), n_novels, v, _address(counts), _address(ratio))
+    return ratio, v
+
+
+def keep(rng, words, offsets, novel_of, ratio, v: int) -> int:
+    """Keep word i of document d when rng.random() < ratio[novel_of[d] * v +
+    words[i]], one draw each, in order: the kept words move to the front of
+    words (int32) and the document offsets (int64) are rewritten to them.
+    Returns how many are kept; ValueError, nothing drawn, for documents that
+    do not fit the words, a word outside [0, v) or an entry outside ratio
+    (doubles)."""
+    words, offsets, novel_of = _documents(words, offsets, novel_of)
+    ratio = items("ratio", ratio, "d")
+    kept = _draw(rng, kernel().keep, len(offsets) - 1, _address(offsets), _address(words),
+                 _address(novel_of), v, _address(ratio), len(ratio))
+    if kept < 0:
+        raise ValueError(f"keep: a word is outside [0, {v}) or its ratio outside the table")
+    return kept
+
+
+# a TopicState's arrays as the kernel reads them: name, array typecode
+STATE_ARRAYS = (("offsets", "q"), ("words", "i"), ("z", "i"),
+                ("n_dk", "q"), ("n_kw", "i"), ("n_k", "q"))
+
+
 def _arrays(state) -> tuple:
-    """count's arguments, which gibbs_sweep's repeat after mt, state's arrays made contiguous."""
-    for name, dtype in (("offsets", np.int64), ("words", np.int32), ("z", np.int32),
-                        ("n_dk", np.int64), ("n_kw", np.int32), ("n_k", np.int64)):
-        setattr(state, name, np.ascontiguousarray(getattr(state, name), dtype=dtype))
-    return (len(state.offsets) - 1, state.offsets.ctypes.data, state.words.ctypes.data,
-            state.z.ctypes.data, int(state.k), int(state.vocabulary_size),
-            state.n_dk.ctypes.data, state.n_kw.ctypes.data, state.n_k.ctypes.data)
+    """count's and check's arguments, which gibbs_sweep's repeat after mt: the addresses of
+    state's arrays; TypeError naming a field whose items are not the kernel's C type."""
+    offsets, words, z, n_dk, n_kw, n_k = (
+        _address(items(name, getattr(state, name), code)) for name, code in STATE_ARRAYS)
+    return (len(state.offsets) - 1, offsets, words, z, int(state.k), int(state.vocabulary_size),
+            n_dk, n_kw, n_k)
 
 
-def count(state) -> None:
-    """Add each token of state, its topic in state.z, to the counts in place."""
-    kernel().count(*_arrays(state))
+def count(state) -> bool:
+    """Add each token of state, its topic in state.z, to the counts in place;
+    False, nothing counted, when a word or topic id is out of range."""
+    return kernel().count(*_arrays(state)) == 0
 
 
-def gathered_sum(table: np.ndarray, index: np.ndarray) -> float:
-    """table[index].sum() bit for bit, without the gathered array; ValueError for a bad index."""
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    index = np.ascontiguousarray(np.asarray(index).astype(np.int32, casting="safe", copy=False))
-    out = ctypes.c_double()
-    if kernel().gathered_sum(table.ctypes.data, table.size, index.ctypes.data, index.size,
-                             ctypes.byref(out)):
-        raise ValueError(f"gathered_sum: an index is outside a table of {table.size}")
-    return out.value
+def check(state) -> int:
+    """The first of the kernel's checks of state's counts that fails (see
+    ``check`` in SOURCE), 0 when they all hold; the lengths must match."""
+    return kernel().check(*_arrays(state))
 
 
 def sweep(lib, state) -> None:
     """One sweep of ``state`` through the compiled library, counts updated in
     place, with one state.rng.random() per token, in token order."""
-    alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)
-    cum = np.empty(state.k, dtype=np.float64)
-    _draw(state.rng, lib.gibbs_sweep, *_arrays(state), alpha.ctypes.data, float(state.beta),
-          float(state.vocabulary_size * state.beta), cum.ctypes.data)
+    args = _arrays(state)
+    alpha = items("alpha", state.alpha, "d")
+    cum = array.array("d", [0.0]) * state.k
+    _draw(state.rng, lib.gibbs_sweep, *args, _address(alpha), float(state.beta),
+          float(state.vocabulary_size * state.beta), _address(cum))

@@ -16,9 +16,9 @@ the module that owns the work (`stats.analyze` for stats.json,
 or scoring happens here. Exit codes: 0 success, 1 config error, 2 runtime
 error (with error.json in the output directory), 64 unknown subcommand.
 
-Each command imports only the modules it runs, inside its own function:
-`topics-train` alone imports numpy (through `topics`' computing functions
-and the compiled `_sweep`); `topics-inspect` and `stats` read the saved
+Each command imports only the modules it runs, inside its own function.
+Every command needs the standard library alone: `topics-train` adds the
+compiled `_sweep` kernel, and `topics-inspect` and `stats` read the saved
 topic state without it. Only `annotate`, `eval` and `stats` import the
 `annotate` module, with its hashing and thread pool, and `report` and
 `topics-inspect` import no `corpus`.
@@ -40,8 +40,6 @@ from .report import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import topics
 
 log = logging.getLogger(__name__)
@@ -104,7 +102,7 @@ def cmd_segment(config: RunConfig) -> None:
     )
 
 
-def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[np.ndarray], list[str]]:
+def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[memoryview], list[str]]:
     """The vocabulary, each fixed-size segment's word ids and its novel. Novels
     are read and segmented one at a time, as the vocabulary pass asks for them."""
     from . import corpus, topics

@@ -2,28 +2,30 @@
 trained by collapsed Gibbs sampling with Dirichlet hyperparameter
 optimization (asymmetric document-topic prior, symmetric topic-word prior).
 
-Every layer works on flat numpy arrays and is bitwise-identical to a
-per-token pure-Python reference in ``tests/oracles.py``: the same
-vocabulary and ids, the same kept tokens, topics and counts, the same RNG
-stream and so the same log-likelihood floats and ``state.json``. Each holds
-little of the corpus at once: documents are int32 views of one flat array,
+Every layer works on the flat arrays of the standard library's ``array``
+module and is bitwise-identical to a reference in ``tests/oracles.py``,
+per-token pure Python or the numpy code it replaced: the same vocabulary
+and ids, the same kept tokens, topics and counts, the same RNG stream and
+so the same log-likelihood floats and ``state.json``. Each holds little of
+the corpus at once: documents are int32 memoryviews of one flat array,
 ``n_kw`` is int32, and the state writer streams.
 
-``gibbs_sweep`` runs a small C kernel (``_sweep``), the only sampler. It is
-bitwise-identical to the oracles' pure-Python ``gibbs_sweep_reference``,
-because it takes one ``rng.random()`` per token in token order and does the
-same float operations in the same order (built with ``-O2
--ffp-contract=off``, never ``-ffast-math``). The same kernel makes every
-random draw, with ``random.Random``'s own Mersenne Twister on its state,
-and holds the ``gammaln`` and ``digamma`` of ``log_likelihood``,
+A small C kernel (``_sweep``) does every loop over tokens or counts: the
+only sampler, ``gibbs_sweep``, bitwise-identical to the oracles'
+pure-Python ``gibbs_sweep_reference`` because it takes one ``rng.random()``
+per token in token order and does the same float operations in the same
+order (built with ``-O2 -ffp-contract=off``, never ``-ffast-math``); every
+random draw, with ``random.Random``'s own Mersenne Twister on its state;
+the counts, histograms and checks; every float sum, in numpy's pairwise
+order; and the ``gammaln`` and ``digamma`` of ``log_likelihood``,
 ``optimize_alpha`` and ``optimize_beta``: Cephes ``lgam`` and ``psi``, the
-code behind ``scipy.special``, with scipy's floats bit for bit, so scipy is
-not a runtime dependency. It is compiled on first use into
-``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``), so
-``topics-train`` needs a C compiler: without one, the first draw raises
-``_sweep.BuildError``. Reading a saved state (``load_state``, and so
-``topics-inspect`` and ``stats``) needs no compiler and no numpy: numpy is
-imported inside the functions that compute with it, ``load_state`` returns
+code behind ``scipy.special``, with scipy's floats bit for bit. Python
+keeps the per-value arithmetic, on floats that round as float64 does. So
+neither numpy nor scipy is a runtime dependency. The kernel is compiled on
+first use into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``),
+so ``topics-train`` needs a C compiler: without one, the first kernel call
+raises ``_sweep.BuildError``. Reading a saved state (``load_state``, and so
+``topics-inspect`` and ``stats``) needs no compiler: ``load_state`` returns
 the matrices as the lists ``json.loads`` gives, and
 ``prominence_from_doc_topic`` averages those rows in plain Python.
 """
@@ -35,6 +37,7 @@ import collections
 import itertools
 import json
 import logging
+import math
 import operator
 import random
 import string
@@ -44,8 +47,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .corpus import Segment
 
 log = logging.getLogger(__name__)
@@ -82,31 +83,31 @@ def normalize_token(word: str) -> str:
     return word.lower().strip(_EDGE_CHARS)
 
 
-def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
-    """The kept tokens of each document, as views of one flat array; document
-    d is flat[offsets[d]:offsets[d + 1]]. The piece after the last end is empty."""
-    import numpy as np
-
-    kept_at = np.flatnonzero(keep)
-    return np.split(flat[kept_at], np.searchsorted(kept_at, offsets[1:]))[:-1]
+def _split(words: array.array, offsets: Sequence[int]) -> list[memoryview]:
+    """Document d as words[offsets[d]:offsets[d + 1]], a view of the one flat array."""
+    view = memoryview(words)
+    return [view[a:b] for a, b in itertools.pairwise(offsets)]
 
 
-def _flat(docs: list[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """docs (lists or arrays of ids) as one int32 token array and its offsets."""
-    import numpy as np
+def _flat(docs: list[Sequence[int]]) -> tuple[array.array, array.array]:
+    """docs (int32 views or sequences of ids) as one int32 token array and its
+    int64 offsets, (D + 1,)."""
+    words = array.array("i")
+    offsets = array.array("q", [0])
+    for doc in docs:
+        if isinstance(doc, memoryview) and doc.format == "i":
+            words.frombytes(doc.cast("B"))
+        else:
+            words.extend(doc)
+        offsets.append(len(words))
+    return words, offsets
 
-    words = np.concatenate([np.empty(0, np.int32), *(np.asarray(d, np.int32) for d in docs)])
-    return words, _offsets(map(len, docs))
 
-
-def _offsets(lengths) -> np.ndarray:
-    """(D + 1,) int64 token offsets of documents of the given lengths."""
-    import numpy as np
-
-    lengths = np.fromiter(lengths, dtype=np.int64)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets
+def _matrix(buf: array.array, cols: int) -> memoryview:
+    """buf as a (len(buf) // cols, cols) memoryview; a memoryview has no shape
+    with a zero in it, so an empty matrix is buf's empty flat view."""
+    view = memoryview(buf)
+    return view.cast("B").cast(buf.typecode, (len(buf) // cols, cols)) if buf else view
 
 
 def _docs_by_novel(doc_novels: list[str]) -> dict[str, list[int]]:
@@ -121,28 +122,28 @@ def build_vocabulary(
     segments: Iterable[Segment],
     stopwords: set[str],
     min_count: int,
-) -> tuple[Vocabulary, list[np.ndarray]]:
+) -> tuple[Vocabulary, list[memoryview]]:
     """Tokenize segments into id sequences over a filtered vocabulary.
 
     Tokens are lowercased and edge-stripped; stopwords and words rarer
     than min_count are removed. Document order follows segment order.
     segments is read once and no segment is kept, so it may be a
-    generator. Each distinct raw form is normalised once.
+    generator. Each distinct raw form is normalised once. The documents
+    are int32 views of one flat array.
     """
-    import numpy as np
+    from . import _sweep
 
     stop = frozenset(w.lower() for w in stopwords)
     # a form seen for the first time gets the next id, in order of appearance
     form_ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
-    form_of = array.array("i")
-    lengths = []
+    words = array.array("i")  # each token's form id, then its word id
+    offsets = array.array("q", [0])
     for seg in segments:
-        form_of.extend(map(form_ids.__getitem__, seg.words))
-        lengths.append(len(seg.words))
-    form_of = np.frombuffer(form_of, dtype=np.int32)
+        words.extend(map(form_ids.__getitem__, seg.words))
+        offsets.append(len(words))
     tokens = [normalize_token(form) for form in form_ids]
     counts: dict[str, int] = {}
-    for token, c in zip(tokens, np.bincount(form_of, minlength=len(tokens)).tolist()):
+    for token, c in zip(tokens, _sweep.histogram(words, len(tokens))):
         if token and token not in stop:
             counts[token] = counts.get(token, 0) + c
 
@@ -159,88 +160,94 @@ def build_vocabulary(
         stopwords=stop,
     )
     # stopwords and empty tokens never reach ids, so they map to -1 too
-    id_of_form = np.fromiter((ids.get(t, -1) for t in tokens), dtype=np.int32, count=len(tokens))
-    word_ids = id_of_form[form_of]
-    return vocab, _split(word_ids, _offsets(lengths), word_ids >= 0)
+    id_of_form = array.array("i", [ids.get(t, -1) for t in tokens])
+    del words[_sweep.relabel(words, offsets, id_of_form):]
+    return vocab, _split(words, offsets)
 
 
 def authorless_downsample(
     docs: list[Sequence[int]],
     doc_novels: list[str],
     rng_seed: int,
-) -> list[np.ndarray]:
+) -> list[memoryview]:
     """Stochastically drop tokens of words overrepresented within one novel.
 
     A token of word w in novel b survives with probability
     min(1, P(w) / P(w|b)), comparing the corpus unigram rate against the
     within-novel rate; one rng.random() is drawn per token, in token order.
-    Tokens are only removed, never added or reordered.
+    Tokens are only removed, never added or reordered. The documents are
+    int32 views of one flat array.
     """
-    import numpy as np
-
     from . import _sweep
 
     if len(docs) != len(doc_novels):
         raise ValueError("docs and doc_novels must align")
     words, offsets = _flat(docs)
-    corpus_total = len(words)
-    # int -> float64 is exact below 2**53, so each division rounds as
-    # Python's int / int does, and in the same order
-    p_corpus = np.bincount(words) / corpus_total
-    ratio = np.empty(corpus_total)
-    for ds in _docs_by_novel(doc_novels).values():
-        at = np.concatenate([np.arange(offsets[d], offsets[d + 1]) for d in ds])
-        novel_words = words[at]
-        ratio[at] = p_corpus[novel_words] / (np.bincount(novel_words) / len(at))[novel_words]
+    novels: dict[str, int] = {}  # novel id -> its index, in order of first appearance
+    novel_of = array.array("i", [novels.setdefault(n, len(novels)) for n in doc_novels])
+    ratio, v = _sweep.novel_ratios(words, offsets, novel_of)
     # random() < 1, so comparing with the ratio is comparing with min(1, ratio)
-    return _split(words, offsets, _sweep.keep(random.Random(rng_seed), ratio))
+    del words[_sweep.keep(random.Random(rng_seed), words, offsets, novel_of, ratio, v):]
+    return _split(words, offsets)
+
+
+# validate's messages for the codes of the kernel's check
+_CORRUPTED = {
+    1: "topic or word id out of range",
+    2: "negative count",
+    3: "document-topic counts != doc lengths",
+    4: "topic-word counts != topic totals",
+    5: "topic totals != token total",
+}
 
 
 @dataclass
 class TopicState:
     """Mutable collapsed-Gibbs sampler state. Tokens are flat, in document
     order: document d's word ids and topic assignments are
-    ``words[offsets[d]:offsets[d + 1]]`` and ``z[offsets[d]:offsets[d + 1]]``."""
+    ``words[offsets[d]:offsets[d + 1]]`` and ``z[offsets[d]:offsets[d + 1]]``.
+
+    The arrays are the standard library's ``array.array``, the two count
+    matrices (rows, cols) memoryviews of one (an empty one is flat). The
+    kernel reads them through the buffer protocol, numpy arrays included,
+    and raises TypeError naming a field whose items are not of the C type
+    given here."""
 
     k: int
-    alpha: np.ndarray        # (K,) asymmetric document-topic prior
+    alpha: array.array       # (K,) doubles: asymmetric document-topic prior
     beta: float              # symmetric topic-word prior
-    offsets: np.ndarray      # (D + 1,) int64 token offset of each document
-    words: np.ndarray        # (N,) int32 word ids
-    z: np.ndarray            # (N,) int32 topic assignments
-    n_dk: np.ndarray         # (D, K) document-topic counts
-    n_kw: np.ndarray         # (K, V) int32 topic-word counts
-    n_k: np.ndarray          # (K,) topic totals
+    offsets: array.array     # (D + 1,) int64 ("q") token offset of each document
+    words: array.array       # (N,) int32 ("i") word ids
+    z: array.array           # (N,) int32 ("i") topic assignments
+    n_dk: memoryview         # (D, K) int64 ("q") document-topic counts
+    n_kw: memoryview         # (K, V) int32 ("i") topic-word counts
+    n_k: array.array         # (K,) int64 ("q") topic totals
     vocabulary_size: int
     rng_seed: int
     rng: random.Random = field(repr=False, default_factory=random.Random)
 
     def validate(self, docs: list[Sequence[int]]) -> None:
-        """Check the shapes, the id ranges and the count identities against
+        """Check the lengths, the id ranges and the count identities against
         the documents and the assignments; fatal if the state is corrupted."""
-        import numpy as np
+        from . import _sweep
 
         k, v = self.k, self.vocabulary_size
-        doc_lens = np.array([len(d) for d in docs], dtype=np.int64)
-        if (self.n_dk.shape != (len(docs), k) or self.n_kw.shape != (k, v)
-                or self.n_k.shape != (k,) or self.alpha.shape != (k,)
-                or self.offsets.shape != (len(docs) + 1,) or self.offsets[0] != 0
-                or not np.array_equal(np.diff(self.offsets), doc_lens)
-                or self.words.shape != (self.offsets[-1],) or self.z.shape != self.words.shape):
+        arrays = {name: _sweep.items(name, getattr(self, name), code)
+                  for name, code in _sweep.STATE_ARRAYS}
+        offsets = arrays["offsets"]
+        if (len(offsets) != len(docs) + 1 or offsets[0] != 0
+                or any(b - a != len(doc) for a, b, doc in zip(offsets, offsets[1:], docs))
+                or [len(arrays[name]) for name in ("words", "z", "n_dk", "n_kw", "n_k")]
+                != [offsets[-1], offsets[-1], len(docs) * k, k * v, k]
+                or len(self.alpha) != k):
             raise RuntimeError("corrupted state: array shapes do not match the documents")
-        if len(self.z) and (self.z.min() < 0 or self.z.max() >= k
-                            or self.words.min() < 0 or self.words.max() >= v):
-            raise RuntimeError("corrupted state: topic or word id out of range")
-        if (self.n_dk < 0).any() or (self.n_kw < 0).any() or (self.n_k < 0).any():
-            raise RuntimeError("corrupted state: negative count")
-        if (self.alpha <= 0).any() or self.beta <= 0:
+        problem = _sweep.check(self)
+        if problem in (1, 2):
+            raise RuntimeError(f"corrupted state: {_CORRUPTED[problem]}")
+        if any(a <= 0 for a in self.alpha) or self.beta <= 0:
             raise RuntimeError("corrupted state: non-positive prior")
-        if not np.array_equal(self.n_dk.sum(axis=1), doc_lens):
-            raise RuntimeError("corrupted state: document-topic counts != doc lengths")
-        if not np.array_equal(self.n_kw.sum(axis=1), self.n_k):
-            raise RuntimeError("corrupted state: topic-word counts != topic totals")
-        if self.n_k.sum() != doc_lens.sum():
-            raise RuntimeError("corrupted state: topic totals != token total")
+        if problem:
+            raise RuntimeError(f"corrupted state: {_CORRUPTED[problem]}")
 
 
 def init_state(
@@ -252,32 +259,28 @@ def init_state(
     """Assign every token a uniform random topic, drawn in token order,
     and build the counts; the priors start at DEFAULT_ALPHA_SUM / k and
     DEFAULT_BETA."""
-    import numpy as np
-
     from . import _sweep
 
     if not 1 <= k < 2**31:
         raise ValueError(f"k must be in [1, 2**31), not {k}")
     rng = random.Random(rng_seed)
     words, offsets = _flat(docs)
-    # the kernel's count indexes n_kw by these ids unchecked
-    if len(words) and (words.min() < 0 or words.max() >= vocabulary_size):
-        raise ValueError(f"word ids must lie in [0, {vocabulary_size})")
     state = TopicState(
         k=k,
-        alpha=np.full(k, DEFAULT_ALPHA_SUM / k, dtype=float),
+        alpha=array.array("d", [DEFAULT_ALPHA_SUM / k]) * k,
         beta=DEFAULT_BETA,
         offsets=offsets,
         words=words,
-        z=_sweep.randrange(rng, k, len(words)).view(np.int32),
-        n_dk=np.zeros((len(docs), k), dtype=np.int64),
-        n_kw=np.zeros((k, vocabulary_size), dtype=np.int32),
-        n_k=np.zeros(k, dtype=np.int64),
+        z=_sweep.randrange(rng, k, len(words)),
+        n_dk=_matrix(array.array("q", [0]) * (len(docs) * k), k),
+        n_kw=_matrix(array.array("i", [0]) * (k * vocabulary_size), vocabulary_size),
+        n_k=array.array("q", [0]) * k,
         vocabulary_size=vocabulary_size,
         rng_seed=rng_seed,
         rng=rng,
     )
-    _sweep.count(state)
+    if not _sweep.count(state):
+        raise ValueError(f"word ids must lie in [0, {vocabulary_size})")
     return state
 
 
@@ -299,49 +302,69 @@ def log_likelihood(state: TopicState) -> float:
     """Joint log p(words, assignments | alpha, beta) from the count matrices.
 
     gammaln is evaluated once per distinct count, in tables indexed by the
-    counts: the indexed arrays hold the same floats in the same shapes as
-    gammaln of the counts themselves, so their sums are the same. All its
-    arguments go to gammaln in one call, and each term takes its slice; the
-    (K, V) one is summed in C, without the gathered array. ValueError names
+    counts: each sum adds, in numpy's pairwise order, the same floats in the
+    same order as ``ndarray.sum()`` of gammaln of the counts themselves (see
+    ``log_likelihood_reference`` in tests/oracles.py). All its arguments go
+    to gammaln in one call, and each term takes its slice. ValueError names
     a negative count."""
-    import numpy as np
-
     from . import _sweep
 
-    for name in ("n_dk", "n_kw"):
-        if getattr(state, name).min(initial=0) < 0:
+    k, v, beta = state.k, state.vocabulary_size, state.beta
+    n_dk = _sweep.items("n_dk", state.n_dk, "q")
+    n_kw = _sweep.items("n_kw", state.n_kw, "i")
+    top = {}
+    for name, counts in (("n_dk", n_dk), ("n_kw", n_kw)):
+        lo, top[name] = _sweep.span(counts)
+        if lo < 0:
             raise ValueError(f"log_likelihood: {name} holds a negative count")
-    d_count = state.n_dk.shape[0]
-    k, v = state.k, state.vocabulary_size
-    sum_alpha = state.alpha.sum()
-    vbeta = v * state.beta
-    doc_lens = state.n_dk.sum(axis=1)
+    alpha = _sweep.items("alpha", state.alpha, "d")
+    sum_alpha = _sweep.pairwise_sums(alpha)[0]
+    vbeta = v * beta
+    doc_lens = _sweep.row_sums(n_dk, k)
     parts = (
-        np.arange(doc_lens.max(initial=0) + 1) + sum_alpha,
-        (np.arange(state.n_dk.max(initial=0) + 1)[:, None] + state.alpha).reshape(-1),
-        np.arange(state.n_kw.max(initial=0) + 1) + state.beta,
-        state.n_k + vbeta,
-        state.alpha,
-        [sum_alpha, vbeta, state.beta],
+        [n + sum_alpha for n in range(_sweep.span(doc_lens)[1] + 1)],
+        [n + a for n in range(top["n_dk"] + 1) for a in alpha],
+        [n + beta for n in range(top["n_kw"] + 1)],
+        [n + vbeta for n in state.n_k],
+        alpha,
+        [sum_alpha, vbeta, beta],
     )
-    terms = _sweep.gammaln(np.concatenate(parts))
-    bounds = itertools.accumulate(map(len, parts), initial=0)
-    len_terms, doc_terms, word_terms, total_terms, alpha_terms, (g_sum_alpha, g_vbeta, g_beta) = (
-        terms[a:b] for a, b in itertools.pairwise(bounds))
-    doc_terms = doc_terms.reshape(-1, k)
+    terms = _sweep.gammaln(itertools.chain(*parts))
+    bounds = list(itertools.accumulate(map(len, parts), initial=0))
+    len_terms, doc_terms, word_terms = (memoryview(terms)[a:b] for a, b in
+                                        itertools.pairwise(bounds[:4]))
+    total_sum, alpha_sum = _sweep.pairwise_sums(terms, bounds[3:6])
+    g_sum_alpha, g_vbeta, g_beta = terms[-3:]
+    d_count = len(doc_lens)
     ll = (
         d_count * g_sum_alpha
-        - len_terms[doc_lens].sum()
-        + doc_terms[state.n_dk, np.arange(k)].sum()
-        - d_count * alpha_terms.sum()
+        - _sweep.pairwise_sums(len_terms, index=doc_lens)[0]
+        + _sweep.pairwise_sums(doc_terms, index=n_dk, width=k)[0]
+        - d_count * alpha_sum
     )
     ll += (
         k * g_vbeta
-        - total_terms.sum()
-        + _sweep.gathered_sum(word_terms, state.n_kw)
+        - total_sum
+        + _sweep.pairwise_sums(word_terms, index=n_kw)[0]
         - k * v * g_beta
     )
-    return float(ll)
+    return ll
+
+
+def _value_counts(counts: memoryview, cols: int = 1) -> list[tuple[list[int], array.array]]:
+    """For each column of the flat (rows, cols) counts, the values in it,
+    ascending, and how often each occurs: numpy's ``np.nonzero`` of the
+    column's ``np.bincount`` and the bincount there."""
+    from . import _sweep
+
+    size = _sweep.span(counts)[1] + 1
+    hist = _sweep.histogram(counts, size, cols)
+    columns = []
+    for c in range(cols):
+        column = hist[c * size:(c + 1) * size]
+        columns.append((list(itertools.compress(range(size), column)),
+                        array.array("q", filter(None, column))))
+    return columns
 
 
 ALPHA_FLOOR = 1e-5
@@ -353,52 +376,48 @@ def optimize_alpha(
     state: TopicState,
     tol: float = FIXED_POINT_TOL,
     max_iter: int = FIXED_POINT_MAX_ITER,
-) -> np.ndarray:
+) -> array.array:
     """Maximum-likelihood fixed-point update of the asymmetric alpha prior
     using histograms of topic counts and document lengths.
 
     Each iteration takes digamma in one call, over the document lengths
-    plus sum(alpha), sum(alpha), every topic's counts plus its alpha, and
-    alpha; each topic's weighted sum is then taken over its own slice, so
-    every sum adds the same floats as a per-topic call would."""
-    import numpy as np
+    plus sum(alpha), every topic's counts plus its alpha, alpha and
+    sum(alpha); the weighted sums over the lengths and over each topic's
+    counts are taken in one kernel call, each part as numpy's
+    ``(weights * psi[part]).sum()`` adds it."""
+    from . import _sweep
 
-    from ._sweep import digamma
-
-    n_dk = state.n_dk
-    d_count = n_dk.shape[0]
-    doc_lens = n_dk.sum(axis=1)
-    len_hist = np.bincount(doc_lens)
-    len_values = np.nonzero(len_hist)[0]
-    len_weights = len_hist[len_values]
-    n_len = len(len_values)
-    topic_values, topic_weights = [], []
-    for k in range(state.k):
-        hist = np.bincount(n_dk[:, k])
-        values = np.nonzero(hist)[0]
+    k_topics = state.k
+    n_dk = _sweep.items("n_dk", state.n_dk, "q")
+    doc_lens = _sweep.row_sums(n_dk, k_topics)
+    d_count = len(doc_lens)
+    [(len_values, weights)] = _value_counts(doc_lens)
+    topic_values = []
+    bounds = array.array("q", [0, len(weights)])
+    for values, topic_weights in _value_counts(n_dk, k_topics):
         topic_values.append(values)
-        topic_weights.append(hist[values])
-    topic_of = np.repeat(np.arange(state.k), [len(v) for v in topic_values])
-    counts = np.concatenate(topic_values)
-    bounds = (_offsets(map(len, topic_values)) + n_len + 1).tolist()
-    slices = [slice(a, b) for a, b in itertools.pairwise(bounds)]
+        weights.extend(topic_weights)
+        bounds.append(len(weights))
+    n_terms = len(weights)
 
-    alpha = state.alpha.copy()
+    alpha = array.array("d", state.alpha)
     for _ in range(max_iter):
-        sum_alpha = alpha.sum()
-        psi = digamma(np.concatenate((len_values + sum_alpha, [sum_alpha],
-                                      counts + alpha[topic_of], alpha)))
-        denom = (len_weights * psi[:n_len]).sum() - d_count * psi[n_len]
-        alpha_psi = psi[bounds[-1]:]
-        new_alpha = np.empty_like(alpha)
-        for k, (weights, part) in enumerate(zip(topic_weights, slices)):
-            numer = (weights * psi[part]).sum() - d_count * alpha_psi[k]
-            new_alpha[k] = alpha[k] * numer / denom
-        if not np.all(np.isfinite(new_alpha)):
+        sum_alpha = _sweep.pairwise_sums(alpha)[0]
+        psi = _sweep.digamma(itertools.chain(
+            [n + sum_alpha for n in len_values],
+            *([n + a for n in values] for values, a in zip(topic_values, alpha)),
+            alpha, [sum_alpha]))
+        denom, *numers = _sweep.pairwise_sums(psi, bounds, weights=weights)
+        denom -= d_count * psi[-1]
+        # float64 division by a zero denom gives inf or nan, which reverts alike
+        new_alpha = array.array("d", [a * (numer - d_count * psi[n_terms + t]) / denom
+                                      for t, (a, numer) in enumerate(zip(alpha, numers))]
+                                if denom else [math.nan])
+        if not all(map(math.isfinite, new_alpha)):
             log.warning("alpha optimization produced non-finite values; reverting")
             return state.alpha
-        new_alpha = np.maximum(new_alpha, ALPHA_FLOOR)
-        rel_change = np.max(np.abs(new_alpha - alpha) / alpha)
+        new_alpha = array.array("d", [max(a, ALPHA_FLOOR) for a in new_alpha])
+        rel_change = max(abs(new - old) / old for new, old in zip(new_alpha, alpha))
         alpha = new_alpha
         if rel_change < tol:
             break
@@ -414,28 +433,26 @@ def optimize_beta(
     """Maximum-likelihood fixed point for the symmetric beta prior over
     the topic-word counts. Each iteration takes digamma in one call, over
     the counts plus beta, the topic totals plus V * beta, beta and V * beta."""
-    import numpy as np
-
-    from ._sweep import digamma
+    from . import _sweep
 
     v = state.vocabulary_size
     k_topics = state.k
-    # row by row, since np.bincount copies its input to int64
-    top = int(state.n_kw.max(initial=0))
-    word_hist = sum(np.bincount(row, minlength=top + 1) for row in state.n_kw)
-    word_values = np.nonzero(word_hist)[0]
-    word_weights = word_hist[word_values]
-    topic_totals = state.n_k
+    [(word_values, word_weights)] = _value_counts(_sweep.items("n_kw", state.n_kw, "i"))
+    topic_totals = list(state.n_k)
     n_words = len(word_values)
 
     beta = state.beta
     for _ in range(max_iter):
-        psi = digamma(np.concatenate((word_values + beta, topic_totals + v * beta,
-                                      [beta, v * beta])))
-        numer = (word_weights * psi[:n_words]).sum() - k_topics * v * psi[-2]
-        denom = v * (psi[n_words:-2].sum() - k_topics * psi[-1])
-        new_beta = beta * numer / denom
-        if not np.isfinite(new_beta) or new_beta <= 0:
+        psi = _sweep.digamma(itertools.chain(
+            [n + beta for n in word_values], [n + v * beta for n in topic_totals],
+            [beta, v * beta]))
+        numer = (_sweep.pairwise_sums(psi, [0, n_words], weights=word_weights)[0]
+                 - k_topics * v * psi[-2])
+        denom = v * (_sweep.pairwise_sums(psi, [n_words, n_words + k_topics])[0]
+                     - k_topics * psi[-1])
+        # float64 division by a zero denom gives inf or nan, which reverts alike
+        new_beta = beta * numer / denom if denom else math.nan
+        if not math.isfinite(new_beta) or new_beta <= 0:
             log.warning("beta optimization produced non-finite value; reverting")
             return state.beta
         new_beta = max(new_beta, ALPHA_FLOOR)
@@ -450,15 +467,17 @@ def optimize_beta(
 @dataclass
 class TopicSummary:
     log_likelihoods: list[float]
-    doc_topic: np.ndarray    # (D, K) smoothed topic proportions
+    doc_topic: memoryview    # (D, K) doubles: smoothed topic proportions
 
 
-def doc_topic_proportions(state: TopicState) -> np.ndarray:
-    """Smoothed (posterior-mean) per-document topic proportions."""
-    import numpy as np
+def doc_topic_proportions(state: TopicState) -> memoryview:
+    """Smoothed (posterior-mean) per-document topic proportions, a (D, K)
+    memoryview of doubles."""
+    from . import _sweep
 
-    doc_lens = state.n_dk.sum(axis=1, keepdims=True)
-    return (state.n_dk + state.alpha) / (doc_lens + state.alpha.sum())
+    alpha = _sweep.items("alpha", state.alpha, "d")
+    return _matrix(_sweep.proportions(state.n_dk, alpha, _sweep.pairwise_sums(alpha)[0]),
+                   state.k)
 
 
 def train(
@@ -533,8 +552,10 @@ def save_state(
 ) -> None:
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
-    two matrices row by row from per-value tables (see _write_matrix)."""
-    import numpy as np
+    two matrices row by row: the counts of n_kw (int32 or int64) as the
+    kernel writes integers, the shares of doc_topic (doubles) through json's
+    text of each distinct one."""
+    from . import _sweep
 
     head = json.dumps({
         "format": STATE_FORMAT,
@@ -549,26 +570,27 @@ def save_state(
         "doc_novels": doc_novels,
         "log_likelihood": summary.log_likelihoods,
     }, ensure_ascii=False)
-    lo, hi = int(state.n_kw.min(initial=0)), int(state.n_kw.max(initial=0))
-    doc_topic = np.ascontiguousarray(summary.doc_topic, dtype=np.float64)
-    bits, inverse = np.unique(doc_topic.view(np.int64), return_inverse=True)
+    k = state.k
+    doc_topic = _sweep.items("doc_topic", summary.doc_topic, "d")
+    # json's text of each distinct share, told apart by its bits, so that -0.0
+    # and each nan keep their own
+    keys, index = _sweep.distinct(doc_topic.cast("B").cast("q"))
+    shares = json.dumps(array.array("d", keys.tobytes()).tolist())[1:-1].split(", ")
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f'{head[:-1]}, "n_kw": ')
-        _write_matrix(fh, list(range(lo, hi + 1)), state.n_kw, lo)
+        _write_matrix(fh, _sweep.row_texts(_sweep.items("n_kw", state.n_kw, "i", "q"), k))
         fh.write(', "doc_topic": ')
-        _write_matrix(fh, bits.view(np.float64).tolist(), inverse.reshape(doc_topic.shape), 0)
+        _write_matrix(fh, (", ".join(map(shares.__getitem__, index[d * k:(d + 1) * k]))
+                           for d in range(len(index) // k)))
         fh.write(f", {tail[1:]}")
 
 
-def _write_matrix(fh, values: list, index: np.ndarray, lo: int) -> None:
-    """Write the JSON text of the 2-D matrix ``values[index - lo]`` row by row: json
-    writes each distinct value once, and the rows are joined with json's separators."""
-    import numpy as np
-
-    table = np.array(json.dumps(values)[1:-1].split(", "), dtype=object)
+def _write_matrix(fh, rows: Iterable[str]) -> None:
+    """Write a JSON matrix, given the text of each row's items, with json's
+    separators."""
     fh.write("[")
-    for i, row in enumerate(index):
-        fh.write(("[" if i == 0 else ", [") + ", ".join(table[row - lo].tolist()) + "]")
+    for i, row in enumerate(rows):
+        fh.write(("[" if i == 0 else ", [") + row + "]")
     fh.write("]")
 
 

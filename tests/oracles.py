@@ -9,16 +9,22 @@ collapsed Gibbs conditional straight from its formula, the per-token
 collapsed-Gibbs sweep and the Cephes ``lgam``/``psi`` in pure Python that
 the compiled kernel (``godspell._sweep``) matches bit for bit, numpy's
 MT19937 loaded with a ``random.Random``'s state for the kernel's draws, the
-per-token counts and the gathered sum that it does in C, the per-token
-loops that the vectorised vocabulary, downsampling and likelihood replace,
-the whole-payload ``json.dumps`` that the state writer's per-value tables
-replace, numpy's per-novel mean that the plain-Python prominence replaces,
-and the cascade's structural rules checked on a finished annotation.
+per-token counts and numpy's weighted, gathered sums for the ones it does
+in C, the per-token loops that the flat vocabulary and downsampling
+replace, the numpy code (vocabulary, downsampling, checks, likelihood,
+optimisers, proportions) that the standard-library arrays and the kernel
+replaced, the whole-payload ``json.dumps`` that the state writer's per-row
+text replaces, numpy's per-novel mean that the plain-Python prominence
+replaces, and the cascade's structural rules checked on a finished
+annotation.
 """
 
 from __future__ import annotations
 
+import array
+import collections
 import functools
+import itertools
 import json
 import math
 import random
@@ -30,7 +36,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from godspell.topics import STATE_FORMAT, STATE_VERSION
 
@@ -180,13 +186,12 @@ def gibbs_sweep_reference(state) -> None:
     k_topics = state.k
     vbeta = state.vocabulary_size * state.beta
     beta = state.beta
-    alpha = state.alpha.tolist()
-    n_dk = state.n_dk.tolist()
-    n_kw = state.n_kw.tolist()
-    n_k = state.n_k.tolist()
-    offsets = state.offsets.tolist()
-    words = state.words.tolist()
-    z = state.z.tolist()
+    alpha = [float(a) for a in state.alpha]
+    n_dk_view, n_kw_view, n_k_view = count_views(state)
+    n_dk, n_kw, n_k = n_dk_view.tolist(), n_kw_view.tolist(), n_k_view.tolist()
+    offsets = list(state.offsets)
+    words = list(state.words)
+    z = list(state.z)
     rand = state.rng.random
     cum = [0.0] * k_topics
 
@@ -210,24 +215,52 @@ def gibbs_sweep_reference(state) -> None:
             n_kw[new][w] += 1
             n_k[new] += 1
 
-    state.z[:] = z
-    state.n_dk[:] = n_dk
-    state.n_kw[:] = n_kw
-    state.n_k[:] = n_k
+    np.asarray(state.z)[:] = z
+    n_dk_view[:] = n_dk
+    n_kw_view[:] = n_kw
+    n_k_view[:] = n_k
 
 
-def count_reference(state) -> None:
+def count_views(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A ``topics.TopicState``'s n_dk, n_kw and n_k as numpy views, (D, K),
+    (K, V) and (K,), whose writes reach the state (an empty matrix is a
+    flat memoryview there)."""
+    return (np.asarray(state.n_dk).reshape(-1, state.k),
+            np.asarray(state.n_kw).reshape(state.k, state.vocabulary_size),
+            np.asarray(state.n_k))
+
+
+def count_reference(state) -> bool:
     """Add each token of a ``topics.TopicState``, with its topic in state.z,
-    to n_dk, n_kw and n_k in place, by unbuffered numpy indexing."""
-    doc_of = np.repeat(np.arange(len(state.offsets) - 1), np.diff(state.offsets))
-    np.add.at(state.n_dk, (doc_of, state.z), 1)
-    np.add.at(state.n_kw, (state.z, state.words), 1)
-    np.add.at(state.n_k, state.z, 1)
+    to n_dk, n_kw and n_k in place, by unbuffered numpy indexing; True, as
+    the kernel's count returns for ids in range."""
+    n_dk, n_kw, n_k = count_views(state)
+    offsets, z, words = (np.asarray(getattr(state, name)) for name in ("offsets", "z", "words"))
+    doc_of = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    np.add.at(n_dk, (doc_of, z), 1)
+    np.add.at(n_kw, (z, words), 1)
+    np.add.at(n_k, z, 1)
+    return True
 
 
-def gathered_sum_reference(table: np.ndarray, index: np.ndarray) -> float:
-    """table[index].sum(), through the gathered array the kernel does without."""
-    return float(table[index].sum())
+def pairwise_sums_reference(table, bounds=None, index=None, weights=None,
+                            width: int = 1) -> list[float]:
+    """``_sweep.pairwise_sums`` through numpy: for each part, ndarray.sum() of
+    the part's terms, each weights[i] * table[index[i] * width + i % width]
+    (the int64 weights cast to float64 before the multiply), through the
+    gathered and weighted arrays the kernel does without."""
+    table = np.asarray(table, dtype=np.float64)
+    if index is None:
+        at = np.arange(len(table))
+    else:
+        index = np.asarray(index).reshape(-1).astype(np.int64)
+        at = index * width + np.arange(len(index)) % width
+    terms = table[at]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
+        terms = weights * terms[:len(weights)]
+    bounds = (0, len(terms)) if bounds is None else bounds
+    return [float(terms[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
 
 
 @functools.cache
@@ -364,14 +397,10 @@ def digamma_reference(x: float) -> float:
 
 
 def elementwise(reference):
-    """reference (one of the two above) over an array or a scalar the way
-    ``_sweep.gammaln``/``digamma`` take them: a float64 array of x's shape,
-    a numpy float for a scalar."""
+    """reference (one of the two above) over a sequence of numbers, as
+    ``_sweep.gammaln``/``digamma`` take them: a float64 array."""
     def apply(x):
-        out = np.array(x, dtype=np.float64, order="C")
-        flat = out.reshape(-1)
-        flat[:] = [reference(v) for v in flat.tolist()]
-        return out[()]
+        return np.array([reference(float(v)) for v in x], dtype=np.float64)
     return apply
 
 
@@ -431,11 +460,12 @@ def authorless_downsample_reference(
     return reduced
 
 
-def lda_log_likelihood_direct(
-    n_dk: np.ndarray, n_kw: np.ndarray, n_k: np.ndarray, alpha: np.ndarray, beta: float,
-) -> float:
+def lda_log_likelihood_direct(n_dk, n_kw, n_k, alpha, beta: float) -> float:
     """Joint log p(words, assignments | alpha, beta), gammaln applied to
-    every count."""
+    every count (of buffers or arrays; n_dk is taken as (-1, len(alpha)))."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    n_dk, n_kw, n_k = (np.asarray(n_dk).reshape(-1, len(alpha)), np.asarray(n_kw),
+                       np.asarray(n_k))
     d_count = n_dk.shape[0]
     k, v = n_kw.shape
     sum_alpha = alpha.sum()
@@ -453,6 +483,230 @@ def lda_log_likelihood_direct(
         - k * v * gammaln(beta)
     )
     return float(ll)
+
+
+# The numpy code that the standard-library layer of ``topics`` replaced, kept
+# as its reference: the same floats in the same order of operations, with
+# scipy.special for the kernel's gammaln and digamma and numpy's own sums for
+# its pairwise ones. Each reads a ``topics.TopicState`` through numpy views.
+
+
+def _offsets(lengths) -> np.ndarray:
+    """(D + 1,) int64 token offsets of documents of the given lengths."""
+    lengths = np.fromiter(lengths, dtype=np.int64)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[np.ndarray]:
+    """The kept tokens of each document, as views of one flat array."""
+    kept_at = np.flatnonzero(keep)
+    return np.split(flat[kept_at], np.searchsorted(kept_at, offsets[1:]))[:-1]
+
+
+def build_vocabulary_numpy(segments, stopwords, min_count):
+    """``topics.build_vocabulary`` through numpy: np.bincount of the form
+    ids, then a gather, a mask and np.split; int32 documents."""
+    from godspell.topics import Vocabulary, VocabularyError, normalize_token
+
+    stop = frozenset(w.lower() for w in stopwords)
+    form_ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
+    form_of = array.array("i")
+    lengths = []
+    for seg in segments:
+        form_of.extend(map(form_ids.__getitem__, seg.words))
+        lengths.append(len(seg.words))
+    form_of = np.frombuffer(form_of, dtype=np.int32)
+    tokens = [normalize_token(form) for form in form_ids]
+    counts: dict[str, int] = {}
+    for token, c in zip(tokens, np.bincount(form_of, minlength=len(tokens)).tolist()):
+        if token and token not in stop:
+            counts[token] = counts.get(token, 0) + c
+    kept = sorted(w for w, c in counts.items() if c >= min_count)
+    if not kept:
+        raise VocabularyError(
+            f"no vocabulary left after stopword and min_count={min_count} filtering")
+    ids = {w: i for i, w in enumerate(kept)}
+    vocab = Vocabulary(words=kept, ids=ids, frequencies=[counts[w] for w in kept],
+                       stopwords=stop)
+    id_of_form = np.fromiter((ids.get(t, -1) for t in tokens), dtype=np.int32, count=len(tokens))
+    word_ids = id_of_form[form_of]
+    return vocab, _split(word_ids, _offsets(lengths), word_ids >= 0)
+
+
+def authorless_downsample_numpy(docs, doc_novels, rng_seed):
+    """``topics.authorless_downsample`` through numpy: an N-long float64 ratio
+    from np.bincount per novel, compared with one rng.random() per token."""
+    if len(docs) != len(doc_novels):
+        raise ValueError("docs and doc_novels must align")
+    words = np.concatenate([np.empty(0, np.int32), *(np.asarray(d, np.int32) for d in docs)])
+    offsets = _offsets(map(len, docs))
+    corpus_total = len(words)
+    p_corpus = np.bincount(words) / corpus_total
+    ratio = np.empty(corpus_total)
+    rows: dict[str, list[int]] = {}
+    for i, novel_id in enumerate(doc_novels):
+        rows.setdefault(novel_id, []).append(i)
+    for ds in rows.values():
+        at = np.concatenate([np.arange(offsets[d], offsets[d + 1]) for d in ds])
+        novel_words = words[at]
+        ratio[at] = p_corpus[novel_words] / (np.bincount(novel_words) / len(at))[novel_words]
+    return _split(words, offsets, uniforms(random.Random(rng_seed), corpus_total) < ratio)
+
+
+def validate_reference(state, docs) -> None:
+    """``topics.TopicState.validate`` through numpy: the same checks in the
+    same order, with the same messages."""
+    k, v = state.k, state.vocabulary_size
+    n_dk, n_kw, n_k = (np.asarray(getattr(state, name)).reshape(-1)
+                       for name in ("n_dk", "n_kw", "n_k"))
+    offsets, words, z = (np.asarray(getattr(state, name)) for name in ("offsets", "words", "z"))
+    alpha = np.asarray(state.alpha)
+    doc_lens = np.array([len(d) for d in docs], dtype=np.int64)
+    if (offsets.shape != (len(docs) + 1,) or offsets[0] != 0
+            or not np.array_equal(np.diff(offsets), doc_lens)
+            or words.shape != (offsets[-1],) or z.shape != words.shape
+            or n_dk.shape != (len(docs) * k,) or n_kw.shape != (k * v,)
+            or n_k.shape != (k,) or alpha.shape != (k,)):
+        raise RuntimeError("corrupted state: array shapes do not match the documents")
+    n_dk, n_kw = n_dk.reshape(len(docs), k), n_kw.reshape(k, v)
+    if len(z) and (z.min() < 0 or z.max() >= k or words.min() < 0 or words.max() >= v):
+        raise RuntimeError("corrupted state: topic or word id out of range")
+    if (n_dk < 0).any() or (n_kw < 0).any() or (n_k < 0).any():
+        raise RuntimeError("corrupted state: negative count")
+    if (alpha <= 0).any() or state.beta <= 0:
+        raise RuntimeError("corrupted state: non-positive prior")
+    if not np.array_equal(n_dk.sum(axis=1), doc_lens):
+        raise RuntimeError("corrupted state: document-topic counts != doc lengths")
+    if not np.array_equal(n_kw.sum(axis=1), n_k):
+        raise RuntimeError("corrupted state: topic-word counts != topic totals")
+    if n_k.sum() != doc_lens.sum():
+        raise RuntimeError("corrupted state: topic totals != token total")
+
+
+def log_likelihood_reference(state) -> float:
+    """``topics.log_likelihood`` through numpy: gammaln tables indexed by the
+    counts, gathered into arrays and summed by ndarray.sum()."""
+    n_dk, n_kw, n_k = count_views(state)
+    for name, counts in (("n_dk", n_dk), ("n_kw", n_kw)):
+        if counts.min(initial=0) < 0:
+            raise ValueError(f"log_likelihood: {name} holds a negative count")
+    alpha = np.asarray(state.alpha, dtype=np.float64)
+    d_count = n_dk.shape[0]
+    k, v = state.k, state.vocabulary_size
+    sum_alpha = alpha.sum()
+    vbeta = v * state.beta
+    doc_lens = n_dk.sum(axis=1)
+    parts = (
+        np.arange(doc_lens.max(initial=0) + 1) + sum_alpha,
+        (np.arange(n_dk.max(initial=0) + 1)[:, None] + alpha).reshape(-1),
+        np.arange(n_kw.max(initial=0) + 1) + state.beta,
+        n_k + vbeta,
+        alpha,
+        [sum_alpha, vbeta, state.beta],
+    )
+    terms = gammaln(np.concatenate(parts))
+    bounds = itertools.accumulate(map(len, parts), initial=0)
+    len_terms, doc_terms, word_terms, total_terms, alpha_terms, (g_sum_alpha, g_vbeta, g_beta) = (
+        terms[a:b] for a, b in itertools.pairwise(bounds))
+    doc_terms = doc_terms.reshape(-1, k)
+    ll = (
+        d_count * g_sum_alpha
+        - len_terms[doc_lens].sum()
+        + doc_terms[n_dk, np.arange(k)].sum()
+        - d_count * alpha_terms.sum()
+    )
+    ll += (
+        k * g_vbeta
+        - total_terms.sum()
+        + word_terms[n_kw].sum()
+        - k * v * g_beta
+    )
+    return float(ll)
+
+
+def optimize_alpha_reference(state, tol: float = 1e-5, max_iter: int = 1000) -> np.ndarray:
+    """``topics.optimize_alpha`` through numpy, with np.bincount histograms
+    and one ``(weights * psi[part]).sum()`` per topic."""
+    n_dk = count_views(state)[0]
+    d_count = n_dk.shape[0]
+    doc_lens = n_dk.sum(axis=1)
+    len_hist = np.bincount(doc_lens)
+    len_values = np.nonzero(len_hist)[0]
+    len_weights = len_hist[len_values]
+    n_len = len(len_values)
+    topic_values, topic_weights = [], []
+    for k in range(state.k):
+        hist = np.bincount(n_dk[:, k])
+        values = np.nonzero(hist)[0]
+        topic_values.append(values)
+        topic_weights.append(hist[values])
+    topic_of = np.repeat(np.arange(state.k), [len(v) for v in topic_values])
+    counts = np.concatenate(topic_values)
+    bounds = (_offsets(map(len, topic_values)) + n_len + 1).tolist()
+    slices = [slice(a, b) for a, b in itertools.pairwise(bounds)]
+
+    alpha = np.array(state.alpha, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            sum_alpha = alpha.sum()
+            psi = digamma(np.concatenate((len_values + sum_alpha, [sum_alpha],
+                                          counts + alpha[topic_of], alpha)))
+            denom = (len_weights * psi[:n_len]).sum() - d_count * psi[n_len]
+            alpha_psi = psi[bounds[-1]:]
+            new_alpha = np.empty_like(alpha)
+            for k, (weights, part) in enumerate(zip(topic_weights, slices)):
+                numer = (weights * psi[part]).sum() - d_count * alpha_psi[k]
+                new_alpha[k] = alpha[k] * numer / denom
+            if not np.all(np.isfinite(new_alpha)):
+                return state.alpha
+            new_alpha = np.maximum(new_alpha, 1e-5)
+            rel_change = np.max(np.abs(new_alpha - alpha) / alpha)
+            alpha = new_alpha
+            if rel_change < tol:
+                break
+    state.alpha = alpha
+    return alpha
+
+
+def optimize_beta_reference(state, tol: float = 1e-5, max_iter: int = 1000) -> float:
+    """``topics.optimize_beta`` through numpy, with an np.bincount histogram."""
+    _, n_kw, topic_totals = count_views(state)
+    v = state.vocabulary_size
+    k_topics = state.k
+    top = int(n_kw.max(initial=0))
+    word_hist = sum(np.bincount(row, minlength=top + 1) for row in n_kw)
+    word_values = np.nonzero(word_hist)[0]
+    word_weights = word_hist[word_values]
+    n_words = len(word_values)
+
+    beta = state.beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            psi = digamma(np.concatenate((word_values + beta, topic_totals + v * beta,
+                                          [beta, v * beta])))
+            numer = (word_weights * psi[:n_words]).sum() - k_topics * v * psi[-2]
+            denom = v * (psi[n_words:-2].sum() - k_topics * psi[-1])
+            new_beta = beta * numer / denom
+            if not np.isfinite(new_beta) or new_beta <= 0:
+                return state.beta
+            new_beta = max(new_beta, 1e-5)
+            rel_change = abs(new_beta - beta) / beta
+            beta = new_beta
+            if rel_change < tol:
+                break
+    state.beta = beta
+    return beta
+
+
+def doc_topic_proportions_reference(state) -> np.ndarray:
+    """``topics.doc_topic_proportions`` through numpy, (D, K)."""
+    n_dk = count_views(state)[0]
+    alpha = np.asarray(state.alpha, dtype=np.float64)
+    return (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + alpha.sum())
+
+
 
 
 def prominence_reference(doc_topic, doc_novels: list[str]) -> dict[str, list[float]]:

@@ -565,7 +565,8 @@ def test_package_import_loads_no_submodule():
 
 def test_analysis_modules_import_without_numpy_and_scipy():
     proc = python("import sys\nsys.modules['numpy'] = sys.modules['scipy'] = None\n"
-                  "import godspell.stats, godspell.evaluation, godspell.topics, godspell.report\n")
+                  "import godspell.stats, godspell.evaluation, godspell.topics, godspell.report\n"
+                  "import godspell._sweep\n")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -589,6 +590,7 @@ WRITES = {
     ("annotate", "numpy,scipy"),
     ("eval", "numpy,scipy"),
     ("report", "numpy,scipy"),
+    ("topics-train", "numpy,scipy"),
     ("topics-train", "scipy"),
     ("stats", "scipy"),
     ("topics-inspect", "scipy"),

@@ -1,8 +1,9 @@
 """The compiled Gibbs sweep against the pure-Python reference, the kernel's
-random draws against random.Random, its gathered sum against numpy's, the
+random draws against random.Random, its pairwise sums against numpy's, the
 compiled gammaln and digamma against scipy.special and their references,
 the error without a compiler, and the build cache."""
 
+import array
 import json
 import logging
 import math
@@ -28,14 +29,21 @@ from godspell.topics import (
     optimize_beta,
 )
 from oracles import (
+    authorless_downsample_numpy,
+    build_vocabulary_numpy,
     count_reference,
     digamma_reference,
+    doc_topic_proportions_reference,
     elementwise,
     gammaln_reference,
-    gathered_sum_reference,
     gibbs_sweep_reference,
+    log_likelihood_reference,
+    optimize_alpha_reference,
+    optimize_beta_reference,
+    pairwise_sums_reference,
     randbelow,
-    uniforms,
+    save_state_reference,
+    validate_reference,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -61,17 +69,24 @@ def fresh_kernel():
 
 @pytest.fixture
 def oracle_sweep(monkeypatch):
-    """topics' draws, counts, sweep, gathered sum, gammaln and digamma routed
-    to the oracles; kernel() gives None, so any kernel call left would fail."""
+    """topics-train through the oracles: the draws, counts and sweep in pure
+    Python and numpy, every other layer the numpy code that the kernel and
+    the standard-library arrays replaced, with scipy's gammaln and digamma.
+    kernel() gives None, so any kernel call left would fail."""
     monkeypatch.setattr(_sweep, "kernel", lambda: None)
-    monkeypatch.setattr(_sweep, "randrange",
-                        lambda rng, k, n: randbelow(rng, k, n).astype(np.uint32))
-    monkeypatch.setattr(_sweep, "keep", lambda rng, ratio: uniforms(rng, len(ratio)) < ratio)
+    monkeypatch.setattr(_sweep, "randrange", lambda rng, k, n: array.array(
+        "i", randbelow(rng, k, n).astype(np.int32).tobytes()))
     monkeypatch.setattr(_sweep, "count", count_reference)
     monkeypatch.setattr(_sweep, "sweep", lambda lib, state: gibbs_sweep_reference(state))
-    monkeypatch.setattr(_sweep, "gathered_sum", gathered_sum_reference)
-    monkeypatch.setattr(_sweep, "gammaln", elementwise(gammaln_reference))
-    monkeypatch.setattr(_sweep, "digamma", elementwise(digamma_reference))
+    monkeypatch.setattr(topics.TopicState, "validate", validate_reference)
+    for name, reference in (("build_vocabulary", build_vocabulary_numpy),
+                            ("authorless_downsample", authorless_downsample_numpy),
+                            ("log_likelihood", log_likelihood_reference),
+                            ("optimize_alpha", optimize_alpha_reference),
+                            ("optimize_beta", optimize_beta_reference),
+                            ("doc_topic_proportions", doc_topic_proportions_reference),
+                            ("save_state", save_state_reference)):
+        monkeypatch.setattr(topics, name, reference)
 
 
 def corpus(rng, n_docs, vocabulary_size):
@@ -134,11 +149,12 @@ def no_compiler(monkeypatch, tmp_path, fresh_kernel):
 
 def test_build_failure_is_an_error(no_compiler, monkeypatch, tmp_path):
     segments = [Segment("a", ["Grace", "and", "grace"]), Segment("b", ["grace", "fell"])]
-    vocab, docs = build_vocabulary(segments, set(), min_count=1)  # needs no compiler
-    assert vocab.words == ["and", "fell", "grace"]
+    docs = [[0, 2, 2], [2, 1]]
     for _ in range(2):  # a failure is not cached: each call tries to build
         with pytest.raises(_sweep.BuildError, match=NO_COMPILER):
-            init_state(docs, 4, vocab.size, rng_seed=2)
+            init_state(docs, 4, 3, rng_seed=2)
+    with pytest.raises(_sweep.BuildError, match=NO_COMPILER):
+        build_vocabulary(segments, set(), min_count=1)
     with pytest.raises(_sweep.BuildError, match=NO_COMPILER):
         authorless_downsample(docs, ["a", "b"], rng_seed=0)
 
@@ -164,25 +180,57 @@ def test_build_failure_is_an_error(no_compiler, monkeypatch, tmp_path):
 
 
 def test_reference_topics_train_writes_the_golden_state(oracle_sweep, tmp_path):
-    """The pure-Python sweep, gammaln and digamma train the golden
-    state.json byte for byte."""
+    """The oracles' pure-Python sweep and the numpy code the kernel replaced
+    train the golden state.json byte for byte."""
     config = str(FIXTURES / "runconfig.json")
     assert main(["topics-train", "--config", config, "--output", str(tmp_path)]) == 0
     assert ((tmp_path / "topics" / "state.json").read_bytes()
             == (GOLDEN / "topics" / "state.json").read_bytes())
 
 
+def kept(rng, ratio) -> int:
+    """How many of one document's words 0..n-1, all of one novel, keep keeps
+    against ratio, n entries: one rng.random() < ratio[i] for each, in order."""
+    n = len(ratio)
+    words, offsets = array.array("i", range(n)), array.array("q", [0, n])
+    return _sweep.keep(rng, words, offsets, array.array("i", [0]), ratio, n)
+
+
 def kernel_random_is(rng, expected) -> bool:
     """Whether the kernel's next len(expected) rng.random() values are
-    expected, read through keep, the kernel call that returns what it drew
-    compared with a ratio: u < nextafter(e, 2) and not u < e hold together
-    only for u == e. rng ends where one call leaves it."""
+    expected, read through keep, the kernel call that compares what it drew
+    with a ratio: u < nextafter(e, 2) and not u < e hold together only for
+    u == e. rng ends where one call leaves it."""
     e = np.array(expected, dtype=np.float64)
     twin = random.Random()
     twin.setstate(rng.getstate())
-    below = _sweep.keep(twin, e)
-    at_most = _sweep.keep(rng, np.nextafter(e, 2.0))
-    return twin.getstate() == rng.getstate() and not below.any() and bool(at_most.all())
+    below = kept(twin, e)
+    at_most = kept(rng, np.nextafter(e, 2.0))
+    return twin.getstate() == rng.getstate() and below == 0 and at_most == len(e)
+
+
+@pytest.mark.parametrize("offsets, novel_of", [
+    ([0, 2, 4], [0]),        # one novel short
+    ([0, 3, 2, 4], [0, 0, 0]),  # falling
+    ([0, 2, 5], [0, 0]),     # past the 4 words
+    ([1, 2, 4], [0, 0]),     # not from 0
+    ([], []),
+])
+def test_documents_that_do_not_fit_the_words_are_refused(compiled, offsets, novel_of):
+    """relabel, novel_ratios and keep write through the offsets: the kernel
+    never sees offsets outside the words, nor fewer novels than documents."""
+    words = array.array("i", [0, 1, 0, 1])
+    rng = random.Random(1)
+    before = rng.getstate()
+    offsets, novel_of = array.array("q", offsets), array.array("i", novel_of)
+    calls = [lambda: _sweep.keep(rng, words, offsets, novel_of, array.array("d", [1.0] * 2), 2),
+             lambda: _sweep.novel_ratios(words, offsets, novel_of)]
+    if len(novel_of) == len(offsets) - 1:
+        calls.append(lambda: _sweep.relabel(words, offsets, array.array("i", [0, 1])))
+    for call in calls:
+        with pytest.raises(ValueError, match="offsets|novel"):
+            call()
+    assert rng.getstate() == before and words.tolist() == [0, 1, 0, 1]
 
 
 class TestKernelDraws:
@@ -257,12 +305,51 @@ def float_bits(x) -> int:
 def test_gathered_sum_is_ndarray_sum_bitwise(compiled):
     """At every length through two levels of numpy's pairwise split; the
     terms' magnitudes spread over twelve orders, so another order of
-    addition shows in the last bits."""
+    addition shows in the last bits. An int64 index reads the same entries."""
     rng = np.random.default_rng(5)
     table = rng.standard_normal(997) * 10.0 ** rng.uniform(-6, 6, 997)
     for n in [*range(301), 1000, 8191, 8192, 8193]:
         index = rng.integers(0, len(table), n, dtype=np.int32)
-        assert float_bits(_sweep.gathered_sum(table, index)) == float_bits(table[index].sum()), n
+        expected = float_bits(table[index].sum())
+        assert float_bits(_sweep.pairwise_sums(table, index=index)[0]) == expected, n
+        wide = index.astype(np.int64)
+        assert float_bits(_sweep.pairwise_sums(table, index=wide)[0]) == expected, n
+
+
+SUM_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 1000, 8191, 8192, 8193]
+
+
+@pytest.mark.parametrize("n", SUM_LENGTHS)
+def test_weighted_pairwise_sum_is_numpy_bitwise(compiled, n):
+    """(weights * table[index]).sum() and its parts, as the optimisers take
+    them, against numpy's: the int64 weight is cast to double before the
+    multiply, and the products are added pairwise. The weights reach 2**40,
+    so a product rounds, and the table spreads over twelve orders."""
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal(n + 3) * 10.0 ** rng.uniform(-6, 6, n + 3)
+    weights = rng.integers(1, 2**40, n, dtype=np.int64)
+    index = rng.integers(0, len(table), n, dtype=np.int32)
+    bounds = sorted({0, n, *rng.integers(0, n + 1, 4).tolist()})
+    cases = [(table[:n], {}), (table, {"index": index})]
+    for terms_table, kwargs in cases:
+        terms = weights * (terms_table[index] if kwargs else terms_table)
+        got = _sweep.pairwise_sums(terms_table, bounds, weights=weights, **kwargs)
+        want = [terms[a:b].sum() for a, b in zip(bounds, bounds[1:])]
+        assert list(map(float_bits, got)) == list(map(float_bits, want))
+        assert got.tolist() == pairwise_sums_reference(terms_table, bounds, weights=weights,
+                                                       **kwargs)
+    assert float_bits(_sweep.pairwise_sums(table[:n])[0]) == float_bits(table[:n].sum())
+
+
+@pytest.mark.parametrize("d, k", [(0, 3), (1, 1), (17, 5), (300, 65)])
+def test_pairwise_sum_by_column_is_numpy_bitwise(compiled, d, k):
+    """log_likelihood's document-topic term: table (M + 1, K), flat, read at
+    (n_dk[d, t], t) for the int64 (D, K) counts, summed as the (D, K) array."""
+    rng = np.random.default_rng(d * k)
+    n_dk = rng.integers(0, 40, (d, k), dtype=np.int64)
+    table = rng.standard_normal((41, k)) * 10.0 ** rng.uniform(-6, 6, (41, k))
+    got = _sweep.pairwise_sums(table, index=n_dk, width=k)[0]
+    assert float_bits(got) == float_bits(table[n_dk, np.arange(k)].sum())
 
 
 @pytest.mark.parametrize("shape", [(65, 19948), (65, 32348)])
@@ -273,20 +360,39 @@ def test_gathered_sum_of_count_matrices(compiled, shape):
     n_kw = rng.negative_binomial(0.05, 0.02, shape).astype(np.int32)
     for beta in (0.01, 0.0731):
         table = scipy.special.gammaln(np.arange(n_kw.max() + 1) + beta)
-        assert float_bits(_sweep.gathered_sum(table, n_kw)) == float_bits(table[n_kw].sum())
-        assert _sweep.gathered_sum(table, n_kw) == gathered_sum_reference(table, n_kw)
+        got = _sweep.pairwise_sums(table, index=n_kw)[0]
+        assert float_bits(got) == float_bits(table[n_kw].sum())
+        assert [got] == pairwise_sums_reference(table, index=n_kw)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_gathered_sum_index_outside_table_rejected(compiled, bad):
     table = np.arange(4.0)
     with pytest.raises(ValueError, match="outside"):
-        _sweep.gathered_sum(table, np.array([0, 3, bad, 1], dtype=np.int32))
+        _sweep.pairwise_sums(table, index=np.array([0, 3, bad, 1], dtype=np.int32))
+    with pytest.raises(ValueError, match="outside"):  # 3 * 2 + 1 is past the table
+        _sweep.pairwise_sums(table, index=np.array([0, 3], dtype=np.int32), width=2)
+    with pytest.raises(ValueError, match="outside"):
+        _sweep.pairwise_sums(table, [0, 5])
+    with pytest.raises(ValueError, match="outside"):
+        _sweep.pairwise_sums(table, [3, 1])
 
 
-def test_gathered_sum_takes_int32_indices_only(compiled):
-    with pytest.raises(TypeError):  # cast to int32, 2**32 + 1 would read entry 1
-        _sweep.gathered_sum(np.arange(4.0), np.array([2**32 + 1]))
+def test_pairwise_sums_never_cast(compiled):
+    """An index is read as the int32 or int64 it holds: 2**32 + 1 is outside
+    the table, not entry 1. Any other item format is a TypeError naming the
+    argument, not a cast."""
+    table = np.arange(4.0)
+    with pytest.raises(ValueError, match="outside"):
+        _sweep.pairwise_sums(table, index=np.array([2**32 + 1], dtype=np.int64))
+    for name, kwargs in [("index", {"index": np.array([1], dtype=np.uint32)}),
+                         ("index", {"index": np.array([1], dtype=np.int16)}),
+                         ("index", {"index": [1]}),
+                         ("weights", {"weights": np.array([1, 1, 1, 1], dtype=np.int32)})]:
+        with pytest.raises(TypeError, match=name):
+            _sweep.pairwise_sums(table, **kwargs)
+    with pytest.raises(TypeError, match="table"):
+        _sweep.pairwise_sums(np.arange(4.0, dtype=np.float32))
 
 
 def domain_parts():
@@ -313,7 +419,7 @@ FUNCTIONS = [("gammaln", scipy.special.gammaln, gammaln_reference),
 @pytest.mark.parametrize("name, oracle, _", FUNCTIONS)
 def test_kernel_functions_equal_scipy_bitwise(compiled, name, oracle, _):
     for x in domain_parts():
-        got, want = getattr(_sweep, name)(x), oracle(x)
+        got, want = np.frombuffer(getattr(_sweep, name)(x)), oracle(x)
         differ = got.view(np.int64) != want.view(np.int64)
         assert not differ.any(), (name, x[differ][:5], got[differ][:5], want[differ][:5])
 
@@ -322,20 +428,28 @@ def test_kernel_functions_equal_scipy_bitwise(compiled, name, oracle, _):
 def test_references_equal_the_kernel(compiled, name, _, reference):
     rng = np.random.default_rng(1)
     x = np.concatenate([rng.choice(part, 2_000) for part in domain_parts()])
-    got = getattr(_sweep, name)(x)
+    got = np.frombuffer(getattr(_sweep, name)(x))
     assert np.array_equal(np.array([reference(v) for v in x.tolist()]).view(np.int64),
                           got.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["gammaln", "digamma"])
-def test_shapes_and_scalars(compiled, name):
+def test_sequences_and_buffers(compiled, name):
+    """A buffer of doubles is copied whole, whatever its shape; any other
+    argument is read number by number. The result is an array of doubles."""
     fn = getattr(_sweep, name)
     oracle = getattr(scipy.special, name)
-    x = np.arange(1.0, 13.0).reshape(3, 4)[:, ::2]
-    assert fn(x).shape == (3, 2)
-    assert np.array_equal(fn(x), oracle(x))
-    assert isinstance(fn(3.5), np.float64) and fn(3.5) == oracle(3.5)
-    assert fn(np.array([])).shape == (0,)
+    x = np.arange(1.0, 13.0).reshape(3, 4)
+    want = oracle(x).reshape(-1).tolist()
+    for given in (x, x.reshape(-1).tolist(), iter(x.reshape(-1).tolist()),
+                  array.array("d", x.reshape(-1)), x[:, ::2].reshape(-1), range(1, 13)):
+        got = fn(given)
+        assert isinstance(got, array.array) and got.typecode == "d"
+        assert got.tolist() == (want[::2] if len(got) == 6 else want)
+    assert fn([]) == array.array("d")
+    before = x.copy()
+    fn(x)
+    assert np.array_equal(x, before)  # computed in a copy
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "reference"])
@@ -349,7 +463,7 @@ def test_non_finite_or_non_positive_argument_rejected(request, kernel, bad):
         functions = (elementwise(gammaln_reference), elementwise(digamma_reference))
     for fn in functions:
         with pytest.raises(ValueError, match="finite positive"):
-            fn(bad)
+            fn(np.ravel(bad).tolist())
 
 
 def small_state():

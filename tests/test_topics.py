@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from godspell import topics
+from godspell import _sweep, topics
 from godspell.corpus import Segment
 from godspell.topics import (
     DEFAULT_BETA,
@@ -33,11 +33,18 @@ from godspell.topics import (
 )
 
 from oracles import (
+    authorless_downsample_numpy,
     authorless_downsample_reference,
+    build_vocabulary_numpy,
     build_vocabulary_reference,
+    count_views,
+    doc_topic_proportions_reference,
     lda_log_likelihood_direct,
+    log_likelihood_reference,
     maximize_dirichlet_alpha,
     maximize_symmetric_beta,
+    optimize_alpha_reference,
+    optimize_beta_reference,
     prominence_reference,
     randbelow,
     save_state_reference,
@@ -156,8 +163,8 @@ class TestBuildVocabulary:
             assert vocab.frequencies == frequencies
             assert [d.tolist() for d in docs] == expected
             # int32 views of one flat array
-            assert {d.dtype for d in docs} == {np.dtype(np.int32)}
-            assert len({id(d.base) for d in docs}) == 1
+            assert {d.format for d in docs} == {"i"}
+            assert len({id(d.obj) for d in docs}) == 1
 
     def test_no_segment_is_kept(self):
         """Each segment is freed once the pass has moved past it: when the
@@ -248,7 +255,7 @@ class TestInitState:
                 n_dk[d, topic] += 1
                 n_kw[topic, w] += 1
         assert state.z.tolist() == z
-        assert state.n_kw.dtype == np.int32
+        assert (state.n_kw.format, state.n_dk.format, state.n_k.typecode) == ("i", "q", "q")
         assert np.array_equal(state.n_dk, n_dk)
         assert np.array_equal(state.n_kw, n_kw)
         assert np.array_equal(state.n_k, n_kw.sum(axis=1))
@@ -268,7 +275,7 @@ class TestInitState:
 
     def test_no_documents(self):
         state = init_state([], k=3, vocabulary_size=2, rng_seed=0)
-        assert state.n_dk.shape == (0, 3)
+        assert len(state.n_dk) == 0  # an empty matrix is a flat view
         gibbs_sweep(state, [])
         assert state.n_k.tolist() == [0, 0, 0]
 
@@ -300,9 +307,9 @@ class TestGibbsSweep:
     def test_single_topic_state_unchanged(self):
         docs = [[0, 1, 2], [2, 1]]
         state = init_state(docs, k=1, vocabulary_size=3, rng_seed=0)
-        before = state.z.copy()
+        before = state.z.tolist()
         gibbs_sweep(state, docs)
-        assert np.array_equal(state.z, before)
+        assert state.z.tolist() == before
         state.validate(docs)
 
     def test_counts_conserved_after_sweeps(self):
@@ -313,7 +320,7 @@ class TestGibbsSweep:
             gibbs_sweep(state, docs)
             state.validate(docs)
             for d, doc in enumerate(docs):
-                assert state.n_dk[d].sum() == len(doc)
+                assert np.asarray(state.n_dk)[d].sum() == len(doc)
 
     def test_corrupted_state_detected(self):
         docs = [[0, 1], [1, 1]]
@@ -405,14 +412,14 @@ class TestOptimizeAlpha:
             n_dk[0, 0] += 1
             state = self._state_with_counts(n_dk)
             alpha = optimize_alpha(state)
-            assert np.all(alpha > 0)
+            assert np.all(np.asarray(alpha) > 0)
 
 
 class TestOptimizeBeta:
     def test_uniform_counts_finite_positive(self):
         docs = [[0, 1, 2, 3]] * 4
         state = init_state(docs, k=2, vocabulary_size=4, rng_seed=1)
-        state.n_kw = np.full((2, 4), 5, dtype=np.int64)
+        state.n_kw = np.full((2, 4), 5, dtype=np.int32)
         state.n_k = state.n_kw.sum(axis=1)
         beta = optimize_beta(state)
         assert math.isfinite(beta) and beta > 0
@@ -422,7 +429,7 @@ class TestOptimizeBeta:
         n_kw = rng.randint(0, 30, size=(3, 8)).astype(np.int64)
         docs = [[0]]
         state = init_state(docs, k=3, vocabulary_size=8, rng_seed=0)
-        state.n_kw = n_kw
+        state.n_kw = n_kw.astype(np.int32)  # the kernel reads n_kw as int32
         state.n_k = n_kw.sum(axis=1)
         fixed_point = optimize_beta(state, tol=1e-12, max_iter=100_000)
         oracle = maximize_symmetric_beta(n_kw)
@@ -444,6 +451,124 @@ def two_theme_corpus(rng, docs_per_theme=40, doc_len=20, vocab_half=25):
             docs.append([lo + rng.randrange(vocab_half) for _ in range(doc_len)])
             labels.append(theme)
     return docs, labels, 2 * vocab_half
+
+
+def float_bits(values) -> list[int]:
+    """The bits of each float64 of values (a float, a buffer or an array)."""
+    return np.asarray(values, dtype=np.float64).reshape(-1).view(np.int64).tolist()
+
+
+def random_state(seed: int, n_docs: int, k: int, v: int, empty_topic: bool) -> tuple:
+    """(docs, state) after two sweeps over random documents, empty ones
+    among them; with empty_topic, topic k - 1 then holds no token."""
+    rng = random.Random(seed)
+    docs = [[rng.randrange(v) for _ in range(rng.choice([0, 1, 5, 40]))] for _ in range(n_docs)]
+    state = init_state(docs, k, v, rng_seed=seed)
+    for _ in range(2):
+        gibbs_sweep(state, docs)
+    if empty_topic:
+        z = np.asarray(state.z)
+        z[z == k - 1] = 0
+        for counts in count_views(state):
+            counts[...] = 0
+        assert _sweep.count(state)
+        state.validate(docs)
+    return docs, state
+
+
+class TestAgainstNumpyReferences:
+    """The likelihood, the optimisers and the proportions against the numpy
+    code they replaced (tests/oracles.py), bit for bit, on random states."""
+
+    CASES = {
+        "no documents": (1, 0, 3, 5, False),
+        "one topic": (2, 30, 1, 20, False),
+        "an empty topic": (3, 40, 5, 30, True),
+        "k65": (4, 60, 65, 200, False),
+        "one word": (5, 12, 4, 1, False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise_numpy(self, case):
+        docs, state = random_state(*self.CASES[case])
+        _, twin = random_state(*self.CASES[case])
+        for _ in range(2):
+            assert float_bits(log_likelihood(state)) == float_bits(log_likelihood_reference(twin))
+            assert float_bits(doc_topic_proportions(state)) == float_bits(
+                doc_topic_proportions_reference(twin))
+            assert float_bits(optimize_alpha(state)) == float_bits(optimize_alpha_reference(twin))
+            assert float_bits(state.alpha) == float_bits(twin.alpha)
+            assert float_bits(optimize_beta(state)) == float_bits(optimize_beta_reference(twin))
+            assert float_bits(state.beta) == float_bits(twin.beta)
+            gibbs_sweep(state, docs)
+            gibbs_sweep(twin, docs)
+
+    def test_optimisers_revert_without_documents(self, caplog):
+        _, state = random_state(*self.CASES["no documents"])
+        alpha = state.alpha
+        with caplog.at_level("WARNING"):
+            assert optimize_alpha(state) is alpha
+        assert "reverting" in caplog.text
+
+    def test_vocabulary_and_downsample_at_benchmark_size(self):
+        """A corpus the size of the benchmark's: 0.5M words of Zipf-like forms
+        with punctuation and case variants, in 8 novels of 300-word documents."""
+        rng = random.Random(65)
+        forms = [f"w{i}" for i in range(40_000)]
+        weights = [1.0 / (i + 2.7) for i in range(len(forms))]
+        edges = ["", "", "", ",", ".", "'"]
+        words = [rng.choice(edges) + (w.upper() if rng.random() < 0.05 else w) + rng.choice(edges)
+                 for w in rng.choices(forms, weights, k=500_000)]
+        segments = [seg(words[i:i + 300], f"n{i // 62_500}") for i in range(0, len(words), 300)]
+        novels = [s.novel_id for s in segments]
+        stop = {"w0", "w3"}
+        vocab_words, frequencies, expected = build_vocabulary_reference(
+            [s.words for s in segments], stop, 5)
+        vocab, docs = build_vocabulary(segments, stop, min_count=5)
+        assert (vocab.words, vocab.frequencies) == (vocab_words, frequencies)
+        assert [d.tolist() for d in docs] == expected
+        numpy_vocab, numpy_docs = build_vocabulary_numpy(segments, stop, 5)
+        assert numpy_vocab == vocab
+        reduced = authorless_downsample(docs, novels, rng_seed=3)
+        assert [d.tolist() for d in reduced] == authorless_downsample_reference(
+            expected, novels, random.Random(3))
+        assert [d.tolist() for d in reduced] == [
+            d.tolist() for d in authorless_downsample_numpy(numpy_docs, novels, 3)]
+        assert 0.5 < sum(map(len, reduced)) / sum(map(len, docs)) < 1.0
+
+
+class TestStateTypes:
+    """The kernel reads a state's arrays as their C types and never casts:
+    another item format is a TypeError that names the field."""
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("n_kw", lambda s: np.zeros((s.k, s.vocabulary_size), dtype=np.int64)),
+        ("n_dk", lambda s: np.zeros(np.asarray(s.n_dk).shape, dtype=np.int32)),
+        ("z", lambda s: np.asarray(s.z).astype(np.int64)),
+        ("offsets", lambda s: np.asarray(s.offsets).astype(np.int32)),
+        ("n_k", lambda s: np.asarray(s.n_k).astype(np.float64)),
+        ("alpha", lambda s: np.asarray(s.alpha).astype(np.float32)),
+        ("words", lambda s: list(s.words)),
+    ])
+    def test_wrong_item_format_names_the_field(self, name, wrong):
+        docs = [[0, 1, 2], [2, 2]]
+        state = init_state(docs, 2, 3, rng_seed=0)
+        setattr(state, name, wrong(state))
+        with pytest.raises(TypeError, match=name):
+            gibbs_sweep(state, docs)
+
+    def test_numpy_arrays_of_the_kernel_types_are_read(self):
+        docs = [[0, 1, 2], [2, 2]]
+        state = init_state(docs, 2, 3, rng_seed=0)
+        twin = init_state(docs, 2, 3, rng_seed=0)
+        for name in ("n_dk", "n_kw", "n_k", "alpha"):
+            setattr(twin, name, np.array(getattr(twin, name)))
+        gibbs_sweep(state, docs)
+        gibbs_sweep(twin, docs)
+        assert state.z.tolist() == twin.z.tolist()
+        assert np.array_equal(state.n_kw, twin.n_kw)
+        assert log_likelihood(state) == log_likelihood(twin)
+
 
 
 class TestTrain:
@@ -697,6 +822,16 @@ class TestStateWriter:
             n_kw = np.array([[0, 257, 0, -2], [100_000, 0, 1, 256]], dtype=dtype)
             self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["αβ", "naïve", "日本", "w"],
                                    ["ñ", "a", "a", "b", "b"], alpha=np.array([0.1, 1e-05]))
+
+    def test_repeated_and_subnormal_shares(self, tmp_path):
+        """Shares as a trained state repeats them, beside subnormal ones: each
+        is written as json writes it, wherever it recurs."""
+        values = [0.25, 1 / 3, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1]
+        rng = random.Random(7)
+        doc_topic = np.array([[rng.choice(values) for _ in range(4)] for _ in range(300)])
+        n_kw = np.array([[0, 3, 3, 0], [1, 1, 1, 1], [0, 0, 0, 7], [2, 0, 2, 0]], dtype=np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["a", "b", "c", "d"],
+                               [f"n{i % 3}" for i in range(300)])
 
     @pytest.mark.parametrize("k, v, d", [(1, 1, 0), (1, 1, 1), (3, 4, 5)])
     @settings(max_examples=40, deadline=None)
