@@ -21,9 +21,8 @@ The functions here take and return the standard library's ``array.array``
 and ``memoryview`` buffers, and numpy is never imported. A buffer handed to
 the kernel must hold its C type: ``items`` raises TypeError, naming the
 argument, for any other item format, and never casts (a cast would wrap or
-misread values). ``gammaln`` and ``digamma`` take a buffer of doubles or an
-iterable of numbers and reject an argument that is not finite and positive
-with ValueError.
+misread values). ``gammaln`` and ``digamma`` take an iterable of numbers
+and reject an argument that is not finite and positive with ValueError.
 
 It is compiled with ``cc`` on first use into ``$XDG_CACHE_HOME/godspell``
 (default ``~/.cache/godspell``), under a file name keyed by the sha256 of
@@ -62,7 +61,6 @@ LIBS = ("-lm",)
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 /* Every exported function returns int64_t: 0, a count, or -1 when it refuses its input. */
 
@@ -319,38 +317,6 @@ int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const 
 INTEGER_FUNCTIONS(int32_t, i)
 INTEGER_FUNCTIONS(int64_t, q)
 
-static int compare(const void *a, const void *b)
-{
-    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
-    return (x > y) - (x < y);
-}
-
-/* numpy's np.unique(x, return_inverse=True) of the n values x: keys (room for n) gets the
-   distinct values ascending, index[i] the position of x[i] among them (fewer than 2**31);
-   returns how many are distinct */
-int64_t distinct(const int64_t *x, int64_t n, int64_t *keys, int32_t *index)
-{
-    int64_t m = 0;
-    for (int64_t i = 0; i < n; i++)
-        keys[i] = x[i];
-    qsort(keys, (size_t)n, sizeof *keys, compare);
-    for (int64_t i = 0; i < n; i++)
-        if (m == 0 || keys[i] != keys[m - 1])
-            keys[m++] = keys[i];
-    for (int64_t i = 0; i < n; i++) {
-        int64_t lo = 0, hi = m;  /* keys[lo] <= x[i] < keys[hi] */
-        while (hi - lo > 1) {
-            int64_t mid = lo + (hi - lo) / 2;
-            if (keys[mid] <= x[i])
-                lo = mid;
-            else
-                hi = mid;
-        }
-        index[i] = (int32_t)lo;
-    }
-    return m;
-}
-
 /* out[r] = the sum of row r of the (rows, cols) matrix m */
 int64_t row_sums(int64_t rows, int64_t cols, const int64_t *m, int64_t *out)
 {
@@ -396,20 +362,7 @@ static double term(const struct terms *t, int64_t i)
 }
 
 /* ndarray.sum() of the terms lo..lo+n-1 in numpy's pairwise order: above 128 terms, halves
-   split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop. TERM(j)
-   is term j; the gather of log_likelihood's (K, V) term, the longest sum, has its own. */
-#define PAIRWISE_LEAF(TERM)                                                             \
-    do {                                                                                \
-        for (; i < n - n % 8; i++)                                                      \
-            r[i % 8] += TERM(lo + i);                                                   \
-        if (n >= 8)                                                                     \
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));    \
-        for (; i < n; i++)                                                              \
-            res += TERM(lo + i);                                                        \
-    } while (0)
-#define GATHERED(j) t->table[t->index32[j]]
-#define ANY_TERM(j) term(t, j)
-
+   split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop */
 static double pairwise(const struct terms *t, int64_t lo, int64_t n)
 {
     if (n > 128) {
@@ -418,10 +371,12 @@ static double pairwise(const struct terms *t, int64_t lo, int64_t n)
     }
     double r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res = -0.0;
     int64_t i = 0;
-    if (t->index32 && t->width == 1 && !t->weight)
-        PAIRWISE_LEAF(GATHERED);
-    else
-        PAIRWISE_LEAF(ANY_TERM);
+    for (; i < n - n % 8; i++)
+        r[i % 8] += term(t, lo + i);
+    if (n >= 8)
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += term(t, lo + i);
     return res;
 }
 
@@ -632,7 +587,7 @@ SIGNATURES = {
     "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiippp",
     "gibbs_sweep": "pipppiippppddp", "span_i": "pip", "span_q": "pip",
     "histogram_i": "piiip", "histogram_q": "piiip", "text_i": "pip", "text_q": "pip",
-    "distinct": "pipp", "row_sums": "iipp",
+    "row_sums": "iipp",
     "proportions": "iippdp", "pairwise_sums": "pippipiipp", "gammaln": "ipp", "digamma": "ipp",
 }
 
@@ -710,14 +665,11 @@ def _address(buf) -> int | None:
 
 
 def _elementwise(name: str, x) -> array.array:
-    """The library's function ``name`` applied to each number of x (a
-    buffer of doubles, copied whole, or an iterable of numbers): an array
-    of doubles. ValueError when one is not finite and positive; the kernel
-    checks them all before it computes any, in place in the fresh copy."""
-    try:
-        out = array.array("d", items("x", x, "d").cast("B").tobytes())
-    except TypeError:
-        out = array.array("d", list(x))
+    """The library's function ``name`` applied to each number of the
+    iterable x: an array of doubles. ValueError when one is not finite and
+    positive; the kernel checks them all before it computes any, in place
+    in the fresh copy."""
+    out = array.array("d", x)
     if out and getattr(kernel(), name)(len(out), _address(out), _address(out)):
         raise ValueError(f"{name} takes finite positive arguments only")
     return out
@@ -788,20 +740,6 @@ def row_texts(values, rows: int) -> Iterator[str]:
         yield out[:n].decode("ascii")
 
 
-def distinct(values) -> tuple[array.array, array.array]:
-    """numpy's np.unique(values, return_inverse=True) of an int64 buffer of
-    fewer than 2**31 values: the distinct values, ascending, and the int32
-    position of each value among them."""
-    values = items("values", values, "q")
-    if len(values) >= 2**31:
-        raise ValueError(f"distinct: {len(values)} values are too many for an int32 index")
-    keys = array.array("q", [0]) * len(values)
-    index = array.array("i", [0]) * len(values)
-    del keys[kernel().distinct(_address(values), len(values), _address(keys),
-                               _address(index)):]
-    return keys, index
-
-
 def row_sums(matrix, cols: int) -> array.array:
     """The sum of each row of an int64 (rows, cols) matrix, given flat."""
     matrix = items("matrix", matrix, "q")
@@ -829,7 +767,10 @@ def pairwise_sums(table, bounds=None, *, index=None, weights=None,
     index), times float(weights[i]) with weights. bounds default to one
     part of every term. table holds doubles, an index int32 or int64, the
     weights int64 (TypeError otherwise); ValueError when the bounds run past
-    the terms or an index points outside the table's rows."""
+    the terms, an index points outside the table's rows, or width is not 1
+    without an index or not positive with one."""
+    if width < 1 or (index is None and width != 1):
+        raise ValueError(f"pairwise_sums: width {width} needs an index and must be positive")
     table = items("table", table, "d")
     n = len(table)
     if index is not None:

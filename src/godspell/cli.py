@@ -139,11 +139,13 @@ def cmd_topics_train(config: RunConfig) -> None:
         optimize_interval=config.topics_optimize_interval,
         rng_seed=config.topics_seed,
     )
+    n_docs = len(docs)
+    del docs  # the state holds its own copy of the words
     topics_dir = config.output_dir / "topics"
     topics_dir.mkdir(parents=True, exist_ok=True)
     topics.save_state(topics_dir / "state.json", state, summary, vocab, doc_novels)
     print(
-        f"trained K={config.topics_k} on {len(docs)} segments "
+        f"trained K={config.topics_k} on {n_docs} segments "
         f"(V={vocab.size}, final log-likelihood {summary.log_likelihoods[-1]:.2f})"
     )
 

@@ -571,17 +571,19 @@ def save_state(
         "log_likelihood": summary.log_likelihoods,
     }, ensure_ascii=False)
     k = state.k
-    doc_topic = _sweep.items("doc_topic", summary.doc_topic, "d")
-    # json's text of each distinct share, told apart by its bits, so that -0.0
-    # and each nan keep their own
-    keys, index = _sweep.distinct(doc_topic.cast("B").cast("q"))
-    shares = json.dumps(array.array("d", keys.tobytes()).tolist())[1:-1].split(", ")
+    # json's text of each distinct share, keyed by its bits, so that -0.0 and
+    # each nan keep their own
+    bits = _sweep.items("doc_topic", summary.doc_topic, "d").cast("B").cast("q")
+    shares = dict.fromkeys(bits)
+    texts = json.dumps(array.array("d", array.array("q", shares).tobytes()).tolist())
+    for key, text in zip(shares, texts[1:-1].split(", ")):
+        shares[key] = text
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f'{head[:-1]}, "n_kw": ')
         _write_matrix(fh, _sweep.row_texts(_sweep.items("n_kw", state.n_kw, "i", "q"), k))
         fh.write(', "doc_topic": ')
-        _write_matrix(fh, (", ".join(map(shares.__getitem__, index[d * k:(d + 1) * k]))
-                           for d in range(len(index) // k)))
+        _write_matrix(fh, (", ".join(map(shares.__getitem__, bits[d * k:(d + 1) * k]))
+                           for d in range(len(bits) // k)))
         fh.write(f", {tail[1:]}")
 
 

@@ -376,6 +376,10 @@ def test_gathered_sum_index_outside_table_rejected(compiled, bad):
         _sweep.pairwise_sums(table, [0, 5])
     with pytest.raises(ValueError, match="outside"):
         _sweep.pairwise_sums(table, [3, 1])
+    with pytest.raises(ValueError, match="width"):  # without an index, term i is table[i]
+        _sweep.pairwise_sums(table, width=2)
+    with pytest.raises(ValueError, match="width"):
+        _sweep.pairwise_sums(table, index=np.array([0], dtype=np.int32), width=0)
 
 
 def test_pairwise_sums_never_cast(compiled):
@@ -435,14 +439,14 @@ def test_references_equal_the_kernel(compiled, name, _, reference):
 
 @pytest.mark.parametrize("name", ["gammaln", "digamma"])
 def test_sequences_and_buffers(compiled, name):
-    """A buffer of doubles is copied whole, whatever its shape; any other
-    argument is read number by number. The result is an array of doubles."""
+    """Any iterable of numbers, a 1-D buffer included, is read number by
+    number. The result is an array of doubles."""
     fn = getattr(_sweep, name)
     oracle = getattr(scipy.special, name)
-    x = np.arange(1.0, 13.0).reshape(3, 4)
-    want = oracle(x).reshape(-1).tolist()
-    for given in (x, x.reshape(-1).tolist(), iter(x.reshape(-1).tolist()),
-                  array.array("d", x.reshape(-1)), x[:, ::2].reshape(-1), range(1, 13)):
+    x = np.arange(1.0, 13.0)
+    want = oracle(x).tolist()
+    for given in (x, x.tolist(), iter(x.tolist()), array.array("d", x), x[::2],
+                  range(1, 13)):
         got = fn(given)
         assert isinstance(got, array.array) and got.typecode == "d"
         assert got.tolist() == (want[::2] if len(got) == 6 else want)
