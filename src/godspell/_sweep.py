@@ -44,11 +44,7 @@ import hashlib
 import logging
 import operator
 import os
-import platform
-import shutil
 import struct
-import subprocess
-import tempfile
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -236,20 +232,28 @@ int64_t check(int64_t n_docs, const int64_t *offsets, const int32_t *words, cons
 
 int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const int32_t *words,
                     int32_t *z, int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw,
-                    int64_t *n_k, const double *alpha, double beta, double vbeta, double *cum)
+                    int64_t *n_k, const double *alpha, double beta, double vbeta, double *scratch)
 {
+    /* doc[k] = row[k] + alpha[k] and den[k] = n_k[k] + vbeta, kept beside cum and
+       refreshed at entry t after each count changes: each term is the same double */
+    double *cum = scratch, *doc = scratch + k_topics, *den = scratch + 2 * k_topics;
+    for (int64_t k = 0; k < k_topics; k++)
+        den[k] = (double)n_k[k] + vbeta;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *row = n_dk + d * k_topics;
+        for (int64_t k = 0; k < k_topics; k++)
+            doc[k] = (double)row[k] + alpha[k];
         for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
             int64_t w = words[i];
             int64_t t = z[i];
             row[t]--;
             n_kw[t * v + w]--;
             n_k[t]--;
+            doc[t] = (double)row[t] + alpha[t];
+            den[t] = (double)n_k[t] + vbeta;
             double total = 0.0;
             for (int64_t k = 0; k < k_topics; k++) {
-                total += ((double)row[k] + alpha[k]) * ((double)n_kw[k * v + w] + beta)
-                         / ((double)n_k[k] + vbeta);
+                total += doc[k] * ((double)n_kw[k * v + w] + beta) / den[k];
                 cum[k] = total;
             }
             double x = random53(mt) * total;
@@ -260,6 +264,8 @@ int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const 
             row[t]++;
             n_kw[t * v + w]++;
             n_k[t]++;
+            doc[t] = (double)row[t] + alpha[t];
+            den[t] = (double)n_k[t] + vbeta;
         }
     }
     return 0;
@@ -540,7 +546,7 @@ def cache_dir() -> Path:
 
 
 def library_name() -> str:
-    key = "\0".join((SOURCE, *FLAGS, *LIBS, platform.machine()))
+    key = "\0".join((SOURCE, *FLAGS, *LIBS, os.uname().machine))
     digest = hashlib.sha256(key.encode()).hexdigest()
     return f"gibbs-{digest[:16]}.so"
 
@@ -553,6 +559,9 @@ def build(path: Path) -> None:
     """Compile SOURCE into a temporary file beside path, record its sha256
     in path.sha256, then os.replace it onto path. Concurrent builds can
     leave a checksum that matches neither library; that is only a rebuild."""
+    import subprocess
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-")
     os.close(fd)
     try:
@@ -617,6 +626,9 @@ def load(directory: Path):
     except OSError as e:
         log.info("kernel cache %s not writable (%s); building in a temporary directory",
                  directory, e)
+        import shutil
+        import tempfile
+
         tmp_dir = Path(tempfile.mkdtemp(prefix="godspell-"))
         try:
             build(tmp_dir / path.name)
@@ -889,6 +901,6 @@ def sweep(lib, state) -> None:
     place, with one state.rng.random() per token, in token order."""
     args = _arrays(state)
     alpha = items("alpha", state.alpha, "d")
-    cum = array.array("d", [0.0]) * state.k
+    scratch = array.array("d", [0.0]) * (3 * state.k)
     _draw(state.rng, lib.gibbs_sweep, *args, _address(alpha), float(state.beta),
-          float(state.vocabulary_size * state.beta), _address(cum))
+          float(state.vocabulary_size * state.beta), _address(scratch))

@@ -18,14 +18,14 @@ import os
 import re
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .config import ModelConfig
 from .corpus import Passage
-from .report import ModelConfig
+from .records import ActAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -403,32 +403,6 @@ def call_model(
     raise PipelineError(kind, f"retries exhausted: {last_error}") from last_error
 
 
-@dataclass
-class ActAnnotation:
-    """The cascade's verdict for one passage."""
-
-    novel_id: str
-    index: int
-    status: str                      # "ok" | "unresolved"
-    stage1: dict | None = None
-    stage2: dict | None = None
-    final_label: str | None = None
-    affect: str | None = None
-    impact: str | None = None
-    cache_key: str | None = None
-    failed_stage: str | None = None
-    error: str | None = None
-
-    @property
-    def ref(self) -> str:
-        return f"{self.novel_id}:{self.index}"
-
-    @property
-    def is_act(self) -> bool:
-        """Resolved, and both stages said YES."""
-        return self.status == "ok" and self.final_label == "YES"
-
-
 def cache_key(model_name: str, template: PromptTemplate, text: str, stage: str) -> str:
     payload = json.dumps(
         [model_name, f"{template.name}@{template.version}", text, stage],
@@ -460,7 +434,7 @@ class AnnotationCache:
     def put(self, stage: str, key: str, fields: dict) -> None:
         path = self._path(stage, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{uuid.uuid4().hex}")
+        tmp = path.with_suffix(f".tmp-{os.urandom(16).hex()}")
         tmp.write_text(json.dumps(fields, ensure_ascii=False), encoding="utf-8")
         os.replace(tmp, path)
 
@@ -590,17 +564,6 @@ def write_annotations(annotations: Sequence[ActAnnotation], path: Path | str) ->
     with Path(path).open("w", encoding="utf-8") as fh:
         for ann in annotations:
             fh.write(json.dumps({"passage": ann.ref, **asdict(ann)}, ensure_ascii=False) + "\n")
-
-
-def read_annotations(path: Path | str) -> list[ActAnnotation]:
-    annotations = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                d = json.loads(line)
-                d.pop("passage", None)
-                annotations.append(ActAnnotation(**d))
-    return annotations
 
 
 _TEXT_SPAN_RE = re.compile(r"<text>\n(.*)\n</text>", re.DOTALL)

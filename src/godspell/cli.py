@@ -1,7 +1,7 @@
 """Command-line pipeline: godspell <subcommand> --config run.json [flags].
 
 The run config says what a run computes. Each of its settings is declared
-once, as a field of `report.RunConfig` with its key, kind, default and
+once, as a field of `config.RunConfig` with its key, kind, default and
 bound, and a key that no field declares is a config error. The four flags
 say only where things are: --config (the run config), --output (the output
 directory), --cache-dir (the annotation cache) and --endpoint (the
@@ -16,12 +16,13 @@ the module that owns the work (`stats.analyze` for stats.json,
 or scoring happens here. Exit codes: 0 success, 1 config error, 2 runtime
 error (with error.json in the output directory), 64 unknown subcommand.
 
-Each command imports only the modules it runs, inside its own function.
-Every command needs the standard library alone: `topics-train` adds the
-compiled `_sweep` kernel, and `topics-inspect` and `stats` read the saved
-topic state without it. Only `annotate`, `eval` and `stats` import the
-`annotate` module, with its hashing and thread pool, and `report` and
-`topics-inspect` import no `corpus`.
+Each command imports only the modules it runs, inside its own function;
+all of them load `config`. Every command needs the standard library alone:
+`topics-train` adds the compiled `_sweep` kernel, and `topics-inspect` and
+`stats` read the saved topic state without it. Only `annotate` imports the
+`annotate` module, with its hashing and thread pool; `eval` and `stats`
+read annotations through `records`. Only `report` imports `report`, `eval`
+imports no `stats`, and `report` and `topics-inspect` import no `corpus`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .report import (
-    ConfigError, RunConfig, figure_data, load_run_config, markdown_summary, read_csv,
-    write_csv,
-)
+from .config import ConfigError, RunConfig, load_run_config, read_csv, write_csv
 
 if TYPE_CHECKING:
     from . import topics
@@ -207,9 +205,9 @@ def cmd_annotate(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
-    from . import annotate, evaluation
+    from . import evaluation, records
 
-    annotations = annotate.read_annotations(
+    annotations = records.read_annotations(
         _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
     )
     if not config.annotation_rounds:
@@ -255,13 +253,13 @@ def _read_topic_labels(path: Path) -> dict[str, str]:
 def cmd_stats(config: RunConfig) -> None:
     """Write stats.json: stats.analyze over the run's artifacts and the
     analysis config, plus the topic labels when configured."""
-    from . import annotate, corpus, stats, topics
+    from . import corpus, records, stats, topics
 
     loaded = corpus.ingest(config.manifest)
     passages = corpus.read_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
     )
-    annotations = annotate.read_annotations(
+    annotations = records.read_annotations(
         _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
     )
     unknown = sorted({a.novel_id for a in annotations} - {n.id for n in loaded.novels})
@@ -287,12 +285,14 @@ def cmd_stats(config: RunConfig) -> None:
 
 
 def cmd_report(config: RunConfig) -> None:
+    from . import report
+
     results = _load_json(_require_artifact(config.output_dir / "stats.json", "stats"))
     metrics_path = config.output_dir / "metrics.json"
     metrics = _load_json(metrics_path) if metrics_path.is_file() else None
-    written = figure_data(results, config.output_dir / "figures")
+    written = report.figure_data(results, config.output_dir / "figures")
     (config.output_dir / "report.md").write_text(
-        markdown_summary(results, metrics), encoding="utf-8"
+        report.markdown_summary(results, metrics), encoding="utf-8"
     )
     print(f"wrote report.md and {len(written)} figure tables")
 
@@ -313,7 +313,7 @@ USAGE = (
     "subcommands: " + ", ".join(COMMANDS) + "\n"
     "flags: --output DIR --cache-dir DIR --endpoint URL\n"
     "Every other setting comes from the run config, whose keys are declared\n"
-    "in godspell.report.RunConfig; a key declared nowhere is a config error.\n"
+    "in godspell.config.RunConfig; a key declared nowhere is a config error.\n"
     "The GODSPELL_ENDPOINT environment variable overrides the configured endpoint."
 )
 

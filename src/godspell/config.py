@@ -1,0 +1,234 @@
+"""The run configuration: `RunConfig`, whose fields declare every setting
+of a run config file, the `ModelConfig` it builds for annotate, and
+`load_run_config`, which reads the file through those declarations. Also
+the CSV reader and writer the commands share; `csv` is imported only when
+a CSV is read or written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+from typing import NamedTuple
+
+ENDPOINT_ENV_VAR = "GODSPELL_ENDPOINT"
+
+
+class ConfigError(ValueError):
+    """Raised for unreadable, inconsistent, or incomplete run configs."""
+
+
+# the path kinds: an existing file, a list of them, a directory that is made
+# if missing and must be writable
+FILE, FILES, DIR = "file", "files", "dir"
+REQUIRED = object()
+
+
+class Setting(NamedTuple):
+    """One run setting: its config key (`section.name`, or a top-level
+    name); its kind, which is bool, int, float, str or dict (that JSON
+    type), a path kind, or a tuple of the strings allowed; its default,
+    where None leaves an optional path unset, as does a null or empty value
+    in the file; and the lower bound of a number."""
+
+    key: str
+    kind: object
+    default: object = None
+    minimum: int | None = None
+
+
+@dataclass
+class ModelConfig:
+    """The inference endpoint's settings, as annotate's transports take them."""
+
+    model: str
+    endpoint: str = "http://localhost:11434"
+    temperature: float = 0.0
+    max_retries: int = 3
+    timeout: float = 120.0
+
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
+
+
+def _setting(*declaration):
+    return field(metadata={"setting": Setting(*declaration)})
+
+
+@dataclass
+class RunConfig:
+    """What a run computes and where things are. Each field but model
+    declares one setting, with its config key, kind, default and bound, and
+    load_run_config reads the file through these declarations alone. model
+    is the ModelConfig built from the model.* settings, under its checks."""
+
+    manifest: Path = _setting("manifest", FILE, REQUIRED)
+    analysis_path: Path | None = _setting("analysis", FILE)
+    segment_size: int = _setting("segmentation.segment_size", int, 300, 1)
+    passage_cap: int = _setting("segmentation.passage_cap", int, 500, 1)
+    topics_k: int = _setting("topics.k", int, 65, 1)
+    topics_sweeps: int = _setting("topics.sweeps", int, 1000, 1)
+    topics_burn_in: int = _setting("topics.burn_in", int, 50, 0)
+    topics_optimize_interval: int = _setting("topics.optimize_interval", int, 10, 0)
+    topics_seed: int = _setting("topics.seed", int, 0, 0)
+    topics_min_count: int = _setting("topics.min_count", int, 5, 1)
+    topics_downsample: bool = _setting("topics.downsample", bool, True)
+    topics_downsample_seed: int = _setting("topics.downsample_seed", int, 0, 0)
+    stopwords_path: Path | None = _setting("topics.stopwords", FILE)
+    topic_labels_path: Path | None = _setting("topics.labels", FILE)
+    model_backend: str = _setting("model.backend", ("http", "mock"), "http")
+    model_name: str = _setting("model.name", str, "gemma3n:e4b")
+    endpoint: str = _setting("model.endpoint", str, ModelConfig.endpoint)
+    temperature: float = _setting("model.temperature", float, ModelConfig.temperature)
+    max_retries: int = _setting("model.max_retries", int, ModelConfig.max_retries)
+    timeout: float = _setting("model.timeout", float, ModelConfig.timeout)
+    workers: int = _setting("model.workers", int, 4, 1)
+    prompt_registry_path: Path | None = _setting("prompts.registry", FILE)
+    prompt_versions: dict = _setting("prompts.versions", dict, {})
+    annotation_rounds: list[Path] = _setting("evaluation.rounds", FILES, [])
+    gold_overrides_path: Path | None = _setting("evaluation.gold_overrides", FILE)
+    spotcheck_path: Path | None = _setting("evaluation.spotcheck", FILE)
+    output_dir: Path = _setting("output_dir", DIR, "out")
+    cache_dir: Path = _setting("cache_dir", DIR)  # unset: output_dir / "cache"
+    model: ModelConfig = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.cache_dir is None:
+            self.cache_dir = self.output_dir / "cache"
+        try:
+            self.model = ModelConfig(self.model_name, self.endpoint, self.temperature,
+                                     self.max_retries, self.timeout)
+        except ValueError as e:
+            raise ConfigError(f"model: {e}") from None
+
+
+# RunConfig attribute -> its declaration
+SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig) if f.init}
+
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "a JSON object"}
+
+
+def _typed(key: str, value, kind: type):
+    """value, checked to be the JSON type kind stands for (an integer is a
+    number too; a boolean is neither); ConfigError naming key otherwise."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _value(setting: Setting, value, base: Path):
+    """value, checked against setting's kind and lower bound, with a
+    relative path taken from base; ConfigError naming the key otherwise."""
+    key, kind = setting.key, setting.kind
+    if value is REQUIRED:
+        raise ConfigError(f"config must name a {key}")
+    if setting.default is None and value in (None, ""):
+        return None
+    if kind == FILES:  # each listed file is required: a null or "" entry is an error
+        return [_value(Setting(key, FILE, REQUIRED), path, base)
+                for path in _typed(key, value, list)]
+    if kind in (FILE, DIR):
+        path = base / _typed(key, value, str)
+        if kind == FILE and not path.is_file():
+            raise ConfigError(f"{key} not found: {path}")
+        return path
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    value = _typed(key, value, kind)
+    if setting.minimum is not None and value < setting.minimum:
+        raise ConfigError(f"{key} must be >= {setting.minimum}")
+    return value
+
+
+def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
+                    cache_dir: str | None = None, endpoint: str | None = None) -> RunConfig:
+    """Load a run config JSON through SETTINGS, the one declaration of each
+    setting. A key that no setting declares is a ConfigError, and so is a
+    value of the wrong kind or below its bound. Only where things are can
+    be set from outside the file: output_dir, cache_dir and endpoint (the
+    CLI flags), when given, beat the file, and GODSPELL_ENDPOINT beats it
+    for the endpoint. A relative path in the file resolves against the
+    file's directory, a relative flag path against the working directory."""
+    config_path = Path(config_path)
+    if not config_path.is_file():
+        raise ConfigError(f"config file not found: {config_path}")
+    try:
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"config is not valid JSON: {e}") from None
+    tables = {"": _typed("config", payload, dict)}
+    for setting in SETTINGS.values():
+        section = setting.key.rpartition(".")[0]
+        if section not in tables:
+            tables[section] = _typed(section, payload.get(section, {}), dict)
+    declared = {setting.key for setting in SETTINGS.values()} | set(tables)
+    keys = [f"{section}.{name}" if section else name
+            for section, table in tables.items() for name in table]
+    unknown = [key for key in keys if key not in declared]
+    if unknown:
+        raise ConfigError(f"unknown setting {', '.join(unknown)}")
+
+    flags = {"output_dir": output_dir, "cache_dir": cache_dir,
+             "model.endpoint": endpoint or os.environ.get(ENDPOINT_ENV_VAR)}
+    values = {}
+    for attr, setting in SETTINGS.items():
+        section, _, name = setting.key.rpartition(".")
+        if flags.get(setting.key):
+            values[attr] = _value(setting, flags[setting.key], Path())
+        else:
+            values[attr] = _value(setting, tables[section].get(name, setting.default),
+                                  config_path.parent)
+    config = RunConfig(**values)
+    # a directory is made only once every setting has passed its checks
+    for attr, setting in SETTINGS.items():
+        path = values[attr]
+        if setting.kind == DIR and path is not None:
+            try:
+                path.mkdir(parents=True, exist_ok=True)
+                (path / ".write-probe").write_text("", encoding="utf-8")
+                (path / ".write-probe").unlink()
+            except OSError as e:
+                raise ConfigError(f"{setting.key} not writable: {path} ({e})") from None
+    return config
+
+
+def read_csv(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header line, as dicts; ConfigError
+    naming the file when the header lacks one of columns, and the file and
+    line when a row is too short to have a cell for one of them."""
+    import csv
+
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: missing column {', '.join(map(repr, missing))}")
+        rows = []
+        for row in reader:
+            short = [c for c in columns if row[c] is None]
+            if short:
+                raise ConfigError(f"{path}: line {reader.line_num}: no cell for column "
+                                  f"{', '.join(map(repr, short))}")
+            rows.append(row)
+        return rows
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    import csv
+
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -13,13 +13,10 @@ that metrics.json holds under confusion and metrics.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .report import read_csv
-from .stats import AFFECT_LABELS, IMPACT_LABELS
-
-if TYPE_CHECKING:
-    from .annotate import ActAnnotation
+from .config import read_csv
+from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
 
 RELIABILITY_LABELS = ("YES", "MAYBE", "NO")
 Judgments = dict[str, dict[str, str]]
@@ -227,7 +224,7 @@ def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
 def evaluate(
     rounds: dict[str, Judgments],
     overrides: dict[str, str],
-    annotations: Sequence["ActAnnotation"],
+    annotations: Sequence[ActAnnotation],
     spotcheck: dict[str, dict[str, str]] | None,
 ) -> dict:
     """The metrics.json payload: alpha per round, the gold set built from

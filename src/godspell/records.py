@@ -1,0 +1,51 @@
+"""The annotation records the later commands read: `ActAnnotation`, the
+cascade's verdict for one passage, `read_annotations` for annotations.jsonl,
+and the label sets of the characterization prompts. `eval` and `stats`
+read annotations through this module alone, so neither loads the cascade.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+AFFECT_LABELS = ("INDIVIDUAL", "GROUP")
+IMPACT_LABELS = ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")
+
+
+@dataclass
+class ActAnnotation:
+    """The cascade's verdict for one passage."""
+
+    novel_id: str
+    index: int
+    status: str                      # "ok" | "unresolved"
+    stage1: dict | None = None
+    stage2: dict | None = None
+    final_label: str | None = None
+    affect: str | None = None
+    impact: str | None = None
+    cache_key: str | None = None
+    failed_stage: str | None = None
+    error: str | None = None
+
+    @property
+    def ref(self) -> str:
+        return f"{self.novel_id}:{self.index}"
+
+    @property
+    def is_act(self) -> bool:
+        """Resolved, and both stages said YES."""
+        return self.status == "ok" and self.final_label == "YES"
+
+
+def read_annotations(path: Path | str) -> list[ActAnnotation]:
+    annotations = []
+    with Path(path).open(encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                d = json.loads(line)
+                d.pop("passage", None)
+                annotations.append(ActAnnotation(**d))
+    return annotations

@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .corpus import Novel, Passage, passage_statistics
-
-if TYPE_CHECKING:
-    from .annotate import ActAnnotation
+from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -195,7 +193,7 @@ def group_compare(
     return {**result, "group_a": label_a, "group_b": label_b}
 
 
-def act_proportions(annotations: Sequence["ActAnnotation"]) -> dict:
+def act_proportions(annotations: Sequence[ActAnnotation]) -> dict:
     """Per-novel share of passages whose final verdict is YES, and, when
     there are any, the per-novel shares' mean, min and max.
 
@@ -228,7 +226,7 @@ def act_proportions(annotations: Sequence["ActAnnotation"]) -> dict:
 
 
 def position_density(
-    annotations: Sequence["ActAnnotation"],
+    annotations: Sequence[ActAnnotation],
     passages: Sequence["Passage"],
     bins: int,
 ) -> dict:
@@ -255,11 +253,7 @@ def position_density(
     }
 
 
-AFFECT_LABELS = ("INDIVIDUAL", "GROUP")
-IMPACT_LABELS = ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")
-
-
-def characterization_shares(annotations: Sequence["ActAnnotation"]) -> dict:
+def characterization_shares(annotations: Sequence[ActAnnotation]) -> dict:
     """Per-novel shares of affect and impact labels among YES acts (label ->
     novel id -> share), plus corpus-level aggregates (label -> share).
     Novels without YES acts are excluded."""
@@ -329,7 +323,7 @@ def analyze(
     analysis: dict,
     novels: Sequence["Novel"],
     passages: Sequence["Passage"],
-    annotations: Sequence["ActAnnotation"],
+    annotations: Sequence[ActAnnotation],
     prominence: dict[str, list[float]],
     k: int,
 ) -> dict:

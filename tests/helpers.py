@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from godspell.annotate import ActAnnotation
 from godspell.corpus import Author, Novel, Passage
+from godspell.records import ActAnnotation
 
 
 def make_novel(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from godspell.annotate import MockModel, ModelConfig, run_pipeline, write_annotations
+from godspell.annotate import MockModel, run_pipeline, write_annotations
 from godspell.corpus import segment_capped, word_tokenize
 from godspell.evaluation import krippendorff_alpha, prf
 from godspell.stats import pearson, t_cdf, ttest_ind

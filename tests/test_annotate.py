@@ -12,7 +12,6 @@ from godspell.annotate import (
     AnnotationCache,
     MalformedResponse,
     MockModel,
-    ModelConfig,
     OutputField,
     OutputSchema,
     PipelineError,
@@ -23,13 +22,14 @@ from godspell.annotate import (
     default_registry,
     load_registry,
     parse_response,
-    read_annotations,
     render_prompt,
     resolve_templates,
     run_pipeline,
     write_annotations,
 )
+from godspell.config import ModelConfig
 from godspell.corpus import Passage
+from godspell.records import read_annotations
 from oracles import check_annotation_invariants
 
 

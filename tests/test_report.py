@@ -5,17 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from godspell.report import (
-    DIR,
-    FILE,
-    FILES,
-    SETTINGS,
-    ConfigError,
-    figure_data,
-    fmt,
-    load_run_config,
-    markdown_summary,
-)
+from godspell.config import DIR, FILE, FILES, SETTINGS, ConfigError, load_run_config
+from godspell.report import figure_data, fmt, markdown_summary
 from godspell.stats import act_proportions
 
 from helpers import make_annotation, make_novel
