@@ -18,8 +18,11 @@ bit, so scipy is not needed at run time. Their pure-Python twins,
 ``gammaln_reference`` and ``digamma_reference``, are in the oracles too.
 
 The functions here take and return the standard library's ``array.array``
-and ``memoryview`` buffers, and numpy is never imported. A buffer handed to
-the kernel must hold its C type: ``items`` raises TypeError, naming the
+and ``memoryview`` buffers, and numpy is never imported. Every id, count,
+offset, bound and weight the kernel reads is int32 (typecode "i"), each
+matrix flat and row-major, so each function has one variant;
+``topics.TopicState`` says why no count wraps. A buffer handed to the
+kernel must hold its C type: ``items`` raises TypeError, naming the
 argument, for any other item format, and never casts (a cast would wrap or
 misread values). ``gammaln`` and ``digamma`` take an iterable of numbers
 and reject an argument that is not finite and positive with ValueError.
@@ -44,7 +47,6 @@ import hashlib
 import logging
 import operator
 import os
-import struct
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -100,9 +102,10 @@ int64_t randrange(uint32_t *mt, int64_t k, int64_t n, uint32_t *out)
 }
 
 /* words[i] = ids[words[i]] for each token, the tokens whose id is -1 dropped, in place,
-   and offsets rewritten to the kept tokens. Returns the kept count, or -1 before changing
-   anything when a word is outside [0, n_ids). */
-int64_t relabel(int64_t n_docs, int64_t *offsets, int32_t *words, const int32_t *ids,
+   and offsets rewritten to the kept tokens (a kept count never passes the offset it
+   replaces, so it fits int32). Returns the kept count, or -1 before changing anything
+   when a word is outside [0, n_ids). */
+int64_t relabel(int64_t n_docs, int32_t *offsets, int32_t *words, const int32_t *ids,
                 int64_t n_ids)
 {
     for (int64_t i = 0; i < offsets[n_docs]; i++)
@@ -111,13 +114,13 @@ int64_t relabel(int64_t n_docs, int64_t *offsets, int32_t *words, const int32_t 
     int64_t kept = 0, start = offsets[0];
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t end = offsets[d + 1];
-        offsets[d] = kept;
+        offsets[d] = (int32_t)kept;
         for (int64_t i = start; i < end; i++)
             if (ids[words[i]] >= 0)
                 words[kept++] = ids[words[i]];
         start = end;
     }
-    offsets[n_docs] = kept;
+    offsets[n_docs] = (int32_t)kept;
     return kept;
 }
 
@@ -127,11 +130,11 @@ int64_t relabel(int64_t n_docs, int64_t *offsets, int32_t *words, const int32_t 
    (a double counts exactly below 2**53); counts is v + n_novels zeros of scratch. A word
    missing from a novel gets inf or nan, which no token reads. The caller guarantees words
    in [0, v) and novel_of in [0, n_novels). */
-int64_t novel_ratios(int64_t n_docs, const int64_t *offsets, const int32_t *words,
-                     const int32_t *novel_of, int64_t n_novels, int64_t v, int64_t *counts,
+int64_t novel_ratios(int64_t n_docs, const int32_t *offsets, const int32_t *words,
+                     const int32_t *novel_of, int64_t n_novels, int64_t v, int32_t *counts,
                      double *ratio)
 {
-    int64_t *novel_len = counts + v;
+    int32_t *novel_len = counts + v;
     for (int64_t d = 0; d < n_docs; d++) {
         double *row = ratio + novel_of[d] * v;
         novel_len[novel_of[d]] += offsets[d + 1] - offsets[d];
@@ -152,7 +155,7 @@ int64_t novel_ratios(int64_t n_docs, const int64_t *offsets, const int32_t *word
    draw per token in token order; the kept tokens move forward in words and offsets are
    rewritten to them. Returns the kept count, or -1 before drawing when a token's entry is
    outside the n_ratio entries of ratio. */
-int64_t keep(uint32_t *mt, int64_t n_docs, int64_t *offsets, int32_t *words,
+int64_t keep(uint32_t *mt, int64_t n_docs, int32_t *offsets, int32_t *words,
              const int32_t *novel_of, int64_t v, const double *ratio, int64_t n_ratio)
 {
     for (int64_t d = 0; d < n_docs; d++)
@@ -164,20 +167,20 @@ int64_t keep(uint32_t *mt, int64_t n_docs, int64_t *offsets, int32_t *words,
     for (int64_t d = 0; d < n_docs; d++) {
         const double *row = ratio + novel_of[d] * v;
         int64_t end = offsets[d + 1];
-        offsets[d] = kept;
+        offsets[d] = (int32_t)kept;
         for (int64_t i = start; i < end; i++)
             if (random53(mt) < row[words[i]])
                 words[kept++] = words[i];
         start = end;
     }
-    offsets[n_docs] = kept;
+    offsets[n_docs] = (int32_t)kept;
     return kept;
 }
 
 /* Add each token, its topic in z, to the counts; -1 before counting when a word is
    outside [0, v) or a topic outside [0, k_topics). */
-int64_t count(int64_t n_docs, const int64_t *offsets, const int32_t *words, const int32_t *z,
-              int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw, int64_t *n_k)
+int64_t count(int64_t n_docs, const int32_t *offsets, const int32_t *words, const int32_t *z,
+              int64_t k_topics, int64_t v, int32_t *n_dk, int32_t *n_kw, int32_t *n_k)
 {
     for (int64_t i = 0; i < offsets[n_docs]; i++)
         if (words[i] < 0 || words[i] >= v || z[i] < 0 || z[i] >= k_topics)
@@ -195,9 +198,9 @@ int64_t count(int64_t n_docs, const int64_t *offsets, const int32_t *words, cons
    or word id is out of range, 2 for a negative count, 3 when a row of n_dk does not sum to
    its document's length, 4 when a row of n_kw does not sum to its topic's total, 5 when the
    totals do not sum to the token count, in that order; 0 when all hold. */
-int64_t check(int64_t n_docs, const int64_t *offsets, const int32_t *words, const int32_t *z,
-              int64_t k_topics, int64_t v, const int64_t *n_dk, const int32_t *n_kw,
-              const int64_t *n_k)
+int64_t check(int64_t n_docs, const int32_t *offsets, const int32_t *words, const int32_t *z,
+              int64_t k_topics, int64_t v, const int32_t *n_dk, const int32_t *n_kw,
+              const int32_t *n_k)
 {
     int64_t n = offsets[n_docs], total = 0;
     for (int64_t i = 0; i < n; i++)
@@ -230,9 +233,9 @@ int64_t check(int64_t n_docs, const int64_t *offsets, const int32_t *words, cons
     return total == n ? 0 : 5;
 }
 
-int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const int32_t *words,
-                    int32_t *z, int64_t k_topics, int64_t v, int64_t *n_dk, int32_t *n_kw,
-                    int64_t *n_k, const double *alpha, double beta, double vbeta, double *scratch)
+int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int32_t *offsets, const int32_t *words,
+                    int32_t *z, int64_t k_topics, int64_t v, int32_t *n_dk, int32_t *n_kw,
+                    int32_t *n_k, const double *alpha, double beta, double vbeta, double *scratch)
 {
     /* doc[k] = row[k] + alpha[k] and den[k] = n_k[k] + vbeta, kept beside cum and
        refreshed at entry t after each count changes: each term is the same double */
@@ -240,7 +243,7 @@ int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const 
     for (int64_t k = 0; k < k_topics; k++)
         den[k] = (double)n_k[k] + vbeta;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t *row = n_dk + d * k_topics;
+        int32_t *row = n_dk + d * k_topics;
         for (int64_t k = 0; k < k_topics; k++)
             doc[k] = (double)row[k] + alpha[k];
         for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
@@ -271,71 +274,74 @@ int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int64_t *offsets, const 
     return 0;
 }
 
-/* span_i, span_q: lo_hi = min(0, the least of x[0..n)), max(0, the greatest), as numpy's
-   min(initial=0) and max(initial=0). histogram_i, histogram_q: out[c * size + x]++ for
-   each x in column c of the (rows, cols) matrix x, or -1 before counting when an x is
-   outside [0, size). text_i, text_q: the decimal text of x[0..n) joined by ", ", as json
-   writes integers, into out, which has room for 24 bytes a value; returns its length. */
-#define INTEGER_FUNCTIONS(T, S)                                                         \
-    int64_t span_##S(const T *x, int64_t n, int64_t *lo_hi)                             \
-    {                                                                                   \
-        int64_t lo = 0, hi = 0;                                                         \
-        for (int64_t i = 0; i < n; i++) {                                               \
-            lo = x[i] < lo ? x[i] : lo;                                                 \
-            hi = x[i] > hi ? x[i] : hi;                                                 \
-        }                                                                               \
-        lo_hi[0] = lo;                                                                  \
-        lo_hi[1] = hi;                                                                  \
-        return 0;                                                                       \
-    }                                                                                   \
-    int64_t histogram_##S(const T *x, int64_t rows, int64_t cols, int64_t size,         \
-                          int64_t *out)                                                 \
-    {                                                                                   \
-        for (int64_t i = 0; i < rows * cols; i++)                                       \
-            if (x[i] < 0 || x[i] >= size)                                               \
-                return -1;                                                              \
-        for (int64_t r = 0; r < rows; r++)                                              \
-            for (int64_t c = 0; c < cols; c++)                                          \
-                out[c * size + x[r * cols + c]]++;                                      \
-        return 0;                                                                       \
-    }                                                                                   \
-    int64_t text_##S(const T *x, int64_t n, char *out)                                  \
-    {                                                                                   \
-        char *p = out;                                                                  \
-        for (int64_t i = 0; i < n; i++) {                                               \
-            char digits[20];                                                            \
-            int m = 0;                                                                  \
-            uint64_t u = x[i] < 0 ? -(uint64_t)x[i] : (uint64_t)x[i];                   \
-            if (i > 0) {                                                                \
-                *p++ = ',';                                                             \
-                *p++ = ' ';                                                             \
-            }                                                                           \
-            if (x[i] < 0)                                                               \
-                *p++ = '-';                                                             \
-            do                                                                          \
-                digits[m++] = (char)('0' + u % 10);                                     \
-            while (u /= 10);                                                            \
-            while (m > 0)                                                               \
-                *p++ = digits[--m];                                                     \
-        }                                                                               \
-        return p - out;                                                                 \
+/* lo_hi = min(0, the least of x[0..n)), max(0, the greatest), as numpy's min(initial=0)
+   and max(initial=0) */
+int64_t span(const int32_t *x, int64_t n, int32_t *lo_hi)
+{
+    int32_t lo = 0, hi = 0;
+    for (int64_t i = 0; i < n; i++) {
+        lo = x[i] < lo ? x[i] : lo;
+        hi = x[i] > hi ? x[i] : hi;
     }
-INTEGER_FUNCTIONS(int32_t, i)
-INTEGER_FUNCTIONS(int64_t, q)
+    lo_hi[0] = lo;
+    lo_hi[1] = hi;
+    return 0;
+}
 
-/* out[r] = the sum of row r of the (rows, cols) matrix m */
-int64_t row_sums(int64_t rows, int64_t cols, const int64_t *m, int64_t *out)
+/* out[c * size + x]++ for each x in column c of the (rows, cols) matrix x, or -1 before
+   counting when an x is outside [0, size) */
+int64_t histogram(const int32_t *x, int64_t rows, int64_t cols, int64_t size, int32_t *out)
+{
+    for (int64_t i = 0; i < rows * cols; i++)
+        if (x[i] < 0 || x[i] >= size)
+            return -1;
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c++)
+            out[c * size + x[r * cols + c]]++;
+    return 0;
+}
+
+/* the decimal text of x[0..n) joined by ", ", as json writes integers, into out, which has
+   room for 13 bytes a value; returns its length */
+int64_t text(const int32_t *x, int64_t n, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        char digits[10];
+        int m = 0;
+        uint32_t u = x[i] < 0 ? -(uint32_t)x[i] : (uint32_t)x[i];
+        if (i > 0) {
+            *p++ = ',';
+            *p++ = ' ';
+        }
+        if (x[i] < 0)
+            *p++ = '-';
+        do
+            digits[m++] = (char)('0' + u % 10);
+        while (u /= 10);
+        while (m > 0)
+            *p++ = digits[--m];
+    }
+    return p - out;
+}
+
+/* out[r] = the sum of row r of the (rows, cols) matrix m, added in int64; -1 when a sum
+   does not fit int32 */
+int64_t row_sums(int64_t rows, int64_t cols, const int32_t *m, int32_t *out)
 {
     for (int64_t r = 0; r < rows; r++) {
-        out[r] = 0;
+        int64_t sum = 0;
         for (int64_t c = 0; c < cols; c++)
-            out[r] += m[r * cols + c];
+            sum += m[r * cols + c];
+        if (sum < INT32_MIN || sum > INT32_MAX)
+            return -1;
+        out[r] = (int32_t)sum;
     }
     return 0;
 }
 
 /* out = numpy's (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + sum_alpha) */
-int64_t proportions(int64_t rows, int64_t k, const int64_t *n_dk, const double *alpha,
+int64_t proportions(int64_t rows, int64_t k, const int32_t *n_dk, const double *alpha,
                     double sum_alpha, double *out)
 {
     for (int64_t d = 0; d < rows; d++) {
@@ -348,21 +354,19 @@ int64_t proportions(int64_t rows, int64_t k, const int64_t *n_dk, const double *
     return 0;
 }
 
-/* The terms of a sum. Term i is weight[i] * table[at], the int64 weight cast to double
-   first (table[at] itself without weights); at is index[i] * width + i % width, row index[i]
-   and column i % width of the table as (size / width, width), for an int32 (index32) or
-   int64 (index64) index, and i itself without one. */
+/* The terms of a sum. Term i is weight[i] * table[at], the weight cast to double first
+   (table[at] itself without weights); at is index[i] * width + i % width, row index[i] and
+   column i % width of the table as (size / width, width), and i itself without an index. */
 struct terms {
     const double *table;
-    const int32_t *index32;
-    const int64_t *index64;
+    const int32_t *index;
     int64_t width;
-    const int64_t *weight;
+    const int32_t *weight;
 };
 
 static double term(const struct terms *t, int64_t i)
 {
-    int64_t at = t->index32 ? t->index32[i] : t->index64 ? t->index64[i] : i;
+    int64_t at = t->index ? t->index[i] : i;
     double x = t->table[t->width > 1 ? at * t->width + i % t->width : at];
     return t->weight ? (double)t->weight[i] * x : x;
 }
@@ -390,22 +394,20 @@ static double pairwise(const struct terms *t, int64_t lo, int64_t n)
    for each of the parts, of n terms in all; -1 before summing when the bounds are not in
    order within [0, n], or a term's entry is outside the size entries of the table (its
    row outside the size / width rows with an index) */
-int64_t pairwise_sums(const double *table, int64_t size, const int32_t *index32,
-                      const int64_t *index64, int64_t width, const int64_t *weight, int64_t n,
-                      int64_t parts, const int64_t *bounds, double *out)
+int64_t pairwise_sums(const double *table, int64_t size, const int32_t *index, int64_t width,
+                      const int32_t *weight, int64_t n, int64_t parts, const int32_t *bounds,
+                      double *out)
 {
-    struct terms t = {table, index32, index64, width, weight};
+    struct terms t = {table, index, width, weight};
     int64_t rows = size / width;
     for (int64_t p = 0; p < parts; p++) {
         if (bounds[p] < 0 || bounds[p] > bounds[p + 1] || bounds[p + 1] > n)
             return -1;
-        if (!index32 && !index64 && bounds[p + 1] > size)
+        if (!index && bounds[p + 1] > size)
             return -1;
-        for (int64_t i = bounds[p]; i < bounds[p + 1] && (index32 || index64); i++) {
-            int64_t row = index32 ? index32[i] : index64[i];
-            if (row < 0 || row >= rows)
+        for (int64_t i = bounds[p]; i < bounds[p + 1] && index; i++)
+            if (index[i] < 0 || index[i] >= rows)
                 return -1;
-        }
     }
     for (int64_t p = 0; p < parts; p++)
         out[p] = 0.0 + pairwise(&t, bounds[p], bounds[p + 1] - bounds[p]);
@@ -594,10 +596,9 @@ def _intact(path: Path) -> bool:
 SIGNATURES = {
     "randrange": "piip", "relabel": "ippip", "novel_ratios": "ipppiipp",
     "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiippp",
-    "gibbs_sweep": "pipppiippppddp", "span_i": "pip", "span_q": "pip",
-    "histogram_i": "piiip", "histogram_q": "piiip", "text_i": "pip", "text_q": "pip",
-    "row_sums": "iipp",
-    "proportions": "iippdp", "pairwise_sums": "pippipiipp", "gammaln": "ipp", "digamma": "ipp",
+    "gibbs_sweep": "pipppiippppddp", "span": "pip", "histogram": "piiip", "text": "pip",
+    "row_sums": "iipp", "proportions": "iippdp", "pairwise_sums": "pipipiipp", "gammaln": "ipp",
+    "digamma": "ipp",
 }
 
 
@@ -648,23 +649,17 @@ def kernel():
     return lib
 
 
-# the struct formats that hold each C type the kernel reads: on LP64 an int64 may be "l"
-_FORMATS = {"i": {"i"}, "q": {"q", "l"} if struct.calcsize("l") == 8 else {"q"}, "d": {"d"}}
-
-
-def items(name: str, buf, *codes: str) -> memoryview:
-    """buf's items as a flat memoryview of the first of codes (array
-    typecodes of the C types the kernel reads) that they hold. TypeError
-    naming name when buf is not a writable C-contiguous buffer of one of
-    them: never a cast, which would wrap or misread values."""
-    wanted = " or ".join(map(repr, codes))
+def items(name: str, buf, code: str) -> memoryview:
+    """buf's items as a flat memoryview of code, "i" (int32) or "d"
+    (double), the array typecode of the C type the kernel reads. TypeError
+    naming name when buf is not a writable C-contiguous buffer of that
+    code: never a cast, which would wrap or misread values."""
     try:
         view = memoryview(buf)
     except TypeError:
-        raise TypeError(f"{name} is not a buffer of {wanted} items") from None
-    code = next((c for c in codes if view.format in _FORMATS[c]), None)
-    if code is None or view.readonly or not view.c_contiguous:
-        raise TypeError(f"{name} must be a writable C-contiguous buffer of {wanted} items, "
+        raise TypeError(f"{name} is not a buffer of {code!r} items") from None
+    if view.format != code or view.readonly or not view.c_contiguous:
+        raise TypeError(f"{name} must be a writable C-contiguous buffer of {code!r} items, "
                         f"not of {view.format!r}")
     # a memoryview with a zero in its shape cannot be cast
     return view.cast("B").cast(code) if view.nbytes else memoryview(bytearray()).cast(code)
@@ -720,50 +715,51 @@ def randrange(rng, k: int, n: int) -> array.array:
 
 
 def span(values) -> tuple[int, int]:
-    """(min(0, the least), max(0, the greatest)) of an int32 or int64
-    buffer: numpy's min(initial=0) and max(initial=0)."""
-    values = items("values", values, "i", "q")
-    out = array.array("q", [0, 0])
-    getattr(kernel(), "span_" + values.format)(_address(values), len(values), _address(out))
+    """(min(0, the least), max(0, the greatest)) of an int32 buffer: numpy's
+    min(initial=0) and max(initial=0)."""
+    values = items("values", values, "i")
+    out = array.array("i", [0, 0])
+    kernel().span(_address(values), len(values), _address(out))
     return out[0], out[1]
 
 
 def histogram(values, size: int, cols: int = 1) -> array.array:
-    """How often each of 0..size-1 occurs in each column of an int32 or
-    int64 (rows, cols) matrix, given flat: column c's counts are
+    """How often each of 0..size-1 occurs in each column of an int32
+    (rows, cols) matrix, given flat: column c's counts are
     out[c * size:(c + 1) * size]. ValueError for a value outside [0, size)."""
-    values = items("values", values, "i", "q")
-    out = array.array("q", [0]) * (cols * size)
-    if getattr(kernel(), "histogram_" + values.format)(_address(values), len(values) // cols,
-                                                       cols, size, _address(out)):
+    values = items("values", values, "i")
+    out = array.array("i", [0]) * (cols * size)
+    if kernel().histogram(_address(values), len(values) // cols, cols, size, _address(out)):
         raise ValueError(f"histogram: a value is outside [0, {size})")
     return out
 
 
 def row_texts(values, rows: int) -> Iterator[str]:
-    """The JSON text of each row of an int32 or int64 (rows, cols) matrix,
-    given flat, without its brackets: the integers joined by ", "."""
-    values = items("values", values, "i", "q")
+    """The JSON text of each row of an int32 (rows, cols) matrix, given
+    flat, without its brackets: the integers joined by ", "."""
+    values = items("values", values, "i")
     cols = len(values) // rows
-    text = getattr(kernel(), "text_" + values.format)
-    out = bytearray(24 * cols)
+    text = kernel().text
+    out = bytearray(13 * cols)
     for r in range(rows):
         n = text(_address(values[r * cols:(r + 1) * cols]), cols, _address(out))
         yield out[:n].decode("ascii")
 
 
 def row_sums(matrix, cols: int) -> array.array:
-    """The sum of each row of an int64 (rows, cols) matrix, given flat."""
-    matrix = items("matrix", matrix, "q")
-    out = array.array("q", [0]) * (len(matrix) // cols)
-    kernel().row_sums(len(out), cols, _address(matrix), _address(out))
+    """The sum of each row of an int32 (rows, cols) matrix, given flat, as
+    int32; ValueError when one does not fit int32."""
+    matrix = items("matrix", matrix, "i")
+    out = array.array("i", [0]) * (len(matrix) // cols)
+    if kernel().row_sums(len(out), cols, _address(matrix), _address(out)):
+        raise ValueError("row_sums: a row's sum does not fit int32")
     return out
 
 
 def proportions(n_dk, alpha, sum_alpha: float) -> array.array:
     """numpy's (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + sum_alpha),
-    flat, for the int64 (D, K) counts n_dk given flat and K doubles alpha."""
-    n_dk, alpha = items("n_dk", n_dk, "q"), items("alpha", alpha, "d")
+    flat, for the int32 (D, K) counts n_dk given flat and K doubles alpha."""
+    n_dk, alpha = items("n_dk", n_dk, "i"), items("alpha", alpha, "d")
     out = array.array("d", [0.0]) * len(n_dk)
     kernel().proportions(len(n_dk) // len(alpha), len(alpha), _address(n_dk), _address(alpha),
                          sum_alpha, _address(out))
@@ -777,8 +773,8 @@ def pairwise_sums(table, bounds=None, *, index=None, weights=None,
     term i is table[index[i] * width + i % width], row index[i] and column
     i % width of the table taken as rows of width (table[i] without an
     index), times float(weights[i]) with weights. bounds default to one
-    part of every term. table holds doubles, an index int32 or int64, the
-    weights int64 (TypeError otherwise); ValueError when the bounds run past
+    part of every term. table holds doubles, an index and the weights int32
+    (TypeError otherwise); ValueError when the bounds run past
     the terms, an index points outside the table's rows, or width is not 1
     without an index or not positive with one."""
     if width < 1 or (index is None and width != 1):
@@ -786,19 +782,15 @@ def pairwise_sums(table, bounds=None, *, index=None, weights=None,
     table = items("table", table, "d")
     n = len(table)
     if index is not None:
-        index = items("index", index, "i", "q")
+        index = items("index", index, "i")
         n = len(index)
     if weights is not None:
-        weights = items("weights", weights, "q")
+        weights = items("weights", weights, "i")
         n = min(n, len(weights))
-    bounds = array.array("q", (0, n) if bounds is None else bounds)
+    bounds = array.array("i", (0, n) if bounds is None else bounds)
     out = array.array("d", [0.0]) * (len(bounds) - 1)
-    index32 = index64 = None
-    if index is not None and index.format == "i":
-        index32 = _address(index)
-    elif index is not None:
-        index64 = _address(index)
-    if kernel().pairwise_sums(_address(table), len(table), index32, index64, width,
+    if kernel().pairwise_sums(_address(table), len(table),
+                              None if index is None else _address(index), width,
                               None if weights is None else _address(weights), n, len(out),
                               _address(bounds), _address(out)):
         raise ValueError(f"pairwise_sums: a bound or an index is outside the {n} terms or "
@@ -807,11 +799,11 @@ def pairwise_sums(table, bounds=None, *, index=None, weights=None,
 
 
 def _documents(words, offsets, novel_of=None) -> tuple[memoryview, ...]:
-    """words (int32), the int64 offsets of the documents in them and, when
+    """words (int32), the int32 offsets of the documents in them and, when
     given, each document's int32 novel, checked before the kernel reads
     them: ValueError unless the offsets rise from 0 to len(words) and there
     is a novel for each document."""
-    views = [items("words", words, "i"), items("offsets", offsets, "q")]
+    views = [items("words", words, "i"), items("offsets", offsets, "i")]
     words, offsets = views
     if (not offsets or offsets[0] != 0 or offsets[-1] != len(words)
             or any(map(operator.gt, offsets, offsets[1:]))):
@@ -825,7 +817,7 @@ def _documents(words, offsets, novel_of=None) -> tuple[memoryview, ...]:
 
 def relabel(words, offsets, ids) -> int:
     """Replace each of the int32 words by its int32 id, in place, dropping
-    the words whose id is -1, with the int64 document offsets rewritten to
+    the words whose id is -1, with the int32 document offsets rewritten to
     the kept words. Returns how many are kept; ValueError, nothing changed,
     for documents that do not fit the words or a word outside [0, len(ids))."""
     words, offsets = _documents(words, offsets)
@@ -839,7 +831,7 @@ def relabel(words, offsets, ids) -> int:
 
 def novel_ratios(words, offsets, novel_of) -> tuple[array.array, int]:
     """(ratio, v): P(w) / P(w | novel g) at ratio[g * v + w] for the int32
-    words in documents at the int64 offsets, document d in novel novel_of[d]
+    words in documents at the int32 offsets, document d in novel novel_of[d]
     (int32), and v the largest word + 1. ValueError for a negative word or
     novel, or documents that do not fit the words."""
     words, offsets, novel_of = _documents(words, offsets, novel_of)
@@ -848,7 +840,7 @@ def novel_ratios(words, offsets, novel_of) -> tuple[array.array, int]:
         raise ValueError("novel_ratios: word and novel ids must be non-negative")
     v, n_novels = top + 1, last_novel + 1
     ratio = array.array("d", [0.0]) * (n_novels * v)
-    counts = array.array("q", [0]) * (v + n_novels)
+    counts = array.array("i", [0]) * (v + n_novels)
     kernel().novel_ratios(len(offsets) - 1, _address(offsets), _address(words),
                           _address(novel_of), n_novels, v, _address(counts), _address(ratio))
     return ratio, v
@@ -857,7 +849,7 @@ def novel_ratios(words, offsets, novel_of) -> tuple[array.array, int]:
 def keep(rng, words, offsets, novel_of, ratio, v: int) -> int:
     """Keep word i of document d when rng.random() < ratio[novel_of[d] * v +
     words[i]], one draw each, in order: the kept words move to the front of
-    words (int32) and the document offsets (int64) are rewritten to them.
+    words (int32) and the document offsets (int32) are rewritten to them.
     Returns how many are kept; ValueError, nothing drawn, for documents that
     do not fit the words, a word outside [0, v) or an entry outside ratio
     (doubles)."""
@@ -870,16 +862,15 @@ def keep(rng, words, offsets, novel_of, ratio, v: int) -> int:
     return kept
 
 
-# a TopicState's arrays as the kernel reads them: name, array typecode
-STATE_ARRAYS = (("offsets", "q"), ("words", "i"), ("z", "i"),
-                ("n_dk", "q"), ("n_kw", "i"), ("n_k", "q"))
+# a TopicState's int32 arrays in the order the kernel takes them
+STATE_ARRAYS = ("offsets", "words", "z", "n_dk", "n_kw", "n_k")
 
 
 def _arrays(state) -> tuple:
     """count's and check's arguments, which gibbs_sweep's repeat after mt: the addresses of
     state's arrays; TypeError naming a field whose items are not the kernel's C type."""
     offsets, words, z, n_dk, n_kw, n_k = (
-        _address(items(name, getattr(state, name), code)) for name, code in STATE_ARRAYS)
+        _address(items(name, getattr(state, name), "i")) for name in STATE_ARRAYS)
     return (len(state.offsets) - 1, offsets, words, z, int(state.k), int(state.vocabulary_size),
             n_dk, n_kw, n_k)
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .config import ModelConfig
 from .corpus import Passage
-from .records import ActAnnotation
+from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -285,14 +285,14 @@ def default_registry() -> "PromptRegistry":
         name="affect", version="v1", body=_affect_body(),
         schema=OutputSchema([
             OutputField("god_affect_explanation", "text"),
-            OutputField("god_affect", "enum", ("INDIVIDUAL", "GROUP")),
+            OutputField("god_affect", "enum", AFFECT_LABELS),
         ]),
     ))
     registry.register(PromptTemplate(
         name="impact", version="v1", body=_impact_body(),
         schema=OutputSchema([
             OutputField("god_impact_explanation", "text"),
-            OutputField("god_impact", "enum", ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")),
+            OutputField("god_impact", "enum", IMPACT_LABELS),
         ]),
     ))
     return registry

@@ -342,9 +342,13 @@ def write_passages(passages: list[Passage], path: Path | str) -> None:
 
 
 def read_passages(path: Path | str) -> list[Passage]:
+    """ValueError naming the file and the line of a line that is not a passage."""
     passages = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                passages.append(Passage(**json.loads(line)))
+                try:
+                    passages.append(Passage(**json.loads(line)))
+                except (ValueError, TypeError) as e:
+                    raise ValueError(f"{path} line {number} is not a passage: {e}") from None
     return passages

@@ -41,11 +41,16 @@ class ActAnnotation:
 
 
 def read_annotations(path: Path | str) -> list[ActAnnotation]:
+    """Each line's annotation, its "passage" dropped; ValueError naming the
+    file and the line of a line that is not one."""
     annotations = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                d = json.loads(line)
-                d.pop("passage", None)
-                annotations.append(ActAnnotation(**d))
+                try:
+                    d = json.loads(line)
+                    d.pop("passage", None)
+                    annotations.append(ActAnnotation(**d))
+                except (ValueError, TypeError, AttributeError) as e:
+                    raise ValueError(f"{path} line {number} is not an annotation: {e}") from None
     return annotations

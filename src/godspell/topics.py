@@ -8,7 +8,8 @@ per-token pure Python or the numpy code it replaced: the same vocabulary
 and ids, the same kept tokens, topics and counts, the same RNG stream and
 so the same log-likelihood floats and ``state.json``. Each holds little of
 the corpus at once: documents are int32 memoryviews of one flat array,
-``n_kw`` is int32, and the state writer streams.
+every id, count and offset is int32 (``TopicState`` says why none wraps),
+the count matrices are flat, and the state writer streams.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
 only sampler, ``gibbs_sweep``, bitwise-identical to the oracles'
@@ -42,7 +43,7 @@ import operator
 import random
 import string
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -91,9 +92,9 @@ def _split(words: array.array, offsets: Sequence[int]) -> list[memoryview]:
 
 def _flat(docs: list[Sequence[int]]) -> tuple[array.array, array.array]:
     """docs (int32 views or sequences of ids) as one int32 token array and its
-    int64 offsets, (D + 1,)."""
+    int32 offsets, (D + 1,); OverflowError past 2**31 - 1 tokens."""
     words = array.array("i")
-    offsets = array.array("q", [0])
+    offsets = array.array("i", [0])
     for doc in docs:
         if isinstance(doc, memoryview) and doc.format == "i":
             words.frombytes(doc.cast("B"))
@@ -101,13 +102,6 @@ def _flat(docs: list[Sequence[int]]) -> tuple[array.array, array.array]:
             words.extend(doc)
         offsets.append(len(words))
     return words, offsets
-
-
-def _matrix(buf: array.array, cols: int) -> memoryview:
-    """buf as a (len(buf) // cols, cols) memoryview; a memoryview has no shape
-    with a zero in it, so an empty matrix is buf's empty flat view."""
-    view = memoryview(buf)
-    return view.cast("B").cast(buf.typecode, (len(buf) // cols, cols)) if buf else view
 
 
 def _docs_by_novel(doc_novels: list[str]) -> dict[str, list[int]]:
@@ -137,7 +131,7 @@ def build_vocabulary(
     # a form seen for the first time gets the next id, in order of appearance
     form_ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
     words = array.array("i")  # each token's form id, then its word id
-    offsets = array.array("q", [0])
+    offsets = array.array("i", [0])
     for seg in segments:
         words.extend(map(form_ids.__getitem__, seg.words))
         offsets.append(len(words))
@@ -207,21 +201,26 @@ class TopicState:
     order: document d's word ids and topic assignments are
     ``words[offsets[d]:offsets[d + 1]]`` and ``z[offsets[d]:offsets[d + 1]]``.
 
-    The arrays are the standard library's ``array.array``, the two count
-    matrices (rows, cols) memoryviews of one (an empty one is flat). The
-    kernel reads them through the buffer protocol, numpy arrays included,
-    and raises TypeError naming a field whose items are not of the C type
-    given here."""
+    Every field but the priors is a flat int32 ("i") ``array.array``; the
+    count matrices are row-major: n_dk[d * K + t] counts topic t in document
+    d, n_kw[t * V + w] word w in topic t. No count wraps: each is at most the
+    token count, an entry of the int32 offsets, which refuse 2**31
+    (``array('i').append`` raises OverflowError in ``_flat`` and
+    ``build_vocabulary``); ``init_state`` refuses D * K or K * V of 2**31, so
+    every flat index fits; and ``_sweep.row_sums`` refuses a row sum past
+    int32, of counts a caller set. The kernel reads the fields through the
+    buffer protocol, numpy arrays included, and raises TypeError naming a
+    field whose items are not of the C type given here."""
 
     k: int
     alpha: array.array       # (K,) doubles: asymmetric document-topic prior
     beta: float              # symmetric topic-word prior
-    offsets: array.array     # (D + 1,) int64 ("q") token offset of each document
-    words: array.array       # (N,) int32 ("i") word ids
-    z: array.array           # (N,) int32 ("i") topic assignments
-    n_dk: memoryview         # (D, K) int64 ("q") document-topic counts
-    n_kw: memoryview         # (K, V) int32 ("i") topic-word counts
-    n_k: array.array         # (K,) int64 ("q") topic totals
+    offsets: array.array     # (D + 1,) token offset of each document
+    words: array.array       # (N,) word ids
+    z: array.array           # (N,) topic assignments
+    n_dk: array.array        # (D * K,) document-topic counts
+    n_kw: array.array        # (K * V,) topic-word counts
+    n_k: array.array         # (K,) topic totals
     vocabulary_size: int
     rng_seed: int
     rng: random.Random = field(repr=False, default_factory=random.Random)
@@ -232,8 +231,8 @@ class TopicState:
         from . import _sweep
 
         k, v = self.k, self.vocabulary_size
-        arrays = {name: _sweep.items(name, getattr(self, name), code)
-                  for name, code in _sweep.STATE_ARRAYS}
+        arrays = {name: _sweep.items(name, getattr(self, name), "i")
+                  for name in _sweep.STATE_ARRAYS}
         offsets = arrays["offsets"]
         if (len(offsets) != len(docs) + 1 or offsets[0] != 0
                 or any(b - a != len(doc) for a, b, doc in zip(offsets, offsets[1:], docs))
@@ -258,11 +257,15 @@ def init_state(
 ) -> TopicState:
     """Assign every token a uniform random topic, drawn in token order,
     and build the counts; the priors start at DEFAULT_ALPHA_SUM / k and
-    DEFAULT_BETA."""
+    DEFAULT_BETA. ValueError, before anything is allocated, when the flat
+    counts would hold 2**31 or more entries."""
     from . import _sweep
 
     if not 1 <= k < 2**31:
         raise ValueError(f"k must be in [1, 2**31), not {k}")
+    if len(docs) * k >= 2**31 or k * vocabulary_size >= 2**31:
+        raise ValueError(f"D * K = {len(docs) * k} and K * V = {k * vocabulary_size} "
+                         f"must be below 2**31, the int32 counts' reach")
     rng = random.Random(rng_seed)
     words, offsets = _flat(docs)
     state = TopicState(
@@ -272,9 +275,9 @@ def init_state(
         offsets=offsets,
         words=words,
         z=_sweep.randrange(rng, k, len(words)),
-        n_dk=_matrix(array.array("q", [0]) * (len(docs) * k), k),
-        n_kw=_matrix(array.array("i", [0]) * (k * vocabulary_size), vocabulary_size),
-        n_k=array.array("q", [0]) * k,
+        n_dk=array.array("i", [0]) * (len(docs) * k),
+        n_kw=array.array("i", [0]) * (k * vocabulary_size),
+        n_k=array.array("i", [0]) * k,
         vocabulary_size=vocabulary_size,
         rng_seed=rng_seed,
         rng=rng,
@@ -306,11 +309,12 @@ def log_likelihood(state: TopicState) -> float:
     same order as ``ndarray.sum()`` of gammaln of the counts themselves (see
     ``log_likelihood_reference`` in tests/oracles.py). All its arguments go
     to gammaln in one call, and each term takes its slice. ValueError names
-    a negative count."""
+    a negative count, and is raised for a row of n_dk whose sum does not
+    fit int32."""
     from . import _sweep
 
     k, v, beta = state.k, state.vocabulary_size, state.beta
-    n_dk = _sweep.items("n_dk", state.n_dk, "q")
+    n_dk = _sweep.items("n_dk", state.n_dk, "i")
     n_kw = _sweep.items("n_kw", state.n_kw, "i")
     top = {}
     for name, counts in (("n_dk", n_dk), ("n_kw", n_kw)):
@@ -363,7 +367,7 @@ def _value_counts(counts: memoryview, cols: int = 1) -> list[tuple[list[int], ar
     for c in range(cols):
         column = hist[c * size:(c + 1) * size]
         columns.append((list(itertools.compress(range(size), column)),
-                        array.array("q", filter(None, column))))
+                        array.array("i", filter(None, column))))
     return columns
 
 
@@ -388,12 +392,12 @@ def optimize_alpha(
     from . import _sweep
 
     k_topics = state.k
-    n_dk = _sweep.items("n_dk", state.n_dk, "q")
+    n_dk = _sweep.items("n_dk", state.n_dk, "i")
     doc_lens = _sweep.row_sums(n_dk, k_topics)
     d_count = len(doc_lens)
     [(len_values, weights)] = _value_counts(doc_lens)
     topic_values = []
-    bounds = array.array("q", [0, len(weights)])
+    bounds = array.array("i", [0, len(weights)])
     for values, topic_weights in _value_counts(n_dk, k_topics):
         topic_values.append(values)
         weights.extend(topic_weights)
@@ -467,17 +471,16 @@ def optimize_beta(
 @dataclass
 class TopicSummary:
     log_likelihoods: list[float]
-    doc_topic: memoryview    # (D, K) doubles: smoothed topic proportions
+    doc_topic: array.array   # (D * K,) doubles, row-major: smoothed topic proportions
 
 
-def doc_topic_proportions(state: TopicState) -> memoryview:
-    """Smoothed (posterior-mean) per-document topic proportions, a (D, K)
-    memoryview of doubles."""
+def doc_topic_proportions(state: TopicState) -> array.array:
+    """Smoothed (posterior-mean) per-document topic proportions, (D * K,)
+    doubles, row-major."""
     from . import _sweep
 
     alpha = _sweep.items("alpha", state.alpha, "d")
-    return _matrix(_sweep.proportions(state.n_dk, alpha, _sweep.pairwise_sums(alpha)[0]),
-                   state.k)
+    return _sweep.proportions(state.n_dk, alpha, _sweep.pairwise_sums(alpha)[0])
 
 
 def train(
@@ -552,9 +555,9 @@ def save_state(
 ) -> None:
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
-    two matrices row by row: the counts of n_kw (int32 or int64) as the
-    kernel writes integers, the shares of doc_topic (doubles) through json's
-    text of each distinct one."""
+    two matrices row by row from their flat arrays: the int32 counts of n_kw
+    as the kernel writes integers, the shares of doc_topic (doubles) through
+    json's text of each distinct one."""
     from . import _sweep
 
     head = json.dumps({
@@ -580,14 +583,14 @@ def save_state(
         shares[key] = text
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f'{head[:-1]}, "n_kw": ')
-        _write_matrix(fh, _sweep.row_texts(_sweep.items("n_kw", state.n_kw, "i", "q"), k))
+        _write_rows(fh, _sweep.row_texts(_sweep.items("n_kw", state.n_kw, "i"), k))
         fh.write(', "doc_topic": ')
-        _write_matrix(fh, (", ".join(map(shares.__getitem__, bits[d * k:(d + 1) * k]))
-                           for d in range(len(bits) // k)))
+        _write_rows(fh, (", ".join(map(shares.__getitem__, bits[d * k:(d + 1) * k]))
+                         for d in range(len(bits) // k)))
         fh.write(f", {tail[1:]}")
 
 
-def _write_matrix(fh, rows: Iterable[str]) -> None:
+def _write_rows(fh, rows: Iterable[str]) -> None:
     """Write a JSON matrix, given the text of each row's items, with json's
     separators."""
     fh.write("[")
@@ -609,7 +612,7 @@ class LoadedTopicModel:
     log_likelihood: list[float]
 
 
-def _matrix_shape(path: Path | str, name: str, matrix, width: int, kinds: set[type]) -> tuple:
+def _shape(path: Path | str, name: str, matrix, width: int, kinds: set[type]) -> tuple:
     """(rows, columns) of a JSON matrix, a list of equally long lists of
     numbers of the given types; an empty list has width columns. ValueError
     naming path and name when the rows are not such lists or differ in length,
@@ -629,10 +632,10 @@ def _matrix_shape(path: Path | str, name: str, matrix, width: int, kinds: set[ty
 
 def load_state(path: Path | str) -> LoadedTopicModel:
     """Read a state file written by save_state; ValueError naming path if
-    it is not JSON or not a state file, if n_kw is not a matrix of integer
-    counts or doc_topic one of numbers, or if alpha, n_kw and doc_topic
-    disagree with k, the vocabulary and doc_novels. The matrices are the
-    lists json.loads gives."""
+    it is not JSON or not a state file, if it lacks a field (named too), if
+    n_kw is not a matrix of integer counts or doc_topic one of numbers, or
+    if alpha, n_kw and doc_topic disagree with k, the vocabulary and
+    doc_novels. The matrices are the lists json.loads gives."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -640,22 +643,16 @@ def load_state(path: Path | str) -> LoadedTopicModel:
     if (not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT
             or payload.get("version") != STATE_VERSION):
         raise ValueError(f"unrecognized topic state file: {path}")
-    model = LoadedTopicModel(
-        k=payload["k"],
-        alpha=payload["alpha"],
-        beta=payload["beta"],
-        seed=payload["seed"],
-        vocabulary=payload["vocabulary"],
-        n_kw=payload["n_kw"],
-        doc_topic=payload["doc_topic"],
-        doc_novels=payload["doc_novels"],
-        log_likelihood=payload["log_likelihood"],
-    )
+    names = [f.name for f in fields(LoadedTopicModel)]
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise ValueError(f"topic state {path} lacks the field {missing[0]!r}")
+    model = LoadedTopicModel(**{name: payload[name] for name in names})
     v, d = len(model.vocabulary), len(model.doc_novels)
     shapes = {
         "alpha": ((len(model.alpha),), (model.k,)),
-        "n_kw": (_matrix_shape(path, "n_kw", model.n_kw, v, {int}), (model.k, v)),
-        "doc_topic": (_matrix_shape(path, "doc_topic", model.doc_topic, model.k, {int, float}),
+        "n_kw": (_shape(path, "n_kw", model.n_kw, v, {int}), (model.k, v)),
+        "doc_topic": (_shape(path, "doc_topic", model.doc_topic, model.k, {int, float}),
                       (d, model.k)),
     }
     for name, (found, expected) in shapes.items():

@@ -223,8 +223,7 @@ def gibbs_sweep_reference(state) -> None:
 
 def count_views(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A ``topics.TopicState``'s n_dk, n_kw and n_k as numpy views, (D, K),
-    (K, V) and (K,), whose writes reach the state (an empty matrix is a
-    flat memoryview there)."""
+    (K, V) and (K,), of its flat int32 arrays, whose writes reach the state."""
     return (np.asarray(state.n_dk).reshape(-1, state.k),
             np.asarray(state.n_kw).reshape(state.k, state.vocabulary_size),
             np.asarray(state.n_k))
@@ -247,7 +246,7 @@ def pairwise_sums_reference(table, bounds=None, index=None, weights=None,
                             width: int = 1) -> list[float]:
     """``_sweep.pairwise_sums`` through numpy: for each part, ndarray.sum() of
     the part's terms, each weights[i] * table[index[i] * width + i % width]
-    (the int64 weights cast to float64 before the multiply), through the
+    (the int32 weights cast to float64 before the multiply), through the
     gathered and weighted arrays the kernel does without."""
     table = np.asarray(table, dtype=np.float64)
     if index is None:
@@ -462,10 +461,11 @@ def authorless_downsample_reference(
 
 def lda_log_likelihood_direct(n_dk, n_kw, n_k, alpha, beta: float) -> float:
     """Joint log p(words, assignments | alpha, beta), gammaln applied to
-    every count (of buffers or arrays; n_dk is taken as (-1, len(alpha)))."""
+    every count (of buffers or arrays, flat or not; n_dk is taken as
+    (-1, len(alpha)) and n_kw as (len(alpha), -1))."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    n_dk, n_kw, n_k = (np.asarray(n_dk).reshape(-1, len(alpha)), np.asarray(n_kw),
-                       np.asarray(n_k))
+    n_dk, n_kw, n_k = (np.asarray(n_dk).reshape(-1, len(alpha)),
+                       np.asarray(n_kw).reshape(len(alpha), -1), np.asarray(n_k))
     d_count = n_dk.shape[0]
     k, v = n_kw.shape
     sum_alpha = alpha.sum()
@@ -732,8 +732,8 @@ def save_state_reference(path, state, summary, vocabulary, doc_novels) -> None:
         "beta": state.beta,
         "seed": state.rng_seed,
         "vocabulary": vocabulary.words,
-        "n_kw": state.n_kw.tolist(),
-        "doc_topic": summary.doc_topic.tolist(),
+        "n_kw": np.asarray(state.n_kw).reshape(state.k, -1).tolist(),
+        "doc_topic": np.asarray(summary.doc_topic).reshape(-1, state.k).tolist(),
         "doc_novels": doc_novels,
         "log_likelihood": summary.log_likelihoods,
     }

@@ -1,6 +1,7 @@
 import hashlib
 import http.server
 import json
+import re
 import socket
 import threading
 import time
@@ -626,3 +627,13 @@ class TestAnnotationIO:
         write_annotations(annotations, path)
         loaded = read_annotations(path)
         assert loaded == annotations
+
+    @pytest.mark.parametrize("line", ['{"novel_id": "n1", "index": 0', '"ok"', '[1, 2]',
+                                      '{"novel_id": "n1", "index": 0}',
+                                      '{"novel_id": "n1", "index": 0, "status": "ok", "x": 1}'])
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text('{"novel_id": "n1", "index": 0, "status": "ok"}\n\n' + line + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3 is not an annotation")):
+            read_annotations(path)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -318,3 +319,13 @@ class TestPassageIO:
         write_passages(passages, path)
         loaded = read_passages(path)
         assert loaded == passages
+
+    @pytest.mark.parametrize("line", ['{"novel_id": "n1"', '["n1", 0]', '{"novel_id": "n1"}',
+                                      '{"novel_id": "n1", "extra": 1}'])
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "passages.jsonl"
+        write_passages(segment_capped(make_novel("n1"), _words(40, "w"), cap=150), path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3 is not a passage")):
+            read_passages(path)

@@ -4,6 +4,7 @@ compiled gammaln and digamma against scipy.special and their references,
 the error without a compiler, and the build cache."""
 
 import array
+import collections
 import json
 import logging
 import math
@@ -192,7 +193,7 @@ def kept(rng, ratio) -> int:
     """How many of one document's words 0..n-1, all of one novel, keep keeps
     against ratio, n entries: one rng.random() < ratio[i] for each, in order."""
     n = len(ratio)
-    words, offsets = array.array("i", range(n)), array.array("q", [0, n])
+    words, offsets = array.array("i", range(n)), array.array("i", [0, n])
     return _sweep.keep(rng, words, offsets, array.array("i", [0]), ratio, n)
 
 
@@ -222,7 +223,7 @@ def test_documents_that_do_not_fit_the_words_are_refused(compiled, offsets, nove
     words = array.array("i", [0, 1, 0, 1])
     rng = random.Random(1)
     before = rng.getstate()
-    offsets, novel_of = array.array("q", offsets), array.array("i", novel_of)
+    offsets, novel_of = array.array("i", offsets), array.array("i", novel_of)
     calls = [lambda: _sweep.keep(rng, words, offsets, novel_of, array.array("d", [1.0] * 2), 2),
              lambda: _sweep.novel_ratios(words, offsets, novel_of)]
     if len(novel_of) == len(offsets) - 1:
@@ -305,15 +306,13 @@ def float_bits(x) -> int:
 def test_gathered_sum_is_ndarray_sum_bitwise(compiled):
     """At every length through two levels of numpy's pairwise split; the
     terms' magnitudes spread over twelve orders, so another order of
-    addition shows in the last bits. An int64 index reads the same entries."""
+    addition shows in the last bits."""
     rng = np.random.default_rng(5)
     table = rng.standard_normal(997) * 10.0 ** rng.uniform(-6, 6, 997)
     for n in [*range(301), 1000, 8191, 8192, 8193]:
         index = rng.integers(0, len(table), n, dtype=np.int32)
         expected = float_bits(table[index].sum())
         assert float_bits(_sweep.pairwise_sums(table, index=index)[0]) == expected, n
-        wide = index.astype(np.int64)
-        assert float_bits(_sweep.pairwise_sums(table, index=wide)[0]) == expected, n
 
 
 SUM_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 1000, 8191, 8192, 8193]
@@ -322,12 +321,13 @@ SUM_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 127, 128, 129, 1000, 8191, 8192, 8193]
 @pytest.mark.parametrize("n", SUM_LENGTHS)
 def test_weighted_pairwise_sum_is_numpy_bitwise(compiled, n):
     """(weights * table[index]).sum() and its parts, as the optimisers take
-    them, against numpy's: the int64 weight is cast to double before the
-    multiply, and the products are added pairwise. The weights reach 2**40,
-    so a product rounds, and the table spreads over twelve orders."""
+    them, against numpy's: the int32 weight is cast to double before the
+    multiply, and the products are added pairwise. The weights reach
+    2**31 - 1, so a product rounds, and the table spreads over twelve
+    orders."""
     rng = np.random.default_rng(n)
     table = rng.standard_normal(n + 3) * 10.0 ** rng.uniform(-6, 6, n + 3)
-    weights = rng.integers(1, 2**40, n, dtype=np.int64)
+    weights = rng.integers(1, 2**31, n, dtype=np.int32)
     index = rng.integers(0, len(table), n, dtype=np.int32)
     bounds = sorted({0, n, *rng.integers(0, n + 1, 4).tolist()})
     cases = [(table[:n], {}), (table, {"index": index})]
@@ -344,9 +344,9 @@ def test_weighted_pairwise_sum_is_numpy_bitwise(compiled, n):
 @pytest.mark.parametrize("d, k", [(0, 3), (1, 1), (17, 5), (300, 65)])
 def test_pairwise_sum_by_column_is_numpy_bitwise(compiled, d, k):
     """log_likelihood's document-topic term: table (M + 1, K), flat, read at
-    (n_dk[d, t], t) for the int64 (D, K) counts, summed as the (D, K) array."""
+    (n_dk[d, t], t) for the int32 (D, K) counts, summed as the (D, K) array."""
     rng = np.random.default_rng(d * k)
-    n_dk = rng.integers(0, 40, (d, k), dtype=np.int64)
+    n_dk = rng.integers(0, 40, (d, k), dtype=np.int32)
     table = rng.standard_normal((41, k)) * 10.0 ** rng.uniform(-6, 6, (41, k))
     got = _sweep.pairwise_sums(table, index=n_dk, width=k)[0]
     assert float_bits(got) == float_bits(table[n_dk, np.arange(k)].sum())
@@ -382,21 +382,49 @@ def test_gathered_sum_index_outside_table_rejected(compiled, bad):
         _sweep.pairwise_sums(table, index=np.array([0], dtype=np.int32), width=0)
 
 
+def test_index_at_the_last_row_is_read(compiled):
+    """The last row of the table is inside it, with and without a width."""
+    table = np.arange(1.0, 9.0)
+    assert _sweep.pairwise_sums(table, index=np.array([7], dtype=np.int32)).tolist() == [8.0]
+    assert _sweep.pairwise_sums(table, index=np.array([3, 3], dtype=np.int32),
+                                width=2).tolist() == [15.0]
+
+
 def test_pairwise_sums_never_cast(compiled):
-    """An index is read as the int32 or int64 it holds: 2**32 + 1 is outside
-    the table, not entry 1. Any other item format is a TypeError naming the
-    argument, not a cast."""
+    """An index and weights are read as the int32 they must hold: any other
+    item format, int64 included, is a TypeError naming the argument, not a
+    cast, which would read 2**32 + 1 as entry 1."""
     table = np.arange(4.0)
-    with pytest.raises(ValueError, match="outside"):
-        _sweep.pairwise_sums(table, index=np.array([2**32 + 1], dtype=np.int64))
-    for name, kwargs in [("index", {"index": np.array([1], dtype=np.uint32)}),
+    for name, kwargs in [("index", {"index": np.array([2**32 + 1], dtype=np.int64)}),
+                         ("index", {"index": np.array([1], dtype=np.uint32)}),
                          ("index", {"index": np.array([1], dtype=np.int16)}),
                          ("index", {"index": [1]}),
-                         ("weights", {"weights": np.array([1, 1, 1, 1], dtype=np.int32)})]:
+                         ("weights", {"weights": np.array([1, 1, 1, 1], dtype=np.int64)})]:
         with pytest.raises(TypeError, match=name):
             _sweep.pairwise_sums(table, **kwargs)
     with pytest.raises(TypeError, match="table"):
         _sweep.pairwise_sums(np.arange(4.0, dtype=np.float32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(-2**31, 2**31 - 1),
+                                 st.sampled_from([-2**31, 2**31 - 1, 0])), max_size=50))
+def test_span_and_row_texts_at_the_int32_edges(compiled, values):
+    """span is min and max with 0, and a row's text is json's, for any int32."""
+    buf = array.array("i", values)
+    assert _sweep.span(buf) == (min([0, *values]), max([0, *values]))
+    assert list(_sweep.row_texts(buf, 1)) == [json.dumps(values)[1:-1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=st.integers(1, 4), size=st.integers(1, 9), data=st.data())
+def test_histogram_counts_each_column(compiled, cols, size, data):
+    values = data.draw(st.lists(st.integers(0, size - 1), max_size=12 * cols))
+    values = values[:len(values) - len(values) % cols]
+    hist = _sweep.histogram(array.array("i", values), size, cols)
+    for c in range(cols):
+        counts = collections.Counter(values[c::cols])
+        assert hist[c * size:(c + 1) * size].tolist() == [counts[x] for x in range(size)]
 
 
 def domain_parts():

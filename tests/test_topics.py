@@ -1,3 +1,4 @@
+import array
 import json
 import math
 import random
@@ -55,6 +56,11 @@ from oracles import (
 
 def seg(words, novel_id="n1"):
     return Segment(novel_id=novel_id, words=list(words))
+
+
+def rows(flat, cols: int) -> list[list]:
+    """A flat row-major matrix as the list of its rows."""
+    return [list(flat[i:i + cols]) for i in range(0, len(flat), cols)]
 
 
 class TestRngBridge:
@@ -245,8 +251,8 @@ class TestInitState:
         docs = [[rng.randrange(9) for _ in range(rng.randint(0, 20))] for _ in range(12)]
         state = init_state(docs, k=4, vocabulary_size=11, rng_seed=8)
         draws = random.Random(8)
-        n_dk = np.zeros((12, 4), dtype=np.int64)
-        n_kw = np.zeros((4, 11), dtype=np.int64)
+        n_dk = np.zeros((12, 4), dtype=np.int32)
+        n_kw = np.zeros((4, 11), dtype=np.int32)
         z = []
         for d, doc in enumerate(docs):
             for w in doc:
@@ -255,9 +261,9 @@ class TestInitState:
                 n_dk[d, topic] += 1
                 n_kw[topic, w] += 1
         assert state.z.tolist() == z
-        assert (state.n_kw.format, state.n_dk.format, state.n_k.typecode) == ("i", "q", "q")
-        assert np.array_equal(state.n_dk, n_dk)
-        assert np.array_equal(state.n_kw, n_kw)
+        assert {getattr(state, name).typecode for name in _sweep.STATE_ARRAYS} == {"i"}
+        assert np.array_equal(state.n_dk, n_dk.reshape(-1))
+        assert np.array_equal(state.n_kw, n_kw.reshape(-1))
         assert np.array_equal(state.n_k, n_kw.sum(axis=1))
         assert state.rng.getstate() == draws.getstate()
         assert state.words.tolist() == [w for doc in docs for w in doc]
@@ -273,9 +279,16 @@ class TestInitState:
         with pytest.raises(ValueError, match="word ids"):
             init_state([[0, bad, 2]], k=2, vocabulary_size=3, rng_seed=0)
 
+    @pytest.mark.parametrize("n_docs, vocabulary_size", [(2, 1), (1, 2)])
+    def test_flat_counts_past_int32_rejected(self, n_docs, vocabulary_size):
+        """D * K or K * V of 2**31 is refused before any array is made: the
+        K doubles of alpha alone would take 8 GiB."""
+        with pytest.raises(ValueError, match=r"must be below 2\*\*31"):
+            init_state([[0]] * n_docs, k=2**30, vocabulary_size=vocabulary_size, rng_seed=0)
+
     def test_no_documents(self):
         state = init_state([], k=3, vocabulary_size=2, rng_seed=0)
-        assert len(state.n_dk) == 0  # an empty matrix is a flat view
+        assert len(state.n_dk) == 0
         gibbs_sweep(state, [])
         assert state.n_k.tolist() == [0, 0, 0]
 
@@ -320,7 +333,7 @@ class TestGibbsSweep:
             gibbs_sweep(state, docs)
             state.validate(docs)
             for d, doc in enumerate(docs):
-                assert np.asarray(state.n_dk)[d].sum() == len(doc)
+                assert sum(state.n_dk[d * 3:(d + 1) * 3]) == len(doc)
 
     def test_corrupted_state_detected(self):
         docs = [[0, 1], [1, 1]]
@@ -368,8 +381,16 @@ class TestLogLikelihood:
         # a -1 would index the last entry of the table of its terms
         docs = [[0, 1, 1], [1, 1]]
         state = init_state(docs, k=2, vocabulary_size=3, rng_seed=0)
-        getattr(state, name)[1, 0] = -1
+        getattr(state, name)[2] = -1  # row 1, column 0 of n_dk; row 0, column 2 of n_kw
         with pytest.raises(ValueError, match=f"{name} holds a negative count"):
+            log_likelihood(state)
+
+    def test_row_sum_past_int32_rejected(self):
+        """A caller may set n_dk; a row whose sum does not fit int32 is refused
+        before any table is built."""
+        state = init_state([[0, 1]], k=2, vocabulary_size=2, rng_seed=0)
+        state.n_dk = array.array("i", [2**31 - 1, 1])
+        with pytest.raises(ValueError, match="does not fit int32"):
             log_likelihood(state)
 
     def test_no_documents(self):
@@ -380,10 +401,10 @@ class TestLogLikelihood:
 
 class TestOptimizeAlpha:
     def _state_with_counts(self, n_dk, alpha=None):
-        n_dk = np.array(n_dk, dtype=np.int64)
+        n_dk = np.array(n_dk, dtype=np.int32)
         docs = [[0] * int(row.sum()) for row in n_dk]
         state = init_state(docs, k=n_dk.shape[1], vocabulary_size=1, rng_seed=0)
-        state.n_dk = n_dk
+        state.n_dk = n_dk.reshape(-1)
         if alpha is not None:
             state.alpha = np.array(alpha, dtype=float)
         # rebuild consistent word counts for validation-free optimizer use
@@ -396,7 +417,7 @@ class TestOptimizeAlpha:
 
     def test_matches_numerical_maximizer(self):
         rng = np.random.RandomState(11)
-        n_dk = rng.randint(0, 25, size=(12, 2)).astype(np.int64)
+        n_dk = rng.randint(0, 25, size=(12, 2)).astype(np.int32)
         n_dk[0] += 1  # ensure nonempty docs
         state = self._state_with_counts(n_dk)
         # drive the update to its actual fixed point, then compare optima
@@ -407,7 +428,7 @@ class TestOptimizeAlpha:
     def test_alpha_stays_positive_over_rounds(self):
         rng = np.random.RandomState(23)
         for _ in range(100):
-            n_dk = rng.randint(0, 8, size=(6, 3)).astype(np.int64)
+            n_dk = rng.randint(0, 8, size=(6, 3)).astype(np.int32)
             n_dk[:, 2] = 0  # an unused topic must clamp, not die
             n_dk[0, 0] += 1
             state = self._state_with_counts(n_dk)
@@ -419,18 +440,18 @@ class TestOptimizeBeta:
     def test_uniform_counts_finite_positive(self):
         docs = [[0, 1, 2, 3]] * 4
         state = init_state(docs, k=2, vocabulary_size=4, rng_seed=1)
-        state.n_kw = np.full((2, 4), 5, dtype=np.int32)
-        state.n_k = state.n_kw.sum(axis=1)
+        state.n_kw = np.full(2 * 4, 5, dtype=np.int32)
+        state.n_k = np.full(2, 20, dtype=np.int32)
         beta = optimize_beta(state)
         assert math.isfinite(beta) and beta > 0
 
     def test_matches_numerical_maximizer(self):
         rng = np.random.RandomState(7)
-        n_kw = rng.randint(0, 30, size=(3, 8)).astype(np.int64)
+        n_kw = rng.randint(0, 30, size=(3, 8)).astype(np.int32)
         docs = [[0]]
         state = init_state(docs, k=3, vocabulary_size=8, rng_seed=0)
-        state.n_kw = n_kw.astype(np.int32)  # the kernel reads n_kw as int32
-        state.n_k = n_kw.sum(axis=1)
+        state.n_kw = n_kw.reshape(-1)
+        state.n_k = n_kw.sum(axis=1, dtype=np.int32)
         fixed_point = optimize_beta(state, tol=1e-12, max_iter=100_000)
         oracle = maximize_symmetric_beta(n_kw)
         assert abs(fixed_point - oracle) < 1e-4
@@ -541,14 +562,13 @@ class TestStateTypes:
     """The kernel reads a state's arrays as their C types and never casts:
     another item format is a TypeError that names the field."""
 
+    # int64 is the wrong type for every integer field
     @pytest.mark.parametrize("name, wrong", [
-        ("n_kw", lambda s: np.zeros((s.k, s.vocabulary_size), dtype=np.int64)),
-        ("n_dk", lambda s: np.zeros(np.asarray(s.n_dk).shape, dtype=np.int32)),
-        ("z", lambda s: np.asarray(s.z).astype(np.int64)),
-        ("offsets", lambda s: np.asarray(s.offsets).astype(np.int32)),
-        ("n_k", lambda s: np.asarray(s.n_k).astype(np.float64)),
+        *((name, lambda s, name=name: np.asarray(getattr(s, name)).astype(np.int64))
+          for name in _sweep.STATE_ARRAYS),
         ("alpha", lambda s: np.asarray(s.alpha).astype(np.float32)),
-        ("words", lambda s: list(s.words)),
+        pytest.param("n_k", lambda s: np.asarray(s.n_k).astype(np.float64), id="n_k-float64"),
+        pytest.param("words", lambda s: list(s.words), id="words-list"),
     ])
     def test_wrong_item_format_names_the_field(self, name, wrong):
         docs = [[0, 1, 2], [2, 2]]
@@ -645,8 +665,8 @@ class TestNovelProminence:
         docs = [[1, 1, 1, 1]] * 3
         state = init_state(docs, k=2, vocabulary_size=2, rng_seed=0)
         state.alpha = np.array([1e-12, 1e-12])
-        state.n_dk = np.array([[0, 4]] * 3, dtype=np.int64)
-        result = prominence_from_doc_topic(doc_topic_proportions(state).tolist(),
+        state.n_dk = np.array([0, 4] * 3, dtype=np.int32)
+        result = prominence_from_doc_topic(rows(doc_topic_proportions(state), 2),
                                            ["n1", "n1", "n1"])
         assert result["n1"][1] == pytest.approx(100.0, abs=1e-6)
 
@@ -661,7 +681,7 @@ class TestNovelProminence:
         state = init_state(docs, k=4, vocabulary_size=10, rng_seed=3)
         gibbs_sweep(state, docs)
         novels = [f"n{i % 3}" for i in range(12)]
-        doc_topic = doc_topic_proportions(state).tolist()
+        doc_topic = rows(doc_topic_proportions(state), 4)
         for row in prominence_from_doc_topic(doc_topic, novels).values():
             assert sum(row) == pytest.approx(100.0, abs=1e-6)
 
@@ -702,7 +722,7 @@ class TestNovelProminence:
         novels = [rng.choice(["a", "b", "c"]) for _ in docs]
         _, summary = train(docs, 6, k=1, sweeps=2, burn_in=0, optimize_interval=1,
                            rng_seed=1)
-        self.assert_bitwise_reference(summary.doc_topic.tolist(), novels)
+        self.assert_bitwise_reference(rows(summary.doc_topic, 1), novels)
 
     def test_bitwise_numpy_mean_of_golden_state(self):
         model = load_state(Path(__file__).parent / "golden" / "topics" / "state.json")
@@ -724,13 +744,13 @@ class TestStateIO:
         loaded = load_state(path)
         assert loaded.k == 2
         assert loaded.seed == 7
-        assert loaded.n_kw == state.n_kw.tolist()
-        assert loaded.doc_topic == summary.doc_topic.tolist()
+        assert loaded.n_kw == rows(state.n_kw, v)
+        assert loaded.doc_topic == rows(summary.doc_topic, 2)
         assert loaded.doc_novels == novels
         assert isinstance(loaded, LoadedTopicModel)
         assert loaded.vocabulary == vocab.words
         assert top_words(loaded.n_kw, loaded.vocabulary, 0, n=3) == top_words(
-            state.n_kw.tolist(), vocab.words, 0, n=3)
+            rows(state.n_kw, v), vocab.words, 0, n=3)
 
     @staticmethod
     def damaged_state(tmp_path, damage) -> Path:
@@ -793,6 +813,14 @@ class TestStateIO:
         with pytest.raises(ValueError, match=re.escape(message.format(path))):
             load_state(path)
 
+    @pytest.mark.parametrize("field", ["k", "alpha", "beta", "seed", "vocabulary", "n_kw",
+                                       "doc_topic", "doc_novels", "log_likelihood"])
+    def test_missing_field_named(self, tmp_path, field):
+        path = self.damaged_state(tmp_path, lambda p: p.pop(field))
+        with pytest.raises(ValueError, match=re.escape(f"topic state {path} lacks the field "
+                                                       f"{field!r}")):
+            load_state(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('{"format": "other", "version": 9}', encoding="utf-8")
@@ -816,12 +844,12 @@ class TestStateWriter:
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_awkward_values(self, tmp_path):
+        """Counts at the int32 edges and shares json writes oddly."""
         doc_topic = np.array([[0.25, 1e-05], [0.25, -0.0], [0.0, float("nan")],
                               [1.0, 2.0], [1 / 3, 1e22]])
-        for dtype in (np.int64, np.int32):
-            n_kw = np.array([[0, 257, 0, -2], [100_000, 0, 1, 256]], dtype=dtype)
-            self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["αβ", "naïve", "日本", "w"],
-                                   ["ñ", "a", "a", "b", "b"], alpha=np.array([0.1, 1e-05]))
+        n_kw = np.array([[0, 2**31 - 1, 0, -2**31], [100_000, 0, 1, 256]], dtype=np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, ["αβ", "naïve", "日本", "w"],
+                               ["ñ", "a", "a", "b", "b"], alpha=np.array([0.1, 1e-05]))
 
     def test_repeated_and_subnormal_shares(self, tmp_path):
         """Shares as a trained state repeats them, beside subnormal ones: each
@@ -837,10 +865,10 @@ class TestStateWriter:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_json_dumps(self, tmp_path_factory, k, v, d, data):
-        counts = st.one_of(st.integers(0, 3), st.integers(-3, 1000))
-        # init_state's counts are int32; load_state's are int64
+        counts = st.one_of(st.integers(0, 3), st.integers(-3, 1000),
+                           st.integers(-2**31, 2**31 - 1))
         n_kw = np.array(data.draw(st.lists(counts, min_size=k * v, max_size=k * v)),
-                        dtype=data.draw(st.sampled_from([np.int32, np.int64]))).reshape(k, v)
+                        dtype=np.int32).reshape(k, v)
         shares = st.one_of(
             st.sampled_from([0.0, -0.0, 1e-05, 1.0, 0.5, 1 / 3, float("nan"), 5e-324]),
             st.floats(),
