@@ -4,7 +4,8 @@ Stage 1 detects acts of God in a passage; stage 2 filters out generic
 supernatural events; a passage is positive only when both stages say YES.
 Two follow-up prompts characterize each detected act (who is affected,
 and whether the act is loving or punishing). All responses are
-schema-constrained JSON, parsed strictly, and cached for resume.
+schema-constrained JSON, cached for resume, and parsed strictly by
+``parse_response``, a cached entry as a fresh body.
 
 ``run_pipeline`` is the one entry point into the cascade.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .config import ModelConfig
-from .corpus import Passage
+from .corpus import _SENTENCE_RE, Passage
 from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
 
 log = logging.getLogger(__name__)
@@ -123,7 +124,8 @@ def render_prompt(template: PromptTemplate, text: str) -> str:
 
 
 def parse_response(raw: str, schema: OutputSchema) -> dict[str, str]:
-    """Strictly parse a JSON response body against the schema.
+    """Strictly parse a JSON response body (or a cache entry) against the
+    schema and return its schema fields, in schema order.
 
     Every schema field must be present; enum values match case-insensitively
     and normalize to canonical upper-case; extra fields are ignored.
@@ -132,12 +134,6 @@ def parse_response(raw: str, schema: OutputSchema) -> dict[str, str]:
         payload = json.loads(raw)
     except (json.JSONDecodeError, TypeError) as e:
         raise MalformedResponse(f"response is not valid JSON: {e}") from None
-    return _check_fields(payload, schema)
-
-
-def _check_fields(payload: object, schema: OutputSchema) -> dict[str, str]:
-    """Validate a decoded response (or a cache entry) against the schema and
-    return its schema fields, in schema order."""
     if not isinstance(payload, dict):
         raise MalformedResponse("response JSON is not an object")
     parsed = {}
@@ -421,15 +417,13 @@ class AnnotationCache:
     def _path(self, stage: str, key: str) -> Path:
         return self.directory / stage / f"{key}.json"
 
-    def get(self, stage: str, key: str) -> dict | None:
+    def get(self, stage: str, key: str) -> str | None:
+        """The entry's text, or None when there is no entry. Bytes that are
+        not UTF-8 read as U+FFFD, so such an entry fails to parse."""
         path = self._path(stage, key)
         if not path.is_file():
             return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as e:
-            log.warning("unreadable cache entry %s (%s); treating it as a miss", path, e)
-            return None
+        return path.read_text(encoding="utf-8", errors="replace")
 
     def put(self, stage: str, key: str, fields: dict) -> None:
         path = self._path(stage, key)
@@ -449,12 +443,12 @@ def _run_stage(
 ) -> tuple[dict[str, str], str]:
     """Execute (or look up) one stage; returns parsed fields and cache key.
 
-    A cache entry that does not match the stage's schema counts as a miss."""
+    A cache entry that parse_response rejects counts as a miss."""
     key = cache_key(config.model, template, text, stage)
     cached = cache.get(stage, key)
     if cached is not None:
         try:
-            return _check_fields(cached, template.schema), key
+            return parse_response(cached, template.schema), key
         except MalformedResponse as e:
             log.warning("cache entry %s/%s is malformed (%s); treating it as a miss",
                         stage, key, e)
@@ -625,7 +619,7 @@ class MockModel:
                 "act_description": "NONE",
                 "affected_description": "NONE",
             }
-        sentences = re.split(r"(?<=[.!?])\s+", text)
+        sentences = _SENTENCE_RE.split(text)
         acting = next((s for s in sentences if _MOCK_GOD_RE.search(s)), text)
         return {
             "explanation": "An action in the passage is ascribed to God.",

@@ -51,7 +51,11 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 
 def _load_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+    """The JSON value in path; ValueError naming path if it is not JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
 
 
 def _require_artifact(path: Path, produced_by: str) -> Path:
@@ -128,7 +132,7 @@ def cmd_topics_train(config: RunConfig) -> None:
     from . import topics
 
     vocab, docs, doc_novels = _topic_docs(config)
-    state, summary = topics.train(
+    state, log_likelihoods = topics.train(
         docs,
         vocab.size,
         k=config.topics_k,
@@ -141,10 +145,10 @@ def cmd_topics_train(config: RunConfig) -> None:
     del docs  # the state holds its own copy of the words
     topics_dir = config.output_dir / "topics"
     topics_dir.mkdir(parents=True, exist_ok=True)
-    topics.save_state(topics_dir / "state.json", state, summary, vocab, doc_novels)
+    topics.save_state(topics_dir / "state.json", state, log_likelihoods, vocab, doc_novels)
     print(
         f"trained K={config.topics_k} on {n_docs} segments "
-        f"(V={vocab.size}, final log-likelihood {summary.log_likelihoods[-1]:.2f})"
+        f"(V={vocab.size}, final log-likelihood {log_likelihoods[-1]:.2f})"
     )
 
 
@@ -153,10 +157,10 @@ def cmd_topics_inspect(config: RunConfig) -> None:
 
     state_path = _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     model = topics.load_state(state_path)
-    words = model.vocabulary
-    top = [topics.top_words(model.n_kw, words, k) for k in range(model.k)]
+    words, n_kw = model["vocabulary"], model["n_kw"]
+    top = [topics.top_words(n_kw, words, k) for k in range(model["k"])]
     rows = [
-        [k, rank, words[w], model.n_kw[k][w]]
+        [k, rank, words[w], n_kw[k][w]]
         for k, ids in enumerate(top)
         for rank, w in enumerate(ids, start=1)
     ]
@@ -268,13 +272,16 @@ def cmd_stats(config: RunConfig) -> None:
     model = topics.load_state(
         _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     )
-    analysis = _load_json(config.analysis_path) if config.analysis_path else {}
+    try:
+        analysis = _load_json(config.analysis_path) if config.analysis_path else {}
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     prominence = topics.prominence_from_doc_topic(
-        model.doc_topic, model.doc_novels, [n.id for n in loaded.novels]
+        model["doc_topic"], model["doc_novels"], [n.id for n in loaded.novels]
     )
     try:
         payload = stats.analyze(analysis, loaded.novels, passages, annotations, prominence,
-                                model.k)
+                                model["k"])
     except stats.AnalysisError as e:
         raise ConfigError(f"{config.analysis_path}: {e}") from None
     if config.topic_labels_path is not None:

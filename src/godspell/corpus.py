@@ -37,13 +37,6 @@ class Author:
 
 
 @dataclass
-class AwardEntry:
-    category: str
-    status: str
-    award_year: int
-
-
-@dataclass
 class Novel:
     id: str
     title: str
@@ -51,7 +44,7 @@ class Novel:
     publisher: str
     year: int
     series_tag: str | None
-    awards: list[AwardEntry]
+    awards: list[dict]               # {"category", "status", "award_year"}
     source_path: Path
 
     def gender_group(self) -> str:
@@ -154,7 +147,7 @@ def _parse_row(row: dict, row_number: int, base_dir: Path) -> Novel:
         if status not in AWARD_STATUSES:
             raise bad(f"unrecognized award status {status!r}")
         try:
-            awards.append(AwardEntry(cat, status, int(ystr)))
+            awards.append({"category": cat, "status": status, "award_year": int(ystr)})
         except ValueError:
             raise bad(f"award_year {ystr!r} is not an integer") from None
 
@@ -250,16 +243,15 @@ def segment_capped(novel: Novel, text: str, cap: int) -> list[Passage]:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    total_words = len(word_tokenize(text))
-    if total_words == 0:
-        return []
-
     units: list[tuple[int, str, int]] = []
     for para_id, paragraph in enumerate(_PARAGRAPH_RE.split(text)):
         paragraph = paragraph.strip()
         if not paragraph:
             continue
         units.extend(_paragraph_units(paragraph, para_id, cap))
+    # the paragraph and sentence splits cut only at whitespace, so every
+    # word of the text lies in exactly one unit
+    total_words = sum(unit[2] for unit in units)
 
     passages: list[Passage] = []
     current: list[tuple[int, str, int]] = []

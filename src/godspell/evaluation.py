@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import read_csv
-from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
+from .records import FACETS, ActAnnotation
 
 RELIABILITY_LABELS = ("YES", "MAYBE", "NO")
 Judgments = dict[str, dict[str, str]]
@@ -206,15 +206,14 @@ def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
     id -> human label. A file with no rows, a passage checked twice, or a
     label outside its facet's, is an error."""
-    allowed = {"affect": AFFECT_LABELS, "impact": IMPACT_LABELS}
-    human: dict[str, dict[str, str]] = {facet: {} for facet in allowed}
+    human: dict[str, dict[str, str]] = {facet: {} for facet in FACETS}
     for row in read_csv(path, ("passage_id", *human)):
         ref = row["passage_id"].strip()
         if ref in human["affect"]:
             raise ValueError(f"passage {ref!r} spot-checked twice in {path}")
         for facet, labels in human.items():
             labels[ref] = row[facet].strip().upper()
-            if labels[ref] not in allowed[facet]:
+            if labels[ref] not in FACETS[facet]:
                 raise ValueError(f"unrecognized {facet} label {row[facet]!r} in {path}")
     if not human["affect"]:
         raise ValueError(f"empty spot-check set in {path}")

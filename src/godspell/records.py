@@ -1,7 +1,8 @@
 """The annotation records the later commands read: `ActAnnotation`, the
 cascade's verdict for one passage, `read_annotations` for annotations.jsonl,
-and the label sets of the characterization prompts. `eval` and `stats`
-read annotations through this module alone, so neither loads the cascade.
+and `FACETS`, the label sets of the characterization prompts by facet.
+`eval` and `stats` read annotations through this module alone, so neither
+loads the cascade.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from pathlib import Path
 
 AFFECT_LABELS = ("INDIVIDUAL", "GROUP")
 IMPACT_LABELS = ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")
+# each characterization facet, an ActAnnotation field, -> its labels
+FACETS = {"affect": AFFECT_LABELS, "impact": IMPACT_LABELS}
 
 
 @dataclass

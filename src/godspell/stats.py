@@ -16,7 +16,7 @@ import math
 from typing import Callable, Sequence
 
 from .corpus import Novel, Passage, passage_statistics
-from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
+from .records import FACETS, ActAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -254,9 +254,10 @@ def position_density(
 
 
 def characterization_shares(annotations: Sequence[ActAnnotation]) -> dict:
-    """Per-novel shares of affect and impact labels among YES acts (label ->
-    novel id -> share), plus corpus-level aggregates (label -> share).
-    Novels without YES acts are excluded."""
+    """For each facet of FACETS, per-novel shares of its labels among YES
+    acts (per_novel_<facet>: label -> novel id -> share), plus corpus-level
+    aggregates (corpus_<facet>: label -> share). Novels without YES acts are
+    excluded."""
     acts: dict[str, list] = {}
     for ann in annotations:
         if ann.is_act:
@@ -266,29 +267,18 @@ def characterization_shares(annotations: Sequence[ActAnnotation]) -> dict:
     for novel_id in sorted(all_ids - set(acts)):
         log.warning("novel %s has no YES acts; excluded from characterization shares", novel_id)
 
-    affect: dict[str, dict[str, float]] = {label: {} for label in AFFECT_LABELS}
-    impact: dict[str, dict[str, float]] = {label: {} for label in IMPACT_LABELS}
-    for novel_id, novel_acts in acts.items():
-        n = len(novel_acts)
-        for label in AFFECT_LABELS:
-            affect[label][novel_id] = sum(1 for a in novel_acts if a.affect == label) / n
-        for label in IMPACT_LABELS:
-            impact[label][novel_id] = sum(1 for a in novel_acts if a.impact == label) / n
+    def share(group: list, facet: str, label: str) -> float:
+        return sum(1 for a in group if getattr(a, facet) == label) / len(group) if group else 0.0
 
     flat = [a for group in acts.values() for a in group]
-    total = len(flat)
-    return {
-        "per_novel_affect": affect,
-        "per_novel_impact": impact,
-        "corpus_affect": {
-            label: (sum(1 for a in flat if a.affect == label) / total if total else 0.0)
-            for label in AFFECT_LABELS
-        },
-        "corpus_impact": {
-            label: (sum(1 for a in flat if a.impact == label) / total if total else 0.0)
-            for label in IMPACT_LABELS
-        },
-    }
+    shares = {}
+    for facet, labels in FACETS.items():
+        shares[f"per_novel_{facet}"] = {
+            label: {novel_id: share(group, facet, label) for novel_id, group in acts.items()}
+            for label in labels
+        }
+        shares[f"corpus_{facet}"] = {label: share(flat, facet, label) for label in labels}
+    return shares
 
 
 class AnalysisError(ValueError):
@@ -384,7 +374,7 @@ def analyze(
             values = topic_values(_topic_index(spec["topic"]))
         elif kind == "characterization":
             facet, label = spec["facet"], spec["label"]
-            if facet not in ("affect", "impact"):
+            if facet not in FACETS:
                 raise ValueError(f"unknown characterization facet {facet!r}")
             table = characterization[f"per_novel_{facet}"]
             if not isinstance(label, str) or label.upper() not in table:

@@ -27,8 +27,8 @@ first use into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``),
 so ``topics-train`` needs a C compiler: without one, the first kernel call
 raises ``_sweep.BuildError``. Reading a saved state (``load_state``, and so
 ``topics-inspect`` and ``stats``) needs no compiler: ``load_state`` returns
-the matrices as the lists ``json.loads`` gives, and
-``prominence_from_doc_topic`` averages those rows in plain Python.
+the fields of ``state.json`` as the dict ``json.loads`` gives, and
+``prominence_from_doc_topic`` averages the doc_topic rows in plain Python.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import operator
 import random
 import string
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -102,14 +102,6 @@ def _flat(docs: list[Sequence[int]]) -> tuple[array.array, array.array]:
             words.extend(doc)
         offsets.append(len(words))
     return words, offsets
-
-
-def _docs_by_novel(doc_novels: list[str]) -> dict[str, list[int]]:
-    """Novel id -> the indices of its documents, novels in order of first appearance."""
-    rows: dict[str, list[int]] = {}
-    for i, novel_id in enumerate(doc_novels):
-        rows.setdefault(novel_id, []).append(i)
-    return rows
 
 
 def build_vocabulary(
@@ -376,11 +368,7 @@ FIXED_POINT_TOL = 1e-5
 FIXED_POINT_MAX_ITER = 1000
 
 
-def optimize_alpha(
-    state: TopicState,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-) -> array.array:
+def optimize_alpha(state: TopicState) -> array.array:
     """Maximum-likelihood fixed-point update of the asymmetric alpha prior
     using histograms of topic counts and document lengths.
 
@@ -405,7 +393,7 @@ def optimize_alpha(
     n_terms = len(weights)
 
     alpha = array.array("d", state.alpha)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         sum_alpha = _sweep.pairwise_sums(alpha)[0]
         psi = _sweep.digamma(itertools.chain(
             [n + sum_alpha for n in len_values],
@@ -423,17 +411,13 @@ def optimize_alpha(
         new_alpha = array.array("d", [max(a, ALPHA_FLOOR) for a in new_alpha])
         rel_change = max(abs(new - old) / old for new, old in zip(new_alpha, alpha))
         alpha = new_alpha
-        if rel_change < tol:
+        if rel_change < FIXED_POINT_TOL:
             break
     state.alpha = alpha
     return alpha
 
 
-def optimize_beta(
-    state: TopicState,
-    tol: float = FIXED_POINT_TOL,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-) -> float:
+def optimize_beta(state: TopicState) -> float:
     """Maximum-likelihood fixed point for the symmetric beta prior over
     the topic-word counts. Each iteration takes digamma in one call, over
     the counts plus beta, the topic totals plus V * beta, beta and V * beta."""
@@ -446,7 +430,7 @@ def optimize_beta(
     n_words = len(word_values)
 
     beta = state.beta
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         psi = _sweep.digamma(itertools.chain(
             [n + beta for n in word_values], [n + v * beta for n in topic_totals],
             [beta, v * beta]))
@@ -462,16 +446,10 @@ def optimize_beta(
         new_beta = max(new_beta, ALPHA_FLOOR)
         rel_change = abs(new_beta - beta) / beta
         beta = new_beta
-        if rel_change < tol:
+        if rel_change < FIXED_POINT_TOL:
             break
     state.beta = beta
     return beta
-
-
-@dataclass
-class TopicSummary:
-    log_likelihoods: list[float]
-    doc_topic: array.array   # (D * K,) doubles, row-major: smoothed topic proportions
 
 
 def doc_topic_proportions(state: TopicState) -> array.array:
@@ -491,13 +469,13 @@ def train(
     burn_in: int,
     optimize_interval: int,
     rng_seed: int,
-) -> tuple[TopicState, TopicSummary]:
-    """Run collapsed Gibbs sampling with periodic hyperparameter updates.
+) -> tuple[TopicState, list[float]]:
+    """Run collapsed Gibbs sampling with periodic hyperparameter updates:
+    the final state and the log-likelihood after each sweep.
 
     Hyperparameters are re-estimated every optimize_interval sweeps once
     past burn_in. Deterministic given rng_seed. The count identities are
-    checked before every sweep and once more on the final state.
-    """
+    checked before every sweep and once more on the final state."""
     state = init_state(docs, k, vocabulary_size, rng_seed=rng_seed)
     lls = []
     for sweep in range(1, sweeps + 1):
@@ -507,7 +485,7 @@ def train(
             optimize_alpha(state)
             optimize_beta(state)
     state.validate(docs)
-    return state, TopicSummary(log_likelihoods=lls, doc_topic=doc_topic_proportions(state))
+    return state, lls
 
 
 def top_words(n_kw: Sequence[Sequence[int]], words: list[str], k: int, n: int = 10) -> list[int]:
@@ -533,7 +511,9 @@ def prominence_from_doc_topic(
     ``100.0 * doc_topic[ids].mean(axis=0)`` for K >= 2 (a single column numpy
     sums pairwise, but a trained K = 1 state's shares are all 1.0, whose sum
     is exact in any order)."""
-    rows = _docs_by_novel(doc_novels)
+    rows: dict[str, list[int]] = {}  # novel id -> the indices of its documents
+    for i, novel_id in enumerate(doc_novels):
+        rows.setdefault(novel_id, []).append(i)
     for novel_id in all_novel_ids or ():
         if novel_id not in rows:
             log.warning("novel %s has no segments; excluded from prominence", novel_id)
@@ -549,15 +529,15 @@ def prominence_from_doc_topic(
 def save_state(
     path: Path | str,
     state: TopicState,
-    summary: TopicSummary,
+    log_likelihoods: list[float],
     vocabulary: Vocabulary,
     doc_novels: list[str],
 ) -> None:
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
-    two matrices row by row from their flat arrays: the int32 counts of n_kw
-    as the kernel writes integers, the shares of doc_topic (doubles) through
-    json's text of each distinct one."""
+    two matrices row by row: the int32 counts of n_kw as the kernel writes
+    integers, the doc_topic_proportions (doubles) through json's text of
+    each distinct one."""
     from . import _sweep
 
     head = json.dumps({
@@ -571,12 +551,12 @@ def save_state(
     }, ensure_ascii=False)
     tail = json.dumps({
         "doc_novels": doc_novels,
-        "log_likelihood": summary.log_likelihoods,
+        "log_likelihood": log_likelihoods,
     }, ensure_ascii=False)
     k = state.k
     # json's text of each distinct share, keyed by its bits, so that -0.0 and
     # each nan keep their own
-    bits = _sweep.items("doc_topic", summary.doc_topic, "d").cast("B").cast("q")
+    bits = _sweep.items("doc_topic", doc_topic_proportions(state), "d").cast("B").cast("q")
     shares = dict.fromkeys(bits)
     texts = json.dumps(array.array("d", array.array("q", shares).tobytes()).tolist())
     for key, text in zip(shares, texts[1:-1].split(", ")):
@@ -599,17 +579,13 @@ def _write_rows(fh, rows: Iterable[str]) -> None:
     fh.write("]")
 
 
-@dataclass
-class LoadedTopicModel:
-    k: int
-    alpha: list[float]
-    beta: float
-    seed: int
-    vocabulary: list[str]
-    n_kw: list[list[int]]
-    doc_topic: list[list[float]]
-    doc_novels: list[str]
-    log_likelihood: list[float]
+# each field of a state file -> the types json.loads may give it (a bool is
+# not a number)
+STATE_FIELDS = {"k": (int,), "alpha": (list,), "beta": (int, float), "seed": (int,),
+                "vocabulary": (list,), "n_kw": (list,), "doc_topic": (list,),
+                "doc_novels": (list,), "log_likelihood": (list,)}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a float", bool: "a boolean", type(None): "null"}
 
 
 def _shape(path: Path | str, name: str, matrix, width: int, kinds: set[type]) -> tuple:
@@ -630,12 +606,12 @@ def _shape(path: Path | str, name: str, matrix, width: int, kinds: set[type]) ->
     return (len(matrix), widths[0] if widths else width)
 
 
-def load_state(path: Path | str) -> LoadedTopicModel:
-    """Read a state file written by save_state; ValueError naming path if
-    it is not JSON or not a state file, if it lacks a field (named too), if
-    n_kw is not a matrix of integer counts or doc_topic one of numbers, or
-    if alpha, n_kw and doc_topic disagree with k, the vocabulary and
-    doc_novels. The matrices are the lists json.loads gives."""
+def load_state(path: Path | str) -> dict:
+    """The STATE_FIELDS of a state file written by save_state, as json.loads
+    gives them. ValueError naming path if it is not JSON or not a state
+    file, if a field is missing or of another type (named too), if n_kw
+    is not a matrix of integer counts or doc_topic one of numbers, or if
+    alpha, n_kw and doc_topic disagree with k, the vocabulary and doc_novels."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -643,17 +619,20 @@ def load_state(path: Path | str) -> LoadedTopicModel:
     if (not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT
             or payload.get("version") != STATE_VERSION):
         raise ValueError(f"unrecognized topic state file: {path}")
-    names = [f.name for f in fields(LoadedTopicModel)]
-    missing = [name for name in names if name not in payload]
+    missing = [name for name in STATE_FIELDS if name not in payload]
     if missing:
         raise ValueError(f"topic state {path} lacks the field {missing[0]!r}")
-    model = LoadedTopicModel(**{name: payload[name] for name in names})
-    v, d = len(model.vocabulary), len(model.doc_novels)
+    model = {name: payload[name] for name in STATE_FIELDS}
+    for name, kinds in STATE_FIELDS.items():
+        if type(model[name]) not in kinds:
+            expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+            raise ValueError(f"topic state {path}: {name} is {_JSON_TYPES[type(model[name])]}, "
+                             f"not {expected}")
+    k, v, d = model["k"], len(model["vocabulary"]), len(model["doc_novels"])
     shapes = {
-        "alpha": ((len(model.alpha),), (model.k,)),
-        "n_kw": (_shape(path, "n_kw", model.n_kw, v, {int}), (model.k, v)),
-        "doc_topic": (_shape(path, "doc_topic", model.doc_topic, model.k, {int, float}),
-                      (d, model.k)),
+        "alpha": ((len(model["alpha"]),), (k,)),
+        "n_kw": (_shape(path, "n_kw", model["n_kw"], v, {int}), (k, v)),
+        "doc_topic": (_shape(path, "doc_topic", model["doc_topic"], k, {int, float}), (d, k)),
     }
     for name, (found, expected) in shapes.items():
         if found != expected:

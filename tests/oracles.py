@@ -721,9 +721,9 @@ def prominence_reference(doc_topic, doc_novels: list[str]) -> dict[str, list[flo
             for novel_id, ids in rows.items()}
 
 
-def save_state_reference(path, state, summary, vocabulary, doc_novels) -> None:
+def save_state_reference(path, state, log_likelihoods, vocabulary, doc_novels) -> None:
     """state.json as one json.dumps of the whole payload, every matrix cell
-    encoded on its own."""
+    encoded on its own, with the shares of doc_topic_proportions_reference."""
     payload = {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
@@ -733,9 +733,9 @@ def save_state_reference(path, state, summary, vocabulary, doc_novels) -> None:
         "seed": state.rng_seed,
         "vocabulary": vocabulary.words,
         "n_kw": np.asarray(state.n_kw).reshape(state.k, -1).tolist(),
-        "doc_topic": np.asarray(summary.doc_topic).reshape(-1, state.k).tolist(),
+        "doc_topic": doc_topic_proportions_reference(state).tolist(),
         "doc_novels": doc_novels,
-        "log_likelihood": summary.log_likelihoods,
+        "log_likelihood": log_likelihoods,
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 

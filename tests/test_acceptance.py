@@ -127,9 +127,9 @@ def test_criterion_4_lda_separation():
 
         improved = 0
         for seed in range(20):
-            _, summary = train(docs, v, k=2, sweeps=50, burn_in=50,
-                               optimize_interval=10, rng_seed=seed)
-            improved += summary.log_likelihoods[49] > summary.log_likelihoods[0]
+            _, lls = train(docs, v, k=2, sweeps=50, burn_in=50,
+                           optimize_interval=10, rng_seed=seed)
+            improved += lls[49] > lls[0]
         assert improved >= 18, f"log-likelihood improved for only {improved}/20 seeds"
 
         elapsed = time.monotonic() - start

@@ -457,22 +457,26 @@ class TestPipelineCacheAndResume:
         assert sum(mock2.calls.values()) == 0
         assert first == second
 
-    @pytest.mark.parametrize("entry", ['{"explanation": "trunca', '{"explanation": "x"}',
-                                       '["YES"]'])
+    @pytest.mark.parametrize("entry", [b'{"explanation": "trunca', b'{"explanation": "x"}',
+                                       b'["YES"]', b"\xff\xfe{"])
     def test_bad_cache_entry_is_a_miss(self, tmp_path, caplog, entry):
+        """An entry that does not parse, even one that is not UTF-8, is a
+        miss with one warning naming it, and the rerun equals the clean run."""
         passages = cascade_passages()
         clean = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
                              transport=MockModel().transport, workers=1)
         template = default_registry().get("act_of_god", "v1")
         key = cache_key("mock-model", template, passages[0].text, "stage1")
-        (tmp_path / "cache" / "stage1" / f"{key}.json").write_text(entry, encoding="utf-8")
+        (tmp_path / "cache" / "stage1" / f"{key}.json").write_bytes(entry)
         mock = MockModel()
         with caplog.at_level("WARNING"):
             rerun = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
                                  transport=mock.transport, workers=2)
         assert mock.calls == {"stage1": 1, "stage2": 0, "affect": 0, "impact": 0}
         assert rerun == clean
-        assert key in caplog.text
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert f"stage1/{key}" in warnings[0].getMessage()
 
     def test_stage2_calls_equal_stage1_yes(self, tmp_path):
         passages = cascade_passages()
@@ -613,8 +617,9 @@ class TestCacheKeys:
     def test_cache_round_trip(self, tmp_path):
         cache = AnnotationCache(tmp_path)
         assert cache.get("stage1", "k1") is None
-        cache.put("stage1", "k1", {"label": "YES"})
-        assert cache.get("stage1", "k1") == {"label": "YES"}
+        fields = {"explanation": "naïve “quotes”", "label": "YES"}
+        cache.put("stage1", "k1", fields)
+        assert parse_response(cache.get("stage1", "k1"), LABEL_SCHEMA) == fields
         assert (tmp_path / "stage1" / "k1.json").is_file()
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from godspell import _sweep, annotate
+from godspell import _sweep, annotate, topics
 from godspell.cli import main
 from godspell.corpus import read_passages
 
@@ -300,6 +301,61 @@ def test_unusable_analysis_file_is_config_error(tmp_path, upstream, capsys, anal
     assert capsys.readouterr().err == f"config error: {tmp_path / 'analysis.json'}: {message}\n"
     assert not (out / "stats.json").exists()
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("name, command", [("stats.json", "report"),
+                                           ("metrics.json", "report"),
+                                           ("analysis.json", "stats")])
+def test_json_input_that_is_not_json_names_its_file(tmp_path, upstream, capsys, name, command):
+    """A truncated stats.json or metrics.json ends report with a runtime error,
+    and a truncated analysis.json ends stats with a config error, each naming
+    the file."""
+    code, out = run_stats(tmp_path, upstream, {})
+    assert code == 0
+    shutil.copy(GOLDEN / "metrics.json", out / "metrics.json")
+    path = tmp_path / name if name == "analysis.json" else out / name
+    path.write_text('{"a": ', encoding="utf-8")
+    capsys.readouterr()
+    code = run(command, "--config", str(tmp_path / "run.json"), "--output", str(out))
+    message = f"{path} is not valid JSON: Expecting value: line 1 column 7 (char 6)"
+    if command == "stats":
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "error.json").exists()
+    else:
+        assert code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["message"] == message
+
+
+@pytest.mark.parametrize("field, value, found", [
+    ("vocabulary", None, "null, not an array"),
+    ("alpha", 3, "an integer, not an array"),
+    ("doc_novels", 5, "an integer, not an array"),
+    ("k", "5", "a string, not an integer"),
+    ("k", True, "a boolean, not an integer"),
+    ("beta", "x", "a string, not an integer or a float"),
+    ("log_likelihood", None, "null, not an array"),
+])
+def test_state_field_of_wrong_type_names_file_and_field(tmp_path, upstream, capsys, field,
+                                                         value, found):
+    """A state.json field of the wrong JSON type is a ValueError from
+    load_state naming the file, the field and the type found, and so a
+    runtime error of stats and topics-inspect."""
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    path = out / "topics" / "state.json"
+    state = json.loads(path.read_text(encoding="utf-8"))
+    state[field] = value
+    path.write_text(json.dumps(state), encoding="utf-8")
+    message = f"topic state {path}: {field} is {found}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        topics.load_state(path)
+    for command in ("stats", "topics-inspect"):
+        capsys.readouterr()
+        assert run(command, "--config", CONFIG, "--output", str(out)) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["message"] == message
 
 
 def run_with_csv(tmp_path, upstream, command, section, key, text):

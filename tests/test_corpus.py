@@ -71,7 +71,7 @@ class TestIngest:
         assert corpus.text("a1") == "Alpha text here."
         assert corpus.novels[1].series_tag == "saga"
         assert corpus.novels[1].gender_group() == "mixed"
-        assert corpus.novels[0].awards[0].category == "Romance"
+        assert corpus.novels[0].awards[0]["category"] == "Romance"
 
     def test_duplicate_id_rejected(self, tmp_path):
         manifest = write_corpus(

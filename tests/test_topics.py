@@ -16,7 +16,6 @@ from godspell import _sweep, topics
 from godspell.corpus import Segment
 from godspell.topics import (
     DEFAULT_BETA,
-    LoadedTopicModel,
     VocabularyError,
     authorless_downsample,
     build_vocabulary,
@@ -33,6 +32,7 @@ from godspell.topics import (
     train,
 )
 
+import oracles
 from oracles import (
     authorless_downsample_numpy,
     authorless_downsample_reference,
@@ -415,13 +415,15 @@ class TestOptimizeAlpha:
         alpha = optimize_alpha(state)
         assert alpha[0] > alpha[1] > 0
 
-    def test_matches_numerical_maximizer(self):
+    def test_matches_numerical_maximizer(self, monkeypatch):
         rng = np.random.RandomState(11)
         n_dk = rng.randint(0, 25, size=(12, 2)).astype(np.int32)
         n_dk[0] += 1  # ensure nonempty docs
         state = self._state_with_counts(n_dk)
         # drive the update to its actual fixed point, then compare optima
-        fixed_point = optimize_alpha(state, tol=1e-12, max_iter=100_000)
+        monkeypatch.setattr(topics, "FIXED_POINT_TOL", 1e-12)
+        monkeypatch.setattr(topics, "FIXED_POINT_MAX_ITER", 100_000)
+        fixed_point = optimize_alpha(state)
         oracle = maximize_dirichlet_alpha(n_dk, np.array([2.5, 2.5]))
         assert np.all(np.abs(fixed_point - oracle) < 1e-4)
 
@@ -445,14 +447,16 @@ class TestOptimizeBeta:
         beta = optimize_beta(state)
         assert math.isfinite(beta) and beta > 0
 
-    def test_matches_numerical_maximizer(self):
+    def test_matches_numerical_maximizer(self, monkeypatch):
         rng = np.random.RandomState(7)
         n_kw = rng.randint(0, 30, size=(3, 8)).astype(np.int32)
         docs = [[0]]
         state = init_state(docs, k=3, vocabulary_size=8, rng_seed=0)
         state.n_kw = n_kw.reshape(-1)
         state.n_k = n_kw.sum(axis=1, dtype=np.int32)
-        fixed_point = optimize_beta(state, tol=1e-12, max_iter=100_000)
+        monkeypatch.setattr(topics, "FIXED_POINT_TOL", 1e-12)
+        monkeypatch.setattr(topics, "FIXED_POINT_MAX_ITER", 100_000)
+        fixed_point = optimize_beta(state)
         oracle = maximize_symmetric_beta(n_kw)
         assert abs(fixed_point - oracle) < 1e-4
 
@@ -595,13 +599,13 @@ class TestTrain:
     def test_seeded_determinism(self):
         rng = random.Random(1)
         docs, _, v = two_theme_corpus(rng, docs_per_theme=10, doc_len=10)
-        state1, summary1 = train(docs, v, k=2, sweeps=20, burn_in=5,
-                                 optimize_interval=5, rng_seed=99)
-        state2, summary2 = train(docs, v, k=2, sweeps=20, burn_in=5,
-                                 optimize_interval=5, rng_seed=99)
+        state1, lls1 = train(docs, v, k=2, sweeps=20, burn_in=5,
+                             optimize_interval=5, rng_seed=99)
+        state2, lls2 = train(docs, v, k=2, sweeps=20, burn_in=5,
+                             optimize_interval=5, rng_seed=99)
         assert np.array_equal(state1.z, state2.z)
         assert np.array_equal(state1.n_kw, state2.n_kw)
-        assert summary1.log_likelihoods == summary2.log_likelihoods
+        assert lls1 == lls2
 
     def test_two_theme_separation(self):
         rng = random.Random(6)
@@ -619,9 +623,9 @@ class TestTrain:
     def test_log_likelihood_improves(self):
         rng = random.Random(8)
         docs, _, v = two_theme_corpus(rng, docs_per_theme=20, doc_len=15)
-        _, summary = train(docs, v, k=2, sweeps=40, burn_in=10,
-                           optimize_interval=10, rng_seed=2)
-        assert summary.log_likelihoods[-1] > summary.log_likelihoods[0]
+        _, lls = train(docs, v, k=2, sweeps=40, burn_in=10,
+                       optimize_interval=10, rng_seed=2)
+        assert lls[-1] > lls[0]
 
     def test_check_counts_path(self):
         docs = [[0, 1], [1, 0], [0, 0]]
@@ -630,9 +634,9 @@ class TestTrain:
 
     def test_log_likelihood_finite(self):
         docs = [[0, 1, 1], []]  # empty documents are legal
-        state, summary = train(docs, 2, k=2, sweeps=3, burn_in=1,
-                               optimize_interval=0, rng_seed=0)
-        assert all(math.isfinite(ll) for ll in summary.log_likelihoods)
+        state, lls = train(docs, 2, k=2, sweeps=3, burn_in=1,
+                           optimize_interval=0, rng_seed=0)
+        assert all(math.isfinite(ll) for ll in lls)
         assert math.isfinite(log_likelihood(state))
 
 
@@ -720,13 +724,13 @@ class TestNovelProminence:
         rng = random.Random(5)
         docs = [[rng.randrange(6) for _ in range(rng.randint(1, 9))] for _ in range(300)]
         novels = [rng.choice(["a", "b", "c"]) for _ in docs]
-        _, summary = train(docs, 6, k=1, sweeps=2, burn_in=0, optimize_interval=1,
-                           rng_seed=1)
-        self.assert_bitwise_reference(rows(summary.doc_topic, 1), novels)
+        state, _ = train(docs, 6, k=1, sweeps=2, burn_in=0, optimize_interval=1,
+                         rng_seed=1)
+        self.assert_bitwise_reference(rows(doc_topic_proportions(state), 1), novels)
 
     def test_bitwise_numpy_mean_of_golden_state(self):
         model = load_state(Path(__file__).parent / "golden" / "topics" / "state.json")
-        self.assert_bitwise_reference(model.doc_topic, model.doc_novels)
+        self.assert_bitwise_reference(model["doc_topic"], model["doc_novels"])
 
 
 class TestStateIO:
@@ -737,19 +741,20 @@ class TestStateIO:
         vocab, _ = build_vocabulary(
             [seg([f"w{i}" for i in range(v)])], set(), min_count=1
         )
-        state, summary = train(docs, v, k=2, sweeps=5, burn_in=1,
-                               optimize_interval=2, rng_seed=7)
+        state, lls = train(docs, v, k=2, sweeps=5, burn_in=1,
+                           optimize_interval=2, rng_seed=7)
         path = tmp_path / "state.json"
-        save_state(path, state, summary, vocab, novels)
+        save_state(path, state, lls, vocab, novels)
         loaded = load_state(path)
-        assert loaded.k == 2
-        assert loaded.seed == 7
-        assert loaded.n_kw == rows(state.n_kw, v)
-        assert loaded.doc_topic == rows(summary.doc_topic, 2)
-        assert loaded.doc_novels == novels
-        assert isinstance(loaded, LoadedTopicModel)
-        assert loaded.vocabulary == vocab.words
-        assert top_words(loaded.n_kw, loaded.vocabulary, 0, n=3) == top_words(
+        assert list(loaded) == list(topics.STATE_FIELDS)
+        assert loaded["k"] == 2
+        assert loaded["seed"] == 7
+        assert loaded["n_kw"] == rows(state.n_kw, v)
+        assert loaded["doc_topic"] == rows(doc_topic_proportions(state), 2)
+        assert loaded["doc_novels"] == novels
+        assert loaded["log_likelihood"] == lls
+        assert loaded["vocabulary"] == vocab.words
+        assert top_words(loaded["n_kw"], loaded["vocabulary"], 0, n=3) == top_words(
             rows(state.n_kw, v), vocab.words, 0, n=3)
 
     @staticmethod
@@ -757,11 +762,11 @@ class TestStateIO:
         """A small trained state, loadable as saved, after damage(payload)."""
         docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
         vocab, _ = build_vocabulary([seg(["w0", "w1", "w2"])], set(), min_count=1)
-        state, summary = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
-                               rng_seed=0)
+        state, lls = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
+                           rng_seed=0)
         path = tmp_path / "state.json"
-        save_state(path, state, summary, vocab, ["a", "a", "b"])
-        assert load_state(path).k == 2
+        save_state(path, state, lls, vocab, ["a", "a", "b"])
+        assert load_state(path)["k"] == 2
         payload = json.loads(path.read_text(encoding="utf-8"))
         damage(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -805,10 +810,10 @@ class TestStateIO:
     def test_unreadable_file_names_path(self, tmp_path, damage, message):
         docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
         vocab, _ = build_vocabulary([seg(["w0", "w1", "w2"])], set(), min_count=1)
-        state, summary = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
-                               rng_seed=0)
+        state, lls = train(docs, 3, k=2, sweeps=2, burn_in=1, optimize_interval=1,
+                           rng_seed=0)
         path = tmp_path / "state.json"
-        save_state(path, state, summary, vocab, ["a", "a", "b"])
+        save_state(path, state, lls, vocab, ["a", "a", "b"])
         path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(message.format(path))):
             load_state(path)
@@ -834,13 +839,18 @@ class TestStateWriter:
 
     @staticmethod
     def assert_same_bytes(tmp_path, n_kw, doc_topic, words, novels, alpha=None):
+        """doc_topic stands in for the state's shares on both sides, so that
+        they can be values no trained state holds."""
         k = n_kw.shape[0]
         state = SimpleNamespace(k=k, alpha=np.full(k, 0.5) if alpha is None else alpha,
                                 beta=0.01, rng_seed=3, n_kw=n_kw)
-        summary = SimpleNamespace(log_likelihoods=[-12.5, -1e-05], doc_topic=doc_topic)
         vocab = SimpleNamespace(words=words)
-        save_state(tmp_path / "fast.json", state, summary, vocab, novels)
-        save_state_reference(tmp_path / "ref.json", state, summary, vocab, novels)
+        lls = [-12.5, -1e-05]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topics, "doc_topic_proportions", lambda _: doc_topic)
+            patch.setattr(oracles, "doc_topic_proportions_reference", lambda _: doc_topic)
+            save_state(tmp_path / "fast.json", state, lls, vocab, novels)
+            save_state_reference(tmp_path / "ref.json", state, lls, vocab, novels)
         assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_awkward_values(self, tmp_path):
