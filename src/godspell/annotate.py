@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .config import ModelConfig
+from .config import ModelConfig, read_json
 from .corpus import _SENTENCE_RE, Passage
 from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
 
@@ -315,20 +315,19 @@ class PromptRegistry:
 
 def load_registry(path: Path | str) -> PromptRegistry:
     """Read a JSON prompt registry file (same field layout as the built-in
-    templates); validation happens at load."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    templates); validation happens at load, and ValueError names the file."""
+    payload = read_json(path)
     registry = PromptRegistry()
-    for entry in payload["templates"]:
-        fields = [
-            OutputField(f["name"], f["kind"], tuple(f.get("values", ())))
-            for f in entry["fields"]
-        ]
-        registry.register(PromptTemplate(
-            name=entry["name"],
-            version=entry["version"],
-            body=entry["body"],
-            schema=OutputSchema(fields),
-        ))
+    try:
+        for entry in payload["templates"]:
+            fields = [OutputField(f["name"], f["kind"], tuple(f.get("values", ())))
+                      for f in entry["fields"]]
+            registry.register(PromptTemplate(entry["name"], entry["version"], entry["body"],
+                                             OutputSchema(fields)))
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from None
     return registry
 
 

@@ -35,7 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import ConfigError, RunConfig, load_run_config, read_csv, write_csv
+from .config import ConfigError, RunConfig, load_run_config, read_csv, read_json, write_csv
 
 if TYPE_CHECKING:
     from . import topics
@@ -48,14 +48,6 @@ def _dump_json(path: Path, payload: dict) -> None:
         json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-
-
-def _load_json(path: Path) -> dict:
-    """The JSON value in path; ValueError naming path if it is not JSON."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:
-        raise ValueError(f"{path} is not valid JSON: {e}") from None
 
 
 def _require_artifact(path: Path, produced_by: str) -> Path:
@@ -185,10 +177,8 @@ def cmd_annotate(config: RunConfig) -> None:
     else:
         try:
             registry = annotate.load_registry(path)
-        except KeyError as e:
-            raise ConfigError(f"{path}: missing key {e}") from None
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{path}: {e}") from None
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     try:
         templates = annotate.resolve_templates(registry, config.prompt_versions)
     except KeyError as e:
@@ -243,17 +233,6 @@ def cmd_eval(config: RunConfig) -> None:
     )
 
 
-def _read_topic_labels(path: Path) -> dict[str, str]:
-    """topic index -> label; a topic labelled twice is an error."""
-    labels: dict[str, str] = {}
-    for row in read_csv(path, ("topic_index", "label")):
-        topic = row["topic_index"].strip()
-        if topic in labels:
-            raise ValueError(f"topic {topic!r} labelled twice in {path}")
-        labels[topic] = row["label"].strip()
-    return labels
-
-
 def cmd_stats(config: RunConfig) -> None:
     """Write stats.json: stats.analyze over the run's artifacts and the
     analysis config, plus the topic labels when configured."""
@@ -273,7 +252,7 @@ def cmd_stats(config: RunConfig) -> None:
         _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     )
     try:
-        analysis = _load_json(config.analysis_path) if config.analysis_path else {}
+        analysis = read_json(config.analysis_path) if config.analysis_path else {}
     except ValueError as e:
         raise ConfigError(str(e)) from None
     prominence = topics.prominence_from_doc_topic(
@@ -285,7 +264,8 @@ def cmd_stats(config: RunConfig) -> None:
     except stats.AnalysisError as e:
         raise ConfigError(f"{config.analysis_path}: {e}") from None
     if config.topic_labels_path is not None:
-        payload["topic_labels"] = _read_topic_labels(config.topic_labels_path)
+        payload["topic_labels"] = {topic: label for (topic,), (label,) in read_csv(
+            config.topic_labels_path, ("topic_index",), ("label",)).items()}
     _dump_json(config.output_dir / "stats.json", payload)
     acts = payload["act_proportions"]["yes_count"]
     print(f"wrote stats for {len(loaded.novels)} novels ({acts} acts)")
@@ -294,9 +274,9 @@ def cmd_stats(config: RunConfig) -> None:
 def cmd_report(config: RunConfig) -> None:
     from . import report
 
-    results = _load_json(_require_artifact(config.output_dir / "stats.json", "stats"))
+    results = read_json(_require_artifact(config.output_dir / "stats.json", "stats"))
     metrics_path = config.output_dir / "metrics.json"
-    metrics = _load_json(metrics_path) if metrics_path.is_file() else None
+    metrics = read_json(metrics_path) if metrics_path.is_file() else None
     written = report.figure_data(results, config.output_dir / "figures")
     (config.output_dir / "report.md").write_text(
         report.markdown_summary(results, metrics), encoding="utf-8"

@@ -1,8 +1,9 @@
-"""The run configuration: `RunConfig`, whose fields declare every setting
-of a run config file, the `ModelConfig` it builds for annotate, and
-`load_run_config`, which reads the file through those declarations. Also
-the CSV reader and writer the commands share; `csv` is imported only when
-a CSV is read or written.
+"""The run configuration, and the home of every file reader. `RunConfig`'s
+fields declare every setting of a run config, `load_run_config` reads one
+through them, and `ModelConfig` is what annotate takes. Every JSON input
+of a command is parsed by `read_json`, every keyed CSV by `read_csv`
+(which imports `csv` only when called), and CSV outputs go out through
+`write_csv`.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     try:
-        payload = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
-    tables = {"": _typed("config", payload, dict)}
+        payload = read_json(config_path)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    tables = {"": payload}
     for setting in SETTINGS.values():
         section = setting.key.rpartition(".")[0]
         if section not in tables:
@@ -204,24 +205,43 @@ def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
     return config
 
 
-def read_csv(path: Path | str, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """The rows of a CSV file with a header line, as dicts; ConfigError
-    naming the file when the header lacks one of columns, and the file and
-    line when a row is too short to have a cell for one of them."""
+def read_json(path: Path | str) -> dict:
+    """The JSON object in the file at path; ValueError naming the file when
+    it is not JSON or holds another value."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: must hold a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def read_csv(path: Path | str, key: tuple[str, ...],
+             columns: tuple[str, ...]) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """Each row's cells of columns, keyed by its cells of key, every cell
+    stripped, from a CSV file with a header line. ConfigError naming the
+    file when the header lacks one of them, and the file and line when a
+    row is too short to have a cell for one; ValueError naming the file and
+    line when a key repeats."""
     import csv
 
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        missing = [c for c in (*key, *columns) if c not in (reader.fieldnames or ())]
         if missing:
             raise ConfigError(f"{path}: missing column {', '.join(map(repr, missing))}")
-        rows = []
+        rows: dict[tuple[str, ...], tuple[str, ...]] = {}
         for row in reader:
-            short = [c for c in columns if row[c] is None]
+            short = [c for c in (*key, *columns) if row[c] is None]
             if short:
                 raise ConfigError(f"{path}: line {reader.line_num}: no cell for column "
                                   f"{', '.join(map(repr, short))}")
-            rows.append(row)
+            cells = tuple(row[c].strip() for c in key)
+            if cells in rows:
+                raise ValueError(f"{path}: line {reader.line_num}: repeated " + ", ".join(
+                    f"{c} {cell!r}" for c, cell in zip(key, cells)))
+            rows[cells] = tuple(row[c].strip() for c in columns)
         return rows
 
 

@@ -26,15 +26,11 @@ def read_annotation_csv(path: Path | str) -> Judgments:
     """Load a `passage_id,annotator_id,label` CSV; a passage judged twice
     by one annotator is an error."""
     judgments: Judgments = {}
-    for row in read_csv(path, ("passage_id", "annotator_id", "label")):
-        label = row["label"].strip().upper()
-        if label not in RELIABILITY_LABELS:
-            raise ValueError(f"unrecognized label {row['label']!r} in {path}")
-        ref, annotator = row["passage_id"].strip(), row["annotator_id"].strip()
-        coders = judgments.setdefault(ref, {})
-        if annotator in coders:
-            raise ValueError(f"passage {ref!r} judged twice by {annotator!r} in {path}")
-        coders[annotator] = label
+    rows = read_csv(path, ("passage_id", "annotator_id"), ("label",))
+    for (ref, annotator), (label,) in rows.items():
+        if label.upper() not in RELIABILITY_LABELS:
+            raise ValueError(f"unrecognized label {label!r} in {path}")
+        judgments.setdefault(ref, {})[annotator] = label.upper()
     return judgments
 
 
@@ -93,16 +89,13 @@ def convert_maybe(labels: Iterable[str]) -> list[str]:
 
 def read_gold_overrides(path: Path | str) -> dict[str, str]:
     """Load a `passage_id,label` override CSV (other columns, such as a
-    resolution note, are ignored): passage id -> YES or NO."""
+    resolution note, are ignored): passage id -> YES or NO; a passage
+    overridden twice is an error."""
     overrides: dict[str, str] = {}
-    for row in read_csv(path, ("passage_id", "label")):
-        ref, label = row["passage_id"].strip(), row["label"].strip().upper()
-        if label not in ("YES", "NO"):
-            raise ValueError(
-                f"gold label for {ref!r} must be YES or NO, got {row['label']!r} in {path}")
-        if ref in overrides:
-            raise ValueError(f"passage {ref!r} overridden twice in {path}")
-        overrides[ref] = label
+    for (ref,), (label,) in read_csv(path, ("passage_id",), ("label",)).items():
+        if label.upper() not in ("YES", "NO"):
+            raise ValueError(f"gold label for {ref!r} must be YES or NO, got {label!r} in {path}")
+        overrides[ref] = label.upper()
     return overrides
 
 
@@ -207,14 +200,11 @@ def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     id -> human label. A file with no rows, a passage checked twice, or a
     label outside its facet's, is an error."""
     human: dict[str, dict[str, str]] = {facet: {} for facet in FACETS}
-    for row in read_csv(path, ("passage_id", *human)):
-        ref = row["passage_id"].strip()
-        if ref in human["affect"]:
-            raise ValueError(f"passage {ref!r} spot-checked twice in {path}")
-        for facet, labels in human.items():
-            labels[ref] = row[facet].strip().upper()
+    for (ref,), cells in read_csv(path, ("passage_id",), tuple(human)).items():
+        for (facet, labels), label in zip(human.items(), cells):
+            labels[ref] = label.upper()
             if labels[ref] not in FACETS[facet]:
-                raise ValueError(f"unrecognized {facet} label {row[facet]!r} in {path}")
+                raise ValueError(f"unrecognized {facet} label {label!r} in {path}")
     if not human["affect"]:
         raise ValueError(f"empty spot-check set in {path}")
     return human

@@ -87,12 +87,8 @@ def t_cdf(t: float, df: float) -> float:
     """CDF of Student's t distribution with df degrees of freedom."""
     if df <= 0:
         raise ValueError("df must be positive")
-    if t == 0.0:
-        return 0.5
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    tail = 0.5 * betainc_reg(df / 2.0, 0.5, df / (df + t * t))
-    return tail if t < 0 else 1.0 - tail
+    p = _two_sided_p(t, df)
+    return 0.5 * p if t < 0 else 1.0 - 0.5 * p
 
 
 def _two_sided_p(t: float, df: float) -> float:
@@ -326,11 +322,9 @@ def analyze(
     topic, an empty group, a malformed entry) carries an error and leaves
     the others alone. Topic pairs correlate over the novels in prominence
     order; act share against a topic over the sorted shared novel ids.
-    AnalysisError naming the field when analysis is not an object, its
-    position_bins is not a positive integer, or an entry list is not a list.
+    AnalysisError naming the field when position_bins is not a positive
+    integer or an entry list is not a list.
     """
-    if not isinstance(analysis, dict):
-        raise AnalysisError(f"must hold a JSON object, got {type(analysis).__name__}")
     bins = analysis.get("position_bins", 20)
     if isinstance(bins, bool) or not isinstance(bins, int) or bins < 1:
         raise AnalysisError(f"position_bins must be an integer >= 1, got {bins!r}")

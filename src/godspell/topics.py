@@ -47,6 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import read_json
+
 if TYPE_CHECKING:
     from .corpus import Segment
 
@@ -579,55 +581,62 @@ def _write_rows(fh, rows: Iterable[str]) -> None:
     fh.write("]")
 
 
-# each field of a state file -> the types json.loads may give it (a bool is
-# not a number)
-STATE_FIELDS = {"k": (int,), "alpha": (list,), "beta": (int, float), "seed": (int,),
-                "vocabulary": (list,), "n_kw": (list,), "doc_topic": (list,),
-                "doc_novels": (list,), "log_likelihood": (list,)}
+# each field of a state file -> the types json.loads may give it, and for an
+# array the types of its items (a bool is not a number)
+STATE_FIELDS = {"k": ((int,), None), "alpha": ((list,), {int, float}),
+                "beta": ((int, float), None), "seed": ((int,), None),
+                "vocabulary": ((list,), {str}), "n_kw": ((list,), {list}),
+                "doc_topic": ((list,), {list}), "doc_novels": ((list,), {str}),
+                "log_likelihood": ((list,), {int, float})}
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a float", bool: "a boolean", type(None): "null"}
 
 
-def _shape(path: Path | str, name: str, matrix, width: int, kinds: set[type]) -> tuple:
+def _items(path: Path | str, name: str, rows: list, kinds: set[type]) -> None:
+    """ValueError naming path and name when a value in rows, a list of
+    lists, is not of kinds (a bool is not an int). The set of the values'
+    types is checked, not each value."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= kinds:
+        bad = next(x for x in itertools.chain.from_iterable(rows) if type(x) not in kinds)
+        expected = " or ".join(sorted(kind.__name__ for kind in kinds))
+        raise ValueError(f"topic state {path}: {name} holds {bad!r}, not {expected}")
+
+
+def _shape(path: Path | str, name: str, matrix: list[list], width: int,
+           kinds: set[type]) -> tuple:
     """(rows, columns) of a JSON matrix, a list of equally long lists of
     numbers of the given types; an empty list has width columns. ValueError
-    naming path and name when the rows are not such lists or differ in length,
-    or a value is not of kinds (a bool is not an int)."""
-    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-        raise ValueError(f"topic state {path}: {name} is not a list of lists")
+    naming path and name when the rows differ in length or a value is not
+    of kinds (a bool is not an int)."""
     widths = sorted({len(row) for row in matrix})
     if len(widths) > 1:
         raise ValueError(f"topic state {path}: {name} has rows of {widths[0]} to {widths[-1]} "
                          f"values")
-    if not set(map(type, itertools.chain.from_iterable(matrix))) <= kinds:
-        bad = next(x for x in itertools.chain.from_iterable(matrix) if type(x) not in kinds)
-        expected = " or ".join(sorted(kind.__name__ for kind in kinds))
-        raise ValueError(f"topic state {path}: {name} holds {bad!r}, not {expected}")
+    _items(path, name, matrix, kinds)
     return (len(matrix), widths[0] if widths else width)
 
 
 def load_state(path: Path | str) -> dict:
     """The STATE_FIELDS of a state file written by save_state, as json.loads
-    gives them. ValueError naming path if it is not JSON or not a state
-    file, if a field is missing or of another type (named too), if n_kw
-    is not a matrix of integer counts or doc_topic one of numbers, or if
-    alpha, n_kw and doc_topic disagree with k, the vocabulary and doc_novels."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"topic state {path} is not valid JSON: {e}") from None
-    if (not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT
-            or payload.get("version") != STATE_VERSION):
+    gives them. ValueError naming path if it is not a JSON object or not a
+    state file, if a field is missing, of another type or holds an item of
+    another type (named too), if n_kw is not a matrix of integer counts or
+    doc_topic one of numbers, or if alpha, n_kw and doc_topic disagree with
+    k, the vocabulary and doc_novels."""
+    payload = read_json(path)
+    if payload.get("format") != STATE_FORMAT or payload.get("version") != STATE_VERSION:
         raise ValueError(f"unrecognized topic state file: {path}")
     missing = [name for name in STATE_FIELDS if name not in payload]
     if missing:
         raise ValueError(f"topic state {path} lacks the field {missing[0]!r}")
     model = {name: payload[name] for name in STATE_FIELDS}
-    for name, kinds in STATE_FIELDS.items():
+    for name, (kinds, items) in STATE_FIELDS.items():
         if type(model[name]) not in kinds:
             expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
             raise ValueError(f"topic state {path}: {name} is {_JSON_TYPES[type(model[name])]}, "
                              f"not {expected}")
+        if items is not None:
+            _items(path, name, [model[name]], items)
     k, v, d = model["k"], len(model["vocabulary"]), len(model["doc_novels"])
     shapes = {
         "alpha": ((len(model["alpha"]),), (k,)),

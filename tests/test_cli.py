@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from godspell import _sweep, annotate, topics
+from godspell import _sweep, annotate, stats, topics
 from godspell.cli import main
 from godspell.corpus import read_passages
 
@@ -287,6 +287,66 @@ class TestStatsTopicIndices:
         assert good_comparison == {"name": "ok", "error": "empty male group after gender filters"}
 
 
+# id -> text, genders, series tag: nine novels over the three fixture texts
+CONTRAST_NOVELS = {
+    "f1": ("hearth-a", "female", ""), "f2": ("hearth-a", "female", ""),
+    "f3": ("jericho-c", "female", ""), "m1": ("ashes-b", "male", ""),
+    "m2": ("ashes-b", "male", ""), "m3": ("jericho-c", "male", ""),
+    "d1": ("ashes-b", "male", "dominion-cycle"), "d2": ("hearth-a", "female", "dominion-cycle"),
+    "o1": ("hearth-a", "male;female", "other-saga"),
+}
+
+
+@pytest.fixture(scope="module")
+def contrast_run(tmp_path_factory):
+    """segment, a short topics-train, annotate and stats over the nine
+    CONTRAST_NOVELS, once with the fixture analysis (series_tag
+    dominion-cycle) and once without series_tag: the two stats.json."""
+    base = tmp_path_factory.mktemp("contrasts")
+    header = (FIXTURES / "manifest.csv").read_text(encoding="utf-8").splitlines()[0]
+    rows = [f"{novel},Title,{';'.join(['Ann', 'Bob'][:genders.count(';') + 1])},{genders},P,"
+            f"2001,{tag},,,,{FIXTURES / 'novels' / text}.txt"
+            for novel, (text, genders, tag) in CONTRAST_NOVELS.items()]
+    (base / "manifest.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    tagged = json.loads((FIXTURES / "analysis.json").read_text(encoding="utf-8"))
+    config = json.loads(Path(config_with(base, topics={"sweeps": 3})).read_text())
+    config["manifest"] = str(base / "manifest.csv")
+    out, results = base / "out", []
+    for analysis in (tagged, {k: v for k, v in tagged.items() if k != "series_tag"}):
+        config["analysis"] = str(base / f"analysis{len(results)}.json")
+        Path(config["analysis"]).write_text(json.dumps(analysis), encoding="utf-8")
+        (base / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        upstream = () if results else ("segment", "topics-train", "annotate")
+        for command in (*upstream, "stats"):
+            assert run(command, "--config", str(base / "run.json"), "--output", str(out)) == 0
+        results.append(json.loads((out / "stats.json").read_text(encoding="utf-8")))
+    return results
+
+
+@pytest.mark.parametrize("analysis, comparison, label, group_a, group_b", [
+    ("tagged", "act_share~series", "dominion-cycle", ["d1", "d2"],
+     ["f1", "f2", "f3", "m1", "m2", "m3", "o1"]),
+    ("tagged", "act_share~gender", "female", ["f1", "f2", "f3"], ["m1", "m2", "m3"]),
+    ("any", "act_share~series", "series", ["d1", "d2", "o1"],
+     ["f1", "f2", "f3", "m1", "m2", "m3"]),
+])
+def test_contrasts_are_t_tests_of_the_act_shares(contrast_run, capsys, analysis, comparison,
+                                                 label, group_a, group_b):
+    """The paper's two contrasts over nine novels: the series (tagged, or
+    any tag when analysis.json names none) and gender comparisons of stats
+    are the t-test of the per-novel act shares of their two groups."""
+    result = contrast_run[analysis == "any"]
+    share = result["act_proportions"]["per_novel"]
+    entry = next(c for c in result["comparisons"] if c["name"] == comparison)
+    expected = stats.ttest_ind([share[n] for n in group_a], [share[n] for n in group_b])
+    assert "error" not in entry
+    assert entry["group_a"] == label
+    assert entry["n_a"] == len(group_a) and entry["n_b"] == len(group_b)
+    for key in ("statistic", "df", "p_two_sided"):
+        assert entry[key] == expected[key]
+    assert 0.0 < entry["p_two_sided"] < 1.0 and entry["flag"] is None
+
+
 @pytest.mark.parametrize("analysis, message", [
     ([1, 2], "must hold a JSON object, got list"),
     ({"position_bins": 0}, "position_bins must be an integer >= 1, got 0"),
@@ -326,6 +386,38 @@ def test_json_input_that_is_not_json_names_its_file(tmp_path, upstream, capsys, 
         assert code == 2
         assert f"error: {message}\n" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["message"] == message
+
+
+@pytest.mark.parametrize("name", ["stats.json", "metrics.json"])
+def test_report_input_that_is_not_an_object_names_its_file(tmp_path, upstream, capsys, name):
+    """A stats.json or metrics.json holding another JSON value than an
+    object ends report with a runtime error naming the file."""
+    code, out = run_stats(tmp_path, upstream, {})
+    assert code == 0
+    shutil.copy(GOLDEN / "metrics.json", out / "metrics.json")
+    (out / name).write_text("[1]", encoding="utf-8")
+    capsys.readouterr()
+    assert run("report", "--config", str(tmp_path / "run.json"), "--output", str(out)) == 2
+    message = f"{out / name}: must hold a JSON object, got list"
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert json.loads((out / "error.json").read_text())["message"] == message
+    assert not (out / "report.md").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"manifest": ', "{} is not valid JSON: Expecting value: line 1 column 14 (char 13)"),
+    ("[]", "{}: must hold a JSON object, got list"),
+    (b"\xff{}", "{} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"),
+], ids=["not json", "not an object", "not utf-8"])
+def test_run_config_that_is_not_a_json_object_names_its_file(tmp_path, capsys, text, message):
+    """A run config that is not a JSON object ends the command with a
+    config error naming the file, before any output directory is made."""
+    path = tmp_path / "run.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert run("segment", "--config", str(path)) == 1
+    assert capsys.readouterr().err == f"config error: {message.format(path)}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("field, value, found", [
@@ -419,12 +511,23 @@ def test_csv_with_a_short_row_is_config_error(tmp_path, upstream, capsys, comman
      (FIXTURES / "gold_overrides.csv").read_text(encoding="utf-8") + "hearth-a:99,YES,typo\n",
      "gold overrides for passages no round judged: hearth-a:99", "metrics.json"),
     ("stats", "topics", "labels", "topic_index,label\n0,Hearth\n1,Road\n0,Ruin\n",
-     "topic '0' labelled twice in {bad}", "stats.json"),
-], ids=["override for an unjudged passage", "topic labelled twice"])
+     "{bad}: line 4: repeated topic_index '0'", "stats.json"),
+    ("eval", "evaluation", "rounds",
+     "passage_id,annotator_id,label\nhearth-a:0,ada,YES\nhearth-a:0, ada,NO\n",
+     "{bad}: line 3: repeated passage_id 'hearth-a:0', annotator_id 'ada'", "metrics.json"),
+    ("eval", "evaluation", "gold_overrides",
+     "passage_id,label\nashes-b:1,YES\nhearth-a:5,NO\nashes-b:1 ,NO\n",
+     "{bad}: line 4: repeated passage_id 'ashes-b:1'", "metrics.json"),
+    ("eval", "evaluation", "spotcheck",
+     "passage_id,affect,impact\nhearth-a:0,INDIVIDUAL,LOVING\nhearth-a:0,GROUP,PUNISHING\n",
+     "{bad}: line 3: repeated passage_id 'hearth-a:0'", "metrics.json"),
+], ids=["override for an unjudged passage", "topic labelled twice", "round judged twice",
+        "passage overridden twice", "passage spot-checked twice"])
 def test_human_input_naming_no_or_two_items_is_an_error(tmp_path, upstream, command,
                                                        section, key, text, message, written):
-    """An override that resolves no judged passage, or a topic labelled
-    twice, ends the command with exit 2 and error.json naming it."""
+    """An override that resolves no judged passage, or a key repeated in a
+    human CSV once its cells are stripped, ends the command with exit 2 and
+    error.json naming it, and the file and line of the repeat."""
     code, bad, out = run_with_csv(tmp_path, upstream, command, section, key, text)
     assert code == 2
     assert json.loads((out / "error.json").read_text())["message"] == message.format(bad=bad)
@@ -568,18 +671,19 @@ class TestPromptVersions:
         self.assert_config_error(result, message)
 
     @pytest.mark.parametrize("text, message", [
-        ('{"nottemplates": []}', "missing key 'templates'"),
+        ('{"nottemplates": []}', "{}: missing key 'templates'"),
         ('{"templates": [{"name": "affect", "version": "v2", "body": "[INSERT TEXT HERE]"}]}',
-         "missing key 'fields'"),
-        ("not json", "Expecting value: line 1 column 1 (char 0)"),
-    ], ids=["no templates", "no fields", "not json"])
+         "{}: missing key 'fields'"),
+        ("not json", "{} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "{}: must hold a JSON object, got list"),
+    ], ids=["no templates", "no fields", "not json", "not an object"])
     def test_malformed_registry_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                 text, message):
         """A prompt registry annotate cannot read ends it with a config error
-        naming the file and the key, before any model call."""
+        naming the file once, and the key, before any model call."""
         (tmp_path / "reg.json").write_text(text, encoding="utf-8")
         result = self.annotate(tmp_path, monkeypatch, capsys, {"registry": "reg.json"})
-        self.assert_config_error(result, f"{tmp_path / 'reg.json'}: {message}")
+        self.assert_config_error(result, message.format(tmp_path / "reg.json"))
 
 
 class TestErrorFile:

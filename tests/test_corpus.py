@@ -123,6 +123,27 @@ class TestIngest:
         with pytest.raises(ManifestError, match="row 3"):
             ingest(manifest)
 
+    @pytest.mark.parametrize("row, message", [
+        (",Title,Jane,female,P,2000,,,,,x.txt", "missing id"),
+        ("b2, ,Jane,female,P,2000,,,,,x.txt", "missing title"),
+        ("b2,Title,Jane,female;male,P,2000,,,,,x.txt", "2 genders for 1 authors"),
+        ("b2,Title,Jane,woman,P,2000,,,,,x.txt", "unrecognized gender 'woman'"),
+        ("b2,Title,Jane,female,P,2000,,Romance;Visionary,winner,2001,x.txt",
+         "award_category/award_status/award_year lengths differ"),
+        ("b2,Title,Jane,female,P,2000,,Romance,nominee,2001,x.txt",
+         "unrecognized award status 'nominee'"),
+        ("b2,Title,Jane,female,P,2000,,Romance,winner,MMI,x.txt",
+         "award_year 'MMI' is not an integer"),
+        ("b2,Title,Jane,female,P,2000,,,,,", "missing path"),
+    ], ids=["id", "title", "gender count", "gender", "award lengths", "award status",
+            "award year", "path"])
+    def test_malformed_row_names_row_and_check(self, tmp_path, row, message):
+        manifest = write_corpus(
+            tmp_path, ["a1,Title,Jane,female,P,2000,,,,,x.txt", row], {"x.txt": "text"}
+        )
+        with pytest.raises(ManifestError, match=f"^manifest row 3: {re.escape(message)}$"):
+            ingest(manifest)
+
     def test_year_range_enforced(self, tmp_path):
         manifest = write_corpus(
             tmp_path, ['a1,Title,Jane,female,P,1203,,,,,x.txt'], {"x.txt": "text"}

@@ -247,17 +247,19 @@ class TestCsvInterfaces:
     @pytest.mark.parametrize("reader, text, message", [
         (read_annotation_csv, "passage_id,annotator_id,label\nn1:0,alice,YES\n"
                               "n1:0,bob,NO\nn1:0,alice,NO\n",
-         "passage 'n1:0' judged twice by 'alice'"),
+         "line 4: repeated passage_id 'n1:0', annotator_id 'alice'"),
         (read_gold_overrides, "passage_id,label\nn1:0,YES\nn1:0,NO\n",
-         "passage 'n1:0' overridden twice"),
+         "line 3: repeated passage_id 'n1:0'"),
         (read_spotcheck, "passage_id,affect,impact\nn1:0,INDIVIDUAL,LOVING\n"
-                         "n1:1,GROUP,LOVING\nn1:0,GROUP,PUNISHING\n",
-         "passage 'n1:0' spot-checked twice"),
+                         "n1:1,GROUP,LOVING\n n1:0 ,GROUP,PUNISHING\n",
+         "line 4: repeated passage_id 'n1:0'"),
     ], ids=["round", "gold overrides", "spotcheck"])
     def test_repeated_judgment_rejected(self, tmp_path, reader, text, message):
+        """A key repeated in a human CSV, after its cells are stripped, is
+        an error naming the file and the line."""
         path = tmp_path / "human.csv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{re.escape(message)} in {re.escape(str(path))}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             reader(path)
 
     @pytest.mark.parametrize("row, message", [

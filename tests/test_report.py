@@ -162,9 +162,12 @@ class TestRunConfig:
         ({"manifest": str(FIXTURES / "manifest.csv"), "output_dir": 3}, "output_dir"),
     ])
     def test_top_level_type_names_the_key(self, tmp_path, payload, key):
+        """A config that is not an object names its file, and a top-level
+        value of the wrong type its key."""
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ConfigError, match=f"^{key} must be"):
+        expected = f"{cfg}: must hold a JSON object" if key == "config" else f"{key} must be"
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}"):
             load_run_config(cfg)
 
 

@@ -78,6 +78,11 @@ class TestTCdf:
         for t in (-3.0, -0.5, 0.25, 2.0, 10.0):
             assert abs(t_cdf(t, 1) - (0.5 + math.atan(t) / math.pi)) < 1e-12
 
+    def test_infinite_t(self):
+        for df in (1, 4.5, 240):
+            assert t_cdf(-math.inf, df) == 0.0
+            assert t_cdf(math.inf, df) == 1.0
+
     def test_normal_limit(self):
         normal = 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))
         assert abs(t_cdf(2.0, 1000) - normal) < 1e-3

@@ -785,15 +785,24 @@ class TestStateIO:
             load_state(path)
 
     # damage -> the message after the path; numpy cast these or failed
-    # without naming the file
+    # without naming the file, and the commands failed on the array items
+    # without naming it, or read them
     MALFORMED = {
         "ragged n_kw row": (lambda p: p["n_kw"][1].pop(), "n_kw has rows of 2 to 3 values"),
         "n_kw row not a list": (lambda p: p["n_kw"].__setitem__(0, 5),
-                                "n_kw is not a list of lists"),
+                                "n_kw holds 5, not list"),
         "float count": (lambda p: p["n_kw"][0].__setitem__(2, 1.5), "n_kw holds 1.5, not int"),
         "bool count": (lambda p: p["n_kw"][1].__setitem__(0, True), "n_kw holds True, not int"),
         "string share": (lambda p: p["doc_topic"][2].__setitem__(1, "0.5"),
                          "doc_topic holds '0.5', not float or int"),
+        "list novel": (lambda p: p["doc_novels"].__setitem__(0, [1]),
+                       "doc_novels holds [1], not str"),
+        "null word": (lambda p: p["vocabulary"].__setitem__(1, None),
+                      "vocabulary holds None, not str"),
+        "string alpha": (lambda p: p["alpha"].__setitem__(0, "x"),
+                         "alpha holds 'x', not float or int"),
+        "bool log-likelihood": (lambda p: p["log_likelihood"].__setitem__(1, False),
+                                "log_likelihood holds False, not float or int"),
     }
 
     @pytest.mark.parametrize("damage", MALFORMED)
@@ -804,8 +813,9 @@ class TestStateIO:
             load_state(path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda text: text[:120], "topic state {} is not valid JSON"),
-        (lambda text: "[" + text + "]", "unrecognized topic state file: {}"),
+        (lambda text: text[:120], "{} is not valid JSON"),
+        (lambda text: "[" + text + "]", "{}: must hold a JSON object, got list"),
+        (lambda text: text.replace('"format"', '"form"'), "unrecognized topic state file: {}"),
     ])
     def test_unreadable_file_names_path(self, tmp_path, damage, message):
         docs = [[0, 1, 2], [2, 1], [0, 0, 1]]
