@@ -7,6 +7,16 @@ and whether the act is loving or punishing). All responses are
 schema-constrained JSON, cached for resume, and parsed strictly by
 ``parse_response``, a cached entry as a fresh body.
 
+A prompt registry is a JSON object ``{"templates": [...]}``, each template
+``{"name", "version", "body", "fields": [{"name", "kind", "values"}]}``:
+the body holds the passage placeholder once, and each field is free
+``"text"`` or an ``"enum"`` with a list of at least two ``"values"``.
+``BUILTIN_REGISTRY`` is the built-in registry in that layout, and
+``default_registry`` and ``load_registry`` both build through
+``_load_registry``. ``STAGES`` declares, for each stage of the cascade,
+the template it runs and the answer fields the cascade reads from it, and
+``resolve_templates`` checks every template against it before any call.
+
 ``run_pipeline`` is the one entry point into the cascade.
 """
 
@@ -26,7 +36,7 @@ from typing import Callable, Sequence
 
 from .config import ModelConfig, read_json
 from .corpus import _SENTENCE_RE, Passage
-from .records import AFFECT_LABELS, IMPACT_LABELS, ActAnnotation
+from .records import FACETS, ActAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -36,13 +46,6 @@ STAGE1 = "stage1"
 STAGE2 = "stage2"
 AFFECT = "affect"
 IMPACT = "impact"
-
-STAGE_TEMPLATES = {
-    STAGE1: "act_of_god",
-    STAGE2: "supernatural_check",
-    AFFECT: "affect",
-    IMPACT: "impact",
-}
 
 
 class TransportError(RuntimeError):
@@ -112,10 +115,8 @@ class PromptTemplate:
 
     def __post_init__(self) -> None:
         if self.body.count(PLACEHOLDER) != 1:
-            raise ValueError(
-                f"template {self.name}@{self.version} must contain exactly one "
-                f"{PLACEHOLDER!r} placeholder"
-            )
+            raise ValueError(f"template {self.name}@{self.version} must contain exactly one "
+                             f"{PLACEHOLDER!r} placeholder")
 
 
 def render_prompt(template: PromptTemplate, text: str) -> str:
@@ -155,143 +156,118 @@ def parse_response(raw: str, schema: OutputSchema) -> dict[str, str]:
     return parsed
 
 
-def _affect_body() -> str:
-    return "\n".join([
-        "You will be given a description of an act of the Christian God in a novel",
-        "passage. Decide who the Christian God is affecting in the passage.",
-        "",
-        "Choose one of the following codes:",
-        "- INDIVIDUAL: God affects one person.",
-        "- GROUP: God affects a group or community (e.g., a church, a town, a book",
-        "club).",
-        "",
-        "Please respond with:",
-        "- god_affect_explanation: Explain why you chose INDIVIDUAL or GROUP",
-        "- god_affect: INDIVIDUAL or GROUP",
-        "",
-        "<text>",
-        PLACEHOLDER,
-        "</text>",
-    ])
+# The built-in registry, in the registry file's layout (module docstring)
+BUILTIN_REGISTRY = {"templates": [
+    {"name": "act_of_god", "version": "v1", "body": """\
+You will be given a passage from a novel. Decide whether the passage
+describes an act of the Christian God.
 
+Label the passage YES if:
+- Something in the passage is clearly ascribed to God.
+- God performs an action, or is described as one who does an action
+(for example, "God provided" or "the One who gives me marching orders").
+- A Bible quote or story in the passage describes an act of God.
 
-def _impact_body() -> str:
-    return "\n".join([
-        "You will be given a description of an act of the Christian God in a novel",
-        "passage. Decide what kind of action it is.",
-        "",
-        "Choose one of the following codes:",
-        "- LOVING: God's action is kind (for example it invovles mercy, love,",
-        "forgiveness, or help).",
-        "- PUNISHING: God's action is meant to punish or judge (for example it involves",
-        "anger, vengeance, violence, or judgment).",
-        "- BOTH: God's action has elements of both love and punishment.",
-        "- NEUTRAL: God's action is neutral or ambiguous. Avoid using this label when",
-        "possible.",
-        "",
-        "Please respond with:",
-        "- god_impact_explanation: Explain why you chose LOVING, PUNISHING, BOTH, or",
-        "NEUTRAL",
-        "- god_impact: LOVING, PUNISHING, BOTH, or NEUTRAL",
-        "",
-        "<text>",
-        PLACEHOLDER,
-        "</text>",
-    ])
+Label the passage NO if:
+- No action by God is mentioned in the passage.
+- God is described only in the future tense ("God will...").
+- The passage only describes qualities of God ("God is kind") or of a
+person ("God's chosen one").
+- A character prays or speaks to God but God does not act or respond.
+- The passage leaves doubt about whether God acted.
 
+Please respond with:
+- explanation: Explain why you chose YES or NO
+- label: YES or NO
+- act_description: If YES, describe the act of God in one sentence.
+If NO, write NONE.
+- affected_description: If YES, describe who is affected by the act.
+If NO, write NONE.
 
-def _stage1_body() -> str:
-    return "\n".join([
-        "You will be given a passage from a novel. Decide whether the passage",
-        "describes an act of the Christian God.",
-        "",
-        "Label the passage YES if:",
-        "- Something in the passage is clearly ascribed to God.",
-        "- God performs an action, or is described as one who does an action",
-        '(for example, "God provided" or "the One who gives me marching orders").',
-        "- A Bible quote or story in the passage describes an act of God.",
-        "",
-        "Label the passage NO if:",
-        "- No action by God is mentioned in the passage.",
-        '- God is described only in the future tense ("God will...").',
-        '- The passage only describes qualities of God ("God is kind") or of a',
-        'person ("God\'s chosen one").',
-        "- A character prays or speaks to God but God does not act or respond.",
-        "- The passage leaves doubt about whether God acted.",
-        "",
-        "Please respond with:",
-        "- explanation: Explain why you chose YES or NO",
-        "- label: YES or NO",
-        "- act_description: If YES, describe the act of God in one sentence.",
-        "If NO, write NONE.",
-        "- affected_description: If YES, describe who is affected by the act.",
-        "If NO, write NONE.",
-        "",
-        "<text>",
-        PLACEHOLDER,
-        "</text>",
-    ])
+<text>
+[INSERT TEXT HERE]
+</text>""",
+     "fields": [{"name": "explanation", "kind": "text"},
+                {"name": "label", "kind": "enum", "values": ["YES", "NO"]},
+                {"name": "act_description", "kind": "text"},
+                {"name": "affected_description", "kind": "text"}]},
+    {"name": "supernatural_check", "version": "v1", "body": """\
+You will be given a passage from a novel. The passage may describe an
+act of the Christian God or a different supernatural or magical event.
+Decide whether the acting force in the passage is the Christian God.
 
+Label the passage YES if:
+- The action is performed by the Christian God, including actions
+described in Bible quotes or stories.
 
-def _stage2_body() -> str:
-    return "\n".join([
-        "You will be given a passage from a novel. The passage may describe an",
-        "act of the Christian God or a different supernatural or magical event.",
-        "Decide whether the acting force in the passage is the Christian God.",
-        "",
-        "Label the passage YES if:",
-        "- The action is performed by the Christian God, including actions",
-        "described in Bible quotes or stories.",
-        "",
-        "Label the passage NO if:",
-        "- The action is performed by another supernatural force, such as magic,",
-        "sorcery, ghosts, or mythical beings.",
-        "- The action is a supernatural event that is not attributed to the",
-        "Christian God.",
-        "",
-        "Please respond with:",
-        "- explanation: Explain why you chose YES or NO",
-        "- label: YES or NO",
-        "",
-        "<text>",
-        PLACEHOLDER,
-        "</text>",
-    ])
+Label the passage NO if:
+- The action is performed by another supernatural force, such as magic,
+sorcery, ghosts, or mythical beings.
+- The action is a supernatural event that is not attributed to the
+Christian God.
 
+Please respond with:
+- explanation: Explain why you chose YES or NO
+- label: YES or NO
 
-def default_registry() -> "PromptRegistry":
-    registry = PromptRegistry()
-    registry.register(PromptTemplate(
-        name="act_of_god", version="v1", body=_stage1_body(),
-        schema=OutputSchema([
-            OutputField("explanation", "text"),
-            OutputField("label", "enum", ("YES", "NO")),
-            OutputField("act_description", "text"),
-            OutputField("affected_description", "text"),
-        ]),
-    ))
-    registry.register(PromptTemplate(
-        name="supernatural_check", version="v1", body=_stage2_body(),
-        schema=OutputSchema([
-            OutputField("explanation", "text"),
-            OutputField("label", "enum", ("YES", "NO")),
-        ]),
-    ))
-    registry.register(PromptTemplate(
-        name="affect", version="v1", body=_affect_body(),
-        schema=OutputSchema([
-            OutputField("god_affect_explanation", "text"),
-            OutputField("god_affect", "enum", AFFECT_LABELS),
-        ]),
-    ))
-    registry.register(PromptTemplate(
-        name="impact", version="v1", body=_impact_body(),
-        schema=OutputSchema([
-            OutputField("god_impact_explanation", "text"),
-            OutputField("god_impact", "enum", IMPACT_LABELS),
-        ]),
-    ))
-    return registry
+<text>
+[INSERT TEXT HERE]
+</text>""",
+     "fields": [{"name": "explanation", "kind": "text"},
+                {"name": "label", "kind": "enum", "values": ["YES", "NO"]}]},
+    {"name": "affect", "version": "v1", "body": """\
+You will be given a description of an act of the Christian God in a novel
+passage. Decide who the Christian God is affecting in the passage.
+
+Choose one of the following codes:
+- INDIVIDUAL: God affects one person.
+- GROUP: God affects a group or community (e.g., a church, a town, a book
+club).
+
+Please respond with:
+- god_affect_explanation: Explain why you chose INDIVIDUAL or GROUP
+- god_affect: INDIVIDUAL or GROUP
+
+<text>
+[INSERT TEXT HERE]
+</text>""",
+     "fields": [{"name": "god_affect_explanation", "kind": "text"},
+                {"name": "god_affect", "kind": "enum", "values": list(FACETS[AFFECT])}]},
+    {"name": "impact", "version": "v1", "body": """\
+You will be given a description of an act of the Christian God in a novel
+passage. Decide what kind of action it is.
+
+Choose one of the following codes:
+- LOVING: God's action is kind (for example it invovles mercy, love,
+forgiveness, or help).
+- PUNISHING: God's action is meant to punish or judge (for example it involves
+anger, vengeance, violence, or judgment).
+- BOTH: God's action has elements of both love and punishment.
+- NEUTRAL: God's action is neutral or ambiguous. Avoid using this label when
+possible.
+
+Please respond with:
+- god_impact_explanation: Explain why you chose LOVING, PUNISHING, BOTH, or
+NEUTRAL
+- god_impact: LOVING, PUNISHING, BOTH, or NEUTRAL
+
+<text>
+[INSERT TEXT HERE]
+</text>""",
+     "fields": [{"name": "god_impact_explanation", "kind": "text"},
+                {"name": "god_impact", "kind": "enum", "values": list(FACETS[IMPACT])}]},
+]}
+
+# each stage -> its template's name, and the answer fields the cascade reads,
+# as that template must declare them (an enum's labels in any order); stage 1
+# comes before stage 2, whose fields are a subset of its own (_stage_for)
+STAGES = {
+    STAGE1: ("act_of_god", (OutputField("label", "enum", ("YES", "NO")),
+                            OutputField("act_description", "text"))),
+    STAGE2: ("supernatural_check", (OutputField("label", "enum", ("YES", "NO")),)),
+    AFFECT: ("affect", (OutputField("god_affect", "enum", FACETS[AFFECT]),)),
+    IMPACT: ("impact", (OutputField("god_impact", "enum", FACETS[IMPACT]),)),
+}
 
 
 class PromptRegistry:
@@ -313,22 +289,43 @@ class PromptRegistry:
             raise KeyError(f"no template {name}@{version} in registry") from None
 
 
-def load_registry(path: Path | str) -> PromptRegistry:
-    """Read a JSON prompt registry file (same field layout as the built-in
-    templates); validation happens at load, and ValueError names the file."""
-    payload = read_json(path)
+def _checked(value, what: str, kind: type = str):
+    """value, when it is a string (a list of strings for kind list);
+    TypeError naming what otherwise."""
+    if isinstance(value, kind) and (kind is str or all(isinstance(v, str) for v in value)):
+        return value
+    raise TypeError(f"{what} must be {'a string' if kind is str else 'a list of strings'}, "
+                    f"got {value!r}")
+
+
+def _load_registry(payload: dict, source) -> PromptRegistry:
+    """The registry payload declares in the registry file's layout;
+    ValueError naming source when payload is not in that layout."""
     registry = PromptRegistry()
     try:
         for entry in payload["templates"]:
-            fields = [OutputField(f["name"], f["kind"], tuple(f.get("values", ())))
+            fields = [OutputField(_checked(f["name"], "field name"),
+                                  _checked(f["kind"], "field kind"),
+                                  tuple(_checked(f.get("values", []), "field values", list)))
                       for f in entry["fields"]]
-            registry.register(PromptTemplate(entry["name"], entry["version"], entry["body"],
+            registry.register(PromptTemplate(*(_checked(entry[key], f"template {key}")
+                                               for key in ("name", "version", "body")),
                                              OutputSchema(fields)))
     except KeyError as e:
-        raise ValueError(f"{path}: missing key {e}") from None
+        raise ValueError(f"{source}: missing key {e}") from None
     except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise ValueError(f"{source}: {e}") from None
     return registry
+
+
+def default_registry() -> PromptRegistry:
+    return _load_registry(BUILTIN_REGISTRY, "built-in registry")
+
+
+def load_registry(path: Path | str) -> PromptRegistry:
+    """The registry a JSON prompt registry file holds; ValueError naming the
+    file when it is not one."""
+    return _load_registry(read_json(path), path)
 
 
 Transport = Callable[[ModelConfig, str, OutputSchema], str]
@@ -517,12 +514,23 @@ def _annotate_one(
 def resolve_templates(registry: PromptRegistry,
                       versions: dict[str, str]) -> dict[str, PromptTemplate]:
     """Each stage's template at its version in versions (v1 when absent);
-    KeyError when versions names a stage or a version the registry lacks."""
-    unknown = sorted(set(versions) - set(STAGE_TEMPLATES))
+    KeyError when versions names a stage or a version the registry lacks,
+    ValueError naming the template and the field when a template does not
+    declare a field the cascade reads as STAGES does."""
+    unknown = sorted(set(versions) - set(STAGES))
     if unknown:
         raise KeyError(f"prompt versions name unknown stages {unknown}")
-    return {stage: registry.get(name, versions.get(stage, "v1"))
-            for stage, name in STAGE_TEMPLATES.items()}
+    templates = {}
+    for stage, (name, reads) in STAGES.items():
+        template = templates[stage] = registry.get(name, versions.get(stage, "v1"))
+        declared = {f.name: f for f in template.schema.fields}
+        for read in reads:
+            f = declared.get(read.name)
+            if f is None or f.kind != read.kind or set(f.values) != set(read.values):
+                kind = f"an enum of {', '.join(read.values)}" if read.values else "text"
+                raise ValueError(f"template {name}@{template.version}: the cascade reads "
+                                 f"field {read.name!r} as {kind}")
+    return templates
 
 
 def run_pipeline(
@@ -590,19 +598,15 @@ class MockModel:
 
     def __init__(self, overrides: dict[str, Callable[[str], dict]] | None = None):
         self.overrides = overrides or {}
-        self.calls: dict[str, int] = {STAGE1: 0, STAGE2: 0, AFFECT: 0, IMPACT: 0}
+        self.calls: dict[str, int] = dict.fromkeys(STAGES, 0)
         self._lock = threading.Lock()
 
     @staticmethod
     def _stage_for(schema: OutputSchema) -> str:
+        """The first stage in STAGES whose read fields the schema has."""
         names = set(schema.names())
-        if "act_description" in names:
-            return STAGE1
-        if "god_affect" in names:
-            return AFFECT
-        if "god_impact" in names:
-            return IMPACT
-        return STAGE2
+        return next(stage for stage, (_, reads) in STAGES.items()
+                    if names.issuperset(read.name for read in reads))
 
     @staticmethod
     def _extract_text(prompt: str) -> str:

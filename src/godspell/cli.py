@@ -172,16 +172,10 @@ def cmd_annotate(config: RunConfig) -> None:
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
     )
     path = config.prompt_registry_path
-    if path is None:
-        registry = annotate.default_registry()
-    else:
-        try:
-            registry = annotate.load_registry(path)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
     try:
+        registry = annotate.default_registry() if path is None else annotate.load_registry(path)
         templates = annotate.resolve_templates(registry, config.prompt_versions)
-    except KeyError as e:
+    except (KeyError, ValueError) as e:
         raise ConfigError(e.args[0]) from None
     transport = annotate.MockModel().transport if config.model_backend == "mock" else None
     annotations = annotate.run_pipeline(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -114,15 +115,17 @@ class RunConfig:
 SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig) if f.init}
 
 
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-               list: "a list", dict: "a JSON object"}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", list: "a list", dict: "a JSON object"}
 
 
 def _typed(key: str, value, kind: type):
     """value, checked to be the JSON type kind stands for (an integer is a
-    number too; a boolean is neither); ConfigError naming key otherwise."""
+    number too, a number must be finite and within the float range, and a
+    boolean is neither); ConfigError naming key otherwise."""
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+    if (isinstance(value, accepted) and (kind is bool or not isinstance(value, bool))
+            and (kind is not float or abs(value) <= sys.float_info.max)):
         return float(value) if kind is float else value
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 

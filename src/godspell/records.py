@@ -11,10 +11,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-AFFECT_LABELS = ("INDIVIDUAL", "GROUP")
-IMPACT_LABELS = ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")
 # each characterization facet, an ActAnnotation field, -> its labels
-FACETS = {"affect": AFFECT_LABELS, "impact": IMPACT_LABELS}
+FACETS = {"affect": ("INDIVIDUAL", "GROUP"), "impact": ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")}
 
 
 @dataclass

@@ -155,6 +155,29 @@ class TestRegistry:
         registry = load_registry(path)
         assert registry.get("affect", "v2").body.startswith("changed")
 
+    @pytest.mark.parametrize("name, body_sha256, schema_sha256", [
+        ("act_of_god", "e0ec657d77c747d1ec73f3ae188ec705683b291bf052b5c22180c66500fcc4ac",
+         "5a8ca339a7f9f347a508a0fc1cd6ef1483da4aa2ccfb1f7dd749a1d5f0b88ec2"),
+        ("supernatural_check", "9153f1bc8b921c23dec087278b38531800ea3d35dec0929074e8a67b025e2816",
+         "30d568e0b632fc7caea750b6fa8bf1ecf81fdbab00d744a2b1741f3de9d9b870"),
+        ("affect", "dc44ddbd17bb9c662f0713d5de88a0b381659eb44248d16fccbdfb3702c905ba",
+         "89555e841a3a5f02869291e6e8569e6421a73af91c263765ad2a10fcc0b4b943"),
+        ("impact", "70cc4e8309313e379a5c64d64f2c3a616643bdb9f1c524a6c7f4322366c7b49f",
+         "d819f516af2950ee0db125b352fd6935c987a81ad8f1612527548d552db211d5"),
+    ])
+    def test_builtin_template_pinned(self, name, body_sha256, schema_sha256):
+        """cache_key hashes only name@version, so a built-in's body or schema
+        changes only with a new version."""
+        template = default_registry().get(name, "v1")
+        assert hashlib.sha256(template.body.encode("utf-8")).hexdigest() == body_sha256
+        schema = json.dumps(template.schema.to_json_schema())
+        assert hashlib.sha256(schema.encode("utf-8")).hexdigest() == schema_sha256
+
+    def test_builtin_registry_as_a_file_loads_the_builtins(self, tmp_path):
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(annotate.BUILTIN_REGISTRY), encoding="utf-8")
+        assert load_registry(path)._templates == default_registry()._templates
+
     def test_load_registry_validates(self, tmp_path):
         payload = {"templates": [{"name": "x", "version": "v1", "body": "no slot",
                                   "fields": [{"name": "label", "kind": "enum",
@@ -539,6 +562,17 @@ class TestPipelineCacheAndResume:
         assert mock2.calls["stage2"] == 0               # still cached
         assert mock2.calls["affect"] == 0
         assert mock2.calls["impact"] == 0
+
+    def test_builtins_pass_the_stage_check_and_name_their_stage(self):
+        templates = resolve_templates(default_registry(), {})
+        assert {stage: MockModel._stage_for(t.schema) for stage, t in templates.items()} == {
+            stage: stage for stage in annotate.STAGES}
+
+    def test_stage_check_takes_labels_in_any_order(self):
+        registry = default_registry()
+        registry.register(PromptTemplate("impact", "v2", "[INSERT TEXT HERE]", OutputSchema([
+            OutputField("god_impact", "enum", ("NEUTRAL", "BOTH", "PUNISHING", "LOVING"))])))
+        assert resolve_templates(registry, {"impact": "v2"})["impact"].version == "v2"
 
     @pytest.mark.parametrize("versions", [{"affect": "v9"}, {"stage_1": "v1"}])
     def test_unknown_version_fails_before_any_call(self, tmp_path, versions):

@@ -605,7 +605,11 @@ class TestOverrides:
         assert not (tmp_path / "passages.jsonl").exists()
 
     @pytest.mark.parametrize("setting", [{"timeout": 0}, {"max_retries": -1},
-                                         {"temperature": -1}])
+                                         {"temperature": -1}, {"timeout": float("nan")},
+                                         {"temperature": float("nan")},
+                                         {"timeout": float("inf")},
+                                         {"temperature": float("-inf")},
+                                         {"timeout": 10 ** 400}])
     def test_bad_model_setting_in_config_rejected(self, tmp_path, capsys, setting):
         """It ends the command before the output directory is made."""
         path = tmp_path / "run.json"
@@ -614,6 +618,23 @@ class TestOverrides:
         assert run("segment", "--config", str(path)) == 1
         assert next(iter(setting)) in capsys.readouterr().err
         assert not (tmp_path / "made").exists()
+
+
+def builtins_with(name, field=None, change=None, /, **entry):
+    """The built-in registry as JSON text, with template name@v1's keys
+    updated from entry, and its field named field updated from change, or
+    removed when change is None."""
+    registry = json.loads(json.dumps(annotate.BUILTIN_REGISTRY))
+    template = next(t for t in registry["templates"] if t["name"] == name)
+    template.update(entry)
+    fields = template["fields"]
+    if field is not None:
+        index = [f["name"] for f in fields].index(field)
+        if change is None:
+            del fields[index]
+        else:
+            fields[index].update(change)
+    return json.dumps(registry)
 
 
 class TestPromptVersions:
@@ -676,11 +697,38 @@ class TestPromptVersions:
          "{}: missing key 'fields'"),
         ("not json", "{} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ("[]", "{}: must hold a JSON object, got list"),
-    ], ids=["no templates", "no fields", "not json", "not an object"])
+        (builtins_with("impact", "god_impact", {"values": "LOVING"}),
+         "{}: field values must be a list of strings, got 'LOVING'"),
+        (builtins_with("impact", body=5), "{}: template body must be a string, got 5"),
+        (builtins_with("impact", name=5), "{}: template name must be a string, got 5"),
+        (builtins_with("impact", version=["v1"]),
+         "{}: template version must be a string, got ['v1']"),
+        (builtins_with("impact", "god_impact", {"name": None}),
+         "{}: field name must be a string, got None"),
+        (builtins_with("impact", "god_impact", {"kind": 1}),
+         "{}: field kind must be a string, got 1"),
+        (builtins_with("act_of_god", "act_description"),
+         "template act_of_god@v1: the cascade reads field 'act_description' as text"),
+        (builtins_with("act_of_god", "act_description", {"kind": "enum", "values": ["A", "B"]}),
+         "template act_of_god@v1: the cascade reads field 'act_description' as text"),
+        (builtins_with("act_of_god", "label", {"values": ["YES", "NO", "MAYBE"]}),
+         "template act_of_god@v1: the cascade reads field 'label' as an enum of YES, NO"),
+        (builtins_with("supernatural_check", "label", {"kind": "text", "values": []}),
+         "template supernatural_check@v1: the cascade reads field 'label' as an enum of "
+         "YES, NO"),
+        (builtins_with("affect", "god_affect", {"values": ["ONE", "MANY"]}),
+         "template affect@v1: the cascade reads field 'god_affect' as an enum of "
+         "INDIVIDUAL, GROUP"),
+    ], ids=["no templates", "no fields", "not json", "not an object", "values a string",
+            "body not a string", "name not a string", "version not a string",
+            "field name not a string", "kind not a string", "stage 1 without act",
+            "act an enum", "a third label", "stage 2 label text", "affect with other labels"])
     def test_malformed_registry_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                 text, message):
-        """A prompt registry annotate cannot read ends it with a config error
-        naming the file once, and the key, before any model call."""
+        """A prompt registry annotate cannot read, or one whose template lacks
+        a field the cascade reads, ends it with a config error naming the
+        file once and the key, or the template and the field, before any
+        model call."""
         (tmp_path / "reg.json").write_text(text, encoding="utf-8")
         result = self.annotate(tmp_path, monkeypatch, capsys, {"registry": "reg.json"})
         self.assert_config_error(result, message.format(tmp_path / "reg.json"))
