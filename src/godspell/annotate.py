@@ -87,6 +87,11 @@ class OutputField:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "enum" and len(self.values) < 2:
             raise ValueError(f"enum field {self.name!r} needs at least 2 values")
+        # parse_response matches an answer upper-cased, so only such a label can match
+        for label in self.values:
+            if label != label.strip().upper():
+                raise ValueError(f"enum field {self.name!r} label {label!r} must be upper-case, "
+                                 "with no space around it")
 
 
 @dataclass

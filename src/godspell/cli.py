@@ -259,7 +259,8 @@ def cmd_stats(config: RunConfig) -> None:
         raise ConfigError(f"{config.analysis_path}: {e}") from None
     if config.topic_labels_path is not None:
         payload["topic_labels"] = {topic: label for (topic,), (label,) in read_csv(
-            config.topic_labels_path, ("topic_index",), ("label",)).items()}
+            config.topic_labels_path, ("topic_index",), ("label",),
+            {"topic_index": tuple(map(str, range(model["k"])))}).items()}
     _dump_json(config.output_dir / "stats.json", payload)
     acts = payload["act_proportions"]["yes_count"]
     print(f"wrote stats for {len(loaded.novels)} novels ({acts} acts)")

@@ -220,29 +220,39 @@ def read_json(path: Path | str) -> dict:
     return payload
 
 
-def read_csv(path: Path | str, key: tuple[str, ...],
-             columns: tuple[str, ...]) -> dict[tuple[str, ...], tuple[str, ...]]:
+def read_csv(path: Path | str, key: tuple[str, ...], columns: tuple[str, ...],
+             labels: dict[str, tuple[str, ...]] | None = None,
+             ) -> dict[tuple[str, ...], tuple[str, ...]]:
     """Each row's cells of columns, keyed by its cells of key, every cell
-    stripped, from a CSV file with a header line. ConfigError naming the
-    file when the header lacks one of them, and the file and line when a
-    row is too short to have a cell for one; ValueError naming the file and
-    line when a key repeats."""
+    stripped, from a UTF-8 CSV file (with or without a byte-order mark)
+    with a header line. A cell of a column that labels maps is upper-cased
+    and must be one of that column's labels. ConfigError naming the file
+    when the header lacks a column, and the file and line when a row is too
+    short to have a cell for one or has an empty key cell; ValueError
+    naming the file and line when a key repeats or a label is not one of
+    its column's."""
     import csv
 
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in (*key, *columns) if c not in (reader.fieldnames or ())]
         if missing:
             raise ConfigError(f"{path}: missing column {', '.join(map(repr, missing))}")
         rows: dict[tuple[str, ...], tuple[str, ...]] = {}
         for row in reader:
-            short = [c for c in (*key, *columns) if row[c] is None]
+            line = f"{path}: line {reader.line_num}"
+            short = [c for c in (*key, *columns)
+                     if row[c] is None or c in key and not row[c].strip()]
             if short:
-                raise ConfigError(f"{path}: line {reader.line_num}: no cell for column "
-                                  f"{', '.join(map(repr, short))}")
+                raise ConfigError(f"{line}: no cell for column {', '.join(map(repr, short))}")
+            for c, allowed in (labels or {}).items():
+                if row[c].strip().upper() not in allowed:
+                    raise ValueError(f"{line}: {c} {row[c].strip()!r} is not one of "
+                                     + ", ".join(allowed))
+                row[c] = row[c].upper()
             cells = tuple(row[c].strip() for c in key)
             if cells in rows:
-                raise ValueError(f"{path}: line {reader.line_num}: repeated " + ", ".join(
+                raise ValueError(f"{line}: repeated " + ", ".join(
                     f"{c} {cell!r}" for c, cell in zip(key, cells)))
             rows[cells] = tuple(row[c].strip() for c in columns)
         return rows

@@ -1,26 +1,28 @@
 """Corpus ingestion and segmentation.
 
-Reads a manifest of novels: ``ingest`` checks that each text file exists but
-reads none, and ``Corpus.text`` reads one when asked, keeping nothing. Each
-novel splits two ways: fixed word-count segments for topic modeling and
-word-capped passages (greedy paragraph packing) for annotation.
+Reads a manifest of novels through ``config.read_csv``, the one CSV reader:
+``ingest`` checks that each text file exists but reads none, and
+``Corpus.text`` reads one when asked, keeping nothing. Each novel splits
+two ways: fixed word-count segments for topic modeling and word-capped
+passages (greedy paragraph packing) for annotation.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .config import read_csv
+
 GENDERS = ("female", "male", "unknown")
 AWARD_STATUSES = ("winner", "finalist")
 
-MANIFEST_COLUMNS = [
+MANIFEST_COLUMNS = (
     "id", "title", "authors", "genders", "publisher", "year",
     "series_tag", "award_category", "award_status", "award_year", "path",
-]
+)
 
 _PARAGRAPH_RE = re.compile(r"\n\s*\n")
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+")
@@ -103,22 +105,22 @@ def word_tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def _parse_row(row: dict, row_number: int, base_dir: Path) -> Novel:
+def _novel(manifest: Path, novel_id: str, cells: tuple[str, ...]) -> Novel:
+    """The novel of one manifest row, from its stripped cells after the id,
+    whose text file must exist; ManifestError naming the manifest and the
+    novel otherwise."""
     def bad(msg: str) -> ManifestError:
-        return ManifestError(f"manifest row {row_number}: {msg}")
+        return ManifestError(f"{manifest}: novel {novel_id!r}: {msg}")
 
-    novel_id = (row.get("id") or "").strip()
-    if not novel_id:
-        raise bad("missing id")
-    title = (row.get("title") or "").strip()
+    (title, authors, genders, publisher, year, series_tag, award_category, award_status,
+     award_year, path) = cells
     if not title:
         raise bad("missing title")
 
-    names = [a.strip() for a in (row.get("authors") or "").split(";") if a.strip()]
+    names = [a.strip() for a in authors.split(";") if a.strip()]
     if not names:
         raise bad("authors must be non-empty")
-    genders = [g.strip().lower() for g in (row.get("genders") or "").split(";")]
-    genders = [g for g in genders if g]
+    genders = [g.strip().lower() for g in genders.split(";") if g.strip()]
     # A missing or short genders field falls back to unknown per author.
     genders += ["unknown"] * (len(names) - len(genders))
     if len(genders) != len(names):
@@ -126,20 +128,17 @@ def _parse_row(row: dict, row_number: int, base_dir: Path) -> Novel:
     for g in genders:
         if g not in GENDERS:
             raise bad(f"unrecognized gender {g!r}")
-    authors = [Author(name=n, gender=g) for n, g in zip(names, genders)]
 
     try:
-        year = int((row.get("year") or "").strip())
+        year = int(year)
     except ValueError:
-        raise bad(f"year {row.get('year')!r} is not an integer") from None
+        raise bad(f"year {year!r} is not an integer") from None
     if not 1400 <= year <= 2100:
         raise bad(f"year {year} outside [1400, 2100]")
 
-    series_tag = (row.get("series_tag") or "").strip() or None
-
-    categories = [c.strip() for c in (row.get("award_category") or "").split(";") if c.strip()]
-    statuses = [s.strip().lower() for s in (row.get("award_status") or "").split(";") if s.strip()]
-    years_raw = [y.strip() for y in (row.get("award_year") or "").split(";") if y.strip()]
+    categories = [c.strip() for c in award_category.split(";") if c.strip()]
+    statuses = [s.strip().lower() for s in award_status.split(";") if s.strip()]
+    years_raw = [y.strip() for y in award_year.split(";") if y.strip()]
     if not (len(categories) == len(statuses) == len(years_raw)):
         raise bad("award_category/award_status/award_year lengths differ")
     awards = []
@@ -151,53 +150,37 @@ def _parse_row(row: dict, row_number: int, base_dir: Path) -> Novel:
         except ValueError:
             raise bad(f"award_year {ystr!r} is not an integer") from None
 
-    path_str = (row.get("path") or "").strip()
-    if not path_str:
+    if not path:
         raise bad("missing path")
-    source_path = Path(path_str)
-    if not source_path.is_absolute():
-        source_path = base_dir / source_path
+    source_path = manifest.parent / path  # an absolute path stays as it is
+    if not source_path.is_file():
+        raise bad(f"text file not found: {source_path}")
 
     return Novel(
         id=novel_id,
         title=title,
-        authors=authors,
-        publisher=(row.get("publisher") or "").strip(),
+        authors=[Author(name=n, gender=g) for n, g in zip(names, genders)],
+        publisher=publisher,
         year=year,
-        series_tag=series_tag,
+        series_tag=series_tag or None,
         awards=awards,
         source_path=source_path,
     )
 
 
 def ingest(manifest: Path | str) -> Corpus:
-    """Load a manifest CSV and check that every novel text it references
-    exists; no text is read.
+    """Load a manifest CSV through read_csv and check that every novel text
+    it references exists; no text is read.
 
-    Fatal on duplicate ids, malformed rows, and missing text files.
+    Fatal on a missing column, an empty or repeated id, a malformed row and
+    a missing text file.
     """
     manifest = Path(manifest)
     if not manifest.is_file():
         raise ManifestError(f"manifest not found: {manifest}")
-    base_dir = manifest.parent
-
-    novels: dict[str, Novel] = {}
-    with manifest.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in MANIFEST_COLUMNS if c not in header]
-        if missing:
-            raise ManifestError(f"manifest header missing columns: {', '.join(missing)}")
-        for row_number, row in enumerate(reader, start=2):
-            novel = _parse_row(row, row_number, base_dir)
-            if novel.id in novels:
-                raise ManifestError(f"duplicate novel id {novel.id!r}")
-            if not novel.source_path.is_file():
-                raise ManifestError(
-                    f"text file for novel {novel.id!r} not found: {novel.source_path}"
-                )
-            novels[novel.id] = novel
-    return Corpus(novels=list(novels.values()))
+    rows = read_csv(manifest, ("id",), MANIFEST_COLUMNS[1:])
+    return Corpus(novels=[_novel(manifest, novel_id, cells)
+                          for (novel_id,), cells in rows.items()])
 
 
 def segment_fixed(novel: Novel, text: str, segment_size: int) -> list[Segment]:

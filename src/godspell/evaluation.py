@@ -26,11 +26,10 @@ def read_annotation_csv(path: Path | str) -> Judgments:
     """Load a `passage_id,annotator_id,label` CSV; a passage judged twice
     by one annotator is an error."""
     judgments: Judgments = {}
-    rows = read_csv(path, ("passage_id", "annotator_id"), ("label",))
+    rows = read_csv(path, ("passage_id", "annotator_id"), ("label",),
+                    {"label": RELIABILITY_LABELS})
     for (ref, annotator), (label,) in rows.items():
-        if label.upper() not in RELIABILITY_LABELS:
-            raise ValueError(f"unrecognized label {label!r} in {path}")
-        judgments.setdefault(ref, {})[annotator] = label.upper()
+        judgments.setdefault(ref, {})[annotator] = label
     return judgments
 
 
@@ -91,12 +90,8 @@ def read_gold_overrides(path: Path | str) -> dict[str, str]:
     """Load a `passage_id,label` override CSV (other columns, such as a
     resolution note, are ignored): passage id -> YES or NO; a passage
     overridden twice is an error."""
-    overrides: dict[str, str] = {}
-    for (ref,), (label,) in read_csv(path, ("passage_id",), ("label",)).items():
-        if label.upper() not in ("YES", "NO"):
-            raise ValueError(f"gold label for {ref!r} must be YES or NO, got {label!r} in {path}")
-        overrides[ref] = label.upper()
-    return overrides
+    rows = read_csv(path, ("passage_id",), ("label",), {"label": ("YES", "NO")})
+    return {ref: label for (ref,), (label,) in rows.items()}
 
 
 def build_gold(judgments: Judgments, overrides: dict[str, str] | None = None) -> dict[str, str]:
@@ -199,15 +194,11 @@ def read_spotcheck(path: Path | str) -> dict[str, dict[str, str]]:
     """Load a `passage_id,affect,impact` spot-check CSV: facet -> passage
     id -> human label. A file with no rows, a passage checked twice, or a
     label outside its facet's, is an error."""
-    human: dict[str, dict[str, str]] = {facet: {} for facet in FACETS}
-    for (ref,), cells in read_csv(path, ("passage_id",), tuple(human)).items():
-        for (facet, labels), label in zip(human.items(), cells):
-            labels[ref] = label.upper()
-            if labels[ref] not in FACETS[facet]:
-                raise ValueError(f"unrecognized {facet} label {label!r} in {path}")
-    if not human["affect"]:
+    rows = read_csv(path, ("passage_id",), tuple(FACETS), FACETS)
+    if not rows:
         raise ValueError(f"empty spot-check set in {path}")
-    return human
+    return {facet: {ref: cells[i] for (ref,), cells in rows.items()}
+            for i, facet in enumerate(FACETS)}
 
 
 def evaluate(

@@ -18,6 +18,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
 CONFIG = str(FIXTURES / "runconfig.json")
+MANIFEST_LINES = (FIXTURES / "manifest.csv").read_text(encoding="utf-8").splitlines()
 
 
 def run(*args):
@@ -35,7 +36,10 @@ def config_with(directory, **sections):
         section[key] = str(FIXTURES / section[key])
     config["evaluation"]["rounds"] = [str(FIXTURES / p) for p in config["evaluation"]["rounds"]]
     for name, values in sections.items():
-        config[name].update(values)
+        if isinstance(values, dict):
+            config[name].update(values)
+        else:
+            config[name] = values
     path = Path(directory) / "run.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
@@ -452,11 +456,13 @@ def test_state_field_of_wrong_type_names_file_and_field(tmp_path, upstream, caps
 
 def run_with_csv(tmp_path, upstream, command, section, key, text):
     """command over a copy of upstream, with the fixture config's
-    section.key naming tmp_path/bad.csv, which holds text; the exit code,
-    the CSV's path and the output directory."""
+    section.key (the top-level key when section is None) naming
+    tmp_path/bad.csv, which holds text; the exit code, the CSV's path and
+    the output directory."""
     bad = tmp_path / "bad.csv"
     bad.write_text(text, encoding="utf-8")
-    config = config_with(tmp_path, **{section: {key: [str(bad)] if key == "rounds" else str(bad)}})
+    value = [str(bad)] if key == "rounds" else str(bad)
+    config = config_with(tmp_path, **({section: {key: value}} if section else {key: value}))
     out = tmp_path / "out"
     shutil.copytree(upstream, out)
     return run(command, "--config", config, "--output", str(out)), bad, out
@@ -469,7 +475,9 @@ def run_with_csv(tmp_path, upstream, command, section, key, text):
     ("eval", "evaluation", "gold_overrides", "passage_id,resolution_note", "label",
      "metrics.json"),
     ("eval", "evaluation", "spotcheck", "passage_id,affect", "impact", "metrics.json"),
-], ids=["topic labels", "round", "gold overrides", "spotcheck"])
+    ("ingest", None, "manifest", MANIFEST_LINES[0].removesuffix(",path"), "path",
+     "corpus.json"),
+], ids=["topic labels", "round", "gold overrides", "spotcheck", "manifest"])
 def test_csv_without_a_required_column_is_config_error(tmp_path, upstream, capsys, command,
                                                        section, key, header, missing,
                                                        written):
@@ -492,18 +500,45 @@ def test_csv_without_a_required_column_is_config_error(tmp_path, upstream, capsy
      "passage_id,label,resolution_note\nashes-b:1,YES,\nhearth-a:5\n", "label"),
     ("eval", "evaluation", "spotcheck",
      "passage_id,affect,impact\nhearth-a:0,INDIVIDUAL,LOVING\nashes-b:2,GROUP\n", "impact"),
-], ids=["topic labels", "round", "gold overrides", "spotcheck"])
+    ("eval", "evaluation", "rounds",
+     "passage_id,annotator_id,label\nhearth-a:0,ada,YES\n ,bea,NO\n", "passage_id"),
+    ("ingest", None, "manifest",
+     "\n".join(MANIFEST_LINES[:2] + ["," + MANIFEST_LINES[2].partition(",")[2]]), "id"),
+], ids=["topic labels", "round", "gold overrides", "spotcheck", "round empty passage_id",
+        "manifest empty id"])
 def test_csv_with_a_short_row_is_config_error(tmp_path, upstream, capsys, command, section,
                                              key, text, column):
-    """A row with no cell for a required column ends the command with a
-    config error naming the file and the line, and writes no result."""
+    """A row with no cell for a required column, or an empty key cell,
+    ends the command with a config error naming the file and the line,
+    and writes no result."""
     capsys.readouterr()
     code, bad, out = run_with_csv(tmp_path, upstream, command, section, key, text)
     assert code == 1
     assert capsys.readouterr().err == (
         f"config error: {bad}: line 3: no cell for column {column!r}\n")
-    for written in ("metrics.json", "stats.json", "error.json"):
+    for written in ("corpus.json", "metrics.json", "stats.json", "error.json"):
         assert not (out / written).exists()
+
+
+@pytest.mark.parametrize("command, written", [("eval", "metrics.json"),
+                                              ("stats", "stats.json")])
+def test_csv_inputs_with_a_byte_order_mark_read_the_same(tmp_path, upstream, command,
+                                                         written):
+    """Every CSV input with the byte-order mark a spreadsheet's "CSV UTF-8"
+    export writes (the manifest, the rounds, the overrides, the spot-check
+    and the topic labels) gives the bytes the plain files give."""
+    marked = tmp_path / "marked"
+    shutil.copytree(FIXTURES, marked)
+    for path in marked.rglob("*.csv"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    results = []
+    for fixtures in (FIXTURES, marked):
+        out = tmp_path / f"out-{len(results)}"
+        shutil.copytree(upstream, out)
+        assert run(command, "--config", str(fixtures / "runconfig.json"),
+                   "--output", str(out)) == 0
+        results.append((out / written).read_bytes())
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("command, section, key, text, message, written", [
@@ -521,13 +556,18 @@ def test_csv_with_a_short_row_is_config_error(tmp_path, upstream, capsys, comman
     ("eval", "evaluation", "spotcheck",
      "passage_id,affect,impact\nhearth-a:0,INDIVIDUAL,LOVING\nhearth-a:0,GROUP,PUNISHING\n",
      "{bad}: line 3: repeated passage_id 'hearth-a:0'", "metrics.json"),
+    *[("stats", "topics", "labels", f"topic_index,label\n1,Road\n{index},Ruin\n",
+       f"{{bad}}: line 3: topic_index {index!r} is not one of 0, 1, 2, 3, 4", "stats.json")
+      for index in ("07", "5", "-1")],
 ], ids=["override for an unjudged passage", "topic labelled twice", "round judged twice",
-        "passage overridden twice", "passage spot-checked twice"])
+        "passage overridden twice", "passage spot-checked twice", "topic index 07",
+        "topic index K", "topic index -1"])
 def test_human_input_naming_no_or_two_items_is_an_error(tmp_path, upstream, command,
                                                        section, key, text, message, written):
-    """An override that resolves no judged passage, or a key repeated in a
-    human CSV once its cells are stripped, ends the command with exit 2 and
-    error.json naming it, and the file and line of the repeat."""
+    """An override that resolves no judged passage, a key repeated in a
+    human CSV once its cells are stripped, or a label for no topic of the
+    K=5 state, ends the command with exit 2 and error.json naming it, and
+    the file and line of the repeat or the label."""
     code, bad, out = run_with_csv(tmp_path, upstream, command, section, key, text)
     assert code == 2
     assert json.loads((out / "error.json").read_text())["message"] == message.format(bad=bad)
@@ -719,10 +759,14 @@ class TestPromptVersions:
         (builtins_with("affect", "god_affect", {"values": ["ONE", "MANY"]}),
          "template affect@v1: the cascade reads field 'god_affect' as an enum of "
          "INDIVIDUAL, GROUP"),
+        (builtins_with("impact", "god_impact", {"values": ["calm", "angry"]}),
+         "{}: enum field 'god_impact' label 'calm' must be upper-case, with no space "
+         "around it"),
     ], ids=["no templates", "no fields", "not json", "not an object", "values a string",
             "body not a string", "name not a string", "version not a string",
             "field name not a string", "kind not a string", "stage 1 without act",
-            "act an enum", "a third label", "stage 2 label text", "affect with other labels"])
+            "act an enum", "a third label", "stage 2 label text", "affect with other labels",
+            "lower-case labels"])
     def test_malformed_registry_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                 text, message):
         """A prompt registry annotate cannot read, or one whose template lacks
@@ -812,6 +856,7 @@ WRITES = {
     ("topics-train", "subprocess,tempfile"),
     ("topics-inspect", "godspell.corpus"),
     ("report", "godspell.corpus"),
+    ("annotate", "csv"),
 ])
 def test_command_runs_without_libraries_it_does_not_use(tmp_path, command, blocked):
     """The command in an interpreter where importing a blocked library

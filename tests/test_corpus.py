@@ -1,8 +1,13 @@
+import csv
 import random
 import re
+import shutil
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from godspell.config import ConfigError
 from godspell.corpus import (
     ManifestError,
     Passage,
@@ -18,6 +23,7 @@ from godspell.corpus import (
 from helpers import make_novel
 from oracles import pack_reference
 
+FIXTURES = Path(__file__).parent / "fixtures"
 MANIFEST_HEADER = (
     "id,title,authors,genders,publisher,year,series_tag,"
     "award_category,award_status,award_year,path"
@@ -82,7 +88,8 @@ class TestIngest:
             ],
             {"x.txt": "text"},
         )
-        with pytest.raises(ManifestError, match="lb-01"):
+        message = f"{manifest}: line 3: repeated id 'lb-01'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest(manifest)
 
     def test_missing_gender_becomes_unknown(self, tmp_path):
@@ -111,7 +118,7 @@ class TestIngest:
         with pytest.raises(ManifestError, match=r"'a1'.*latin\.txt"):
             corpus.text("a1")
 
-    def test_malformed_row_reports_row_number(self, tmp_path):
+    def test_malformed_row_names_its_novel(self, tmp_path):
         manifest = write_corpus(
             tmp_path,
             [
@@ -120,11 +127,10 @@ class TestIngest:
             ],
             {"x.txt": "text"},
         )
-        with pytest.raises(ManifestError, match="row 3"):
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(manifest))}: novel 'b2': "):
             ingest(manifest)
 
     @pytest.mark.parametrize("row, message", [
-        (",Title,Jane,female,P,2000,,,,,x.txt", "missing id"),
         ("b2, ,Jane,female,P,2000,,,,,x.txt", "missing title"),
         ("b2,Title,Jane,female;male,P,2000,,,,,x.txt", "2 genders for 1 authors"),
         ("b2,Title,Jane,woman,P,2000,,,,,x.txt", "unrecognized gender 'woman'"),
@@ -135,13 +141,16 @@ class TestIngest:
         ("b2,Title,Jane,female,P,2000,,Romance,winner,MMI,x.txt",
          "award_year 'MMI' is not an integer"),
         ("b2,Title,Jane,female,P,2000,,,,,", "missing path"),
-    ], ids=["id", "title", "gender count", "gender", "award lengths", "award status",
+    ], ids=["title", "gender count", "gender", "award lengths", "award status",
             "award year", "path"])
     def test_malformed_row_names_row_and_check(self, tmp_path, row, message):
+        """A row's own error names the manifest and the row's novel id,
+        which read_csv has checked to be there and unique."""
         manifest = write_corpus(
             tmp_path, ["a1,Title,Jane,female,P,2000,,,,,x.txt", row], {"x.txt": "text"}
         )
-        with pytest.raises(ManifestError, match=f"^manifest row 3: {re.escape(message)}$"):
+        message = f"{manifest}: novel 'b2': {message}"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
             ingest(manifest)
 
     def test_year_range_enforced(self, tmp_path):
@@ -161,8 +170,36 @@ class TestIngest:
     def test_header_validated(self, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("id,title\n1,2\n", encoding="utf-8")
-        with pytest.raises(ManifestError, match="header"):
+        message = (f"{manifest}: missing column 'authors', 'genders', 'publisher', 'year', "
+                   "'series_tag', 'award_category', 'award_status', 'award_year', 'path'")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ingest(manifest)
+
+    def test_spreadsheet_export_ingests_like_the_plain_file(self, tmp_path):
+        """The fixture manifest as a spreadsheet's "CSV UTF-8" export writes
+        it: a byte-order mark, every cell quoted, CRLF line ends, a title
+        holding a comma and a newline, and one absolute text path. It gives
+        the novels of the plain file, apart from that title."""
+        plain = ingest(FIXTURES / "manifest.csv").novels
+        with (FIXTURES / "manifest.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][1] = "The Quiet Harvest,\nA Novel"
+        rows[2][-1] = str(FIXTURES.resolve() / rows[2][-1])
+        shutil.copytree(FIXTURES / "novels", tmp_path / "novels")
+        exported = tmp_path / "manifest.csv"
+        with exported.open("w", newline="", encoding="utf-8-sig") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        assert exported.read_bytes().startswith(b'\xef\xbb\xbf"id","title",')
+
+        novels = ingest(exported).novels
+        assert novels[0].title == "The Quiet Harvest,\nA Novel"
+        assert novels[1].source_path == FIXTURES.resolve() / "novels" / "ashes-b.txt"
+        novels[0].title = plain[0].title
+
+        def described(novels):
+            return [{**asdict(n), "source_path": n.source_path.read_bytes()} for n in novels]
+
+        assert described(novels) == described(plain)
 
 
 def _words(n, prefix="w"):

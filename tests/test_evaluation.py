@@ -124,7 +124,8 @@ class TestBuildGold:
     def test_gold_labels_must_be_binary(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("passage_id,label\nn1:0,maybe\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"'maybe' in {re.escape(str(path))}"):
+        message = f"{path}: line 2: label 'maybe' is not one of YES, NO"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_gold_overrides(path)
 
 
@@ -263,13 +264,15 @@ class TestCsvInterfaces:
             reader(path)
 
     @pytest.mark.parametrize("row, message", [
-        ("n1:0,INDIVDUAL,LOVING", "unrecognized affect label 'INDIVDUAL'"),
-        ("n1:0,GROUP,LOVED", "unrecognized impact label 'LOVED'"),
+        ("n1:0,INDIVDUAL,LOVING", "affect 'INDIVDUAL' is not one of INDIVIDUAL, GROUP"),
+        ("n1:0,GROUP, loved ", "impact 'loved' is not one of LOVING, PUNISHING, BOTH, NEUTRAL"),
     ], ids=["affect", "impact"])
     def test_spotcheck_label_outside_its_facet_rejected(self, tmp_path, row, message):
+        """A label outside its facet's is an error naming the file, the
+        line, the facet and the cell as written."""
         path = tmp_path / "spot.csv"
-        path.write_text(f"passage_id,affect,impact\n{row}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{re.escape(message)} in {re.escape(str(path))}"):
+        path.write_text(f"passage_id,affect,impact\nn1:1,group,both\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 3: {message}')}$"):
             read_spotcheck(path)
 
     def test_spotcheck_without_rows_rejected(self, tmp_path):
