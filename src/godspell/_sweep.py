@@ -43,12 +43,13 @@ from __future__ import annotations
 import array
 import ctypes
 import functools
-import hashlib
 import logging
 import operator
 import os
 from collections.abc import Iterator
 from pathlib import Path
+
+from .config import sha256
 
 log = logging.getLogger(__name__)
 
@@ -549,7 +550,7 @@ def cache_dir() -> Path:
 
 def library_name() -> str:
     key = "\0".join((SOURCE, *FLAGS, *LIBS, os.uname().machine))
-    digest = hashlib.sha256(key.encode()).hexdigest()
+    digest = sha256(key.encode()).hexdigest()
     return f"gibbs-{digest[:16]}.so"
 
 
@@ -574,7 +575,7 @@ def build(path: Path) -> None:
             raise BuildError(f"cannot run {COMPILER}: {e}") from None
         if proc.returncode:
             raise BuildError(f"{COMPILER} exited {proc.returncode}: {proc.stderr.strip()[:400]}")
-        _checksum_path(path).write_text(hashlib.sha256(Path(tmp).read_bytes()).hexdigest())
+        _checksum_path(path).write_text(sha256(Path(tmp).read_bytes()).hexdigest())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -587,7 +588,7 @@ def _intact(path: Path) -> bool:
     loaded from the cache without this check."""
     try:
         recorded = _checksum_path(path).read_text().strip()
-        return hashlib.sha256(path.read_bytes()).hexdigest() == recorded
+        return sha256(path.read_bytes()).hexdigest() == recorded
     except OSError:
         return False
 

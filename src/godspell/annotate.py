@@ -17,24 +17,28 @@ the body holds the passage placeholder once, and each field is free
 the template it runs and the answer fields the cascade reads from it, and
 ``resolve_templates`` checks every template against it before any call.
 
-``run_pipeline`` is the one entry point into the cascade.
+``stream_pipeline`` is the one entry point into the cascade: it yields the
+annotations in input order through a bounded window of passages in flight,
+and ``write_annotations`` writes them as they come, replacing
+annotations.jsonl only when the stream is complete. ``run_pipeline`` is
+its list.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
 
-from .config import ModelConfig, read_json
+from .config import ModelConfig, read_json, sha256
 from .corpus import _SENTENCE_RE, Passage
 from .records import FACETS, ActAnnotation
 
@@ -405,7 +409,7 @@ def cache_key(model_name: str, template: PromptTemplate, text: str, stage: str) 
         [model_name, f"{template.name}@{template.version}", text, stage],
         ensure_ascii=False,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 class AnnotationCache:
@@ -538,6 +542,48 @@ def resolve_templates(registry: PromptRegistry,
     return templates
 
 
+WINDOW_PER_WORKER = 4  # passages in flight per worker thread
+
+
+def stream_pipeline(
+    passages: Iterable[Passage],
+    config: ModelConfig,
+    *,
+    cache_dir: Path | str,
+    workers: int,
+    templates: dict[str, PromptTemplate] | None = None,
+    transport: Transport | None = None,
+) -> Iterator[ActAnnotation]:
+    """Annotate each passage, resuming from the cache in cache_dir, and
+    yield the annotations in input order whatever order the workers finish
+    in.
+
+    templates maps each stage to its template (from resolve_templates);
+    None means the built-in v1 templates. Failed passages are recorded as
+    unresolved without aborting the batch. Passages are taken from the
+    iterable only as the window allows: at most WINDOW_PER_WORKER * workers
+    are in flight, so memory does not grow with the corpus. When the
+    stream ends early (an exception, or close()), the passages not yet
+    started are cancelled and the running ones finished.
+    """
+    if templates is None:
+        templates = resolve_templates(default_registry(), {})
+    cache = AnnotationCache(cache_dir)
+    window = WINDOW_PER_WORKER * workers
+    in_flight: deque[Future[ActAnnotation]] = deque()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for passage in passages:
+            in_flight.append(pool.submit(_annotate_one, passage, config, templates, cache,
+                                         transport))
+            if len(in_flight) == window:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_pipeline(
     passages: Sequence[Passage],
     config: ModelConfig,
@@ -547,29 +593,29 @@ def run_pipeline(
     templates: dict[str, PromptTemplate] | None = None,
     transport: Transport | None = None,
 ) -> list[ActAnnotation]:
-    """Annotate every passage, resuming from the cache in cache_dir.
-
-    templates maps each stage to its template (from resolve_templates);
-    None means the built-in v1 templates. Failed passages are recorded as
-    unresolved without aborting the batch. Output order follows input
-    order regardless of worker completion order.
-    """
-    if templates is None:
-        templates = resolve_templates(default_registry(), {})
-    cache = AnnotationCache(cache_dir)
-
-    def work(passage: Passage) -> ActAnnotation:
-        return _annotate_one(passage, config, templates, cache, transport)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, passages))
+    """Every annotation stream_pipeline yields, in input order, as one list:
+    the window bounds the passages in flight, and the list holds them all."""
+    return list(stream_pipeline(passages, config, cache_dir=cache_dir, workers=workers,
+                                templates=templates, transport=transport))
 
 
-def write_annotations(annotations: Sequence[ActAnnotation], path: Path | str) -> None:
-    """One JSON line per annotation, in input order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for ann in annotations:
-            fh.write(json.dumps({"passage": ann.ref, **asdict(ann)}, ensure_ascii=False) + "\n")
+def write_annotations(annotations: Iterable[ActAnnotation], path: Path | str) -> None:
+    """One JSON line per annotation, in input order, into a temporary file
+    beside path that replaces path only once the iterable is exhausted. On
+    any exception, KeyboardInterrupt included, the temporary file is
+    removed and whatever path held is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp-{os.urandom(16).hex()}")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for ann in annotations:
+                # vars, not asdict: the fields in order, without asdict's deep copy
+                fh.write(json.dumps({"passage": ann.ref, **vars(ann)}, ensure_ascii=False)
+                         + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _TEXT_SPAN_RE = re.compile(r"<text>\n(.*)\n</text>", re.DOTALL)

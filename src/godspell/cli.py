@@ -20,9 +20,12 @@ Each command imports only the modules it runs, inside its own function;
 all of them load `config`. Every command needs the standard library alone:
 `topics-train` adds the compiled `_sweep` kernel, and `topics-inspect` and
 `stats` read the saved topic state without it. Only `annotate` imports the
-`annotate` module, with its hashing and thread pool; `eval` and `stats`
-read annotations through `records`. Only `report` imports `report`, `eval`
+`annotate` module, with its thread pool; `eval` and `stats` read
+annotations through `records`. Only `report` imports `report`, `eval`
 imports no `stats`, and `report` and `topics-inspect` import no `corpus`.
+No command except `annotate` on the http backend loads OpenSSL: every
+digest is `config.sha256`, CPython's own, and only the http transport
+imports `urllib.request`, which loads `hashlib` and `ssl`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -60,7 +64,7 @@ def _load_stopwords(config: RunConfig) -> set[str]:
     if config.stopwords_path is None:
         return set()
     words = set()
-    for line in config.stopwords_path.read_text(encoding="utf-8").splitlines():
+    for line in config.stopwords_path.read_text(encoding="utf-8-sig").splitlines():
         word = line.strip().lower()
         if word:
             words.add(word)
@@ -166,9 +170,11 @@ def cmd_topics_inspect(config: RunConfig) -> None:
 
 
 def cmd_annotate(config: RunConfig) -> None:
+    """Stream the passages through the cascade into annotations.jsonl, which
+    is replaced only once every passage is annotated."""
     from . import annotate, corpus
 
-    passages = corpus.read_passages(
+    passages = corpus.iter_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
     )
     path = config.prompt_registry_path
@@ -178,7 +184,7 @@ def cmd_annotate(config: RunConfig) -> None:
     except (KeyError, ValueError) as e:
         raise ConfigError(e.args[0]) from None
     transport = annotate.MockModel().transport if config.model_backend == "mock" else None
-    annotations = annotate.run_pipeline(
+    stream = annotate.stream_pipeline(
         passages,
         config.model,
         cache_dir=config.cache_dir,
@@ -186,10 +192,19 @@ def cmd_annotate(config: RunConfig) -> None:
         templates=templates,
         transport=transport,
     )
-    annotate.write_annotations(annotations, config.output_dir / "annotations.jsonl")
-    yes = sum(1 for a in annotations if a.is_act)
-    unresolved = sum(1 for a in annotations if a.status != "ok")
-    print(f"annotated {len(annotations)} passages: {yes} YES, {unresolved} unresolved")
+    total = yes = unresolved = 0
+
+    def counted():
+        nonlocal total, yes, unresolved
+        for annotation in stream:
+            total += 1
+            yes += annotation.is_act
+            unresolved += annotation.status != "ok"
+            yield annotation
+
+    with closing(stream):  # a failed write cancels the passages still queued
+        annotate.write_annotations(counted(), config.output_dir / "annotations.jsonl")
+    print(f"annotated {total} passages: {yes} YES, {unresolved} unresolved")
 
 
 def cmd_eval(config: RunConfig) -> None:

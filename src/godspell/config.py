@@ -3,7 +3,8 @@ fields declare every setting of a run config, `load_run_config` reads one
 through them, and `ModelConfig` is what annotate takes. Every JSON input
 of a command is parsed by `read_json`, every keyed CSV by `read_csv`
 (which imports `csv` only when called), and CSV outputs go out through
-`write_csv`.
+`write_csv`. `sha256` is the package's one hash: CPython's own, so that
+taking a digest does not load OpenSSL's libcrypto as `hashlib` does.
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
+
+# hashlib is heavy to load (OpenSSL, about 3.6 MB resident): try CPython's own first
+try:
+    from _sha256 import sha256  # 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:  # a CPython built without its own hashes
+        from hashlib import sha256
 
 ENDPOINT_ENV_VAR = "GODSPELL_ENDPOINT"
 
@@ -209,10 +219,11 @@ def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
 
 
 def read_json(path: Path | str) -> dict:
-    """The JSON object in the file at path; ValueError naming the file when
-    it is not JSON or holds another value."""
+    """The JSON object in the UTF-8 file at path (with or without a
+    byte-order mark); ValueError naming the file when it is not JSON or
+    holds another value."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as e:
         raise ValueError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(payload, dict):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -92,10 +93,11 @@ class Corpus:
     novels: list[Novel]
 
     def text(self, novel_id: str) -> str:
-        """The novel's text, read on each call; ManifestError if it is not UTF-8."""
+        """The novel's text, read on each call, without a byte-order mark;
+        ManifestError if it is not UTF-8."""
         path = next(n.source_path for n in self.novels if n.id == novel_id)
         try:
-            return path.read_text(encoding="utf-8")
+            return path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as e:
             raise ManifestError(f"text file for novel {novel_id!r} is not UTF-8: {path}") from e
 
@@ -316,14 +318,19 @@ def write_passages(passages: list[Passage], path: Path | str) -> None:
             fh.write(json.dumps(asdict(p), ensure_ascii=False) + "\n")
 
 
-def read_passages(path: Path | str) -> list[Passage]:
-    """ValueError naming the file and the line of a line that is not a passage."""
-    passages = []
+def iter_passages(path: Path | str) -> Iterator[Passage]:
+    """The passages of a passages.jsonl file, one line read per passage;
+    ValueError naming the file and the line of a line that is not a passage."""
     with Path(path).open(encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    passages.append(Passage(**json.loads(line)))
+                    passage = Passage(**json.loads(line))
                 except (ValueError, TypeError) as e:
                     raise ValueError(f"{path} line {number} is not a passage: {e}") from None
-    return passages
+                yield passage
+
+
+def read_passages(path: Path | str) -> list[Passage]:
+    """Every passage of the file, as iter_passages reads them."""
+    return list(iter_passages(path))

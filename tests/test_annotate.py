@@ -26,6 +26,7 @@ from godspell.annotate import (
     render_prompt,
     resolve_templates,
     run_pipeline,
+    stream_pipeline,
     write_annotations,
 )
 from godspell.config import ModelConfig
@@ -543,6 +544,66 @@ class TestPipelineCacheAndResume:
         write_annotations(resumed, resumed_path)
         write_annotations(clean, clean_path)
         assert resumed_path.read_bytes() == clean_path.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stream_reads_no_further_ahead_of_the_writer_than_the_window(self, tmp_path,
+                                                                        workers):
+        """However slowly the writer takes them, no more passages than the
+        window are taken from the input ahead of it, and the stream writes
+        what run_pipeline returns."""
+        passages = cascade_passages()
+        window = annotate.WINDOW_PER_WORKER * workers
+        taken = written = 0
+        ahead = []
+        mock = MockModel()
+
+        def source():
+            nonlocal taken
+            for passage in passages:
+                taken += 1
+                yield passage
+
+        def transport(config, prompt, schema):
+            ahead.append(taken - written)
+            return mock.transport(config, prompt, schema)
+
+        def writer(stream):
+            nonlocal written
+            for annotation in stream:
+                written += 1
+                ahead.append(taken - written)
+                yield annotation
+
+        path = tmp_path / "annotations.jsonl"
+        write_annotations(writer(stream_pipeline(source(), mock_config(), workers=workers,
+                                                 cache_dir=tmp_path / "cache",
+                                                 transport=transport)), path)
+        assert written == len(passages)
+        assert 1 <= max(ahead) <= window
+        clean = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "clean",
+                             transport=MockModel().transport, workers=workers)
+        assert read_annotations(path) == clean
+
+    def test_closed_stream_cancels_the_passages_not_started(self, tmp_path):
+        """close() cancels the queued passages and waits for the running
+        one: with the worker held in passage 1 until after the close, no
+        passage after 1 reaches the model (passage 1 itself only when the
+        worker took it before the close)."""
+        mock = MockModel()
+        release = threading.Event()
+
+        def transport(config, prompt, schema):
+            if "P01 begins" in prompt:
+                release.wait(10)
+            return mock.transport(config, prompt, schema)
+
+        stream = stream_pipeline(cascade_passages(), mock_config(), cache_dir=tmp_path,
+                                 transport=transport, workers=1)
+        assert next(stream).index == 0
+        threading.Timer(0.2, release.set).start()
+        stream.close()
+        assert mock.calls["stage1"] in (1, 2)
+        assert next(stream, None) is None
 
     def test_version_change_invalidates_only_that_stage(self, tmp_path):
         passages = cascade_passages()[:9]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from godspell import _sweep, annotate, stats, topics
+from godspell import _sweep, annotate, config, stats, topics
 from godspell.cli import main
 from godspell.corpus import read_passages
 
@@ -541,6 +542,64 @@ def test_csv_inputs_with_a_byte_order_mark_read_the_same(tmp_path, upstream, com
     assert results[0] == results[1]
 
 
+def test_text_and_json_inputs_with_a_byte_order_mark_read_the_same(tmp_path):
+    """The novel texts, the stopword list, the run config, analysis.json
+    and a prompt registry, each with a byte-order mark, give the bytes the
+    plain files give, from ingest to stats."""
+    outputs = []
+    for marked in (False, True):
+        fixtures = tmp_path / f"fixtures-{marked}"
+        shutil.copytree(FIXTURES, fixtures)
+        (fixtures / "registry.json").write_text(json.dumps(annotate.BUILTIN_REGISTRY),
+                                                encoding="utf-8")
+        run_config = json.loads((fixtures / "runconfig.json").read_text(encoding="utf-8"))
+        run_config["prompts"] = {"registry": "registry.json"}
+        (fixtures / "runconfig.json").write_text(json.dumps(run_config), encoding="utf-8")
+        if marked:
+            for path in [*(fixtures / "novels").iterdir(), fixtures / "stopwords.txt",
+                         fixtures / "runconfig.json", fixtures / "analysis.json",
+                         fixtures / "registry.json"]:
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / f"out-{marked}"
+        for command in ("ingest", "segment", "topics-train", "annotate", "stats"):
+            assert run(command, "--config", str(fixtures / "runconfig.json"),
+                       "--output", str(out)) == 0, command
+        outputs.append({rel: (out / rel).read_bytes() for rel in (
+            "corpus.json", "passages.jsonl", "topics/state.json", "annotations.jsonl",
+            "stats.json")})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["passages.jsonl"] == (GOLDEN / "passages.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier run's annotations\n"],
+                         ids=["first run", "over an earlier run"])
+def test_interrupted_annotate_leaves_no_partial_annotations(tmp_path, upstream, monkeypatch,
+                                                            earlier):
+    """An annotate run interrupted part-way (KeyboardInterrupt from the
+    model) writes no annotations.jsonl and leaves no temporary file, and an
+    earlier annotations.jsonl stays as it was."""
+    class KillSwitch(annotate.MockModel):
+        def transport(self, config, prompt, schema):
+            if self._stage_for(schema) == "stage1" and self.calls["stage1"] >= 5:
+                raise KeyboardInterrupt
+            return super().transport(config, prompt, schema)
+
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    path = out / "annotations.jsonl"
+    path.unlink()
+    if earlier is not None:
+        path.write_bytes(earlier)
+    listed = sorted(out.iterdir())
+    monkeypatch.setattr(annotate, "MockModel", KillSwitch)
+    with pytest.raises(KeyboardInterrupt):
+        run("annotate", "--config", CONFIG, "--output", str(out),
+            "--cache-dir", str(tmp_path / "cache"))
+    assert sorted(out.iterdir()) == listed
+    assert (path.read_bytes() if path.exists() else None) == earlier
+    assert len(list((tmp_path / "cache" / "stage1").iterdir())) >= 5
+
+
 @pytest.mark.parametrize("command, section, key, text, message, written", [
     ("eval", "evaluation", "gold_overrides",
      (FIXTURES / "gold_overrides.csv").read_text(encoding="utf-8") + "hearth-a:99,YES,typo\n",
@@ -815,6 +874,38 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("data", [b"", b"abc", "naïve “God” — ἀγάπη".encode("utf-8"),
+                                  bytes(range(256)) * 3], ids=["empty", "ascii", "non-ascii",
+                                                               "768 bytes"])
+def test_sha256_is_hashlibs(data):
+    assert config.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert config.sha256(data).digest() == hashlib.sha256(data).digest()
+
+
+def test_sha256_falls_back_to_hashlib_with_the_same_digests():
+    """With CPython's own sha256 modules missing, config.sha256 is
+    hashlib's, and the kernel's file name and the golden cache keys stay
+    as they are."""
+    proc = python(
+        "import json, sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib\n"
+        "from godspell import _sweep, annotate, config, corpus\n"
+        "assert config.sha256 is hashlib.sha256\n"
+        "stage1 = annotate.resolve_templates(annotate.default_registry(), {})['stage1']\n"
+        f"passages = corpus.read_passages({str(GOLDEN / 'passages.jsonl')!r})\n"
+        "print(json.dumps([_sweep.library_name(), [annotate.cache_key(\n"
+        "    'gemma3n:e4b', stage1, p.text, 'stage1') for p in passages]]))\n")
+    assert proc.returncode == 0, proc.stderr
+    library, keys = json.loads(proc.stdout)
+    assert library == _sweep.library_name()
+    golden = [json.loads(line)["cache_key"]
+              for line in (GOLDEN / "annotations.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(golden) == len(keys)
+    assert any(golden)
+    assert all(key == found for key, found in zip(keys, golden) if found is not None)
+
+
 def test_analysis_modules_import_without_numpy_and_scipy():
     proc = python("import sys\nsys.modules['numpy'] = sys.modules['scipy'] = None\n"
                   "import godspell.stats, godspell.evaluation, godspell.topics, godspell.report\n"
@@ -849,6 +940,7 @@ WRITES = {
     ("stats", "numpy,scipy"),
     ("topics-inspect", "numpy,scipy"),
     *[(command, "http.client,urllib.request") for command in WRITES],
+    *[(command, "hashlib,_hashlib,ssl") for command in WRITES],
     *[(command, "godspell.annotate") for command in WRITES if command != "annotate"],
     *[(command, "godspell.report") for command in WRITES if command != "report"],
     ("eval", "godspell.stats"),
