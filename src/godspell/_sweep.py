@@ -49,7 +49,7 @@ import os
 from collections.abc import Iterator
 from pathlib import Path
 
-from .config import sha256
+from .config import replacing, sha256
 
 log = logging.getLogger(__name__)
 
@@ -559,15 +559,13 @@ def _checksum_path(path: Path) -> Path:
 
 
 def build(path: Path) -> None:
-    """Compile SOURCE into a temporary file beside path, record its sha256
-    in path.sha256, then os.replace it onto path. Concurrent builds can
+    """Compile SOURCE into path and record its sha256 in path.sha256, each
+    through config.replacing, the checksum first. Concurrent builds can
     leave a checksum that matches neither library; that is only a rebuild."""
     import subprocess
-    import tempfile
 
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}-")
-    os.close(fd)
-    try:
+    with replacing(path) as tmp:
+        tmp.touch()  # an unwritable directory raises OSError here, so load builds elsewhere
         try:
             proc = subprocess.run([COMPILER, *FLAGS, "-x", "c", "-", "-o", tmp, *LIBS],
                                   input=SOURCE, capture_output=True, text=True, timeout=300)
@@ -575,11 +573,8 @@ def build(path: Path) -> None:
             raise BuildError(f"cannot run {COMPILER}: {e}") from None
         if proc.returncode:
             raise BuildError(f"{COMPILER} exited {proc.returncode}: {proc.stderr.strip()[:400]}")
-        _checksum_path(path).write_text(sha256(Path(tmp).read_bytes()).hexdigest())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        with replacing(_checksum_path(path)) as checksum:
+            checksum.write_text(sha256(tmp.read_bytes()).hexdigest())
 
 
 def _intact(path: Path) -> bool:

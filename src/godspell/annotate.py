@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import threading
 import time
@@ -38,7 +37,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ModelConfig, read_json, sha256
+from .config import ModelConfig, read_json, replacing, sha256
 from .corpus import _SENTENCE_RE, Passage
 from .records import FACETS, ActAnnotation
 
@@ -433,9 +432,8 @@ class AnnotationCache:
     def put(self, stage: str, key: str, fields: dict) -> None:
         path = self._path(stage, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp-{os.urandom(16).hex()}")
-        tmp.write_text(json.dumps(fields, ensure_ascii=False), encoding="utf-8")
-        os.replace(tmp, path)
+        with replacing(path) as tmp:
+            tmp.write_text(json.dumps(fields, ensure_ascii=False), encoding="utf-8")
 
 
 def _run_stage(
@@ -600,22 +598,12 @@ def run_pipeline(
 
 
 def write_annotations(annotations: Iterable[ActAnnotation], path: Path | str) -> None:
-    """One JSON line per annotation, in input order, into a temporary file
-    beside path that replaces path only once the iterable is exhausted. On
-    any exception, KeyboardInterrupt included, the temporary file is
-    removed and whatever path held is left as it was."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp-{os.urandom(16).hex()}")
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            for ann in annotations:
-                # vars, not asdict: the fields in order, without asdict's deep copy
-                fh.write(json.dumps({"passage": ann.ref, **vars(ann)}, ensure_ascii=False)
-                         + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """One JSON line per annotation, in input order, through
+    config.replacing: path is replaced only once the iterable is exhausted."""
+    with replacing(path) as tmp, tmp.open("w", encoding="utf-8") as fh:
+        for ann in annotations:
+            # vars, not asdict: the fields in order, without asdict's deep copy
+            fh.write(json.dumps({"passage": ann.ref, **vars(ann)}, ensure_ascii=False) + "\n")
 
 
 _TEXT_SPAN_RE = re.compile(r"<text>\n(.*)\n</text>", re.DOTALL)

@@ -10,10 +10,12 @@ sets). A relative flag path is taken from the working directory, a
 relative path in the config from the config's directory.
 
 Subcommands write their artifacts into the configured output directory and
-are idempotent given unchanged inputs. A subcommand loads its inputs, calls
-the module that owns the work (`stats.analyze` for stats.json,
-`evaluation.evaluate` for metrics.json) and writes the result; no analysis
-or scoring happens here. Exit codes: 0 success, 1 config error, 2 runtime
+are idempotent given unchanged inputs. Each artifact is written through
+`config.replacing`, so an interrupted or failing command leaves each
+earlier artifact as it was, and no partial one. A subcommand loads its
+inputs, calls the module that owns the work (`stats.analyze` for
+stats.json, `evaluation.evaluate` for metrics.json) and writes the result;
+no analysis or scoring happens here. Exit codes: 0 success, 1 config error, 2 runtime
 error (with error.json in the output directory), 64 unknown subcommand.
 
 Each command imports only the modules it runs, inside its own function;
@@ -39,7 +41,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import ConfigError, RunConfig, load_run_config, read_csv, read_json, write_csv
+from .config import (ConfigError, RunConfig, load_run_config, read_csv, read_json, read_text,
+                     replacing, write_csv)
 
 if TYPE_CHECKING:
     from . import topics
@@ -48,10 +51,9 @@ log = logging.getLogger(__name__)
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with replacing(path) as tmp:
+        tmp.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+                       encoding="utf-8")
 
 
 def _require_artifact(path: Path, produced_by: str) -> Path:
@@ -64,7 +66,7 @@ def _load_stopwords(config: RunConfig) -> set[str]:
     if config.stopwords_path is None:
         return set()
     words = set()
-    for line in config.stopwords_path.read_text(encoding="utf-8-sig").splitlines():
+    for line in read_text(config.stopwords_path).splitlines():
         word = line.strip().lower()
         if word:
             words.add(word)
@@ -288,9 +290,8 @@ def cmd_report(config: RunConfig) -> None:
     metrics_path = config.output_dir / "metrics.json"
     metrics = read_json(metrics_path) if metrics_path.is_file() else None
     written = report.figure_data(results, config.output_dir / "figures")
-    (config.output_dir / "report.md").write_text(
-        report.markdown_summary(results, metrics), encoding="utf-8"
-    )
+    with replacing(config.output_dir / "report.md") as tmp:
+        tmp.write_text(report.markdown_summary(results, metrics), encoding="utf-8")
     print(f"wrote report.md and {len(written)} figure tables")
 
 

@@ -1,20 +1,24 @@
-"""The run configuration, and the home of every file reader. `RunConfig`'s
-fields declare every setting of a run config, `load_run_config` reads one
-through them, and `ModelConfig` is what annotate takes. Every JSON input
-of a command is parsed by `read_json`, every keyed CSV by `read_csv`
-(which imports `csv` only when called), and CSV outputs go out through
-`write_csv`. `sha256` is the package's one hash: CPython's own, so that
-taking a digest does not load OpenSSL's libcrypto as `hashlib` does.
+"""The run configuration, and the home of every file reader and writer.
+`RunConfig`'s fields declare every setting of a run config,
+`load_run_config` reads one through them, and `ModelConfig` is what
+annotate takes. Every text input is decoded by `read_text`, every JSON
+input parsed by `read_json`, every keyed CSV by `read_csv` (which imports
+`csv` only when called). Every file is written through `replacing`, so an
+interrupted command leaves each earlier file as it was; CSVs go out
+through `write_csv`. `sha256` is the package's one hash: CPython's own, so
+that taking a digest does not load OpenSSL's libcrypto as `hashlib` does.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 # hashlib is heavy to load (OpenSSL, about 3.6 MB resident): try CPython's own first
 try:
@@ -235,16 +239,15 @@ def read_csv(path: Path | str, key: tuple[str, ...], columns: tuple[str, ...],
              labels: dict[str, tuple[str, ...]] | None = None,
              ) -> dict[tuple[str, ...], tuple[str, ...]]:
     """Each row's cells of columns, keyed by its cells of key, every cell
-    stripped, from a UTF-8 CSV file (with or without a byte-order mark)
-    with a header line. A cell of a column that labels maps is upper-cased
-    and must be one of that column's labels. ConfigError naming the file
-    when the header lacks a column, and the file and line when a row is too
-    short to have a cell for one or has an empty key cell; ValueError
-    naming the file and line when a key repeats or a label is not one of
-    its column's."""
+    stripped, from a CSV file with a header line, decoded by read_text. A
+    cell of a column that labels maps is upper-cased and must be one of
+    that column's labels. ConfigError naming the file when the header lacks
+    a column, and the file and line when a row is too short to have a cell
+    for one or has an empty key cell; ValueError naming the file and line
+    when a key repeats or a label is not one of its column's."""
     import csv
 
-    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+    with io.StringIO(read_text(path, newline=""), newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in (*key, *columns) if c not in (reader.fieldnames or ())]
         if missing:
@@ -269,10 +272,35 @@ def read_csv(path: Path | str, key: tuple[str, ...], columns: tuple[str, ...],
         return rows
 
 
+def read_text(path: Path | str, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at path, without a byte-order mark, its
+    line ends read as open's newline reads them; ValueError naming the file
+    when it is not UTF-8."""
+    try:
+        with Path(path).open(encoding="utf-8-sig", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path} is not UTF-8: {e}") from None
+
+
+@contextmanager
+def replacing(path: Path | str) -> Iterator[Path]:
+    """A fresh path beside path for the block to write, os.replace'd onto
+    path when the block ends, or removed on any exception, KeyboardInterrupt
+    included, leaving path as it was. No fsync: it guards against a failing
+    process, not a power loss."""
+    tmp = Path(f"{path}.tmp-{os.urandom(8).hex()}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     import csv
 
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as tmp, tmp.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

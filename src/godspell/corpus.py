@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
-from .config import read_csv
+from .config import read_csv, read_text, replacing
 
 GENDERS = ("female", "male", "unknown")
 AWARD_STATUSES = ("winner", "finalist")
@@ -94,12 +94,12 @@ class Corpus:
 
     def text(self, novel_id: str) -> str:
         """The novel's text, read on each call, without a byte-order mark;
-        ManifestError if it is not UTF-8."""
+        ManifestError naming the file if it is not UTF-8."""
         path = next(n.source_path for n in self.novels if n.id == novel_id)
         try:
-            return path.read_text(encoding="utf-8-sig")
-        except UnicodeDecodeError as e:
-            raise ManifestError(f"text file for novel {novel_id!r} is not UTF-8: {path}") from e
+            return read_text(path)
+        except ValueError as e:
+            raise ManifestError(f"text file for novel {novel_id!r}: {e}") from None
 
 
 def word_tokenize(text: str) -> list[str]:
@@ -311,11 +311,11 @@ def passage_statistics(passages: list[Passage]) -> dict:
 
 
 def write_passages(passages: list[Passage], path: Path | str) -> None:
-    """One JSON line per passage."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    """One JSON line per passage, through config.replacing."""
+    with replacing(path) as tmp, tmp.open("w", encoding="utf-8") as fh:
         for p in passages:
-            fh.write(json.dumps(asdict(p), ensure_ascii=False) + "\n")
+            # vars, not asdict: the fields in order, without asdict's deep copy
+            fh.write(json.dumps(vars(p), ensure_ascii=False) + "\n")
 
 
 def iter_passages(path: Path | str) -> Iterator[Passage]:

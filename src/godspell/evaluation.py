@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .config import read_csv
-from .records import FACETS, ActAnnotation
+from .records import FACETS, ActAnnotation, left_sum
 
 RELIABILITY_LABELS = ("YES", "MAYBE", "NO")
 Judgments = dict[str, dict[str, str]]
@@ -52,7 +52,8 @@ def krippendorff_alpha(judgments: Judgments) -> float:
 
     Each passage with m >= 2 labels contributes its ordered label pairs
     with weight 1/(m-1); passages with a single label are ignored. Passages
-    are visited in sorted order, which fixes the order of the float sums.
+    are visited in sorted order, which with records.left_sum fixes the
+    order of the float sums.
     """
     values = sorted({v for coders in judgments.values() for v in coders.values()})
     coincidence = {a: {b: 0.0 for b in values} for a in values}
@@ -67,13 +68,13 @@ def krippendorff_alpha(judgments: Judgments) -> float:
                 if j != k:
                     coincidence[a][b] += weight
 
-    n = sum(sum(row.values()) for row in coincidence.values())
+    n = left_sum(left_sum(row.values()) for row in coincidence.values())
     if n == 0:
         raise ValueError("no pairable items: every item has fewer than 2 labels")
-    totals = {a: sum(coincidence[a].values()) for a in values}
+    totals = {a: left_sum(coincidence[a].values()) for a in values}
 
-    observed = sum(coincidence[a][b] for a in values for b in values if a != b) / n
-    expected = sum(
+    observed = left_sum(coincidence[a][b] for a in values for b in values if a != b) / n
+    expected = left_sum(
         totals[a] * totals[b] for a in values for b in values if a != b
     ) / (n * (n - 1))
     if expected == 0:

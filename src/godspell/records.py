@@ -1,18 +1,27 @@
 """The annotation records the later commands read: `ActAnnotation`, the
 cascade's verdict for one passage, `read_annotations` for annotations.jsonl,
-and `FACETS`, the label sets of the characterization prompts by facet.
-`eval` and `stats` read annotations through this module alone, so neither
-loads the cascade.
+`FACETS`, the label sets of the characterization prompts by facet, and
+`left_sum`, the one float sum of both commands. `eval` and `stats` read
+annotations through this module alone, so neither loads the cascade.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 # each characterization facet, an ActAnnotation field, -> its labels
 FACETS = {"affect": ("INDIVIDUAL", "GROUP"), "impact": ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")}
+
+
+def left_sum(values) -> float:
+    """values added one by one, left to right from 0: bit for bit the sum()
+    of Python 3.10 and 3.11, whose float sum 3.12 made compensated, so
+    metrics.json and stats.json read the same on every Python."""
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass

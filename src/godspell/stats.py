@@ -5,7 +5,9 @@ stats.json, so a value is defined once, as a key where it is computed.
 
 The t-distribution CDF is computed from scratch via the regularized
 incomplete beta function (continued fraction), so p-values do not depend
-on an external stats library; the module imports the stdlib only.
+on an external stats library; the module imports the stdlib only. Every
+float sum is `records.left_sum`, so stats.json reads the same on every
+Python.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from typing import Callable, Sequence
 
 from .corpus import Novel, Passage, passage_statistics
-from .records import FACETS, ActAnnotation
+from .records import FACETS, ActAnnotation, left_sum
 
 log = logging.getLogger(__name__)
 
@@ -106,13 +108,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     n = len(x)
     if n < 3:
         raise ValueError("pearson requires at least 3 points")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((xi - mx) ** 2 for xi in x)
-    syy = sum((yi - my) ** 2 for yi in y)
+    mx = left_sum(x) / n
+    my = left_sum(y) / n
+    sxx = left_sum((xi - mx) ** 2 for xi in x)
+    syy = left_sum((yi - my) ** 2 for yi in y)
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("undefined correlation: constant input")
-    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
+    sxy = left_sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -127,10 +129,10 @@ def ttest_ind(a: Sequence[float], b: Sequence[float]) -> dict:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("each group needs at least 2 values")
-    ma = sum(a) / na
-    mb = sum(b) / nb
-    va = sum((v - ma) ** 2 for v in a) / (na - 1)
-    vb = sum((v - mb) ** 2 for v in b) / (nb - 1)
+    ma = left_sum(a) / na
+    mb = left_sum(b) / nb
+    va = left_sum((v - ma) ** 2 for v in a) / (na - 1)
+    vb = left_sum((v - mb) ** 2 for v in b) / (nb - 1)
     df = float(na + nb - 2)
     pooled = ((na - 1) * va + (nb - 1) * vb) / df
     se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
@@ -216,7 +218,7 @@ def act_proportions(annotations: Sequence[ActAnnotation]) -> dict:
     }
     if per_novel:
         shares = list(per_novel.values())
-        result.update(per_novel_mean=sum(shares) / len(shares), per_novel_min=min(shares),
+        result.update(per_novel_mean=left_sum(shares) / len(shares), per_novel_min=min(shares),
                       per_novel_max=max(shares))
     return result
 
@@ -244,7 +246,7 @@ def position_density(
         "bin_edges": [i / bins for i in range(bins + 1)],
         "counts": counts,
         "density": [c * bins / n if n else 0.0 for c in counts],
-        "mean_position": sum(acts) / n if n else None,
+        "mean_position": left_sum(acts) / n if n else None,
         "n_acts": n,
     }
 
@@ -335,7 +337,7 @@ def analyze(
     act_share = act["per_novel"]
     density = position_density(annotations, passages, bins=bins)
     mean_prominence = [
-        sum(p[t] for p in prominence.values()) / len(prominence) for t in range(k)
+        left_sum(p[t] for p in prominence.values()) / len(prominence) for t in range(k)
     ] if prominence else []
     characterization = characterization_shares(annotations)
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import read_json
+from .config import read_json, replacing
 
 if TYPE_CHECKING:
     from .corpus import Segment
@@ -563,7 +563,7 @@ def save_state(
     texts = json.dumps(array.array("d", array.array("q", shares).tobytes()).tolist())
     for key, text in zip(shares, texts[1:-1].split(", ")):
         shares[key] = text
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path) as tmp, tmp.open("w", encoding="utf-8") as fh:
         fh.write(f'{head[:-1]}, "n_kw": ')
         _write_rows(fh, _sweep.row_texts(_sweep.items("n_kw", state.n_kw, "i"), k))
         fh.write(', "doc_topic": ')

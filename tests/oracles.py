@@ -15,8 +15,8 @@ replace, the numpy code (vocabulary, downsampling, checks, likelihood,
 optimisers, proportions) that the standard-library arrays and the kernel
 replaced, the whole-payload ``json.dumps`` that the state writer's per-row
 text replaces, numpy's per-novel mean that the plain-Python prominence
-replaces, and the cascade's structural rules checked on a finished
-annotation.
+replaces, the cascade's structural rules checked on a finished
+annotation, and a loop adding floats one at a time for the fixed-order sum.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def t_cdf_quad(t: float, df: float, dps: int = 30) -> float:
 
 def t_two_sided_p_quad(t: float, df: float) -> float:
     return float(2 * min(t_cdf_quad(t, df), t_cdf_quad(-t, df)))
+
+
+def left_fold_sum(values) -> float:
+    """values added one at a time, in order, starting from 0."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
 
 
 def krippendorff_brute(item_labels: list[list[str]]) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from godspell import _sweep, annotate, config, stats, topics
+from godspell import _sweep, annotate, config, corpus, stats, topics
 from godspell.cli import main
 from godspell.corpus import read_passages
 
@@ -598,6 +598,72 @@ def test_interrupted_annotate_leaves_no_partial_annotations(tmp_path, upstream, 
     assert sorted(out.iterdir()) == listed
     assert (path.read_bytes() if path.exists() else None) == earlier
     assert len(list((tmp_path / "cache" / "stage1").iterdir())) >= 5
+
+
+def interrupting(items, error):
+    """items, with error raised in place of the 4th."""
+    for i, item in enumerate(items):
+        if i == 3:
+            raise error
+        yield item
+
+
+def test_interrupted_segment_leaves_the_earlier_passages(tmp_path, upstream, monkeypatch):
+    """segment interrupted (KeyboardInterrupt) while it writes the 4th
+    passage leaves an earlier passages.jsonl byte for byte as it was, not
+    the 3 passages before the interrupt, and no temporary file."""
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    earlier = (out / "passages.jsonl").read_bytes()
+    listed = sorted(out.rglob("*"))
+    segment_corpus = corpus.segment_corpus
+    monkeypatch.setattr(corpus, "segment_corpus", lambda *args, **kwargs: interrupting(
+        segment_corpus(*args, **kwargs), KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        run("segment", "--config", CONFIG, "--output", str(out))
+    assert (out / "passages.jsonl").read_bytes() == earlier
+    assert sorted(out.rglob("*")) == listed
+
+
+def test_failed_save_state_leaves_the_earlier_state(tmp_path, upstream, monkeypatch):
+    """topics-train failing part-way through writing state.json ends with
+    exit 2 and error.json, and leaves the earlier state.json byte for byte
+    as it was, and no temporary file in topics/."""
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    earlier = (out / "topics" / "state.json").read_bytes()
+    listed = sorted((out / "topics").iterdir())
+    write_rows = topics._write_rows
+    monkeypatch.setattr(topics, "_write_rows", lambda fh, rows: write_rows(
+        fh, interrupting(rows, OSError("No space left on device"))))
+    config = config_with(tmp_path, topics={"sweeps": 2})
+    assert run("topics-train", "--config", config, "--output", str(out)) == 2
+    assert json.loads((out / "error.json").read_text())["message"] == "No space left on device"
+    assert (out / "topics" / "state.json").read_bytes() == earlier
+    assert sorted((out / "topics").iterdir()) == listed
+
+
+@pytest.mark.parametrize("command, name", [
+    ("segment", "novels/hearth-a.txt"), ("topics-train", "stopwords.txt"),
+    ("ingest", "manifest.csv"), ("eval", "rounds/round1.csv"),
+    ("eval", "gold_overrides.csv"), ("eval", "spotcheck.csv"), ("stats", "topic_labels.csv"),
+], ids=["novel text", "stopwords", "manifest", "round", "overrides", "spotcheck",
+        "topic labels"])
+def test_text_input_that_is_not_utf8_names_its_file(tmp_path, upstream, command, name):
+    """A person's text file with a Latin-1 byte ends the command with exit
+    2 and error.json naming the file, and changes no other output."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    bad = fixtures / name
+    bad.write_bytes(bad.read_bytes() + "Café\n".encode("latin-1"))
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert run(command, "--config", str(fixtures / "runconfig.json"), "--output", str(out)) == 2
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert f"{bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position " in message
+    (out / "error.json").unlink()
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
 @pytest.mark.parametrize("command, section, key, text, message, written", [

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from godspell.records import left_sum
 from godspell.stats import (
     act_proportions,
     betainc_reg,
@@ -15,10 +16,37 @@ from godspell.stats import (
 )
 
 from helpers import make_annotation, make_novel, make_passage
-from oracles import t_cdf_quad, t_two_sided_p_quad
+from oracles import left_fold_sum, t_cdf_quad, t_two_sided_p_quad
 
 # Frozen from the numerical-integration oracle (see oracles.t_two_sided_p_quad).
 TTEST_EXAMPLE_P = 0.2878641347266907
+
+
+# sums whose compensated value (math.fsum, or sum() from Python 3.12) is
+# not their left fold
+UNEVEN_SUMS = [[1e16, 1.0, -1e16], [1e16, 1.0, -1e16, 3.0, 1e-3], [0.1] * 10]
+
+
+@pytest.mark.parametrize("values", UNEVEN_SUMS)
+def test_left_sum_is_the_left_fold_on_every_python(values):
+    assert math.fsum(values) != left_fold_sum(values)
+    assert left_sum(values) == left_fold_sum(values)
+    assert left_sum(iter(values)) == left_fold_sum(values)
+
+
+def test_means_are_left_folds():
+    """The means of ttest_ind, act_proportions and position_density add
+    in order, as the left fold does, on every Python."""
+    a = [1e16, 1.0, -1e16, 3.0]
+    assert ttest_ind(a, [1.0, 2.0])["mean_a"] == left_fold_sum(a) / 4 == 0.75
+    annotations = [make_annotation(f"nov-{n}", i, final="YES" if i == 0 else "NO")
+                   for n in range(10) for i in range(10)]
+    shares = act_proportions(annotations)
+    assert shares["per_novel_mean"] == left_fold_sum([0.1] * 10) / 10
+    passages = [make_passage("nov-a", i, 0.1) for i in range(10)]
+    acts = [make_annotation("nov-a", i, final="YES") for i in range(10)]
+    mean = position_density(acts, passages, bins=4)["mean_position"]
+    assert mean == left_fold_sum([0.1] * 10) / 10 != 0.1
 
 
 class TestPearson:
