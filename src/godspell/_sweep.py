@@ -49,7 +49,7 @@ import os
 from collections.abc import Iterator
 from pathlib import Path
 
-from .config import replacing, sha256
+from .config import read_text, replacing, sha256
 
 log = logging.getLogger(__name__)
 
@@ -582,9 +582,9 @@ def _intact(path: Path) -> bool:
     truncated library can crash the process in dlopen, so nothing is
     loaded from the cache without this check."""
     try:
-        recorded = _checksum_path(path).read_text().strip()
+        recorded = read_text(_checksum_path(path)).strip()
         return sha256(path.read_bytes()).hexdigest() == recorded
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a checksum that is not UTF-8
         return False
 
 

@@ -37,7 +37,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ModelConfig, read_json, replacing, sha256
+from .config import ModelConfig, read_json, read_text, replacing, sha256
 from .corpus import _SENTENCE_RE, Passage
 from .records import FACETS, ActAnnotation
 
@@ -422,12 +422,10 @@ class AnnotationCache:
         return self.directory / stage / f"{key}.json"
 
     def get(self, stage: str, key: str) -> str | None:
-        """The entry's text, or None when there is no entry. Bytes that are
-        not UTF-8 read as U+FFFD, so such an entry fails to parse."""
+        """The entry's text, decoded by config.read_text, or None when there
+        is no entry; ValueError naming the entry when it is not UTF-8."""
         path = self._path(stage, key)
-        if not path.is_file():
-            return None
-        return path.read_text(encoding="utf-8", errors="replace")
+        return read_text(path) if path.is_file() else None
 
     def put(self, stage: str, key: str, fields: dict) -> None:
         path = self._path(stage, key)
@@ -446,15 +444,15 @@ def _run_stage(
 ) -> tuple[dict[str, str], str]:
     """Execute (or look up) one stage; returns parsed fields and cache key.
 
-    A cache entry that parse_response rejects counts as a miss."""
+    A cache entry that is not UTF-8 or parse_response rejects is a miss."""
     key = cache_key(config.model, template, text, stage)
-    cached = cache.get(stage, key)
-    if cached is not None:
-        try:
+    try:
+        cached = cache.get(stage, key)
+        if cached is not None:
             return parse_response(cached, template.schema), key
-        except MalformedResponse as e:
-            log.warning("cache entry %s/%s is malformed (%s); treating it as a miss",
-                        stage, key, e)
+    except ValueError as e:  # read_text's for bytes that are not UTF-8, or MalformedResponse
+        log.warning("cache entry %s/%s is malformed (%s); treating it as a miss",
+                    stage, key, e)
     try:
         fields = call_model(config, render_prompt(template, text), template.schema, transport)
     except PipelineError as e:

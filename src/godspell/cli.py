@@ -212,9 +212,6 @@ def cmd_annotate(config: RunConfig) -> None:
 def cmd_eval(config: RunConfig) -> None:
     from . import evaluation, records
 
-    annotations = records.read_annotations(
-        _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
-    )
     if not config.annotation_rounds:
         raise ConfigError("config names no evaluation.rounds")
     # a round's coders are namespaced by its file name, which must be its own
@@ -235,6 +232,9 @@ def cmd_eval(config: RunConfig) -> None:
         if config.spotcheck_path is not None
         else None
     )
+    annotations = records.read_annotations(
+        _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
+    )
     payload = evaluation.evaluate(rounds, overrides, annotations, spotcheck)
     _dump_json(config.output_dir / "metrics.json", payload)
     metrics = payload["metrics"]
@@ -249,6 +249,10 @@ def cmd_stats(config: RunConfig) -> None:
     analysis config, plus the topic labels when configured."""
     from . import corpus, records, stats, topics
 
+    try:
+        analysis = read_json(config.analysis_path) if config.analysis_path else {}
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     loaded = corpus.ingest(config.manifest)
     passages = corpus.read_passages(
         _require_artifact(config.output_dir / "passages.jsonl", "segment")
@@ -262,10 +266,6 @@ def cmd_stats(config: RunConfig) -> None:
     model = topics.load_state(
         _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
     )
-    try:
-        analysis = read_json(config.analysis_path) if config.analysis_path else {}
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     prominence = topics.prominence_from_doc_topic(
         model["doc_topic"], model["doc_novels"], [n.id for n in loaded.novels]
     )

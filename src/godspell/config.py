@@ -1,9 +1,10 @@
 """The run configuration, and the home of every file reader and writer.
 `RunConfig`'s fields declare every setting of a run config,
 `load_run_config` reads one through them, and `ModelConfig` is what
-annotate takes. Every text input is decoded by `read_text`, every JSON
-input parsed by `read_json`, every keyed CSV by `read_csv` (which imports
-`csv` only when called). Every file is written through `replacing`, so an
+annotate takes. Every text input is decoded by `read_text`, or by
+`read_records` one JSON line at a time, every JSON input parsed by
+`read_json`, every keyed CSV by `read_csv` (which imports `csv` only when
+called). Every file is written through `replacing`, so an
 interrupted command leaves each earlier file as it was; CSVs go out
 through `write_csv`. `sha256` is the package's one hash: CPython's own, so
 that taking a digest does not load OpenSSL's libcrypto as `hashlib` does.
@@ -18,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 # hashlib is heavy to load (OpenSSL, about 3.6 MB resident): try CPython's own first
 try:
@@ -216,7 +217,7 @@ def load_run_config(config_path: Path | str, *, output_dir: str | None = None,
             try:
                 path.mkdir(parents=True, exist_ok=True)
                 (path / ".write-probe").write_text("", encoding="utf-8")
-                (path / ".write-probe").unlink()
+                (path / ".write-probe").unlink(missing_ok=True)
             except OSError as e:
                 raise ConfigError(f"{setting.key} not writable: {path} ({e})") from None
     return config
@@ -270,6 +271,22 @@ def read_csv(path: Path | str, key: tuple[str, ...], columns: tuple[str, ...],
                     f"{c} {cell!r}" for c, cell in zip(key, cells)))
             rows[cells] = tuple(row[c].strip() for c in columns)
         return rows
+
+
+def read_records(path: Path | str, make: Callable, what: str) -> Iterator:
+    """make(each non-blank line's JSON value), the file at path decoded as
+    read_text decodes it, one line at a time; ValueError naming the file and
+    line of a line that is not JSON or that make refuses."""
+    try:
+        with Path(path).open(encoding="utf-8-sig") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        yield make(json.loads(line))
+                    except (ValueError, TypeError, AttributeError) as e:
+                        raise ValueError(f"{path} line {number} is not {what}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path} is not UTF-8: {e}") from None
 
 
 def read_text(path: Path | str, newline: str | None = None) -> str:

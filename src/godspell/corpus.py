@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import read_csv, read_text, replacing
+from .config import read_csv, read_records, read_text, replacing
 
 GENDERS = ("female", "male", "unknown")
 AWARD_STATUSES = ("winner", "finalist")
@@ -319,16 +319,9 @@ def write_passages(passages: list[Passage], path: Path | str) -> None:
 
 
 def iter_passages(path: Path | str) -> Iterator[Passage]:
-    """The passages of a passages.jsonl file, one line read per passage;
-    ValueError naming the file and the line of a line that is not a passage."""
-    with Path(path).open(encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    passage = Passage(**json.loads(line))
-                except (ValueError, TypeError) as e:
-                    raise ValueError(f"{path} line {number} is not a passage: {e}") from None
-                yield passage
+    """The passages of a passages.jsonl file, one line read per passage by
+    config.read_records, whose ValueError names the file and any bad line."""
+    return read_records(path, lambda d: Passage(**d), "a passage")
 
 
 def read_passages(path: Path | str) -> list[Passage]:

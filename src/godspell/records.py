@@ -8,10 +8,11 @@ annotations through this module alone, so neither loads the cascade.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
+
+from .config import read_records
 
 # each characterization facet, an ActAnnotation field, -> its labels
 FACETS = {"affect": ("INDIVIDUAL", "GROUP"), "impact": ("LOVING", "PUNISHING", "BOTH", "NEUTRAL")}
@@ -51,16 +52,7 @@ class ActAnnotation:
 
 
 def read_annotations(path: Path | str) -> list[ActAnnotation]:
-    """Each line's annotation, its "passage" dropped; ValueError naming the
-    file and the line of a line that is not one."""
-    annotations = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    d = json.loads(line)
-                    d.pop("passage", None)
-                    annotations.append(ActAnnotation(**d))
-                except (ValueError, TypeError, AttributeError) as e:
-                    raise ValueError(f"{path} line {number} is not an annotation: {e}") from None
-    return annotations
+    """Each line's annotation, its "passage" dropped, read by
+    config.read_records, whose ValueError names the file and any bad line."""
+    return list(read_records(path, lambda d: ActAnnotation(
+        **{k: v for k, v in d.items() if k != "passage"}), "an annotation"))

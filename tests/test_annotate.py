@@ -481,17 +481,25 @@ class TestPipelineCacheAndResume:
         assert sum(mock2.calls.values()) == 0
         assert first == second
 
-    @pytest.mark.parametrize("entry", [b'{"explanation": "trunca', b'{"explanation": "x"}',
-                                       b'["YES"]', b"\xff\xfe{"])
+    @pytest.mark.parametrize("entry", [
+        b'{"explanation": "trunca', b'{"explanation": "x"}', b'["YES"]', b"\xff\xfe{",
+        pytest.param(lambda clean: clean.replace(b'"explanation": "', b'"explanation": "\xe9'),
+                     id="clean but for a Latin-1 byte"),
+    ])
     def test_bad_cache_entry_is_a_miss(self, tmp_path, caplog, entry):
-        """An entry that does not parse, even one that is not UTF-8, is a
-        miss with one warning naming it, and the rerun equals the clean run."""
+        """An entry that does not parse, or that is not UTF-8 even where it
+        would parse, is a miss with one warning naming it, and the rerun
+        equals the clean run."""
         passages = cascade_passages()
         clean = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",
                              transport=MockModel().transport, workers=1)
         template = default_registry().get("act_of_god", "v1")
         key = cache_key("mock-model", template, passages[0].text, "stage1")
-        (tmp_path / "cache" / "stage1" / f"{key}.json").write_bytes(entry)
+        path = tmp_path / "cache" / "stage1" / f"{key}.json"
+        if callable(entry):
+            entry = entry(path.read_bytes())
+            assert b"\xe9" in entry
+        path.write_bytes(entry)
         mock = MockModel()
         with caplog.at_level("WARNING"):
             rerun = run_pipeline(passages, mock_config(), cache_dir=tmp_path / "cache",

@@ -644,26 +644,49 @@ def test_failed_save_state_leaves_the_earlier_state(tmp_path, upstream, monkeypa
 
 
 @pytest.mark.parametrize("command, name", [
-    ("segment", "novels/hearth-a.txt"), ("topics-train", "stopwords.txt"),
-    ("ingest", "manifest.csv"), ("eval", "rounds/round1.csv"),
-    ("eval", "gold_overrides.csv"), ("eval", "spotcheck.csv"), ("stats", "topic_labels.csv"),
+    ("segment", "fixtures/novels/hearth-a.txt"), ("topics-train", "fixtures/stopwords.txt"),
+    ("ingest", "fixtures/manifest.csv"), ("eval", "fixtures/rounds/round1.csv"),
+    ("eval", "fixtures/gold_overrides.csv"), ("eval", "fixtures/spotcheck.csv"),
+    ("stats", "fixtures/topic_labels.csv"),
+    ("annotate", "out/passages.jsonl"), ("stats", "out/passages.jsonl"),
+    ("eval", "out/annotations.jsonl"), ("stats", "out/annotations.jsonl"),
 ], ids=["novel text", "stopwords", "manifest", "round", "overrides", "spotcheck",
-        "topic labels"])
+        "topic labels", "passages for annotate", "passages for stats",
+        "annotations for eval", "annotations for stats"])
 def test_text_input_that_is_not_utf8_names_its_file(tmp_path, upstream, command, name):
-    """A person's text file with a Latin-1 byte ends the command with exit
-    2 and error.json naming the file, and changes no other output."""
+    """A person's text file, or an artifact an earlier command wrote, with a
+    Latin-1 byte ends the command with exit 2 and error.json naming the
+    file, and changes no other output."""
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)
-    bad = fixtures / name
-    bad.write_bytes(bad.read_bytes() + "Café\n".encode("latin-1"))
     out = tmp_path / "out"
     shutil.copytree(upstream, out)
+    bad = tmp_path / name
+    bad.write_bytes(bad.read_bytes() + "Café\n".encode("latin-1"))
     before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
     assert run(command, "--config", str(fixtures / "runconfig.json"), "--output", str(out)) == 2
     message = json.loads((out / "error.json").read_text())["message"]
     assert f"{bad} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position " in message
     (out / "error.json").unlink()
     assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("name, commands", [("passages.jsonl", ("annotate", "stats")),
+                                            ("annotations.jsonl", ("eval", "stats"))])
+def test_artifact_with_a_byte_order_mark_reads_as_without(tmp_path, upstream, name, commands):
+    """passages.jsonl or annotations.jsonl that starts with a byte-order
+    mark gives each command that reads it the outputs it gives without one."""
+    outputs = []
+    for marked in (False, True):
+        out = tmp_path / f"out-{marked}"
+        shutil.copytree(upstream, out)
+        if marked:
+            (out / name).write_bytes(b"\xef\xbb\xbf" + (out / name).read_bytes())
+        for command in commands:
+            assert run(command, "--config", CONFIG, "--output", str(out)) == 0, command
+        outputs.append({path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                        if path.is_file() and path.name != name})
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command, section, key, text, message, written", [
@@ -720,6 +743,25 @@ def test_rounds_eval_cannot_tell_apart_are_config_error(tmp_path, upstream, caps
         f"config error: {message.format(fixtures=FIXTURES, tmp=tmp_path)}\n")
     assert not (out / "metrics.json").exists()
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_config_mistake_is_reported_before_any_artifact_is_read(tmp_path, capsys, command):
+    """A config mistake (no evaluation.rounds for eval, an analysis.json
+    that is not JSON for stats) ends the command with exit 1 and the config
+    error even in an output directory that has no artifact: each checks its
+    config before it reads passages.jsonl, annotations.jsonl or state.json."""
+    analysis = tmp_path / "analysis.json"
+    analysis.write_text("{", encoding="utf-8")
+    config = config_with(tmp_path, evaluation={"rounds": []}, analysis=str(analysis))
+    message = {"eval": "config names no evaluation.rounds",
+               "stats": f"{analysis} is not valid JSON: Expecting property name enclosed in "
+                        "double quotes: line 1 column 2 (char 1)"}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--config", config, "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 class TestOverrides:

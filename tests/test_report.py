@@ -49,6 +49,23 @@ class TestRunConfig:
         assert config.output_dir == tmp_path
         assert len(config.annotation_rounds) == 2
 
+    def test_write_probe_removed_by_another_command_still_loads(self, tmp_path, monkeypatch):
+        """A command started beside this one in the same output directory can
+        remove the write probe between its write and its unlink, as its own
+        unlink does; the config still loads, and no probe is left."""
+        write_text = Path.write_text
+
+        def write_then_vanish(path, *args, **kwargs):
+            written = write_text(path, *args, **kwargs)
+            if path.name == ".write-probe":
+                path.unlink()
+            return written
+
+        monkeypatch.setattr(Path, "write_text", write_then_vanish)
+        config = load_run_config(FIXTURES / "runconfig.json", output_dir=str(tmp_path / "out"))
+        assert config.output_dir == tmp_path / "out"
+        assert list(tmp_path.rglob("*")) == [tmp_path / "out"]
+
     def test_missing_config(self):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(FIXTURES / "nope.json")

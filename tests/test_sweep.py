@@ -513,7 +513,8 @@ def assert_works(lib):
     assert np.array_equal(out, scipy.special.digamma(x))
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated", "empty", "no checksum"])
+@pytest.mark.parametrize("damage", ["garbage", "truncated", "empty", "no checksum",
+                                    "checksum not UTF-8"])
 def test_damaged_cached_library_is_rebuilt(compiled, tmp_path, damage):
     good = tmp_path / "good"
     good.mkdir()
@@ -525,6 +526,9 @@ def test_damaged_cached_library_is_rebuilt(compiled, tmp_path, damage):
     checksum = (good / (_sweep.library_name() + ".sha256")).read_text()
     if damage == "no checksum":
         cached.write_bytes(built)
+    elif damage == "checksum not UTF-8":
+        cached.write_bytes(built)
+        cached.with_name(cached.name + ".sha256").write_bytes(b"\xff\xfe")
     else:
         cached.write_bytes({"garbage": b"not a shared library",
                             "truncated": built[: len(built) // 3],
