@@ -1,6 +1,12 @@
-"""The compiled inner loops of ``topics``: the random draws, the counts and
-their checks, the collapsed Gibbs sweep, histograms, pairwise float sums, and
-``gammaln`` and ``digamma``.
+"""The compiled inner loops of ``topics``: the corpus pass from text to form
+ids, the random draws, the counts and their checks, the collapsed Gibbs
+sweep, histograms, pairwise float sums, and ``gammaln`` and ``digamma``.
+
+``forms`` splits UTF-8 text at exactly ``str.split()``'s whitespace and
+numbers each word's form by first appearance through an open-addressing
+table kept for the whole corpus, so that no word of ``topics-train``'s
+corpus becomes a Python string; ``FormTable`` owns its buffers and grows
+each one when the kernel stops for room, then lets it resume.
 
 ``SOURCE`` holds CPython's Mersenne Twister, run on a copy of a
 ``random.Random``'s state that ``_draw`` hands back, so every draw and
@@ -19,8 +25,9 @@ bit, so scipy is not needed at run time. Their pure-Python twins,
 
 The functions here take and return the standard library's ``array.array``
 and ``memoryview`` buffers, and numpy is never imported. Every id, count,
-offset, bound and weight the kernel reads is int32 (typecode "i"), each
-matrix flat and row-major, so each function has one variant;
+offset, bound and weight the kernel reads is int32 (typecode "i"), and
+every text a byte ("B"), each matrix flat and row-major, so each function
+has one variant;
 ``topics.TopicState`` says why no count wraps. A buffer handed to the
 kernel must hold its C type: ``items`` raises TypeError, naming the
 argument, for any other item format, and never casts (a cast would wrap or
@@ -60,6 +67,7 @@ LIBS = ("-lm",)
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Every exported function returns int64_t: 0, a count, or -1 when it refuses its input. */
 
@@ -100,6 +108,130 @@ int64_t randrange(uint32_t *mt, int64_t k, int64_t n, uint32_t *out)
             out[i] = genrand_uint32(mt) >> shift;
         while (out[i] >= k);
     return 0;
+}
+
+/* 1 for the ASCII whitespace of str.split(), 2 for the lead bytes of its other whitespace
+   in UTF-8 (U+0085 and U+00A0; U+1680; U+2000-U+200A, U+2028, U+2029, U+202F and U+205F;
+   U+3000), 0 for every other byte */
+static const uint8_t BYTE_CLASS[256] = {
+    [0x09] = 1, [0x0a] = 1, [0x0b] = 1, [0x0c] = 1, [0x0d] = 1,
+    [0x1c] = 1, [0x1d] = 1, [0x1e] = 1, [0x1f] = 1, [0x20] = 1,
+    [0xc2] = 2, [0xe1] = 2, [0xe2] = 2, [0xe3] = 2,
+};
+
+/* the byte length of the whitespace code point at s[i] of s[0..n), 0 when it is none */
+static int64_t space_len(const uint8_t *s, int64_t i, int64_t n)
+{
+    if (BYTE_CLASS[s[i]] != 2)
+        return BYTE_CLASS[s[i]];
+    if (s[i] == 0xc2)
+        return i + 1 < n && (s[i + 1] == 0x85 || s[i + 1] == 0xa0) ? 2 : 0;
+    if (i + 2 >= n)
+        return 0;
+    uint8_t b = s[i + 1], c = s[i + 2];
+    if (s[i] == 0xe1)
+        return b == 0x9a && c == 0x80 ? 3 : 0;
+    if (s[i] == 0xe3)
+        return b == 0x80 && c == 0x80 ? 3 : 0;
+    if (b == 0x80)
+        return (c >= 0x80 && c <= 0x8a) || c == 0xa8 || c == 0xa9 || c == 0xaf ? 3 : 0;
+    return b == 0x81 && c == 0x9f ? 3 : 0;
+}
+
+/* FNV-1a of s[0..n) */
+static uint32_t fnv1a(const uint8_t *s, int64_t n)
+{
+    uint32_t h = 2166136261U;
+    for (int64_t i = 0; i < n; i++)
+        h = (h ^ s[i]) * 16777619U;
+    return h;
+}
+
+/* the slot of the form s[0..n), hash h, in the open-addressing table of n_slots (a power
+   of two) slots of three int32: the hash, the form id (-1 when empty) and the offset of
+   the form's bytes in store; the first empty slot when the form is not there */
+static int32_t *slot_of(int32_t *slots, int64_t n_slots, const uint8_t *store, int64_t used,
+                        const uint8_t *s, int64_t n, uint32_t h)
+{
+    for (int64_t i = (int64_t)(h ^ (h >> 16)) & (n_slots - 1);; i = (i + 1) & (n_slots - 1)) {
+        int32_t *slot = slots + 3 * i;
+        if (slot[1] < 0)
+            return slot;
+        int64_t at = slot[2];
+        if ((uint32_t)slot[0] == h && at + n < used && store[at + n] == ' '
+                && memcmp(store + at, s, (size_t)n) == 0)
+            return slot;
+    }
+}
+
+static void put_slot(int32_t *slot, uint32_t h, int64_t id, int64_t at)
+{
+    slot[0] = (int32_t)h;
+    slot[1] = (int32_t)id;
+    slot[2] = (int32_t)at;
+}
+
+/* The words of text[at..n), split at str.split()'s whitespace, as form ids appended to out.
+   A form is a word's bytes; ids count from 0 in order of first appearance, over every call
+   on the same table. tally holds the forms so far, how many of them the table holds, the
+   bytes of store used and the ids in out. store holds each form's bytes followed by a space,
+   in id order; slots (see slot_of) are refilled from it first when the table holds fewer
+   forms than there are, as it does after the caller replaces it with a larger empty one.
+   Returns the offset where it stopped: n once every word is in out, or the start of the next
+   word when out is full, when store has no room for its new form, or when the form would
+   fill more than half the table; -1 before reading text when the table or the tallies
+   cannot be a state this function left. */
+int64_t forms(const uint8_t *text, int64_t n, int64_t at, int32_t *slots, int64_t n_slots,
+              uint8_t *store, int64_t store_size, int32_t *out, int64_t out_size, int32_t *tally)
+{
+    int64_t n_forms = tally[0], used = tally[2], n_out = tally[3];
+    if (n_slots < 1 || (n_slots & (n_slots - 1)) || 2 * n_forms > n_slots || tally[1] < 0
+            || tally[1] > n_forms || used > store_size || n_out < 0 || n_out > out_size
+            || at < 0 || at > n || store_size >= INT32_MAX)
+        return -1;
+    for (int64_t i = 0, start = 0, id = 0; tally[1] < n_forms && i < used; i++)
+        if (store[i] == ' ') {
+            if (id >= tally[1]) {
+                uint32_t h = fnv1a(store + start, i - start);
+                put_slot(slot_of(slots, n_slots, store, used, store + start, i - start, h), h,
+                         id, start);
+            }
+            id++;
+            start = i + 1;
+        }
+    tally[1] = (int32_t)n_forms;
+    int64_t i = at;
+    while (i < n) {
+        int64_t len = space_len(text, i, n);
+        if (len) {
+            i += len;
+            continue;
+        }
+        if (n_out == out_size)
+            break;
+        int64_t start = i;
+        uint32_t h = 2166136261U;  /* fnv1a of the word, taken as it is scanned */
+        do
+            h = (h ^ text[i++]) * 16777619U;
+        while (i < n && !(BYTE_CLASS[text[i]] && space_len(text, i, n)));
+        len = i - start;
+        int32_t *slot = slot_of(slots, n_slots, store, used, text + start, len, h);
+        if (slot[1] < 0) {
+            if (2 * (n_forms + 1) > n_slots || used + len + 1 > store_size) {
+                i = start;
+                break;
+            }
+            memcpy(store + used, text + start, (size_t)len);
+            store[used + len] = ' ';
+            put_slot(slot, h, n_forms++, used);
+            used += len + 1;
+        }
+        out[n_out++] = slot[1];
+    }
+    tally[0] = tally[1] = (int32_t)n_forms;
+    tally[2] = (int32_t)used;
+    tally[3] = (int32_t)n_out;
+    return i;
 }
 
 /* words[i] = ids[words[i]] for each token, the tokens whose id is -1 dropped, in place,
@@ -590,7 +722,7 @@ def _intact(path: Path) -> bool:
 
 # each exported function's argument types: i int64_t, p pointer, d double
 SIGNATURES = {
-    "randrange": "piip", "relabel": "ippip", "novel_ratios": "ipppiipp",
+    "randrange": "piip", "forms": "piipipipip", "relabel": "ippip", "novel_ratios": "ipppiipp",
     "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiippp",
     "gibbs_sweep": "pipppiippppddp", "span": "pip", "histogram": "piiip", "text": "pip",
     "row_sums": "iipp", "proportions": "iippdp", "pairwise_sums": "pipipiipp", "gammaln": "ipp",
@@ -641,13 +773,14 @@ def kernel():
     BuildError when it cannot be built and OSError when it cannot be
     loaded; a failure is not cached, so the next call tries again."""
     lib = load(cache_dir())
-    log.info("random draws, counts, Gibbs sweep, sums, gammaln and digamma: compiled kernel")
+    log.info("form ids, random draws, counts, Gibbs sweep, sums, gammaln and digamma: "
+             "compiled kernel")
     return lib
 
 
 def items(name: str, buf, code: str) -> memoryview:
-    """buf's items as a flat memoryview of code, "i" (int32) or "d"
-    (double), the array typecode of the C type the kernel reads. TypeError
+    """buf's items as a flat memoryview of code, "i" (int32), "d" (double)
+    or "B" (byte), the array typecode of the C type the kernel reads. TypeError
     naming name when buf is not a writable C-contiguous buffer of that
     code: never a cast, which would wrap or misread values."""
     try:
@@ -809,6 +942,65 @@ def _documents(words, offsets, novel_of=None) -> tuple[memoryview, ...]:
         if len(views[2]) != len(offsets) - 1:
             raise ValueError("novel_of must give one novel for each document")
     return tuple(views)
+
+
+class FormTable:
+    """The word forms of a corpus and every word of it as the int32 id of
+    its form. ``add`` reads one text at a time through the kernel's
+    ``forms``: it splits at exactly ``str.split()``'s whitespace, so the
+    words of ``text.encode()`` are those of ``text.split()``, and a form is
+    a word's text as it stands. Ids count from 0 in order of first
+    appearance over every text added.
+
+    The kernel hashes each word's UTF-8 bytes into an open-addressing table
+    kept for the whole corpus and appends new forms to a byte store, each
+    followed by a space; no word becomes a Python string. It stops when its
+    id buffer is full, which is then appended to ``words``, or when the
+    store or the half-full table would overflow; that buffer is doubled
+    and the kernel resumes where it stopped."""
+
+    def __init__(self) -> None:
+        self.words = array.array("i")  # each word's form id, in text order
+        self.forms: list[str] = []  # form id -> form
+        self._slots = array.array("i", [-1]) * (3 * 1024)  # (hash, form id, store offset)
+        self._store = bytearray(1 << 14)
+        self._out = array.array("i", [0]) * (1 << 16)
+        # the forms, those in the table, the store's bytes used, the ids in out
+        self._tally = array.array("i", [0, 0, 0, 0])
+
+    def add(self, text: bytes) -> int:
+        """Append the form id of each word of the UTF-8 text to ``words``,
+        and each new form to ``forms``; returns how many words there were.
+        TypeError unless text is bytes."""
+        if not isinstance(text, bytes):
+            raise TypeError(f"text must be bytes, not {type(text).__name__}")
+        lib, tally = kernel(), self._tally
+        n_words, first_new = len(self.words), tally[2]
+        at = 0
+        while True:
+            n_slots = len(self._slots) // 3
+            at = lib.forms(text, len(text), at, _address(items("slots", self._slots, "i")),
+                           n_slots, _address(items("store", self._store, "B")),
+                           len(self._store), _address(items("out", self._out, "i")),
+                           len(self._out), _address(items("tally", tally, "i")))
+            if at < 0:
+                raise ValueError("forms: the table or its tallies are not a state it left")
+            out_full = tally[3] == len(self._out)
+            self.words.frombytes(memoryview(self._out)[:tally[3]].cast("B"))
+            tally[3] = 0
+            if at == len(text):
+                break
+            if out_full:
+                continue
+            if 2 * (tally[0] + 1) > n_slots:
+                self._slots = array.array("i", [-1]) * (6 * n_slots)
+                tally[1] = 0  # the kernel refills the empty table from the store
+            elif 2 * len(self._store) < 2**31:
+                self._store += bytes(len(self._store))
+            else:
+                raise ValueError("forms: the distinct words pass 2**30 bytes")
+        self.forms += self._store[first_new:tally[2]].decode().split(" ")[:-1]
+        return len(self.words) - n_words
 
 
 def relabel(words, offsets, ids) -> int:

@@ -103,21 +103,30 @@ def cmd_segment(config: RunConfig) -> None:
 
 
 def _topic_docs(config: RunConfig) -> tuple[topics.Vocabulary, list[memoryview], list[str]]:
-    """The vocabulary, each fixed-size segment's word ids and its novel. Novels
-    are read and segmented one at a time, as the vocabulary pass asks for them."""
-    from . import corpus, topics
+    """The vocabulary, each fixed-size segment's word ids and its novel: the
+    documents `corpus.segment_fixed` and `topics.build_vocabulary` give.
+    Each novel's UTF-8 text goes whole through one corpus-wide
+    `_sweep.FormTable`, which splits it as `str.split()` does and appends
+    each word's form id to one flat array, with no string per word; the
+    documents are cut from that array every segment_size words, and
+    `topics.vocabulary_of` turns the forms into word ids."""
+    import array
+
+    from . import _sweep, corpus, topics
 
     loaded = corpus.ingest(config.manifest)
+    table = _sweep.FormTable()
+    offsets = array.array("i", [0])
     doc_novels: list[str] = []
-
-    def segments():
-        for novel in loaded.novels:
-            for segment in corpus.segment_fixed(novel, loaded.text(novel.id), config.segment_size):
-                doc_novels.append(novel.id)
-                yield segment
-
-    vocab, docs = topics.build_vocabulary(
-        segments(), _load_stopwords(config), min_count=config.topics_min_count
+    size = config.segment_size
+    for novel in loaded.novels:
+        start = len(table.words)
+        end = start + table.add(loaded.text(novel.id).encode())
+        # a novel's last segment may be shorter, and an empty novel has none
+        offsets.extend(min(cut, end) for cut in range(start + size, end + size, size))
+        doc_novels += [novel.id] * (len(offsets) - 1 - len(doc_novels))
+    vocab, docs = topics.vocabulary_of(
+        table, offsets, _load_stopwords(config), min_count=config.topics_min_count
     )
     if config.topics_downsample:
         docs = topics.authorless_downsample(

@@ -12,8 +12,9 @@ every id, count and offset is int32 (``TopicState`` says why none wraps),
 the count matrices are flat, and the state writer streams.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
-only sampler, ``gibbs_sweep``, bitwise-identical to the oracles'
-pure-Python ``gibbs_sweep_reference`` because it takes one ``rng.random()``
+split of each text into form ids (``_sweep.FormTable``); the only
+sampler, ``gibbs_sweep``, bitwise-identical to the oracles' pure-Python
+``gibbs_sweep_reference`` because it takes one ``rng.random()``
 per token in token order and does the same float operations in the same
 order (built with ``-O2 -ffp-contract=off``, never ``-ffast-math``); every
 random draw, with ``random.Random``'s own Mersenne Twister on its state;
@@ -34,7 +35,6 @@ the fields of ``state.json`` as the dict ``json.loads`` gives, and
 from __future__ import annotations
 
 import array
-import collections
 import itertools
 import json
 import logging
@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING
 from .config import read_json, replacing
 
 if TYPE_CHECKING:
+    from . import _sweep
     from .corpus import Segment
 
 log = logging.getLogger(__name__)
@@ -116,22 +117,38 @@ def build_vocabulary(
     Tokens are lowercased and edge-stripped; stopwords and words rarer
     than min_count are removed. Document order follows segment order.
     segments is read once and no segment is kept, so it may be a
-    generator. Each distinct raw form is normalised once. The documents
-    are int32 views of one flat array.
+    generator. Each segment's words, joined by a space, go through one
+    ``_sweep.FormTable`` (a word holds no whitespace, as ``str.split()``
+    makes it), one document per segment; ``vocabulary_of`` does the rest.
     """
     from . import _sweep
 
-    stop = frozenset(w.lower() for w in stopwords)
-    # a form seen for the first time gets the next id, in order of appearance
-    form_ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
-    words = array.array("i")  # each token's form id, then its word id
+    table = _sweep.FormTable()
     offsets = array.array("i", [0])
     for seg in segments:
-        words.extend(map(form_ids.__getitem__, seg.words))
-        offsets.append(len(words))
-    tokens = [normalize_token(form) for form in form_ids]
+        table.add(" ".join(seg.words).encode())
+        offsets.append(len(table.words))
+    return vocabulary_of(table, offsets, stopwords, min_count)
+
+
+def vocabulary_of(
+    table: _sweep.FormTable,
+    offsets: array.array,
+    stopwords: set[str],
+    min_count: int,
+) -> tuple[Vocabulary, list[memoryview]]:
+    """The filtered vocabulary of the words a FormTable has read, and the
+    documents at the int32 offsets into ``table.words`` as word ids. Each
+    distinct form is normalised once; a form whose token is empty, a
+    stopword or rarer than min_count over the corpus maps to no id, and its
+    words are dropped. The documents are int32 views of ``table.words``,
+    which is relabelled in place."""
+    from . import _sweep
+
+    stop = frozenset(w.lower() for w in stopwords)
+    tokens = [normalize_token(form) for form in table.forms]
     counts: dict[str, int] = {}
-    for token, c in zip(tokens, _sweep.histogram(words, len(tokens))):
+    for token, c in zip(tokens, _sweep.histogram(table.words, len(tokens))):
         if token and token not in stop:
             counts[token] = counts.get(token, 0) + c
 
@@ -149,6 +166,7 @@ def build_vocabulary(
     )
     # stopwords and empty tokens never reach ids, so they map to -1 too
     id_of_form = array.array("i", [ids.get(t, -1) for t in tokens])
+    words = table.words
     del words[_sweep.relabel(words, offsets, id_of_form):]
     return vocab, _split(words, offsets)
 

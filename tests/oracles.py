@@ -513,20 +513,46 @@ def _split(flat: np.ndarray, offsets: np.ndarray, keep: np.ndarray) -> list[np.n
     return np.split(flat[kept_at], np.searchsorted(kept_at, offsets[1:]))[:-1]
 
 
+class FormTableReference:
+    """``_sweep.FormTable`` one word at a time: ``str.split()`` of the
+    decoded text, each word's form id from a first-appearance defaultdict."""
+
+    def __init__(self):
+        self.words = array.array("i")
+        self._ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
+
+    @property
+    def forms(self) -> list[str]:
+        return list(self._ids)
+
+    def extend(self, words) -> int:
+        before = len(self.words)
+        self.words.extend(map(self._ids.__getitem__, words))
+        return len(self.words) - before
+
+    def add(self, text: bytes) -> int:
+        return self.extend(text.decode().split())
+
+
 def build_vocabulary_numpy(segments, stopwords, min_count):
-    """``topics.build_vocabulary`` through numpy: np.bincount of the form
-    ids, then a gather, a mask and np.split; int32 documents."""
+    """``topics.build_vocabulary`` through numpy: each segment's words through
+    a ``FormTableReference``, then ``vocabulary_of_numpy``."""
+    table = FormTableReference()
+    offsets = [0]
+    for seg in segments:
+        table.extend(seg.words)
+        offsets.append(len(table.words))
+    return vocabulary_of_numpy(table, offsets, stopwords, min_count)
+
+
+def vocabulary_of_numpy(table, offsets, stopwords, min_count):
+    """``topics.vocabulary_of`` through numpy: np.bincount of the form ids, then
+    a gather, a mask and np.split; int32 documents."""
     from godspell.topics import Vocabulary, VocabularyError, normalize_token
 
     stop = frozenset(w.lower() for w in stopwords)
-    form_ids: dict[str, int] = collections.defaultdict(itertools.count().__next__)
-    form_of = array.array("i")
-    lengths = []
-    for seg in segments:
-        form_of.extend(map(form_ids.__getitem__, seg.words))
-        lengths.append(len(seg.words))
-    form_of = np.frombuffer(form_of, dtype=np.int32)
-    tokens = [normalize_token(form) for form in form_ids]
+    form_of = np.frombuffer(table.words, dtype=np.int32)
+    tokens = [normalize_token(form) for form in table.forms]
     counts: dict[str, int] = {}
     for token, c in zip(tokens, np.bincount(form_of, minlength=len(tokens)).tolist()):
         if token and token not in stop:
@@ -540,7 +566,7 @@ def build_vocabulary_numpy(segments, stopwords, min_count):
                        stopwords=stop)
     id_of_form = np.fromiter((ids.get(t, -1) for t in tokens), dtype=np.int32, count=len(tokens))
     word_ids = id_of_form[form_of]
-    return vocab, _split(word_ids, _offsets(lengths), word_ids >= 0)
+    return vocab, _split(word_ids, np.asarray(offsets, dtype=np.int64), word_ids >= 0)
 
 
 def authorless_downsample_numpy(docs, doc_novels, rng_seed):

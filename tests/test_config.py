@@ -2,9 +2,12 @@
 it: a write that fails part-way leaves the file at its path as it was and
 no temporary file beside it; and its text reader, `read_text`."""
 
+import os
 import random
 import shutil
 import stat
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -136,6 +139,23 @@ def test_replacing_replaces_only_once_the_block_ends(tmp_path, error):
         raise error
     assert path.read_text(encoding="utf-8") == "later"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_replacing_removes_what_a_dead_writer_left_and_keeps_a_live_ones(tmp_path):
+    """A temporary file named for a reaped child's pid goes before the next
+    write into its directory; one named for a live pid, this process, stays,
+    and so does one whose name holds no pid."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    dead = tmp_path / f"state.json.tmp-{child.pid}-00ff00ff00ff00ff"
+    live = tmp_path / f"state.json.tmp-{os.getpid()}-00ff00ff00ff00ff"
+    unowned = tmp_path / "state.json.tmp-00ff00ff00ff00ff"
+    for leftover in (dead, live, unowned):
+        leftover.write_text("partial", encoding="utf-8")
+    with config.replacing(tmp_path / "state.json") as tmp:
+        assert tmp.name.startswith(f"state.json.tmp-{os.getpid()}-")
+        tmp.write_text("whole", encoding="utf-8")
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "state.json", live, unowned])
 
 
 @pytest.mark.parametrize("data", [b"plain\r\nlines\n", b"\xef\xbb\xbfmarked"])

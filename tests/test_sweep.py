@@ -30,6 +30,7 @@ from godspell.topics import (
     optimize_beta,
 )
 from oracles import (
+    FormTableReference,
     authorless_downsample_numpy,
     build_vocabulary_numpy,
     count_reference,
@@ -44,6 +45,7 @@ from oracles import (
     randbelow,
     save_state_reference,
     validate_reference,
+    vocabulary_of_numpy,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -79,7 +81,9 @@ def oracle_sweep(monkeypatch):
     monkeypatch.setattr(_sweep, "count", count_reference)
     monkeypatch.setattr(_sweep, "sweep", lambda lib, state: gibbs_sweep_reference(state))
     monkeypatch.setattr(topics.TopicState, "validate", validate_reference)
+    monkeypatch.setattr(_sweep, "FormTable", FormTableReference)
     for name, reference in (("build_vocabulary", build_vocabulary_numpy),
+                            ("vocabulary_of", vocabulary_of_numpy),
                             ("authorless_downsample", authorless_downsample_numpy),
                             ("log_likelihood", log_likelihood_reference),
                             ("optimize_alpha", optimize_alpha_reference),
