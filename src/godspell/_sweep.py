@@ -1,6 +1,7 @@
 """The compiled inner loops of ``topics``: the corpus pass from text to form
 ids, the random draws, the counts and their checks, the collapsed Gibbs
-sweep, histograms, pairwise float sums, and ``gammaln`` and ``digamma``.
+sweep, histograms, pairwise float sums, the text of ``state.json``'s
+matrices, and ``gammaln`` and ``digamma``.
 
 ``forms`` splits UTF-8 text at exactly ``str.split()``'s whitespace and
 numbers each word's form by first appearance through an open-addressing
@@ -15,8 +16,15 @@ each one when the kernel stops for room, then lets it resume.
 order as the pure-Python ``gibbs_sweep_reference`` in ``tests/oracles.py``:
 built without ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
 multiply-add), it gives bit-for-bit the same assignments, counts and RNG
-stream. ``pairwise_sums`` adds in numpy's pairwise order, so each sum is
-numpy's ``ndarray.sum()`` of the same terms bit for bit. Beside them are
+stream. The sweep reads the topic-word counts word-major, ``n_kw[w * K + t]``,
+so a token's K counts lie side by side. ``pairwise_sums`` adds in numpy's
+pairwise order, so each sum is numpy's ``ndarray.sum()`` of the same terms
+bit for bit, and walks a word-major matrix in topic-major order when asked,
+a band of columns at a time. ``distinct`` numbers the distinct 64-bit
+patterns of doubles through a hash table that grows with their count, and
+``row_texts`` writes a matrix's rows as JSON text in bounded blocks, of
+integers or of indexes into a list of numbers, so that each distinct share
+of ``state.json`` is formatted once, by ``json.dumps``. Beside them are
 Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code behind
 ``scipy.special.gammaln`` and ``digamma``, with the same constants, the
 same operation order and libm ``log``; they give scipy's floats bit for
@@ -26,8 +34,8 @@ bit, so scipy is not needed at run time. Their pure-Python twins,
 The functions here take and return the standard library's ``array.array``
 and ``memoryview`` buffers, and numpy is never imported. Every id, count,
 offset, bound and weight the kernel reads is int32 (typecode "i"), and
-every text a byte ("B"), each matrix flat and row-major, so each function
-has one variant;
+every text a byte ("B"), each matrix flat, row-major but for n_kw, which is
+word-major, so each function has one variant;
 ``topics.TopicState`` says why no count wraps. A buffer handed to the
 kernel must hold its C type: ``items`` raises TypeError, naming the
 argument, for any other item format, and never casts (a cast would wrap or
@@ -50,6 +58,7 @@ from __future__ import annotations
 import array
 import ctypes
 import functools
+import json
 import logging
 import operator
 import os
@@ -310,8 +319,8 @@ int64_t keep(uint32_t *mt, int64_t n_docs, int32_t *offsets, int32_t *words,
     return kept;
 }
 
-/* Add each token, its topic in z, to the counts; -1 before counting when a word is
-   outside [0, v) or a topic outside [0, k_topics). */
+/* Add each token, its topic in z, to the counts (n_kw word-major, n_kw[w * k_topics + t]);
+   -1 before counting when a word is outside [0, v) or a topic outside [0, k_topics). */
 int64_t count(int64_t n_docs, const int32_t *offsets, const int32_t *words, const int32_t *z,
               int64_t k_topics, int64_t v, int32_t *n_dk, int32_t *n_kw, int32_t *n_k)
 {
@@ -321,7 +330,7 @@ int64_t count(int64_t n_docs, const int32_t *offsets, const int32_t *words, cons
     for (int64_t d = 0; d < n_docs; d++)
         for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
             n_dk[d * k_topics + z[i]]++;
-            n_kw[z[i] * v + words[i]]++;
+            n_kw[words[i] * k_topics + z[i]]++;
             n_k[z[i]]++;
         }
     return 0;
@@ -329,11 +338,12 @@ int64_t count(int64_t n_docs, const int32_t *offsets, const int32_t *words, cons
 
 /* TopicState.validate's checks of counts whose lengths match the documents: 1 when a topic
    or word id is out of range, 2 for a negative count, 3 when a row of n_dk does not sum to
-   its document's length, 4 when a row of n_kw does not sum to its topic's total, 5 when the
-   totals do not sum to the token count, in that order; 0 when all hold. */
+   its document's length, 4 when a topic's counts in n_kw (word-major) do not sum to its
+   total, 5 when the totals do not sum to the token count, in that order; 0 when all hold.
+   sums is k_topics int64 of scratch, for the topics' sums over one pass of n_kw. */
 int64_t check(int64_t n_docs, const int32_t *offsets, const int32_t *words, const int32_t *z,
               int64_t k_topics, int64_t v, const int32_t *n_dk, const int32_t *n_kw,
-              const int32_t *n_k)
+              const int32_t *n_k, int64_t *sums)
 {
     int64_t n = offsets[n_docs], total = 0;
     for (int64_t i = 0; i < n; i++)
@@ -342,9 +352,15 @@ int64_t check(int64_t n_docs, const int32_t *offsets, const int32_t *words, cons
     for (int64_t i = 0; i < n_docs * k_topics; i++)
         if (n_dk[i] < 0)
             return 2;
-    for (int64_t i = 0; i < k_topics * v; i++)
-        if (n_kw[i] < 0)
-            return 2;
+    for (int64_t t = 0; t < k_topics; t++)
+        sums[t] = 0;
+    for (int64_t w = 0; w < v; w++)
+        for (int64_t t = 0; t < k_topics; t++) {
+            int32_t c = n_kw[w * k_topics + t];
+            if (c < 0)
+                return 2;
+            sums[t] += c;
+        }
     for (int64_t t = 0; t < k_topics; t++)
         if (n_k[t] < 0)
             return 2;
@@ -356,20 +372,24 @@ int64_t check(int64_t n_docs, const int32_t *offsets, const int32_t *words, cons
             return 3;
     }
     for (int64_t t = 0; t < k_topics; t++) {
-        int64_t sum = 0;
-        for (int64_t w = 0; w < v; w++)
-            sum += n_kw[t * v + w];
-        if (sum != n_k[t])
+        if (sums[t] != n_k[t])
             return 4;
         total += n_k[t];
     }
     return total == n ? 0 : 5;
 }
 
+/* One collapsed Gibbs sweep, n_kw word-major; v is count's and check's, unread here. The
+   counts of the word AHEAD tokens on are fetched into the cache while a token is drawn: they
+   are a few cache lines anywhere in n_kw, and the draw's K divisions hide the wait. */
+enum { AHEAD = 4 };
+
 int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int32_t *offsets, const int32_t *words,
                     int32_t *z, int64_t k_topics, int64_t v, int32_t *n_dk, int32_t *n_kw,
                     int32_t *n_k, const double *alpha, double beta, double vbeta, double *scratch)
 {
+    (void)v;
+    int64_t n = offsets[n_docs];
     /* doc[k] = row[k] + alpha[k] and den[k] = n_k[k] + vbeta, kept beside cum and
        refreshed at entry t after each count changes: each term is the same double */
     double *cum = scratch, *doc = scratch + k_topics, *den = scratch + 2 * k_topics;
@@ -380,16 +400,18 @@ int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int32_t *offsets, const 
         for (int64_t k = 0; k < k_topics; k++)
             doc[k] = (double)row[k] + alpha[k];
         for (int64_t i = offsets[d]; i < offsets[d + 1]; i++) {
-            int64_t w = words[i];
+            int32_t *col = n_kw + words[i] * k_topics;  /* the word's K counts, side by side */
+            for (int64_t b = 0; i + AHEAD < n && b < k_topics; b += 16)  /* 16 int32 a line */
+                __builtin_prefetch(n_kw + words[i + AHEAD] * k_topics + b);
             int64_t t = z[i];
             row[t]--;
-            n_kw[t * v + w]--;
+            col[t]--;
             n_k[t]--;
             doc[t] = (double)row[t] + alpha[t];
             den[t] = (double)n_k[t] + vbeta;
             double total = 0.0;
             for (int64_t k = 0; k < k_topics; k++) {
-                total += doc[k] * ((double)n_kw[k * v + w] + beta) / den[k];
+                total += doc[k] * ((double)col[k] + beta) / den[k];
                 cum[k] = total;
             }
             double x = random53(mt) * total;
@@ -398,7 +420,7 @@ int64_t gibbs_sweep(uint32_t *mt, int64_t n_docs, const int32_t *offsets, const 
                 t++;
             z[i] = (int32_t)t;
             row[t]++;
-            n_kw[t * v + w]++;
+            col[t]++;
             n_k[t]++;
             doc[t] = (double)row[t] + alpha[t];
             den[t] = (double)n_k[t] + vbeta;
@@ -434,26 +456,145 @@ int64_t histogram(const int32_t *x, int64_t rows, int64_t cols, int64_t size, in
     return 0;
 }
 
-/* the decimal text of x[0..n) joined by ", ", as json writes integers, into out, which has
-   room for 13 bytes a value; returns its length */
-int64_t text(const int32_t *x, int64_t n, char *out)
+/* murmur3's 64-bit finaliser: every bit of x moves every bit of the hash */
+static uint64_t fmix64(uint64_t x)
 {
-    char *p = out;
-    for (int64_t i = 0; i < n; i++) {
-        char digits[10];
-        int m = 0;
-        uint32_t u = x[i] < 0 ? -(uint32_t)x[i] : (uint32_t)x[i];
-        if (i > 0) {
-            *p++ = ',';
-            *p++ = ' ';
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    return x ^ (x >> 33);
+}
+
+/* the slot of the pattern x in the open-addressing table of n_slots (a power of two) int32
+   numbers of values, -1 when empty: the one holding x's number, or the first empty one */
+static int32_t *value_slot(int32_t *slots, int64_t n_slots, const uint64_t *values, uint64_t x)
+{
+    for (int64_t i = (int64_t)(fmix64(x) & (uint64_t)(n_slots - 1));; i = (i + 1) & (n_slots - 1))
+        if (slots[i] < 0 || values[slots[i]] == x)
+            return slots + i;
+}
+
+/* ids[i], for i from at, = the number of x[i]'s 64-bit pattern among the distinct patterns,
+   counted from 0 in order of first appearance; each new one is appended to values, which has
+   room for n_slots / 2. slots (see value_slot) are refilled from values first when the table
+   holds fewer than tally[0], the patterns in values, as it does after the caller replaces it
+   with a larger empty one; tally[1] is how many it holds. Returns where it stopped: n once
+   every id is in ids, or the first i whose new pattern would fill more than half the table;
+   -1 before reading x when the table or the tally cannot be a state this function left. */
+int64_t distinct(const uint64_t *x, int64_t n, int64_t at, int32_t *ids, int32_t *slots,
+                 int64_t n_slots, uint64_t *values, int32_t *tally)
+{
+    int64_t n_values = tally[0];
+    if (n_slots < 2 || (n_slots & (n_slots - 1)) || n_slots > INT32_MAX || 2 * n_values > n_slots
+            || tally[1] < 0 || tally[1] > n_values || at < 0 || at > n)
+        return -1;
+    for (int32_t j = tally[1]; j < n_values; j++)
+        *value_slot(slots, n_slots, values, values[j]) = j;
+    for (; at < n; at++) {
+        int32_t *slot = value_slot(slots, n_slots, values, x[at]);
+        if (*slot < 0) {
+            if (2 * (n_values + 1) > n_slots)
+                break;
+            values[n_values] = x[at];
+            *slot = (int32_t)n_values++;
         }
-        if (x[i] < 0)
-            *p++ = '-';
-        do
-            digits[m++] = (char)('0' + u % 10);
-        while (u /= 10);
-        while (m > 0)
-            *p++ = digits[--m];
+        ids[at] = *slot;
+    }
+    tally[0] = tally[1] = (int32_t)n_values;
+    return at;
+}
+
+/* x's decimal text as json writes an integer, at p; returns the end */
+static uint8_t *put_int(uint8_t *p, int32_t x)
+{
+    if (x >= 0 && x < 10) {  /* most counts */
+        *p++ = (uint8_t)('0' + x);
+        return p;
+    }
+    uint8_t digits[10];
+    int m = 0;
+    uint32_t u = x < 0 ? -(uint32_t)x : (uint32_t)x;
+    if (x < 0)
+        *p++ = '-';
+    do
+        digits[m++] = (uint8_t)('0' + u % 10);
+    while (u /= 10);
+    while (m > 0)
+        *p++ = digits[--m];
+    return p;
+}
+
+/* out[(c - c0) * rows + r] = m[r * cols + c] for c0 <= c < c1: columns c0..c1-1 of the
+   (rows, cols) int32 matrix m side by side, each made contiguous */
+int64_t columns(const int32_t *m, int64_t rows, int64_t cols, int64_t c0, int64_t c1,
+                int32_t *out)
+{
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = c0; c < c1; c++)
+            out[(c - c0) * rows + r] = m[r * cols + c];
+    return 0;
+}
+
+/* at[j] = the offset in s[0..size) of item j of the n items that ", " separates (a JSON
+   list's text without its brackets, none of whose items holds a comma), and at[n] = size + 2,
+   as if s ended with a separator. Returns the length of the longest item, or -1 when s does
+   not hold n items or is too long for int32 offsets. */
+int64_t text_items(const uint8_t *s, int64_t size, int64_t n, int32_t *at)
+{
+    int64_t j = 1, longest = 0;
+    if (n < 1 || size > INT32_MAX - 2)
+        return n == 0 && size == 0 ? 0 : -1;
+    at[0] = 0;
+    for (int64_t i = 0; i <= size; i++)
+        if (i == size || s[i] == ',') {
+            if (j > n)
+                return -1;
+            at[j] = (int32_t)(i + 2);
+            longest = i - at[j - 1] > longest ? i - at[j - 1] : longest;
+            j++;
+        }
+    return j == n + 1 ? longest : -1;
+}
+
+/* The JSON text of rows r0..r1-1 of the (rows, cols) int32 matrix m: each row "[x, y, ...]"
+   with json's separators, one after another in out, row r ending at ends[r - r0]. An entry's
+   text is its decimal text, or with a store the text of item m[...] of the n_texts items
+   that at gives: item j is store[at[j]..at[j + 1] - 2). Returns the bytes written, or -1
+   when the rows would pass the size bytes of out or an item is outside [0, n_texts). */
+int64_t rows_text(const int32_t *m, int64_t cols, int64_t r0, int64_t r1, const uint8_t *store,
+                  const int32_t *at, int64_t n_texts, uint8_t *out, int64_t size, int32_t *ends)
+{
+    uint8_t *p = out;
+    for (int64_t r = r0; r < r1; r++) {
+        const int32_t *x = m + r * cols;
+        int64_t need = 2 + 13 * cols;  /* ", -2147483648" an entry at most */
+        if (store) {
+            need = 2;
+            for (int64_t c = 0; c < cols; c++) {
+                if (x[c] < 0 || x[c] >= n_texts)
+                    return -1;
+                need += at[x[c] + 1] - at[x[c]];
+            }
+        }
+        if (size - (p - out) < need)
+            return -1;
+        *p++ = '[';
+        for (int64_t c = 0; c < cols; c++) {
+            if (c > 0) {
+                *p++ = ',';
+                *p++ = ' ';
+            }
+            if (store) {
+                int64_t len = at[x[c] + 1] - at[x[c]] - 2;
+                memcpy(p, store + at[x[c]], (size_t)len);
+                p += len;
+            } else {
+                p = put_int(p, x[c]);
+            }
+        }
+        *p++ = ']';
+        ends[r - r0] = (int32_t)(p - out);
     }
     return p - out;
 }
@@ -488,57 +629,101 @@ int64_t proportions(int64_t rows, int64_t k, const int32_t *n_dk, const double *
 }
 
 /* The terms of a sum. Term i is weight[i] * table[at], the weight cast to double first
-   (table[at] itself without weights); at is index[i] * width + i % width, row index[i] and
-   column i % width of the table as (size / width, width), and i itself without an index. */
+   (table[at] itself without weights); at is x * width + i % width for the index entry x of
+   term i, row x and column i % width of the table as (size / width, width), and i itself
+   without an index. Term i's entry is index[i], or with cols > 1 the entry of the index as a
+   (rows, cols) matrix that a walk down its columns reaches at i: row i % rows of column
+   i / rows. That walk reads band_cols columns at a time, copied side by side into band. */
 struct terms {
     const double *table;
     const int32_t *index;
     int64_t width;
     const int32_t *weight;
+    int64_t cols, rows;
+    int32_t *band;
+    int64_t band_cols, band_c0;  /* band_c0: the first column in band, -band_cols before any */
 };
 
-static double term(const struct terms *t, int64_t i)
+/* x[0..n) = terms lo..lo+n-1, their entries read in runs that lie side by side in index or
+   band: one division for each run, and one run unless the terms cross into a new band */
+static void leaf_terms(struct terms *t, int64_t lo, int64_t n, double *x)
 {
-    int64_t at = t->index ? t->index[i] : i;
-    double x = t->table[t->width > 1 ? at * t->width + i % t->width : at];
-    return t->weight ? (double)t->weight[i] * x : x;
+    for (int64_t k = 0, run; k < n; k += run) {
+        int64_t i = lo + k;
+        const int32_t *src = t->index ? t->index + i : NULL;
+        run = n - k;
+        if (t->cols > 1) {
+            int64_t col = i / t->rows, r = i % t->rows;
+            if (col < t->band_c0 || col >= t->band_c0 + t->band_cols) {
+                t->band_c0 = col;
+                columns(t->index, t->rows, t->cols, col,
+                        col + t->band_cols < t->cols ? col + t->band_cols : t->cols, t->band);
+            }
+            src = t->band + (col - t->band_c0) * t->rows + r;
+            int64_t left = (t->band_c0 + t->band_cols - col) * t->rows - r;
+            run = left < run ? left : run;
+        }
+        if (!src)
+            for (int64_t m = 0; m < run; m++)
+                x[k + m] = t->table[i + m];
+        else if (t->width == 1)
+            for (int64_t m = 0; m < run; m++)
+                x[k + m] = t->table[src[m]];
+        else
+            for (int64_t m = 0, c = i % t->width; m < run; m++, c = c + 1 < t->width ? c + 1 : 0)
+                x[k + m] = t->table[(int64_t)src[m] * t->width + c];
+    }
+    if (t->weight)
+        for (int64_t k = 0; k < n; k++)
+            x[k] = (double)t->weight[lo + k] * x[k];
 }
 
 /* ndarray.sum() of the terms lo..lo+n-1 in numpy's pairwise order: above 128 terms, halves
    split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop */
-static double pairwise(const struct terms *t, int64_t lo, int64_t n)
+static double pairwise(struct terms *t, int64_t lo, int64_t n)
 {
     if (n > 128) {
         int64_t half = n / 2 - n / 2 % 8;
         return pairwise(t, lo, half) + pairwise(t, lo + half, n - half);
     }
-    double r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res = -0.0;
+    double x[128], r[8] = {-0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0}, res = -0.0;
+    leaf_terms(t, lo, n, x);
     int64_t i = 0;
-    for (; i < n - n % 8; i++)
-        r[i % 8] += term(t, lo + i);
+    for (; i < n - n % 8; i += 8)
+        for (int k = 0; k < 8; k++)
+            r[k] += x[i + k];
     if (n >= 8)
         res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
     for (; i < n; i++)
-        res += term(t, lo + i);
+        res += x[i];
     return res;
 }
 
 /* out[p] = ndarray.sum() of terms bounds[p] <= i < bounds[p + 1] (numpy starts from 0.0)
    for each of the parts, of n terms in all; -1 before summing when the bounds are not in
-   order within [0, n], or a term's entry is outside the size entries of the table (its
-   row outside the size / width rows with an index) */
+   order within [0, n], a term's entry is outside the size entries of the table (its row
+   outside the size / width rows with an index), or cols > 1 does not divide n. With
+   cols > 1 every entry of the index is checked, and band, band_size int32 of scratch, must
+   hold at least one of its columns. */
 int64_t pairwise_sums(const double *table, int64_t size, const int32_t *index, int64_t width,
-                      const int32_t *weight, int64_t n, int64_t parts, const int32_t *bounds,
-                      double *out)
+                      int64_t cols, int32_t *band, int64_t band_size, const int32_t *weight,
+                      int64_t n, int64_t parts, const int32_t *bounds, double *out)
 {
-    struct terms t = {table, index, width, weight};
+    int64_t index_rows = cols > 1 ? n / cols : n;
+    int64_t band_cols = index_rows ? band_size / index_rows : 0;
+    struct terms t = {table, index, width, weight, cols, index_rows, band, band_cols, -band_cols};
     int64_t rows = size / width;
+    if (cols < 1 || (cols > 1 && (!index || n % cols || (n && t.band_cols < 1))))
+        return -1;
+    for (int64_t i = 0; i < n && cols > 1; i++)
+        if (index[i] < 0 || index[i] >= rows)
+            return -1;
     for (int64_t p = 0; p < parts; p++) {
         if (bounds[p] < 0 || bounds[p] > bounds[p + 1] || bounds[p + 1] > n)
             return -1;
         if (!index && bounds[p + 1] > size)
             return -1;
-        for (int64_t i = bounds[p]; i < bounds[p + 1] && index; i++)
+        for (int64_t i = bounds[p]; i < bounds[p + 1] && index && cols == 1; i++)
             if (index[i] < 0 || index[i] >= rows)
                 return -1;
     }
@@ -723,10 +908,11 @@ def _intact(path: Path) -> bool:
 # each exported function's argument types: i int64_t, p pointer, d double
 SIGNATURES = {
     "randrange": "piip", "forms": "piipipipip", "relabel": "ippip", "novel_ratios": "ipppiipp",
-    "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiippp",
-    "gibbs_sweep": "pipppiippppddp", "span": "pip", "histogram": "piiip", "text": "pip",
-    "row_sums": "iipp", "proportions": "iippdp", "pairwise_sums": "pipipiipp", "gammaln": "ipp",
-    "digamma": "ipp",
+    "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiipppp",
+    "gibbs_sweep": "pipppiippppddp", "span": "pip", "histogram": "piiip",
+    "distinct": "piippipp", "columns": "piiiip", "text_items": "piip",
+    "rows_text": "piiippipip", "row_sums": "iipp", "proportions": "iippdp",
+    "pairwise_sums": "pipiipipiipp", "gammaln": "ipp", "digamma": "ipp",
 }
 
 
@@ -852,6 +1038,33 @@ def span(values) -> tuple[int, int]:
     return out[0], out[1]
 
 
+def distinct(x) -> tuple[array.array, array.array]:
+    """(ids, values) for the doubles x: values holds the distinct 64-bit
+    patterns of x, as doubles, in order of first appearance, so that -0.0
+    and each nan stay apart, and ids (int32) the number of each of x among
+    them. The kernel's hash table grows with the distinct count: when it
+    would pass half full it is replaced by one four times larger, with room
+    in values to match, and the kernel resumes where it stopped."""
+    x = items("x", x, "d")
+    ids = array.array("i", [0]) * len(x)
+    slots = array.array("i", [-1]) * 1024
+    values = array.array("d", [0.0]) * (len(slots) // 2)
+    tally = array.array("i", [0, 0])  # the patterns in values, those in the table
+    at, lib = 0, kernel()
+    while True:
+        at = lib.distinct(_address(x), len(x), at, _address(ids), _address(slots), len(slots),
+                          _address(values), _address(tally))
+        if at < 0:
+            raise ValueError("distinct: the table or its tally are not a state it left")
+        if at == len(x):
+            break
+        slots = array.array("i", [-1]) * (4 * len(slots))
+        values.frombytes(bytes(8 * (len(slots) // 2 - len(values))))
+        tally[1] = 0  # the kernel refills the empty table from values
+    del values[tally[0]:]
+    return ids, values
+
+
 def histogram(values, size: int, cols: int = 1) -> array.array:
     """How often each of 0..size-1 occurs in each column of an int32
     (rows, cols) matrix, given flat: column c's counts are
@@ -863,16 +1076,58 @@ def histogram(values, size: int, cols: int = 1) -> array.array:
     return out
 
 
-def row_texts(values, rows: int) -> Iterator[str]:
-    """The JSON text of each row of an int32 (rows, cols) matrix, given
-    flat, without its brackets: the integers joined by ", "."""
+# the bytes of row text one rows_text call writes, or one row's at most when that is more
+BLOCK = 1 << 16
+# the columns of an int32 matrix that a walk down its columns copies side by side at a time
+BAND = 16
+
+
+def row_texts(values, rows: int, *, numbers=None,
+              transposed: bool = False) -> Iterator[memoryview]:
+    """The JSON text of each row of an int32 (rows, cols) matrix given flat,
+    brackets included: its integers as json writes them, or with numbers (a
+    sequence of them), the number each integer is the index of, as
+    ``json.dumps(numbers)`` writes it; that is the only formatting of a
+    number, once for each. With transposed, values holds the matrix column
+    by column, as a word-major n_kw holds the topic-major rows, and BAND
+    rows at a time are first made contiguous in a scratch buffer (BAND *
+    cols int32, not a copy of the matrix). The kernel writes a block of rows
+    at a time; each row is a view of the block's buffer, which the next
+    block overwrites. ValueError for an index outside numbers."""
     values = items("values", values, "i")
-    cols = len(values) // rows
-    text = kernel().text
-    out = bytearray(13 * cols)
-    for r in range(rows):
-        n = text(_address(values[r * cols:(r + 1) * cols]), cols, _address(out))
-        yield out[:n].decode("ascii")
+    cols = len(values) // rows if rows else 0
+    lib = kernel()
+    store = at = None
+    width = 11  # "-2147483648"
+    if numbers is not None:
+        store = json.dumps(list(numbers))[1:-1].encode()
+        at = array.array("i", [0]) * (len(numbers) + 1)
+        width = lib.text_items(store, len(store), len(numbers), _address(at))
+        if width < 0:
+            raise ValueError("row_texts: the JSON text of the numbers is not one item each")
+    row_cap = 2 + cols * (width + 2)
+    per_block = max(1, BLOCK // row_cap)
+    out = bytearray(per_block * row_cap)
+    ends = array.array("i", [0]) * per_block
+    if transposed:
+        band = array.array("i", [0]) * (BAND * cols)
+        bands = [(b0, min(rows, b0 + BAND)) for b0 in range(0, rows, BAND)]
+    else:
+        band, bands = values, [(0, rows)]
+    view = memoryview(out)
+    for b0, b1 in bands:
+        if transposed:
+            lib.columns(_address(values), cols, rows, b0, b1, _address(band))
+        for r0 in range(0, b1 - b0, per_block):
+            r1 = min(b1 - b0, r0 + per_block)
+            if lib.rows_text(_address(band), cols, r0, r1, store, _address(at) if at else None,
+                             len(at) - 1 if at else 0, _address(out), len(out),
+                             _address(ends)) < 0:
+                raise ValueError("row_texts: an index is outside the numbers")
+            start = 0
+            for end in ends[:r1 - r0]:
+                yield view[start:end]
+                start = end
 
 
 def row_sums(matrix, cols: int) -> array.array:
@@ -895,17 +1150,21 @@ def proportions(n_dk, alpha, sum_alpha: float) -> array.array:
     return out
 
 
-def pairwise_sums(table, bounds=None, *, index=None, weights=None,
-                  width: int = 1) -> array.array:
+def pairwise_sums(table, bounds=None, *, index=None, weights=None, width: int = 1,
+                  index_cols: int = 1) -> array.array:
     """For each part p, numpy's ndarray.sum() of the terms i in
     bounds[p] <= i < bounds[p + 1], bit for bit, without the array of terms:
-    term i is table[index[i] * width + i % width], row index[i] and column
+    term i is table[index[j] * width + i % width], row index[j] and column
     i % width of the table taken as rows of width (table[i] without an
-    index), times float(weights[i]) with weights. bounds default to one
-    part of every term. table holds doubles, an index and the weights int32
-    (TypeError otherwise); ValueError when the bounds run past
-    the terms, an index points outside the table's rows, or width is not 1
-    without an index or not positive with one."""
+    index), times float(weights[i]) with weights. j is i, or with index_cols
+    c > 1 the index is taken as a (n / c, c) matrix and walked column by
+    column, j = (i % (n / c)) * c + i // (n / c): the terms of a word-major
+    n_kw in topic-major order. bounds default to one part of every term.
+    table holds doubles, an index and the weights int32 (TypeError
+    otherwise); ValueError when the bounds run past the terms, an index
+    points outside the table's rows, width is not 1 without an index or not
+    positive with one, or index_cols is below 1, or above 1 without an index
+    or not dividing the terms."""
     if width < 1 or (index is None and width != 1):
         raise ValueError(f"pairwise_sums: width {width} needs an index and must be positive")
     table = items("table", table, "d")
@@ -916,10 +1175,14 @@ def pairwise_sums(table, bounds=None, *, index=None, weights=None,
     if weights is not None:
         weights = items("weights", weights, "i")
         n = min(n, len(weights))
+    if index_cols < 1 or (index_cols > 1 and (index is None or n % index_cols)):
+        raise ValueError(f"pairwise_sums: index_cols {index_cols} needs an index of whole rows")
     bounds = array.array("i", (0, n) if bounds is None else bounds)
     out = array.array("d", [0.0]) * (len(bounds) - 1)
+    band = array.array("i", [0]) * (BAND * (n // index_cols) if index_cols > 1 else 0)
     if kernel().pairwise_sums(_address(table), len(table),
-                              None if index is None else _address(index), width,
+                              None if index is None else _address(index), width, index_cols,
+                              _address(band), len(band),
                               None if weights is None else _address(weights), n, len(out),
                               _address(bounds), _address(out)):
         raise ValueError(f"pairwise_sums: a bound or an index is outside the {n} terms or "
@@ -1072,7 +1335,8 @@ def count(state) -> bool:
 def check(state) -> int:
     """The first of the kernel's checks of state's counts that fails (see
     ``check`` in SOURCE), 0 when they all hold; the lengths must match."""
-    return kernel().check(*_arrays(state))
+    sums = array.array("q", [0]) * state.k
+    return kernel().check(*_arrays(state), _address(sums))
 
 
 def sweep(lib, state) -> None:

@@ -80,7 +80,7 @@ def cmd_ingest(config: RunConfig) -> None:
     novels = []
     total = 0
     for novel in loaded.novels:
-        words = len(corpus.word_tokenize(loaded.text(novel.id)))
+        words = corpus.count_words(loaded.text(novel.id))
         total += words
         entry = asdict(novel)
         del entry["source_path"]

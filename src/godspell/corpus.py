@@ -107,6 +107,25 @@ def word_tokenize(text: str) -> list[str]:
     return text.split()
 
 
+# the characters count_words reads per split: its largest transient is one slice's words
+COUNT_SLICE = 1 << 16
+_SPACE_RE = re.compile(r"\s")  # str.split()'s whitespace: both are Py_UNICODE_ISSPACE
+
+
+def count_words(text: str) -> int:
+    """len(word_tokenize(text)) without the list of every word: the text is
+    split in slices of about COUNT_SLICE characters, each ending at a
+    whitespace character found by a regex search, so no word straddles two
+    slices (a word longer than a slice makes its slice longer)."""
+    total = start = 0
+    while start < len(text):
+        cut = _SPACE_RE.search(text, start + COUNT_SLICE)
+        end = cut.start() if cut else len(text)
+        total += len(text[start:end].split())
+        start = end
+    return total
+
+
 def _novel(manifest: Path, novel_id: str, cells: tuple[str, ...]) -> Novel:
     """The novel of one manifest row, from its stripped cells after the id,
     whose text file must exist; ManifestError naming the manifest and the

@@ -9,7 +9,8 @@ and ids, the same kept tokens, topics and counts, the same RNG stream and
 so the same log-likelihood floats and ``state.json``. Each holds little of
 the corpus at once: documents are int32 memoryviews of one flat array,
 every id, count and offset is int32 (``TopicState`` says why none wraps),
-the count matrices are flat, and the state writer streams.
+the count matrices are flat, n_kw word-major, and the state writer streams
+blocks of rows.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
 split of each text into form ids (``_sweep.FormTable``); the only
@@ -19,9 +20,10 @@ per token in token order and does the same float operations in the same
 order (built with ``-O2 -ffp-contract=off``, never ``-ffast-math``); every
 random draw, with ``random.Random``'s own Mersenne Twister on its state;
 the counts, histograms and checks; every float sum, in numpy's pairwise
-order; and the ``gammaln`` and ``digamma`` of ``log_likelihood``,
-``optimize_alpha`` and ``optimize_beta``: Cephes ``lgam`` and ``psi``, the
-code behind ``scipy.special``, with scipy's floats bit for bit. Python
+order; the text of ``state.json``'s matrices; and the ``gammaln`` and
+``digamma`` of ``log_likelihood``, ``optimize_alpha`` and
+``optimize_beta``: Cephes ``lgam`` and ``psi``, the code behind
+``scipy.special``, with scipy's floats bit for bit. Python
 keeps the per-value arithmetic, on floats that round as float64 does. So
 neither numpy nor scipy is a runtime dependency. The kernel is compiled on
 first use into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``),
@@ -35,6 +37,7 @@ the fields of ``state.json`` as the dict ``json.loads`` gives, and
 from __future__ import annotations
 
 import array
+import heapq
 import itertools
 import json
 import logging
@@ -213,9 +216,11 @@ class TopicState:
     order: document d's word ids and topic assignments are
     ``words[offsets[d]:offsets[d + 1]]`` and ``z[offsets[d]:offsets[d + 1]]``.
 
-    Every field but the priors is a flat int32 ("i") ``array.array``; the
-    count matrices are row-major: n_dk[d * K + t] counts topic t in document
-    d, n_kw[t * V + w] word w in topic t. No count wraps: each is at most the
+    Every field but the priors is a flat int32 ("i") ``array.array``; n_dk
+    is row-major, n_dk[d * K + t] counting topic t in document d, and n_kw
+    word-major, n_kw[w * K + t] counting word w in topic t, so that the K
+    counts a token's draw reads lie side by side (``state.json`` still
+    holds n_kw's topic-major rows). No count wraps: each is at most the
     token count, an entry of the int32 offsets, which refuse 2**31
     (``array('i').append`` raises OverflowError in ``_flat`` and
     ``build_vocabulary``); ``init_state`` refuses D * K or K * V of 2**31, so
@@ -231,7 +236,7 @@ class TopicState:
     words: array.array       # (N,) word ids
     z: array.array           # (N,) topic assignments
     n_dk: array.array        # (D * K,) document-topic counts
-    n_kw: array.array        # (K * V,) topic-word counts
+    n_kw: array.array        # (V * K,) topic-word counts, word-major
     n_k: array.array         # (K,) topic totals
     vocabulary_size: int
     rng_seed: int
@@ -361,7 +366,7 @@ def log_likelihood(state: TopicState) -> float:
     ll += (
         k * g_vbeta
         - total_sum
-        + _sweep.pairwise_sums(word_terms, index=n_kw)[0]
+        + _sweep.pairwise_sums(word_terms, index=n_kw, index_cols=k)[0]
         - k * v * g_beta
     )
     return ll
@@ -510,11 +515,14 @@ def train(
 
 def top_words(n_kw: Sequence[Sequence[int]], words: list[str], k: int, n: int = 10) -> list[int]:
     """Ids of the top-n words of topic k by count, ties broken
-    lexicographically by word."""
+    lexicographically by word: ``heapq.nsmallest``, which is the full sort's
+    first n. ValueError for a topic out of range or a negative n."""
     if not 0 <= k < len(n_kw):
         raise ValueError(f"topic index {k} out of range for K={len(n_kw)}")
+    if n < 0:
+        raise ValueError(f"top_words takes n >= 0, not {n}")
     counts = n_kw[k]
-    return sorted(range(len(words)), key=lambda w: (-counts[w], words[w]))[:n]
+    return heapq.nsmallest(n, range(len(words)), key=lambda w: (-counts[w], words[w]))
 
 
 def prominence_from_doc_topic(
@@ -555,9 +563,12 @@ def save_state(
 ) -> None:
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
-    two matrices row by row: the int32 counts of n_kw as the kernel writes
-    integers, the doc_topic_proportions (doubles) through json's text of
-    each distinct one."""
+    two matrices in blocks of rows that the kernel writes as text: n_kw's
+    topic-major rows, each gathered from the word-major counts, with
+    integers as json writes them, and doc_topic_proportions (doubles) from
+    json's text of each distinct one (by its bits, so that -0.0 and each
+    nan keep their own), which the kernel copies into every place it
+    recurs."""
     from . import _sweep
 
     head = json.dumps({
@@ -574,29 +585,24 @@ def save_state(
         "log_likelihood": log_likelihoods,
     }, ensure_ascii=False)
     k = state.k
-    # json's text of each distinct share, keyed by its bits, so that -0.0 and
-    # each nan keep their own
-    bits = _sweep.items("doc_topic", doc_topic_proportions(state), "d").cast("B").cast("q")
-    shares = dict.fromkeys(bits)
-    texts = json.dumps(array.array("d", array.array("q", shares).tobytes()).tolist())
-    for key, text in zip(shares, texts[1:-1].split(", ")):
-        shares[key] = text
-    with replacing(path) as tmp, tmp.open("w", encoding="utf-8") as fh:
-        fh.write(f'{head[:-1]}, "n_kw": ')
-        _write_rows(fh, _sweep.row_texts(_sweep.items("n_kw", state.n_kw, "i"), k))
-        fh.write(', "doc_topic": ')
-        _write_rows(fh, (", ".join(map(shares.__getitem__, bits[d * k:(d + 1) * k]))
-                         for d in range(len(bits) // k)))
-        fh.write(f", {tail[1:]}")
+    ids, shares = _sweep.distinct(doc_topic_proportions(state))
+    with replacing(path) as tmp, tmp.open("wb") as fh:
+        fh.write(f'{head[:-1]}, "n_kw": '.encode())
+        _write_rows(fh, _sweep.row_texts(state.n_kw, k, transposed=True))
+        fh.write(b', "doc_topic": ')
+        _write_rows(fh, _sweep.row_texts(ids, len(ids) // k, numbers=shares))
+        fh.write(f", {tail[1:]}".encode())
 
 
-def _write_rows(fh, rows: Iterable[str]) -> None:
-    """Write a JSON matrix, given the text of each row's items, with json's
-    separators."""
-    fh.write("[")
+def _write_rows(fh, rows: Iterable[memoryview]) -> None:
+    """Write a JSON matrix, given the text of each row, brackets included,
+    with json's separators."""
+    fh.write(b"[")
     for i, row in enumerate(rows):
-        fh.write(("[" if i == 0 else ", [") + row + "]")
-    fh.write("]")
+        if i:
+            fh.write(b", ")
+        fh.write(row)
+    fh.write(b"]")
 
 
 # each field of a state file -> the types json.loads may give it, and for an

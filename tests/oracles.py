@@ -6,17 +6,19 @@ from a literal coincidence-matrix enumeration, the Dirichlet fixed points
 from a generic numerical maximizer, passage packing from a separate
 reference packer written directly against the packing rule, the
 collapsed Gibbs conditional straight from its formula, the per-token
-collapsed-Gibbs sweep and the Cephes ``lgam``/``psi`` in pure Python that
-the compiled kernel (``godspell._sweep``) matches bit for bit, numpy's
-MT19937 loaded with a ``random.Random``'s state for the kernel's draws, the
-per-token counts and numpy's weighted, gathered sums for the ones it does
-in C, the per-token loops that the flat vocabulary and downsampling
-replace, the numpy code (vocabulary, downsampling, checks, likelihood,
-optimisers, proportions) that the standard-library arrays and the kernel
-replaced, the whole-payload ``json.dumps`` that the state writer's per-row
-text replaces, numpy's per-novel mean that the plain-Python prominence
-replaces, the cascade's structural rules checked on a finished
-annotation, and a loop adding floats one at a time for the fixed-order sum.
+collapsed-Gibbs sweep over topic-major counts and the Cephes
+``lgam``/``psi`` in pure Python that the compiled kernel
+(``godspell._sweep``) matches bit for bit, numpy's MT19937 loaded with a
+``random.Random``'s state for the kernel's draws, the per-token counts and
+numpy's weighted, gathered sums for the ones it does in C, the per-token
+loops that the flat vocabulary and downsampling replace, the numpy code
+(vocabulary, downsampling, checks, likelihood, optimisers, proportions)
+that the standard-library arrays and the kernel replaced, the
+whole-payload ``json.dumps`` and the dict-based row writer that the
+kernel's text of the state's matrices replaces, numpy's per-novel mean
+that the plain-Python prominence replaces, the cascade's structural rules
+checked on a finished annotation, and a loop adding floats one at a time
+for the fixed-order sum.
 """
 
 from __future__ import annotations
@@ -190,7 +192,9 @@ def topic_conditional(
 def gibbs_sweep_reference(state) -> None:
     """One collapsed-Gibbs sweep over a ``topics.TopicState`` one token at a
     time, counts updated in place: the loop the compiled kernel matches bit
-    for bit, with one state.rng.random() per token in token order."""
+    for bit, with one state.rng.random() per token in token order. It holds
+    the topic-word counts topic-major, as K rows of V, the layout the
+    kernel's word-major n_kw replaced."""
     k_topics = state.k
     vbeta = state.vocabulary_size * state.beta
     beta = state.beta
@@ -231,9 +235,11 @@ def gibbs_sweep_reference(state) -> None:
 
 def count_views(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A ``topics.TopicState``'s n_dk, n_kw and n_k as numpy views, (D, K),
-    (K, V) and (K,), of its flat int32 arrays, whose writes reach the state."""
+    (K, V) and (K,), of its flat int32 arrays, whose writes reach the state.
+    n_kw is the transpose of the word-major (V, K) array, so it is not
+    C-contiguous; ``np.ascontiguousarray`` gives it in topic-major order."""
     return (np.asarray(state.n_dk).reshape(-1, state.k),
-            np.asarray(state.n_kw).reshape(state.k, state.vocabulary_size),
+            np.asarray(state.n_kw).reshape(state.vocabulary_size, state.k).T,
             np.asarray(state.n_k))
 
 
@@ -470,10 +476,12 @@ def authorless_downsample_reference(
 def lda_log_likelihood_direct(n_dk, n_kw, n_k, alpha, beta: float) -> float:
     """Joint log p(words, assignments | alpha, beta), gammaln applied to
     every count (of buffers or arrays, flat or not; n_dk is taken as
-    (-1, len(alpha)) and n_kw as (len(alpha), -1))."""
+    (-1, len(alpha)), and n_kw, word-major as a TopicState holds it, as
+    (-1, len(alpha)) and summed in topic-major order)."""
     alpha = np.asarray(alpha, dtype=np.float64)
     n_dk, n_kw, n_k = (np.asarray(n_dk).reshape(-1, len(alpha)),
-                       np.asarray(n_kw).reshape(len(alpha), -1), np.asarray(n_k))
+                       np.ascontiguousarray(np.asarray(n_kw).reshape(-1, len(alpha)).T),
+                       np.asarray(n_k))
     d_count = n_dk.shape[0]
     k, v = n_kw.shape
     sum_alpha = alpha.sum()
@@ -604,7 +612,7 @@ def validate_reference(state, docs) -> None:
             or n_dk.shape != (len(docs) * k,) or n_kw.shape != (k * v,)
             or n_k.shape != (k,) or alpha.shape != (k,)):
         raise RuntimeError("corrupted state: array shapes do not match the documents")
-    n_dk, n_kw = n_dk.reshape(len(docs), k), n_kw.reshape(k, v)
+    n_dk, n_kw = n_dk.reshape(len(docs), k), n_kw.reshape(v, k).T
     if len(z) and (z.min() < 0 or z.max() >= k or words.min() < 0 or words.max() >= v):
         raise RuntimeError("corrupted state: topic or word id out of range")
     if (n_dk < 0).any() or (n_kw < 0).any() or (n_k < 0).any():
@@ -654,7 +662,7 @@ def log_likelihood_reference(state) -> float:
     ll += (
         k * g_vbeta
         - total_terms.sum()
-        + word_terms[n_kw].sum()
+        + word_terms[np.ascontiguousarray(n_kw)].sum()
         - k * v * g_beta
     )
     return float(ll)
@@ -766,12 +774,41 @@ def save_state_reference(path, state, log_likelihoods, vocabulary, doc_novels) -
         "beta": state.beta,
         "seed": state.rng_seed,
         "vocabulary": vocabulary.words,
-        "n_kw": np.asarray(state.n_kw).reshape(state.k, -1).tolist(),
+        "n_kw": np.asarray(state.n_kw).reshape(-1, state.k).T.tolist(),
         "doc_topic": doc_topic_proportions_reference(state).tolist(),
         "doc_novels": doc_novels,
         "log_likelihood": log_likelihoods,
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+
+
+def save_state_by_row_reference(path, state, log_likelihoods, vocabulary, doc_novels) -> None:
+    """state.json as ``topics.save_state`` wrote it before the kernel wrote
+    its rows: json's text of each distinct share in a dict keyed by the
+    share's bits (so that -0.0 and each nan keep their own), joined into
+    each doc_topic row in Python, and n_kw's topic-major rows read from the
+    word-major counts with stride K."""
+    k = state.k
+    head = json.dumps({
+        "format": STATE_FORMAT, "version": STATE_VERSION, "k": k,
+        "alpha": [float(a) for a in state.alpha], "beta": state.beta, "seed": state.rng_seed,
+        "vocabulary": vocabulary.words,
+    }, ensure_ascii=False)
+    tail = json.dumps({"doc_novels": doc_novels, "log_likelihood": log_likelihoods},
+                      ensure_ascii=False)
+    n_kw = np.asarray(state.n_kw).reshape(-1)
+    bits = np.asarray(doc_topic_proportions_reference(state), dtype=np.float64).reshape(-1)
+    bits = bits.view(np.int64).tolist()
+    shares = dict.fromkeys(bits)
+    texts = json.dumps(np.array(list(shares), dtype=np.int64).view(np.float64).tolist())
+    for key, text in zip(shares, texts[1:-1].split(", ")):
+        shares[key] = text
+    n_kw_rows = (", ".join(map(str, n_kw[t::k].tolist())) for t in range(k))
+    doc_rows = (", ".join(map(shares.__getitem__, bits[d * k:(d + 1) * k]))
+                for d in range(len(bits) // k))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{head[:-1]}, "n_kw": [{", ".join(f"[{row}]" for row in n_kw_rows)}]')
+        fh.write(f', "doc_topic": [{", ".join(f"[{row}]" for row in doc_rows)}], {tail[1:]}')
 
 
 def check_annotation_invariants(ann) -> None:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -121,6 +122,21 @@ class TestSubcommands:
         assert top_words.startswith("topic,rank,word,count")
         out = capsys.readouterr().out
         assert "topic 0:" in out
+
+    def test_inspect_of_the_golden_state_is_the_full_sort(self, tmp_path, capsys):
+        """top_words.csv from the golden state.json holds each topic's ten
+        words of the full sort by (-count, word), with their counts."""
+        shutil.copytree(GOLDEN / "topics", tmp_path / "topics")
+        assert run("topics-inspect", "--config", CONFIG, "--output", str(tmp_path)) == 0
+        model = json.loads((GOLDEN / "topics" / "state.json").read_text(encoding="utf-8"))
+        words = model["vocabulary"]
+        expected = [["topic", "rank", "word", "count"]]
+        for k, counts in enumerate(model["n_kw"]):
+            ranked = sorted(range(len(words)), key=lambda w: (-counts[w], words[w]))[:10]
+            expected += [[str(k), str(rank), words[w], str(counts[w])]
+                         for rank, w in enumerate(ranked, start=1)]
+        with (tmp_path / "topics" / "top_words.csv").open(encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == expected
 
     def test_annotate_then_eval(self, tmp_path, capsys):
         assert run("segment", "--config", CONFIG, "--output", str(tmp_path)) == 0

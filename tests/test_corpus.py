@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from godspell import corpus
 from godspell.config import ConfigError
 from godspell.corpus import (
     ManifestError,
@@ -15,6 +16,7 @@ from godspell.corpus import (
     passage_statistics,
     read_passages,
     segment_capped,
+    count_words,
     segment_fixed,
     word_tokenize,
     write_passages,
@@ -60,6 +62,52 @@ class TestWordTokenize:
         if current:
             expected.append(current)
         assert word_tokenize(text) == expected == ["word-count", "test", "line"]
+
+
+# str.split()'s whitespace: the 29 code points for which str.isspace() holds
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+class TestCountWords:
+    """count_words against len(str.split()) of the whole text, where its
+    slices are cut."""
+
+    def test_the_whitespace_is_str_splits(self):
+        assert len(WHITESPACE) == 29
+        assert all(len(f"a{ws}b".split()) == 2 for ws in WHITESPACE)
+
+    @pytest.mark.parametrize("ws", WHITESPACE, ids=lambda ws: f"U+{ord(ws):04X}")
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    def test_each_whitespace_at_a_slice_boundary(self, ws, shift):
+        """The code point sits at, just before or just after the first
+        slice's end, between words and between runs of itself."""
+        at = corpus.COUNT_SLICE + shift
+        for text in ("a" * at + ws + "b" * 9 + ws + "c",
+                     "a b " * (at // 4) + "x" * (at % 4) + ws * 3 + "tail",
+                     ws * at + "w" + ws):
+            assert count_words(text) == len(text.split())
+
+    def test_small_slices_over_every_separator(self, monkeypatch):
+        """Slices of a few characters, cut at every kind of whitespace."""
+        monkeypatch.setattr(corpus, "COUNT_SLICE", 3)
+        rng = random.Random(5)
+        text = "".join(rng.choice(["ab", "c", "déf", "日本", *WHITESPACE, " "])
+                       for _ in range(3000))
+        assert count_words(text) == len(text.split())
+
+    def test_word_longer_than_a_slice(self):
+        long = "x" * (3 * corpus.COUNT_SLICE + 5)
+        for text in (long, f" {long} ", f"a {long}\u3000b", f"{long}\n{long}"):
+            assert count_words(text) == len(text.split())
+
+    @pytest.mark.parametrize("text", ["", " ", "\n\n", "one", " one two "])
+    def test_short_texts(self, text):
+        assert count_words(text) == len(text.split())
+
+    def test_fixture_novels(self):
+        for path in sorted((FIXTURES / "novels").glob("*.txt")):
+            text = path.read_text(encoding="utf-8")
+            assert count_words(text) == len(word_tokenize(text))
 
 
 class TestIngest:

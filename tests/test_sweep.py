@@ -9,6 +9,7 @@ import json
 import logging
 import math
 import random
+import re
 import shutil
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from oracles import (
     authorless_downsample_numpy,
     build_vocabulary_numpy,
     count_reference,
+    count_views,
     digamma_reference,
     elementwise,
     gammaln_reference,
@@ -127,6 +129,67 @@ def test_kernel_matches_reference(compiled, k):
             optimize_beta(ref)
         assert_same(fast, ref)
     fast.validate(docs)
+
+
+@pytest.mark.parametrize("k, v", [(1, 1), (1, 7), (2, 1), (3, 5), (5, 17), (16, 3), (17, 33),
+                                  (65, 11)])
+def test_word_major_sweep_matches_the_topic_major_reference(compiled, k, v):
+    """The kernel's sweep over the word-major n_kw against the oracles'
+    sweep over K topic-major rows, after each of several sweeps: the same
+    z, counts and RNG state, and n_kw is each word's K counts side by side,
+    for K and V of 1, odd, and on either side of the kernel's bands of 16."""
+    rng = random.Random(100 * k + v)
+    docs = [[rng.randrange(v) for _ in range(rng.choice([0, 1, 7, 40]))] for _ in range(30)]
+    fast = init_state(docs, k, v, rng_seed=v)
+    ref = init_state(docs, k, v, rng_seed=v)
+    for _ in range(4):
+        gibbs_sweep(fast, docs)
+        gibbs_sweep_reference(ref)
+        assert_same(fast, ref)
+        assert log_likelihood(fast) == log_likelihood_reference(ref)
+    by_word = np.zeros((v, k), dtype=np.int32)
+    np.add.at(by_word, (np.asarray(fast.words), np.asarray(fast.z)), 1)
+    assert np.array_equal(np.asarray(fast.n_kw).reshape(v, k), by_word)
+    assert np.array_equal(count_views(fast)[1], by_word.T)
+
+
+def corrupt(state, change):
+    """state's word-major n_kw, n_dk and n_k after change(n_kw, n_dk, n_k),
+    a dict of flat index -> added amount for each."""
+    for name, edits in zip(("n_kw", "n_dk", "n_k"), change(state.k)):
+        for at, amount in edits.items():
+            getattr(state, name)[at] += amount
+
+
+@pytest.mark.parametrize("change, code", [
+    (lambda k: ({}, {}, {}), 0),
+    # a count moved between two words of one topic keeps every topic's total
+    (lambda k: ({0 * k + 1: -1, 3 * k + 1: 1}, {}, {}), 0),
+    (lambda k: ({2 * k + 0: -99}, {}, {}), 2),
+    (lambda k: ({}, {k + 1: 1}, {}), 3),
+    # a count moved between two topics of one word changes both totals
+    (lambda k: ({0 * k + 1: -1, 0 * k + 2: 1}, {}, {}), 4),
+    (lambda k: ({3 * k + 2: 1}, {}, {2: 1}), 5),
+], ids=["intact", "between words", "negative", "document row", "between topics", "total"])
+def test_check_reads_the_word_major_counts(compiled, change, code):
+    """The kernel's checks (codes 0 and 2-5) on corrupted word-major counts,
+    and validate's message, which the numpy reference gives too."""
+    docs = [[0, 0, 3, 3, 1], [3, 0, 2]]
+    state = init_state(docs, 3, 4, rng_seed=1)
+    state.z[:] = array.array("i", [1, 1, 1, 2, 0, 2, 0, 1])
+    for name in ("n_dk", "n_kw", "n_k"):
+        getattr(state, name)[:] = array.array("i", [0]) * len(getattr(state, name))
+    assert _sweep.count(state)
+    corrupt(state, change)
+    assert _sweep.check(state) == code
+    if code == 0:
+        state.validate(docs)
+        validate_reference(state, docs)
+        return
+    message = re.escape(topics._CORRUPTED[code])
+    for validate in (state.validate, lambda docs: validate_reference(state, docs)):
+        with pytest.raises(RuntimeError, match=message):
+            validate(docs)
 
 
 def test_train_samples_with_the_kernel(compiled, request):
@@ -365,6 +428,75 @@ def test_gathered_sum_of_count_matrices(compiled, shape):
         got = _sweep.pairwise_sums(table, index=n_kw)[0]
         assert float_bits(got) == float_bits(table[n_kw].sum())
         assert [got] == pairwise_sums_reference(table, index=n_kw)
+        word_major = np.ascontiguousarray(n_kw.T)
+        assert _sweep.pairwise_sums(table, index=word_major, index_cols=shape[0])[0] == got
+
+
+@pytest.mark.parametrize("k, v", [(1, 1), (2, 1), (1, 300), (3, 7), (16, 129), (17, 100),
+                                  (33, 257), (65, 1000)])
+def test_transposed_walk_is_the_topic_major_sum(compiled, k, v):
+    """A word-major (V, K) index walked with index_cols=K against the current
+    call on the same counts held topic-major, (K, V), and against numpy's
+    sum: the same bits, over one part and over parts that cut the columns
+    and the kernel's bands of 16 anywhere."""
+    rng = np.random.default_rng(k * v)
+    n_kw = rng.negative_binomial(0.3, 0.1, (k, v)).astype(np.int32)
+    top = int(n_kw.max()) + 1
+    table = scipy.special.gammaln(np.arange(top) + 0.01) * 10.0 ** rng.uniform(-6, 6, top)
+    word_major = np.ascontiguousarray(n_kw.T)
+    n = k * v
+    for bounds in ([0, n], sorted({0, n, *rng.integers(0, n + 1, 6).tolist()})):
+        want = _sweep.pairwise_sums(table, bounds, index=n_kw)
+        got = _sweep.pairwise_sums(table, bounds, index=word_major, index_cols=k)
+        assert list(map(float_bits, got)) == list(map(float_bits, want))
+        assert got.tolist() == pairwise_sums_reference(table, bounds, index=n_kw)
+    assert float_bits(got[-1]) == float_bits(want[-1])
+    assert (float_bits(_sweep.pairwise_sums(table, index=word_major, index_cols=k)[0])
+            == float_bits(table[n_kw].sum()))
+
+
+def test_transposed_walk_rejects_what_it_cannot_walk(compiled):
+    table = np.arange(4.0)
+    index = np.array([0, 1, 2, 3, 3, 2], dtype=np.int32)
+    for kwargs in ({"index": index, "index_cols": 4}, {"index_cols": 2},
+                   {"index": index, "index_cols": 0}):
+        with pytest.raises(ValueError, match="index_cols"):
+            _sweep.pairwise_sums(table, **kwargs)
+    index[5] = 4
+    with pytest.raises(ValueError, match="outside"):  # an entry no part reads is checked too
+        _sweep.pairwise_sums(table, [0, 2], index=index, index_cols=3)
+
+
+def test_distinct_numbers_the_patterns_by_first_appearance(compiled):
+    """Thousands of distinct doubles, so the table grows several times: the
+    values are the distinct bit patterns in order of first appearance
+    (-0.0 apart from 0.0, each nan apart), and each id points at its own."""
+    rng = np.random.default_rng(1)
+    other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)
+    pool = np.concatenate([rng.random(5000), [0.0, -0.0, np.nan, -np.nan, np.inf, 5e-324],
+                           other_nan])
+    x = np.concatenate([rng.choice(pool, 40_000), pool])
+    for values_in in (x, x[:0], x[:1], np.full(3000, 0.25)):
+        ids, values = _sweep.distinct(np.ascontiguousarray(values_in))
+        bits = values_in.view(np.int64).tolist()
+        order = list(dict.fromkeys(bits))
+        assert values.typecode == "d" and ids.typecode == "i"
+        assert np.frombuffer(values, dtype=np.float64).view(np.int64).tolist() == order
+        assert [order[i] for i in ids] == bits
+
+
+def test_row_texts_of_numbers(compiled):
+    """Each index as json.dumps writes the number it points at; an index
+    outside the numbers is a ValueError, before any row is given."""
+    numbers = array.array("d", [0.5, -0.0, float("nan"), 1e22, 1 / 3])
+    ids = array.array("i", [4, 3, 2, 1, 0, 0])
+    rows = list(map(bytes, _sweep.row_texts(ids, 2, numbers=numbers)))
+    assert rows == [json.dumps([1 / 3, 1e22, float("nan")]).encode(),
+                    json.dumps([-0.0, 0.5, 0.5]).encode()]
+    for bad in (-1, 5):
+        ids[1] = bad
+        with pytest.raises(ValueError, match="outside the numbers"):
+            next(_sweep.row_texts(ids, 2, numbers=numbers))
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -415,7 +547,7 @@ def test_span_and_row_texts_at_the_int32_edges(compiled, values):
     """span is min and max with 0, and a row's text is json's, for any int32."""
     buf = array.array("i", values)
     assert _sweep.span(buf) == (min([0, *values]), max([0, *values]))
-    assert list(_sweep.row_texts(buf, 1)) == [json.dumps(values)[1:-1]]
+    assert list(map(bytes, _sweep.row_texts(buf, 1))) == [json.dumps(values).encode()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,6 +48,7 @@ from oracles import (
     optimize_beta_reference,
     prominence_reference,
     randbelow,
+    save_state_by_row_reference,
     save_state_reference,
     topic_conditional,
     uniforms,
@@ -61,6 +62,11 @@ def seg(words, novel_id="n1"):
 def rows(flat, cols: int) -> list[list]:
     """A flat row-major matrix as the list of its rows."""
     return [list(flat[i:i + cols]) for i in range(0, len(flat), cols)]
+
+
+def topic_rows(n_kw, k: int) -> list[list]:
+    """A word-major n_kw as the list of its K topic rows."""
+    return [list(n_kw[t::k]) for t in range(k)]
 
 
 class TestRngBridge:
@@ -263,7 +269,7 @@ class TestInitState:
         assert state.z.tolist() == z
         assert {getattr(state, name).typecode for name in _sweep.STATE_ARRAYS} == {"i"}
         assert np.array_equal(state.n_dk, n_dk.reshape(-1))
-        assert np.array_equal(state.n_kw, n_kw.reshape(-1))
+        assert np.array_equal(state.n_kw, n_kw.T.reshape(-1))  # word-major
         assert np.array_equal(state.n_k, n_kw.sum(axis=1))
         assert state.rng.getstate() == draws.getstate()
         assert state.words.tolist() == [w for doc in docs for w in doc]
@@ -381,7 +387,7 @@ class TestLogLikelihood:
         # a -1 would index the last entry of the table of its terms
         docs = [[0, 1, 1], [1, 1]]
         state = init_state(docs, k=2, vocabulary_size=3, rng_seed=0)
-        getattr(state, name)[2] = -1  # row 1, column 0 of n_dk; row 0, column 2 of n_kw
+        getattr(state, name)[2] = -1  # row 1, column 0 of n_dk; word 1, topic 0 of n_kw
         with pytest.raises(ValueError, match=f"{name} holds a negative count"):
             log_likelihood(state)
 
@@ -452,7 +458,7 @@ class TestOptimizeBeta:
         n_kw = rng.randint(0, 30, size=(3, 8)).astype(np.int32)
         docs = [[0]]
         state = init_state(docs, k=3, vocabulary_size=8, rng_seed=0)
-        state.n_kw = n_kw.reshape(-1)
+        state.n_kw = n_kw.T.reshape(-1)  # word-major
         state.n_k = n_kw.sum(axis=1, dtype=np.int32)
         monkeypatch.setattr(topics, "FIXED_POINT_TOL", 1e-12)
         monkeypatch.setattr(topics, "FIXED_POINT_MAX_ITER", 100_000)
@@ -655,6 +661,23 @@ class TestTopWords:
         with pytest.raises(ValueError):
             self._top(["a"], [[1]], k=1)
 
+    def test_negative_n_rejected(self):
+        """A negative n would have cut the last words off the full sort."""
+        with pytest.raises(ValueError, match="n >= 0"):
+            self._top(["a", "b", "c"], [[1, 2, 3]], n=-1)
+        assert self._top(["a", "b"], [[1, 2]], n=0) == []
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 29, 30, 31])
+    def test_every_n_matches_the_full_sort(self, n):
+        """nsmallest against sorted(...)[:n], ties among the counts
+        included."""
+        rng = random.Random(n)
+        words = [f"w{i:02d}" for i in range(30)]
+        rng.shuffle(words)
+        counts = [rng.randint(0, 4) for _ in range(30)]
+        oracle = sorted(range(30), key=lambda w: (-counts[w], words[w]))[:n]
+        assert top_words([counts], words, 0, n=n) == oracle
+
     def test_matches_full_sort_oracle(self):
         rng = random.Random(19)
         words = [f"w{i:02d}" for i in range(30)]
@@ -749,13 +772,13 @@ class TestStateIO:
         assert list(loaded) == list(topics.STATE_FIELDS)
         assert loaded["k"] == 2
         assert loaded["seed"] == 7
-        assert loaded["n_kw"] == rows(state.n_kw, v)
+        assert loaded["n_kw"] == topic_rows(state.n_kw, 2)
         assert loaded["doc_topic"] == rows(doc_topic_proportions(state), 2)
         assert loaded["doc_novels"] == novels
         assert loaded["log_likelihood"] == lls
         assert loaded["vocabulary"] == vocab.words
         assert top_words(loaded["n_kw"], loaded["vocabulary"], 0, n=3) == top_words(
-            rows(state.n_kw, v), vocab.words, 0, n=3)
+            topic_rows(state.n_kw, 2), vocab.words, 0, n=3)
 
     @staticmethod
     def damaged_state(tmp_path, damage) -> Path:
@@ -844,24 +867,52 @@ class TestStateIO:
 
 
 class TestStateWriter:
-    """save_state against the whole-payload json.dumps in tests/oracles.py:
-    the same bytes."""
+    """save_state against the whole-payload json.dumps and the dict-based
+    row writer it replaced, both in tests/oracles.py: the same bytes."""
 
     @staticmethod
     def assert_same_bytes(tmp_path, n_kw, doc_topic, words, novels, alpha=None):
-        """doc_topic stands in for the state's shares on both sides, so that
-        they can be values no trained state holds."""
+        """n_kw is given topic-major, (K, V), and the state holds it
+        word-major, as a TopicState does. doc_topic stands in for the
+        state's shares on every side, so that they can be values no trained
+        state holds."""
         k = n_kw.shape[0]
         state = SimpleNamespace(k=k, alpha=np.full(k, 0.5) if alpha is None else alpha,
-                                beta=0.01, rng_seed=3, n_kw=n_kw)
+                                beta=0.01, rng_seed=3, n_kw=np.ascontiguousarray(n_kw.T))
         vocab = SimpleNamespace(words=words)
         lls = [-12.5, -1e-05]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(topics, "doc_topic_proportions", lambda _: doc_topic)
+            patch.setattr(topics, "doc_topic_proportions",
+                          lambda _: np.ascontiguousarray(doc_topic, dtype=np.float64))
             patch.setattr(oracles, "doc_topic_proportions_reference", lambda _: doc_topic)
             save_state(tmp_path / "fast.json", state, lls, vocab, novels)
             save_state_reference(tmp_path / "ref.json", state, lls, vocab, novels)
-        assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+            save_state_by_row_reference(tmp_path / "rows.json", state, lls, vocab, novels)
+        fast = (tmp_path / "fast.json").read_bytes()
+        assert fast == (tmp_path / "ref.json").read_bytes()
+        assert fast == (tmp_path / "rows.json").read_bytes()
+        assert json.loads(fast)["n_kw"] == n_kw.tolist()
+
+    def test_more_distinct_shares_than_the_first_table(self, tmp_path):
+        """Thousands of distinct shares, each recurring, so the table of
+        distinct ones grows twice while the rows are written."""
+        rng = np.random.default_rng(3)
+        pool = rng.random(3000)
+        doc_topic = rng.choice(pool, (2000, 5))
+        n_kw = rng.integers(0, 50, (5, 7), dtype=np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, list("abcdefg"),
+                               [f"n{i % 7}" for i in range(2000)])
+
+    @pytest.mark.parametrize("block", [1, 20, 64, 1000])
+    def test_rows_in_small_blocks(self, tmp_path, monkeypatch, block):
+        """Blocks of one row, or a few, or a row longer than a block: the
+        same bytes whatever the block."""
+        monkeypatch.setattr(_sweep, "BLOCK", block)
+        rng = np.random.default_rng(block)
+        doc_topic = rng.choice([0.25, 1 / 3, -0.0, 1e-300, float("nan")], (37, 3))
+        n_kw = rng.integers(-2**31, 2**31, (3, 23), dtype=np.int64).astype(np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, [f"w{i}" for i in range(23)],
+                               ["a"] * 37)
 
     def test_awkward_values(self, tmp_path):
         """Counts at the int32 edges and shares json writes oddly."""
