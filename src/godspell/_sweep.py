@@ -20,15 +20,16 @@ stream. The sweep reads the topic-word counts word-major, ``n_kw[w * K + t]``,
 so a token's K counts lie side by side. ``pairwise_sums`` adds in numpy's
 pairwise order, so each sum is numpy's ``ndarray.sum()`` of the same terms
 bit for bit, and walks a word-major matrix in topic-major order when asked,
-a band of columns at a time. ``distinct`` numbers the distinct 64-bit
-patterns of doubles through a hash table that grows with their count, and
-``row_texts`` writes a matrix's rows as JSON text in bounded blocks, of
-integers or of indexes into a list of numbers, so that each distinct share
-of ``state.json`` is formatted once, by ``json.dumps``. Beside them are
-Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code behind
-``scipy.special.gammaln`` and ``digamma``, with the same constants, the
-same operation order and libm ``log``; they give scipy's floats bit for
-bit, so scipy is not needed at run time. Their pure-Python twins,
+reading each entry where it lies, by stride. ``distinct`` numbers the
+distinct 64-bit patterns of doubles through a hash table that grows with
+their count, and ``row_texts`` writes a matrix's rows as JSON text in
+bounded blocks, of integers or of indexes into a list of numbers, so that
+each distinct share of ``state.json`` is formatted once, by
+``json.dumps``; it reads n_kw's topic-major rows by stride too. Beside
+them are Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code
+behind ``scipy.special.gammaln`` and ``digamma``, with the same constants,
+the same operation order and libm ``log``; they give scipy's floats bit
+for bit, so scipy is not needed at run time. Their pure-Python twins,
 ``gammaln_reference`` and ``digamma_reference``, are in the oracles too.
 
 The functions here take and return the standard library's ``array.array``
@@ -45,8 +46,9 @@ and reject an argument that is not finite and positive with ValueError.
 It is compiled with ``cc`` on first use into ``$XDG_CACHE_HOME/godspell``
 (default ``~/.cache/godspell``), under a file name keyed by the sha256 of
 the source, the flags and the machine type, with the library's own sha256
-beside it, and loaded with ``ctypes``. A cached library whose bytes do not
-match that checksum is rebuilt, never loaded; a cache directory that
+beside it, and loaded with ``ctypes``, each exported function's argument
+types read from its prototype in ``SOURCE``. A cached library whose bytes
+do not match that checksum is rebuilt, never loaded; a cache directory that
 cannot be written is replaced by a temporary one. There is no other
 sampler, so ``topics-train`` needs a C compiler: when none works,
 ``kernel``, and so the first kernel call, raises BuildError, which names the
@@ -62,6 +64,7 @@ import json
 import logging
 import operator
 import os
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -525,17 +528,6 @@ static uint8_t *put_int(uint8_t *p, int32_t x)
     return p;
 }
 
-/* out[(c - c0) * rows + r] = m[r * cols + c] for c0 <= c < c1: columns c0..c1-1 of the
-   (rows, cols) int32 matrix m side by side, each made contiguous */
-int64_t columns(const int32_t *m, int64_t rows, int64_t cols, int64_t c0, int64_t c1,
-                int32_t *out)
-{
-    for (int64_t r = 0; r < rows; r++)
-        for (int64_t c = c0; c < c1; c++)
-            out[(c - c0) * rows + r] = m[r * cols + c];
-    return 0;
-}
-
 /* at[j] = the offset in s[0..size) of item j of the n items that ", " separates (a JSON
    list's text without its brackets, none of whose items holds a comma), and at[n] = size + 2,
    as if s ended with a separator. Returns the length of the longest item, or -1 when s does
@@ -557,40 +549,45 @@ int64_t text_items(const uint8_t *s, int64_t size, int64_t n, int32_t *at)
     return j == n + 1 ? longest : -1;
 }
 
-/* The JSON text of rows r0..r1-1 of the (rows, cols) int32 matrix m: each row "[x, y, ...]"
-   with json's separators, one after another in out, row r ending at ends[r - r0]. An entry's
-   text is its decimal text, or with a store the text of item m[...] of the n_texts items
-   that at gives: item j is store[at[j]..at[j + 1] - 2). Returns the bytes written, or -1
-   when the rows would pass the size bytes of out or an item is outside [0, n_texts). */
-int64_t rows_text(const int32_t *m, int64_t cols, int64_t r0, int64_t r1, const uint8_t *store,
-                  const int32_t *at, int64_t n_texts, uint8_t *out, int64_t size, int32_t *ends)
+/* The JSON text of rows r0..r1-1 of an int32 matrix of cols columns whose entry (r, c) is
+   m[r * row_stride + c * stride]: each row "[x, y, ...]" with json's separators, one after
+   another in out, row r ending at ends[r - r0]. So a word-major n_kw gives its topic-major
+   rows with strides 1 and K, where it lies. An entry's text is its decimal text, or with a
+   store the text of item x of the n_texts items that at gives: item j is
+   store[at[j]..at[j + 1] - 2). Returns the bytes written, or -1 when the rows would pass the
+   size bytes of out or an item is outside [0, n_texts). */
+int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t stride,
+                  int64_t r0, int64_t r1, const uint8_t *store, const int32_t *at,
+                  int64_t n_texts, uint8_t *out, int64_t size, int32_t *ends)
 {
     uint8_t *p = out;
     for (int64_t r = r0; r < r1; r++) {
-        const int32_t *x = m + r * cols;
+        const int32_t *row = m + r * row_stride;
         int64_t need = 2 + 13 * cols;  /* ", -2147483648" an entry at most */
         if (store) {
             need = 2;
             for (int64_t c = 0; c < cols; c++) {
-                if (x[c] < 0 || x[c] >= n_texts)
+                int32_t x = row[c * stride];
+                if (x < 0 || x >= n_texts)
                     return -1;
-                need += at[x[c] + 1] - at[x[c]];
+                need += at[x + 1] - at[x];
             }
         }
         if (size - (p - out) < need)
             return -1;
         *p++ = '[';
         for (int64_t c = 0; c < cols; c++) {
+            int32_t x = row[c * stride];
             if (c > 0) {
                 *p++ = ',';
                 *p++ = ' ';
             }
             if (store) {
-                int64_t len = at[x[c] + 1] - at[x[c]] - 2;
-                memcpy(p, store + at[x[c]], (size_t)len);
+                int64_t len = at[x + 1] - at[x] - 2;
+                memcpy(p, store + at[x], (size_t)len);
                 p += len;
             } else {
-                p = put_int(p, x[c]);
+                p = put_int(p, x);
             }
         }
         *p++ = ']';
@@ -632,46 +629,40 @@ int64_t proportions(int64_t rows, int64_t k, const int32_t *n_dk, const double *
    (table[at] itself without weights); at is x * width + i % width for the index entry x of
    term i, row x and column i % width of the table as (size / width, width), and i itself
    without an index. Term i's entry is index[i], or with cols > 1 the entry of the index as a
-   (rows, cols) matrix that a walk down its columns reaches at i: row i % rows of column
-   i / rows. That walk reads band_cols columns at a time, copied side by side into band. */
+   (rows, cols) matrix that a walk down its columns reaches at i, read where it lies: row
+   i % rows of column i / rows, index[(i % rows) * cols + i / rows]. */
 struct terms {
     const double *table;
     const int32_t *index;
     int64_t width;
     const int32_t *weight;
     int64_t cols, rows;
-    int32_t *band;
-    int64_t band_cols, band_c0;  /* band_c0: the first column in band, -band_cols before any */
 };
 
-/* x[0..n) = terms lo..lo+n-1, their entries read in runs that lie side by side in index or
-   band: one division for each run, and one run unless the terms cross into a new band */
-static void leaf_terms(struct terms *t, int64_t lo, int64_t n, double *x)
+/* x[0..n) = terms lo..lo+n-1, their entries read in runs that step through index by 1, or
+   by cols down a column: one division for each run, and one run unless the terms cross
+   into the next column */
+static void leaf_terms(const struct terms *t, int64_t lo, int64_t n, double *x)
 {
     for (int64_t k = 0, run; k < n; k += run) {
-        int64_t i = lo + k;
+        int64_t i = lo + k, step = 1;
         const int32_t *src = t->index ? t->index + i : NULL;
         run = n - k;
         if (t->cols > 1) {
-            int64_t col = i / t->rows, r = i % t->rows;
-            if (col < t->band_c0 || col >= t->band_c0 + t->band_cols) {
-                t->band_c0 = col;
-                columns(t->index, t->rows, t->cols, col,
-                        col + t->band_cols < t->cols ? col + t->band_cols : t->cols, t->band);
-            }
-            src = t->band + (col - t->band_c0) * t->rows + r;
-            int64_t left = (t->band_c0 + t->band_cols - col) * t->rows - r;
-            run = left < run ? left : run;
+            int64_t r = i % t->rows;
+            src = t->index + r * t->cols + i / t->rows;
+            step = t->cols;
+            run = t->rows - r < run ? t->rows - r : run;
         }
         if (!src)
             for (int64_t m = 0; m < run; m++)
                 x[k + m] = t->table[i + m];
         else if (t->width == 1)
             for (int64_t m = 0; m < run; m++)
-                x[k + m] = t->table[src[m]];
+                x[k + m] = t->table[src[m * step]];
         else
             for (int64_t m = 0, c = i % t->width; m < run; m++, c = c + 1 < t->width ? c + 1 : 0)
-                x[k + m] = t->table[(int64_t)src[m] * t->width + c];
+                x[k + m] = t->table[(int64_t)src[m * step] * t->width + c];
     }
     if (t->weight)
         for (int64_t k = 0; k < n; k++)
@@ -680,7 +671,7 @@ static void leaf_terms(struct terms *t, int64_t lo, int64_t n, double *x)
 
 /* ndarray.sum() of the terms lo..lo+n-1 in numpy's pairwise order: above 128 terms, halves
    split at a multiple of 8; else 8 accumulators (-0.0 + x is x), then a plain loop */
-static double pairwise(struct terms *t, int64_t lo, int64_t n)
+static double pairwise(const struct terms *t, int64_t lo, int64_t n)
 {
     if (n > 128) {
         int64_t half = n / 2 - n / 2 % 8;
@@ -703,17 +694,14 @@ static double pairwise(struct terms *t, int64_t lo, int64_t n)
    for each of the parts, of n terms in all; -1 before summing when the bounds are not in
    order within [0, n], a term's entry is outside the size entries of the table (its row
    outside the size / width rows with an index), or cols > 1 does not divide n. With
-   cols > 1 every entry of the index is checked, and band, band_size int32 of scratch, must
-   hold at least one of its columns. */
+   cols > 1 every entry of the index is checked. */
 int64_t pairwise_sums(const double *table, int64_t size, const int32_t *index, int64_t width,
-                      int64_t cols, int32_t *band, int64_t band_size, const int32_t *weight,
-                      int64_t n, int64_t parts, const int32_t *bounds, double *out)
+                      int64_t cols, const int32_t *weight, int64_t n, int64_t parts,
+                      const int32_t *bounds, double *out)
 {
-    int64_t index_rows = cols > 1 ? n / cols : n;
-    int64_t band_cols = index_rows ? band_size / index_rows : 0;
-    struct terms t = {table, index, width, weight, cols, index_rows, band, band_cols, -band_cols};
+    struct terms t = {table, index, width, weight, cols, cols > 1 ? n / cols : n};
     int64_t rows = size / width;
-    if (cols < 1 || (cols > 1 && (!index || n % cols || (n && t.band_cols < 1))))
+    if (cols < 1 || (cols > 1 && (!index || n % cols)))
         return -1;
     for (int64_t i = 0; i < n && cols > 1; i++)
         if (index[i] < 0 || index[i] >= rows)
@@ -905,23 +893,21 @@ def _intact(path: Path) -> bool:
         return False
 
 
-# each exported function's argument types: i int64_t, p pointer, d double
-SIGNATURES = {
-    "randrange": "piip", "forms": "piipipipip", "relabel": "ippip", "novel_ratios": "ipppiipp",
-    "keep": "pipppipi", "count": "ipppiippp", "check": "ipppiipppp",
-    "gibbs_sweep": "pipppiippppddp", "span": "pip", "histogram": "piiip",
-    "distinct": "piippipp", "columns": "piiiip", "text_items": "piip",
-    "rows_text": "piiippipip", "row_sums": "iipp", "proportions": "iippdp",
-    "pairwise_sums": "pipiipipiipp", "gammaln": "ipp", "digamma": "ipp",
-}
-
-
 def _open(path: Path):
+    """The library at path, each function SOURCE exports (``int64_t name(...)`` at the
+    start of a line) declared from its prototype: a pointer is c_void_p, double c_double
+    and int64_t c_int64. TypeError for any other parameter type."""
+    types = {"*": ctypes.c_void_p, "double": ctypes.c_double, "int64_t": ctypes.c_int64}
     lib = ctypes.CDLL(str(path))
-    types = {"i": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
-    for name, args in SIGNATURES.items():
+    for name, params in re.findall(r"^int64_t (\w+)\(([^)]*)\)", SOURCE, re.M):
+        argtypes = []
+        for param in params.split(","):
+            c_type = "*" if "*" in param else " ".join(param.split()[:-1])
+            if c_type not in types:
+                raise TypeError(f"{name}: no ctypes type for {' '.join(param.split())!r}")
+            argtypes.append(types[c_type])
         fn = getattr(lib, name)
-        fn.argtypes = [types[c] for c in args]
+        fn.argtypes = argtypes
         fn.restype = ctypes.c_int64
     return lib
 
@@ -1078,8 +1064,6 @@ def histogram(values, size: int, cols: int = 1) -> array.array:
 
 # the bytes of row text one rows_text call writes, or one row's at most when that is more
 BLOCK = 1 << 16
-# the columns of an int32 matrix that a walk down its columns copies side by side at a time
-BAND = 16
 
 
 def row_texts(values, rows: int, *, numbers=None,
@@ -1089,11 +1073,10 @@ def row_texts(values, rows: int, *, numbers=None,
     sequence of them), the number each integer is the index of, as
     ``json.dumps(numbers)`` writes it; that is the only formatting of a
     number, once for each. With transposed, values holds the matrix column
-    by column, as a word-major n_kw holds the topic-major rows, and BAND
-    rows at a time are first made contiguous in a scratch buffer (BAND *
-    cols int32, not a copy of the matrix). The kernel writes a block of rows
-    at a time; each row is a view of the block's buffer, which the next
-    block overwrites. ValueError for an index outside numbers."""
+    by column, as a word-major n_kw holds the topic-major rows, and the
+    kernel reads each row where it lies, by stride. The kernel writes a
+    block of rows at a time; each row is a view of the block's buffer, which
+    the next block overwrites. ValueError for an index outside numbers."""
     values = items("values", values, "i")
     cols = len(values) // rows if rows else 0
     lib = kernel()
@@ -1109,25 +1092,18 @@ def row_texts(values, rows: int, *, numbers=None,
     per_block = max(1, BLOCK // row_cap)
     out = bytearray(per_block * row_cap)
     ends = array.array("i", [0]) * per_block
-    if transposed:
-        band = array.array("i", [0]) * (BAND * cols)
-        bands = [(b0, min(rows, b0 + BAND)) for b0 in range(0, rows, BAND)]
-    else:
-        band, bands = values, [(0, rows)]
+    strides = (1, rows) if transposed else (cols, 1)  # from one row, and one entry, to the next
     view = memoryview(out)
-    for b0, b1 in bands:
-        if transposed:
-            lib.columns(_address(values), cols, rows, b0, b1, _address(band))
-        for r0 in range(0, b1 - b0, per_block):
-            r1 = min(b1 - b0, r0 + per_block)
-            if lib.rows_text(_address(band), cols, r0, r1, store, _address(at) if at else None,
-                             len(at) - 1 if at else 0, _address(out), len(out),
-                             _address(ends)) < 0:
-                raise ValueError("row_texts: an index is outside the numbers")
-            start = 0
-            for end in ends[:r1 - r0]:
-                yield view[start:end]
-                start = end
+    for r0 in range(0, rows, per_block):
+        r1 = min(rows, r0 + per_block)
+        if lib.rows_text(_address(values), cols, *strides, r0, r1, store,
+                         _address(at) if at else None, len(at) - 1 if at else 0,
+                         _address(out), len(out), _address(ends)) < 0:
+            raise ValueError("row_texts: an index is outside the numbers")
+        start = 0
+        for end in ends[:r1 - r0]:
+            yield view[start:end]
+            start = end
 
 
 def row_sums(matrix, cols: int) -> array.array:
@@ -1179,10 +1155,8 @@ def pairwise_sums(table, bounds=None, *, index=None, weights=None, width: int = 
         raise ValueError(f"pairwise_sums: index_cols {index_cols} needs an index of whole rows")
     bounds = array.array("i", (0, n) if bounds is None else bounds)
     out = array.array("d", [0.0]) * (len(bounds) - 1)
-    band = array.array("i", [0]) * (BAND * (n // index_cols) if index_cols > 1 else 0)
     if kernel().pairwise_sums(_address(table), len(table),
                               None if index is None else _address(index), width, index_cols,
-                              _address(band), len(band),
                               None if weights is None else _address(weights), n, len(out),
                               _address(bounds), _address(out)):
         raise ValueError(f"pairwise_sums: a bound or an index is outside the {n} terms or "

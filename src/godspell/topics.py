@@ -9,8 +9,9 @@ and ids, the same kept tokens, topics and counts, the same RNG stream and
 so the same log-likelihood floats and ``state.json``. Each holds little of
 the corpus at once: documents are int32 memoryviews of one flat array,
 every id, count and offset is int32 (``TopicState`` says why none wraps),
-the count matrices are flat, n_kw word-major, and the state writer streams
-blocks of rows.
+the count matrices are flat, n_kw word-major, which ``log_likelihood`` and
+the state writer read topic-major by stride, with no copy, and the state
+writer streams blocks of rows.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
 split of each text into form ids (``_sweep.FormTable``); the only
@@ -564,11 +565,11 @@ def save_state(
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
     two matrices in blocks of rows that the kernel writes as text: n_kw's
-    topic-major rows, each gathered from the word-major counts, with
-    integers as json writes them, and doc_topic_proportions (doubles) from
-    json's text of each distinct one (by its bits, so that -0.0 and each
-    nan keep their own), which the kernel copies into every place it
-    recurs."""
+    topic-major rows, each read by stride from the word-major counts where
+    they lie, with integers as json writes them, and doc_topic_proportions
+    (doubles) from json's text of each distinct one (by its bits, so that
+    -0.0 and each nan keep their own), which the kernel copies into every
+    place it recurs."""
     from . import _sweep
 
     head = json.dumps({

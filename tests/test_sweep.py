@@ -5,6 +5,7 @@ the error without a compiler, and the build cache."""
 
 import array
 import collections
+import ctypes
 import json
 import logging
 import math
@@ -137,7 +138,7 @@ def test_word_major_sweep_matches_the_topic_major_reference(compiled, k, v):
     """The kernel's sweep over the word-major n_kw against the oracles'
     sweep over K topic-major rows, after each of several sweeps: the same
     z, counts and RNG state, and n_kw is each word's K counts side by side,
-    for K and V of 1, odd, and on either side of the kernel's bands of 16."""
+    for K and V of 1, odd, and on either side of a 16-count cache line."""
     rng = random.Random(100 * k + v)
     docs = [[rng.randrange(v) for _ in range(rng.choice([0, 1, 7, 40]))] for _ in range(30)]
     fast = init_state(docs, k, v, rng_seed=v)
@@ -433,12 +434,13 @@ def test_gathered_sum_of_count_matrices(compiled, shape):
 
 
 @pytest.mark.parametrize("k, v", [(1, 1), (2, 1), (1, 300), (3, 7), (16, 129), (17, 100),
-                                  (33, 257), (65, 1000)])
+                                  (33, 257), (65, 1000), (2, 127), (2, 128), (3, 128)])
 def test_transposed_walk_is_the_topic_major_sum(compiled, k, v):
     """A word-major (V, K) index walked with index_cols=K against the current
     call on the same counts held topic-major, (K, V), and against numpy's
     sum: the same bits, over one part and over parts that cut the columns
-    and the kernel's bands of 16 anywhere."""
+    anywhere, and with columns of 127 and 128 terms, one short of and as
+    long as numpy's largest leaf (at (2, 128) each leaf is one column)."""
     rng = np.random.default_rng(k * v)
     n_kw = rng.negative_binomial(0.3, 0.1, (k, v)).astype(np.int32)
     top = int(n_kw.max()) + 1
@@ -497,6 +499,19 @@ def test_row_texts_of_numbers(compiled):
         ids[1] = bad
         with pytest.raises(ValueError, match="outside the numbers"):
             next(_sweep.row_texts(ids, 2, numbers=numbers))
+
+
+@pytest.mark.parametrize("block", [64, 4096])
+@pytest.mark.parametrize("k, v", [(1, 1), (1, 300), (65, 1), (3, 7), (16, 129), (65, 1000)])
+def test_transposed_row_texts_are_the_topic_major_rows(compiled, monkeypatch, k, v, block):
+    """A word-major (V, K) n_kw written as its K topic-major rows, read by
+    stride where they lie: each row's text is json.dumps of that row of
+    n_kw.T, with blocks small enough to cut between rows."""
+    rng = np.random.default_rng(k * v)
+    word_major = (rng.negative_binomial(0.3, 0.001, (v, k)) - 1).astype(np.int32)
+    monkeypatch.setattr(_sweep, "BLOCK", block)
+    rows = list(map(bytes, _sweep.row_texts(word_major, k, transposed=True)))
+    assert rows == [json.dumps(row).encode() for row in word_major.T.tolist()]
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -690,6 +705,34 @@ def test_kernel_is_cached_under_xdg_cache_home(compiled, fresh_kernel, monkeypat
     assert_works(_sweep.kernel())
     name = _sweep.library_name()
     assert sorted(p.name for p in (tmp_path / "godspell").iterdir()) == [name, name + ".sha256"]
+
+
+def test_each_entry_point_is_declared_as_its_prototype(compiled):
+    """Every function SOURCE exports has, once loaded, the argtypes of its C
+    prototype, one per parameter: c_void_p for a pointer, c_double for
+    double and c_int64 for int64_t, relabel's (int64_t, int32_t *,
+    int32_t *, const int32_t *, int64_t) included; and returns int64_t."""
+    scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    defined = re.findall(r"^int64_t (\w+)\((.*?)\)\n\{", _sweep.SOURCE, re.M | re.S)
+    assert "relabel" in dict(defined)
+    for name, params in defined:
+        want = [ctypes.c_void_p if param.split()[-1].startswith("*") else scalar[param.split()[0]]
+                for param in params.split(",")]
+        fn = getattr(compiled, name)
+        assert list(fn.argtypes) == want, name
+        assert fn.restype is ctypes.c_int64, name
+    assert list(compiled.relabel.argtypes) == [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                                               ctypes.c_void_p, ctypes.c_int64]
+
+
+def test_a_parameter_type_the_loader_does_not_know_is_refused(monkeypatch, tmp_path):
+    """An exported function taking an int32_t by value, a type the loader
+    has no ctypes type for, stops the load with a TypeError naming the
+    function and the parameter."""
+    monkeypatch.setattr(_sweep, "SOURCE",
+                        _sweep.SOURCE + "\nint64_t halve(int32_t x)\n{\n    return x / 2;\n}\n")
+    with pytest.raises(TypeError, match="halve: no ctypes type for 'int32_t x'"):
+        _sweep.load(tmp_path)
 
 
 def test_library_name_keys_source_and_flags(monkeypatch):
