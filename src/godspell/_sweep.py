@@ -1,18 +1,23 @@
 """The compiled inner loops of ``topics``: the corpus pass from text to form
-ids, the random draws, the counts and their checks, the collapsed Gibbs
-sweep, histograms, pairwise float sums, the text of ``state.json``'s
-matrices, and ``gammaln`` and ``digamma``.
+ids, the vocabulary, the random draws, the counts and their checks, the
+collapsed Gibbs sweep, histograms, pairwise float sums, the text of
+``state.json``'s matrices, and ``gammaln`` and ``digamma``.
 
 ``forms`` splits UTF-8 text at exactly ``str.split()``'s whitespace and
 numbers each word's form by first appearance through an open-addressing
 table kept for the whole corpus, so that no word of ``topics-train``'s
 corpus becomes a Python string; ``FormTable`` owns its buffers and grows
 each one when the kernel stops for room, then lets it resume.
+``vocabulary`` takes the forms lowered, as one space-separated string,
+strips each form's edge punctuation in UTF-8, tallies each token's words,
+drops the empty tokens, the stopwords and the rare, and sorts the rest by
+their bytes, which is ``str``'s order: only the kept words become strings.
 
 ``SOURCE`` holds CPython's Mersenne Twister, run on a copy of a
 ``random.Random``'s state that ``_draw`` hands back, so every draw and
 ``rng.getstate()`` afterwards are those of ``rng.randrange(k)`` and
-``rng.random()``. The sweep does the same float operations in the same
+``rng.random()``; its twist is the reference's three loops, with no index
+wrapping. The sweep does the same float operations in the same
 order as the pure-Python ``gibbs_sweep_reference`` in ``tests/oracles.py``:
 built without ``-ffast-math`` and with ``-ffp-contract=off`` (no fused
 multiply-add), it gives bit-for-bit the same assignments, counts and RNG
@@ -23,9 +28,14 @@ bit for bit, and walks a word-major matrix in topic-major order when asked,
 reading each entry where it lies, by stride. ``distinct`` numbers the
 distinct 64-bit patterns of doubles through a hash table that grows with
 their count, and ``row_texts`` writes a matrix's rows as JSON text in
-bounded blocks, of integers or of indexes into a list of numbers, so that
-each distinct share of ``state.json`` is formatted once, by
-``json.dumps``; it reads n_kw's topic-major rows by stride too. Beside
+bounded blocks, of integers or of indexes into a buffer of doubles, so that
+each distinct share of ``state.json`` is formatted once, by the kernel's
+``number_texts``: Ryu's shortest round-trip digits (Adams 2018), in integer
+arithmetic with tables computed from Python ints, laid out as ``repr`` and
+``json.dumps`` lay them out; it reads n_kw's topic-major rows by stride
+too. ``histogram`` counts in four copies, entry by entry in turn, so that a
+run of one value, as n_kw's zeros are, does not wait on one count, and
+``shifted`` adds each of a run of counts to its part's prior. Beside
 them are Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code
 behind ``scipy.special.gammaln`` and ``digamma``, with the same constants,
 the same operation order and libm ``log``; they give scipy's floats bit
@@ -60,12 +70,12 @@ from __future__ import annotations
 import array
 import ctypes
 import functools
-import json
+import itertools
 import logging
 import operator
 import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .config import read_text, replacing, sha256
@@ -75,6 +85,21 @@ log = logging.getLogger(__name__)
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
+
+
+def _ryu_tables() -> str:
+    """The C of Ryu's two tables of 128-bit multipliers, computed exactly from
+    Python ints: POW5, 5**i for the 326 i a double's negative binary exponents
+    reach, and POW5_INV, 1 + 2**(bit_length(5**q) + 124) // 5**q for the 292
+    q its others reach, each scaled to 125 bits (Adams 2018)."""
+    def table(name: str, values: list[int]) -> str:
+        rows = ",\n".join(["    {0x%xU, 0x%xU}" % (v & (2**64 - 1), v >> 64) for v in values])
+        return f"static const uint64_t {name}[{len(values)}][2] = {{\n{rows}\n}};\n"
+
+    pow5 = list(itertools.accumulate(itertools.repeat(5, 325), operator.mul, initial=1))
+    return (table("POW5", [(p << 125) >> p.bit_length() for p in pow5])
+            + table("POW5_INV", [(1 << p.bit_length() + 124) // p + 1 for p in pow5[:292]]))
+
 
 SOURCE = r"""
 #include <math.h>
@@ -87,11 +112,19 @@ SOURCE = r"""
    random.Random.getstate() holds: mt[0..623] and the position mt[624] */
 static uint32_t genrand_uint32(uint32_t *mt)
 {
-    if (mt[624] >= 624) {
-        for (int i = 0; i < 624; i++) {
-            uint32_t y = (mt[i] & 0x80000000U) | (mt[(i + 1) % 624] & 0x7fffffffU);
-            mt[i] = mt[(i + 397) % 624] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+    if (mt[624] >= 624) {  /* the twist in the reference's three loops, no index wrapping */
+        int i = 0;
+        uint32_t y;
+        for (; i < 624 - 397; i++) {
+            y = (mt[i] & 0x80000000U) | (mt[i + 1] & 0x7fffffffU);
+            mt[i] = mt[i + 397] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
         }
+        for (; i < 623; i++) {
+            y = (mt[i] & 0x80000000U) | (mt[i + 1] & 0x7fffffffU);
+            mt[i] = mt[i + 397 - 624] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+        }
+        y = (mt[623] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[623] = mt[396] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
         mt[624] = 0;
     }
     uint32_t y = mt[mt[624]++];
@@ -246,6 +279,223 @@ int64_t forms(const uint8_t *text, int64_t n, int64_t at, int32_t *slots, int64_
     return i;
 }
 
+/* 1 for the bytes of string.punctuation, ASCII's punctuation */
+static int punctuation(uint8_t c)
+{
+    return (c >= 0x21 && c <= 0x2f) || (c >= 0x3a && c <= 0x40) || (c >= 0x5b && c <= 0x60)
+           || (c >= 0x7b && c <= 0x7e);
+}
+
+/* 1 for the last byte of the UTF-8 of U+2013, U+2014, U+2018, U+2019, U+201C, U+201D and U+2026
+   (the dashes, curly quotes and ellipsis), which all begin e2 80 */
+static int dash_or_quote(uint8_t c)
+{
+    return c == 0x93 || c == 0x94 || c == 0x98 || c == 0x99 || c == 0x9c || c == 0x9d || c == 0xa6;
+}
+
+/* The byte length of the edge character that the UTF-8 s[0..n) begins with (edge_head) or ends
+   with (edge_tail), 0 when none: one of string.punctuation, the seven above, or U+00AB and
+   U+00BB (the guillemets, c2 ab and c2 bb), the characters topics' tokens are stripped of. A
+   lead byte is never a continuation byte, so the last bytes matched are the last character. */
+static int64_t edge_head(const uint8_t *s, int64_t n)
+{
+    if (n >= 1 && punctuation(s[0]))
+        return 1;
+    if (n >= 2 && s[0] == 0xc2 && (s[1] == 0xab || s[1] == 0xbb))
+        return 2;
+    return n >= 3 && s[0] == 0xe2 && s[1] == 0x80 && dash_or_quote(s[2]) ? 3 : 0;
+}
+
+static int64_t edge_tail(const uint8_t *s, int64_t n)
+{
+    if (n >= 1 && punctuation(s[n - 1]))
+        return 1;
+    if (n >= 2 && s[n - 2] == 0xc2 && (s[n - 1] == 0xab || s[n - 1] == 0xbb))
+        return 2;
+    return n >= 3 && s[n - 3] == 0xe2 && s[n - 2] == 0x80 && dash_or_quote(s[n - 1]) ? 3 : 0;
+}
+
+/* Token t of vocabulary's table is text[tok[3 * t]..tok[3 * t] + tok[3 * t + 1]), with its
+   place among the words at tok[3 * t + 2]: -1 until they are sorted, and -2 for a stopword,
+   never a word. token_slot gives the slot of the token
+   s[0..n) in the open-addressing table of n_slots (a power of two) token numbers, -1 when
+   empty: the one holding it, or the first empty one; add_token fills an empty one. */
+static int32_t *token_slot(int32_t *slots, int64_t n_slots, const uint8_t *text,
+                           const int32_t *tok, const uint8_t *s, int64_t n)
+{
+    uint32_t h = fnv1a(s, n);
+    for (int64_t i = (int64_t)(h ^ (h >> 16)) & (n_slots - 1);; i = (i + 1) & (n_slots - 1)) {
+        int32_t t = slots[i];
+        if (t < 0 || (tok[3 * t + 1] == n && memcmp(text + tok[3 * t], s, (size_t)n) == 0))
+            return slots + i;
+    }
+}
+
+static int32_t add_token(int32_t *slot, int32_t *tok, int64_t t, int64_t at, int64_t n,
+                         int32_t place)
+{
+    tok[3 * t] = (int32_t)at;
+    tok[3 * t + 1] = (int32_t)n;
+    tok[3 * t + 2] = place;
+    return *slot = (int32_t)t;
+}
+
+/* the first 8 bytes of s[0..n), zeros past its end, as a big-endian number: a key that
+   orders tokens as their bytes do, unless two keys are equal */
+static uint64_t prefix_key(const uint8_t *s, int64_t n)
+{
+    uint64_t key = 0;
+    for (int64_t i = 0; i < 8; i++)
+        key = key << 8 | (i < n ? s[i] : 0U);
+    return key;
+}
+
+/* whether token a's bytes sort before token b's: UTF-8's byte order is the code points' */
+static int token_before(const uint8_t *text, const int32_t *tok, int32_t a, int32_t b)
+{
+    int32_t na = tok[3 * a + 1], nb = tok[3 * b + 1];
+    int c = memcmp(text + tok[3 * a], text + tok[3 * b], (size_t)(na < nb ? na : nb));
+    return c < 0 || (c == 0 && na < nb);
+}
+
+/* x[0..n), distinct token numbers, sorted by their bytes: merges of runs that double in
+   length, from x into x2 and back. Returns the one of x and x2 that holds them sorted. */
+static int32_t *merge_tokens(const uint8_t *text, const int32_t *tok, int32_t *x, int32_t *x2,
+                             int64_t n)
+{
+    for (int64_t run = 1; run < n; run *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * run) {
+            int64_t mid = lo + run < n ? lo + run : n, hi = lo + 2 * run < n ? lo + 2 * run : n;
+            for (int64_t i = lo, j = mid, k = lo; k < hi; k++)
+                x2[k] = j == hi || (i < mid && token_before(text, tok, x[i], x[j])) ? x[i++]
+                                                                                    : x[j++];
+        }
+        int32_t *sorted = x2;
+        x2 = x;
+        x = sorted;
+    }
+    return x;
+}
+
+/* x[0..n), distinct token numbers, key[i] the prefix key of x[i], sorted in place by their
+   bytes: a radix sort by the keys, one byte a pass from the last, each pass stable and from x
+   and key into x2 and key2 or back, so that the eighth ends in x; then merge_tokens sorts
+   each run of equal keys, the tokens alike in their first 8 bytes. */
+static void sort_tokens(const uint8_t *text, const int32_t *tok, int32_t *x, uint64_t *key,
+                        int32_t *x2, uint64_t *key2, int64_t n)
+{
+    for (int shift = 0; shift < 64; shift += 8) {
+        int64_t at[257] = {0};
+        for (int64_t i = 0; i < n; i++)
+            at[(key[i] >> shift & 0xff) + 1]++;
+        for (int b = 0; b < 256; b++)
+            at[b + 1] += at[b];
+        for (int64_t i = 0; i < n; i++) {
+            int64_t j = at[key[i] >> shift & 0xff]++;
+            x2[j] = x[i];
+            key2[j] = key[i];
+        }
+        int32_t *x_sorted = x2;
+        uint64_t *key_sorted = key2;
+        x2 = x;
+        key2 = key;
+        x = x_sorted;
+        key = key_sorted;
+    }
+    for (int64_t i = 0, j; i < n; i = j) {
+        for (j = i + 1; j < n && key[j] == key[i]; j++)
+            continue;
+        if (merge_tokens(text, tok, x + i, x2 + i, j - i) != x + i)
+            memcpy(x + i, x2 + i, (size_t)(j - i) * sizeof *x);
+    }
+}
+
+/* The vocabulary of the n_words words of a corpus, each an id in [0, n_forms) of its form:
+   text[0..forms_size) holds the forms, lowered, in id order, and text[forms_size..size) the
+   stopwords, each item followed by a space. A form's token is the form stripped of the edge
+   characters at both ends, as str.strip strips them; the tokens that are empty or a stopword,
+   or that fewer than min_count words have, are dropped. The others, sorted by their bytes,
+   are the vocabulary: each is written to out followed by a space, its count to frequencies
+   and its place in that order to id_of_form for each of its forms, -1 for a dropped form.
+   scratch holds n_slots int32 (a power of two at least twice the items), then 6 for each
+   item and 1, and keys 2 for each item. Returns the bytes written to out, which has room
+   for forms_size; -1 before writing when text does not end its items with a space or holds
+   other than n_forms forms, a word is outside [0, n_forms), or scratch or out is too small. */
+int64_t vocabulary(const uint8_t *text, int64_t forms_size, int64_t size, const int32_t *words,
+                   int64_t n_words, int64_t n_forms, int64_t min_count, int32_t *scratch,
+                   int64_t n_slots, int64_t scratch_size, uint64_t *keys, int64_t keys_size,
+                   int32_t *id_of_form, uint8_t *out, int64_t out_size, int32_t *frequencies)
+{
+    int64_t n_items = 0, forms_seen = 0, n_tokens = 0, n_kept = 0;
+    if (forms_size < 0 || forms_size > size || size > INT32_MAX || n_words > INT32_MAX
+            || out_size < forms_size || (forms_size > 0 && text[forms_size - 1] != ' ')
+            || (size > forms_size && text[size - 1] != ' '))
+        return -1;
+    for (int64_t i = 0; i < forms_size; i++)  /* no branch: a space is every few bytes */
+        forms_seen += text[i] == ' ';
+    for (int64_t i = forms_size; i < size; i++)
+        n_items += text[i] == ' ';
+    n_items += forms_seen;
+    for (int64_t i = 0; i < n_words; i++)
+        if (words[i] < 0 || words[i] >= n_forms)
+            return -1;
+    if (forms_seen != n_forms || n_slots < 1 || (n_slots & (n_slots - 1)) || n_slots < 2 * n_items
+            || scratch_size < n_slots + 6 * n_items + 1 || keys_size < 2 * n_items)
+        return -1;
+    /* tally[t + 1] counts token t's words, and tally[0] those of the forms that strip to
+       nothing, so that counting takes no branch */
+    int32_t *slots = scratch, *tok = scratch + n_slots, *tally = tok + 3 * n_items,
+            *kept = tally + n_items + 1;
+    for (int64_t i = 0; i < n_slots; i++)
+        slots[i] = -1;
+    for (int64_t i = forms_size, start = forms_size; i < size; i++)  /* the stopwords first */
+        if (text[i] == ' ') {
+            int32_t *slot = token_slot(slots, n_slots, text, tok, text + start, i - start);
+            if (*slot < 0)
+                add_token(slot, tok, n_tokens++, start, i - start, -2);
+            start = i + 1;
+        }
+    for (int64_t f = 0, start = 0; f < n_forms; f++) {
+        const uint8_t *space = memchr(text + start, ' ', (size_t)(forms_size - start));
+        int64_t at = start, n = space - (text + start), k;
+        start += n + 1;
+        while (n > 0 && (k = edge_head(text + at, n)) > 0) {
+            at += k;
+            n -= k;
+        }
+        while (n > 0 && (k = edge_tail(text + at, n)) > 0)
+            n -= k;
+        id_of_form[f] = -1;  /* the form's token until the words are known */
+        if (n > 0) {
+            int32_t *slot = token_slot(slots, n_slots, text, tok, text + at, n);
+            id_of_form[f] = *slot < 0 ? add_token(slot, tok, n_tokens++, at, n, -1) : *slot;
+        }
+    }
+    for (int64_t t = 0; t <= n_tokens; t++)
+        tally[t] = 0;
+    for (int64_t i = 0; i < n_words; i++)
+        tally[id_of_form[words[i]] + 1]++;
+    for (int64_t t = 0; t < n_tokens; t++)
+        if (tok[3 * t + 2] == -1 && tally[t + 1] >= min_count) {
+            keys[n_kept] = prefix_key(text + tok[3 * t], tok[3 * t + 1]);
+            kept[n_kept++] = (int32_t)t;
+        }
+    sort_tokens(text, tok, kept, keys, kept + n_items, keys + n_items, n_kept);
+    uint8_t *p = out;
+    for (int64_t r = 0; r < n_kept; r++) {
+        int32_t *t = tok + 3 * kept[r];
+        memcpy(p, text + t[0], (size_t)t[1]);
+        p += t[1];
+        *p++ = ' ';
+        frequencies[r] = tally[kept[r] + 1];
+        t[2] = (int32_t)r;
+    }
+    for (int64_t f = 0; f < n_forms; f++)
+        if (id_of_form[f] >= 0)
+            id_of_form[f] = tok[3 * id_of_form[f] + 2];
+    return p - out;
+}
+
 /* words[i] = ids[words[i]] for each token, the tokens whose id is -1 dropped, in place,
    and offsets rewritten to the kept tokens (a kept count never passes the offset it
    replaces, so it fits int32). Returns the kept count, or -1 before changing anything
@@ -260,9 +510,11 @@ int64_t relabel(int64_t n_docs, int32_t *offsets, int32_t *words, const int32_t 
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t end = offsets[d + 1];
         offsets[d] = (int32_t)kept;
-        for (int64_t i = start; i < end; i++)
-            if (ids[words[i]] >= 0)
-                words[kept++] = ids[words[i]];
+        for (int64_t i = start; i < end; i++) {  /* no branch: which words stay is random */
+            int32_t id = ids[words[i]];
+            words[kept] = id;
+            kept += id >= 0;
+        }
         start = end;
     }
     offsets[n_docs] = (int32_t)kept;
@@ -447,15 +699,28 @@ int64_t span(const int32_t *x, int64_t n, int32_t *lo_hi)
 }
 
 /* out[c * size + x]++ for each x in column c of the (rows, cols) matrix x, or -1 before
-   counting when an x is outside [0, size) */
-int64_t histogram(const int32_t *x, int64_t rows, int64_t cols, int64_t size, int32_t *out)
+   counting when an x is outside [0, size) or lanes is below 1. out holds lanes copies of the
+   cols * size counts, zeros on entry, and entry i is counted in copy i % lanes, so a value
+   repeated from one entry to the next, as the zeros of n_kw are, adds to lanes counts in turn
+   and not to one count whose last store it would wait on; the copies are added into the
+   first. */
+int64_t histogram(const int32_t *x, int64_t rows, int64_t cols, int64_t size, int64_t lanes,
+                  int32_t *out)
 {
-    for (int64_t i = 0; i < rows * cols; i++)
+    int64_t n = rows * cols, copy = cols * size;
+    if (lanes < 1)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
         if (x[i] < 0 || x[i] >= size)
             return -1;
-    for (int64_t r = 0; r < rows; r++)
-        for (int64_t c = 0; c < cols; c++)
-            out[c * size + x[r * cols + c]]++;
+    for (int64_t i = 0, c = 0, lane = 0; i < n; i++) {
+        out[lane * copy + c * size + x[i]]++;
+        c = c + 1 < cols ? c + 1 : 0;
+        lane = lane + 1 < lanes ? lane + 1 : 0;
+    }
+    for (int64_t l = 1; l < lanes; l++)
+        for (int64_t j = 0; j < copy; j++)
+            out[j] += out[l * copy + j];
     return 0;
 }
 
@@ -528,33 +793,214 @@ static uint8_t *put_int(uint8_t *p, int32_t x)
     return p;
 }
 
-/* at[j] = the offset in s[0..size) of item j of the n items that ", " separates (a JSON
-   list's text without its brackets, none of whose items holds a comma), and at[n] = size + 2,
-   as if s ended with a separator. Returns the length of the longest item, or -1 when s does
-   not hold n items or is too long for int32 offsets. */
-int64_t text_items(const uint8_t *s, int64_t size, int64_t n, int32_t *at)
+/* Ryu (Adams, PLDI 2018): the shortest decimal digits of a double, in integer arithmetic, with
+   its 128-bit multipliers, tables that _ryu_tables computes: POW5[i] is 5**i and POW5_INV[q]
+   2**(bit_length(5**q) + 124) / 5**q + 1, each to 125 bits, as {low 64 bits, high 64 bits}. */
+@RYU_TABLES@
+/* ceil(log2(5**e)) (1 for e = 0), floor(log10(2**e)) and floor(log10(5**e)), for e >= 0 */
+static int32_t pow5_bits(int32_t e)
 {
-    int64_t j = 1, longest = 0;
-    if (n < 1 || size > INT32_MAX - 2)
-        return n == 0 && size == 0 ? 0 : -1;
-    at[0] = 0;
-    for (int64_t i = 0; i <= size; i++)
-        if (i == size || s[i] == ',') {
-            if (j > n)
-                return -1;
-            at[j] = (int32_t)(i + 2);
-            longest = i - at[j - 1] > longest ? i - at[j - 1] : longest;
-            j++;
+    return (int32_t)((((uint32_t)e * 1217359U) >> 19) + 1);
+}
+
+static uint32_t log10_pow2(int32_t e)
+{
+    return ((uint32_t)e * 78913U) >> 18;
+}
+
+static uint32_t log10_pow5(int32_t e)
+{
+    return ((uint32_t)e * 732923U) >> 20;
+}
+
+/* whether 5**p divides x */
+static int multiple_of_pow5(uint64_t x, uint32_t p)
+{
+    uint32_t count = 0;
+    for (; x && x % 5 == 0; x /= 5)
+        count++;
+    return count >= p;
+}
+
+/* (m * mul) >> j, mul the 128-bit table entry, for j >= 64 */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    unsigned __int128 low = (unsigned __int128)m * mul[0], high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The digits of a finite nonzero double of the given bits, as an integer, with *e10 set so
+   that they stand for digits * 10**e10: the fewest that read back as the double (its interval
+   of values that round to it, bounds included when its mantissa is even), and of those the
+   nearest to it, a tie going to the even digit; Ryu's d2d. */
+static uint64_t shortest(uint64_t bits, int32_t *e10)
+{
+    uint64_t mantissa = bits & ((1ULL << 52) - 1);
+    uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ffU;
+    /* the double is m2 * 2**(e2 + 2): 2 bits more for the interval's bounds, at 4 m2 +- 2 */
+    int32_t e2 = exponent ? (int32_t)exponent - 1077 : -1076;
+    uint64_t m2 = exponent ? mantissa | (1ULL << 52) : mantissa;
+    int even = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2, vr, vp, vm;
+    /* the lower bound is half as far at a power of two, but for the least normal exponent */
+    uint32_t mm_shift = mantissa != 0 || exponent <= 1;
+    int vm_zeros = 0, vr_zeros = 0;  /* whether the digits removed from vm and vr are all 0 */
+    if (e2 >= 0) {
+        uint32_t q = log10_pow2(e2) - (e2 > 3);
+        int32_t i = -e2 + (int32_t)q + 124 + pow5_bits((int32_t)q);
+        *e10 = (int32_t)q;
+        vr = mul_shift(mv, POW5_INV[q], i);
+        vp = mul_shift(mv + 2, POW5_INV[q], i);
+        vm = mul_shift(mv - 1 - mm_shift, POW5_INV[q], i);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (even)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= (uint64_t)multiple_of_pow5(mv + 2, q);
         }
-    return j == n + 1 ? longest : -1;
+    } else {
+        uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - (int32_t)q, j = (int32_t)q - (pow5_bits(i) - 125);
+        *e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, POW5[i], j);
+        vp = mul_shift(mv + 2, POW5[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, POW5[i], j);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ULL << q) - 1)) == 0;
+        }
+    }
+    int32_t removed = 0;
+    uint64_t last = 0;  /* the last digit removed from vr */
+    if (vm_zeros || vr_zeros) {
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        for (; vm_zeros && vm % 10 == 0; removed++) {
+            vr_zeros &= last == 0;
+            last = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* exactly half way: to the even digit */
+        vr += (vr == vm && (!even || !vm_zeros)) || last >= 5;
+    } else {
+        for (; vp / 10 > vm / 10; removed++) {
+            last = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        vr += vr == vm || last >= 5;
+    }
+    *e10 += removed;
+    return vr;
+}
+
+/* x's text as json.dumps writes a float: NaN, Infinity and -Infinity, and repr's text of a
+   finite x, its shortest digits with a "-" for the sign bit, written plainly for a decimal
+   point from 4 places left of the first digit to 16 right of it ("0.0001", "1e+16"), with
+   ".0" after an integer, and else as one digit, the rest after a point, and an exponent of
+   at least 2 digits ("1.5e-07"). Writes at most NUMBER_TEXT bytes at p; returns the end. */
+enum { NUMBER_TEXT = 24 };  /* "-2.2250738585072014e-308" */
+
+static uint8_t *put_double(uint8_t *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if ((bits >> 52 & 0x7ff) == 0x7ff) {
+        const char *word = bits << 12 ? "NaN" : bits >> 63 ? "-Infinity" : "Infinity";
+        size_t n = strlen(word);
+        memcpy(p, word, n);
+        return p + n;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (!(bits << 1)) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int32_t e10;
+    uint8_t digits[20];
+    int n = 0;
+    for (uint64_t v = shortest(bits, &e10); v; v /= 10)
+        digits[n++] = (uint8_t)('0' + v % 10);  /* the last digit first */
+    int32_t point = e10 + n;  /* the first digit is at 10**(point - 1) */
+    int lo = 0;  /* digits[lo] is the last one written: trailing zeros are not */
+    while (digits[lo] == '0')
+        lo++;
+    if (point <= -4 || point > 16) {
+        int32_t e = point - 1;
+        *p++ = digits[n - 1];
+        if (n - 1 > lo)
+            *p++ = '.';
+        for (int i = n - 2; i >= lo; i--)
+            *p++ = digits[i];
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100)
+            *p++ = (uint8_t)('0' + e / 100);
+        *p++ = (uint8_t)('0' + e / 10 % 10);
+        *p++ = (uint8_t)('0' + e % 10);
+    } else if (point <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int32_t i = point; i < 0; i++)
+            *p++ = '0';
+        for (int i = n - 1; i >= lo; i--)
+            *p++ = digits[i];
+    } else {
+        for (int32_t i = 0; i < point || i < n - lo; i++) {
+            if (i == point)
+                *p++ = '.';
+            *p++ = i < n - lo ? digits[n - 1 - i] : '0';
+        }
+        if (point >= n - lo) {
+            *p++ = '.';
+            *p++ = '0';
+        }
+    }
+    return p;
+}
+
+/* The text put_double writes for each of the n doubles x, one after another in out: x[j]'s is
+   out[at[j]..at[j + 1]), at[0] = 0. Returns the length of the longest, or -1 before writing
+   when out has fewer than NUMBER_TEXT bytes for each or the offsets could pass int32. */
+int64_t number_texts(const double *x, int64_t n, uint8_t *out, int64_t size, int32_t *at)
+{
+    int64_t longest = 0;
+    if (n < 0 || size < NUMBER_TEXT * n || NUMBER_TEXT * n > INT32_MAX)
+        return -1;
+    at[0] = 0;
+    for (int64_t j = 0; j < n; j++) {
+        uint8_t *end = put_double(out + at[j], x[j]);
+        longest = end - (out + at[j]) > longest ? end - (out + at[j]) : longest;
+        at[j + 1] = (int32_t)(end - out);
+    }
+    return longest;
 }
 
 /* The JSON text of rows r0..r1-1 of an int32 matrix of cols columns whose entry (r, c) is
    m[r * row_stride + c * stride]: each row "[x, y, ...]" with json's separators, one after
    another in out, row r ending at ends[r - r0]. So a word-major n_kw gives its topic-major
-   rows with strides 1 and K, where it lies. An entry's text is its decimal text, or with a
-   store the text of item x of the n_texts items that at gives: item j is
-   store[at[j]..at[j + 1] - 2). Returns the bytes written, or -1 when the rows would pass the
+   rows with strides 1 and K, where it lies. An entry's text is its decimal text, or with
+   offsets at the text of item x of the n_texts items in store: item j is
+   store[at[j]..at[j + 1]). Returns the bytes written, or -1 when the rows would pass the
    size bytes of out or an item is outside [0, n_texts). */
 int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t stride,
                   int64_t r0, int64_t r1, const uint8_t *store, const int32_t *at,
@@ -564,13 +1010,13 @@ int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t st
     for (int64_t r = r0; r < r1; r++) {
         const int32_t *row = m + r * row_stride;
         int64_t need = 2 + 13 * cols;  /* ", -2147483648" an entry at most */
-        if (store) {
+        if (at) {
             need = 2;
             for (int64_t c = 0; c < cols; c++) {
                 int32_t x = row[c * stride];
                 if (x < 0 || x >= n_texts)
                     return -1;
-                need += at[x + 1] - at[x];
+                need += at[x + 1] - at[x] + 2;
             }
         }
         if (size - (p - out) < need)
@@ -582,8 +1028,8 @@ int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t st
                 *p++ = ',';
                 *p++ = ' ';
             }
-            if (store) {
-                int64_t len = at[x + 1] - at[x] - 2;
+            if (at) {
+                int64_t len = at[x + 1] - at[x];
                 memcpy(p, store + at[x], (size_t)len);
                 p += len;
             } else {
@@ -608,6 +1054,23 @@ int64_t row_sums(int64_t rows, int64_t cols, const int32_t *m, int32_t *out)
             return -1;
         out[r] = (int32_t)sum;
     }
+    return 0;
+}
+
+/* out[i] = x[i] + shifts[p], x[i] as a double, for each i of part p, bounds[p] <= i <
+   bounds[p + 1], of the parts: the double Python's int + float gives. -1 before writing
+   when the bounds do not rise from 0 to n. */
+int64_t shifted(const int32_t *x, int64_t n, const int32_t *bounds, int64_t parts,
+                const double *shifts, double *out)
+{
+    if (parts < 0 || bounds[0] != 0 || bounds[parts] != n)
+        return -1;
+    for (int64_t p = 0; p < parts; p++)
+        if (bounds[p] > bounds[p + 1])
+            return -1;
+    for (int64_t p = 0; p < parts; p++)
+        for (int64_t i = bounds[p]; i < bounds[p + 1]; i++)
+            out[i] = (double)x[i] + shifts[p];
     return 0;
 }
 
@@ -841,7 +1304,7 @@ int64_t digamma(int64_t n, const double *x, double *out)
         out[i] = psi(x[i]);
     return 0;
 }
-"""
+""".replace("@RYU_TABLES@\n", _ryu_tables())
 
 
 class BuildError(RuntimeError):
@@ -995,6 +1458,22 @@ def digamma(x) -> array.array:
     return _elementwise("digamma", x)
 
 
+def shifted(values, bounds, shifts) -> array.array:
+    """values[i] + shifts[p] for each i of part p, bounds[p] <= i < bounds[p + 1],
+    as doubles: the floats Python's int + float gives, for the int32 values,
+    int32 bounds and double shifts, one for each part. ValueError unless the
+    bounds rise from 0 to the number of values."""
+    values, bounds = items("values", values, "i"), items("bounds", bounds, "i")
+    shifts = items("shifts", shifts, "d")
+    out = array.array("d", [0.0]) * len(values)
+    if (len(bounds) != len(shifts) + 1
+            or kernel().shifted(_address(values), len(values), _address(bounds), len(shifts),
+                                _address(shifts), _address(out))):
+        raise ValueError(f"shifted: the bounds of {len(shifts)} parts do not rise from 0 to "
+                         f"{len(values)}")
+    return out
+
+
 def _draw(rng, fn, *args):
     """fn(mt, *args) on rng's Mersenne Twister state mt, uint32[625] (624 words and the
     position); rng is then set where fn left mt, gauss_next kept. Returns fn's result."""
@@ -1051,14 +1530,19 @@ def distinct(x) -> tuple[array.array, array.array]:
     return ids, values
 
 
+LANES = 4  # the copies of the counts that histogram's kernel call keeps
+
+
 def histogram(values, size: int, cols: int = 1) -> array.array:
     """How often each of 0..size-1 occurs in each column of an int32
     (rows, cols) matrix, given flat: column c's counts are
     out[c * size:(c + 1) * size]. ValueError for a value outside [0, size)."""
     values = items("values", values, "i")
-    out = array.array("i", [0]) * (cols * size)
-    if kernel().histogram(_address(values), len(values) // cols, cols, size, _address(out)):
+    out = array.array("i", [0]) * (LANES * cols * size)  # the kernel's copies of the counts
+    if kernel().histogram(_address(values), len(values) // cols, cols, size, LANES,
+                          _address(out)):
         raise ValueError(f"histogram: a value is outside [0, {size})")
+    del out[cols * size:]
     return out
 
 
@@ -1066,28 +1550,35 @@ def histogram(values, size: int, cols: int = 1) -> array.array:
 BLOCK = 1 << 16
 
 
+NUMBER_TEXT = 24  # the bytes of the longest text number_texts writes, "-2.2250738585072014e-308"
+
+
 def row_texts(values, rows: int, *, numbers=None,
               transposed: bool = False) -> Iterator[memoryview]:
     """The JSON text of each row of an int32 (rows, cols) matrix given flat,
     brackets included: its integers as json writes them, or with numbers (a
-    sequence of them), the number each integer is the index of, as
-    ``json.dumps(numbers)`` writes it; that is the only formatting of a
-    number, once for each. With transposed, values holds the matrix column
-    by column, as a word-major n_kw holds the topic-major rows, and the
-    kernel reads each row where it lies, by stride. The kernel writes a
-    block of rows at a time; each row is a view of the block's buffer, which
-    the next block overwrites. ValueError for an index outside numbers."""
+    buffer of doubles), the number each integer is the index of, as
+    ``json.dumps`` writes it; the kernel's ``number_texts`` formats each
+    number once, with Ryu's shortest digits in repr's layout. With
+    transposed, values holds the matrix column by column, as a word-major
+    n_kw holds the topic-major rows, and the kernel reads each row where it
+    lies, by stride. The kernel writes a block of rows at a time; each row
+    is a view of the block's buffer, which the next block overwrites.
+    ValueError for an index outside numbers."""
     values = items("values", values, "i")
     cols = len(values) // rows if rows else 0
     lib = kernel()
-    store = at = None
+    texts = (None, None, 0)  # rows_text's store of number texts, their offsets and count
     width = 11  # "-2147483648"
     if numbers is not None:
-        store = json.dumps(list(numbers))[1:-1].encode()
+        numbers = items("numbers", numbers, "d")
+        store = bytearray(NUMBER_TEXT * len(numbers))
         at = array.array("i", [0]) * (len(numbers) + 1)
-        width = lib.text_items(store, len(store), len(numbers), _address(at))
+        width = lib.number_texts(_address(numbers), len(numbers), _address(store), len(store),
+                                 _address(at))
         if width < 0:
-            raise ValueError("row_texts: the JSON text of the numbers is not one item each")
+            raise ValueError(f"row_texts: {len(numbers)} numbers are too many to write")
+        texts = (_address(store), _address(at), len(numbers))
     row_cap = 2 + cols * (width + 2)
     per_block = max(1, BLOCK // row_cap)
     out = bytearray(per_block * row_cap)
@@ -1096,9 +1587,8 @@ def row_texts(values, rows: int, *, numbers=None,
     view = memoryview(out)
     for r0 in range(0, rows, per_block):
         r1 = min(rows, r0 + per_block)
-        if lib.rows_text(_address(values), cols, *strides, r0, r1, store,
-                         _address(at) if at else None, len(at) - 1 if at else 0,
-                         _address(out), len(out), _address(ends)) < 0:
+        if lib.rows_text(_address(values), cols, *strides, r0, r1, *texts, _address(out),
+                         len(out), _address(ends)) < 0:
             raise ValueError("row_texts: an index is outside the numbers")
         start = 0
         for end in ends[:r1 - r0]:
@@ -1198,21 +1688,34 @@ class FormTable:
 
     def __init__(self) -> None:
         self.words = array.array("i")  # each word's form id, in text order
-        self.forms: list[str] = []  # form id -> form
         self._slots = array.array("i", [-1]) * (3 * 1024)  # (hash, form id, store offset)
         self._store = bytearray(1 << 14)
         self._out = array.array("i", [0]) * (1 << 16)
         # the forms, those in the table, the store's bytes used, the ids in out
         self._tally = array.array("i", [0, 0, 0, 0])
 
+    def __len__(self) -> int:
+        """The number of forms."""
+        return self._tally[0]
+
+    @property
+    def text(self) -> str:
+        """Every form in id order, each followed by a space."""
+        return self._store[:self._tally[2]].decode()
+
+    @property
+    def forms(self) -> list[str]:
+        """Form id -> form."""
+        return self.text.split(" ")[:-1]
+
     def add(self, text: bytes) -> int:
         """Append the form id of each word of the UTF-8 text to ``words``,
-        and each new form to ``forms``; returns how many words there were.
+        each new form to the forms; returns how many words there were.
         TypeError unless text is bytes."""
         if not isinstance(text, bytes):
             raise TypeError(f"text must be bytes, not {type(text).__name__}")
         lib, tally = kernel(), self._tally
-        n_words, first_new = len(self.words), tally[2]
+        n_words = len(self.words)
         at = 0
         while True:
             n_slots = len(self._slots) // 3
@@ -1236,8 +1739,42 @@ class FormTable:
                 self._store += bytes(len(self._store))
             else:
                 raise ValueError("forms: the distinct words pass 2**30 bytes")
-        self.forms += self._store[first_new:tally[2]].decode().split(" ")[:-1]
         return len(self.words) - n_words
+
+
+def vocabulary(forms: str, n_forms: int, words, stopwords: Iterable[str],
+               min_count: int) -> tuple[list[str], array.array, array.array]:
+    """(vocabulary, frequencies, id_of_form) of the int32 words, each the id
+    of its form in forms, a string of the n_forms lowered forms in id order,
+    each followed by a space. A form's token is the form stripped of the edge
+    characters (string.punctuation and “”‘’—–…«») at both ends; the
+    vocabulary is the tokens, sorted, that are not empty, not one of the
+    stopwords and had by at least min_count words. frequencies (int32) holds
+    each one's count and id_of_form (int32) each form's id in it, -1 for a
+    form whose token is dropped. A stopword holding whitespace matches no
+    token and is left out. ValueError for a word outside the forms, or
+    forms that are not n_forms."""
+    words = items("words", words, "i")
+    head = forms.encode()
+    stops = [w for w in stopwords if w.split() == [w]]
+    text = head + "".join(w + " " for w in stops).encode()
+    n_items = n_forms + len(stops)
+    n_slots = 1 << (2 * n_items).bit_length()  # a power of two above 2 * n_items
+    scratch = array.array("i", [0]) * (n_slots + 6 * n_items + 1)
+    keys = array.array("Q", [0]) * (2 * n_items)
+    id_of_form = array.array("i", [0]) * n_forms
+    frequencies = array.array("i", [0]) * n_forms
+    out = bytearray(len(head))
+    # no count is below 0 or above 2**31 - 1, so the clamp keeps what min_count keeps
+    used = kernel().vocabulary(text, len(head), len(text), _address(words), len(words), n_forms,
+                               min(max(min_count, 0), 2**31), _address(scratch), n_slots,
+                               len(scratch), _address(keys), len(keys), _address(id_of_form),
+                               _address(out), len(out), _address(frequencies))
+    if used < 0:
+        raise ValueError(f"vocabulary: the forms are not {n_forms}, or a word is outside them")
+    vocab = out[:used].decode().split(" ")[:-1]
+    del frequencies[len(vocab):]
+    return vocab, frequencies, id_of_form
 
 
 def relabel(words, offsets, ids) -> int:

@@ -14,18 +14,22 @@ the state writer read topic-major by stride, with no copy, and the state
 writer streams blocks of rows.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
-split of each text into form ids (``_sweep.FormTable``); the only
+split of each text into form ids (``_sweep.FormTable``); each form's token,
+its count and the sorted vocabulary (``_sweep.vocabulary``); the only
 sampler, ``gibbs_sweep``, bitwise-identical to the oracles' pure-Python
 ``gibbs_sweep_reference`` because it takes one ``rng.random()``
 per token in token order and does the same float operations in the same
 order (built with ``-O2 -ffp-contract=off``, never ``-ffast-math``); every
 random draw, with ``random.Random``'s own Mersenne Twister on its state;
 the counts, histograms and checks; every float sum, in numpy's pairwise
-order; the text of ``state.json``'s matrices; and the ``gammaln`` and
-``digamma`` of ``log_likelihood``, ``optimize_alpha`` and
-``optimize_beta``: Cephes ``lgam`` and ``psi``, the code behind
-``scipy.special``, with scipy's floats bit for bit. Python
-keeps the per-value arithmetic, on floats that round as float64 does. So
+order; the text of ``state.json``'s matrices, each distinct share's
+shortest round-trip digits (Ryu) laid out as ``json.dumps`` lays out a
+float; and the ``gammaln`` and ``digamma`` of ``log_likelihood``,
+``optimize_alpha`` and ``optimize_beta``: Cephes ``lgam`` and ``psi``, the
+code behind ``scipy.special``, with scipy's floats bit for bit, and the
+optimisers' arguments, each count plus its prior (``_sweep.shifted``, the
+double of Python's int + float). Python keeps the arithmetic on the priors
+and on ``log_likelihood``'s tables, on floats that round as float64 does. So
 neither numpy nor scipy is a runtime dependency. The kernel is compiled on
 first use into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``),
 so ``topics-train`` needs a C compiler: without one, the first kernel call
@@ -45,7 +49,6 @@ import logging
 import math
 import operator
 import random
-import string
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,8 +70,6 @@ STATE_VERSION = 1
 DEFAULT_ALPHA_SUM = 5.0
 DEFAULT_BETA = 0.01
 
-_EDGE_CHARS = string.punctuation + "“”‘’—–…«»"
-
 
 class VocabularyError(ValueError):
     """Raised when filtering leaves no usable vocabulary."""
@@ -84,11 +85,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.words)
-
-
-def normalize_token(word: str) -> str:
-    """Lowercase and strip punctuation from word edges."""
-    return word.lower().strip(_EDGE_CHARS)
 
 
 def _split(words: array.array, offsets: Sequence[int]) -> list[memoryview]:
@@ -143,33 +139,29 @@ def vocabulary_of(
 ) -> tuple[Vocabulary, list[memoryview]]:
     """The filtered vocabulary of the words a FormTable has read, and the
     documents at the int32 offsets into ``table.words`` as word ids. Each
-    distinct form is normalised once; a form whose token is empty, a
-    stopword or rarer than min_count over the corpus maps to no id, and its
-    words are dropped. The documents are int32 views of ``table.words``,
-    which is relabelled in place."""
+    distinct form is normalised once: the forms are lowered in one
+    ``str.lower()`` of their space-separated text, which lowers each as it
+    would alone (a space ends a final sigma as the end of a string does),
+    and ``_sweep.vocabulary`` strips each form's edge punctuation, counts
+    the words of each token and sorts the kept ones. A form whose token is
+    empty, a stopword or rarer than min_count over the corpus maps to no
+    id, and its words are dropped. The documents are int32 views of
+    ``table.words``, which is relabelled in place."""
     from . import _sweep
 
     stop = frozenset(w.lower() for w in stopwords)
-    tokens = [normalize_token(form) for form in table.forms]
-    counts: dict[str, int] = {}
-    for token, c in zip(tokens, _sweep.histogram(table.words, len(tokens))):
-        if token and token not in stop:
-            counts[token] = counts.get(token, 0) + c
-
-    kept = sorted(w for w, c in counts.items() if c >= min_count)
+    kept, frequencies, id_of_form = _sweep.vocabulary(table.text.lower(), len(table),
+                                                      table.words, stop, min_count)
     if not kept:
         raise VocabularyError(
             f"no vocabulary left after stopword and min_count={min_count} filtering"
         )
-    ids = {w: i for i, w in enumerate(kept)}
     vocab = Vocabulary(
         words=kept,
-        ids=ids,
-        frequencies=[counts[w] for w in kept],
+        ids={w: i for i, w in enumerate(kept)},
+        frequencies=frequencies.tolist(),
         stopwords=stop,
     )
-    # stopwords and empty tokens never reach ids, so they map to -1 too
-    id_of_form = array.array("i", [ids.get(t, -1) for t in tokens])
     words = table.words
     del words[_sweep.relabel(words, offsets, id_of_form):]
     return vocab, _split(words, offsets)
@@ -373,10 +365,10 @@ def log_likelihood(state: TopicState) -> float:
     return ll
 
 
-def _value_counts(counts: memoryview, cols: int = 1) -> list[tuple[list[int], array.array]]:
+def _value_counts(counts: memoryview, cols: int = 1) -> list[tuple[array.array, array.array]]:
     """For each column of the flat (rows, cols) counts, the values in it,
-    ascending, and how often each occurs: numpy's ``np.nonzero`` of the
-    column's ``np.bincount`` and the bincount there."""
+    ascending, and how often each occurs, both int32: numpy's ``np.nonzero``
+    of the column's ``np.bincount`` and the bincount there."""
     from . import _sweep
 
     size = _sweep.span(counts)[1] + 1
@@ -384,7 +376,7 @@ def _value_counts(counts: memoryview, cols: int = 1) -> list[tuple[list[int], ar
     columns = []
     for c in range(cols):
         column = hist[c * size:(c + 1) * size]
-        columns.append((list(itertools.compress(range(size), column)),
+        columns.append((array.array("i", itertools.compress(range(size), column)),
                         array.array("i", filter(None, column))))
     return columns
 
@@ -399,21 +391,20 @@ def optimize_alpha(state: TopicState) -> array.array:
     using histograms of topic counts and document lengths.
 
     Each iteration takes digamma in one call, over the document lengths
-    plus sum(alpha), every topic's counts plus its alpha, alpha and
-    sum(alpha); the weighted sums over the lengths and over each topic's
-    counts are taken in one kernel call, each part as numpy's
-    ``(weights * psi[part]).sum()`` adds it."""
+    plus sum(alpha), every topic's counts plus its alpha (the kernel's
+    ``shifted`` adds them), alpha and sum(alpha); the weighted sums over the
+    lengths and over each topic's counts are taken in one kernel call, each
+    part as numpy's ``(weights * psi[part]).sum()`` adds it."""
     from . import _sweep
 
     k_topics = state.k
     n_dk = _sweep.items("n_dk", state.n_dk, "i")
     doc_lens = _sweep.row_sums(n_dk, k_topics)
     d_count = len(doc_lens)
-    [(len_values, weights)] = _value_counts(doc_lens)
-    topic_values = []
+    [(values, weights)] = _value_counts(doc_lens)
     bounds = array.array("i", [0, len(weights)])
-    for values, topic_weights in _value_counts(n_dk, k_topics):
-        topic_values.append(values)
+    for topic_values, topic_weights in _value_counts(n_dk, k_topics):
+        values.extend(topic_values)
         weights.extend(topic_weights)
         bounds.append(len(weights))
     n_terms = len(weights)
@@ -421,10 +412,8 @@ def optimize_alpha(state: TopicState) -> array.array:
     alpha = array.array("d", state.alpha)
     for _ in range(FIXED_POINT_MAX_ITER):
         sum_alpha = _sweep.pairwise_sums(alpha)[0]
-        psi = _sweep.digamma(itertools.chain(
-            [n + sum_alpha for n in len_values],
-            *([n + a for n in values] for values, a in zip(topic_values, alpha)),
-            alpha, [sum_alpha]))
+        shifts = array.array("d", [sum_alpha]) + alpha  # the lengths', then each topic's
+        psi = _sweep.digamma(_sweep.shifted(values, bounds, shifts) + alpha + shifts[:1])
         denom, *numers = _sweep.pairwise_sums(psi, bounds, weights=weights)
         denom -= d_count * psi[-1]
         # float64 division by a zero denom gives inf or nan, which reverts alike
@@ -446,20 +435,21 @@ def optimize_alpha(state: TopicState) -> array.array:
 def optimize_beta(state: TopicState) -> float:
     """Maximum-likelihood fixed point for the symmetric beta prior over
     the topic-word counts. Each iteration takes digamma in one call, over
-    the counts plus beta, the topic totals plus V * beta, beta and V * beta."""
+    the counts plus beta, the topic totals plus V * beta (the kernel's
+    ``shifted`` adds them), beta and V * beta."""
     from . import _sweep
 
     v = state.vocabulary_size
     k_topics = state.k
-    [(word_values, word_weights)] = _value_counts(_sweep.items("n_kw", state.n_kw, "i"))
-    topic_totals = list(state.n_k)
-    n_words = len(word_values)
+    [(values, word_weights)] = _value_counts(_sweep.items("n_kw", state.n_kw, "i"))
+    n_words = len(values)
+    values.extend(_sweep.items("n_k", state.n_k, "i"))
+    bounds = array.array("i", [0, n_words, len(values)])
 
     beta = state.beta
     for _ in range(FIXED_POINT_MAX_ITER):
-        psi = _sweep.digamma(itertools.chain(
-            [n + beta for n in word_values], [n + v * beta for n in topic_totals],
-            [beta, v * beta]))
+        shifts = array.array("d", [beta, v * beta])  # the counts', then the totals'
+        psi = _sweep.digamma(_sweep.shifted(values, bounds, shifts) + shifts)
         numer = (_sweep.pairwise_sums(psi, [0, n_words], weights=word_weights)[0]
                  - k_topics * v * psi[-2])
         denom = v * (_sweep.pairwise_sums(psi, [n_words, n_words + k_topics])[0]
@@ -567,9 +557,9 @@ def save_state(
     two matrices in blocks of rows that the kernel writes as text: n_kw's
     topic-major rows, each read by stride from the word-major counts where
     they lie, with integers as json writes them, and doc_topic_proportions
-    (doubles) from json's text of each distinct one (by its bits, so that
-    -0.0 and each nan keep their own), which the kernel copies into every
-    place it recurs."""
+    (doubles) from the text of each distinct one (by its bits, so that -0.0
+    and each nan keep their own), which the kernel formats once, as
+    ``json.dumps`` would, and copies into every place it recurs."""
     from . import _sweep
 
     head = json.dumps({

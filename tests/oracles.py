@@ -11,7 +11,8 @@ collapsed-Gibbs sweep over topic-major counts and the Cephes
 (``godspell._sweep``) matches bit for bit, numpy's MT19937 loaded with a
 ``random.Random``'s state for the kernel's draws, the per-token counts and
 numpy's weighted, gathered sums for the ones it does in C, the per-token
-loops that the flat vocabulary and downsampling replace, the numpy code
+loops that the flat vocabulary and downsampling replace, the per-form
+``normalize_token`` that the kernel's vocabulary pass replaces, the numpy code
 (vocabulary, downsampling, checks, likelihood, optimisers, proportions)
 that the standard-library arrays and the kernel replaced, the
 whole-payload ``json.dumps`` and the dict-based row writer that the
@@ -420,6 +421,11 @@ def elementwise(reference):
 EDGE_CHARS = string.punctuation + "“”‘’—–…«»"
 
 
+def normalize_token(word: str) -> str:
+    """A form's token, one form at a time: lowercased, edge punctuation stripped."""
+    return word.lower().strip(EDGE_CHARS)
+
+
 def build_vocabulary_reference(
     segment_words: list[list[str]], stopwords: set[str], min_count: int,
 ) -> tuple[list[str], list[int], list[list[int]]]:
@@ -432,7 +438,7 @@ def build_vocabulary_reference(
     for words in segment_words:
         tokens = []
         for word in words:
-            token = word.lower().strip(EDGE_CHARS)
+            token = normalize_token(word)
             if token and token not in stop:
                 tokens.append(token)
                 counts[token] = counts.get(token, 0) + 1
@@ -556,7 +562,7 @@ def build_vocabulary_numpy(segments, stopwords, min_count):
 def vocabulary_of_numpy(table, offsets, stopwords, min_count):
     """``topics.vocabulary_of`` through numpy: np.bincount of the form ids, then
     a gather, a mask and np.split; int32 documents."""
-    from godspell.topics import Vocabulary, VocabularyError, normalize_token
+    from godspell.topics import Vocabulary, VocabularyError
 
     stop = frozenset(w.lower() for w in stopwords)
     form_of = np.frombuffer(table.words, dtype=np.int32)

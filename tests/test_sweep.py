@@ -6,6 +6,7 @@ the error without a compiler, and the build cache."""
 import array
 import collections
 import ctypes
+import itertools
 import json
 import logging
 import math
@@ -356,6 +357,19 @@ class TestKernelDraws:
                 assert kernel_random_is(rng, [ref.random() for _ in range(n)])
             assert rng.getstate() == ref.getstate()
 
+    @pytest.mark.parametrize("seed", [0, 35])
+    def test_three_twists_word_for_word(self, compiled, seed):
+        """The twist's three loops (words 0-226 read ahead, 227-622 wrap back,
+        623 reads word 0) over three twists in a row: every word drawn, and
+        after each twist the whole state, which holds every twisted word."""
+        ref, rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):  # a fresh rng is at position 624: each call twists first
+            expected = [ref.randrange(2**32 - 1) for _ in range(624)]
+            assert _sweep.randrange(rng, 2**32 - 1, 624).tolist() == expected
+            assert rng.getstate() == ref.getstate()
+        assert kernel_random_is(rng, [ref.random() for _ in range(3 * 312)])
+        assert rng.getstate() == ref.getstate()
+
     @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40, 2**70])
     def test_bound_outside_one_word_raises(self, compiled, k):
         rng = random.Random(3)
@@ -574,6 +588,47 @@ def test_histogram_counts_each_column(compiled, cols, size, data):
     for c in range(cols):
         counts = collections.Counter(values[c::cols])
         assert hist[c * size:(c + 1) * size].tolist() == [counts[x] for x in range(size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(st.lists(st.integers(-2**31, 2**31 - 1), max_size=9),
+                                st.floats(allow_nan=False) | st.sampled_from([1e-5, 0.01, 5.0])),
+                      max_size=6))
+def test_shifted_is_python_int_plus_float(compiled, parts):
+    """Each value plus its part's shift is the float Python's int + float gives."""
+    values = array.array("i", [n for part, _ in parts for n in part])
+    bounds = array.array("i", itertools.accumulate((len(part) for part, _ in parts), initial=0))
+    shifts = array.array("d", [shift for _, shift in parts])
+    expected = [n + shift for part, shift in parts for n in part]
+    assert _sweep.shifted(values, bounds, shifts).tolist() == expected
+
+
+def test_shifted_refuses_bounds_that_do_not_cover_the_values(compiled):
+    values, shifts = array.array("i", [1, 2, 3]), array.array("d", [0.5, 0.25])
+    for bounds in ([0, 1, 2], [1, 2, 3], [0, 2, 1], [0, 3], [0, 1, 4]):
+        with pytest.raises(ValueError, match="do not rise"):
+            _sweep.shifted(values, array.array("i", bounds), shifts)
+    assert _sweep.shifted(values, array.array("i", [0, 0, 3]), shifts).tolist() == [
+        1.25, 2.25, 3.25]
+
+
+@pytest.mark.parametrize("cols", [1, 3, 65])
+def test_histogram_of_repeated_values(compiled, cols):
+    """Long runs of one value, as n_kw's zeros are, then runs of others, and a
+    length no multiple of the kernel's lanes: np.bincount of each column. A
+    value outside [0, size) is a ValueError, whatever the lanes hold."""
+    rng = np.random.default_rng(cols)
+    runs = [np.zeros(10_007 * cols), np.full(3 * cols, 5), rng.integers(0, 7, 997 * cols),
+            np.full(501 * cols, 6)]
+    values = np.concatenate(runs).astype(np.int32)
+    hist = _sweep.histogram(values, 7, cols)
+    assert len(hist) == 7 * cols
+    for c in range(cols):
+        expected = np.bincount(values[c::cols], minlength=7)
+        assert hist[c * 7:(c + 1) * 7].tolist() == expected.tolist()
+    values[-1] = 7
+    with pytest.raises(ValueError, match=r"outside \[0, 7\)"):
+        _sweep.histogram(values, 7, cols)
 
 
 def domain_parts():
