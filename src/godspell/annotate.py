@@ -22,6 +22,10 @@ annotations in input order through a bounded window of passages in flight,
 and ``write_annotations`` writes them as they come, replacing
 annotations.jsonl only when the stream is complete. ``run_pipeline`` is
 its list.
+
+``http_transport`` keeps one HTTP/1.1 connection per worker thread, closed
+when ``stream_pipeline`` returns, and reaches the endpoint, a local one,
+directly: no proxy from http_proxy or https_proxy is applied.
 """
 
 from __future__ import annotations
@@ -339,35 +343,59 @@ def load_registry(path: Path | str) -> PromptRegistry:
 Transport = Callable[[ModelConfig, str, OutputSchema], str]
 
 
+_worker = threading.local()  # .idle: its pipeline's connections, set by stream_pipeline
+
+
 def http_transport(config: ModelConfig, prompt: str, schema: OutputSchema) -> str:
     """One completion request against an Ollama-compatible generate endpoint,
-    with the output constrained to the schema."""
-    import http.client  # only the http backend pays for the HTTP stack
-    import urllib.error
-    import urllib.request
+    with the output constrained to the schema. A worker of stream_pipeline
+    takes an idle connection of its pipeline, or opens one, and puts it back
+    after the response (RFC 9112 9.3); elsewhere it is closed after the call.
+    One the server closed while idle is opened again at once. TCP_QUICKACK,
+    set at each request as Linux turns it off by itself, acknowledges the
+    first segment of a response at once, so a server whose Nagle rule (RFC
+    896) holds the rest behind it does not wait; without it, off Linux, a
+    reused connection can wait out a delayed ACK (RFC 1122 4.2.3.2)."""
+    import socket
+    from http.client import HTTPConnection, HTTPException, HTTPSConnection  # http backend only
+    from urllib.parse import urlsplit
 
     url = config.endpoint.rstrip("/") + "/api/generate"
-    payload = {
-        "model": config.model,
-        "prompt": prompt,
-        "stream": False,
-        "options": {"temperature": config.temperature},
-        "format": schema.to_json_schema(),
-    }
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
+    parts = urlsplit(url)
+    body = json.dumps({"model": config.model, "prompt": prompt, "stream": False,
+                       "options": {"temperature": config.temperature},
+                       "format": schema.to_json_schema()}).encode("utf-8")
+    idle = getattr(_worker, "idle", None)
     try:
-        with urllib.request.urlopen(request, timeout=config.timeout) as response:
-            body = response.read()
-    except urllib.error.HTTPError as e:
-        e.close()
-        raise TransportError(f"endpoint returned HTTP {e.code}", e.code) from None
-    except (OSError, http.client.HTTPException) as e:
+        conn = idle.pop()
+    except (AttributeError, IndexError):  # not a pipeline's worker, or none idle
+        kind = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        conn = kind(parts.hostname, parts.port, timeout=config.timeout)
+    try:
+        for retry in (conn.sock is not None, False):
+            try:
+                conn.request("POST", parts.path, body, {"Content-Type": "application/json"})
+                if hasattr(socket, "TCP_QUICKACK"):
+                    conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+                response = conn.getresponse()
+                break
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is one
+                if not retry:
+                    raise
+                conn.close()
+        with response:
+            data = response.read()
+    except (OSError, HTTPException) as e:
+        conn.close()
         raise TransportError(f"request to {url} failed: {e}") from None
+    if idle is None:
+        conn.close()
+    else:
+        idle.append(conn)
+    if not 200 <= response.status < 300:
+        raise TransportError(f"endpoint returned HTTP {response.status}", response.status)
     try:
-        return json.loads(body)["response"]
+        return json.loads(data)["response"]
     except (ValueError, KeyError, TypeError):
         raise MalformedResponse("endpoint body lacked a response field") from None
 
@@ -567,7 +595,9 @@ def stream_pipeline(
     cache = AnnotationCache(cache_dir)
     window = WINDOW_PER_WORKER * workers
     in_flight: deque[Future[ActAnnotation]] = deque()
-    pool = ThreadPoolExecutor(max_workers=workers)
+    idle: list = []  # http_transport's connections between calls
+    pool = ThreadPoolExecutor(max_workers=workers, initializer=setattr,
+                              initargs=(_worker, "idle", idle))
     try:
         for passage in passages:
             in_flight.append(pool.submit(_annotate_one, passage, config, templates, cache,
@@ -578,6 +608,8 @@ def stream_pipeline(
             yield in_flight.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+        for conn in idle:
+            conn.close()
 
 
 def run_pipeline(

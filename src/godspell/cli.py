@@ -27,7 +27,7 @@ annotations through `records`. Only `report` imports `report`, `eval`
 imports no `stats`, and `report` and `topics-inspect` import no `corpus`.
 No command except `annotate` on the http backend loads OpenSSL: every
 digest is `config.sha256`, CPython's own, and only the http transport
-imports `urllib.request`, which loads `hashlib` and `ssl`.
+imports `http.client`, which loads `ssl`.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
+from urllib.parse import urlsplit
 
 # hashlib is heavy to load (OpenSSL, about 3.6 MB resident): try CPython's own first
 try:
@@ -75,6 +76,13 @@ class ModelConfig:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
+        try:  # refused here, not retried with backoff at each passage's call
+            parts = urlsplit(self.endpoint)
+            valid = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+        except ValueError:  # .port for a port that is not a number from 0 to 65535
+            valid = False
+        if not valid:
+            raise ValueError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
 
 
 def _setting(*declaration):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.server
+import json
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 from godspell.corpus import Author, Novel, Passage
@@ -80,3 +84,90 @@ def make_annotation(
         impact=impact,
         cache_key="k" * 64,
     )
+
+
+# a stage-1 answer that ends the cascade, so it answers every call of a run
+STAGE1_NO = {"explanation": "e", "label": "NO", "act_description": "NONE",
+             "affected_description": "NONE"}
+
+
+class ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each request with the next action of the server's script;
+    HTTP/1.0, so each connection carries one response."""
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.server.lock:
+                self.server.open -= 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.requests += 1
+            action = self.server.script.pop(0) if self.server.script else ("ok",)
+        if action[0] == "ok":
+            fields = action[1] if len(action) > 1 else {"explanation": "e", "label": "YES"}
+            body = json.dumps({"response": json.dumps(fields)}).encode()
+            self.send_response(200)
+        elif action[0] == "truncated":
+            body = json.dumps({"response": '{"explanation": "tru'}).encode()
+            self.send_response(200)
+        elif action[0] == "nonobject":
+            body = b"[]"
+            self.send_response(200)
+        elif action[0] == "short":  # Content-Length promises more than is sent
+            body = json.dumps({"response": "{}"}).encode()
+            self.send_response(200)
+            self.close_connection = True  # the rest never comes, on HTTP/1.1 too
+        else:  # http error
+            body = b"{}"
+            self.send_response(int(action[0]))
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body) + (10 if action[0] == "short" else 0)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class KeepAliveHandler(ScriptedHandler):
+    """HTTP/1.1: a connection stays open until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+
+
+class OneShotHandler(KeepAliveHandler):
+    """HTTP/1.1 that closes each connection after one response without a
+    Connection: close header, as a server does to an idle connection."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+@contextmanager
+def serving(handler):
+    """A threaded server of handler on a free port, with its script and
+    its counts of requests, connections made and connections open."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.script = []
+    server.requests = server.connections = server.open = 0
+    server.lock = threading.Lock()
+    # a short poll interval lets shutdown() return at once, not after up to 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()

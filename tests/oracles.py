@@ -18,8 +18,9 @@ that the standard-library arrays and the kernel replaced, the
 whole-payload ``json.dumps`` and the dict-based row writer that the
 kernel's text of the state's matrices replaces, numpy's per-novel mean
 that the plain-Python prominence replaces, the cascade's structural rules
-checked on a finished annotation, and a loop adding floats one at a time
-for the fixed-order sum.
+checked on a finished annotation, a loop adding floats one at a time
+for the fixed-order sum, and the urllib transport, a new connection a
+call, that the kept-alive ``http.client`` one replaces.
 """
 
 from __future__ import annotations
@@ -834,3 +835,39 @@ def check_annotation_invariants(ann) -> None:
         raise AssertionError(f"{ann.ref}: affect present iff final YES")
     if (ann.impact is not None) != (ann.final_label == "YES"):
         raise AssertionError(f"{ann.ref}: impact present iff final YES")
+
+
+def http_transport_reference(config, prompt: str, schema) -> str:
+    """The urllib transport that annotate.http_transport replaces: one new
+    connection a call, through urllib.request's opener (environment proxies
+    and redirects included)."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    from godspell.annotate import MalformedResponse, TransportError
+
+    url = config.endpoint.rstrip("/") + "/api/generate"
+    payload = {
+        "model": config.model,
+        "prompt": prompt,
+        "stream": False,
+        "options": {"temperature": config.temperature},
+        "format": schema.to_json_schema(),
+    }
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=config.timeout) as response:
+            body = response.read()
+    except urllib.error.HTTPError as e:
+        e.close()
+        raise TransportError(f"endpoint returned HTTP {e.code}", e.code) from None
+    except (OSError, http.client.HTTPException) as e:
+        raise TransportError(f"request to {url} failed: {e}") from None
+    try:
+        return json.loads(body)["response"]
+    except (ValueError, KeyError, TypeError):
+        raise MalformedResponse("endpoint body lacked a response field") from None

@@ -1,10 +1,13 @@
 import hashlib
-import http.server
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +35,8 @@ from godspell.annotate import (
 from godspell.config import ModelConfig
 from godspell.corpus import Passage
 from godspell.records import read_annotations
-from oracles import check_annotation_invariants
+from helpers import STAGE1_NO, KeepAliveHandler, OneShotHandler, ScriptedHandler, serving
+from oracles import check_annotation_invariants, http_transport_reference
 
 
 @pytest.fixture(autouse=True)
@@ -189,50 +193,22 @@ class TestRegistry:
             load_registry(path)
 
 
-class ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        with self.server.lock:
-            self.server.requests += 1
-            action = self.server.script.pop(0) if self.server.script else ("ok",)
-        if action[0] == "ok":
-            fields = action[1] if len(action) > 1 else {"explanation": "e", "label": "YES"}
-            body = json.dumps({"response": json.dumps(fields)}).encode()
-            self.send_response(200)
-        elif action[0] == "truncated":
-            body = json.dumps({"response": '{"explanation": "tru'}).encode()
-            self.send_response(200)
-        elif action[0] == "nonobject":
-            body = b"[]"
-            self.send_response(200)
-        elif action[0] == "short":  # Content-Length promises more than is sent
-            body = json.dumps({"response": "{}"}).encode()
-            self.send_response(200)
-        else:  # http error
-            body = b"{}"
-            self.send_response(int(action[0]))
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body) + (10 if action[0] == "short" else 0)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+@pytest.fixture
+def scripted_server():
+    with serving(ScriptedHandler) as server:
+        yield server
 
 
 @pytest.fixture
-def scripted_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    server.script = []
-    server.requests = 0
-    server.lock = threading.Lock()
-    # a short poll interval lets shutdown() return at once, not after up to 0.5 s
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                              daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
+def keepalive_server():
+    with serving(KeepAliveHandler) as server:
+        yield server
+
+
+@pytest.fixture
+def oneshot_server():
+    with serving(OneShotHandler) as server:
+        yield server
 
 
 def server_config(server, retries=3):
@@ -242,6 +218,12 @@ def server_config(server, retries=3):
         max_retries=retries,
         timeout=5.0,
     )
+
+
+def closed_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 class TestCallModel:
@@ -325,6 +307,176 @@ class TestCallModel:
         with pytest.raises(PipelineError) as err:
             call_model(server_config(scripted_server, retries=2), "p", LABEL_SCHEMA)
         assert err.value.kind == "malformed"
+
+
+def transport_outcome(transport, config):
+    """What one call of transport gives: its string, or its exception's
+    class, status and retryable."""
+    try:
+        return transport(config, "p", LABEL_SCHEMA)
+    except TransportError as e:
+        return type(e), e.status, e.retryable
+    except MalformedResponse as e:
+        return type(e), None, None
+
+
+def wait_until_closed(server):
+    """server's count of open connections, once it reads 0 or after 10 s."""
+    deadline = time.monotonic() + 10
+    while server.open and time.monotonic() < deadline:
+        threading.Event().wait(0.01)  # time.sleep is the sleeps fixture's
+    return server.open
+
+
+def plain_passages(n):
+    return [make_passage(i, f"Passage {i} is plain.") for i in range(n)]
+
+
+class TestHttpTransport:
+    @pytest.mark.parametrize("handler", [ScriptedHandler, KeepAliveHandler],
+                             ids=["http1.0", "http1.1"])
+    @pytest.mark.parametrize("action", [
+        ("ok", {"explanation": "fine", "label": "NO"}), ("truncated",), ("nonobject",),
+        ("short",), ("404",), ("408",), ("429",), ("500",),
+    ], ids=lambda action: action[0])
+    def test_same_outcome_as_urllib_reference(self, handler, action):
+        with serving(handler) as server:
+            outcomes = []
+            for transport in (http_transport_reference, annotate.http_transport):
+                server.script = [action]
+                outcomes.append(transport_outcome(transport, server_config(server)))
+            assert server.requests == 2
+        assert outcomes[1] == outcomes[0]
+
+    def test_closed_port_same_outcome_as_urllib_reference(self):
+        config = ModelConfig(model="m", endpoint=f"http://127.0.0.1:{closed_port()}",
+                             timeout=5.0)
+        assert (transport_outcome(annotate.http_transport, config)
+                == transport_outcome(http_transport_reference, config)
+                == (TransportError, None, True))
+
+    def test_pipeline_calls_share_one_connection(self, keepalive_server, tmp_path):
+        keepalive_server.script = [("ok", STAGE1_NO)] * 5
+        annotations = run_pipeline(plain_passages(5), server_config(keepalive_server),
+                                   cache_dir=tmp_path, workers=1)
+        assert [a.status for a in annotations] == ["ok"] * 5
+        assert (keepalive_server.requests, keepalive_server.connections) == (5, 1)
+
+    def test_call_outside_a_pipeline_closes_its_connection(self, keepalive_server):
+        for _ in range(2):
+            assert call_model(server_config(keepalive_server), "p", LABEL_SCHEMA)["label"] == "YES"
+        assert (keepalive_server.requests, keepalive_server.connections) == (2, 2)
+        assert wait_until_closed(keepalive_server) == 0
+
+    def test_endpoint_path_prefix_is_kept(self, keepalive_server):
+        paths = []
+        do_post = KeepAliveHandler.do_POST
+
+        def recorded(handler):
+            paths.append(handler.path)
+            do_post(handler)
+
+        config = server_config(keepalive_server)
+        config.endpoint += "/ollama/"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KeepAliveHandler, "do_POST", recorded)
+            call_model(config, "p", LABEL_SCHEMA)
+        assert paths == ["/ollama/api/generate"]
+
+    def test_connection_closed_by_server_is_reopened_at_once(self, oneshot_server, tmp_path,
+                                                             sleeps):
+        oneshot_server.script = [("ok", STAGE1_NO)] * 6
+        annotations = run_pipeline(plain_passages(6), server_config(oneshot_server),
+                                   cache_dir=tmp_path, workers=1)
+        assert [a.status for a in annotations] == ["ok"] * 6
+        assert sleeps == []
+        assert (oneshot_server.requests, oneshot_server.connections) == (6, 6)
+
+    def test_error_status_drains_its_connection(self, keepalive_server, tmp_path, sleeps):
+        keepalive_server.script = [("500",)] + [("ok", STAGE1_NO)] * 3
+        annotations = run_pipeline(plain_passages(3), server_config(keepalive_server),
+                                   cache_dir=tmp_path, workers=1)
+        assert [a.status for a in annotations] == ["ok"] * 3
+        assert sleeps == [1.0]
+        assert (keepalive_server.requests, keepalive_server.connections) == (4, 1)
+
+    def test_pipeline_closes_its_connections(self, keepalive_server, tmp_path):
+        keepalive_server.script = [("ok", STAGE1_NO)] * 12
+        annotations = run_pipeline(plain_passages(12), server_config(keepalive_server),
+                                   cache_dir=tmp_path, workers=3)
+        assert [a.status for a in annotations] == ["ok"] * 12
+        assert keepalive_server.requests == 12
+        assert keepalive_server.connections <= 3
+        assert wait_until_closed(keepalive_server) == 0
+
+    def test_transport_leaves_no_socket_to_the_collector(self, tmp_path):
+        """Under -W error::ResourceWarning, a socket closed by the collector
+        and not by the transport is reported on stderr. Passage 3's body
+        stops short and the server closes the connection unannounced; passage
+        5's response holds its socket (Connection: close) and times out in
+        the body; and one call is made outside a pipeline."""
+        code = f"""
+import gc, http.server, json, sys, threading, time
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from helpers import STAGE1_NO, make_passage
+from godspell.annotate import OutputField, OutputSchema, http_transport, run_pipeline
+from godspell.config import ModelConfig
+
+class Handler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        request = self.rfile.read(int(self.headers["Content-Length"]))
+        short, stall = b"xshortx" in request, b"xstallx" in request
+        body = json.dumps({{"response": json.dumps(STAGE1_NO)}}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body) + 10 * (short or stall)))
+        if stall:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        self.wfile.flush()
+        if stall:
+            time.sleep(1.0)
+        self.close_connection = short or stall
+
+    def log_message(self, *args):
+        pass
+
+server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+config = ModelConfig(model="m", endpoint=f"http://127.0.0.1:{{server.server_address[1]}}",
+                     max_retries=0, timeout=0.5)
+kinds = {{3: "xshortx", 5: "xstallx"}}
+passages = [make_passage("n1", i, 0.0, f"Passage {{i}} is {{kinds.get(i, 'plain')}}.")
+            for i in range(8)]
+print(" ".join(a.status for a in run_pipeline(passages, config, cache_dir=sys.argv[1],
+                                               workers=2)))
+print(http_transport(config, "p", OutputSchema([OutputField("label", "enum", ("YES", "NO"))])))
+gc.collect()
+server.shutdown()
+server.server_close()
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(Path(annotate.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p)}
+        proc = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", code,
+                               str(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        statuses, answer = proc.stdout.splitlines()
+        assert statuses.split() == ["ok"] * 3 + ["unresolved", "ok", "unresolved", "ok", "ok"]
+        assert json.loads(answer) == STAGE1_NO
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+    def test_environment_proxy_is_not_applied(self, scripted_server, monkeypatch):
+        dead = f"http://127.0.0.1:{closed_port()}"
+        for name in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY"):
+            monkeypatch.setenv(name, dead)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        config = server_config(scripted_server, retries=0)
+        assert call_model(config, "p", LABEL_SCHEMA)["label"] == "YES"
+        assert scripted_server.requests == 1
 
 
 def mock_config(retries=0):

@@ -15,6 +15,8 @@ import pytest
 from godspell import _sweep, annotate, config, corpus, stats, topics
 from godspell.cli import main
 from godspell.corpus import read_passages
+from godspell.records import read_annotations
+from helpers import STAGE1_NO, KeepAliveHandler, serving
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -1092,6 +1094,59 @@ def test_command_runs_without_libraries_it_does_not_use(tmp_path, command, block
         assert (out / rel).is_file(), f"{command} did not write {rel}"
         if (GOLDEN / rel).is_file():
             assert (out / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
+
+
+def test_annotate_http_runs_without_urllib_request(tmp_path):
+    """annotate on the http backend, in an interpreter where importing
+    urllib.request fails, annotates every passage against a local server."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(GOLDEN / "passages.jsonl", out)
+    passages = read_passages(out / "passages.jsonl")
+    config = config_with(tmp_path, model={"backend": "http", "max_retries": 0})
+    with serving(KeepAliveHandler) as server:
+        server.script = [("ok", STAGE1_NO)] * len(passages)
+        argv = ["annotate", "--config", config, "--output", str(out),
+                "--endpoint", f"http://127.0.0.1:{server.server_address[1]}"]
+        proc = python("import sys\nsys.modules['urllib.request'] = None\n"
+                      f"from godspell.cli import main\nsys.exit(main({argv!r}))\n")
+    assert proc.returncode == 0, proc.stderr
+    annotations = read_annotations(out / "annotations.jsonl")
+    assert [a.ref for a in annotations] == [p.ref for p in passages]
+    assert all(a.status == "ok" for a in annotations)
+    assert server.requests == len(passages)
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:11434", "ftp://localhost:11434", "http://",
+                                      "http://localhost:port", "http://localhost:99999",
+                                      "http://localhost:0"])
+@pytest.mark.parametrize("source", ["flag", "environment", "file"])
+def test_malformed_endpoint_is_a_config_error(tmp_path, monkeypatch, capsys, endpoint, source):
+    """An endpoint that is not http(s) with a host stops annotate before it
+    reads a passage, and is not retried at each passage's call."""
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(GOLDEN / "passages.jsonl", out)
+    model = {"backend": "http", **({"endpoint": endpoint} if source == "file" else {})}
+    argv = ["annotate", "--config", config_with(tmp_path, model=model), "--output", str(out)]
+    if source == "flag":
+        argv += ["--endpoint", endpoint]
+    if source == "environment":
+        monkeypatch.setenv(config.ENDPOINT_ENV_VAR, endpoint)
+    else:
+        monkeypatch.delenv(config.ENDPOINT_ENV_VAR, raising=False)
+    monkeypatch.setattr(corpus, "iter_passages", lambda path: pytest.fail("read a passage"))
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: endpoint"), err
+    assert repr(endpoint) in err
+    assert not (out / "annotations.jsonl").exists()
+
+
+@pytest.mark.parametrize("endpoint", ["http://localhost:11434", "https://models.example:443/",
+                                      "http://[::1]:8080/ollama", "HTTP://127.0.0.1"])
+def test_endpoint_over_http_with_a_host_is_accepted(endpoint):
+    assert config.ModelConfig(model="m", endpoint=endpoint).endpoint == endpoint
 
 
 def test_built_kernel_loads_without_build_tools():
