@@ -1,17 +1,14 @@
 """The compiled inner loops of ``topics``: the corpus pass from text to form
-ids, the vocabulary, the random draws, the counts and their checks, the
-collapsed Gibbs sweep, histograms, pairwise float sums, the text of
-``state.json``'s matrices, and ``gammaln`` and ``digamma``.
+ids, the relabelling of the words to vocabulary ids, the random draws, the
+counts and their checks, the collapsed Gibbs sweep, histograms, pairwise
+float sums, the text of ``state.json``'s matrices, and ``gammaln`` and
+``digamma``.
 
 ``forms`` splits UTF-8 text at exactly ``str.split()``'s whitespace and
 numbers each word's form by first appearance through an open-addressing
 table kept for the whole corpus, so that no word of ``topics-train``'s
 corpus becomes a Python string; ``FormTable`` owns its buffers and grows
 each one when the kernel stops for room, then lets it resume.
-``vocabulary`` takes the forms lowered, as one space-separated string,
-strips each form's edge punctuation in UTF-8, tallies each token's words,
-drops the empty tokens, the stopwords and the rare, and sorts the rest by
-their bytes, which is ``str``'s order: only the kept words become strings.
 
 ``SOURCE`` holds CPython's Mersenne Twister, run on a copy of a
 ``random.Random``'s state that ``_draw`` hands back, so every draw and
@@ -29,13 +26,12 @@ reading each entry where it lies, by stride. ``distinct`` numbers the
 distinct 64-bit patterns of doubles through a hash table that grows with
 their count, and ``row_texts`` writes a matrix's rows as JSON text in
 bounded blocks, of integers or of indexes into a buffer of doubles, so that
-each distinct share of ``state.json`` is formatted once, by the kernel's
-``number_texts``: Ryu's shortest round-trip digits (Adams 2018), in integer
-arithmetic with tables computed from Python ints, laid out as ``repr`` and
-``json.dumps`` lay them out; it reads n_kw's topic-major rows by stride
-too. ``histogram`` counts in four copies, entry by entry in turn, so that a
-run of one value, as n_kw's zeros are, does not wait on one count, and
-``shifted`` adds each of a run of counts to its part's prior. Beside
+each distinct share of ``state.json`` is formatted once, by ``json.dumps``,
+and copied by the kernel wherever it recurs; it reads n_kw's topic-major
+rows by stride too. ``histogram`` counts in four copies, entry by entry in
+turn, so that a run of one value, as n_kw's zeros are, does not wait on
+one count, and ``shifted`` adds each of a run of counts to its part's
+prior. Beside
 them are Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code
 behind ``scipy.special.gammaln`` and ``digamma``, with the same constants,
 the same operation order and libm ``log``; they give scipy's floats bit
@@ -71,11 +67,12 @@ import array
 import ctypes
 import functools
 import itertools
+import json
 import logging
 import operator
 import os
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from pathlib import Path
 
 from .config import read_text, replacing, sha256
@@ -85,20 +82,6 @@ log = logging.getLogger(__name__)
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
-
-
-def _ryu_tables() -> str:
-    """The C of Ryu's two tables of 128-bit multipliers, computed exactly from
-    Python ints: POW5, 5**i for the 326 i a double's negative binary exponents
-    reach, and POW5_INV, 1 + 2**(bit_length(5**q) + 124) // 5**q for the 292
-    q its others reach, each scaled to 125 bits (Adams 2018)."""
-    def table(name: str, values: list[int]) -> str:
-        rows = ",\n".join(["    {0x%xU, 0x%xU}" % (v & (2**64 - 1), v >> 64) for v in values])
-        return f"static const uint64_t {name}[{len(values)}][2] = {{\n{rows}\n}};\n"
-
-    pow5 = list(itertools.accumulate(itertools.repeat(5, 325), operator.mul, initial=1))
-    return (table("POW5", [(p << 125) >> p.bit_length() for p in pow5])
-            + table("POW5_INV", [(1 << p.bit_length() + 124) // p + 1 for p in pow5[:292]]))
 
 
 SOURCE = r"""
@@ -277,223 +260,6 @@ int64_t forms(const uint8_t *text, int64_t n, int64_t at, int32_t *slots, int64_
     tally[2] = (int32_t)used;
     tally[3] = (int32_t)n_out;
     return i;
-}
-
-/* 1 for the bytes of string.punctuation, ASCII's punctuation */
-static int punctuation(uint8_t c)
-{
-    return (c >= 0x21 && c <= 0x2f) || (c >= 0x3a && c <= 0x40) || (c >= 0x5b && c <= 0x60)
-           || (c >= 0x7b && c <= 0x7e);
-}
-
-/* 1 for the last byte of the UTF-8 of U+2013, U+2014, U+2018, U+2019, U+201C, U+201D and U+2026
-   (the dashes, curly quotes and ellipsis), which all begin e2 80 */
-static int dash_or_quote(uint8_t c)
-{
-    return c == 0x93 || c == 0x94 || c == 0x98 || c == 0x99 || c == 0x9c || c == 0x9d || c == 0xa6;
-}
-
-/* The byte length of the edge character that the UTF-8 s[0..n) begins with (edge_head) or ends
-   with (edge_tail), 0 when none: one of string.punctuation, the seven above, or U+00AB and
-   U+00BB (the guillemets, c2 ab and c2 bb), the characters topics' tokens are stripped of. A
-   lead byte is never a continuation byte, so the last bytes matched are the last character. */
-static int64_t edge_head(const uint8_t *s, int64_t n)
-{
-    if (n >= 1 && punctuation(s[0]))
-        return 1;
-    if (n >= 2 && s[0] == 0xc2 && (s[1] == 0xab || s[1] == 0xbb))
-        return 2;
-    return n >= 3 && s[0] == 0xe2 && s[1] == 0x80 && dash_or_quote(s[2]) ? 3 : 0;
-}
-
-static int64_t edge_tail(const uint8_t *s, int64_t n)
-{
-    if (n >= 1 && punctuation(s[n - 1]))
-        return 1;
-    if (n >= 2 && s[n - 2] == 0xc2 && (s[n - 1] == 0xab || s[n - 1] == 0xbb))
-        return 2;
-    return n >= 3 && s[n - 3] == 0xe2 && s[n - 2] == 0x80 && dash_or_quote(s[n - 1]) ? 3 : 0;
-}
-
-/* Token t of vocabulary's table is text[tok[3 * t]..tok[3 * t] + tok[3 * t + 1]), with its
-   place among the words at tok[3 * t + 2]: -1 until they are sorted, and -2 for a stopword,
-   never a word. token_slot gives the slot of the token
-   s[0..n) in the open-addressing table of n_slots (a power of two) token numbers, -1 when
-   empty: the one holding it, or the first empty one; add_token fills an empty one. */
-static int32_t *token_slot(int32_t *slots, int64_t n_slots, const uint8_t *text,
-                           const int32_t *tok, const uint8_t *s, int64_t n)
-{
-    uint32_t h = fnv1a(s, n);
-    for (int64_t i = (int64_t)(h ^ (h >> 16)) & (n_slots - 1);; i = (i + 1) & (n_slots - 1)) {
-        int32_t t = slots[i];
-        if (t < 0 || (tok[3 * t + 1] == n && memcmp(text + tok[3 * t], s, (size_t)n) == 0))
-            return slots + i;
-    }
-}
-
-static int32_t add_token(int32_t *slot, int32_t *tok, int64_t t, int64_t at, int64_t n,
-                         int32_t place)
-{
-    tok[3 * t] = (int32_t)at;
-    tok[3 * t + 1] = (int32_t)n;
-    tok[3 * t + 2] = place;
-    return *slot = (int32_t)t;
-}
-
-/* the first 8 bytes of s[0..n), zeros past its end, as a big-endian number: a key that
-   orders tokens as their bytes do, unless two keys are equal */
-static uint64_t prefix_key(const uint8_t *s, int64_t n)
-{
-    uint64_t key = 0;
-    for (int64_t i = 0; i < 8; i++)
-        key = key << 8 | (i < n ? s[i] : 0U);
-    return key;
-}
-
-/* whether token a's bytes sort before token b's: UTF-8's byte order is the code points' */
-static int token_before(const uint8_t *text, const int32_t *tok, int32_t a, int32_t b)
-{
-    int32_t na = tok[3 * a + 1], nb = tok[3 * b + 1];
-    int c = memcmp(text + tok[3 * a], text + tok[3 * b], (size_t)(na < nb ? na : nb));
-    return c < 0 || (c == 0 && na < nb);
-}
-
-/* x[0..n), distinct token numbers, sorted by their bytes: merges of runs that double in
-   length, from x into x2 and back. Returns the one of x and x2 that holds them sorted. */
-static int32_t *merge_tokens(const uint8_t *text, const int32_t *tok, int32_t *x, int32_t *x2,
-                             int64_t n)
-{
-    for (int64_t run = 1; run < n; run *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * run) {
-            int64_t mid = lo + run < n ? lo + run : n, hi = lo + 2 * run < n ? lo + 2 * run : n;
-            for (int64_t i = lo, j = mid, k = lo; k < hi; k++)
-                x2[k] = j == hi || (i < mid && token_before(text, tok, x[i], x[j])) ? x[i++]
-                                                                                    : x[j++];
-        }
-        int32_t *sorted = x2;
-        x2 = x;
-        x = sorted;
-    }
-    return x;
-}
-
-/* x[0..n), distinct token numbers, key[i] the prefix key of x[i], sorted in place by their
-   bytes: a radix sort by the keys, one byte a pass from the last, each pass stable and from x
-   and key into x2 and key2 or back, so that the eighth ends in x; then merge_tokens sorts
-   each run of equal keys, the tokens alike in their first 8 bytes. */
-static void sort_tokens(const uint8_t *text, const int32_t *tok, int32_t *x, uint64_t *key,
-                        int32_t *x2, uint64_t *key2, int64_t n)
-{
-    for (int shift = 0; shift < 64; shift += 8) {
-        int64_t at[257] = {0};
-        for (int64_t i = 0; i < n; i++)
-            at[(key[i] >> shift & 0xff) + 1]++;
-        for (int b = 0; b < 256; b++)
-            at[b + 1] += at[b];
-        for (int64_t i = 0; i < n; i++) {
-            int64_t j = at[key[i] >> shift & 0xff]++;
-            x2[j] = x[i];
-            key2[j] = key[i];
-        }
-        int32_t *x_sorted = x2;
-        uint64_t *key_sorted = key2;
-        x2 = x;
-        key2 = key;
-        x = x_sorted;
-        key = key_sorted;
-    }
-    for (int64_t i = 0, j; i < n; i = j) {
-        for (j = i + 1; j < n && key[j] == key[i]; j++)
-            continue;
-        if (merge_tokens(text, tok, x + i, x2 + i, j - i) != x + i)
-            memcpy(x + i, x2 + i, (size_t)(j - i) * sizeof *x);
-    }
-}
-
-/* The vocabulary of the n_words words of a corpus, each an id in [0, n_forms) of its form:
-   text[0..forms_size) holds the forms, lowered, in id order, and text[forms_size..size) the
-   stopwords, each item followed by a space. A form's token is the form stripped of the edge
-   characters at both ends, as str.strip strips them; the tokens that are empty or a stopword,
-   or that fewer than min_count words have, are dropped. The others, sorted by their bytes,
-   are the vocabulary: each is written to out followed by a space, its count to frequencies
-   and its place in that order to id_of_form for each of its forms, -1 for a dropped form.
-   scratch holds n_slots int32 (a power of two at least twice the items), then 6 for each
-   item and 1, and keys 2 for each item. Returns the bytes written to out, which has room
-   for forms_size; -1 before writing when text does not end its items with a space or holds
-   other than n_forms forms, a word is outside [0, n_forms), or scratch or out is too small. */
-int64_t vocabulary(const uint8_t *text, int64_t forms_size, int64_t size, const int32_t *words,
-                   int64_t n_words, int64_t n_forms, int64_t min_count, int32_t *scratch,
-                   int64_t n_slots, int64_t scratch_size, uint64_t *keys, int64_t keys_size,
-                   int32_t *id_of_form, uint8_t *out, int64_t out_size, int32_t *frequencies)
-{
-    int64_t n_items = 0, forms_seen = 0, n_tokens = 0, n_kept = 0;
-    if (forms_size < 0 || forms_size > size || size > INT32_MAX || n_words > INT32_MAX
-            || out_size < forms_size || (forms_size > 0 && text[forms_size - 1] != ' ')
-            || (size > forms_size && text[size - 1] != ' '))
-        return -1;
-    for (int64_t i = 0; i < forms_size; i++)  /* no branch: a space is every few bytes */
-        forms_seen += text[i] == ' ';
-    for (int64_t i = forms_size; i < size; i++)
-        n_items += text[i] == ' ';
-    n_items += forms_seen;
-    for (int64_t i = 0; i < n_words; i++)
-        if (words[i] < 0 || words[i] >= n_forms)
-            return -1;
-    if (forms_seen != n_forms || n_slots < 1 || (n_slots & (n_slots - 1)) || n_slots < 2 * n_items
-            || scratch_size < n_slots + 6 * n_items + 1 || keys_size < 2 * n_items)
-        return -1;
-    /* tally[t + 1] counts token t's words, and tally[0] those of the forms that strip to
-       nothing, so that counting takes no branch */
-    int32_t *slots = scratch, *tok = scratch + n_slots, *tally = tok + 3 * n_items,
-            *kept = tally + n_items + 1;
-    for (int64_t i = 0; i < n_slots; i++)
-        slots[i] = -1;
-    for (int64_t i = forms_size, start = forms_size; i < size; i++)  /* the stopwords first */
-        if (text[i] == ' ') {
-            int32_t *slot = token_slot(slots, n_slots, text, tok, text + start, i - start);
-            if (*slot < 0)
-                add_token(slot, tok, n_tokens++, start, i - start, -2);
-            start = i + 1;
-        }
-    for (int64_t f = 0, start = 0; f < n_forms; f++) {
-        const uint8_t *space = memchr(text + start, ' ', (size_t)(forms_size - start));
-        int64_t at = start, n = space - (text + start), k;
-        start += n + 1;
-        while (n > 0 && (k = edge_head(text + at, n)) > 0) {
-            at += k;
-            n -= k;
-        }
-        while (n > 0 && (k = edge_tail(text + at, n)) > 0)
-            n -= k;
-        id_of_form[f] = -1;  /* the form's token until the words are known */
-        if (n > 0) {
-            int32_t *slot = token_slot(slots, n_slots, text, tok, text + at, n);
-            id_of_form[f] = *slot < 0 ? add_token(slot, tok, n_tokens++, at, n, -1) : *slot;
-        }
-    }
-    for (int64_t t = 0; t <= n_tokens; t++)
-        tally[t] = 0;
-    for (int64_t i = 0; i < n_words; i++)
-        tally[id_of_form[words[i]] + 1]++;
-    for (int64_t t = 0; t < n_tokens; t++)
-        if (tok[3 * t + 2] == -1 && tally[t + 1] >= min_count) {
-            keys[n_kept] = prefix_key(text + tok[3 * t], tok[3 * t + 1]);
-            kept[n_kept++] = (int32_t)t;
-        }
-    sort_tokens(text, tok, kept, keys, kept + n_items, keys + n_items, n_kept);
-    uint8_t *p = out;
-    for (int64_t r = 0; r < n_kept; r++) {
-        int32_t *t = tok + 3 * kept[r];
-        memcpy(p, text + t[0], (size_t)t[1]);
-        p += t[1];
-        *p++ = ' ';
-        frequencies[r] = tally[kept[r] + 1];
-        t[2] = (int32_t)r;
-    }
-    for (int64_t f = 0; f < n_forms; f++)
-        if (id_of_form[f] >= 0)
-            id_of_form[f] = tok[3 * id_of_form[f] + 2];
-    return p - out;
 }
 
 /* words[i] = ids[words[i]] for each token, the tokens whose id is -1 dropped, in place,
@@ -791,208 +557,6 @@ static uint8_t *put_int(uint8_t *p, int32_t x)
     while (m > 0)
         *p++ = digits[--m];
     return p;
-}
-
-/* Ryu (Adams, PLDI 2018): the shortest decimal digits of a double, in integer arithmetic, with
-   its 128-bit multipliers, tables that _ryu_tables computes: POW5[i] is 5**i and POW5_INV[q]
-   2**(bit_length(5**q) + 124) / 5**q + 1, each to 125 bits, as {low 64 bits, high 64 bits}. */
-@RYU_TABLES@
-/* ceil(log2(5**e)) (1 for e = 0), floor(log10(2**e)) and floor(log10(5**e)), for e >= 0 */
-static int32_t pow5_bits(int32_t e)
-{
-    return (int32_t)((((uint32_t)e * 1217359U) >> 19) + 1);
-}
-
-static uint32_t log10_pow2(int32_t e)
-{
-    return ((uint32_t)e * 78913U) >> 18;
-}
-
-static uint32_t log10_pow5(int32_t e)
-{
-    return ((uint32_t)e * 732923U) >> 20;
-}
-
-/* whether 5**p divides x */
-static int multiple_of_pow5(uint64_t x, uint32_t p)
-{
-    uint32_t count = 0;
-    for (; x && x % 5 == 0; x /= 5)
-        count++;
-    return count >= p;
-}
-
-/* (m * mul) >> j, mul the 128-bit table entry, for j >= 64 */
-static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
-{
-    unsigned __int128 low = (unsigned __int128)m * mul[0], high = (unsigned __int128)m * mul[1];
-    return (uint64_t)(((low >> 64) + high) >> (j - 64));
-}
-
-/* The digits of a finite nonzero double of the given bits, as an integer, with *e10 set so
-   that they stand for digits * 10**e10: the fewest that read back as the double (its interval
-   of values that round to it, bounds included when its mantissa is even), and of those the
-   nearest to it, a tie going to the even digit; Ryu's d2d. */
-static uint64_t shortest(uint64_t bits, int32_t *e10)
-{
-    uint64_t mantissa = bits & ((1ULL << 52) - 1);
-    uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ffU;
-    /* the double is m2 * 2**(e2 + 2): 2 bits more for the interval's bounds, at 4 m2 +- 2 */
-    int32_t e2 = exponent ? (int32_t)exponent - 1077 : -1076;
-    uint64_t m2 = exponent ? mantissa | (1ULL << 52) : mantissa;
-    int even = (m2 & 1) == 0;
-    uint64_t mv = 4 * m2, vr, vp, vm;
-    /* the lower bound is half as far at a power of two, but for the least normal exponent */
-    uint32_t mm_shift = mantissa != 0 || exponent <= 1;
-    int vm_zeros = 0, vr_zeros = 0;  /* whether the digits removed from vm and vr are all 0 */
-    if (e2 >= 0) {
-        uint32_t q = log10_pow2(e2) - (e2 > 3);
-        int32_t i = -e2 + (int32_t)q + 124 + pow5_bits((int32_t)q);
-        *e10 = (int32_t)q;
-        vr = mul_shift(mv, POW5_INV[q], i);
-        vp = mul_shift(mv + 2, POW5_INV[q], i);
-        vm = mul_shift(mv - 1 - mm_shift, POW5_INV[q], i);
-        if (q <= 21) {
-            if (mv % 5 == 0)
-                vr_zeros = multiple_of_pow5(mv, q);
-            else if (even)
-                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
-            else
-                vp -= (uint64_t)multiple_of_pow5(mv + 2, q);
-        }
-    } else {
-        uint32_t q = log10_pow5(-e2) - (-e2 > 1);
-        int32_t i = -e2 - (int32_t)q, j = (int32_t)q - (pow5_bits(i) - 125);
-        *e10 = (int32_t)q + e2;
-        vr = mul_shift(mv, POW5[i], j);
-        vp = mul_shift(mv + 2, POW5[i], j);
-        vm = mul_shift(mv - 1 - mm_shift, POW5[i], j);
-        if (q <= 1) {
-            vr_zeros = 1;
-            if (even)
-                vm_zeros = mm_shift == 1;
-            else
-                vp--;
-        } else if (q < 63) {
-            vr_zeros = (mv & ((1ULL << q) - 1)) == 0;
-        }
-    }
-    int32_t removed = 0;
-    uint64_t last = 0;  /* the last digit removed from vr */
-    if (vm_zeros || vr_zeros) {
-        for (; vp / 10 > vm / 10; removed++) {
-            vm_zeros &= vm % 10 == 0;
-            vr_zeros &= last == 0;
-            last = vr % 10;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-        }
-        for (; vm_zeros && vm % 10 == 0; removed++) {
-            vr_zeros &= last == 0;
-            last = vr % 10;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-        }
-        if (vr_zeros && last == 5 && vr % 2 == 0)
-            last = 4;  /* exactly half way: to the even digit */
-        vr += (vr == vm && (!even || !vm_zeros)) || last >= 5;
-    } else {
-        for (; vp / 10 > vm / 10; removed++) {
-            last = vr % 10;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-        }
-        vr += vr == vm || last >= 5;
-    }
-    *e10 += removed;
-    return vr;
-}
-
-/* x's text as json.dumps writes a float: NaN, Infinity and -Infinity, and repr's text of a
-   finite x, its shortest digits with a "-" for the sign bit, written plainly for a decimal
-   point from 4 places left of the first digit to 16 right of it ("0.0001", "1e+16"), with
-   ".0" after an integer, and else as one digit, the rest after a point, and an exponent of
-   at least 2 digits ("1.5e-07"). Writes at most NUMBER_TEXT bytes at p; returns the end. */
-enum { NUMBER_TEXT = 24 };  /* "-2.2250738585072014e-308" */
-
-static uint8_t *put_double(uint8_t *p, double x)
-{
-    uint64_t bits;
-    memcpy(&bits, &x, sizeof bits);
-    if ((bits >> 52 & 0x7ff) == 0x7ff) {
-        const char *word = bits << 12 ? "NaN" : bits >> 63 ? "-Infinity" : "Infinity";
-        size_t n = strlen(word);
-        memcpy(p, word, n);
-        return p + n;
-    }
-    if (bits >> 63)
-        *p++ = '-';
-    if (!(bits << 1)) {
-        memcpy(p, "0.0", 3);
-        return p + 3;
-    }
-    int32_t e10;
-    uint8_t digits[20];
-    int n = 0;
-    for (uint64_t v = shortest(bits, &e10); v; v /= 10)
-        digits[n++] = (uint8_t)('0' + v % 10);  /* the last digit first */
-    int32_t point = e10 + n;  /* the first digit is at 10**(point - 1) */
-    int lo = 0;  /* digits[lo] is the last one written: trailing zeros are not */
-    while (digits[lo] == '0')
-        lo++;
-    if (point <= -4 || point > 16) {
-        int32_t e = point - 1;
-        *p++ = digits[n - 1];
-        if (n - 1 > lo)
-            *p++ = '.';
-        for (int i = n - 2; i >= lo; i--)
-            *p++ = digits[i];
-        *p++ = 'e';
-        *p++ = e < 0 ? '-' : '+';
-        e = e < 0 ? -e : e;
-        if (e >= 100)
-            *p++ = (uint8_t)('0' + e / 100);
-        *p++ = (uint8_t)('0' + e / 10 % 10);
-        *p++ = (uint8_t)('0' + e % 10);
-    } else if (point <= 0) {
-        *p++ = '0';
-        *p++ = '.';
-        for (int32_t i = point; i < 0; i++)
-            *p++ = '0';
-        for (int i = n - 1; i >= lo; i--)
-            *p++ = digits[i];
-    } else {
-        for (int32_t i = 0; i < point || i < n - lo; i++) {
-            if (i == point)
-                *p++ = '.';
-            *p++ = i < n - lo ? digits[n - 1 - i] : '0';
-        }
-        if (point >= n - lo) {
-            *p++ = '.';
-            *p++ = '0';
-        }
-    }
-    return p;
-}
-
-/* The text put_double writes for each of the n doubles x, one after another in out: x[j]'s is
-   out[at[j]..at[j + 1]), at[0] = 0. Returns the length of the longest, or -1 before writing
-   when out has fewer than NUMBER_TEXT bytes for each or the offsets could pass int32. */
-int64_t number_texts(const double *x, int64_t n, uint8_t *out, int64_t size, int32_t *at)
-{
-    int64_t longest = 0;
-    if (n < 0 || size < NUMBER_TEXT * n || NUMBER_TEXT * n > INT32_MAX)
-        return -1;
-    at[0] = 0;
-    for (int64_t j = 0; j < n; j++) {
-        uint8_t *end = put_double(out + at[j], x[j]);
-        longest = end - (out + at[j]) > longest ? end - (out + at[j]) : longest;
-        at[j + 1] = (int32_t)(end - out);
-    }
-    return longest;
 }
 
 /* The JSON text of rows r0..r1-1 of an int32 matrix of cols columns whose entry (r, c) is
@@ -1304,7 +868,7 @@ int64_t digamma(int64_t n, const double *x, double *out)
         out[i] = psi(x[i]);
     return 0;
 }
-""".replace("@RYU_TABLES@\n", _ryu_tables())
+"""
 
 
 class BuildError(RuntimeError):
@@ -1550,7 +1114,9 @@ def histogram(values, size: int, cols: int = 1) -> array.array:
 BLOCK = 1 << 16
 
 
-NUMBER_TEXT = 24  # the bytes of the longest text number_texts writes, "-2.2250738585072014e-308"
+# the numbers row_texts formats in one json.dumps: a slice keeps the list, its text and the
+# split small (one json.dumps of topics-k65's 24,672 shares raised its peak by 2.4 MB)
+NUMBER_SLICE = 4096
 
 
 def row_texts(values, rows: int, *, numbers=None,
@@ -1558,13 +1124,13 @@ def row_texts(values, rows: int, *, numbers=None,
     """The JSON text of each row of an int32 (rows, cols) matrix given flat,
     brackets included: its integers as json writes them, or with numbers (a
     buffer of doubles), the number each integer is the index of, as
-    ``json.dumps`` writes it; the kernel's ``number_texts`` formats each
-    number once, with Ryu's shortest digits in repr's layout. With
-    transposed, values holds the matrix column by column, as a word-major
-    n_kw holds the topic-major rows, and the kernel reads each row where it
-    lies, by stride. The kernel writes a block of rows at a time; each row
-    is a view of the block's buffer, which the next block overwrites.
-    ValueError for an index outside numbers."""
+    ``json.dumps`` writes it; each number is formatted once, by
+    ``json.dumps``, and the kernel copies its text into every place it
+    recurs. With transposed, values holds the matrix column by column, as a
+    word-major n_kw holds the topic-major rows, and the kernel reads each row
+    where it lies, by stride. The kernel writes a block of rows at a time;
+    each row is a view of the block's buffer, which the next block
+    overwrites. ValueError for an index outside numbers."""
     values = items("values", values, "i")
     cols = len(values) // rows if rows else 0
     lib = kernel()
@@ -1572,12 +1138,14 @@ def row_texts(values, rows: int, *, numbers=None,
     width = 11  # "-2147483648"
     if numbers is not None:
         numbers = items("numbers", numbers, "d")
-        store = bytearray(NUMBER_TEXT * len(numbers))
-        at = array.array("i", [0]) * (len(numbers) + 1)
-        width = lib.number_texts(_address(numbers), len(numbers), _address(store), len(store),
-                                 _address(at))
-        if width < 0:
-            raise ValueError(f"row_texts: {len(numbers)} numbers are too many to write")
+        # each number's text, one after another; json writes a float in ASCII, a byte a character
+        store, lengths = bytearray(), array.array("i")
+        for i in range(0, len(numbers), NUMBER_SLICE):
+            parts = json.dumps(numbers[i:i + NUMBER_SLICE].tolist())[1:-1].split(", ")
+            store += "".join(parts).encode()
+            lengths.extend(map(len, parts))
+        at = array.array("i", itertools.accumulate(lengths, initial=0))
+        width = max(lengths, default=0)
         texts = (_address(store), _address(at), len(numbers))
     row_cap = 2 + cols * (width + 2)
     per_block = max(1, BLOCK // row_cap)
@@ -1740,41 +1308,6 @@ class FormTable:
             else:
                 raise ValueError("forms: the distinct words pass 2**30 bytes")
         return len(self.words) - n_words
-
-
-def vocabulary(forms: str, n_forms: int, words, stopwords: Iterable[str],
-               min_count: int) -> tuple[list[str], array.array, array.array]:
-    """(vocabulary, frequencies, id_of_form) of the int32 words, each the id
-    of its form in forms, a string of the n_forms lowered forms in id order,
-    each followed by a space. A form's token is the form stripped of the edge
-    characters (string.punctuation and “”‘’—–…«») at both ends; the
-    vocabulary is the tokens, sorted, that are not empty, not one of the
-    stopwords and had by at least min_count words. frequencies (int32) holds
-    each one's count and id_of_form (int32) each form's id in it, -1 for a
-    form whose token is dropped. A stopword holding whitespace matches no
-    token and is left out. ValueError for a word outside the forms, or
-    forms that are not n_forms."""
-    words = items("words", words, "i")
-    head = forms.encode()
-    stops = [w for w in stopwords if w.split() == [w]]
-    text = head + "".join(w + " " for w in stops).encode()
-    n_items = n_forms + len(stops)
-    n_slots = 1 << (2 * n_items).bit_length()  # a power of two above 2 * n_items
-    scratch = array.array("i", [0]) * (n_slots + 6 * n_items + 1)
-    keys = array.array("Q", [0]) * (2 * n_items)
-    id_of_form = array.array("i", [0]) * n_forms
-    frequencies = array.array("i", [0]) * n_forms
-    out = bytearray(len(head))
-    # no count is below 0 or above 2**31 - 1, so the clamp keeps what min_count keeps
-    used = kernel().vocabulary(text, len(head), len(text), _address(words), len(words), n_forms,
-                               min(max(min_count, 0), 2**31), _address(scratch), n_slots,
-                               len(scratch), _address(keys), len(keys), _address(id_of_form),
-                               _address(out), len(out), _address(frequencies))
-    if used < 0:
-        raise ValueError(f"vocabulary: the forms are not {n_forms}, or a word is outside them")
-    vocab = out[:used].decode().split(" ")[:-1]
-    del frequencies[len(vocab):]
-    return vocab, frequencies, id_of_form
 
 
 def relabel(words, offsets, ids) -> int:

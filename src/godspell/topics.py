@@ -14,25 +14,26 @@ the state writer read topic-major by stride, with no copy, and the state
 writer streams blocks of rows.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
-split of each text into form ids (``_sweep.FormTable``); each form's token,
-its count and the sorted vocabulary (``_sweep.vocabulary``); the only
-sampler, ``gibbs_sweep``, bitwise-identical to the oracles' pure-Python
-``gibbs_sweep_reference`` because it takes one ``rng.random()``
-per token in token order and does the same float operations in the same
-order (built with ``-O2 -ffp-contract=off``, never ``-ffast-math``); every
-random draw, with ``random.Random``'s own Mersenne Twister on its state;
-the counts, histograms and checks; every float sum, in numpy's pairwise
-order; the text of ``state.json``'s matrices, each distinct share's
-shortest round-trip digits (Ryu) laid out as ``json.dumps`` lays out a
-float; and the ``gammaln`` and ``digamma`` of ``log_likelihood``,
-``optimize_alpha`` and ``optimize_beta``: Cephes ``lgam`` and ``psi``, the
-code behind ``scipy.special``, with scipy's floats bit for bit, and the
-optimisers' arguments, each count plus its prior (``_sweep.shifted``, the
-double of Python's int + float). Python keeps the arithmetic on the priors
-and on ``log_likelihood``'s tables, on floats that round as float64 does. So
-neither numpy nor scipy is a runtime dependency. The kernel is compiled on
-first use into ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``),
-so ``topics-train`` needs a C compiler: without one, the first kernel call
+split of each text into form ids (``_sweep.FormTable``), each form's count
+and the relabelling of the words to vocabulary ids, while Python normalises
+each distinct form once and sorts the vocabulary; the only sampler,
+``gibbs_sweep``, bitwise-identical to the oracles' pure-Python
+``gibbs_sweep_reference`` because it takes one ``rng.random()`` per token
+in token order and does the same float operations in the same order (built
+with ``-O2 -ffp-contract=off``, never ``-ffast-math``); every random draw,
+with ``random.Random``'s own Mersenne Twister on its state; the counts,
+histograms and checks; every float sum, in numpy's pairwise order; the text
+of ``state.json``'s matrices, with each distinct share's text taken once
+from ``json.dumps``; and the ``gammaln`` and ``digamma`` of
+``log_likelihood``, ``optimize_alpha`` and ``optimize_beta``: Cephes
+``lgam`` and ``psi``, the code behind ``scipy.special``, with scipy's
+floats bit for bit, and the optimisers' arguments, each count plus its
+prior (``_sweep.shifted``, the double of Python's int + float). Python
+keeps the arithmetic on the priors and on ``log_likelihood``'s tables, on
+floats that round as float64 does. So neither numpy nor scipy is a runtime
+dependency. The kernel is compiled on first use into
+``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``), so
+``topics-train`` needs a C compiler: without one, the first kernel call
 raises ``_sweep.BuildError``. Reading a saved state (``load_state``, and so
 ``topics-inspect`` and ``stats``) needs no compiler: ``load_state`` returns
 the fields of ``state.json`` as the dict ``json.loads`` gives, and
@@ -49,6 +50,7 @@ import logging
 import math
 import operator
 import random
+import string
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +71,9 @@ STATE_VERSION = 1
 # sums to 5.0 across topics, beta starts at 0.01.
 DEFAULT_ALPHA_SUM = 5.0
 DEFAULT_BETA = 0.01
+
+# the characters a form is stripped of at both ends to give its token
+_EDGE_CHARS = string.punctuation + "“”‘’—–…«»"
 
 
 class VocabularyError(ValueError):
@@ -142,26 +147,34 @@ def vocabulary_of(
     distinct form is normalised once: the forms are lowered in one
     ``str.lower()`` of their space-separated text, which lowers each as it
     would alone (a space ends a final sigma as the end of a string does),
-    and ``_sweep.vocabulary`` strips each form's edge punctuation, counts
-    the words of each token and sorts the kept ones. A form whose token is
-    empty, a stopword or rarer than min_count over the corpus maps to no
-    id, and its words are dropped. The documents are int32 views of
-    ``table.words``, which is relabelled in place."""
+    and each is stripped of the edge characters (string.punctuation and
+    “”‘’—–…«») at both ends; ``_sweep.histogram`` counts the words of each
+    form. A form whose token is empty, a stopword or rarer than min_count
+    over the corpus maps to no id, and its words are dropped. The documents
+    are int32 views of ``table.words``, which is relabelled in place."""
     from . import _sweep
 
     stop = frozenset(w.lower() for w in stopwords)
-    kept, frequencies, id_of_form = _sweep.vocabulary(table.text.lower(), len(table),
-                                                      table.words, stop, min_count)
+    tokens = [form.strip(_EDGE_CHARS) for form in table.text.lower().split(" ")[:-1]]
+    counts: dict[str, int] = {}
+    for token, c in zip(tokens, _sweep.histogram(table.words, len(tokens))):
+        if token and token not in stop:
+            counts[token] = counts.get(token, 0) + c
+
+    kept = sorted(w for w, c in counts.items() if c >= min_count)
     if not kept:
         raise VocabularyError(
             f"no vocabulary left after stopword and min_count={min_count} filtering"
         )
+    ids = {w: i for i, w in enumerate(kept)}
     vocab = Vocabulary(
         words=kept,
-        ids={w: i for i, w in enumerate(kept)},
-        frequencies=frequencies.tolist(),
+        ids=ids,
+        frequencies=[counts[w] for w in kept],
         stopwords=stop,
     )
+    # stopwords and empty tokens never reach ids, so they map to -1 too
+    id_of_form = array.array("i", [ids.get(t, -1) for t in tokens])
     words = table.words
     del words[_sweep.relabel(words, offsets, id_of_form):]
     return vocab, _split(words, offsets)
@@ -558,8 +571,8 @@ def save_state(
     topic-major rows, each read by stride from the word-major counts where
     they lie, with integers as json writes them, and doc_topic_proportions
     (doubles) from the text of each distinct one (by its bits, so that -0.0
-    and each nan keep their own), which the kernel formats once, as
-    ``json.dumps`` would, and copies into every place it recurs."""
+    and each nan keep their own), which ``json.dumps`` formats once and the
+    kernel copies into every place it recurs."""
     from . import _sweep
 
     head = json.dumps({

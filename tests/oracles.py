@@ -12,7 +12,10 @@ collapsed-Gibbs sweep over topic-major counts and the Cephes
 ``random.Random``'s state for the kernel's draws, the per-token counts and
 numpy's weighted, gathered sums for the ones it does in C, the per-token
 loops that the flat vocabulary and downsampling replace, the per-form
-``normalize_token`` that the kernel's vocabulary pass replaces, the numpy code
+``normalize_token`` that ``topics.vocabulary_of``'s one lowering of all the
+forms replaces, the collapsed LDA posterior of a tiny corpus by
+enumeration of every assignment, written from the model with
+``math.lgamma``, which the sampler's chain must reach, the numpy code
 (vocabulary, downsampling, checks, likelihood, optimisers, proportions)
 that the standard-library arrays and the kernel replaced, the
 whole-payload ``json.dumps`` and the dict-based row writer that the
@@ -506,6 +509,45 @@ def lda_log_likelihood_direct(n_dk, n_kw, n_k, alpha, beta: float) -> float:
         - k * v * gammaln(beta)
     )
     return float(ll)
+
+
+def lda_log_joint(docs: list[list[int]], z: list[int], alpha: list[float], beta: float,
+                  vocabulary_size: int) -> float:
+    """log p(words, z | alpha, beta) of collapsed LDA straight from the model,
+    z the topics of the tokens of docs in order: for each document the
+    Dirichlet-multinomial of its topics under alpha, and for each topic that
+    of its words under a symmetric beta, with math.lgamma."""
+    k = len(alpha)
+    n_kw = [[0] * vocabulary_size for _ in range(k)]
+    log_p = 0.0
+    topics = iter(z)
+    for doc in docs:
+        n_dt = [0] * k
+        for w in doc:
+            t = next(topics)
+            n_dt[t] += 1
+            n_kw[t][w] += 1
+        log_p += math.lgamma(sum(alpha)) - math.lgamma(len(doc) + sum(alpha))
+        log_p += sum(math.lgamma(n + a) - math.lgamma(a) for n, a in zip(n_dt, alpha))
+    v_beta = vocabulary_size * beta
+    for row in n_kw:
+        log_p += math.lgamma(v_beta) - math.lgamma(sum(row) + v_beta)
+        log_p += sum(math.lgamma(n + beta) - math.lgamma(beta) for n in row)
+    return log_p
+
+
+def exact_posterior(docs: list[list[int]], alpha: list[float], beta: float,
+                    vocabulary_size: int) -> dict[tuple[int, ...], float]:
+    """p(z | words, alpha, beta) for every assignment z of the tokens of docs
+    to the len(alpha) topics, by enumerating them all: each z's joint over
+    the sum of the joints."""
+    n_tokens = sum(map(len, docs))
+    log_joint = {z: lda_log_joint(docs, list(z), alpha, beta, vocabulary_size)
+                 for z in itertools.product(range(len(alpha)), repeat=n_tokens)}
+    top = max(log_joint.values())
+    weight = {z: math.exp(lp - top) for z, lp in log_joint.items()}
+    total = math.fsum(weight.values())
+    return {z: w / total for z, w in weight.items()}
 
 
 # The numpy code that the standard-library layer of ``topics`` replaced, kept

@@ -797,3 +797,9 @@ def test_library_name_keys_source_and_flags(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(_sweep, "SOURCE", _sweep.SOURCE + "\n")
     assert _sweep.library_name() != name
+
+
+def test_source_is_ascii():
+    """SOURCE stays ASCII, a byte a character in memory: one character past
+    Latin-1 would double the str, at every import of the module."""
+    assert _sweep.SOURCE.isascii()

@@ -1,8 +1,8 @@
-"""The kernel's two text passes of topics-train: ``number_texts``, the
-shortest-digits formatter of state.json's shares, against ``repr`` and
-``json.dumps``, and ``vocabulary``, the tokens of a FormTable's forms,
-against the per-form ``vocabulary_of_numpy`` and the two facts about
-``str`` it rests on."""
+"""The two text passes of topics-train that Python does around the kernel:
+``row_texts``' text of state.json's shares, taken from ``json.dumps`` a
+slice at a time and copied by the kernel, and ``vocabulary_of``, the
+tokens of a FormTable's forms, against the per-form ``vocabulary_of_numpy``
+and the two facts about ``str`` it rests on."""
 
 import array
 import json
@@ -22,18 +22,6 @@ from oracles import FormTableReference, vocabulary_of_numpy
 @pytest.fixture(scope="module")
 def compiled():
     return _sweep.kernel()
-
-
-def number_texts(compiled, x) -> list[str]:
-    """Each double of x as the kernel's number_texts writes it, cut at its offsets."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    store = bytearray(_sweep.NUMBER_TEXT * len(x))
-    at = array.array("i", [0]) * (len(x) + 1)
-    longest = compiled.number_texts(_sweep._address(x), len(x), _sweep._address(store),
-                                    len(store), _sweep._address(at))
-    assert 0 <= longest <= _sweep.NUMBER_TEXT
-    text = store[:at[-1]].decode("ascii")
-    return [text[a:b] for a, b in zip(at, at[1:])]
 
 
 def ties() -> list[float]:
@@ -62,54 +50,23 @@ def edge_numbers() -> list[float]:
     return positive + [-x for x in positive]
 
 
-def test_number_texts_of_the_edges(compiled):
-    x = edge_numbers()
-    assert len(ties()) > 100
-    got = number_texts(compiled, x)
-    assert got == [repr(v) if math.isfinite(v) else json.dumps(v) for v in x]
-    assert f"[{', '.join(got)}]" == json.dumps(x)
-    literal = [(0.0, "0.0"), (-0.0, "-0.0"), (1e16, "1e+16"), (1e-4, "0.0001"),
-               (1e-5, "1e-05"), (5e-324, "5e-324"), (1e22, "1e+22"), (1.5e-7, "1.5e-07"),
-               (9999999999999998.0, "9999999999999998.0"),
-               (sys.float_info.max, "1.7976931348623157e+308"),
-               (2.0**-25, "2.9802322387695312e-08"), (math.inf, "Infinity"),
-               (-math.inf, "-Infinity"), (math.nan, "NaN"), (-math.nan, "NaN")]
-    assert number_texts(compiled, [x for x, _ in literal]) == [text for _, text in literal]
-
-
-def test_number_texts_of_a_million_doubles(compiled):
-    """Random 64-bit patterns over every finite double, random shares in
-    (0, 1], and random doubles across the plain layout, 1e-5 to 1e17: each
-    text is repr's, and together they are json.dumps of the list."""
-    rng = np.random.default_rng(35)
-    patterns = rng.integers(0, 2**64, size=410_000, dtype=np.uint64, endpoint=False)
-    finite = patterns.view(np.float64)[np.isfinite(patterns.view(np.float64))]
-    shares = 1.0 - rng.random(400_000)
-    plain = rng.random(200_000) * 10.0 ** rng.uniform(-5, 17, 200_000)
-    x = np.concatenate([finite, shares, plain])
-    assert len(x) >= 1_000_000
-    values = x.tolist()
-    got = number_texts(compiled, x)
-    assert got == [repr(v) for v in values]
-    assert f"[{', '.join(got)}]" == json.dumps(values)
-
-
 def test_row_texts_of_numbers_are_json(compiled):
-    """Doubles indexed by a matrix: each row is json.dumps of its numbers."""
+    """Doubles indexed by a matrix, more of them than one json.dumps slice
+    formats and each indexed at least once: each row is json.dumps of its
+    numbers, at the edges of float text too."""
     rng = np.random.default_rng(7)
-    numbers = np.concatenate([rng.random(300), edge_numbers()])
-    ids = rng.integers(0, len(numbers), size=(40, 65), dtype=np.int32)
-    rows = list(map(bytes, _sweep.row_texts(ids, 40, numbers=numbers)))
-    assert rows == [json.dumps(numbers[row].tolist()).encode() for row in ids]
-
-
-def test_number_texts_refuses_a_short_store(compiled):
-    x = array.array("d", [1.0, 2.0])
-    store = bytearray(2 * _sweep.NUMBER_TEXT - 1)
-    at = array.array("i", [0, 0, 0])
-    assert compiled.number_texts(_sweep._address(x), 2, _sweep._address(store), len(store),
-                                 _sweep._address(at)) == -1
-    assert at.tolist() == [0, 0, 0]
+    numbers = np.concatenate([rng.random(2 * _sweep.NUMBER_SLICE + 300), edge_numbers()])
+    assert len(np.unique(numbers.view(np.int64))) > 2 * _sweep.NUMBER_SLICE
+    edges = [-0.0, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.max,
+             math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0), math.nextafter(1e16, 0.0),
+             math.nextafter(1e16, math.inf)]
+    assert set(map(repr, edges)) <= set(map(repr, numbers.tolist()))
+    rows, cols = len(numbers) // 65 + 1, 65
+    ids = np.concatenate([rng.permutation(len(numbers)),
+                          rng.integers(0, len(numbers), rows * cols - len(numbers))])
+    ids = ids.astype(np.int32).reshape(rows, cols)
+    texts = list(map(bytes, _sweep.row_texts(ids, rows, numbers=numbers)))
+    assert texts == [json.dumps(numbers[row].tolist()).encode() for row in ids]
     with pytest.raises(TypeError, match="numbers"):
         next(_sweep.row_texts(array.array("i", [0]), 1, numbers=array.array("f", [1.0])))
 
@@ -192,17 +149,6 @@ def test_vocabulary_of_random_forms(compiled, words, stopwords, min_count, size)
     same_vocabulary(words, stopwords, min_count, size)
 
 
-def test_vocabulary_refuses_what_is_not_its_forms(compiled):
-    for words in ([0, 1], [-1]):
-        with pytest.raises(ValueError, match="outside"):
-            _sweep.vocabulary("a ", 1, array.array("i", words), (), 1)
-    for forms, n_forms in (("a b ", 1), ("a ", 2), ("a", 1), ("a b", 2)):
-        with pytest.raises(ValueError, match="are not"):
-            _sweep.vocabulary(forms, n_forms, array.array("i", [0]), (), 1)
-    with pytest.raises(TypeError, match="words"):
-        _sweep.vocabulary("a ", 1, array.array("q", [0]), (), 1)
-
-
 def test_the_lowered_join_is_each_form_lowered():
     """One str.lower() of the space-separated forms lowers each as it would
     alone: a space ends a final sigma's context as the string's end does."""
@@ -211,7 +157,7 @@ def test_the_lowered_join_is_each_form_lowered():
     forms = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 6)))
              for _ in range(200_000)]
     assert " ".join(forms).lower() == " ".join(form.lower() for form in forms)
-    # and no form lowers to a space, which would split it in the kernel
+    # and no form lowers to a space, which would split it in vocabulary_of
     assert [c for c in range(0x110000) if " " in chr(c).lower()] == [ord(" ")]
 
 
