@@ -23,9 +23,11 @@ and ``write_annotations`` writes them as they come, replacing
 annotations.jsonl only when the stream is complete. ``run_pipeline`` is
 its list.
 
-``http_transport`` keeps one HTTP/1.1 connection per worker thread, closed
-when ``stream_pipeline`` returns, and reaches the endpoint, a local one,
-directly: no proxy from http_proxy or https_proxy is applied.
+``http_transport`` writes HTTP/1.1 on a socket (chunked, Content-Length
+and read-to-close bodies; Host as http.client writes it) and keeps one
+connection per worker thread, closed when ``stream_pipeline`` returns. It
+reaches the endpoint, a local one, directly: no proxy from http_proxy or
+https_proxy is applied. Only an https endpoint imports ssl.
 """
 
 from __future__ import annotations
@@ -346,54 +348,130 @@ Transport = Callable[[ModelConfig, str, OutputSchema], str]
 _worker = threading.local()  # .idle: its pipeline's connections, set by stream_pipeline
 
 
+class _Connection:
+    """A socket to the endpoint, in TLS for https, and its one buffered reader."""
+
+    def __init__(self, scheme: str, host: str, port: int, timeout: float):
+        import socket
+
+        self.sock = socket.create_connection((host, port), timeout)
+        if scheme == "https":
+            import ssl
+
+            self.sock = ssl.create_default_context().wrap_socket(self.sock, server_hostname=host)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+    def response(self) -> tuple[int, bytes, bool]:
+        """The final response's status, its body and whether the connection can
+        carry another request; a response that breaks the framing is a ValueError."""
+        status = 100
+        while 100 <= status < 200:  # interim responses
+            line = self._line()
+            if not line:  # http.client's RemoteDisconnected: an idle connection is reopened
+                raise ConnectionResetError("the endpoint closed the connection without a response")
+            version, status = line.split(None, 2)[:2]
+            status = int(status)
+            if not version.startswith(b"HTTP/") or not 100 <= status <= 999:
+                raise ValueError(f"bad status line {line!r}")
+            fields = self._fields()
+        keep = version == b"HTTP/1.1" and b"close" not in fields.get(b"connection", b"").lower()
+        if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            chunks = []
+            while size := int(self._line().split(b";")[0], 16):
+                chunks.append(self._exactly(size))
+                self._exactly(2)  # the chunk's CRLF
+            self._fields()  # the trailer
+            return status, b"".join(chunks), keep
+        if b"content-length" in fields:
+            return status, self._exactly(int(fields[b"content-length"])), keep
+        return status, self.rfile.read(), False
+
+    def _line(self) -> bytes:
+        line = self.rfile.readline(65537)
+        if len(line) > 65536:  # http.client's bound on a line of a head
+            raise ValueError("a line longer than 64 KiB")
+        return line
+
+    def _fields(self) -> dict[bytes, bytes]:
+        fields: dict[bytes, bytes] = {}
+        for _ in range(100):  # http.client's bound on a head's lines, the blank one included
+            line = self._line()
+            if line in (b"\r\n", b"\n", b""):
+                return fields
+            name, _, value = line.partition(b":")
+            fields.setdefault(name.strip().lower(), value.strip())
+        raise ValueError("more than 100 lines in a head")
+
+    def _exactly(self, n: int) -> bytes:
+        data = self.rfile.read(n) if n >= 0 else b""
+        if len(data) != n:
+            raise ValueError(f"a body of {n} bytes ended after {len(data)}")
+        return data
+
+
 def http_transport(config: ModelConfig, prompt: str, schema: OutputSchema) -> str:
     """One completion request against an Ollama-compatible generate endpoint,
-    with the output constrained to the schema. A worker of stream_pipeline
-    takes an idle connection of its pipeline, or opens one, and puts it back
-    after the response (RFC 9112 9.3); elsewhere it is closed after the call.
-    One the server closed while idle is opened again at once. TCP_QUICKACK,
-    set at each request as Linux turns it off by itself, acknowledges the
-    first segment of a response at once, so a server whose Nagle rule (RFC
-    896) holds the rest behind it does not wait; without it, off Linux, a
-    reused connection can wait out a delayed ACK (RFC 1122 4.2.3.2)."""
-    import socket
-    from http.client import HTTPConnection, HTTPException, HTTPSConnection  # http backend only
+    with the output constrained to the schema, in HTTP/1.1 on a socket. A
+    worker of stream_pipeline takes an idle connection of its pipeline, or
+    opens one, and puts it back after an HTTP/1.1 response without
+    Connection: close (RFC 9112 9.3); elsewhere it is closed after the call.
+    One the server closed while idle is opened again at once. Host is
+    http.client's: an IPv6 literal in brackets, the port only when it is not
+    the default, no userinfo. No proxy is applied. 1xx responses are
+    skipped, and a body is framed by RFC 9112 6.3: chunked, then
+    Content-Length, else read to the close. TCP_QUICKACK, set at each
+    request as Linux turns it off by itself, acknowledges the first segment
+    of a response at once, so a server whose Nagle rule (RFC 896) holds the
+    rest behind it does not wait; without it, off Linux, a reused connection
+    can wait out a delayed ACK (RFC 1122 4.2.3.2)."""
+    import socket  # http backend only
     from urllib.parse import urlsplit
 
     url = config.endpoint.rstrip("/") + "/api/generate"
     parts = urlsplit(url)
+    default_port = 443 if parts.scheme == "https" else 80
+    port = parts.port or default_port
+    host = f"[{parts.hostname}]" if ":" in parts.hostname else parts.hostname
     body = json.dumps({"model": config.model, "prompt": prompt, "stream": False,
                        "options": {"temperature": config.temperature},
                        "format": schema.to_json_schema()}).encode("utf-8")
+    request = (f"POST {parts.path} HTTP/1.1\r\nHost: {host}"
+               f"{'' if port == default_port else f':{port}'}\r\n"
+               "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+               f"Content-Length: {len(body)}\r\n\r\n").encode("ascii") + body
     idle = getattr(_worker, "idle", None)
     try:
         conn = idle.pop()
     except (AttributeError, IndexError):  # not a pipeline's worker, or none idle
-        kind = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-        conn = kind(parts.hostname, parts.port, timeout=config.timeout)
+        conn = None
     try:
-        for retry in (conn.sock is not None, False):
+        for reused in (conn is not None, False):
             try:
-                conn.request("POST", parts.path, body, {"Content-Type": "application/json"})
+                conn = conn or _Connection(parts.scheme, parts.hostname, port, config.timeout)
+                conn.sock.sendall(request)
                 if hasattr(socket, "TCP_QUICKACK"):
                     conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
-                response = conn.getresponse()
+                status, data, keep = conn.response()
                 break
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is one
-                if not retry:
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
                     raise
                 conn.close()
-        with response:
-            data = response.read()
-    except (OSError, HTTPException) as e:
-        conn.close()
+                conn = None
+    except (OSError, ValueError) as e:  # ValueError: a response that breaks HTTP's framing
+        if conn is not None:
+            conn.close()
         raise TransportError(f"request to {url} failed: {e}") from None
-    if idle is None:
-        conn.close()
-    else:
+    if keep and idle is not None:
         idle.append(conn)
-    if not 200 <= response.status < 300:
-        raise TransportError(f"endpoint returned HTTP {response.status}", response.status)
+    else:
+        conn.close()
+    if not 200 <= status < 300:
+        raise TransportError(f"endpoint returned HTTP {status}", status)
     try:
         return json.loads(data)["response"]
     except (ValueError, KeyError, TypeError):

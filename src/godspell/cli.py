@@ -25,9 +25,10 @@ all of them load `config`. Every command needs the standard library alone:
 `annotate` module, with its thread pool; `eval` and `stats` read
 annotations through `records`. Only `report` imports `report`, `eval`
 imports no `stats`, and `report` and `topics-inspect` import no `corpus`.
-No command except `annotate` on the http backend loads OpenSSL: every
-digest is `config.sha256`, CPython's own, and only the http transport
-imports `http.client`, which loads `ssl`.
+No command loads OpenSSL except `annotate` against an https:// endpoint:
+every digest is `config.sha256`, CPython's own, and the http transport
+writes HTTP/1.1 on a socket, without `http.client` or `email`, and imports
+`ssl` only to wrap the socket of an https endpoint.
 """
 
 from __future__ import annotations

@@ -357,8 +357,9 @@ def replacing(path: Path | str) -> Iterator[Path]:
     try:
         yield tmp
         os.replace(tmp, path)
-    finally:
+    except BaseException:  # a replaced tmp is gone, so only a failure removes it
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -23,7 +23,8 @@ kernel's text of the state's matrices replaces, numpy's per-novel mean
 that the plain-Python prominence replaces, the cascade's structural rules
 checked on a finished annotation, a loop adding floats one at a time
 for the fixed-order sum, and the urllib transport, a new connection a
-call, that the kept-alive ``http.client`` one replaces.
+call and ``http.client``'s parser, that the kept-alive one written on a
+socket replaces.
 """
 
 from __future__ import annotations

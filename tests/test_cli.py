@@ -1096,19 +1096,21 @@ def test_command_runs_without_libraries_it_does_not_use(tmp_path, command, block
             assert (out / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
 
 
-def test_annotate_http_runs_without_urllib_request(tmp_path):
-    """annotate on the http backend, in an interpreter where importing
-    urllib.request fails, annotates every passage against a local server."""
+def test_annotate_http_runs_without_ssl_or_http_client(tmp_path):
+    """annotate on an http:// endpoint, in an interpreter where importing
+    ssl, _ssl, http.client, email or urllib.request fails, annotates every
+    passage against a local server: OpenSSL is for an https:// one alone."""
     out = tmp_path / "out"
     out.mkdir()
     shutil.copy(GOLDEN / "passages.jsonl", out)
     passages = read_passages(out / "passages.jsonl")
     config = config_with(tmp_path, model={"backend": "http", "max_retries": 0})
+    blocked = ("ssl", "_ssl", "http.client", "email", "urllib.request")
     with serving(KeepAliveHandler) as server:
         server.script = [("ok", STAGE1_NO)] * len(passages)
         argv = ["annotate", "--config", config, "--output", str(out),
                 "--endpoint", f"http://127.0.0.1:{server.server_address[1]}"]
-        proc = python("import sys\nsys.modules['urllib.request'] = None\n"
+        proc = python(f"import sys\nsys.modules.update(dict.fromkeys({blocked!r}))\n"
                       f"from godspell.cli import main\nsys.exit(main({argv!r}))\n")
     assert proc.returncode == 0, proc.stderr
     annotations = read_annotations(out / "annotations.jsonl")

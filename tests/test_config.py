@@ -141,6 +141,17 @@ def test_replacing_replaces_only_once_the_block_ends(tmp_path, error):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_replacing_unlinks_nothing_after_a_whole_write(tmp_path, monkeypatch):
+    """A block that ends well is replaced onto its path with no unlink after
+    it: one fewer system call for each of annotate's cache entries."""
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda *args, **kwargs: unlinked.append(args))
+    with config.replacing(tmp_path / "entry.json") as tmp:
+        tmp.write_text("{}", encoding="utf-8")
+    assert unlinked == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "entry.json"]
+
+
 def test_replacing_removes_what_a_dead_writer_left_and_keeps_a_live_ones(tmp_path):
     """A temporary file named for a reaped child's pid goes before the next
     write into its directory; one named for a live pid, this process, stays,
