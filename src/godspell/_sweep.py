@@ -24,13 +24,14 @@ pairwise order, so each sum is numpy's ``ndarray.sum()`` of the same terms
 bit for bit, and walks a word-major matrix in topic-major order when asked,
 reading each entry where it lies, by stride. ``distinct`` numbers the
 distinct 64-bit patterns of doubles through a hash table that grows with
-their count, and ``row_texts`` writes a matrix's rows as JSON text in
-bounded blocks, of integers or of indexes into a buffer of doubles, so that
-each distinct share of ``state.json`` is formatted once, by ``json.dumps``,
-and copied by the kernel wherever it recurs; it reads n_kw's topic-major
-rows by stride too. ``histogram`` counts in four copies, entry by entry in
-turn, so that a run of one value, as n_kw's zeros are, does not wait on
-one count, and ``shifted`` adds each of a run of counts to its part's
+their count (``Distinct`` keeps it across calls), and ``row_texts``
+writes a matrix's rows as JSON text in bounded blocks, of integers or of
+indexes into a store of texts, so that each distinct share of
+``state.json`` is formatted once, by ``json.dumps``, and copied by the
+kernel wherever it recurs; it reads n_kw's topic-major rows by stride
+too. ``histogram`` counts in four copies, entry by entry in turn, so that
+a run of one value, as n_kw's zeros are, does not wait on one count, and
+``shifted`` adds each of a run of counts to its part's
 prior. Beside
 them are Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code
 behind ``scipy.special.gammaln`` and ``digamma``, with the same constants,
@@ -66,8 +67,6 @@ from __future__ import annotations
 import array
 import ctypes
 import functools
-import itertools
-import json
 import logging
 import operator
 import os
@@ -1067,31 +1066,35 @@ def span(values) -> tuple[int, int]:
     return out[0], out[1]
 
 
-def distinct(x) -> tuple[array.array, array.array]:
-    """(ids, values) for the doubles x: values holds the distinct 64-bit
-    patterns of x, as doubles, in order of first appearance, so that -0.0
-    and each nan stay apart, and ids (int32) the number of each of x among
-    them. The kernel's hash table grows with the distinct count: when it
-    would pass half full it is replaced by one four times larger, with room
-    in values to match, and the kernel resumes where it stopped."""
-    x = items("x", x, "d")
-    ids = array.array("i", [0]) * len(x)
-    slots = array.array("i", [-1]) * 1024
-    values = array.array("d", [0.0]) * (len(slots) // 2)
-    tally = array.array("i", [0, 0])  # the patterns in values, those in the table
-    at, lib = 0, kernel()
-    while True:
-        at = lib.distinct(_address(x), len(x), at, _address(ids), _address(slots), len(slots),
-                          _address(values), _address(tally))
-        if at < 0:
-            raise ValueError("distinct: the table or its tally are not a state it left")
-        if at == len(x):
-            break
-        slots = array.array("i", [-1]) * (4 * len(slots))
-        values.frombytes(bytes(8 * (len(slots) // 2 - len(values))))
-        tally[1] = 0  # the kernel refills the empty table from values
-    del values[tally[0]:]
-    return ids, values
+class Distinct:
+    """Numbers the distinct 64-bit patterns of doubles, call after call, from
+    0 by first appearance (-0.0 and each nan keep their own), which fill
+    ``values[:len(self)]``. The kernel's hash table is kept; when it would
+    pass half full, a table four times larger replaces it, with room in
+    values to match, and the kernel refills it and resumes."""
+
+    def __init__(self) -> None:
+        self.slots = array.array("i", [-1]) * 1024
+        self.values = array.array("d", [0.0]) * 512
+        self.tally = array.array("i", [0, 0])  # the patterns in values, those in the table
+
+    def __len__(self) -> int:
+        return self.tally[0]
+
+    def ids(self, x) -> array.array:
+        """The int32 number of each of the doubles x."""
+        x = items("x", x, "d")
+        ids = array.array("i", [0]) * len(x)
+        at, lib = 0, kernel()
+        while (at := lib.distinct(_address(x), len(x), at, _address(ids), _address(self.slots),
+                                  len(self.slots), _address(self.values),
+                                  _address(self.tally))) < len(x):
+            if at < 0:
+                raise ValueError("distinct: the table or its tally are not a state it left")
+            self.slots = array.array("i", [-1]) * (4 * len(self.slots))
+            self.values.frombytes(bytes(8 * (len(self.slots) // 2 - len(self.values))))
+            self.tally[1] = 0
+        return ids
 
 
 LANES = 4  # the copies of the counts that histogram's kernel call keeps
@@ -1114,40 +1117,22 @@ def histogram(values, size: int, cols: int = 1) -> array.array:
 BLOCK = 1 << 16
 
 
-# the numbers row_texts formats in one json.dumps: a slice keeps the list, its text and the
-# split small (one json.dumps of topics-k65's 24,672 shares raised its peak by 2.4 MB)
-NUMBER_SLICE = 4096
-
-
-def row_texts(values, rows: int, *, numbers=None,
-              transposed: bool = False) -> Iterator[memoryview]:
+def row_texts(values, rows: int, *, transposed: bool = False,
+              texts: tuple | None = None) -> Iterator[memoryview]:
     """The JSON text of each row of an int32 (rows, cols) matrix given flat,
-    brackets included: its integers as json writes them, or with numbers (a
-    buffer of doubles), the number each integer is the index of, as
-    ``json.dumps`` writes it; each number is formatted once, by
-    ``json.dumps``, and the kernel copies its text into every place it
-    recurs. With transposed, values holds the matrix column by column, as a
+    brackets included: its integers as json writes them, or with texts, a
+    pair (store, at), the text each integer x is the index of, item x of
+    texts, store[at[x]:at[x + 1]], 24 bytes at most (json's longest double).
+    With transposed, values holds the matrix column by column, as a
     word-major n_kw holds the topic-major rows, and the kernel reads each row
     where it lies, by stride. The kernel writes a block of rows at a time;
     each row is a view of the block's buffer, which the next block
-    overwrites. ValueError for an index outside numbers."""
+    overwrites. ValueError for an index outside the texts."""
     values = items("values", values, "i")
     cols = len(values) // rows if rows else 0
     lib = kernel()
-    texts = (None, None, 0)  # rows_text's store of number texts, their offsets and count
-    width = 11  # "-2147483648"
-    if numbers is not None:
-        numbers = items("numbers", numbers, "d")
-        # each number's text, one after another; json writes a float in ASCII, a byte a character
-        store, lengths = bytearray(), array.array("i")
-        for i in range(0, len(numbers), NUMBER_SLICE):
-            parts = json.dumps(numbers[i:i + NUMBER_SLICE].tolist())[1:-1].split(", ")
-            store += "".join(parts).encode()
-            lengths.extend(map(len, parts))
-        at = array.array("i", itertools.accumulate(lengths, initial=0))
-        width = max(lengths, default=0)
-        texts = (_address(store), _address(at), len(numbers))
-    row_cap = 2 + cols * (width + 2)
+    store, at = texts or (bytearray(), array.array("i"))
+    row_cap = 2 + cols * ((24 if texts else 11) + 2)  # 11: "-2147483648"
     per_block = max(1, BLOCK // row_cap)
     out = bytearray(per_block * row_cap)
     ends = array.array("i", [0]) * per_block
@@ -1155,9 +1140,9 @@ def row_texts(values, rows: int, *, numbers=None,
     view = memoryview(out)
     for r0 in range(0, rows, per_block):
         r1 = min(rows, r0 + per_block)
-        if lib.rows_text(_address(values), cols, *strides, r0, r1, *texts, _address(out),
-                         len(out), _address(ends)) < 0:
-            raise ValueError("row_texts: an index is outside the numbers")
+        if lib.rows_text(_address(values), cols, *strides, r0, r1, _address(store), _address(at),
+                         max(len(at) - 1, 0), _address(out), len(out), _address(ends)) < 0:
+            raise ValueError("row_texts: an index is outside the texts")
         start = 0
         for end in ends[:r1 - r0]:
             yield view[start:end]

@@ -21,8 +21,9 @@ error (with error.json in the output directory), 64 unknown subcommand.
 Each command imports only the modules it runs, inside its own function;
 all of them load `config`. Every command needs the standard library alone:
 `topics-train` adds the compiled `_sweep` kernel, and `topics-inspect` and
-`stats` read the saved topic state without it. Only `annotate` imports the
-`annotate` module, with its thread pool; `eval` and `stats` read
+`stats` read the saved topic state without it, through `statefile`. Only
+`annotate` imports the `annotate` module, with its thread pool; `eval` and
+`stats` read
 annotations through `records`. Only `report` imports `report`, `eval`
 imports no `stats`, and `report` and `topics-inspect` import no `corpus`.
 No command loads OpenSSL except `annotate` against an https:// endpoint:
@@ -42,8 +43,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import (ConfigError, RunConfig, load_run_config, read_csv, read_json, read_text,
-                     replacing, write_csv)
+from .config import (ConfigError, RunConfig, load_run_config, read_csv, read_json, read_records,
+                     read_text, replacing, write_csv)
 
 if TYPE_CHECKING:
     from . import topics
@@ -161,16 +162,14 @@ def cmd_topics_train(config: RunConfig) -> None:
 
 
 def cmd_topics_inspect(config: RunConfig) -> None:
-    from . import topics
+    from . import statefile
 
     state_path = _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
-    model = topics.load_state(state_path)
-    words, n_kw = model["vocabulary"], model["n_kw"]
-    top = [topics.top_words(n_kw, words, k) for k in range(model["k"])]
+    words, top = statefile.top_words(state_path)
     rows = [
-        [k, rank, words[w], n_kw[k][w]]
+        [k, rank, words[w], count]
         for k, ids in enumerate(top)
-        for rank, w in enumerate(ids, start=1)
+        for rank, (w, count) in enumerate(ids, start=1)
     ]
     write_csv(
         config.output_dir / "topics" / "top_words.csv",
@@ -178,7 +177,7 @@ def cmd_topics_inspect(config: RunConfig) -> None:
         rows,
     )
     for k, ids in enumerate(top):
-        print(f"topic {k}: " + " ".join(words[w] for w in ids))
+        print(f"topic {k}: " + " ".join(words[w] for w, _ in ids))
 
 
 def cmd_annotate(config: RunConfig) -> None:
@@ -257,37 +256,39 @@ def cmd_eval(config: RunConfig) -> None:
 def cmd_stats(config: RunConfig) -> None:
     """Write stats.json: stats.analyze over the run's artifacts and the
     analysis config, plus the topic labels when configured."""
-    from . import corpus, records, stats, topics
+    from . import corpus, records, statefile, stats, topics
 
     try:
         analysis = read_json(config.analysis_path) if config.analysis_path else {}
     except ValueError as e:
         raise ConfigError(str(e)) from None
     loaded = corpus.ingest(config.manifest)
-    passages = corpus.read_passages(
-        _require_artifact(config.output_dir / "passages.jsonl", "segment")
-    )
-    annotations = records.read_annotations(
-        _require_artifact(config.output_dir / "annotations.jsonl", "annotate")
-    )
+    passages = []  # without their text, which stats never reads
+    for passage in corpus.iter_passages(
+            _require_artifact(config.output_dir / "passages.jsonl", "segment")):
+        passage.text = ""
+        passages.append(passage)
+    unread = {"passage", "stage1", "stage2", "cache_key", "error"}  # of an annotation
+    annotations = list(read_records(
+        _require_artifact(config.output_dir / "annotations.jsonl", "annotate"),
+        lambda d: records.ActAnnotation(**{k: v for k, v in d.items() if k not in unread}),
+        "an annotation"))
     unknown = sorted({a.novel_id for a in annotations} - {n.id for n in loaded.novels})
     if unknown:
         raise ValueError(f"annotations name novels missing from the manifest: {unknown}")
-    model = topics.load_state(
-        _require_artifact(config.output_dir / "topics" / "state.json", "topics-train")
-    )
+    k, doc_novels, doc_topic = statefile.shares(
+        _require_artifact(config.output_dir / "topics" / "state.json", "topics-train"))
     prominence = topics.prominence_from_doc_topic(
-        model["doc_topic"], model["doc_novels"], [n.id for n in loaded.novels]
+        doc_topic, doc_novels, [n.id for n in loaded.novels]
     )
     try:
-        payload = stats.analyze(analysis, loaded.novels, passages, annotations, prominence,
-                                model["k"])
+        payload = stats.analyze(analysis, loaded.novels, passages, annotations, prominence, k)
     except stats.AnalysisError as e:
         raise ConfigError(f"{config.analysis_path}: {e}") from None
     if config.topic_labels_path is not None:
         payload["topic_labels"] = {topic: label for (topic,), (label,) in read_csv(
             config.topic_labels_path, ("topic_index",), ("label",),
-            {"topic_index": tuple(map(str, range(model["k"])))}).items()}
+            {"topic_index": tuple(map(str, range(k)))}).items()}
     _dump_json(config.output_dir / "stats.json", payload)
     acts = payload["act_proportions"]["yes_count"]
     print(f"wrote stats for {len(loaded.novels)} novels ({acts} acts)")

@@ -78,7 +78,10 @@ class ModelConfig:
             raise ValueError("timeout must be > 0")
         try:  # refused here, not retried with backoff at each passage's call
             parts = urlsplit(self.endpoint)
-            valid = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+            valid = (parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+                     # what a request line carries: printable ASCII without a space
+                     and self.endpoint.isascii() and self.endpoint.isprintable()
+                     and " " not in self.endpoint)
         except ValueError:  # .port for a port that is not a number from 0 to 65535
             valid = False
         if not valid:

@@ -11,7 +11,7 @@ the corpus at once: documents are int32 memoryviews of one flat array,
 every id, count and offset is int32 (``TopicState`` says why none wraps),
 the count matrices are flat, n_kw word-major, which ``log_likelihood`` and
 the state writer read topic-major by stride, with no copy, and the state
-writer streams blocks of rows.
+writer streams blocks of rows, doc_topic's shares taken a block at a time.
 
 A small C kernel (``_sweep``) does every loop over tokens or counts: the
 split of each text into form ids (``_sweep.FormTable``), each form's count
@@ -34,10 +34,13 @@ floats that round as float64 does. So neither numpy nor scipy is a runtime
 dependency. The kernel is compiled on first use into
 ``$XDG_CACHE_HOME/godspell`` (default ``~/.cache/godspell``), so
 ``topics-train`` needs a C compiler: without one, the first kernel call
-raises ``_sweep.BuildError``. Reading a saved state (``load_state``, and so
-``topics-inspect`` and ``stats``) needs no compiler: ``load_state`` returns
-the fields of ``state.json`` as the dict ``json.loads`` gives, and
-``prominence_from_doc_topic`` averages the doc_topic rows in plain Python.
+raises ``_sweep.BuildError``. Reading a saved state needs no compiler:
+``statefile``, the one decoder of ``state.json``, reads it one value at a
+time and hands a caller each checked matrix row as it is decoded (so
+``topics-inspect`` and ``stats`` never hold the file, or a matrix they do
+not use), ``load_state`` returns its fields as the dict ``json.loads``
+gives, and ``prominence_from_doc_topic`` averages the doc_topic rows in
+plain Python.
 """
 
 from __future__ import annotations
@@ -51,12 +54,12 @@ import math
 import operator
 import random
 import string
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import read_json, replacing
+from .config import replacing
 
 if TYPE_CHECKING:
     from . import _sweep
@@ -481,13 +484,16 @@ def optimize_beta(state: TopicState) -> float:
     return beta
 
 
-def doc_topic_proportions(state: TopicState) -> array.array:
-    """Smoothed (posterior-mean) per-document topic proportions, (D * K,)
-    doubles, row-major."""
+def doc_topic_rows(state: TopicState, start: int, stop: int) -> array.array:
+    """Rows start..stop-1 of the smoothed (posterior-mean) per-document topic
+    proportions, flat doubles: numpy's (n_dk + alpha) / (n_dk.sum(axis=1,
+    keepdims=True) + alpha.sum()) of those rows of n_dk."""
     from . import _sweep
 
+    k = state.k
     alpha = _sweep.items("alpha", state.alpha, "d")
-    return _sweep.proportions(state.n_dk, alpha, _sweep.pairwise_sums(alpha)[0])
+    n_dk = _sweep.items("n_dk", state.n_dk, "i")[start * k:stop * k]
+    return _sweep.proportions(n_dk, alpha, _sweep.pairwise_sums(alpha)[0])
 
 
 def train(
@@ -558,6 +564,32 @@ def prominence_from_doc_topic(
     return prominence
 
 
+# here, not in _sweep: _sweep is compiled last and largest, and code added there
+# raised topics-train's memory from its imports on
+def share_texts(rows_of: Callable, rows: int, cols: int) -> Iterator[memoryview]:
+    """The JSON text of each row of a (rows, cols) matrix of doubles, as
+    json.dumps writes it, a block of rows at a time: rows_of(r0, r1) gives
+    rows r0..r1-1 flat, and no more of the matrix is held. Each distinct
+    double is numbered by one ``_sweep.Distinct`` for the whole matrix, its
+    text taken from json.dumps in the block where it first appears, and
+    copied by the kernel (``_sweep.row_texts``) wherever it recurs. Each row
+    is a view that the next block overwrites."""
+    from . import _sweep
+
+    numbers = _sweep.Distinct()
+    store, at = bytearray(), array.array("i", [0])  # each number's text, and where each starts
+    # as row_texts sizes its blocks: 24 bytes and a separator a share at most
+    per_block = max(1, _sweep.BLOCK // (2 + cols * 26))
+    for r0 in range(0, rows, per_block):
+        r1 = min(rows, r0 + per_block)
+        known, ids = len(numbers), numbers.ids(rows_of(r0, r1))
+        if len(numbers) > known:  # json writes a float in ASCII, a byte a character
+            texts = json.dumps(numbers.values[known:len(numbers)].tolist())[1:-1].split(", ")
+            store.extend("".join(texts).encode())
+            at.extend(itertools.accumulate(map(len, texts), initial=at.pop()))
+        yield from _sweep.row_texts(ids, r1 - r0, texts=(store, at))
+
+
 def save_state(
     path: Path | str,
     state: TopicState,
@@ -567,12 +599,13 @@ def save_state(
 ) -> None:
     """Dump the trained model as versioned JSON: the bytes of
     ``json.dumps(payload, ensure_ascii=False)``, written piece by piece, the
-    two matrices in blocks of rows that the kernel writes as text: n_kw's
-    topic-major rows, each read by stride from the word-major counts where
-    they lie, with integers as json writes them, and doc_topic_proportions
-    (doubles) from the text of each distinct one (by its bits, so that -0.0
-    and each nan keep their own), which ``json.dumps`` formats once and the
-    kernel copies into every place it recurs."""
+    two matrices a block of rows at a time, as the kernel writes their text:
+    n_kw's topic-major rows, each read by stride from the word-major counts
+    where they lie, with integers as json writes them, and doc_topic's
+    shares (``doc_topic_rows``, a block's rows at a time, so that neither
+    the D x K shares nor their indexes are ever held whole), each distinct
+    one (by its bits, so that -0.0 and each nan keep their own) formatted
+    once by ``json.dumps`` and copied by the kernel wherever it recurs."""
     from . import _sweep
 
     head = json.dumps({
@@ -589,12 +622,12 @@ def save_state(
         "log_likelihood": log_likelihoods,
     }, ensure_ascii=False)
     k = state.k
-    ids, shares = _sweep.distinct(doc_topic_proportions(state))
     with replacing(path) as tmp, tmp.open("wb") as fh:
         fh.write(f'{head[:-1]}, "n_kw": '.encode())
         _write_rows(fh, _sweep.row_texts(state.n_kw, k, transposed=True))
         fh.write(b', "doc_topic": ')
-        _write_rows(fh, _sweep.row_texts(ids, len(ids) // k, numbers=shares))
+        _write_rows(fh, share_texts(lambda r0, r1: doc_topic_rows(state, r0, r1),
+                                    len(state.n_dk) // k, k))
         fh.write(f", {tail[1:]}".encode())
 
 
@@ -616,62 +649,16 @@ STATE_FIELDS = {"k": ((int,), None), "alpha": ((list,), {int, float}),
                 "vocabulary": ((list,), {str}), "n_kw": ((list,), {list}),
                 "doc_topic": ((list,), {list}), "doc_novels": ((list,), {str}),
                 "log_likelihood": ((list,), {int, float})}
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               float: "a float", bool: "a boolean", type(None): "null"}
-
-
-def _items(path: Path | str, name: str, rows: list, kinds: set[type]) -> None:
-    """ValueError naming path and name when a value in rows, a list of
-    lists, is not of kinds (a bool is not an int). The set of the values'
-    types is checked, not each value."""
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= kinds:
-        bad = next(x for x in itertools.chain.from_iterable(rows) if type(x) not in kinds)
-        expected = " or ".join(sorted(kind.__name__ for kind in kinds))
-        raise ValueError(f"topic state {path}: {name} holds {bad!r}, not {expected}")
-
-
-def _shape(path: Path | str, name: str, matrix: list[list], width: int,
-           kinds: set[type]) -> tuple:
-    """(rows, columns) of a JSON matrix, a list of equally long lists of
-    numbers of the given types; an empty list has width columns. ValueError
-    naming path and name when the rows differ in length or a value is not
-    of kinds (a bool is not an int)."""
-    widths = sorted({len(row) for row in matrix})
-    if len(widths) > 1:
-        raise ValueError(f"topic state {path}: {name} has rows of {widths[0]} to {widths[-1]} "
-                         f"values")
-    _items(path, name, matrix, kinds)
-    return (len(matrix), widths[0] if widths else width)
 
 
 def load_state(path: Path | str) -> dict:
     """The STATE_FIELDS of a state file written by save_state, as json.loads
-    gives them. ValueError naming path if it is not a JSON object or not a
-    state file, if a field is missing, of another type or holds an item of
-    another type (named too), if n_kw is not a matrix of integer counts or
-    doc_topic one of numbers, or if alpha, n_kw and doc_topic disagree with
-    k, the vocabulary and doc_novels."""
-    payload = read_json(path)
-    if payload.get("format") != STATE_FORMAT or payload.get("version") != STATE_VERSION:
-        raise ValueError(f"unrecognized topic state file: {path}")
-    missing = [name for name in STATE_FIELDS if name not in payload]
-    if missing:
-        raise ValueError(f"topic state {path} lacks the field {missing[0]!r}")
-    model = {name: payload[name] for name in STATE_FIELDS}
-    for name, (kinds, items) in STATE_FIELDS.items():
-        if type(model[name]) not in kinds:
-            expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
-            raise ValueError(f"topic state {path}: {name} is {_JSON_TYPES[type(model[name])]}, "
-                             f"not {expected}")
-        if items is not None:
-            _items(path, name, [model[name]], items)
-    k, v, d = model["k"], len(model["vocabulary"]), len(model["doc_novels"])
-    shapes = {
-        "alpha": ((len(model["alpha"]),), (k,)),
-        "n_kw": (_shape(path, "n_kw", model["n_kw"], v, {int}), (k, v)),
-        "doc_topic": (_shape(path, "doc_topic", model["doc_topic"], k, {int, float}), (d, k)),
-    }
-    for name, (found, expected) in shapes.items():
-        if found != expected:
-            raise ValueError(f"topic state {path}: {name} has shape {found}, expected {expected}")
-    return model
+    gives them, decoded by ``statefile.read_state`` one value at a time.
+    ValueError naming path if it is not a JSON object or not a state file,
+    if a field is missing, of another type or holds an item of another type
+    (named too), if n_kw is not a matrix of integer counts or doc_topic one
+    of numbers, if alpha, n_kw and doc_topic disagree with k, the vocabulary
+    and doc_novels, or if a key repeats."""
+    from .statefile import read_state
+
+    return read_state(path)

@@ -18,8 +18,10 @@ enumeration of every assignment, written from the model with
 ``math.lgamma``, which the sampler's chain must reach, the numpy code
 (vocabulary, downsampling, checks, likelihood, optimisers, proportions)
 that the standard-library arrays and the kernel replaced, the
-whole-payload ``json.dumps`` and the dict-based row writer that the
-kernel's text of the state's matrices replaces, numpy's per-novel mean
+whole-payload ``json.dumps``, the dict-based row writer and the
+whole-matrix kernel writer that the block-at-a-time text of the state's
+matrices replaces, the whole-string ``load_state`` that the one decoder of
+``state.json`` replaces, numpy's per-novel mean
 that the plain-Python prominence replaces, the cascade's structural rules
 checked on a finished annotation, a loop adding floats one at a time
 for the fixed-order sum, and the urllib transport, a new connection a
@@ -793,7 +795,7 @@ def optimize_beta_reference(state, tol: float = 1e-5, max_iter: int = 1000) -> f
 
 
 def doc_topic_proportions_reference(state) -> np.ndarray:
-    """``topics.doc_topic_proportions`` through numpy, (D, K)."""
+    """``topics.doc_topic_rows`` of every row, through numpy, (D, K)."""
     n_dk = count_views(state)[0]
     alpha = np.asarray(state.alpha, dtype=np.float64)
     return (n_dk + alpha) / (n_dk.sum(axis=1, keepdims=True) + alpha.sum())
@@ -859,6 +861,129 @@ def save_state_by_row_reference(path, state, log_likelihoods, vocabulary, doc_no
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{head[:-1]}, "n_kw": [{", ".join(f"[{row}]" for row in n_kw_rows)}]')
         fh.write(f', "doc_topic": [{", ".join(f"[{row}]" for row in doc_rows)}], {tail[1:]}')
+
+
+def distinct_whole(x) -> tuple[array.array, array.array]:
+    """(ids, values) for the doubles x in one pass of the kernel's
+    ``distinct``, as ``_sweep.distinct`` gave them before the state writer
+    kept one table across its blocks: values holds the distinct 64-bit
+    patterns in order of first appearance, ids the number of each of x."""
+    from godspell import _sweep
+
+    x = _sweep.items("x", x, "d")
+    ids = array.array("i", [0]) * len(x)
+    slots = array.array("i", [-1]) * 1024
+    values = array.array("d", [0.0]) * (len(slots) // 2)
+    tally = array.array("i", [0, 0])
+    at, lib, address = 0, _sweep.kernel(), _sweep._address
+    while (at := lib.distinct(address(x), len(x), at, address(ids), address(slots), len(slots),
+                              address(values), address(tally))) < len(x):
+        assert at >= 0
+        slots = array.array("i", [-1]) * (4 * len(slots))
+        values.frombytes(bytes(8 * (len(slots) // 2 - len(values))))
+        tally[1] = 0
+    del values[tally[0]:]
+    return ids, values
+
+
+def save_state_whole_reference(path, state, log_likelihoods, vocabulary, doc_novels) -> None:
+    """state.json as ``topics.save_state`` wrote it before it took doc_topic
+    a block of rows at a time: the whole (D, K) matrix of shares
+    (doc_topic_proportions_reference) and its whole int32 index, from one
+    pass of the kernel's ``distinct`` (distinct_whole), each distinct share's
+    text from one ``json.dumps``, and every row's text from one call of the
+    kernel's ``rows_text``."""
+    from godspell import _sweep
+
+    k = state.k
+    head = json.dumps({
+        "format": STATE_FORMAT, "version": STATE_VERSION, "k": k,
+        "alpha": [float(a) for a in state.alpha], "beta": state.beta, "seed": state.rng_seed,
+        "vocabulary": vocabulary.words,
+    }, ensure_ascii=False)
+    tail = json.dumps({"doc_novels": doc_novels, "log_likelihood": log_likelihoods},
+                      ensure_ascii=False)
+    shares = np.ascontiguousarray(doc_topic_proportions_reference(state), dtype=np.float64)
+    ids, values = distinct_whole(shares.reshape(-1))
+    texts = json.dumps(values.tolist())[1:-1].split(", ") if values else []
+    store = bytearray("".join(texts).encode())
+    at = array.array("i", itertools.accumulate(map(len, texts), initial=0))
+    rows = len(ids) // k
+    out = bytearray(2 + rows * (2 + k * 26))
+    ends = array.array("i", [0]) * (rows + 1)
+    address = _sweep._address
+    assert _sweep.kernel().rows_text(address(ids), k, k, 1, 0, rows, address(store),
+                                     address(at), len(values), address(out), len(out),
+                                     address(ends)) >= 0
+    doc_rows = [bytes(out[a:b]) for a, b in itertools.pairwise([0, *ends[:rows]])]
+    n_kw = np.asarray(state.n_kw).reshape(-1)
+    n_kw_rows = [json.dumps(n_kw[t::k].tolist()).encode() for t in range(k)]
+    with open(path, "wb") as fh:
+        fh.write(f'{head[:-1]}, "n_kw": ['.encode() + b", ".join(n_kw_rows))
+        fh.write(b'], "doc_topic": [' + b", ".join(doc_rows) + f"], {tail[1:]}".encode())
+
+
+# each field of a state file -> the types json.loads may give it, and for an
+# array the types of its items (a bool is not a number)
+_STATE_FIELDS = {"k": ((int,), None), "alpha": ((list,), {int, float}),
+                 "beta": ((int, float), None), "seed": ((int,), None),
+                 "vocabulary": ((list,), {str}), "n_kw": ((list,), {list}),
+                 "doc_topic": ((list,), {list}), "doc_novels": ((list,), {str}),
+                 "log_likelihood": ((list,), {int, float})}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a float", bool: "a boolean", type(None): "null"}
+
+
+def _state_items(path, name: str, rows: list, kinds: set[type]) -> None:
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= kinds:
+        bad = next(x for x in itertools.chain.from_iterable(rows) if type(x) not in kinds)
+        expected = " or ".join(sorted(kind.__name__ for kind in kinds))
+        raise ValueError(f"topic state {path}: {name} holds {bad!r}, not {expected}")
+
+
+def _state_shape(path, name: str, matrix: list[list], width: int, kinds: set[type]) -> tuple:
+    widths = sorted({len(row) for row in matrix})
+    if len(widths) > 1:
+        raise ValueError(f"topic state {path}: {name} has rows of {widths[0]} to {widths[-1]} "
+                         f"values")
+    _state_items(path, name, matrix, kinds)
+    return (len(matrix), widths[0] if widths else width)
+
+
+def load_state_reference(path) -> dict:
+    """``topics.load_state`` as it was before it decoded the file one value at
+    a time: the whole file as one string through one ``json.loads``, then
+    every check on the whole dict, with the same messages."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: must hold a JSON object, got {type(payload).__name__}")
+    if payload.get("format") != STATE_FORMAT or payload.get("version") != STATE_VERSION:
+        raise ValueError(f"unrecognized topic state file: {path}")
+    missing = [name for name in _STATE_FIELDS if name not in payload]
+    if missing:
+        raise ValueError(f"topic state {path} lacks the field {missing[0]!r}")
+    model = {name: payload[name] for name in _STATE_FIELDS}
+    for name, (kinds, items) in _STATE_FIELDS.items():
+        if type(model[name]) not in kinds:
+            expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+            raise ValueError(f"topic state {path}: {name} is {_JSON_TYPES[type(model[name])]}, "
+                             f"not {expected}")
+        if items is not None:
+            _state_items(path, name, [model[name]], items)
+    k, v, d = model["k"], len(model["vocabulary"]), len(model["doc_novels"])
+    shapes = {
+        "alpha": ((len(model["alpha"]),), (k,)),
+        "n_kw": (_state_shape(path, "n_kw", model["n_kw"], v, {int}), (k, v)),
+        "doc_topic": (_state_shape(path, "doc_topic", model["doc_topic"], k, {int, float}),
+                      (d, k)),
+    }
+    for name, (found, expected) in shapes.items():
+        if found != expected:
+            raise ValueError(f"topic state {path}: {name} has shape {found}, expected {expected}")
+    return model
 
 
 def check_annotation_invariants(ann) -> None:

@@ -473,6 +473,25 @@ def test_state_field_of_wrong_type_names_file_and_field(tmp_path, upstream, caps
         assert json.loads((out / "error.json").read_text())["message"] == message
 
 
+def test_state_with_a_matrix_before_its_fields_is_refused(tmp_path, upstream, capsys):
+    """stats and topics-inspect take state.json's matrix rows as they are
+    decoded, so a state whose doc_topic and n_kw come before the vocabulary
+    is a runtime error naming the file, never misread; load_state, which
+    keeps every row, reads it as json.loads does."""
+    out = tmp_path / "out"
+    shutil.copytree(upstream, out)
+    path = out / "topics" / "state.json"
+    state = json.loads(path.read_text(encoding="utf-8"))
+    keys = ["doc_topic", "n_kw"] + [key for key in state if key not in ("doc_topic", "n_kw")]
+    path.write_text(json.dumps({key: state[key] for key in keys}), encoding="utf-8")
+    assert topics.load_state(path) == {key: state[key] for key in topics.STATE_FIELDS}
+    for command in ("stats", "topics-inspect"):
+        capsys.readouterr()
+        assert run(command, "--config", CONFIG, "--output", str(out)) == 2
+        assert (f"error: topic state {path}: n_kw comes before format, which save_state "
+                f"writes first\n") in capsys.readouterr().err
+
+
 def run_with_csv(tmp_path, upstream, command, section, key, text):
     """command over a copy of upstream, with the fixture config's
     section.key (the top-level key when section is None) naming
@@ -1072,6 +1091,10 @@ WRITES = {
     ("eval", "godspell.stats"),
     ("annotate", "uuid"),
     ("topics-train", "subprocess,tempfile"),
+    ("topics-train", "godspell.statefile"),
+    ("annotate", "godspell.statefile"),
+    ("stats", "ctypes,godspell._sweep"),
+    ("topics-inspect", "ctypes,godspell._sweep"),
     ("topics-inspect", "godspell.corpus"),
     ("report", "godspell.corpus"),
     ("annotate", "csv"),
@@ -1121,10 +1144,12 @@ def test_annotate_http_runs_without_ssl_or_http_client(tmp_path):
 
 @pytest.mark.parametrize("endpoint", ["localhost:11434", "ftp://localhost:11434", "http://",
                                       "http://localhost:port", "http://localhost:99999",
-                                      "http://localhost:0"])
+                                      "http://localhost:0", "http://127.0.0.1:9/café",
+                                      "http://127.0.0.1:9/a b"])
 @pytest.mark.parametrize("source", ["flag", "environment", "file"])
 def test_malformed_endpoint_is_a_config_error(tmp_path, monkeypatch, capsys, endpoint, source):
-    """An endpoint that is not http(s) with a host stops annotate before it
+    """An endpoint that is not http(s) with a host, or that a request line
+    cannot carry (not ASCII, or with a space), stops annotate before it
     reads a passage, and is not retried at each passage's call."""
     out = tmp_path / "out"
     out.mkdir()

@@ -484,35 +484,42 @@ def test_transposed_walk_rejects_what_it_cannot_walk(compiled):
 
 
 def test_distinct_numbers_the_patterns_by_first_appearance(compiled):
-    """Thousands of distinct doubles, so the table grows several times: the
-    values are the distinct bit patterns in order of first appearance
-    (-0.0 apart from 0.0, each nan apart), and each id points at its own."""
+    """Thousands of distinct doubles, so the table grows several times,
+    given whole or in pieces to one Distinct: the values are the distinct
+    bit patterns in order of first appearance (-0.0 apart from 0.0, each
+    nan apart), and each id points at its own, across the calls too."""
     rng = np.random.default_rng(1)
     other_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)
     pool = np.concatenate([rng.random(5000), [0.0, -0.0, np.nan, -np.nan, np.inf, 5e-324],
                            other_nan])
     x = np.concatenate([rng.choice(pool, 40_000), pool])
-    for values_in in (x, x[:0], x[:1], np.full(3000, 0.25)):
-        ids, values = _sweep.distinct(np.ascontiguousarray(values_in))
+    for values_in, pieces in ((x, 1), (x, 7), (x[:0], 1), (x[:1], 1), (np.full(3000, 0.25), 3)):
+        numbers = _sweep.Distinct()
+        ids = array.array("i")
+        for piece in np.array_split(values_in, pieces):
+            ids.extend(numbers.ids(np.ascontiguousarray(piece)))
         bits = values_in.view(np.int64).tolist()
         order = list(dict.fromkeys(bits))
-        assert values.typecode == "d" and ids.typecode == "i"
-        assert np.frombuffer(values, dtype=np.float64).view(np.int64).tolist() == order
+        assert len(numbers) == len(order) and numbers.values.typecode == "d"
+        assert np.frombuffer(numbers.values, dtype=np.float64)[:len(numbers)].view(
+            np.int64).tolist() == order
         assert [order[i] for i in ids] == bits
 
 
 def test_row_texts_of_numbers(compiled):
-    """Each index as json.dumps writes the number it points at; an index
-    outside the numbers is a ValueError, before any row is given."""
-    numbers = array.array("d", [0.5, -0.0, float("nan"), 1e22, 1 / 3])
+    """With texts, each index as the text it points at; an index outside
+    the texts is a ValueError, before any row is given."""
+    parts = [json.dumps(x) for x in (0.5, -0.0, float("nan"), 1e22, 1 / 3)]
+    store = bytearray("".join(parts).encode())
+    at = array.array("i", itertools.accumulate(map(len, parts), initial=0))
     ids = array.array("i", [4, 3, 2, 1, 0, 0])
-    rows = list(map(bytes, _sweep.row_texts(ids, 2, numbers=numbers)))
+    rows = list(map(bytes, _sweep.row_texts(ids, 2, texts=(store, at))))
     assert rows == [json.dumps([1 / 3, 1e22, float("nan")]).encode(),
                     json.dumps([-0.0, 0.5, 0.5]).encode()]
     for bad in (-1, 5):
         ids[1] = bad
-        with pytest.raises(ValueError, match="outside the numbers"):
-            next(_sweep.row_texts(ids, 2, numbers=numbers))
+        with pytest.raises(ValueError, match="outside the texts"):
+            next(_sweep.row_texts(ids, 2, texts=(store, at)))
 
 
 @pytest.mark.parametrize("block", [64, 4096])

@@ -1,6 +1,6 @@
 """The two text passes of topics-train that Python does around the kernel:
-``row_texts``' text of state.json's shares, taken from ``json.dumps`` a
-slice at a time and copied by the kernel, and ``vocabulary_of``, the
+``topics.share_texts``' text of state.json's shares, taken from ``json.dumps`` a
+block at a time and copied by the kernel, and ``vocabulary_of``, the
 tokens of a FormTable's forms, against the per-form ``vocabulary_of_numpy``
 and the two facts about ``str`` it rests on."""
 
@@ -50,13 +50,13 @@ def edge_numbers() -> list[float]:
     return positive + [-x for x in positive]
 
 
-def test_row_texts_of_numbers_are_json(compiled):
-    """Doubles indexed by a matrix, more of them than one json.dumps slice
-    formats and each indexed at least once: each row is json.dumps of its
-    numbers, at the edges of float text too."""
+def test_row_texts_of_numbers_are_json(compiled, monkeypatch):
+    """Thousands of distinct doubles in rows of 65, each at least once, in
+    blocks of the default size and of 4096 bytes: each row's text from
+    share_texts is json.dumps of its numbers, at the edges of float text too."""
     rng = np.random.default_rng(7)
-    numbers = np.concatenate([rng.random(2 * _sweep.NUMBER_SLICE + 300), edge_numbers()])
-    assert len(np.unique(numbers.view(np.int64))) > 2 * _sweep.NUMBER_SLICE
+    numbers = np.concatenate([rng.random(8192 + 300), edge_numbers()])
+    assert len(np.unique(numbers.view(np.int64))) > 8192
     edges = [-0.0, math.nan, math.inf, -math.inf, 5e-324, sys.float_info.max,
              math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0), math.nextafter(1e16, 0.0),
              math.nextafter(1e16, math.inf)]
@@ -64,11 +64,14 @@ def test_row_texts_of_numbers_are_json(compiled):
     rows, cols = len(numbers) // 65 + 1, 65
     ids = np.concatenate([rng.permutation(len(numbers)),
                           rng.integers(0, len(numbers), rows * cols - len(numbers))])
-    ids = ids.astype(np.int32).reshape(rows, cols)
-    texts = list(map(bytes, _sweep.row_texts(ids, rows, numbers=numbers)))
-    assert texts == [json.dumps(numbers[row].tolist()).encode() for row in ids]
-    with pytest.raises(TypeError, match="numbers"):
-        next(_sweep.row_texts(array.array("i", [0]), 1, numbers=array.array("f", [1.0])))
+    matrix = numbers[ids.reshape(rows, cols)]
+    for block in (_sweep.BLOCK, 4096):
+        monkeypatch.setattr(_sweep, "BLOCK", block)
+        texts = list(map(bytes, topics.share_texts(
+            lambda r0, r1: np.ascontiguousarray(matrix[r0:r1]).reshape(-1), rows, cols)))
+        assert texts == [json.dumps(row).encode() for row in matrix.tolist()]
+    with pytest.raises(TypeError, match="x must be"):
+        next(topics.share_texts(lambda r0, r1: array.array("f", [1.0]), 1, 1))
 
 
 # forms at the edges of the vocabulary's rules

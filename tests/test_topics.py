@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from godspell import _sweep, topics
+from godspell import _sweep, statefile, topics
 from godspell.corpus import Segment
 from godspell.topics import (
     DEFAULT_BETA,
     VocabularyError,
     authorless_downsample,
     build_vocabulary,
-    doc_topic_proportions,
+    doc_topic_rows,
     gibbs_sweep,
     init_state,
     load_state,
@@ -40,6 +40,7 @@ from oracles import (
     build_vocabulary_reference,
     count_views,
     doc_topic_proportions_reference,
+    load_state_reference,
     lda_log_likelihood_direct,
     log_likelihood_reference,
     maximize_dirichlet_alpha,
@@ -50,6 +51,7 @@ from oracles import (
     randbelow,
     save_state_by_row_reference,
     save_state_reference,
+    save_state_whole_reference,
     topic_conditional,
     uniforms,
 )
@@ -525,8 +527,11 @@ class TestAgainstNumpyReferences:
         _, twin = random_state(*self.CASES[case])
         for _ in range(2):
             assert float_bits(log_likelihood(state)) == float_bits(log_likelihood_reference(twin))
-            assert float_bits(doc_topic_proportions(state)) == float_bits(
+            d = len(docs)
+            assert float_bits(doc_topic_rows(state, 0, d)) == float_bits(
                 doc_topic_proportions_reference(twin))
+            assert float_bits(doc_topic_rows(state, d // 3, d - 1)) == float_bits(
+                doc_topic_proportions_reference(twin)[d // 3:d - 1])
             assert float_bits(optimize_alpha(state)) == float_bits(optimize_alpha_reference(twin))
             assert float_bits(state.alpha) == float_bits(twin.alpha)
             assert float_bits(optimize_beta(state)) == float_bits(optimize_beta_reference(twin))
@@ -693,7 +698,7 @@ class TestNovelProminence:
         state = init_state(docs, k=2, vocabulary_size=2, rng_seed=0)
         state.alpha = np.array([1e-12, 1e-12])
         state.n_dk = np.array([0, 4] * 3, dtype=np.int32)
-        result = prominence_from_doc_topic(rows(doc_topic_proportions(state), 2),
+        result = prominence_from_doc_topic(rows(doc_topic_rows(state, 0, 3), 2),
                                            ["n1", "n1", "n1"])
         assert result["n1"][1] == pytest.approx(100.0, abs=1e-6)
 
@@ -708,7 +713,7 @@ class TestNovelProminence:
         state = init_state(docs, k=4, vocabulary_size=10, rng_seed=3)
         gibbs_sweep(state, docs)
         novels = [f"n{i % 3}" for i in range(12)]
-        doc_topic = rows(doc_topic_proportions(state), 4)
+        doc_topic = rows(doc_topic_rows(state, 0, 12), 4)
         for row in prominence_from_doc_topic(doc_topic, novels).values():
             assert sum(row) == pytest.approx(100.0, abs=1e-6)
 
@@ -749,7 +754,7 @@ class TestNovelProminence:
         novels = [rng.choice(["a", "b", "c"]) for _ in docs]
         state, _ = train(docs, 6, k=1, sweeps=2, burn_in=0, optimize_interval=1,
                          rng_seed=1)
-        self.assert_bitwise_reference(rows(doc_topic_proportions(state), 1), novels)
+        self.assert_bitwise_reference(rows(doc_topic_rows(state, 0, 300), 1), novels)
 
     def test_bitwise_numpy_mean_of_golden_state(self):
         model = load_state(Path(__file__).parent / "golden" / "topics" / "state.json")
@@ -773,7 +778,7 @@ class TestStateIO:
         assert loaded["k"] == 2
         assert loaded["seed"] == 7
         assert loaded["n_kw"] == topic_rows(state.n_kw, 2)
-        assert loaded["doc_topic"] == rows(doc_topic_proportions(state), 2)
+        assert loaded["doc_topic"] == rows(doc_topic_rows(state, 0, 10), 2)
         assert loaded["doc_novels"] == novels
         assert loaded["log_likelihood"] == lls
         assert loaded["vocabulary"] == vocab.words
@@ -867,30 +872,35 @@ class TestStateIO:
 
 
 class TestStateWriter:
-    """save_state against the whole-payload json.dumps and the dict-based
-    row writer it replaced, both in tests/oracles.py: the same bytes."""
+    """save_state against the whole-payload json.dumps, the dict-based row
+    writer and the whole-matrix kernel writer it replaced, all in
+    tests/oracles.py: the same bytes."""
 
     @staticmethod
     def assert_same_bytes(tmp_path, n_kw, doc_topic, words, novels, alpha=None):
         """n_kw is given topic-major, (K, V), and the state holds it
         word-major, as a TopicState does. doc_topic stands in for the
         state's shares on every side, so that they can be values no trained
-        state holds."""
-        k = n_kw.shape[0]
+        state holds: save_state takes it a block of rows at a time from
+        topics.doc_topic_rows, and the references whole."""
+        k, flat = n_kw.shape[0], np.ascontiguousarray(doc_topic, dtype=np.float64).reshape(-1)
         state = SimpleNamespace(k=k, alpha=np.full(k, 0.5) if alpha is None else alpha,
-                                beta=0.01, rng_seed=3, n_kw=np.ascontiguousarray(n_kw.T))
+                                beta=0.01, rng_seed=3, n_kw=np.ascontiguousarray(n_kw.T),
+                                n_dk=np.zeros(len(novels) * k, dtype=np.int32))
         vocab = SimpleNamespace(words=words)
         lls = [-12.5, -1e-05]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(topics, "doc_topic_proportions",
-                          lambda _: np.ascontiguousarray(doc_topic, dtype=np.float64))
+            patch.setattr(topics, "doc_topic_rows",
+                          lambda _, r0, r1: flat[r0 * k:r1 * k].copy())
             patch.setattr(oracles, "doc_topic_proportions_reference", lambda _: doc_topic)
             save_state(tmp_path / "fast.json", state, lls, vocab, novels)
             save_state_reference(tmp_path / "ref.json", state, lls, vocab, novels)
             save_state_by_row_reference(tmp_path / "rows.json", state, lls, vocab, novels)
+            save_state_whole_reference(tmp_path / "whole.json", state, lls, vocab, novels)
         fast = (tmp_path / "fast.json").read_bytes()
         assert fast == (tmp_path / "ref.json").read_bytes()
         assert fast == (tmp_path / "rows.json").read_bytes()
+        assert fast == (tmp_path / "whole.json").read_bytes()
         assert json.loads(fast)["n_kw"] == n_kw.tolist()
 
     def test_more_distinct_shares_than_the_first_table(self, tmp_path):
@@ -902,6 +912,35 @@ class TestStateWriter:
         n_kw = rng.integers(0, 50, (5, 7), dtype=np.int32)
         self.assert_same_bytes(tmp_path, n_kw, doc_topic, list("abcdefg"),
                                [f"n{i % 7}" for i in range(2000)])
+
+    @pytest.mark.parametrize("block", [None, 2000])
+    def test_distinct_shares_outgrow_the_table_within_and_across_blocks(self, tmp_path,
+                                                                        monkeypatch, block):
+        """New shares in every block, more than the first table holds
+        (512): in the first block alone at the default block size, and only
+        over several blocks of 37 rows (74 shares) when the blocks are small."""
+        if block is not None:
+            monkeypatch.setattr(_sweep, "BLOCK", block)
+        rng = np.random.default_rng(11)
+        doc_topic = rng.random((600, 2))
+        doc_topic[::3] = doc_topic[1::3][:200]  # and some recur in later blocks
+        n_kw = rng.integers(0, 9, (2, 5), dtype=np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, list("vwxyz"),
+                               [f"n{i % 4}" for i in range(600)])
+
+    def test_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch):
+        """Blocks of 4 rows (80 bytes a row of 3 shares at most) over 37
+        rows, so the last block holds one."""
+        monkeypatch.setattr(_sweep, "BLOCK", 320)
+        rng = np.random.default_rng(37)
+        doc_topic = rng.choice([0.5, 1 / 3, 1e-300, -0.0], (37, 3))
+        n_kw = rng.integers(0, 5, (3, 4), dtype=np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, doc_topic, list("abcd"), ["a"] * 37)
+
+    def test_no_documents(self, tmp_path):
+        """D = 0: doc_topic is written as [] and no share is taken."""
+        n_kw = np.array([[1, 0], [0, 2]], dtype=np.int32)
+        self.assert_same_bytes(tmp_path, n_kw, np.zeros((0, 2)), ["a", "b"], [])
 
     @pytest.mark.parametrize("block", [1, 20, 64, 1000])
     def test_rows_in_small_blocks(self, tmp_path, monkeypatch, block):
@@ -949,3 +988,160 @@ class TestStateWriter:
         words = data.draw(st.lists(st.text(), min_size=v, max_size=v))
         novels = data.draw(st.lists(st.text(max_size=3), min_size=d, max_size=d))
         self.assert_same_bytes(tmp_path_factory.mktemp("state"), n_kw, doc_topic, words, novels)
+
+
+GOLDEN_STATE = Path(__file__).parent / "golden" / "topics" / "state.json"
+
+
+def read_taking(path) -> tuple[dict, dict]:
+    """statefile.read_state with both matrices taken: the fields it returns,
+    and the rows it handed on, each checked to be an array of its matrix's
+    types and width."""
+    taken: dict[str, list] = {"n_kw": [], "doc_topic": []}
+
+    def take(name):
+        def keep(row, fields):
+            width = fields["k"] if name == "doc_topic" else len(fields["vocabulary"])
+            assert type(row) is list and len(row) == width
+            assert set(map(type, row)) <= statefile.MATRICES[name]
+            taken[name].append(row)
+        return keep
+
+    return statefile.read_state(path, {name: take(name) for name in taken}), taken
+
+
+class TestStateReader:
+    """The one decoder of state.json against the whole-string load_state it
+    replaced (load_state_reference, tests/oracles.py): the same dict or the
+    same ValueError, with the matrices kept or taken a row at a time."""
+
+    @staticmethod
+    def assert_as_reference(path):
+        try:
+            expected = load_state_reference(path)
+        except ValueError as e:
+            message = re.escape(str(e))
+            with pytest.raises(ValueError, match=message):
+                load_state(path)
+            with pytest.raises(ValueError, match=message):
+                read_taking(path)
+            return
+        assert load_state(path) == expected
+        fields, taken = read_taking(path)
+        assert fields == {name: value for name, value in expected.items() if name not in taken}
+        assert taken == {name: expected[name] for name in taken}
+
+    CHANGES = {
+        **{f"{name}: {message}": change for name, (change, message) in
+           TestStateIO.MALFORMED.items()},
+        **{f"{name} shape": change for name, change in TestStateIO.DAMAGE.items()},
+        **{f"no {name}": (lambda name: lambda p: p.pop(name))(name) for name in
+           topics.STATE_FIELDS},
+        **{f"{name} = {value!r}": (lambda name, value: lambda p: p.__setitem__(name, value))(
+            name, value) for name, value in [
+               ("vocabulary", None), ("alpha", 3), ("doc_novels", 5), ("k", "5"), ("k", True),
+               ("beta", "x"), ("log_likelihood", None), ("n_kw", {}), ("doc_topic", 1.5),
+               ("k", 3), ("version", 2), ("doc_topic", [])]},
+        "n_kw row of bools": lambda p: p["n_kw"].__setitem__(0, [True] * 3),
+        "doc_topic row not a list": lambda p: p["doc_topic"].__setitem__(1, 0.5),
+        "ragged doc_topic and a string share": lambda p: (
+            p["doc_topic"][0].append(0.5), p["doc_topic"][2].__setitem__(0, "x")),
+        "n_kw as wide as k": lambda p: p.__setitem__("n_kw", [[1, 2], [3, 4]]),
+        "a field more": lambda p: p.__setitem__("extra", {"n_kw": [[1]]}),
+    }
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_same_dict_or_error_as_the_reference(self, tmp_path, change):
+        self.assert_as_reference(TestStateIO.damaged_state(tmp_path, self.CHANGES[change]))
+
+    @pytest.mark.parametrize("read", [1, 7, 100, 4096])
+    def test_rows_split_across_reads(self, monkeypatch, read):
+        """Reads of a few characters cut every row, key and number of the
+        golden state somewhere: each still decodes whole."""
+        monkeypatch.setattr(statefile, "READ", read)
+        self.assert_as_reference(GOLDEN_STATE)
+
+    def test_whitespace_and_byte_order_mark(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(statefile, "READ", 5)
+        payload = json.loads(GOLDEN_STATE.read_text(encoding="utf-8"))
+        path = tmp_path / "state.json"
+        path.write_text("﻿ \n" + json.dumps(payload, indent=1) + "\r\n", encoding="utf-8")
+        self.assert_as_reference(path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_keys_in_another_order(self, tmp_path, seed):
+        """The keys shuffled (seed 0 reverses them): load_state reads the same
+        dict, and a caller taking rows gets the same rows, or a ValueError
+        naming the file when a matrix comes before a field it follows in
+        save_state's order; never other rows."""
+        payload = json.loads(GOLDEN_STATE.read_text(encoding="utf-8"))
+        keys = list(payload)[::-1] if seed == 0 else random.Random(seed).sample(list(payload),
+                                                                               len(payload))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({key: payload[key] for key in keys}), encoding="utf-8")
+        expected = load_state_reference(path)
+        assert load_state(path) == expected
+        late = [name for name in statefile.MATRICES
+                if any(keys.index(key) > keys.index(name)
+                       for key in statefile.ORDER[:statefile.ORDER.index(name)])]
+        if late:
+            with pytest.raises(ValueError, match=re.escape(f"topic state {path}: {late[0]} "
+                                                           f"comes before")):
+                read_taking(path)
+        else:
+            self.assert_as_reference(path)
+
+    @pytest.mark.parametrize("key", ["k", "n_kw", "doc_topic", "format"])
+    def test_repeated_key(self, tmp_path, key):
+        """json.loads would keep the last value; the decoder refuses the file."""
+        text = GOLDEN_STATE.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        path = tmp_path / "state.json"
+        path.write_text(f'{text[:-1]}, "{key}": {json.dumps(payload[key])}}}', encoding="utf-8")
+        for read in (load_state, read_taking):
+            with pytest.raises(ValueError, match=re.escape(f"topic state {path}: the key "
+                                                           f"{key!r} repeats")):
+                read(path)
+
+    @pytest.mark.parametrize("matrix", ["n_kw", "doc_topic"])
+    def test_file_ending_mid_row(self, tmp_path, monkeypatch, matrix):
+        """Cut inside a row's number: not valid JSON, though every row before
+        the cut was handed on."""
+        text = GOLDEN_STATE.read_text(encoding="utf-8")
+        path = tmp_path / "state.json"
+        path.write_text(text[:text.index(f'"{matrix}": [[') + 40], encoding="utf-8")
+        self.assert_as_reference(path)
+        monkeypatch.setattr(statefile, "READ", 7)
+        self.assert_as_reference(path)
+        for read in (load_state, read_taking):
+            with pytest.raises(ValueError, match=re.escape(f"{path} is not valid JSON")):
+                read(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        data = GOLDEN_STATE.read_bytes()
+        path = tmp_path / "state.json"
+        at = data.index(b'"vocabulary": ["') + 16
+        path.write_bytes(data[:at] + b"caf\xe9" + data[at:])
+        for read in (load_state, read_taking):
+            with pytest.raises(ValueError, match=re.escape(f"{path} is not UTF-8")):
+                read(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", ": must hold a JSON object, got list"),
+        ('{"k": 1} x', "is not valid JSON: Extra data: line 1 column 10 (char 9)"),
+        ('{"k"\n 1}', "is not valid JSON: Expecting ':' delimiter: line 2 column 2 (char 6)"),
+        ('{"k": 1,}', "is not valid JSON: Expecting property name enclosed in double quotes"),
+        ('{"n_kw": [[1] [2]]}', "is not valid JSON: Expecting ',' delimiter: line 1 column 15 "
+                                "(char 14)"),
+        ("{}", "unrecognized topic state file"),
+    ])
+    def test_json_that_is_not_a_state(self, tmp_path, monkeypatch, text, message):
+        """The messages of json.loads, line and column too, whatever the reads."""
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        for read in (4096, 2):
+            monkeypatch.setattr(statefile, "READ", read)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_state(path)
+        self.assert_as_reference(path)
