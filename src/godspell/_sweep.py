@@ -1234,16 +1234,19 @@ class FormTable:
 
     The kernel hashes each word's UTF-8 bytes into an open-addressing table
     kept for the whole corpus and appends new forms to a byte store, each
-    followed by a space; no word becomes a Python string. It stops when its
-    id buffer is full, which is then appended to ``words``, or when the
-    store or the half-full table would overflow; that buffer is doubled
-    and the kernel resumes where it stopped."""
+    followed by a space; no word becomes a Python string. Its id buffer
+    holds as many ids as a text may have words, up to ``OUT``. It stops when
+    that buffer is full, which is then appended to ``words``, or when the
+    store or the half-full table would overflow, which then grows; the
+    kernel resumes where it stopped."""
+
+    OUT = 1 << 16  # the most ids that one kernel call writes
 
     def __init__(self) -> None:
         self.words = array.array("i")  # each word's form id, in text order
         self._slots = array.array("i", [-1]) * (3 * 1024)  # (hash, form id, store offset)
         self._store = bytearray(1 << 14)
-        self._out = array.array("i", [0]) * (1 << 16)
+        self._out = array.array("i")  # each text's ids, grown to what a text may hold
         # the forms, those in the table, the store's bytes used, the ids in out
         self._tally = array.array("i", [0, 0, 0, 0])
 
@@ -1269,6 +1272,9 @@ class FormTable:
             raise TypeError(f"text must be bytes, not {type(text).__name__}")
         lib, tally = kernel(), self._tally
         n_words = len(self.words)
+        need = max(1, min((len(text) + 1) // 2, self.OUT))  # a word and a space: 2 bytes
+        if len(self._out) < need:
+            self._out = array.array("i", [0]) * need
         at = 0
         while True:
             n_slots = len(self._slots) // 3

@@ -7,12 +7,16 @@ decoded instead of the matrix; ``topics.load_state`` keeps them all.
 
 The checks are ``load_state``'s, made in its order and with its messages
 once the whole file is decoded, so that a file is refused for the same
-reason whatever a caller takes; JSON that is not valid is refused where it
-is met. A row is handed on only when it and every field that ``save_state``
-writes before its matrix pass their checks, so a caller never sees a row
-that the checks would refuse; a file whose matrix comes before such a field
-is refused. ``topics`` imports this module only when it loads a state, so
-the commands that write one never compile it.
+reason whatever a caller takes. JSON that is not valid is refused where it
+is met, with ``config.read_json``'s error, for which the file is read
+whole. A row is handed on only when it is an array of its matrix's types,
+as wide as the fields before it say, and those fields pass the checks of
+their types; a file whose matrix comes before such a field is refused. The
+checks that need the whole file (the number of rows, what comes after the
+matrix) are made only at its end, so rows may be handed on before a later
+check refuses the file: a caller acts on them only once ``read_state`` has
+returned. ``topics`` imports this module only when it loads a state, so the
+commands that write one never compile it.
 """
 
 from __future__ import annotations
@@ -47,26 +51,22 @@ class _Stream:
     def __init__(self, path: Path | str, fh: TextIO) -> None:
         self.path, self.fh = path, fh
         self.buf, self.pos, self.eof = "", 0, False
-        # the characters dropped, the line ends among them and where the last one is
-        self.base, self.lines, self.last_line_end = 0, 0, -1
 
     def more(self) -> None:
-        ends = self.buf.count("\n", 0, self.pos)
-        if ends:
-            self.lines += ends
-            self.last_line_end = self.base + self.buf.rindex("\n", 0, self.pos)
         chunk = self.fh.read(max(READ, len(self.buf) - self.pos))
-        self.base += self.pos
         self.buf, self.pos, self.eof = self.buf[self.pos:] + chunk, 0, not chunk
 
-    def error(self, message: str, at: int | None = None) -> ValueError:
-        """json.loads' message for an error at the position at in what is read."""
-        at = self.pos if at is None else at
-        line_end = self.buf.rfind("\n", 0, at)
-        line = self.lines + self.buf.count("\n", 0, at) + 1
-        column = at - line_end if line_end >= 0 else self.base + at - self.last_line_end
-        return ValueError(f"{self.path} is not valid JSON: {message}: line {line} column {column} "
-                          f"(char {self.base + at})")
+    def invalid(self) -> ValueError:
+        """config.read_json's error for the file, which is not valid JSON:
+        json.loads' own message, line and column. Only here is the file read
+        whole."""
+        from .config import read_json
+
+        try:
+            read_json(self.path)
+        except ValueError as e:
+            return e
+        return ValueError(f"{self.path} changed while it was read")
 
     def peek(self) -> str:
         """The next character that is not whitespace, not taken; '' at the end."""
@@ -76,11 +76,11 @@ class _Stream:
                 return self.buf[self.pos:self.pos + 1]
             self.more()
 
-    def expect(self, chars: str, message: str) -> str:
+    def expect(self, chars: str) -> str:
         """The next character that is not whitespace, which must be one of chars."""
         char = self.peek()
         if not char or char not in chars:
-            raise self.error(message)
+            raise self.invalid()
         self.pos += 1
         return char
 
@@ -95,14 +95,10 @@ class _Stream:
                 if self.eof or end < len(self.buf) and self.buf[end] not in _NUMBER_GOES_ON:
                     self.pos = end
                     return value
-            except json.JSONDecodeError as e:
+            except json.JSONDecodeError:
                 if self.eof:
-                    raise self.error(e.msg, e.pos) from None
+                    raise self.invalid() from None
             self.more()
-
-    def end(self) -> None:
-        if self.peek():
-            raise self.error("Extra data")
 
 
 class _Matrix:
@@ -203,7 +199,7 @@ def _matrix(s: _Stream, name: str, fields: dict, take: Callable | None) -> _Matr
             take(row, fields)
         else:
             width = None  # from a row the checks refuse on, none is handed on
-        closed = s.expect(",]", "Expecting ',' delimiter") == "]"
+        closed = s.expect(",]") == "]"
     return m
 
 
@@ -212,26 +208,25 @@ def _fields(s: _Stream, take: dict[str, Callable]) -> dict:
     given as an array. ValueError naming the file for JSON that is not
     valid, a value that is not an object, or a key that repeats."""
     if s.peek() != "{":
-        value = s.value()
-        s.end()
-        raise ValueError(f"{s.path}: must hold a JSON object, got {type(value).__name__}")
+        raise s.invalid()  # read_json's error: not valid JSON, or not an object
     s.pos += 1
     fields: dict = {}
     closed = s.peek() == "}"
     s.pos += closed
     while not closed:
         if s.peek() != '"':
-            raise s.error("Expecting property name enclosed in double quotes")
+            raise s.invalid()
         key = s.value()
         if key in fields:
             raise ValueError(f"topic state {s.path}: the key {key!r} repeats")
-        s.expect(":", "Expecting ':' delimiter")
+        s.expect(":")
         if key in MATRICES and s.peek() == "[":
             fields[key] = _matrix(s, key, fields, take.get(key))
         else:
             fields[key] = s.value()
-        closed = s.expect(",}", "Expecting ',' delimiter") == "}"
-    s.end()
+        closed = s.expect(",}") == "}"
+    if s.peek():
+        raise s.invalid()
     return fields
 
 
@@ -242,10 +237,11 @@ def read_state(path: Path | str, take: dict[str, Callable] | None = None) -> dic
     decoded, and the fields decoded before it, and the matrix is left out.
     A row is handed on only if it is an array of its matrix's types, as long
     as the vocabulary (n_kw) or k (doc_topic), and every field save_state
-    writes before the matrix came before it and passes its checks. The
-    ValueErrors of ``topics.load_state``, each naming path; one also when a
-    matrix take names comes before a field that save_state writes first,
-    and when the file is not UTF-8."""
+    writes before the matrix came before it and passes the checks of its
+    type; a later check may still refuse the file. The ValueErrors of
+    ``topics.load_state``, each naming path; one also when a matrix take
+    names comes before a field that save_state writes first, and when the
+    file is not UTF-8."""
     take = take or {}
     try:
         with Path(path).open(encoding="utf-8-sig") as fh:

@@ -81,13 +81,14 @@ def test_every_growth_path(compiled):
     rng = random.Random(7)
     pool = [f"w{i}" for i in range(30_000)]
     texts = ["", " \t\n　  ",
-             " ".join(rng.choice(pool) for _ in range(len(fresh._out) + 10)),
+             " ".join(rng.choice(pool) for _ in range(fresh.OUT + 10)),
              "ü" * len(fresh._store), "", " " * 5]
     texts += [" ".join(rng.choice(pool) for _ in range(5_000)) for _ in range(8)]
     table = same_as_reference(texts)
     assert len(table._slots) > len(fresh._slots) and len(table._store) > len(fresh._store)
     # a full id buffer is emptied into words; nothing else grows for it
-    assert fresh.add(b"a " * (3 * len(fresh._out))) == 3 * len(fresh._out)
+    assert fresh.add(b"a " * (3 * fresh.OUT)) == 3 * fresh.OUT
+    assert len(fresh._out) == fresh.OUT
     assert len(fresh._store) == len(_sweep.FormTable()._store) and fresh.forms == ["a"]
 
 

@@ -1131,15 +1131,23 @@ class TestStateReader:
         ("[1, 2]", ": must hold a JSON object, got list"),
         ('{"k": 1} x', "is not valid JSON: Extra data: line 1 column 10 (char 9)"),
         ('{"k"\n 1}', "is not valid JSON: Expecting ':' delimiter: line 2 column 2 (char 6)"),
-        ('{"k": 1,}', "is not valid JSON: Expecting property name enclosed in double quotes"),
         ('{"n_kw": [[1] [2]]}', "is not valid JSON: Expecting ',' delimiter: line 1 column 15 "
                                 "(char 14)"),
+        # a trailing comma: json.loads' message for it differs from Python 3.13 on
+        ('{"k": 1,}', None),
+        ('{"n_kw": [[1],]}', None),
+        ('{"n_kw": [[1, 2,]]}', None),
         ("{}", "unrecognized topic state file"),
     ])
     def test_json_that_is_not_a_state(self, tmp_path, monkeypatch, text, message):
-        """The messages of json.loads, line and column too, whatever the reads."""
+        """The messages of json.loads on the running Python, line and column
+        too, whatever the reads; None stands for json.loads' own."""
         path = tmp_path / "state.json"
         path.write_text(text, encoding="utf-8")
+        if message is None:
+            with pytest.raises(ValueError) as e:
+                json.loads(text)
+            message = f"is not valid JSON: {e.value}"
         for read in (4096, 2):
             monkeypatch.setattr(statefile, "READ", read)
             with pytest.raises(ValueError, match=re.escape(message)):
