@@ -25,13 +25,12 @@ bit for bit, and walks a word-major matrix in topic-major order when asked,
 reading each entry where it lies, by stride. ``distinct`` numbers the
 distinct 64-bit patterns of doubles through a hash table that grows with
 their count (``Distinct`` keeps it across calls), and ``row_texts``
-writes a matrix's rows as JSON text in bounded blocks, of integers or of
-indexes into a store of texts, so that each distinct share of
-``state.json`` is formatted once, by ``json.dumps``, and copied by the
-kernel wherever it recurs; it reads n_kw's topic-major rows by stride
-too. ``histogram`` counts in four copies, entry by entry in turn, so that
-a run of one value, as n_kw's zeros are, does not wait on one count, and
-``shifted`` adds each of a run of counts to its part's
+writes a matrix's rows as JSON text in bounded blocks, each block's rows
+joined by json's ", ", of integers or of indexes into a store of texts, so
+that each distinct share of ``state.json`` is formatted once, by
+``json.dumps``, and copied by the kernel wherever it recurs; it reads
+n_kw's topic-major rows by stride too. ``histogram`` counts the values of
+each column, and ``shifted`` adds each of a run of counts to its part's
 prior. Beside
 them are Cephes ``lgam`` and ``psi`` (Moshier 1989) for x > 0, the code
 behind ``scipy.special.gammaln`` and ``digamma``, with the same constants,
@@ -463,29 +462,18 @@ int64_t span(const int32_t *x, int64_t n, int32_t *lo_hi)
     return 0;
 }
 
-/* out[c * size + x]++ for each x in column c of the (rows, cols) matrix x, or -1 before
-   counting when an x is outside [0, size) or lanes is below 1. out holds lanes copies of the
-   cols * size counts, zeros on entry, and entry i is counted in copy i % lanes, so a value
-   repeated from one entry to the next, as the zeros of n_kw are, adds to lanes counts in turn
-   and not to one count whose last store it would wait on; the copies are added into the
-   first. */
-int64_t histogram(const int32_t *x, int64_t rows, int64_t cols, int64_t size, int64_t lanes,
-                  int32_t *out)
+/* out[c * size + x]++ for each x in column c of the (rows, cols) matrix x, out zeros on
+   entry, or -1 before counting when an x is outside [0, size) */
+int64_t histogram(const int32_t *x, int64_t rows, int64_t cols, int64_t size, int32_t *out)
 {
-    int64_t n = rows * cols, copy = cols * size;
-    if (lanes < 1)
-        return -1;
+    int64_t n = rows * cols;
     for (int64_t i = 0; i < n; i++)
         if (x[i] < 0 || x[i] >= size)
             return -1;
-    for (int64_t i = 0, c = 0, lane = 0; i < n; i++) {
-        out[lane * copy + c * size + x[i]]++;
+    for (int64_t i = 0, c = 0; i < n; i++) {
+        out[c * size + x[i]]++;
         c = c + 1 < cols ? c + 1 : 0;
-        lane = lane + 1 < lanes ? lane + 1 : 0;
     }
-    for (int64_t l = 1; l < lanes; l++)
-        for (int64_t j = 0; j < copy; j++)
-            out[j] += out[l * copy + j];
     return 0;
 }
 
@@ -559,22 +547,22 @@ static uint8_t *put_int(uint8_t *p, int32_t x)
 }
 
 /* The JSON text of rows r0..r1-1 of an int32 matrix of cols columns whose entry (r, c) is
-   m[r * row_stride + c * stride]: each row "[x, y, ...]" with json's separators, one after
-   another in out, row r ending at ends[r - r0]. So a word-major n_kw gives its topic-major
-   rows with strides 1 and K, where it lies. An entry's text is its decimal text, or with
-   offsets at the text of item x of the n_texts items in store: item j is
-   store[at[j]..at[j + 1]). Returns the bytes written, or -1 when the rows would pass the
-   size bytes of out or an item is outside [0, n_texts). */
+   m[r * row_stride + c * stride]: each row "[x, y, ...]" with json's separators, the rows
+   joined by ", " in out. So a word-major n_kw gives its topic-major rows with strides 1 and
+   K, where it lies. An entry's text is its decimal text, or with offsets at the text of item
+   x of the n_texts items in store: item j is store[at[j]..at[j + 1]). Returns the bytes
+   written, or -1 when the rows would pass the size bytes of out or an item is outside
+   [0, n_texts). */
 int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t stride,
                   int64_t r0, int64_t r1, const uint8_t *store, const int32_t *at,
-                  int64_t n_texts, uint8_t *out, int64_t size, int32_t *ends)
+                  int64_t n_texts, uint8_t *out, int64_t size)
 {
     uint8_t *p = out;
     for (int64_t r = r0; r < r1; r++) {
         const int32_t *row = m + r * row_stride;
-        int64_t need = 2 + 13 * cols;  /* ", -2147483648" an entry at most */
+        int64_t need = 4 + 13 * cols;  /* ", [", "]" and ", -2147483648" an entry at most */
         if (at) {
-            need = 2;
+            need = 4;
             for (int64_t c = 0; c < cols; c++) {
                 int32_t x = row[c * stride];
                 if (x < 0 || x >= n_texts)
@@ -584,6 +572,10 @@ int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t st
         }
         if (size - (p - out) < need)
             return -1;
+        if (r > r0) {
+            *p++ = ',';
+            *p++ = ' ';
+        }
         *p++ = '[';
         for (int64_t c = 0; c < cols; c++) {
             int32_t x = row[c * stride];
@@ -600,7 +592,6 @@ int64_t rows_text(const int32_t *m, int64_t cols, int64_t row_stride, int64_t st
             }
         }
         *p++ = ']';
-        ends[r - r0] = (int32_t)(p - out);
     }
     return p - out;
 }
@@ -1097,19 +1088,14 @@ class Distinct:
         return ids
 
 
-LANES = 4  # the copies of the counts that histogram's kernel call keeps
-
-
 def histogram(values, size: int, cols: int = 1) -> array.array:
     """How often each of 0..size-1 occurs in each column of an int32
     (rows, cols) matrix, given flat: column c's counts are
     out[c * size:(c + 1) * size]. ValueError for a value outside [0, size)."""
     values = items("values", values, "i")
-    out = array.array("i", [0]) * (LANES * cols * size)  # the kernel's copies of the counts
-    if kernel().histogram(_address(values), len(values) // cols, cols, size, LANES,
-                          _address(out)):
+    out = array.array("i", [0]) * (cols * size)
+    if kernel().histogram(_address(values), len(values) // cols, cols, size, _address(out)):
         raise ValueError(f"histogram: a value is outside [0, {size})")
-    del out[cols * size:]
     return out
 
 
@@ -1117,36 +1103,43 @@ def histogram(values, size: int, cols: int = 1) -> array.array:
 BLOCK = 1 << 16
 
 
+def block_rows(cols: int, texts: bool = False) -> tuple[int, int]:
+    """The rows of cols entries in one block of row_texts, and the bytes of
+    its buffer: a row takes at most its brackets, the ", " before it and
+    each entry with a ", ", 24 bytes with texts (json's longest double) or 11
+    without ("-2147483648"), and a block holds as many as BLOCK bytes do, or
+    one."""
+    row = 4 + cols * ((24 if texts else 11) + 2)
+    rows = max(1, BLOCK // row)
+    return rows, rows * row
+
+
 def row_texts(values, rows: int, *, transposed: bool = False,
               texts: tuple | None = None) -> Iterator[memoryview]:
-    """The JSON text of each row of an int32 (rows, cols) matrix given flat,
-    brackets included: its integers as json writes them, or with texts, a
-    pair (store, at), the text each integer x is the index of, item x of
-    texts, store[at[x]:at[x + 1]], 24 bytes at most (json's longest double).
+    """The JSON text of the rows of an int32 (rows, cols) matrix given flat,
+    a block of rows at a time (``block_rows``), each row with its brackets
+    and the block's rows joined by json's ", ": its integers as json writes
+    them, or with texts, a pair (store, at), the text each integer x is the
+    index of, item x of texts, store[at[x]:at[x + 1]], 24 bytes at most.
     With transposed, values holds the matrix column by column, as a
     word-major n_kw holds the topic-major rows, and the kernel reads each row
-    where it lies, by stride. The kernel writes a block of rows at a time;
-    each row is a view of the block's buffer, which the next block
-    overwrites. ValueError for an index outside the texts."""
+    where it lies, by stride. Each block is a view of one buffer, which the
+    next block overwrites. ValueError for an index outside the texts."""
     values = items("values", values, "i")
     cols = len(values) // rows if rows else 0
     lib = kernel()
     store, at = texts or (bytearray(), array.array("i"))
-    row_cap = 2 + cols * ((24 if texts else 11) + 2)  # 11: "-2147483648"
-    per_block = max(1, BLOCK // row_cap)
-    out = bytearray(per_block * row_cap)
-    ends = array.array("i", [0]) * per_block
+    per_block, size = block_rows(cols, texts is not None)
+    out = bytearray(size)
     strides = (1, rows) if transposed else (cols, 1)  # from one row, and one entry, to the next
     view = memoryview(out)
     for r0 in range(0, rows, per_block):
-        r1 = min(rows, r0 + per_block)
-        if lib.rows_text(_address(values), cols, *strides, r0, r1, _address(store), _address(at),
-                         max(len(at) - 1, 0), _address(out), len(out), _address(ends)) < 0:
+        end = lib.rows_text(_address(values), cols, *strides, r0, min(rows, r0 + per_block),
+                            _address(store), _address(at), max(len(at) - 1, 0), _address(out),
+                            len(out))
+        if end < 0:
             raise ValueError("row_texts: an index is outside the texts")
-        start = 0
-        for end in ends[:r1 - r0]:
-            yield view[start:end]
-            start = end
+        yield view[:end]
 
 
 def row_sums(matrix, cols: int) -> array.array:
@@ -1258,11 +1251,6 @@ class FormTable:
     def text(self) -> str:
         """Every form in id order, each followed by a space."""
         return self._store[:self._tally[2]].decode()
-
-    @property
-    def forms(self) -> list[str]:
-        """Form id -> form."""
-        return self.text.split(" ")[:-1]
 
     def add(self, text: bytes) -> int:
         """Append the form id of each word of the UTF-8 text to ``words``,

@@ -2,21 +2,22 @@
 one value at a time from a buffered text stream, decoded as
 ``config.read_text`` decodes (UTF-8, with or without a byte-order mark), so
 the file never becomes one string. Each row of ``n_kw`` and ``doc_topic``
-is decoded on its own, and a caller may take each checked row as it is
-decoded instead of the matrix; ``topics.load_state`` keeps them all.
+is decoded on its own, and a caller takes each checked row of a matrix it
+names as it is decoded; no row is kept. ``top_words`` names ``n_kw`` and
+``shares`` names ``doc_topic``.
 
-The checks are ``load_state``'s, made in its order and with its messages
-once the whole file is decoded, so that a file is refused for the same
-reason whatever a caller takes. JSON that is not valid is refused where it
-is met, with ``config.read_json``'s error, for which the file is read
-whole. A row is handed on only when it is an array of its matrix's types,
-as wide as the fields before it say, and those fields pass the checks of
-their types; a file whose matrix comes before such a field is refused. The
-checks that need the whole file (the number of rows, what comes after the
-matrix) are made only at its end, so rows may be handed on before a later
-check refuses the file: a caller acts on them only once ``read_state`` has
-returned. ``topics`` imports this module only when it loads a state, so the
-commands that write one never compile it.
+The checks are made in one order and with one set of messages once the
+whole file is decoded, so that a file is refused for the same reason
+whatever a caller takes; a matrix that is not taken is checked as closely
+as one that is. JSON that is not valid is refused where it is met, with
+``config.read_json``'s error, for which the file is read whole. A row is
+handed on only when it is an array of its matrix's types, as wide as the
+fields before it say, and those fields pass the checks of their types; a
+file whose taken matrix comes before such a field is refused. The checks
+that need the whole file (the number of rows, what comes after the matrix)
+are made only at its end, so rows may be handed on before a later check
+refuses the file: a caller acts on them only once ``read_state`` has
+returned. Only ``stats`` and ``topics-inspect`` import this module.
 """
 
 from __future__ import annotations
@@ -102,21 +103,19 @@ class _Stream:
 
 
 class _Matrix:
-    """A matrix field as the checks see it, row by row: its rows (None when
-    a caller takes them), how many, the first that is not an array, the
-    least and greatest length of those that are, the first entry of a type
-    the matrix does not hold, and the first key save_state writes before it
-    that had not come when it began (None when each had)."""
+    """A matrix field as the checks see it, row by row, none of them kept: how
+    many, the first that is not an array, the least and greatest length of
+    those that are, the first entry of a type the matrix does not hold, and
+    the first key save_state writes before it that had not come when it
+    began (None when each had)."""
 
-    def __init__(self, kinds: set[type], keep: bool) -> None:
-        self.kinds, self.rows = kinds, [] if keep else None
+    def __init__(self, kinds: set[type]) -> None:
+        self.kinds = kinds
         self.count, self.not_list, self.bad, self.widths, self.late = 0, _NONE, _NONE, None, None
 
     def add(self, row) -> bool:
         """Count row in; whether it is an array of the matrix's types."""
         self.count += 1
-        if self.rows is not None:
-            self.rows.append(row)
         if type(row) is not list:
             if self.not_list is _NONE:
                 self.not_list = row
@@ -135,7 +134,7 @@ def _names(kinds: set[type]) -> str:
 
 
 def _problem(name: str, value) -> str | None:
-    """What load_state says of a field of another JSON type, or holding an
+    """What read_state says of a field of another JSON type, or holding an
     item of another type, after "<name> "; None when there is nothing."""
     kinds, items = STATE_FIELDS[name]
     matrix = isinstance(value, _Matrix)
@@ -149,8 +148,12 @@ def _problem(name: str, value) -> str | None:
 
 
 def _check(path: Path | str, fields: dict) -> None:
-    """load_state's checks of the decoded fields, in its order: ValueError
-    naming path for the first that fails."""
+    """The checks of the decoded fields, in their order: ValueError naming
+    path for the first that fails, when the file is not a state file, a
+    field is missing, of another type or holds an item of another type
+    (named too), n_kw is not a matrix of integer counts or doc_topic one of
+    numbers, or alpha, n_kw and doc_topic disagree with k, the vocabulary
+    and doc_novels."""
     if fields.get("format") != STATE_FORMAT or fields.get("version") != STATE_VERSION:
         raise ValueError(f"unrecognized topic state file: {path}")
     missing = [name for name in STATE_FIELDS if name not in fields]
@@ -182,7 +185,7 @@ def _check(path: Path | str, fields: dict) -> None:
 def _matrix(s: _Stream, name: str, fields: dict, take: Callable | None) -> _Matrix:
     """The rows of a matrix, each given to take(row, fields) as it is
     decoded while it and the fields before the matrix pass their checks."""
-    m = _Matrix(MATRICES[name], keep=take is None)
+    m = _Matrix(MATRICES[name])
     width = None  # the length of a row that is handed on; None hands on none
     if take is not None:
         m.late = next((key for key in ORDER[:ORDER.index(name)] if key not in fields), None)
@@ -232,16 +235,16 @@ def _fields(s: _Stream, take: dict[str, Callable]) -> dict:
 
 def read_state(path: Path | str, take: dict[str, Callable] | None = None) -> dict:
     """The STATE_FIELDS of a state file written by save_state, as json.loads
-    gives them, but for each matrix (n_kw, doc_topic) that take names:
-    take[name](row, fields) is called with each of its rows as it is
-    decoded, and the fields decoded before it, and the matrix is left out.
+    gives them, but the matrices (n_kw, doc_topic): take[name](row, fields)
+    is called with each row of each matrix take names as it is decoded, and
+    the fields decoded before it; every other matrix is checked and dropped.
     A row is handed on only if it is an array of its matrix's types, as long
     as the vocabulary (n_kw) or k (doc_topic), and every field save_state
     writes before the matrix came before it and passes the checks of its
-    type; a later check may still refuse the file. The ValueErrors of
-    ``topics.load_state``, each naming path; one also when a matrix take
-    names comes before a field that save_state writes first, and when the
-    file is not UTF-8."""
+    type; a later check may still refuse the file. ValueError naming path
+    for JSON that is not valid or not an object, the first of ``_check``'s
+    checks that fails, a key that repeats, a matrix take names that comes
+    before a field save_state writes first, and a file that is not UTF-8."""
     take = take or {}
     try:
         with Path(path).open(encoding="utf-8-sig") as fh:
@@ -253,8 +256,7 @@ def read_state(path: Path | str, take: dict[str, Callable] | None = None) -> dic
         if fields[name].late is not None:
             raise ValueError(f"topic state {path}: {name} comes before {fields[name].late}, "
                              f"which save_state writes first")
-    return {name: fields[name].rows if name in MATRICES else fields[name]
-            for name in STATE_FIELDS if name not in take}
+    return {name: fields[name] for name in STATE_FIELDS if name not in MATRICES}
 
 
 def top_words(path: Path | str, n: int = 10) -> tuple[list[str], list[list[tuple[int, int]]]]:
@@ -263,18 +265,14 @@ def top_words(path: Path | str, n: int = 10) -> tuple[list[str], list[list[tuple
     from .topics import top_words
 
     top: list[list[tuple[int, int]]] = []
-    words = read_state(path, {
-        "n_kw": lambda counts, fields: top.append(
-            [(w, counts[w]) for w in top_words([counts], fields["vocabulary"], 0, n)]),
-        "doc_topic": lambda row, fields: None})["vocabulary"]
+    words = read_state(path, {"n_kw": lambda counts, fields: top.append(
+        [(w, counts[w]) for w in top_words(counts, fields["vocabulary"], n)])})["vocabulary"]
     return words, top
 
 
 def shares(path: Path | str) -> tuple[int, list[str], list[memoryview]]:
-    """k, doc_novels and each doc_topic row, a view of one array of doubles
-    that holds them all; each n_kw row is checked and dropped."""
+    """k, doc_novels and each doc_topic row, a view of one array of doubles holding them all."""
     doc_topic = array.array("d")
-    model = read_state(path, {"n_kw": lambda row, fields: None,
-                              "doc_topic": lambda row, fields: doc_topic.extend(row)})
+    model = read_state(path, {"doc_topic": lambda row, fields: doc_topic.extend(row)})
     k, novels, view = model["k"], model["doc_novels"], memoryview(doc_topic)
     return k, novels, [view[d * k:(d + 1) * k] for d in range(len(novels))]

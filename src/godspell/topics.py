@@ -36,11 +36,10 @@ dependency. The kernel is compiled on first use into
 ``topics-train`` needs a C compiler: without one, the first kernel call
 raises ``_sweep.BuildError``. Reading a saved state needs no compiler:
 ``statefile``, the one decoder of ``state.json``, reads it one value at a
-time and hands a caller each checked matrix row as it is decoded (so
-``topics-inspect`` and ``stats`` never hold the file, or a matrix they do
-not use), ``load_state`` returns its fields as the dict ``json.loads``
-gives, and ``prominence_from_doc_topic`` averages the doc_topic rows in
-plain Python.
+time and hands a caller each checked row of the matrix it names as it is
+decoded (so ``topics-inspect`` and ``stats`` never hold the file, or a
+matrix they do not use), ``top_words`` ranks one topic's row of counts, and
+``prominence_from_doc_topic`` averages the doc_topic rows in plain Python.
 """
 
 from __future__ import annotations
@@ -249,7 +248,7 @@ class TopicState:
     n_k: array.array         # (K,) topic totals
     vocabulary_size: int
     rng_seed: int
-    rng: random.Random = field(repr=False, default_factory=random.Random)
+    rng: random.Random = field(repr=False)  # seeded by init_state, so that a run replays
 
     def validate(self, docs: list[Sequence[int]]) -> None:
         """Check the lengths, the id ranges and the count identities against
@@ -523,15 +522,12 @@ def train(
     return state, lls
 
 
-def top_words(n_kw: Sequence[Sequence[int]], words: list[str], k: int, n: int = 10) -> list[int]:
-    """Ids of the top-n words of topic k by count, ties broken
-    lexicographically by word: ``heapq.nsmallest``, which is the full sort's
-    first n. ValueError for a topic out of range or a negative n."""
-    if not 0 <= k < len(n_kw):
-        raise ValueError(f"topic index {k} out of range for K={len(n_kw)}")
+def top_words(counts: Sequence[int], words: list[str], n: int = 10) -> list[int]:
+    """Ids of the top-n words of a topic, given its row of n_kw, by count,
+    ties broken lexicographically by word: ``heapq.nsmallest``, which is the
+    full sort's first n. ValueError for a negative n."""
     if n < 0:
         raise ValueError(f"top_words takes n >= 0, not {n}")
-    counts = n_kw[k]
     return heapq.nsmallest(n, range(len(words)), key=lambda w: (-counts[w], words[w]))
 
 
@@ -567,19 +563,18 @@ def prominence_from_doc_topic(
 # here, not in _sweep: _sweep is compiled last and largest, and code added there
 # raised topics-train's memory from its imports on
 def share_texts(rows_of: Callable, rows: int, cols: int) -> Iterator[memoryview]:
-    """The JSON text of each row of a (rows, cols) matrix of doubles, as
-    json.dumps writes it, a block of rows at a time: rows_of(r0, r1) gives
-    rows r0..r1-1 flat, and no more of the matrix is held. Each distinct
-    double is numbered by one ``_sweep.Distinct`` for the whole matrix, its
-    text taken from json.dumps in the block where it first appears, and
-    copied by the kernel (``_sweep.row_texts``) wherever it recurs. Each row
-    is a view that the next block overwrites."""
+    """The JSON text of the rows of a (rows, cols) matrix of doubles, as
+    json.dumps writes them, a block of rows at a time, as ``_sweep.row_texts``
+    gives it: rows_of(r0, r1) gives rows r0..r1-1 flat, and no more of the
+    matrix is held. Each distinct double is numbered by one
+    ``_sweep.Distinct`` for the whole matrix, its text taken from json.dumps
+    in the block where it first appears, and copied by the kernel wherever
+    it recurs. Each block is a view that the next overwrites."""
     from . import _sweep
 
     numbers = _sweep.Distinct()
     store, at = bytearray(), array.array("i", [0])  # each number's text, and where each starts
-    # as row_texts sizes its blocks: 24 bytes and a separator a share at most
-    per_block = max(1, _sweep.BLOCK // (2 + cols * 26))
+    per_block = _sweep.block_rows(cols, texts=True)[0]
     for r0 in range(0, rows, per_block):
         r1 = min(rows, r0 + per_block)
         known, ids = len(numbers), numbers.ids(rows_of(r0, r1))
@@ -608,22 +603,23 @@ def save_state(
     once by ``json.dumps`` and copied by the kernel wherever it recurs."""
     from . import _sweep
 
-    head = json.dumps({
-        "format": STATE_FORMAT,
-        "version": STATE_VERSION,
-        "k": state.k,
-        "alpha": [float(a) for a in state.alpha],
-        "beta": state.beta,
-        "seed": state.rng_seed,
-        "vocabulary": vocabulary.words,
-    }, ensure_ascii=False)
     tail = json.dumps({
         "doc_novels": doc_novels,
         "log_likelihood": log_likelihoods,
     }, ensure_ascii=False)
     k = state.k
     with replacing(path) as tmp, tmp.open("wb") as fh:
-        fh.write(f'{head[:-1]}, "n_kw": '.encode())
+        # the head, the vocabulary's text most of it, is not held while the matrices are written
+        fh.write(json.dumps({
+            "format": STATE_FORMAT,
+            "version": STATE_VERSION,
+            "k": k,
+            "alpha": [float(a) for a in state.alpha],
+            "beta": state.beta,
+            "seed": state.rng_seed,
+            "vocabulary": vocabulary.words,
+        }, ensure_ascii=False)[:-1].encode())
+        fh.write(b', "n_kw": ')
         _write_rows(fh, _sweep.row_texts(state.n_kw, k, transposed=True))
         fh.write(b', "doc_topic": ')
         _write_rows(fh, share_texts(lambda r0, r1: doc_topic_rows(state, r0, r1),
@@ -631,14 +627,14 @@ def save_state(
         fh.write(f", {tail[1:]}".encode())
 
 
-def _write_rows(fh, rows: Iterable[memoryview]) -> None:
-    """Write a JSON matrix, given the text of each row, brackets included,
-    with json's separators."""
+def _write_rows(fh, blocks: Iterable[memoryview]) -> None:
+    """Write a JSON matrix, given the text of each block of its rows, with
+    json's separators."""
     fh.write(b"[")
-    for i, row in enumerate(rows):
+    for i, block in enumerate(blocks):
         if i:
             fh.write(b", ")
-        fh.write(row)
+        fh.write(block)
     fh.write(b"]")
 
 
@@ -649,16 +645,3 @@ STATE_FIELDS = {"k": ((int,), None), "alpha": ((list,), {int, float}),
                 "vocabulary": ((list,), {str}), "n_kw": ((list,), {list}),
                 "doc_topic": ((list,), {list}), "doc_novels": ((list,), {str}),
                 "log_likelihood": ((list,), {int, float})}
-
-
-def load_state(path: Path | str) -> dict:
-    """The STATE_FIELDS of a state file written by save_state, as json.loads
-    gives them, decoded by ``statefile.read_state`` one value at a time.
-    ValueError naming path if it is not a JSON object or not a state file,
-    if a field is missing, of another type or holds an item of another type
-    (named too), if n_kw is not a matrix of integer counts or doc_topic one
-    of numbers, if alpha, n_kw and doc_topic disagree with k, the vocabulary
-    and doc_novels, or if a key repeats."""
-    from .statefile import read_state
-
-    return read_state(path)

@@ -31,6 +31,13 @@ def make_novel(
     )
 
 
+def joined_blocks(rows: list, per_block: int) -> list[bytes]:
+    """The JSON text of each row, joined by json's ", " per_block rows at a
+    time: the blocks that _sweep.row_texts and topics.share_texts give."""
+    texts = [json.dumps(row).encode() for row in rows]
+    return [b", ".join(texts[i:i + per_block]) for i in range(0, len(texts), per_block)]
+
+
 def make_passage(novel_id: str, index: int, position: float, text: str = "words") -> Passage:
     word_count = len(text.split())
     return Passage(

@@ -909,18 +909,16 @@ def save_state_whole_reference(path, state, log_likelihoods, vocabulary, doc_nov
     store = bytearray("".join(texts).encode())
     at = array.array("i", itertools.accumulate(map(len, texts), initial=0))
     rows = len(ids) // k
-    out = bytearray(2 + rows * (2 + k * 26))
-    ends = array.array("i", [0]) * (rows + 1)
+    out = bytearray(rows * (4 + k * 26))
     address = _sweep._address
-    assert _sweep.kernel().rows_text(address(ids), k, k, 1, 0, rows, address(store),
-                                     address(at), len(values), address(out), len(out),
-                                     address(ends)) >= 0
-    doc_rows = [bytes(out[a:b]) for a, b in itertools.pairwise([0, *ends[:rows]])]
+    end = _sweep.kernel().rows_text(address(ids), k, k, 1, 0, rows, address(store),
+                                    address(at), len(values), address(out), len(out))
+    assert end >= 0
     n_kw = np.asarray(state.n_kw).reshape(-1)
     n_kw_rows = [json.dumps(n_kw[t::k].tolist()).encode() for t in range(k)]
     with open(path, "wb") as fh:
         fh.write(f'{head[:-1]}, "n_kw": ['.encode() + b", ".join(n_kw_rows))
-        fh.write(b'], "doc_topic": [' + b", ".join(doc_rows) + f"], {tail[1:]}".encode())
+        fh.write(b'], "doc_topic": [' + out[:end] + f"], {tail[1:]}".encode())
 
 
 # each field of a state file -> the types json.loads may give it, and for an

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from godspell import _sweep, annotate, config, corpus, stats, topics
+from godspell import _sweep, annotate, config, corpus, statefile, stats, topics
 from godspell.cli import main
 from godspell.corpus import read_passages
 from godspell.records import read_annotations
 from helpers import STAGE1_NO, KeepAliveHandler, serving
+from oracles import load_state_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -455,7 +456,7 @@ def test_run_config_that_is_not_a_json_object_names_its_file(tmp_path, capsys, t
 def test_state_field_of_wrong_type_names_file_and_field(tmp_path, upstream, capsys, field,
                                                          value, found):
     """A state.json field of the wrong JSON type is a ValueError from
-    load_state naming the file, the field and the type found, and so a
+    read_state naming the file, the field and the type found, and so a
     runtime error of stats and topics-inspect."""
     out = tmp_path / "out"
     shutil.copytree(upstream, out)
@@ -465,7 +466,7 @@ def test_state_field_of_wrong_type_names_file_and_field(tmp_path, upstream, caps
     path.write_text(json.dumps(state), encoding="utf-8")
     message = f"topic state {path}: {field} is {found}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        topics.load_state(path)
+        statefile.read_state(path)
     for command in ("stats", "topics-inspect"):
         capsys.readouterr()
         assert run(command, "--config", CONFIG, "--output", str(out)) == 2
@@ -474,21 +475,24 @@ def test_state_field_of_wrong_type_names_file_and_field(tmp_path, upstream, caps
 
 
 def test_state_with_a_matrix_before_its_fields_is_refused(tmp_path, upstream, capsys):
-    """stats and topics-inspect take state.json's matrix rows as they are
-    decoded, so a state whose doc_topic and n_kw come before the vocabulary
-    is a runtime error naming the file, never misread; load_state, which
-    keeps every row, reads it as json.loads does."""
+    """stats takes state.json's doc_topic rows and topics-inspect its n_kw
+    rows as they are decoded, so a state whose doc_topic and n_kw come
+    before the vocabulary is a runtime error of each naming the file and
+    the matrix it takes, never misread; read_state taking no matrix, and the
+    whole-string decoder, read it as json.loads does."""
     out = tmp_path / "out"
     shutil.copytree(upstream, out)
     path = out / "topics" / "state.json"
     state = json.loads(path.read_text(encoding="utf-8"))
     keys = ["doc_topic", "n_kw"] + [key for key in state if key not in ("doc_topic", "n_kw")]
     path.write_text(json.dumps({key: state[key] for key in keys}), encoding="utf-8")
-    assert topics.load_state(path) == {key: state[key] for key in topics.STATE_FIELDS}
-    for command in ("stats", "topics-inspect"):
+    assert load_state_reference(path) == {key: state[key] for key in topics.STATE_FIELDS}
+    assert statefile.read_state(path) == {key: state[key] for key in topics.STATE_FIELDS
+                                          if key not in statefile.MATRICES}
+    for command, matrix in (("stats", "doc_topic"), ("topics-inspect", "n_kw")):
         capsys.readouterr()
         assert run(command, "--config", CONFIG, "--output", str(out)) == 2
-        assert (f"error: topic state {path}: n_kw comes before format, which save_state "
+        assert (f"error: topic state {path}: {matrix} comes before format, which save_state "
                 f"writes first\n") in capsys.readouterr().err
 
 
@@ -663,14 +667,16 @@ def test_interrupted_segment_leaves_the_earlier_passages(tmp_path, upstream, mon
 
 
 def test_failed_save_state_leaves_the_earlier_state(tmp_path, upstream, monkeypatch):
-    """topics-train failing part-way through writing state.json ends with
-    exit 2 and error.json, and leaves the earlier state.json byte for byte
-    as it was, and no temporary file in topics/."""
+    """topics-train failing part-way through writing state.json (at its 4th
+    row, in blocks of one row) ends with exit 2 and error.json, and leaves
+    the earlier state.json byte for byte as it was, and no temporary file in
+    topics/."""
     out = tmp_path / "out"
     shutil.copytree(upstream, out)
     earlier = (out / "topics" / "state.json").read_bytes()
     listed = sorted((out / "topics").iterdir())
     write_rows = topics._write_rows
+    monkeypatch.setattr(_sweep, "BLOCK", 1)
     monkeypatch.setattr(topics, "_write_rows", lambda fh, rows: write_rows(
         fh, interrupting(rows, OSError("No space left on device"))))
     config = config_with(tmp_path, topics={"sweeps": 2})

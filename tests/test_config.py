@@ -45,8 +45,8 @@ def csv_rows(path, monkeypatch):
 
 
 def state(path, monkeypatch):
-    """save_state of a trained K=2 state over 10 documents, the 4th
-    doc_topic row failing as it is streamed out."""
+    """save_state of a trained K=2 state over 10 documents, in blocks of one
+    row, the 4th doc_topic row failing as it is streamed out."""
     rng = random.Random(1)
     docs = [[rng.randrange(6) for _ in range(8)] for _ in range(10)]
     vocab, _ = topics.build_vocabulary([Segment("a", [f"w{i}" for i in range(6)])], set(),
@@ -54,6 +54,7 @@ def state(path, monkeypatch):
     trained, lls = topics.train(docs, 6, k=2, sweeps=2, burn_in=1, optimize_interval=1,
                                 rng_seed=0)
     write_rows = topics._write_rows
+    monkeypatch.setattr(_sweep, "BLOCK", 1)
     monkeypatch.setattr(topics, "_write_rows",
                         lambda fh, rows: write_rows(fh, fourth_raises(rows)))
     topics.save_state(path, trained, lls, vocab, ["a"] * 10)

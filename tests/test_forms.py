@@ -36,7 +36,7 @@ def same_as_reference(texts: list[str]) -> _sweep.FormTable:
     for text in texts:
         assert table.add(text.encode()) == reference.add(text.encode())
     assert table.words == reference.words
-    assert table.forms == reference.forms
+    assert table.text.split(" ")[:-1] == reference.forms
     return table
 
 
@@ -89,7 +89,7 @@ def test_every_growth_path(compiled):
     # a full id buffer is emptied into words; nothing else grows for it
     assert fresh.add(b"a " * (3 * fresh.OUT)) == 3 * fresh.OUT
     assert len(fresh._out) == fresh.OUT
-    assert len(fresh._store) == len(_sweep.FormTable()._store) and fresh.forms == ["a"]
+    assert len(fresh._store) == len(_sweep.FormTable()._store) and fresh.text == "a "
 
 
 def test_add_takes_bytes_only(compiled):

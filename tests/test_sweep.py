@@ -32,6 +32,7 @@ from godspell.topics import (
     optimize_alpha,
     optimize_beta,
 )
+from helpers import joined_blocks
 from oracles import (
     FormTableReference,
     authorless_downsample_numpy,
@@ -507,15 +508,16 @@ def test_distinct_numbers_the_patterns_by_first_appearance(compiled):
 
 
 def test_row_texts_of_numbers(compiled):
-    """With texts, each index as the text it points at; an index outside
-    the texts is a ValueError, before any row is given."""
+    """With texts, each index as the text it points at, the rows of a block
+    joined by ", "; an index outside the texts is a ValueError, before any
+    block is given."""
     parts = [json.dumps(x) for x in (0.5, -0.0, float("nan"), 1e22, 1 / 3)]
     store = bytearray("".join(parts).encode())
     at = array.array("i", itertools.accumulate(map(len, parts), initial=0))
     ids = array.array("i", [4, 3, 2, 1, 0, 0])
-    rows = list(map(bytes, _sweep.row_texts(ids, 2, texts=(store, at))))
-    assert rows == [json.dumps([1 / 3, 1e22, float("nan")]).encode(),
-                    json.dumps([-0.0, 0.5, 0.5]).encode()]
+    blocks = list(map(bytes, _sweep.row_texts(ids, 2, texts=(store, at))))
+    assert blocks == joined_blocks([[1 / 3, 1e22, float("nan")], [-0.0, 0.5, 0.5]],
+                                   _sweep.block_rows(3, texts=True)[0])
     for bad in (-1, 5):
         ids[1] = bad
         with pytest.raises(ValueError, match="outside the texts"):
@@ -526,13 +528,13 @@ def test_row_texts_of_numbers(compiled):
 @pytest.mark.parametrize("k, v", [(1, 1), (1, 300), (65, 1), (3, 7), (16, 129), (65, 1000)])
 def test_transposed_row_texts_are_the_topic_major_rows(compiled, monkeypatch, k, v, block):
     """A word-major (V, K) n_kw written as its K topic-major rows, read by
-    stride where they lie: each row's text is json.dumps of that row of
-    n_kw.T, with blocks small enough to cut between rows."""
+    stride where they lie: each block is json.dumps of its rows of n_kw.T,
+    joined by ", ", with blocks small enough to cut between rows."""
     rng = np.random.default_rng(k * v)
     word_major = (rng.negative_binomial(0.3, 0.001, (v, k)) - 1).astype(np.int32)
     monkeypatch.setattr(_sweep, "BLOCK", block)
-    rows = list(map(bytes, _sweep.row_texts(word_major, k, transposed=True)))
-    assert rows == [json.dumps(row).encode() for row in word_major.T.tolist()]
+    blocks = list(map(bytes, _sweep.row_texts(word_major, k, transposed=True)))
+    assert blocks == joined_blocks(word_major.T.tolist(), _sweep.block_rows(v)[0])
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -621,9 +623,8 @@ def test_shifted_refuses_bounds_that_do_not_cover_the_values(compiled):
 
 @pytest.mark.parametrize("cols", [1, 3, 65])
 def test_histogram_of_repeated_values(compiled, cols):
-    """Long runs of one value, as n_kw's zeros are, then runs of others, and a
-    length no multiple of the kernel's lanes: np.bincount of each column. A
-    value outside [0, size) is a ValueError, whatever the lanes hold."""
+    """Long runs of one value, as n_kw's zeros are, then runs of others:
+    np.bincount of each column. A value outside [0, size) is a ValueError."""
     rng = np.random.default_rng(cols)
     runs = [np.zeros(10_007 * cols), np.full(3 * cols, 5), rng.integers(0, 7, 997 * cols),
             np.full(501 * cols, 6)]

@@ -5,7 +5,6 @@ tokens of a FormTable's forms, against the per-form ``vocabulary_of_numpy``
 and the two facts about ``str`` it rests on."""
 
 import array
-import json
 import math
 import random
 import sys
@@ -16,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from godspell import _sweep, topics
 from godspell.topics import VocabularyError
+from helpers import joined_blocks
 from oracles import FormTableReference, vocabulary_of_numpy
 
 
@@ -53,7 +53,8 @@ def edge_numbers() -> list[float]:
 def test_row_texts_of_numbers_are_json(compiled, monkeypatch):
     """Thousands of distinct doubles in rows of 65, each at least once, in
     blocks of the default size and of 4096 bytes: each row's text from
-    share_texts is json.dumps of its numbers, at the edges of float text too."""
+    share_texts is json.dumps of its numbers, at the edges of float text too,
+    and each block holds its rows joined by ", "."""
     rng = np.random.default_rng(7)
     numbers = np.concatenate([rng.random(8192 + 300), edge_numbers()])
     assert len(np.unique(numbers.view(np.int64))) > 8192
@@ -69,7 +70,7 @@ def test_row_texts_of_numbers_are_json(compiled, monkeypatch):
         monkeypatch.setattr(_sweep, "BLOCK", block)
         texts = list(map(bytes, topics.share_texts(
             lambda r0, r1: np.ascontiguousarray(matrix[r0:r1]).reshape(-1), rows, cols)))
-        assert texts == [json.dumps(row).encode() for row in matrix.tolist()]
+        assert texts == joined_blocks(matrix.tolist(), _sweep.block_rows(cols, texts=True)[0])
     with pytest.raises(TypeError, match="x must be"):
         next(topics.share_texts(lambda r0, r1: array.array("f", [1.0]), 1, 1))
 

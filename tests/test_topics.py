@@ -22,7 +22,6 @@ from godspell.topics import (
     doc_topic_rows,
     gibbs_sweep,
     init_state,
-    load_state,
     log_likelihood,
     optimize_alpha,
     optimize_beta,
@@ -652,25 +651,21 @@ class TestTrain:
 
 
 class TestTopWords:
-    def _top(self, words, counts, n=10, k=0):
-        ids = top_words(counts, list(words), k, n=n)
+    def _top(self, words, counts, n=10):
+        ids = top_words(counts, list(words), n=n)
         return [words[w] for w in ids]
 
     def test_tie_break_lexicographic(self):
-        assert self._top(["amen", "church", "god"], [[3, 3, 5]], n=3) == ["god", "amen", "church"]
+        assert self._top(["amen", "church", "god"], [3, 3, 5], n=3) == ["god", "amen", "church"]
 
     def test_n_larger_than_vocabulary(self):
-        assert len(self._top(["a", "b"], [[1, 0]])) == 2
-
-    def test_out_of_range_topic(self):
-        with pytest.raises(ValueError):
-            self._top(["a"], [[1]], k=1)
+        assert len(self._top(["a", "b"], [1, 0])) == 2
 
     def test_negative_n_rejected(self):
         """A negative n would have cut the last words off the full sort."""
         with pytest.raises(ValueError, match="n >= 0"):
-            self._top(["a", "b", "c"], [[1, 2, 3]], n=-1)
-        assert self._top(["a", "b"], [[1, 2]], n=0) == []
+            self._top(["a", "b", "c"], [1, 2, 3], n=-1)
+        assert self._top(["a", "b"], [1, 2], n=0) == []
 
     @pytest.mark.parametrize("n", [1, 3, 10, 29, 30, 31])
     def test_every_n_matches_the_full_sort(self, n):
@@ -681,7 +676,7 @@ class TestTopWords:
         rng.shuffle(words)
         counts = [rng.randint(0, 4) for _ in range(30)]
         oracle = sorted(range(30), key=lambda w: (-counts[w], words[w]))[:n]
-        assert top_words([counts], words, 0, n=n) == oracle
+        assert top_words(counts, words, n=n) == oracle
 
     def test_matches_full_sort_oracle(self):
         rng = random.Random(19)
@@ -689,7 +684,7 @@ class TestTopWords:
         rng.shuffle(words)
         counts = [rng.randint(0, 9) for _ in range(30)]
         oracle = [w for _, w in sorted(((-counts[i], w) for i, w in enumerate(words)))]
-        assert self._top(words, [counts], n=30) == oracle
+        assert self._top(words, counts, n=30) == oracle
 
 
 class TestNovelProminence:
@@ -757,7 +752,7 @@ class TestNovelProminence:
         self.assert_bitwise_reference(rows(doc_topic_rows(state, 0, 300), 1), novels)
 
     def test_bitwise_numpy_mean_of_golden_state(self):
-        model = load_state(Path(__file__).parent / "golden" / "topics" / "state.json")
+        model = load_state_reference(GOLDEN_STATE)
         self.assert_bitwise_reference(model["doc_topic"], model["doc_novels"])
 
 
@@ -773,17 +768,20 @@ class TestStateIO:
                            optimize_interval=2, rng_seed=7)
         path = tmp_path / "state.json"
         save_state(path, state, lls, vocab, novels)
-        loaded = load_state(path)
-        assert list(loaded) == list(topics.STATE_FIELDS)
+        loaded, taken = read_taking(path)
+        assert statefile.read_state(path) == loaded
+        assert list(loaded) == [name for name in topics.STATE_FIELDS
+                                if name not in statefile.MATRICES]
         assert loaded["k"] == 2
         assert loaded["seed"] == 7
-        assert loaded["n_kw"] == topic_rows(state.n_kw, 2)
-        assert loaded["doc_topic"] == rows(doc_topic_rows(state, 0, 10), 2)
+        assert taken["n_kw"] == topic_rows(state.n_kw, 2)
+        assert taken["doc_topic"] == rows(doc_topic_rows(state, 0, 10), 2)
         assert loaded["doc_novels"] == novels
         assert loaded["log_likelihood"] == lls
         assert loaded["vocabulary"] == vocab.words
-        assert top_words(loaded["n_kw"], loaded["vocabulary"], 0, n=3) == top_words(
-            topic_rows(state.n_kw, 2), vocab.words, 0, n=3)
+        assert statefile.top_words(path, n=3) == (vocab.words, [
+            [(w, row[w]) for w in top_words(row, vocab.words, n=3)]
+            for row in topic_rows(state.n_kw, 2)])
 
     @staticmethod
     def damaged_state(tmp_path, damage) -> Path:
@@ -794,7 +792,7 @@ class TestStateIO:
                            rng_seed=0)
         path = tmp_path / "state.json"
         save_state(path, state, lls, vocab, ["a", "a", "b"])
-        assert load_state(path)["k"] == 2
+        assert statefile.read_state(path)["k"] == 2
         payload = json.loads(path.read_text(encoding="utf-8"))
         damage(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -810,7 +808,7 @@ class TestStateIO:
     def test_shape_mismatch_rejected(self, tmp_path, field):
         path = self.damaged_state(tmp_path, self.DAMAGE[field])
         with pytest.raises(ValueError, match=re.escape(f"{path}: {field} has shape")):
-            load_state(path)
+            statefile.read_state(path)
 
     # damage -> the message after the path; numpy cast these or failed
     # without naming the file, and the commands failed on the array items
@@ -838,7 +836,7 @@ class TestStateIO:
         change, message = self.MALFORMED[damage]
         path = self.damaged_state(tmp_path, change)
         with pytest.raises(ValueError, match=re.escape(f"topic state {path}: {message}")):
-            load_state(path)
+            statefile.read_state(path)
 
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:120], "{} is not valid JSON"),
@@ -854,7 +852,7 @@ class TestStateIO:
         save_state(path, state, lls, vocab, ["a", "a", "b"])
         path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(message.format(path))):
-            load_state(path)
+            statefile.read_state(path)
 
     @pytest.mark.parametrize("field", ["k", "alpha", "beta", "seed", "vocabulary", "n_kw",
                                        "doc_topic", "doc_novels", "log_likelihood"])
@@ -862,13 +860,13 @@ class TestStateIO:
         path = self.damaged_state(tmp_path, lambda p: p.pop(field))
         with pytest.raises(ValueError, match=re.escape(f"topic state {path} lacks the field "
                                                        f"{field!r}")):
-            load_state(path)
+            statefile.read_state(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('{"format": "other", "version": 9}', encoding="utf-8")
         with pytest.raises(ValueError, match="unrecognized"):
-            load_state(path)
+            statefile.read_state(path)
 
 
 class TestStateWriter:
@@ -929,8 +927,8 @@ class TestStateWriter:
                                [f"n{i % 4}" for i in range(600)])
 
     def test_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch):
-        """Blocks of 4 rows (80 bytes a row of 3 shares at most) over 37
-        rows, so the last block holds one."""
+        """Blocks of 3 rows (82 bytes a row of 3 shares at most, with its
+        separators) over 37 rows, so the last block holds one."""
         monkeypatch.setattr(_sweep, "BLOCK", 320)
         rng = np.random.default_rng(37)
         doc_topic = rng.choice([0.5, 1 / 3, 1e-300, -0.0], (37, 3))
@@ -1011,24 +1009,23 @@ def read_taking(path) -> tuple[dict, dict]:
 
 
 class TestStateReader:
-    """The one decoder of state.json against the whole-string load_state it
-    replaced (load_state_reference, tests/oracles.py): the same dict or the
-    same ValueError, with the matrices kept or taken a row at a time."""
+    """The one decoder of state.json against the whole-string decoder it
+    replaced (load_state_reference, tests/oracles.py): the same fields and
+    rows or the same ValueError, with the matrices dropped or taken a row at
+    a time."""
 
     @staticmethod
     def assert_as_reference(path):
         try:
             expected = load_state_reference(path)
         except ValueError as e:
-            message = re.escape(str(e))
-            with pytest.raises(ValueError, match=message):
-                load_state(path)
-            with pytest.raises(ValueError, match=message):
-                read_taking(path)
+            for read in (statefile.read_state, read_taking):
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    read(path)
             return
-        assert load_state(path) == expected
         fields, taken = read_taking(path)
-        assert fields == {name: value for name, value in expected.items() if name not in taken}
+        assert statefile.read_state(path) == fields == {
+            name: value for name, value in expected.items() if name not in taken}
         assert taken == {name: expected[name] for name in taken}
 
     CHANGES = {
@@ -1070,17 +1067,18 @@ class TestStateReader:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_keys_in_another_order(self, tmp_path, seed):
-        """The keys shuffled (seed 0 reverses them): load_state reads the same
-        dict, and a caller taking rows gets the same rows, or a ValueError
-        naming the file when a matrix comes before a field it follows in
-        save_state's order; never other rows."""
+        """The keys shuffled (seed 0 reverses them): read_state taking no
+        matrix reads the same fields, and a caller taking rows gets the same
+        rows, or a ValueError naming the file when a matrix comes before a
+        field it follows in save_state's order; never other rows."""
         payload = json.loads(GOLDEN_STATE.read_text(encoding="utf-8"))
         keys = list(payload)[::-1] if seed == 0 else random.Random(seed).sample(list(payload),
                                                                                len(payload))
         path = tmp_path / "state.json"
         path.write_text(json.dumps({key: payload[key] for key in keys}), encoding="utf-8")
         expected = load_state_reference(path)
-        assert load_state(path) == expected
+        assert statefile.read_state(path) == {
+            name: value for name, value in expected.items() if name not in statefile.MATRICES}
         late = [name for name in statefile.MATRICES
                 if any(keys.index(key) > keys.index(name)
                        for key in statefile.ORDER[:statefile.ORDER.index(name)])]
@@ -1098,7 +1096,7 @@ class TestStateReader:
         payload = json.loads(text)
         path = tmp_path / "state.json"
         path.write_text(f'{text[:-1]}, "{key}": {json.dumps(payload[key])}}}', encoding="utf-8")
-        for read in (load_state, read_taking):
+        for read in (statefile.read_state, read_taking):
             with pytest.raises(ValueError, match=re.escape(f"topic state {path}: the key "
                                                            f"{key!r} repeats")):
                 read(path)
@@ -1113,7 +1111,7 @@ class TestStateReader:
         self.assert_as_reference(path)
         monkeypatch.setattr(statefile, "READ", 7)
         self.assert_as_reference(path)
-        for read in (load_state, read_taking):
+        for read in (statefile.read_state, read_taking):
             with pytest.raises(ValueError, match=re.escape(f"{path} is not valid JSON")):
                 read(path)
 
@@ -1122,7 +1120,7 @@ class TestStateReader:
         path = tmp_path / "state.json"
         at = data.index(b'"vocabulary": ["') + 16
         path.write_bytes(data[:at] + b"caf\xe9" + data[at:])
-        for read in (load_state, read_taking):
+        for read in (statefile.read_state, read_taking):
             with pytest.raises(ValueError, match=re.escape(f"{path} is not UTF-8")):
                 read(path)
 
@@ -1151,5 +1149,5 @@ class TestStateReader:
         for read in (4096, 2):
             monkeypatch.setattr(statefile, "READ", read)
             with pytest.raises(ValueError, match=re.escape(message)):
-                load_state(path)
+                statefile.read_state(path)
         self.assert_as_reference(path)
